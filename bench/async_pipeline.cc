@@ -45,16 +45,7 @@ namespace {
 
 using namespace streamasp;
 using bench::BenchRun;
-
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0;
-  std::sort(values.begin(), values.end());
-  const double rank = p * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + (values[hi] - values[lo]) * frac;
-}
+using bench::Percentile;
 
 BenchRun RunOnce(const Program& program, const std::vector<Triple>& stream,
                  size_t window_size, bool async, size_t inflight,

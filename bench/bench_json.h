@@ -9,6 +9,7 @@
 #ifndef STREAMASP_BENCH_BENCH_JSON_H_
 #define STREAMASP_BENCH_BENCH_JSON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -76,6 +77,19 @@ struct BenchRun {
   double completeness = 1.0;
   uint64_t shed_windows = 0;
 };
+
+/// The `p`-quantile (0 <= p <= 1) of `values`, interpolated linearly
+/// between the two nearest ranks; 0 for no samples. Shared by every bench
+/// that reports latency percentiles so their gates read the same figure.
+inline double Percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0;
+  std::sort(values.begin(), values.end());
+  const double rank = p * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] + (values[hi] - values[lo]) * frac;
+}
 
 /// Fills the engine-derived half of a run from the unified snapshot.
 /// Sharded runs report mean per-merged-window completeness and the

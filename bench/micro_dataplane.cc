@@ -1,8 +1,9 @@
 // Micro-benchmarks for the compact data plane, self-timed (no external
 // bench framework, so this target always builds): PackedTerm pack/unpack
-// throughput, columnar WindowStore append/evict vs a deque baseline, and
-// the packed-word join probe vs a deep-Term probe — the three primitives
-// whose costs the pipeline-level benches can only observe in aggregate.
+// throughput, columnar WindowStore append/evict vs a deque baseline, the
+// packed-word join probe vs a deep-Term probe, and wire ingest (the
+// session server's push parsing) — the primitives whose costs the
+// pipeline-level benches can only observe in aggregate.
 // Emits one machine-readable JSON document on stdout (schema in
 // docs/benchmarks.md); human-readable notes go to stderr.
 //
@@ -20,8 +21,11 @@
 #include "asp/packed_term.h"
 #include "asp/symbol_table.h"
 #include "asp/term.h"
+#include "server/wire.h"
+#include "stream/generator.h"
 #include "stream/triple.h"
 #include "stream/window_store.h"
+#include "streamrule/traffic_workload.h"
 #include "util/timer.h"
 
 namespace {
@@ -261,6 +265,77 @@ ProbeResult BenchJoinProbe(const SymbolTablePtr& symbols, size_t scale) {
   return ProbeResult{buf};
 }
 
+/// Wire ingest: what the server's event-loop thread does per push on the
+/// paper's workload — ParseRequest over one 5000-line P' push payload,
+/// then ParseTripleLine on every line against a warm session symbol table
+/// (a live session has interned the stream's vocabulary after its first
+/// window). Reports the two halves per triple and the payload's wire
+/// bytes per triple.
+ProbeResult BenchWireIngest(size_t scale) {
+  constexpr size_t kTriples = 5000;
+  const size_t repeats = 200 * scale;
+  SymbolTablePtr stream_symbols = MakeSymbolTable();
+  GeneratorOptions options;
+  options.seed = 2017;
+  SyntheticStreamGenerator generator(MakeTrafficSchema(*stream_symbols),
+                                     options);
+  std::string payload = "push s1";
+  for (const Triple& triple : generator.GenerateWindow(kTriples)) {
+    payload.push_back('\n');
+    payload += stream_symbols->NameOf(triple.predicate);
+    payload.push_back(' ');
+    payload += triple.subject.ToString(*stream_symbols);
+    if (triple.object.has_value()) {
+      payload.push_back(' ');
+      payload += triple.object.ToString(*stream_symbols);
+    }
+  }
+
+  SymbolTablePtr session_symbols = MakeSymbolTable();
+  std::vector<Triple> batch;
+  double request_ms = 0;
+  double triples_ms = 0;
+  // Pass 0 warms the symbol table and the allocator; it is not timed.
+  for (size_t pass = 0; pass <= repeats; ++pass) {
+    WallTimer request_timer;
+    StatusOr<WireRequest> request = ParseRequest(payload);
+    const double parsed_ms = request_timer.ElapsedMillis();
+    if (!request.ok() || request->lines.size() != kTriples) {
+      std::fprintf(stderr, "wire_ingest: bad request parse\n");
+      std::exit(1);
+    }
+    WallTimer triples_timer;
+    batch.clear();
+    batch.reserve(request->lines.size());
+    for (const std::string& line : request->lines) {
+      StatusOr<Triple> triple = ParseTripleLine(line, *session_symbols);
+      if (!triple.ok()) {
+        std::fprintf(stderr, "wire_ingest: bad triple '%s'\n", line.c_str());
+        std::exit(1);
+      }
+      batch.push_back(*triple);
+    }
+    if (pass > 0) {
+      triples_ms += triples_timer.ElapsedMillis();
+      request_ms += parsed_ms;
+    }
+  }
+
+  const size_t triples = kTriples * repeats;
+  std::fprintf(stderr, "wire_ingest: %zu pushes of %zu triples\n", repeats,
+               kTriples);
+  char buf[512];
+  std::snprintf(
+      buf, sizeof(buf),
+      "    {\"probe\": \"wire_ingest\", \"triples\": %zu, "
+      "\"ns_per_triple\": %.2f, \"parse_request_ns_per_triple\": %.2f, "
+      "\"parse_triples_ns_per_triple\": %.2f, \"bytes_per_triple\": %.2f}",
+      triples, NsPerOp(request_ms + triples_ms, triples),
+      NsPerOp(request_ms, triples), NsPerOp(triples_ms, triples),
+      static_cast<double>(payload.size()) / static_cast<double>(kTriples));
+  return ProbeResult{buf};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -274,6 +349,7 @@ int main(int argc, char** argv) {
   results.push_back(BenchPackUnpack(symbols, scale));
   results.push_back(BenchColumnarWindow(symbols, scale));
   results.push_back(BenchJoinProbe(symbols, scale));
+  results.push_back(BenchWireIngest(scale));
 
   std::printf("{\n");
   std::printf("  \"bench\": \"micro_dataplane\",\n");

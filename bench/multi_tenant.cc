@@ -55,6 +55,7 @@ namespace {
 
 using namespace streamasp;
 using bench::BenchRun;
+using bench::Percentile;
 using Clock = std::chrono::steady_clock;
 
 constexpr size_t kPoolThreads = 2;
@@ -62,16 +63,6 @@ constexpr size_t kGreedyTenants = 3;
 constexpr size_t kSteadyWeight = 4;
 constexpr size_t kGreedyWeight = 1;
 constexpr const char* kWorkload = "traffic_pprime_multi_tenant";
-
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0;
-  std::sort(values.begin(), values.end());
-  const double rank = p * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + (values[hi] - values[lo]) * frac;
-}
 
 /// Pre-generates `count` exact windows of the traffic stream so window
 /// boundaries land on PushBatch boundaries (every push closes exactly one

@@ -1,8 +1,9 @@
 #include "server/wire.h"
 
+#include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdio>
-#include <utility>
 
 #include "streamrule/answer.h"
 #include "streamrule/parallel_reasoner.h"
@@ -18,15 +19,31 @@ std::string FormatCompleteness(double value) {
   return buffer;
 }
 
-/// Splits a request line on single spaces, dropping empty tokens (so
-/// accidental double spaces don't produce phantom fields).
-std::vector<std::string> Tokens(std::string_view line) {
-  std::vector<std::string> tokens;
-  for (std::string& piece : StrSplit(line, ' ')) {
-    if (!piece.empty()) tokens.push_back(std::move(piece));
+/// Walks the fields of one line: the pieces between single spaces, with
+/// empty pieces skipped (so accidental double spaces don't produce
+/// phantom fields). Fields are views into the line; nothing is copied.
+class FieldCursor {
+ public:
+  explicit FieldCursor(std::string_view line) : rest_(line) {}
+
+  /// Stores the next field in `*field`; false once the line is exhausted.
+  bool Next(std::string_view* field) {
+    while (!rest_.empty()) {
+      const size_t space = rest_.find(' ');
+      const std::string_view piece = rest_.substr(0, space);
+      rest_ = space == std::string_view::npos ? std::string_view()
+                                              : rest_.substr(space + 1);
+      if (!piece.empty()) {
+        *field = piece;
+        return true;
+      }
+    }
+    return false;
   }
-  return tokens;
-}
+
+ private:
+  std::string_view rest_;
+};
 
 Status ApplyOpenOption(std::string_view key, std::string_view value,
                        SessionOptions* options) {
@@ -168,32 +185,38 @@ bool FrameDecoder::Next(std::string* payload) {
 }
 
 StatusOr<WireRequest> ParseRequest(std::string_view payload) {
-  std::vector<std::string> lines = StrSplit(payload, '\n');
-  if (lines.empty()) return InvalidArgumentError("empty request");
-  const std::vector<std::string> head = Tokens(lines[0]);
-  if (head.empty()) return InvalidArgumentError("empty request");
+  // Only the head line is tokenized; the body (everything after the first
+  // '\n') is scanned in place by the verbs that carry one.
+  const size_t head_end = payload.find('\n');
+  const std::string_view body = head_end == std::string_view::npos
+                                    ? std::string_view()
+                                    : payload.substr(head_end + 1);
+  FieldCursor head(StripWhitespace(payload.substr(0, head_end)));
+  std::string_view verb;
+  if (!head.Next(&verb)) return InvalidArgumentError("empty request");
 
   WireRequest request;
-  const std::string& verb = head[0];
   if (verb == "ping") {
     request.command = WireRequest::Command::kPing;
     return request;
   }
-  if (head.size() < 2) {
-    return InvalidArgumentError("request '" + verb + "' needs a session name");
+  std::string_view session;
+  if (!head.Next(&session)) {
+    return InvalidArgumentError("request '" + std::string(verb) +
+                                "' needs a session name");
   }
-  request.session = head[1];
+  request.session = std::string(session);
   if (verb == "open") {
     request.command = WireRequest::Command::kOpen;
-    for (size_t i = 2; i < head.size(); ++i) {
-      const size_t eq = head[i].find('=');
-      if (eq == std::string::npos) {
-        return InvalidArgumentError("open option '" + head[i] +
+    std::string_view field;
+    while (head.Next(&field)) {
+      const size_t eq = field.find('=');
+      if (eq == std::string_view::npos) {
+        return InvalidArgumentError("open option '" + std::string(field) +
                                     "' is not key=value");
       }
-      const std::string_view key = std::string_view(head[i]).substr(0, eq);
-      const std::string_view value =
-          std::string_view(head[i]).substr(eq + 1);
+      const std::string_view key = field.substr(0, eq);
+      const std::string_view value = field.substr(eq + 1);
       if (key == "v") {
         // Protocol version, not a session option: parse it here so the
         // broker can reject before any option is acted on. Any integer
@@ -212,15 +235,21 @@ StatusOr<WireRequest> ParseRequest(std::string_view payload) {
       STREAMASP_RETURN_IF_ERROR(
           ApplyOpenOption(key, value, &request.options));
     }
-    std::vector<std::string> program(lines.begin() + 1, lines.end());
-    request.options.program_text = StrJoin(program, "\n");
+    request.options.program_text = std::string(body);
     return request;
   }
   if (verb == "push") {
     request.command = WireRequest::Command::kPush;
-    for (size_t i = 1; i < lines.size(); ++i) {
-      std::string_view line = StripWhitespace(lines[i]);
+    if (body.empty()) return request;
+    request.lines.reserve(
+        static_cast<size_t>(std::count(body.begin(), body.end(), '\n')) + 1);
+    for (size_t start = 0; start <= body.size();) {
+      size_t end = body.find('\n', start);
+      if (end == std::string_view::npos) end = body.size();
+      const std::string_view line =
+          StripWhitespace(body.substr(start, end - start));
       if (!line.empty()) request.lines.emplace_back(line);
+      start = end + 1;
     }
     return request;
   }
@@ -236,17 +265,22 @@ StatusOr<WireRequest> ParseRequest(std::string_view payload) {
     request.command = WireRequest::Command::kClose;
     return request;
   }
-  return InvalidArgumentError("unknown request verb '" + verb + "'");
+  return InvalidArgumentError("unknown request verb '" + std::string(verb) +
+                              "'");
 }
 
 StatusOr<Triple> ParseTripleLine(std::string_view line, SymbolTable& symbols) {
-  const std::vector<std::string> tokens = Tokens(line);
-  if (tokens.size() < 2 || tokens.size() > 3) {
+  // A fourth field already makes the line malformed, so no more are read.
+  std::array<std::string_view, 4> tokens;
+  size_t count = 0;
+  FieldCursor fields(line);
+  while (count < tokens.size() && fields.Next(&tokens[count])) ++count;
+  if (count < 2 || count > 3) {
     return InvalidArgumentError(
         "triple line needs '<predicate> <subject> [<object>]', got '" +
         std::string(line) + "'");
   }
-  auto parse_term = [&symbols](const std::string& token) {
+  auto parse_term = [&symbols](std::string_view token) {
     int64_t number = 0;
     if (ParseInt64(token, &number)) return PackedTerm::Integer(number);
     return PackedTerm::Symbol(symbols.Intern(token));
@@ -254,7 +288,7 @@ StatusOr<Triple> ParseTripleLine(std::string_view line, SymbolTable& symbols) {
   Triple triple;
   triple.predicate = symbols.Intern(tokens[0]);
   triple.subject = parse_term(tokens[1]);
-  if (tokens.size() == 3) triple.object = parse_term(tokens[2]);
+  if (count == 3) triple.object = parse_term(tokens[2]);
   return triple;
 }
 

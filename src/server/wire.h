@@ -38,8 +38,14 @@ namespace streamasp {
 /// so there is no legacy fleet to protect — omitting it just skips the
 /// client-side check).
 ///
-/// Triple lines: `<predicate> <subject> [<object>]` — integer tokens
-/// become integer terms, anything else is interned as a symbol.
+/// Request heads: the first line, stripped of surrounding whitespace
+/// (so CRLF clients work), split into fields like a triple line.
+///
+/// Triple lines: `<predicate> <subject> [<object>]` — fields are
+/// separated by single spaces and runs of spaces collapse; a tab is part
+/// of a field. Each line is stripped of surrounding whitespace (including
+/// '\r') and blank lines are skipped. Integer fields within int64 range
+/// become integer terms; anything else is interned as a symbol.
 ///
 /// Replies (one per request, in request order):
 ///   ok open <session> v=1
@@ -111,10 +117,14 @@ struct WireRequest {
 };
 
 /// Parses one request payload. kInvalidArgument on an unknown verb,
-/// missing session, or malformed option.
+/// missing session, or malformed option. Only the head line is split
+/// into fields; a push body is scanned in place into `lines` and an open
+/// body is copied verbatim into `options.program_text`.
 StatusOr<WireRequest> ParseRequest(std::string_view payload);
 
-/// Parses one `<predicate> <subject> [<object>]` line against `symbols`.
+/// Parses one `<predicate> <subject> [<object>]` line against `symbols`
+/// without allocating per field. Interns the predicate, then the subject,
+/// then the object; a malformed line interns nothing.
 StatusOr<Triple> ParseTripleLine(std::string_view line, SymbolTable& symbols);
 
 /// The machine-readable error slug for a status code: the stable

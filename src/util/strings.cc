@@ -1,6 +1,5 @@
 #include "util/strings.h"
 
-#include <cctype>
 #include <cstdint>
 #include <limits>
 
@@ -28,17 +27,19 @@ std::string StrJoin(const std::vector<std::string>& pieces,
   return out;
 }
 
+namespace {
+
+/// std::isspace in the "C" locale (space, \t, \n, \v, \f, \r) without
+/// the library call: the wire parser strips every pushed line with it.
+bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
+
 std::string_view StripWhitespace(std::string_view input) {
   size_t begin = 0;
   size_t end = input.size();
-  while (begin < end &&
-         std::isspace(static_cast<unsigned char>(input[begin]))) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(input[end - 1]))) {
-    --end;
-  }
+  while (begin < end && IsAsciiSpace(input[begin])) ++begin;
+  while (end > begin && IsAsciiSpace(input[end - 1])) --end;
   return input.substr(begin, end - begin);
 }
 

@@ -15,7 +15,8 @@ std::vector<std::string> StrSplit(std::string_view input, char delimiter);
 std::string StrJoin(const std::vector<std::string>& pieces,
                     std::string_view separator);
 
-/// Removes leading and trailing ASCII whitespace.
+/// Removes leading and trailing ASCII whitespace (space, \t, \n, \v, \f,
+/// \r; never a byte >= 0x80).
 std::string_view StripWhitespace(std::string_view input);
 
 /// True iff `s` begins with `prefix`.

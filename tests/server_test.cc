@@ -15,6 +15,7 @@
 #include <condition_variable>
 #include <deque>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -31,6 +32,7 @@
 #include "streamrule/answer.h"
 #include "streamrule/engine.h"
 #include "streamrule/traffic_workload.h"
+#include "util/strings.h"
 
 namespace streamasp {
 namespace {
@@ -190,6 +192,334 @@ TEST(WireTest, ParsesTripleLines) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseTripleLine("a b c d", *symbols).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(WireTest, CrlfPushHeadAddressesTheBareSession) {
+  auto request = ParseRequest("push s1\r\nlink a b\r\nlink b c\r\n");
+  ASSERT_TRUE(request.ok()) << request.status();
+  EXPECT_EQ(request->command, WireRequest::Command::kPush);
+  EXPECT_EQ(request->session, "s1");
+  EXPECT_EQ(request->lines, (std::vector<std::string>{"link a b", "link b c"}));
+}
+
+TEST(WireTest, CrlfPingIsAPing) {
+  auto request = ParseRequest("ping\r");
+  ASSERT_TRUE(request.ok()) << request.status();
+  EXPECT_EQ(request->command, WireRequest::Command::kPing);
+  auto crlf = ParseRequest("ping\r\n");
+  ASSERT_TRUE(crlf.ok()) << crlf.status();
+  EXPECT_EQ(crlf->command, WireRequest::Command::kPing);
+}
+
+TEST(WireTest, CrlfOpenOptionKeepsItsInteger) {
+  auto request = ParseRequest("open s1 window=10\r\np(a).");
+  ASSERT_TRUE(request.ok()) << request.status();
+  EXPECT_EQ(request->session, "s1");
+  EXPECT_EQ(request->options.engine.pipeline.window_size, 10u);
+  EXPECT_EQ(request->options.program_text, "p(a).");
+}
+
+// ---------------------------------------------------------------------------
+// Differential wire parser test.
+// ---------------------------------------------------------------------------
+
+// The wire parser as it was before push ingest stopped allocating: split
+// the whole payload on '\n', tokenize each line into owned strings. It is
+// the oracle for the in-place parser. The one intended difference, the
+// stripped head line, is applied here too.
+std::vector<std::string> ReferenceTokens(std::string_view line) {
+  std::vector<std::string> tokens;
+  for (std::string& piece : StrSplit(line, ' ')) {
+    if (!piece.empty()) tokens.push_back(std::move(piece));
+  }
+  return tokens;
+}
+
+StatusOr<WireRequest> ReferenceParseRequest(std::string_view payload) {
+  const std::vector<std::string> lines = StrSplit(payload, '\n');
+  const std::vector<std::string> head =
+      ReferenceTokens(StripWhitespace(lines[0]));
+  if (head.empty()) return InvalidArgumentError("empty request");
+  const std::string& verb = head[0];
+  WireRequest request;
+  if (verb == "ping") {
+    request.command = WireRequest::Command::kPing;
+    return request;
+  }
+  if (head.size() < 2) {
+    return InvalidArgumentError("request '" + verb + "' needs a session name");
+  }
+  if (verb == "open") {
+    // Option handling did not change; reach it through the parser with
+    // the reference's own fields re-joined by single spaces.
+    StatusOr<WireRequest> open = ParseRequest(StrJoin(head, " "));
+    if (!open.ok()) return open.status();
+    request = std::move(*open);
+    const std::vector<std::string> program(lines.begin() + 1, lines.end());
+    request.options.program_text = StrJoin(program, "\n");
+    return request;
+  }
+  request.session = head[1];
+  if (verb == "push") {
+    request.command = WireRequest::Command::kPush;
+    for (size_t i = 1; i < lines.size(); ++i) {
+      const std::string_view line = StripWhitespace(lines[i]);
+      if (!line.empty()) request.lines.emplace_back(line);
+    }
+    return request;
+  }
+  if (verb == "flush") {
+    request.command = WireRequest::Command::kFlush;
+    return request;
+  }
+  if (verb == "stats") {
+    request.command = WireRequest::Command::kStats;
+    return request;
+  }
+  if (verb == "close") {
+    request.command = WireRequest::Command::kClose;
+    return request;
+  }
+  return InvalidArgumentError("unknown request verb '" + verb + "'");
+}
+
+StatusOr<Triple> ReferenceParseTripleLine(std::string_view line,
+                                          SymbolTable& symbols) {
+  const std::vector<std::string> tokens = ReferenceTokens(line);
+  if (tokens.size() < 2 || tokens.size() > 3) {
+    return InvalidArgumentError(
+        "triple line needs '<predicate> <subject> [<object>]', got '" +
+        std::string(line) + "'");
+  }
+  auto parse_term = [&symbols](const std::string& token) {
+    int64_t number = 0;
+    if (ParseInt64(token, &number)) return PackedTerm::Integer(number);
+    return PackedTerm::Symbol(symbols.Intern(token));
+  };
+  Triple triple;
+  triple.predicate = symbols.Intern(tokens[0]);
+  triple.subject = parse_term(tokens[1]);
+  if (tokens.size() == 3) triple.object = parse_term(tokens[2]);
+  return triple;
+}
+
+void ExpectSameRequest(const StatusOr<WireRequest>& got,
+                       const StatusOr<WireRequest>& want,
+                       const std::string& payload) {
+  SCOPED_TRACE(::testing::PrintToString(payload));
+  ASSERT_EQ(got.ok(), want.ok()) << got.status() << " vs " << want.status();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+    return;
+  }
+  EXPECT_EQ(got->command, want->command);
+  EXPECT_EQ(got->session, want->session);
+  EXPECT_EQ(got->lines, want->lines);
+  EXPECT_EQ(got->protocol_version, want->protocol_version);
+  EXPECT_EQ(got->has_version, want->has_version);
+  const SessionOptions& a = got->options;
+  const SessionOptions& b = want->options;
+  EXPECT_EQ(a.program_text, b.program_text);
+  EXPECT_EQ(a.engine.pipeline.window_size, b.engine.pipeline.window_size);
+  EXPECT_EQ(a.engine.pipeline.window_slide, b.engine.pipeline.window_slide);
+  EXPECT_EQ(a.engine.pipeline.async, b.engine.pipeline.async);
+  EXPECT_EQ(a.engine.pipeline.max_inflight_windows,
+            b.engine.pipeline.max_inflight_windows);
+  EXPECT_EQ(a.engine.pipeline.num_reason_workers,
+            b.engine.pipeline.num_reason_workers);
+  EXPECT_EQ(a.engine.pipeline.reuse_grounding,
+            b.engine.pipeline.reuse_grounding);
+  EXPECT_EQ(a.engine.pipeline.reuse_solving, b.engine.pipeline.reuse_solving);
+  EXPECT_EQ(a.engine.num_shards, b.engine.num_shards);
+  EXPECT_EQ(a.engine.router_batch_size, b.engine.router_batch_size);
+  EXPECT_EQ(a.ingest_queue_capacity, b.ingest_queue_capacity);
+  EXPECT_EQ(a.admission, b.admission);
+  EXPECT_EQ(a.weight, b.weight);
+  EXPECT_EQ(a.max_inflight, b.max_inflight);
+  EXPECT_EQ(a.max_queued_windows, b.max_queued_windows);
+}
+
+/// Seeded generator of hostile-but-plausible payloads: odd spacing, tabs
+/// and '\r' inside and around fields, blank and whitespace-only lines,
+/// 0- to 5-field triple lines, and integer tokens at the int64 edges.
+class WirePayloadGenerator {
+ public:
+  explicit WirePayloadGenerator(uint64_t seed) : rng_(seed) {}
+
+  std::string Field() {
+    static const char* const kFields[] = {
+        "link", "a", "j1", "average_speed", "car_number", "x\ty", "\tz",
+        "q\r", "a\rb", "-", "+", "+0", "-0", "0", "17", "-5", "007", "1a",
+        "9223372036854775807", "9223372036854775808",
+        "-9223372036854775808", "-9223372036854775809"};
+    return kFields[Pick(std::size(kFields))];
+  }
+
+  std::string Separator() { return std::string(1 + Pick(3), ' '); }
+
+  std::string Edge() {
+    static const char* const kEdges[] = {"", "", "", " ", "  ", "\t", "\r",
+                                         " \r", "\v", "\f"};
+    return kEdges[Pick(std::size(kEdges))];
+  }
+
+  /// One body line with 0-5 fields (weighted to 1-4) and random edges.
+  std::string Line() {
+    static const size_t kCounts[] = {0, 1, 2, 2, 3, 3, 3, 4, 5};
+    const size_t fields = kCounts[Pick(std::size(kCounts))];
+    std::string line = Edge();
+    for (size_t i = 0; i < fields; ++i) {
+      if (i > 0) line += Separator();
+      line += Field();
+    }
+    return line + Edge();
+  }
+
+  std::string Head() {
+    static const char* const kVerbs[] = {"push", "push", "push", "open",
+                                         "open", "ping", "flush", "stats",
+                                         "close", "warble", ""};
+    static const char* const kOptions[] = {
+        "window=10", "slide=2", "shards=2", "async=1", "reuse=solve",
+        "reuse=none", "queue=3", "weight=4", "admission=reject", "v=1",
+        "max_queued=5", "v=x", "weight=0", "color=red", "window"};
+    std::string head = Edge() + kVerbs[Pick(std::size(kVerbs))];
+    if (Pick(8) != 0) head += Separator() + (Pick(2) == 0 ? "s1" : "s\t2");
+    const size_t options = Pick(4);
+    for (size_t i = 0; i < options; ++i) {
+      head += Separator() + kOptions[Pick(std::size(kOptions))];
+    }
+    return head + Edge();
+  }
+
+  std::string Payload() {
+    std::string payload = Head();
+    const size_t lines = Pick(9);
+    for (size_t i = 0; i < lines; ++i) {
+      payload.push_back('\n');
+      if (Pick(6) != 0) payload += Line();
+    }
+    if (Pick(3) == 0) payload.push_back('\n');
+    return payload;
+  }
+
+  size_t Pick(size_t n) { return static_cast<size_t>(rng_() % n); }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+void ExpectSameTriple(std::string_view line, SymbolTable& got_symbols,
+                      SymbolTable& want_symbols) {
+  SCOPED_TRACE(::testing::PrintToString(std::string(line)));
+  const StatusOr<Triple> got = ParseTripleLine(line, got_symbols);
+  const StatusOr<Triple> want = ReferenceParseTripleLine(line, want_symbols);
+  ASSERT_EQ(got.ok(), want.ok()) << got.status() << " vs " << want.status();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+    return;
+  }
+  // Both tables intern in the same order, so equal ids mean equal
+  // interning order, not just equal names.
+  EXPECT_EQ(*got, *want);
+}
+
+TEST(WireTest, InPlaceParserMatchesSplittingReference) {
+  SymbolTablePtr got_symbols = MakeSymbolTable();
+  SymbolTablePtr want_symbols = MakeSymbolTable();
+  WirePayloadGenerator generator(20170419);
+  for (int i = 0; i < 3000; ++i) {
+    const std::string payload = generator.Payload();
+    const StatusOr<WireRequest> got = ParseRequest(payload);
+    const StatusOr<WireRequest> want = ReferenceParseRequest(payload);
+    ExpectSameRequest(got, want, payload);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (want.ok()) {
+      for (const std::string& line : want->lines) {
+        ExpectSameTriple(line, *got_symbols, *want_symbols);
+      }
+    }
+    // Raw, unstripped lines too: the triple parser itself never strips.
+    for (int j = 0; j < 3; ++j) {
+      ExpectSameTriple(generator.Line(), *got_symbols, *want_symbols);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(got_symbols->size(), want_symbols->size());
+}
+
+TEST(WireTest, DifferentialEdgeCases) {
+  const char* const kPayloads[] = {
+      "push s1",          "push s1\n",          "push s1\n\n\n",
+      "push s1\n \r\n\t", "push  s1 \nq a b\n", "push s1\r\nq a\r\n\r\n",
+      "open s1",          "open s1\n",          "open s1\n\na\n",
+      "open s1 v=2\r\n",  "\npush s1",          "",
+      "ping\t",           "close",              " \r\n",
+      "push s1\nx",       "push s1\n\r"};
+  for (const char* payload : kPayloads) {
+    ExpectSameRequest(ParseRequest(payload), ReferenceParseRequest(payload),
+                      payload);
+  }
+  SymbolTablePtr got_symbols = MakeSymbolTable();
+  SymbolTablePtr want_symbols = MakeSymbolTable();
+  const char* const kLines[] = {
+      "",        "a",         "a b",     "a  b   c", "a b c d",  " a b ",
+      "a\tb c",  "a - +0",    "a b\r",   "p 9223372036854775807",
+      "p 9223372036854775808", "p -9223372036854775808 -", "p + 1",
+      "a b c d e"};
+  for (const char* line : kLines) {
+    ExpectSameTriple(line, *got_symbols, *want_symbols);
+  }
+}
+
+TEST(WireTest, MutatedFramesAreRejectedCleanly) {
+  WirePayloadGenerator generator(1301);
+  SymbolTablePtr symbols = MakeSymbolTable();
+  std::mt19937_64 rng(1392);
+  auto expect_rejection = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  };
+  size_t decoded = 0;
+  size_t accepted_lines = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string stream;
+    for (int f = 0; f < 3; ++f) stream += EncodeFrame(generator.Payload());
+    // Truncate, then flip a few bits (length headers included).
+    stream.resize(rng() % (stream.size() + 1));
+    const size_t flips = stream.empty() ? 0 : rng() % 4;
+    for (size_t k = 0; k < flips; ++k) {
+      stream[rng() % stream.size()] ^= static_cast<char>(1u << (rng() % 8));
+    }
+    FrameDecoder decoder;
+    size_t fed = 0;
+    while (fed < stream.size()) {
+      const size_t chunk = std::min<size_t>(1 + rng() % 64, stream.size() - fed);
+      decoder.Feed(std::string_view(stream).substr(fed, chunk));
+      fed += chunk;
+      std::string payload;
+      while (decoder.Next(&payload)) {
+        ++decoded;
+        StatusOr<WireRequest> request = ParseRequest(payload);
+        if (!request.ok()) {
+          expect_rejection(request.status());
+          continue;
+        }
+        for (const std::string& line : request->lines) {
+          StatusOr<Triple> triple = ParseTripleLine(line, *symbols);
+          if (!triple.ok()) {
+            expect_rejection(triple.status());
+          } else {
+            ++accepted_lines;
+          }
+        }
+      }
+    }
+    if (!decoder.status().ok()) expect_rejection(decoder.status());
+  }
+  // The mutations must leave plenty of frames intact enough to parse.
+  EXPECT_GT(decoded, 1000u);
+  EXPECT_GT(accepted_lines, 500u);
 }
 
 // ---------------------------------------------------------------------------

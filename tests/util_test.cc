@@ -1,4 +1,5 @@
 #include <atomic>
+#include <cctype>
 #include <functional>
 #include <future>
 #include <set>
@@ -143,6 +144,12 @@ TEST(StringsTest, StripWhitespace) {
   EXPECT_EQ(StripWhitespace(""), "");
   EXPECT_EQ(StripWhitespace(" \t "), "");
   EXPECT_EQ(StripWhitespace("inner space"), "inner space");
+  EXPECT_EQ(StripWhitespace("\r\v\fa b\r\n"), "a b");
+  // Exactly the "C" locale's isspace set, byte for byte.
+  for (int c = 0; c < 256; ++c) {
+    const std::string byte(1, static_cast<char>(c));
+    EXPECT_EQ(StripWhitespace(byte).empty(), std::isspace(c) != 0) << c;
+  }
 }
 
 TEST(StringsTest, StartsEndsWith) {
