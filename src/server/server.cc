@@ -36,8 +36,7 @@ StatusOr<std::shared_ptr<StreamSession>> StreamServer::CreateSession(
              options.engine.pipeline.reasoner.num_threads == 0) {
     // Unpooled fair multiplexing: without this, every tenant's reasoner
     // would default to all cores and the sessions would thrash each
-    // other. Never applied to pooled sessions — each reasoner slot would
-    // spawn an inner pool and multiply the thread count back up.
+    // other. Pooled sessions fan their partitions out on the pool.
     options.engine.pipeline.reasoner.num_threads =
         config_.session_reasoner_threads;
   }

@@ -23,18 +23,20 @@ struct ServerConfig {
   /// Default reasoner thread budget applied to an UNPOOLED session whose
   /// config leaves reasoner threads at 0 (the engine's "all cores"
   /// default would let one tenant claim the machine). 0 disables the
-  /// override. Pooled sessions never receive it: their reasoning runs
-  /// inline on shared-pool workers, and a per-slot inner pool would
-  /// multiply the thread count right back up.
+  /// override. Pooled sessions have no use for it: their windows'
+  /// partitions fan out as tasks on the shared pool itself.
   size_t session_reasoner_threads = 2;
 
   /// Workers in the process-wide SharedReasonerPool every async session's
   /// reasoning runs on, scheduled by weighted deficit round-robin across
-  /// per-session lanes (util/thread_pool.h). The default sizes the pool
-  /// to the machine, making total reasoning threads O(hardware) instead
-  /// of O(sessions x workers). 0 disables pooling entirely — every async
-  /// session then spawns its own dedicated workers as before. Sync
-  /// sessions always reason on their pump thread, pool or not.
+  /// per-session lanes (util/thread_pool.h). A window's partitions are
+  /// separate lane tasks that fan out and continue — no pool task ever
+  /// waits for another, so the pool needs no spare threads. The default
+  /// sizes the pool to the machine, making total reasoning threads
+  /// O(hardware) instead of O(sessions x workers). 0 disables pooling
+  /// entirely — every async session then spawns its own dedicated
+  /// workers as before. Sync sessions always reason on their pump
+  /// thread, pool or not.
   size_t shared_pool_threads = DefaultThreadCount();
 };
 

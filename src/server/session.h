@@ -89,13 +89,14 @@ struct SessionOptions {
 
   /// DRR weight of this session on the server's shared reasoner pool
   /// (>= 1): its share of reasoning dispatch slots while contending with
-  /// other sessions. Ignored (but still validated) when the session runs
-  /// on dedicated threads instead of a shared pool.
+  /// other sessions. Every partition of a window is one task and costs
+  /// one slot. Ignored (but still validated) when the session runs on
+  /// dedicated threads instead of a shared pool.
   size_t weight = 1;
 
-  /// Cap on this session's concurrently reasoning windows on the shared
-  /// pool (async engines only). 0 picks the engine default
-  /// (min(max_inflight_windows, pool threads)).
+  /// Cap on this session's concurrently running tasks (windows and their
+  /// partitions) on the shared pool (async engines only). 0 picks the
+  /// engine default (min(max_inflight_windows, pool threads)).
   size_t max_inflight = 0;
 
   /// Per-session window quota (async engines only): when > 0, a window

@@ -375,6 +375,9 @@ std::string FormatStats(std::string_view session, const SessionStats& stats) {
   field("shed_windows", stats.engine.shed_windows());
   out.append("\ncompleteness=");
   out.append(FormatCompleteness(stats.engine.completeness()));
+  field("lane_tasks_submitted", stats.engine.lane.submitted);
+  field("lane_tasks_completed", stats.engine.lane.completed);
+  field("lane_max_queued", stats.engine.lane.max_queued);
   return out;
 }
 

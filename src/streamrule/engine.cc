@@ -67,6 +67,11 @@ size_t StreamEngine::num_reason_workers() const {
 
 EngineStats StreamEngine::stats() const {
   EngineStats out;
+  const StreamRulePipeline& lane_owner =
+      pipeline_ != nullptr ? *pipeline_ : sharded_->shard(0);
+  if (lane_owner.pool_queue() != nullptr) {
+    out.lane = lane_owner.pool_queue()->stats();
+  }
   if (pipeline_ != nullptr) {
     out.reasoning = pipeline_->stats();
     out.delivered_windows = out.reasoning.windows;

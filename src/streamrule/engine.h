@@ -75,6 +75,11 @@ struct EngineStats {
   /// reasoning errors (unsharded).
   uint64_t delivery_errors = 0;
 
+  /// Counters of the engine's lane on the shared reasoner pool (all zero
+  /// outside shared-pool mode; sharded engines share one lane): a task
+  /// per admitted window plus one per partition beyond the first.
+  SharedReasonerPool::Queue::Stats lane;
+
   // --- sharded merge/router counters (zero unsharded) ---
   size_t max_merge_queue_depth = 0;
   size_t max_merge_reorder_depth = 0;

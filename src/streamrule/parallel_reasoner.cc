@@ -1,7 +1,10 @@
 #include "streamrule/parallel_reasoner.h"
 
 #include <algorithm>
-#include <thread>
+#include <exception>
+#include <functional>
+#include <mutex>
+#include <type_traits>
 #include <utility>
 
 #include "util/logging.h"
@@ -50,7 +53,9 @@ ParallelReasoner::ParallelReasoner(const Program* program,
   const size_t threads = ResolveThreadCount(options.num_threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   if (reasoner_options_.reuse_grounding) {
-    const int partitions = handler_.plan().num_communities();
+    // One engine per partition Split can produce: an empty plan still
+    // yields one fallback partition.
+    const int partitions = std::max(handler_.plan().num_communities(), 1);
     partition_grounders_.reserve(partitions);
     for (int i = 0; i < partitions; ++i) {
       partition_grounders_.push_back(std::make_unique<IncrementalGrounder>(
@@ -67,186 +72,88 @@ ParallelReasoner::ParallelReasoner(const Program* program,
   }
 }
 
-StatusOr<ParallelReasonerResult> ParallelReasoner::Process(
-    const TripleWindow& window) {
-  WallTimer total;
-  WallTimer phase;
-  std::vector<std::vector<Triple>> partitions =
-      handler_.Partition(window.items);
-
-  StatusOr<ParallelReasonerResult> result{InternalError("not run")};
-  if (reasoner_options_.reuse_grounding) {
+ParallelReasoner::Job ParallelReasoner::Split(
+    const TripleWindow& window) const {
+  WallTimer timer;
+  Job job = MakeJob(handler_.Partition(window.items), timer);
+  job.incremental = reasoner_options_.reuse_grounding;
+  for (TripleWindow& sub : job.windows) sub.sequence = window.sequence;
+  if (job.incremental && window.has_delta) {
     // Partition the delta with the same routing as the items: the
     // per-item mapping is pure, so partition i's expired/admitted are
-    // exactly the delta of partition i's sub-stream.
-    std::vector<TripleWindow> sub_windows(partitions.size());
-    std::vector<std::vector<Triple>> expired;
-    std::vector<std::vector<Triple>> admitted;
-    if (window.has_delta) {
-      // Auxiliary views of items already counted via window.items: don't
-      // re-count strays.
-      expired = handler_.Partition(window.expired, /*count_strays=*/false);
-      admitted = handler_.Partition(window.admitted, /*count_strays=*/false);
+    // exactly the delta of partition i's sub-stream. (Auxiliary views of
+    // items already counted via window.items: don't re-count strays.)
+    std::vector<std::vector<Triple>> expired =
+        handler_.Partition(window.expired, /*count_strays=*/false);
+    std::vector<std::vector<Triple>> admitted =
+        handler_.Partition(window.admitted, /*count_strays=*/false);
+    for (size_t i = 0; i < job.windows.size(); ++i) {
+      job.windows[i].has_delta = true;
+      job.windows[i].delta_base = window.delta_base;
+      job.windows[i].expired = std::move(expired[i]);
+      job.windows[i].admitted = std::move(admitted[i]);
     }
-    for (size_t i = 0; i < partitions.size(); ++i) {
-      sub_windows[i].sequence = window.sequence;
-      sub_windows[i].items = std::move(partitions[i]);
-      if (window.has_delta) {
-        sub_windows[i].has_delta = true;
-        sub_windows[i].delta_base = window.delta_base;
-        sub_windows[i].expired = std::move(expired[i]);
-        sub_windows[i].admitted = std::move(admitted[i]);
-      }
-    }
-    const double partition_ms = phase.ElapsedMillis();
-    std::lock_guard<std::mutex> lock(incremental_mutex_);
-    result = RunIncrementalWindows(sub_windows);
-    if (!result.ok()) return result.status();
-    result->partition_ms = partition_ms;
-  } else {
-    const double partition_ms = phase.ElapsedMillis();
-    result = RunPartitions(partitions);
-    if (!result.ok()) return result.status();
-    result->partition_ms = partition_ms;
   }
-  result->latency_ms = total.ElapsedMillis();
-  return result;
-}
-
-StatusOr<ParallelReasonerResult> ParallelReasoner::ProcessFacts(
-    const std::vector<Atom>& facts) {
-  WallTimer total;
-  WallTimer phase;
-  const std::vector<std::vector<Atom>> partitions =
-      handler_.PartitionFacts(facts);
-  const double partition_ms = phase.ElapsedMillis();
-
-  STREAMASP_ASSIGN_OR_RETURN(ParallelReasonerResult result,
-                             RunPartitions(partitions));
-  result.partition_ms = partition_ms;
-  result.latency_ms = total.ElapsedMillis();
-  return result;
-}
-
-StatusOr<ParallelReasonerResult> ParallelReasoner::ProcessPartitions(
-    const std::vector<std::vector<Triple>>& partitions) {
-  WallTimer total;
-  STREAMASP_ASSIGN_OR_RETURN(ParallelReasonerResult result,
-                             RunPartitions(partitions));
-  result.latency_ms = total.ElapsedMillis();
-  return result;
-}
-
-StatusOr<ParallelReasonerResult> ParallelReasoner::ProcessFactPartitions(
-    const std::vector<std::vector<Atom>>& partitions) {
-  WallTimer total;
-  STREAMASP_ASSIGN_OR_RETURN(ParallelReasonerResult result,
-                             RunPartitions(partitions));
-  result.latency_ms = total.ElapsedMillis();
-  return result;
+  job.partition_ms = timer.ElapsedMillis();
+  return job;
 }
 
 template <typename Item>
-StatusOr<ParallelReasonerResult> ParallelReasoner::RunPartitions(
-    const std::vector<std::vector<Item>>& partitions) {
-  ParallelReasonerResult result;
-  result.num_partitions = partitions.size();
+ParallelReasoner::Job ParallelReasoner::MakeJob(
+    std::vector<std::vector<Item>> partitions, WallTimer timer) const {
+  Job job;
+  job.timer = timer;
+  const size_t n = partitions.size();
   for (const auto& partition : partitions) {
-    result.total_partition_items += partition.size();
+    job.total_partition_items += partition.size();
   }
-
-  WallTimer phase;
-  std::vector<StatusOr<ReasonerResult>> outcomes(
-      partitions.size(), StatusOr<ReasonerResult>(InternalError("not run")));
-  // Batch-wait rather than WaitIdle so concurrent Process calls on one
-  // reasoner (or other users of a shared pool) cannot extend each other's
-  // waits or steal each other's completion signal.
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(partitions.size());
-  for (size_t i = 0; i < partitions.size(); ++i) {
-    tasks.push_back([this, &partitions, &outcomes, i] {
-      if constexpr (std::is_same_v<Item, Triple>) {
-        TripleWindow window;
-        window.items = partitions[i];
-        outcomes[i] = reasoner_.Process(window);
-      } else {
-        outcomes[i] = reasoner_.ProcessFacts(partitions[i]);
-      }
-    });
+  if constexpr (std::is_same_v<Item, Triple>) {
+    job.windows.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      job.windows[i].items = std::move(partitions[i]);
+    }
+  } else {
+    job.facts = std::move(partitions);
   }
-  RunTasks(std::move(tasks));
-  result.reason_ms = phase.ElapsedMillis();
-  return FinishOutcomes(std::move(outcomes), std::move(result));
+  job.outcomes.resize(n, StatusOr<ReasonerResult>(InternalError("not run")));
+  job.errors.resize(n);
+  return job;
 }
 
-StatusOr<ParallelReasonerResult> ParallelReasoner::RunIncrementalWindows(
-    const std::vector<TripleWindow>& sub_windows) {
-  // Normally sized by the constructor, but an empty plan (0 communities)
-  // still yields one fallback partition from PartitioningHandler, so
-  // grow on demand rather than index past the vector.
-  while (partition_grounders_.size() < sub_windows.size()) {
-    partition_grounders_.push_back(std::make_unique<IncrementalGrounder>(
-        program_, reasoner_options_.grounding,
-        reasoner_options_.incremental));
-  }
-  if (reasoner_options_.solving.reuse_solving) {
-    while (partition_solvers_.size() < sub_windows.size()) {
-      partition_solvers_.push_back(
-          std::make_unique<IncrementalSolver>(reasoner_options_.solving));
+void ParallelReasoner::ReasonPartition(Job* job, size_t index) {
+  try {
+    if (!job->windows.empty()) {
+      // A null grounder is the cold path.
+      IncrementalGrounder* grounder =
+          job->incremental ? partition_grounders_[index].get() : nullptr;
+      IncrementalSolver* solver =
+          job->incremental && reasoner_options_.solving.reuse_solving
+              ? partition_solvers_[index].get()
+              : nullptr;
+      job->outcomes[index] =
+          reasoner_.Process(job->windows[index], grounder, solver);
+    } else {
+      job->outcomes[index] = reasoner_.ProcessFacts(job->facts[index]);
     }
+  } catch (...) {
+    job->errors[index] = std::current_exception();
   }
+}
 
+StatusOr<ParallelReasonerResult> ParallelReasoner::Finish(Job job) const {
   ParallelReasonerResult result;
-  result.num_partitions = sub_windows.size();
-  for (const TripleWindow& sub : sub_windows) {
-    result.total_partition_items += sub.items.size();
+  result.reason_ms = job.timer.ElapsedMillis() - job.partition_ms;
+  result.partition_ms = job.partition_ms;
+  result.num_partitions = job.num_partitions();
+  result.total_partition_items = job.total_partition_items;
+  for (const std::exception_ptr& error : job.errors) {
+    if (error != nullptr) std::rethrow_exception(error);
   }
 
-  WallTimer phase;
-  std::vector<StatusOr<ReasonerResult>> outcomes(
-      sub_windows.size(), StatusOr<ReasonerResult>(InternalError("not run")));
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(sub_windows.size());
-  for (size_t i = 0; i < sub_windows.size(); ++i) {
-    tasks.push_back([this, &sub_windows, &outcomes, i] {
-      IncrementalSolver* solver = reasoner_options_.solving.reuse_solving
-                                      ? partition_solvers_[i].get()
-                                      : nullptr;
-      outcomes[i] = reasoner_.Process(sub_windows[i],
-                                      partition_grounders_[i].get(), solver);
-    });
-  }
-  RunTasks(std::move(tasks));
-  result.reason_ms = phase.ElapsedMillis();
-  return FinishOutcomes(std::move(outcomes), std::move(result));
-}
-
-void ParallelReasoner::RunTasks(std::vector<std::function<void()>> tasks) {
-  if (pool_ != nullptr) {
-    pool_->SubmitAndWaitAll(std::move(tasks));
-    return;
-  }
-  // Inline mode: run the batch sequentially with SubmitAndWaitAll's
-  // semantics — every task runs even after a failure (later tasks write
-  // outcome slots the caller will read), first exception rethrown last.
-  std::exception_ptr first_error;
-  for (std::function<void()>& task : tasks) {
-    try {
-      task();
-    } catch (...) {
-      if (first_error == nullptr) first_error = std::current_exception();
-    }
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-}
-
-StatusOr<ParallelReasonerResult> ParallelReasoner::FinishOutcomes(
-    std::vector<StatusOr<ReasonerResult>> outcomes,
-    ParallelReasonerResult result) {
   std::vector<std::vector<GroundAnswer>> per_partition;
-  per_partition.reserve(outcomes.size());
-  result.partition_latency_ms.reserve(outcomes.size());
-  for (StatusOr<ReasonerResult>& outcome : outcomes) {
+  per_partition.reserve(job.outcomes.size());
+  result.partition_latency_ms.reserve(job.outcomes.size());
+  for (StatusOr<ReasonerResult>& outcome : job.outcomes) {
     if (!outcome.ok()) return outcome.status();
     result.partition_latency_ms.push_back(outcome->latency_ms);
     result.grounding.Accumulate(outcome->grounding);
@@ -267,7 +174,58 @@ StatusOr<ParallelReasonerResult> ParallelReasoner::FinishOutcomes(
   }
   result.critical_path_ms =
       result.partition_ms + slowest + result.combine_ms;
+  result.latency_ms = job.timer.ElapsedMillis();
   return result;
+}
+
+void ParallelReasoner::RunTasks(Job* job) {
+  if (pool_ == nullptr) {
+    for (size_t i = 0; i < job->num_partitions(); ++i) {
+      ReasonPartition(job, i);
+    }
+    return;
+  }
+  // Batch-wait rather than WaitIdle so concurrent Process calls on one
+  // reasoner (or other users of a shared pool) cannot extend each other's
+  // waits or steal each other's completion signal.
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(job->num_partitions());
+  for (size_t i = 0; i < job->num_partitions(); ++i) {
+    tasks.push_back([this, job, i] { ReasonPartition(job, i); });
+  }
+  pool_->SubmitAndWaitAll(std::move(tasks));
+}
+
+StatusOr<ParallelReasonerResult> ParallelReasoner::Process(
+    const TripleWindow& window) {
+  std::unique_lock<std::mutex> lock(incremental_mutex_, std::defer_lock);
+  if (reasoner_options_.reuse_grounding) lock.lock();
+  Job job = Split(window);
+  RunTasks(&job);
+  return Finish(std::move(job));
+}
+
+StatusOr<ParallelReasonerResult> ParallelReasoner::ProcessFacts(
+    const std::vector<Atom>& facts) {
+  WallTimer timer;
+  Job job = MakeJob(handler_.PartitionFacts(facts), timer);
+  job.partition_ms = timer.ElapsedMillis();
+  RunTasks(&job);
+  return Finish(std::move(job));
+}
+
+StatusOr<ParallelReasonerResult> ParallelReasoner::ProcessPartitions(
+    const std::vector<std::vector<Triple>>& partitions) {
+  Job job = MakeJob(partitions);
+  RunTasks(&job);
+  return Finish(std::move(job));
+}
+
+StatusOr<ParallelReasonerResult> ParallelReasoner::ProcessFactPartitions(
+    const std::vector<std::vector<Atom>>& partitions) {
+  Job job = MakeJob(partitions);
+  RunTasks(&job);
+  return Finish(std::move(job));
 }
 
 }  // namespace streamasp

@@ -1,6 +1,7 @@
 #ifndef STREAMASP_STREAMRULE_PARALLEL_REASONER_H_
 #define STREAMASP_STREAMRULE_PARALLEL_REASONER_H_
 
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "streamrule/partitioning_handler.h"
 #include "streamrule/reasoner.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace streamasp {
 
@@ -18,12 +20,13 @@ struct ParallelReasonerOptions {
   ReasonerOptions reasoner;
   CombiningOptions combining;
 
-  /// Worker threads; 0 uses std::thread::hardware_concurrency(). 1 is
-  /// the inline mode: no inner ThreadPool is spawned at all — partitions
-  /// run sequentially on the calling thread. That is how reasoners hosted
-  /// on a SharedReasonerPool worker stay deadlock-free (they never wait
-  /// on a pool from a pool task) and how single-threaded configurations
-  /// avoid paying a context switch per partition.
+  /// Inner ThreadPool workers that Process fans partitions out to; 0
+  /// uses std::thread::hardware_concurrency(). 1 is the inline mode: no
+  /// inner pool is spawned and Process reasons the partitions one after
+  /// another on the calling thread. Reasoners hosted on a
+  /// SharedReasonerPool are built inline: the pool drives their
+  /// Split/ReasonPartition/Finish phases itself, one lane task per
+  /// partition, and never calls Process.
   size_t num_threads = 0;
 };
 
@@ -83,29 +86,33 @@ struct ParallelReasonerResult {
 /// (each over the full program but only its sub-window) → combining
 /// handler.
 ///
-/// Thread-safety: Process and its variants keep no per-call mutable state
-/// (the handlers are immutable, Reasoner is thread-compatible), so
-/// concurrent calls on one instance are safe — they share the inner
-/// ThreadPool, and SubmitAndWaitAll gives each call batch semantics, so
-/// concurrent windows interleave at task granularity rather than corrupt
-/// each other. With reuse_grounding set, Process additionally serializes
-/// whole windows on an internal mutex: the per-partition incremental
-/// grounders are stateful, and interleaving two windows through one cache
-/// would corrupt its window-to-window diff. (The async and sharded
-/// engines give every worker its own ParallelReasoner, so the mutex is
-/// uncontended there.)
+/// One reasoning body, three phases: Split partitions a window (and, for
+/// reuse, its delta) into a Job, ReasonPartition reasons one partition of
+/// it, Finish combines the answers and sums the statistics. Process is
+/// their composition (Split + RunTasks + Finish), which the sync oracle
+/// and the dedicated-worker engine call; the shared-pool engine runs the
+/// same phases as separate pool tasks instead (see
+/// StreamRulePipeline::PoolTask), so every engine shape reasons through
+/// identical code.
+///
+/// Thread-safety: the handlers are immutable and Reasoner is
+/// thread-compatible, so ReasonPartition may run for different partitions
+/// of one Job concurrently, and concurrent Process calls on one instance
+/// are safe — they share the inner ThreadPool, and SubmitAndWaitAll gives
+/// each call batch semantics. With reuse_grounding set, Process
+/// additionally serializes whole windows on an internal mutex: the
+/// per-partition incremental grounders are stateful, and interleaving two
+/// windows through one cache would corrupt its window-to-window diff.
+/// Callers driving the phases themselves take that duty over: at most one
+/// Job per reuse reasoner at a time (the pool engine checks a reasoner
+/// out per window, so its Jobs never overlap).
 ///
 /// Nesting constraint (see util/thread_pool.h): Process blocks on futures
-/// of tasks submitted to the instance's OWN pool. Never call Process from
-/// a task running on that same pool — with every pool worker blocked in
-/// such a call, the partition tasks that would unblock them can never be
-/// scheduled. Callers that fan out windows across threads (the async
-/// engine's reasoning workers, the sharded engine's shards) therefore give
-/// each worker its own ParallelReasoner, so every wait targets the pool
-/// one level below the waiter. With num_threads == 1 there is no inner
-/// pool at all (partitions run inline on the caller), which is how
-/// reasoners hosted on SharedReasonerPool workers satisfy the constraint
-/// trivially.
+/// of tasks submitted to the instance's OWN inner pool. Never call Process
+/// from a task running on that same pool. The dedicated-worker engine
+/// gives each worker its own ParallelReasoner, so every wait targets the
+/// pool one level below the waiter. Pool-hosted reasoners never wait at
+/// all: their partitions are lane tasks and the last one runs Finish.
 class ParallelReasoner {
  public:
   /// Dependency-guided mode: partitions follow `plan` (built by
@@ -114,18 +121,58 @@ class ParallelReasoner {
   ParallelReasoner(const Program* program, PartitioningPlan plan,
                    ParallelReasonerOptions options = {});
 
-  /// Full PR pipeline over a triple window. With reuse_grounding set the
-  /// per-partition grounding reuses the previous window's instantiation:
-  /// the window's expired/admitted delta (when the windower emitted one)
-  /// is partitioned alongside the items, so each partition's incremental
-  /// grounder receives its own sub-stream delta. Delta splitting nests:
-  /// under the sharded engine's sliding global windows the window
-  /// arriving here is already one shard's routed slice (router delta
-  /// punctuation), and the per-partition split applied on top keeps each
-  /// grounder's delta exactly its sub-sub-stream's — both splits are
-  /// per-item and pure, so they compose. The reuse counters
-  /// (ReasonerResult → ParallelReasonerResult) flow identically on the
-  /// single-pipeline and sharded sliding paths.
+  /// One window between Split and Finish: its partitions, a result slot
+  /// per partition, and the phase timers. Each ReasonPartition(i) writes
+  /// only slot i, so distinct partitions may be reasoned concurrently.
+  struct Job {
+    /// One sub-window per partition (triple input: items, plus sequence
+    /// and delta on the reuse path) ...
+    std::vector<TripleWindow> windows;
+    /// ... or one fact list per partition (fact input).
+    std::vector<std::vector<Atom>> facts;
+    /// Reuse path: partition i grounds through its incremental grounder.
+    bool incremental = false;
+
+    std::vector<StatusOr<ReasonerResult>> outcomes;
+    /// An exception thrown while reasoning partition i (Finish rethrows
+    /// the first).
+    std::vector<std::exception_ptr> errors;
+
+    size_t total_partition_items = 0;
+    double partition_ms = 0;
+    WallTimer timer;  ///< Started when the split began.
+
+    size_t num_partitions() const { return outcomes.size(); }
+  };
+
+  /// Split phase: partitions the window's items and, with
+  /// reuse_grounding, its expired/admitted delta with the same routing,
+  /// so each partition's incremental grounder receives its own sub-stream
+  /// delta. Delta splitting nests: under the sharded engine's sliding
+  /// global windows the window arriving here is already one shard's
+  /// routed slice (router delta punctuation), and the per-partition split
+  /// applied on top keeps each grounder's delta exactly its
+  /// sub-sub-stream's — both splits are per-item and pure, so they
+  /// compose. Always at least one partition.
+  Job Split(const TripleWindow& window) const;
+
+  /// Reason phase: reasons partition `index` of `job` into its slot.
+  /// Never throws — an exception is parked in job->errors[index].
+  void ReasonPartition(Job* job, size_t index);
+
+  /// Finish phase: combines the partitions' answers, sums their
+  /// statistics, and sets partition_ms, reason_ms, combine_ms,
+  /// critical_path_ms and latency_ms. The first failed partition (in
+  /// partition order) fails the window; a parked exception is rethrown.
+  StatusOr<ParallelReasonerResult> Finish(Job job) const;
+
+  /// Full PR pipeline over a triple window: Split, every partition
+  /// reasoned (on the inner pool, or inline), Finish. With
+  /// reuse_grounding set the per-partition grounding reuses the previous
+  /// window's instantiation through the window's split delta (see Split).
+  /// The reuse counters (ReasonerResult → ParallelReasonerResult) flow
+  /// identically on the single-pipeline and sharded sliding paths. A
+  /// partition's exception propagates after every partition has run.
   StatusOr<ParallelReasonerResult> Process(const TripleWindow& window);
 
   /// PR pipeline over a window already converted to facts. Always batch
@@ -146,25 +193,15 @@ class ParallelReasoner {
   const PartitioningHandler& partitioning_handler() const { return handler_; }
 
  private:
+  /// A Job over `partitions` whose timer started at `timer`'s start
+  /// (partition_ms stays 0 for externally produced partitions).
   template <typename Item>
-  StatusOr<ParallelReasonerResult> RunPartitions(
-      const std::vector<std::vector<Item>>& partitions);
+  Job MakeJob(std::vector<std::vector<Item>> partitions,
+              WallTimer timer = WallTimer()) const;
 
-  /// Reuse path: one sub-window (with delta) per partition, each grounded
-  /// through its own IncrementalGrounder. Caller holds incremental_mutex_.
-  StatusOr<ParallelReasonerResult> RunIncrementalWindows(
-      const std::vector<TripleWindow>& sub_windows);
-
-  /// Shared tail: collect per-partition outcomes, combine answers,
-  /// aggregate grounding stats, compute the critical path.
-  StatusOr<ParallelReasonerResult> FinishOutcomes(
-      std::vector<StatusOr<ReasonerResult>> outcomes,
-      ParallelReasonerResult result);
-
-  /// Runs a partition-task batch: on the inner pool when one exists,
-  /// sequentially inline otherwise — same batch semantics either way
-  /// (every task runs; the first exception is rethrown after all do).
-  void RunTasks(std::vector<std::function<void()>> tasks);
+  /// Reasons every partition of `job`: on the inner pool when one
+  /// exists, sequentially inline otherwise.
+  void RunTasks(Job* job);
 
   const Program* program_;
   ReasonerOptions reasoner_options_;
@@ -176,8 +213,8 @@ class ParallelReasoner {
 
   /// Per-partition incremental grounders (reuse_grounding only) and their
   /// paired persistent solvers (reuse_solving only — same routing, one
-  /// engine per partition), plus the mutex that serializes whole windows
-  /// through them.
+  /// engine per partition), plus the mutex that serializes Process's
+  /// windows through them.
   std::mutex incremental_mutex_;
   std::vector<std::unique_ptr<IncrementalGrounder>> partition_grounders_;
   std::vector<std::unique_ptr<IncrementalSolver>> partition_solvers_;

@@ -1,6 +1,8 @@
 #include "streamrule/pipeline.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <exception>
 #include <optional>
 #include <string>
@@ -158,9 +160,10 @@ StreamRulePipeline::~StreamRulePipeline() {
   if (pool_queue_ != nullptr) {
     // Shared-pool drain: stop admission, then wait until every task of
     // this pipeline's lane has run. One task was submitted per admitted
-    // window, so an empty lane means the work queue is empty and every
-    // admitted sequence was reasoned or shed — and the last finisher's
-    // DrainCompleted delivered the reorder buffer. The trailing call is
+    // window, and a window's partition tasks are submitted while it
+    // still runs, so an empty lane means the work queue is empty and
+    // every admitted sequence was reasoned or shed — and the last
+    // finisher's DrainCompleted delivered the reorder buffer. The trailing call is
     // for the degenerate no-task case (only tombstones were ever parked,
     // by a caller that has since returned).
     work_queue_->Close();
@@ -194,15 +197,12 @@ void StreamRulePipeline::StartSharedPoolEngine() {
     pool_queue_ = options_.shared_pool->CreateQueue(options_.pool_weight,
                                                     std::max<size_t>(cap, 1));
   }
-  // Reasoner slots instead of worker threads: pool tasks check one out
-  // per window. Default the inner thread count to 1 (inline mode) — a
-  // pool worker reasoning inline never waits on any pool, which is what
-  // keeps pool-hosted reasoning deadlock-free and the thread budget
-  // O(pool) instead of O(sessions x inner threads). An explicit
-  // reasoner.num_threads still wins (waiting on a *different* pool is
-  // safe, just oversubscribed).
+  // Reasoner slots instead of worker threads: each window checks one out.
+  // Slots are built inline (no inner pool): their partitions fan out as
+  // lane tasks, never through Process, which keeps the thread budget
+  // O(pool) instead of O(sessions x inner threads).
   ParallelReasonerOptions reasoner_options = options_.reasoner;
-  if (reasoner_options.num_threads == 0) reasoner_options.num_threads = 1;
+  reasoner_options.num_threads = 1;
   const size_t slots = pool_queue_->max_inflight();
   free_slots_.reserve(slots);
   for (size_t i = 0; i < slots; ++i) {
@@ -271,10 +271,19 @@ void StreamRulePipeline::CloseWindow(WindowDelta delta) {
 void StreamRulePipeline::Flush() {
   query_->Flush();
   if (!options_.async) return;
-  std::unique_lock<std::mutex> lock(emit_mutex_);
-  drained_cv_.wait(lock, [this] {
-    return inflight_.empty() && completed_.empty() && delivering_ == 0;
-  });
+  {
+    std::unique_lock<std::mutex> lock(emit_mutex_);
+    drained_cv_.wait(lock, [this] {
+      return inflight_.empty() && completed_.empty() && delivering_ == 0;
+    });
+  }
+  if (pool_queue_ != nullptr && options_.shared_queue == nullptr) {
+    // Every window is delivered; also wait out the epilogues of the tasks
+    // that delivered them, so the lane's counters are settled when Flush
+    // returns. (A lane shared by shard pipelines is settled by the
+    // sharded engine's Flush instead.)
+    pool_queue_->Drain();
+  }
 }
 
 PipelineStats StreamRulePipeline::stats() const {
@@ -330,7 +339,8 @@ void StreamRulePipeline::EnqueueWindow(TripleWindow window) {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         --stats_.enqueued_windows;
       }
-      ShedWindow(std::move(window), /*evicted=*/false);
+      // `window` was moved into Push; the refused window came back here.
+      ShedWindow(std::move(displaced), /*evicted=*/false);
       break;
     }
     case QueuePushResult::kClosed: {
@@ -452,6 +462,13 @@ void StreamRulePipeline::ReasonWorkerLoop(size_t worker_index) {
   }
 }
 
+struct StreamRulePipeline::PoolWindow {
+  TripleWindow window;
+  std::unique_ptr<ParallelReasoner> reasoner;  ///< The checked-out slot.
+  ParallelReasoner::Job job;
+  std::atomic<size_t> unfinished_partitions{0};
+};
+
 void StreamRulePipeline::PoolTask() {
   std::optional<TripleWindow> popped = work_queue_->TryPop();
   if (!popped.has_value()) {
@@ -459,21 +476,53 @@ void StreamRulePipeline::PoolTask() {
     // by an eviction (its tombstone is already parked). Nothing to do.
     return;
   }
-  TripleWindow window = std::move(*popped);
-  // Check a reasoner slot out. The lane's inflight cap bounds this
-  // pipeline's concurrent tasks by the slot count, so the free list is
-  // never empty here.
-  std::unique_ptr<ParallelReasoner> reasoner;
+  auto pool_window = std::make_shared<PoolWindow>();
+  pool_window->window = std::move(*popped);
   {
     std::lock_guard<std::mutex> lock(slots_mutex_);
-    reasoner = std::move(free_slots_.back());
+    // The slot invariant (see PoolTask in pipeline.h): never empty here.
+    if (free_slots_.empty()) {
+      STREAMASP_LOG(kError) << "reasoner slot invariant violated";
+      std::abort();
+    }
+    pool_window->reasoner = std::move(free_slots_.back());
     free_slots_.pop_back();
+    max_slots_in_use_ = std::max(max_slots_in_use_, ++slots_in_use_);
   }
+  try {
+    pool_window->job = pool_window->reasoner->Split(pool_window->window);
+  } catch (...) {
+    FinishPoolWindow(*pool_window, std::current_exception());
+    return;
+  }
+  const size_t partitions = pool_window->job.num_partitions();
+  pool_window->unfinished_partitions.store(partitions);
+  // Front-submit in reverse so the lane runs partition 1 first.
+  for (size_t i = partitions; i-- > 1;) {
+    pool_queue_->SubmitFront(
+        [this, pool_window, i] { ReasonPoolPartition(pool_window, i); });
+  }
+  ReasonPoolPartition(pool_window, 0);
+}
+
+void StreamRulePipeline::ReasonPoolPartition(
+    const std::shared_ptr<PoolWindow>& pool_window, size_t index) {
+  pool_window->reasoner->ReasonPartition(&pool_window->job, index);
+  // The countdown orders every partition's outcome before the last
+  // finisher's Finish.
+  if (pool_window->unfinished_partitions.fetch_sub(1) == 1) {
+    FinishPoolWindow(*pool_window);
+  }
+}
+
+void StreamRulePipeline::FinishPoolWindow(PoolWindow& pool_window,
+                                          std::exception_ptr error) {
   CompletedWindow done;
   // Same conversion as ReasonWorkerLoop: an exception escaping a pool
   // task would terminate the process.
   try {
-    done.result = reasoner->Process(window);
+    if (error != nullptr) std::rethrow_exception(error);
+    done.result = pool_window.reasoner->Finish(std::move(pool_window.job));
   } catch (const std::exception& e) {
     done.result =
         InternalError(std::string("reasoning task exception: ") + e.what());
@@ -482,10 +531,11 @@ void StreamRulePipeline::PoolTask() {
   }
   {
     std::lock_guard<std::mutex> lock(slots_mutex_);
-    free_slots_.push_back(std::move(reasoner));
+    free_slots_.push_back(std::move(pool_window.reasoner));
+    --slots_in_use_;
   }
-  const uint64_t sequence = window.sequence;
-  done.window = std::move(window);
+  const uint64_t sequence = pool_window.window.sequence;
+  done.window = std::move(pool_window.window);
   size_t reorder_depth = 0;
   {
     std::lock_guard<std::mutex> lock(emit_mutex_);
@@ -499,6 +549,11 @@ void StreamRulePipeline::PoolTask() {
         std::max(stats_.max_reorder_depth, reorder_depth);
   }
   DrainCompleted();
+}
+
+size_t StreamRulePipeline::max_slots_in_use() const {
+  std::lock_guard<std::mutex> lock(slots_mutex_);
+  return max_slots_in_use_;
 }
 
 void StreamRulePipeline::DrainCompleted() {

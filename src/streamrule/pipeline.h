@@ -2,6 +2,7 @@
 #define STREAMASP_STREAMRULE_PIPELINE_H_
 
 #include <condition_variable>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -90,25 +91,29 @@ struct PipelineOptions {
   /// Process-wide shared reasoning executor (async only). When set, the
   /// pipeline spawns NO reasoning workers and NO emitter thread: every
   /// admitted window becomes one unit-cost task on the pipeline's DRR
-  /// lane of this pool, reasoned inline on a pool worker (the reasoner's
-  /// inner pool collapses to inline mode), and ordered delivery is
-  /// collaborative — whichever task (or shedding caller) completes next
-  /// drains the reorder buffer. The emission contract is unchanged: one
-  /// thread at a time, strictly increasing sequence order, byte-identical
-  /// output under kBlock. Backpressure, shedding, admission filtering and
-  /// every PipelineStats counter behave exactly as in dedicated-worker
-  /// async mode. The pool must outlive the pipeline (holding the
-  /// shared_ptr here guarantees it).
+  /// lane of this pool, and each of the window's partitions beyond the
+  /// first one more, queued at the lane's front — so a window's
+  /// partitions are reasoned in parallel on the pool without any pool
+  /// task ever waiting for another (see PoolTask). Ordered delivery is
+  /// collaborative — whichever task (or shedding caller) completes a
+  /// window next drains the reorder buffer. The emission contract is
+  /// unchanged: one thread at a time, strictly increasing sequence order,
+  /// byte-identical output under kBlock. Backpressure, shedding,
+  /// admission filtering and every PipelineStats counter behave exactly
+  /// as in dedicated-worker async mode. The pool must outlive the
+  /// pipeline (holding the shared_ptr here guarantees it).
   std::shared_ptr<SharedReasonerPool> shared_pool;
 
   /// DRR weight of this pipeline's lane on shared_pool (>= 1): the share
   /// of dispatch slots it receives while contending with other lanes.
+  /// Each lane task costs one DRR credit, so a window costs one credit per
+  /// partition.
   size_t pool_weight = 1;
 
-  /// Cap on this pipeline's concurrently reasoning windows on the shared
-  /// pool. 0 picks min(max_inflight_windows, pool threads). Also sizes
-  /// the pipeline's reasoner-slot set — the cap guarantees a free slot
-  /// for every running task.
+  /// Cap on this pipeline's concurrently running lane tasks (windows and
+  /// partitions) on the shared pool. 0 picks min(max_inflight_windows,
+  /// pool threads). Also sizes the pipeline's reasoner-slot set — the
+  /// cap guarantees a free slot for every window task (see PoolTask).
   size_t pool_max_inflight = 0;
 
   /// Per-session window quota, enforced at the ingest boundary like the
@@ -407,7 +412,15 @@ class StreamRulePipeline {
     return pool_queue_;
   }
 
+  /// Most reasoner slots ever checked out at once (shared-pool mode; 0
+  /// otherwise). Never exceeds pool_queue()->max_inflight() — the slot
+  /// invariant PoolTask relies on.
+  size_t max_slots_in_use() const;
+
  private:
+  /// A window being reasoned on the shared pool (defined in pipeline.cc).
+  struct PoolWindow;
+
   /// A reasoned (or shed) window parked in the reorder buffer until every
   /// lower-sequence window has been delivered. Shed windows ride the same
   /// buffer so tombstones interleave with results in sequence order.
@@ -432,11 +445,32 @@ class StreamRulePipeline {
   /// Shared-pool variant of StartAsyncEngine: build (or adopt) the DRR
   /// lane and the reasoner slots instead of spawning worker threads.
   void StartSharedPoolEngine();
-  /// One admitted window's unit of work on the shared pool: TryPop a
-  /// window from the work queue (a miss means an eviction consumed it —
-  /// benign surplus), reason it on a checked-out slot, park the outcome
-  /// in the reorder buffer, then collaborate on ordered delivery.
+  /// One admitted window's task on the shared pool. It never waits: it
+  /// TryPops a window from the work queue (a miss means an eviction
+  /// consumed it — benign surplus), checks a reasoner slot out, splits
+  /// the window, submits partitions 1..n-1 to the FRONT of the lane,
+  /// reasons partition 0 itself and returns. An atomic countdown elects
+  /// the last partition to finish; it runs FinishPoolWindow. A
+  /// one-partition window takes the same path with zero subtasks.
+  ///
+  /// Slot invariant: a slot stays checked out until its window's last
+  /// partition finishes, yet checkout never finds the free list empty.
+  /// Partition tasks queue at the lane's front, so a window task is only
+  /// dispatched while none of the lane's partition tasks are queued; then
+  /// every window holding a slot has a task running, and those tasks plus
+  /// the new one fit the lane's inflight cap, which equals the slot
+  /// count. This holds for a lane shared across shard pipelines too (each
+  /// pipeline's holders are a subset of the lane's).
   void PoolTask();
+  /// Reasons partition `index` of a pooled window; the last partition of
+  /// the window to finish runs FinishPoolWindow.
+  void ReasonPoolPartition(const std::shared_ptr<PoolWindow>& pool_window,
+                           size_t index);
+  /// Join continuation: finishes the window (or reports `error`, a split
+  /// failure), checks its slot back in, parks the outcome in the reorder
+  /// buffer and collaborates on ordered delivery.
+  void FinishPoolWindow(PoolWindow& pool_window,
+                        std::exception_ptr error = nullptr);
   /// Emitter-less ordered delivery: whoever calls first (a finishing pool
   /// task, a shedding caller) takes the drain baton and delivers every
   /// deliverable window in sequence order; concurrent callers see the
@@ -493,12 +527,13 @@ class StreamRulePipeline {
   /// This pipeline's DRR lane (created from options_.shared_pool, or
   /// adopted from options_.shared_queue in the sharded engine).
   std::shared_ptr<SharedReasonerPool::Queue> pool_queue_;
-  /// Checked-in reasoner slots. Sized to the lane's inflight cap: at most
-  /// that many of the lane's tasks run concurrently (engine-wide when the
-  /// lane is shared across shard pipelines, so this pipeline's share is
-  /// never larger), hence checkout always finds a free slot.
-  std::mutex slots_mutex_;
+  /// Checked-in reasoner slots, one per unit of the lane's inflight cap.
+  /// A window holds its slot from split to finish; the slot invariant
+  /// (PoolTask) guarantees checkout always finds a free one.
+  mutable std::mutex slots_mutex_;
   std::vector<std::unique_ptr<ParallelReasoner>> free_slots_;
+  size_t slots_in_use_ = 0;      ///< Guarded by slots_mutex_.
+  size_t max_slots_in_use_ = 0;  ///< Guarded by slots_mutex_.
   /// Drain baton (guarded by emit_mutex_): true while some thread is
   /// inside DrainCompleted's delivery loop.
   bool draining_ = false;

@@ -102,9 +102,8 @@ Status ShardedPipelineEngine::StartShards() {
     // govern the whole engine rather than multiplying by num_shards.
     // Each shard still sizes its own reasoner slots to the lane's cap
     // (its concurrent tasks are a subset of the lane's). No per-shard
-    // thread budgeting: pooled pipelines spawn no reasoning threads, and
-    // reasoner.num_threads left at 0 resolves to inline mode inside the
-    // pipeline.
+    // thread budgeting: pooled pipelines spawn no reasoning threads (their
+    // partitions fan out as tasks on this lane).
     size_t cap = inner.pool_max_inflight;
     if (cap == 0) {
       cap = std::min<size_t>(inner.max_inflight_windows,
@@ -439,9 +438,14 @@ void ShardedPipelineEngine::Flush() {
     std::unique_lock<std::mutex> lock(flush_mutex_);
     flush_cv_.wait(lock, [this] { return flush_acks_ == shards_.size(); });
   }
-  std::unique_lock<std::mutex> lock(merge_mutex_);
-  merge_drained_cv_.wait(
-      lock, [this] { return delivered_windows_ == assigned_windows_; });
+  {
+    std::unique_lock<std::mutex> lock(merge_mutex_);
+    merge_drained_cv_.wait(
+        lock, [this] { return delivered_windows_ == assigned_windows_; });
+  }
+  // Shared-pool mode: settle the engine-wide lane's counters as an
+  // unsharded pipeline's Flush does (only finishing epilogues remain).
+  if (shards_[0]->pool_queue() != nullptr) shards_[0]->pool_queue()->Drain();
 }
 
 void ShardedPipelineEngine::OnShardDelivery(

@@ -84,9 +84,11 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Pushes one item, applying the backpressure policy when full. Under
-  /// kDropOldest the evicted item (if any) is moved into `*displaced` when
-  /// `displaced` is non-null, so the producer can account for the loss.
+  /// Pushes one item, applying the backpressure policy when full. The
+  /// item lost to the policy is moved into `*displaced` when `displaced`
+  /// is non-null, so the producer can account for the loss: the evicted
+  /// oldest item under kDropOldest, the refused item itself under
+  /// kReject.
   QueuePushResult Push(T value, T* displaced = nullptr) {
     std::unique_lock<std::mutex> lock(mutex_);
     if (policy_ == BackpressurePolicy::kBlock) {
@@ -108,6 +110,7 @@ class BoundedQueue {
           break;
         case BackpressurePolicy::kReject:
           ++stats_.rejected;
+          if (displaced != nullptr) *displaced = std::move(value);
           return QueuePushResult::kRejected;
       }
     }

@@ -128,6 +128,15 @@ void SharedReasonerPool::ActivateLocked(std::shared_ptr<Queue> queue) {
 }
 
 void SharedReasonerPool::Queue::Submit(std::function<void()> task) {
+  Enqueue(std::move(task), /*front=*/false);
+}
+
+void SharedReasonerPool::Queue::SubmitFront(std::function<void()> task) {
+  Enqueue(std::move(task), /*front=*/true);
+}
+
+void SharedReasonerPool::Queue::Enqueue(std::function<void()> task,
+                                        bool front) {
   bool notify = false;
   {
     std::lock_guard<std::mutex> lock(pool_->mutex_);
@@ -139,7 +148,11 @@ void SharedReasonerPool::Queue::Submit(std::function<void()> task) {
       ++completed_;
       return;
     }
-    tasks_.push_back(std::move(task));
+    if (front) {
+      tasks_.push_front(std::move(task));
+    } else {
+      tasks_.push_back(std::move(task));
+    }
     ++submitted_;
     if (tasks_.size() > max_queued_) max_queued_ = tasks_.size();
     if (inflight_ < max_inflight_) {

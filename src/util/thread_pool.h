@@ -26,16 +26,18 @@ inline size_t DefaultThreadCount() {
 /// Fixed-size worker pool executing arbitrary closures.
 ///
 /// The parallel reasoner PR submits one task per window partition and waits
-/// for the batch with SubmitAndWaitAll().
+/// for the batch with SubmitAndWaitAll() — the dedicated-worker engine's
+/// fan-out, where each reasoning worker thread owns one reasoner.
 ///
-/// Nesting constraint (important for the async pipeline engine): a task
-/// running ON a pool must never block on futures of tasks submitted to the
-/// SAME pool. If every worker is blocked waiting, the task that would
-/// unblock them can never be scheduled — a guaranteed deadlock, not a
-/// slowdown. The staged engine therefore gives each reasoning worker its
-/// own ParallelReasoner (and hence its own inner pool): a worker only ever
-/// waits on futures from the pool one level below it, never its own.
-/// Waiting on a *different* pool's futures is always safe.
+/// Nesting constraint: a task running ON a pool must never block on
+/// futures of tasks submitted to the SAME pool. If every worker is blocked
+/// waiting, the task that would unblock them can never be scheduled — a
+/// guaranteed deadlock, not a slowdown. The dedicated-worker engine keeps
+/// it by giving each reasoning worker its own ParallelReasoner (and hence
+/// its own inner pool): a worker only ever waits on futures from the pool
+/// one level below it, never its own. Waiting on a *different* pool's
+/// futures is always safe. (SharedReasonerPool avoids the question
+/// altogether: its tasks never wait.)
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least one).
@@ -104,11 +106,14 @@ class ThreadPool {
 /// bounded queues and shedding policies — the pool only decides *whose*
 /// task runs next.
 ///
-/// Nesting constraint: identical to ThreadPool — a task running on the
-/// pool must never block on the completion of another task of the SAME
-/// pool (any lane). The pipelines keep this by reasoning inline on the
-/// pool worker (ParallelReasoner's single-thread mode) instead of fanning
-/// out to a pool they would then wait on.
+/// Fan out and continue, never wait: a task running on the pool must
+/// never block on the completion of another task of the same pool (any
+/// lane) — with every worker blocked that way nothing could run the tasks
+/// they wait for. Work that needs a join instead submits its subtasks to
+/// the front of its own lane (SubmitFront) and returns; whichever subtask
+/// finishes last runs the join as a continuation. That is how pooled
+/// pipelines reason a window's partitions in parallel (see
+/// StreamRulePipeline::PoolTask) without an extra thread or a wait.
 ///
 /// Thread-safety: everything is safe from any thread. Destruction
 /// contract: Drain every lane before destroying the pool (the pipelines'
@@ -129,11 +134,21 @@ class SharedReasonerPool {
       size_t max_queued = 0;  ///< Lane backlog high-water mark.
     };
 
-    /// Enqueues one unit-cost task for DRR dispatch.
+    /// Enqueues one unit-cost task at the back of the lane for DRR
+    /// dispatch.
     void Submit(std::function<void()> task);
 
+    /// Enqueues one unit-cost task at the FRONT of the lane: it runs
+    /// before every task already queued here. For continuations of a task
+    /// already running on this lane (a window's partition subtasks), so
+    /// started work finishes before the lane's next queued task starts.
+    /// The task is otherwise an ordinary lane task: it consumes one DRR
+    /// credit and counts against max_inflight when dispatched.
+    void SubmitFront(std::function<void()> task);
+
     /// Blocks until every task submitted to this lane so far has
-    /// finished executing.
+    /// finished executing — including tasks those tasks submit while
+    /// they run (a running task counts as inflight until it returns).
     void Drain();
 
     Stats stats() const;
@@ -145,6 +160,9 @@ class SharedReasonerPool {
 
     Queue(SharedReasonerPool* pool, size_t weight, size_t max_inflight)
         : pool_(pool), weight_(weight), max_inflight_(max_inflight) {}
+
+    /// Submit/SubmitFront body: queue at the back or the front.
+    void Enqueue(std::function<void()> task, bool front);
 
     SharedReasonerPool* const pool_;
     const size_t weight_;

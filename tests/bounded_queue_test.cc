@@ -126,6 +126,17 @@ TEST(BoundedQueueTest, RejectRefusesWhenFull) {
   EXPECT_EQ(queue.Push(4), QueuePushResult::kOk);
 }
 
+TEST(BoundedQueueTest, RejectHandsTheRefusedItemBack) {
+  // A refused item is not lost with the by-value argument: the producer
+  // gets it back to account for (the pipeline tombstones it).
+  BoundedQueue<std::vector<int>> queue(1, BackpressurePolicy::kReject);
+  std::vector<int> refused;
+  EXPECT_EQ(queue.Push({1, 2}, &refused), QueuePushResult::kOk);
+  EXPECT_TRUE(refused.empty());
+  EXPECT_EQ(queue.Push({3, 4, 5}, &refused), QueuePushResult::kRejected);
+  EXPECT_EQ(refused, (std::vector<int>{3, 4, 5}));
+}
+
 // MPMC stress: `producers` threads push `per_producer` unique ints through
 // a small queue while `consumers` threads drain it. Returns the multiset
 // of consumed values as a sorted vector.

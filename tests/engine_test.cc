@@ -298,6 +298,89 @@ TEST_F(EngineTest, FacadeMatchesDirectEnginesByteForByte) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Partition fan-out on the shared pool: a pooled P' window's two
+// partitions run as separate lane tasks joined by the last finisher. The
+// transcript must stay byte-identical to the sync oracle of the same shape
+// across lane caps, the reuse stack, and a lane shared by shard pipelines.
+// ---------------------------------------------------------------------------
+
+TEST_F(EngineTest, PooledPartitionFanOutMatchesSyncOracle) {
+  const std::vector<Triple> stream = MakeStream(2400);
+  struct Reuse {
+    const char* name;
+    bool grounding;
+    bool solving;
+  };
+  const Reuse kReuse[] = {
+      {"none", false, false}, {"ground", true, false}, {"solve", true, true}};
+  auto config_for = [](size_t shards, const Reuse& reuse) {
+    EngineConfig config;
+    config.num_shards = shards;
+    config.pipeline.window_size = 600;
+    config.pipeline.window_slide = 150;
+    config.pipeline.reuse_grounding = reuse.grounding;
+    config.pipeline.reuse_solving = reuse.solving;
+    return config;
+  };
+  auto pool = std::make_shared<SharedReasonerPool>(4);
+  for (size_t shards : {0u, 1u, 2u}) {
+    for (const Reuse& reuse : kReuse) {
+      std::string oracle;
+      {
+        auto engine = StreamEngine::Create(
+            program_.get(), config_for(shards, reuse),
+            [&](EmissionEvent& event) {
+              oracle += Transcript(*symbols_, event.sequence, event);
+            });
+        ASSERT_TRUE(engine.ok()) << engine.status();
+        (*engine)->PushBatch(stream);
+        (*engine)->Flush();
+      }
+      ASSERT_FALSE(oracle.empty());
+      for (size_t cap : {1u, 2u, 4u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) + " reuse=" +
+                     reuse.name + " cap=" + std::to_string(cap));
+        EngineConfig config = config_for(shards, reuse);
+        config.pipeline.async = true;
+        config.pipeline.shared_pool = pool;
+        config.pipeline.pool_max_inflight = cap;
+        std::string transcript;
+        auto engine = StreamEngine::Create(
+            program_.get(), config, [&](EmissionEvent& event) {
+              transcript += Transcript(*symbols_, event.sequence, event);
+            });
+        ASSERT_TRUE(engine.ok()) << engine.status();
+        (*engine)->PushBatch(stream);
+        (*engine)->Flush();
+        EXPECT_EQ(transcript, oracle);
+
+        // One lane task per window plus one per extra partition, all
+        // completed by the flush; every pipeline's slot use fits the cap.
+        const EngineStats stats = (*engine)->stats();
+        std::vector<const StreamRulePipeline*> pipelines;
+        if (shards == 0) {
+          pipelines.push_back((*engine)->pipeline());
+        } else {
+          for (size_t s = 0; s < shards; ++s) {
+            pipelines.push_back(&(*engine)->sharded()->shard(s));
+          }
+        }
+        const size_t partitions = pipelines[0]->plan().num_communities();
+        ASSERT_EQ(partitions, 2u);
+        EXPECT_EQ(stats.lane.submitted,
+                  partitions * stats.reasoning.windows);
+        EXPECT_EQ(stats.lane.completed, stats.lane.submitted);
+        for (const StreamRulePipeline* pipeline : pipelines) {
+          EXPECT_EQ(pipeline->pool_queue()->max_inflight(), cap);
+          EXPECT_GE(pipeline->max_slots_in_use(), 1u);
+          EXPECT_LE(pipeline->max_slots_in_use(), cap);
+        }
+      }
+    }
+  }
+}
+
 TEST_F(EngineTest, ShardedFacadeMatchesUnshardedAnswers) {
   // Subject sharding respects the traffic rules' dependencies, so the
   // sharded shape must reproduce the single-pipeline answer stream

@@ -2,7 +2,12 @@
 // inconsistent partition programs, malformed stream items, resource
 // limits, arity conflicts, and empty/degenerate windows.
 
+#include <atomic>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,8 +15,30 @@
 #include "depgraph/decomposition.h"
 #include "streamrule/accuracy.h"
 #include "streamrule/parallel_reasoner.h"
+#include "streamrule/pipeline.h"
 #include "streamrule/random_partitioner.h"
 #include "streamrule/traffic_workload.h"
+
+// Allocation fault injection for this binary: while g_poison_bytes is
+// non-zero, the first allocation of exactly that many bytes (on any
+// thread) throws std::bad_alloc and disarms the trap.
+namespace {
+std::atomic<size_t> g_poison_bytes{0};
+}  // namespace
+
+void* operator new(size_t size) {
+  size_t poison = g_poison_bytes.load(std::memory_order_relaxed);
+  if (poison != 0 && size == poison &&
+      g_poison_bytes.compare_exchange_strong(poison, 0)) {
+    throw std::bad_alloc();
+  }
+  void* memory = std::malloc(size == 0 ? 1 : size);
+  if (memory == nullptr) throw std::bad_alloc();
+  return memory;
+}
+
+void operator delete(void* memory) noexcept { std::free(memory); }
+void operator delete(void* memory, size_t) noexcept { std::free(memory); }
 
 namespace streamasp {
 namespace {
@@ -200,6 +227,87 @@ TEST_F(FailureInjectionTest, NonDeterministicPartitionsCrossProduct) {
       pr.ProcessFacts({A("l(1)"), A("r(2)")});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->answers.size(), 4u);
+}
+
+TEST_F(FailureInjectionTest, PooledPartitionThrowFailsOnlyItsWindow) {
+  // Two independent input predicates, hence two partitions per window. A
+  // pooled window reasons partition 0 on its own task and partition 1 on
+  // a front-submitted lane task; the fault hits partition 1 of window 1.
+  StatusOr<Program> program = parser_.ParseProgram(R"(
+    #input good/1, bad/1.
+    ok(X) :- good(X).
+    nok(X) :- bad(X).
+    #show ok/1.
+    #show nok/1.
+  )");
+  ASSERT_TRUE(program.ok()) << program.status();
+
+  constexpr size_t kPoisonItems = 3331;  // Partition 1 of window 1.
+  constexpr size_t kWindow = kPoisonItems + 5;
+  PipelineOptions options;
+  options.window_size = kWindow;
+  options.async = true;
+  options.shared_pool = std::make_shared<SharedReasonerPool>(2);
+  options.pool_max_inflight = 2;
+  std::vector<EmissionEvent::Kind> kinds;
+  std::vector<std::string> errors;
+  std::vector<size_t> answers;
+  auto pipeline = StreamRulePipeline::Create(
+      &*program, options, [&](EmissionEvent& event) {
+        kinds.push_back(event.kind);
+        if (event.kind == EmissionEvent::Kind::kError) {
+          errors.push_back(event.status.message());
+        } else if (event.kind == EmissionEvent::Kind::kResult) {
+          answers.push_back(event.result->answers.size());
+        }
+      });
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+  const PartitioningPlan& plan = (*pipeline)->plan();
+  ASSERT_EQ(plan.num_communities(), 2);
+  const SymbolId good = symbols_->Intern("good");
+  const SymbolId bad = symbols_->Intern("bad");
+  const bool good_first =
+      plan.CommunitiesOf(PredicateSignature{good, 1}) == std::vector<int>{0};
+  const SymbolId first = good_first ? good : bad;
+  const SymbolId second = good_first ? bad : good;
+
+  // Windows 0 and 2 split evenly; window 1 puts kPoisonItems items into
+  // partition 1, whose fact conversion reserves exactly that many atoms.
+  auto window = [&](size_t in_second) {
+    std::vector<Triple> items;
+    for (size_t i = 0; i < kWindow; ++i) {
+      const SymbolId predicate = i < in_second ? second : first;
+      items.push_back(Triple{Term::Integer(static_cast<int64_t>(i)),
+                             predicate, {}});
+    }
+    return items;
+  };
+  g_poison_bytes.store(kPoisonItems * sizeof(Atom));
+  (*pipeline)->PushBatch(window(kWindow / 2));
+  (*pipeline)->PushBatch(window(kPoisonItems));
+  (*pipeline)->PushBatch(window(kWindow / 2));
+  (*pipeline)->Flush();
+  const bool fired = g_poison_bytes.exchange(0) == 0;
+  ASSERT_TRUE(fired) << "the injected fault never triggered";
+
+  const std::vector<EmissionEvent::Kind> expected = {
+      EmissionEvent::Kind::kResult, EmissionEvent::Kind::kError,
+      EmissionEvent::Kind::kResult};
+  EXPECT_EQ(kinds, expected);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].rfind("reasoning task exception: ", 0), 0u)
+      << errors[0];
+  EXPECT_EQ(answers, (std::vector<size_t>{1, 1}));
+
+  const PipelineStats stats = (*pipeline)->stats();
+  EXPECT_EQ(stats.windows, 2u);
+  EXPECT_EQ(stats.errors, 1u);
+  // The lane drained: one window task plus one partition task per window.
+  const SharedReasonerPool::Queue::Stats lane =
+      (*pipeline)->pool_queue()->stats();
+  EXPECT_EQ(lane.submitted, 6u);
+  EXPECT_EQ(lane.completed, lane.submitted);
+  EXPECT_LE((*pipeline)->max_slots_in_use(), 2u);
 }
 
 }  // namespace

@@ -266,6 +266,85 @@ TEST_F(OverloadTest, TombstonesInterleaveInStrictSequenceOrder) {
   }
 }
 
+// Pooled pipelines under lossy backpressure: a P' window's partitions fan
+// out as lane tasks, and shedding keeps its exact accounting. Every
+// emitted window is delivered once (result or tombstone) in strict
+// sequence order, every reasoned window matches the lossless oracle, and
+// the lane ran one task per enqueued window (evictions leave a no-op
+// surplus task) plus one per extra partition of each reasoned window.
+TEST_F(OverloadTest, PooledFanOutShedAccountingIsExact) {
+  StatusOr<Program> program = MakeTrafficProgram(
+      symbols_, TrafficProgramVariant::kPPrime, /*with_show=*/true);
+  ASSERT_TRUE(program.ok());
+  const size_t window_size = 100;
+  const std::vector<Triple> stream = MakeStream(3000);  // 30 windows.
+  const std::map<uint64_t, std::string> oracle =
+      OracleLines(*program, window_size, 0, stream);
+  ASSERT_EQ(oracle.size(), 30u);
+  auto pool = std::make_shared<SharedReasonerPool>(2);
+
+  for (const BackpressurePolicy policy :
+       {BackpressurePolicy::kDropOldest, BackpressurePolicy::kReject}) {
+    for (const size_t cap : {1u, 2u}) {
+      SCOPED_TRACE("policy=" + std::to_string(static_cast<int>(policy)) +
+                   " cap=" + std::to_string(cap));
+      PipelineOptions options;
+      options.window_size = window_size;
+      options.async = true;
+      options.max_inflight_windows = 1;
+      options.backpressure = policy;
+      options.shared_pool = pool;
+      options.pool_max_inflight = cap;
+
+      std::vector<uint64_t> sequences;
+      std::vector<std::string> mismatches;
+      uint64_t shed = 0;
+      StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
+          StreamRulePipeline::Create(
+              &*program, options,
+              [&](const TripleWindow& window,
+                  const ParallelReasonerResult& result) {
+                sequences.push_back(window.sequence);
+                if (oracle.at(window.sequence) != Line(window, result)) {
+                  mismatches.push_back(Line(window, result));
+                }
+              },
+              /*error_callback=*/nullptr,
+              [&](TripleWindow& window) {
+                sequences.push_back(window.sequence);
+                ++shed;
+              });
+      ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+      (*pipeline)->PushBatch(stream);
+      (*pipeline)->Flush();
+
+      ASSERT_EQ(sequences.size(), 30u);
+      for (size_t i = 0; i < sequences.size(); ++i) {
+        EXPECT_EQ(sequences[i], i);
+      }
+      EXPECT_TRUE(mismatches.empty()) << mismatches.front();
+
+      const PipelineStats stats = (*pipeline)->stats();
+      EXPECT_EQ(stats.windows + stats.shed_windows(), 30u);
+      EXPECT_EQ(stats.shed_windows(), shed);
+      EXPECT_EQ(stats.shed_items, shed * window_size);
+      if (policy == BackpressurePolicy::kReject) {
+        EXPECT_EQ(stats.dropped_windows, 0u);
+      } else {
+        EXPECT_EQ(stats.rejected_windows, 0u);
+      }
+      const size_t partitions = (*pipeline)->plan().num_communities();
+      ASSERT_EQ(partitions, 2u);
+      const SharedReasonerPool::Queue::Stats lane =
+          (*pipeline)->pool_queue()->stats();
+      EXPECT_EQ(lane.submitted,
+                stats.enqueued_windows + stats.windows * (partitions - 1));
+      EXPECT_EQ(lane.completed, lane.submitted);
+      EXPECT_LE((*pipeline)->max_slots_in_use(), cap);
+    }
+  }
+}
+
 // Hot-key storm against an undersized async pipeline with kDropOldest:
 // the pipeline keeps up by evicting stale windows, so per-window emit
 // latency (window close → ordered delivery) stays bounded by the in-flight

@@ -5,6 +5,7 @@
 
 #include "asp/parser.h"
 #include "depgraph/decomposition.h"
+#include "stream/generator.h"
 #include "streamrule/accuracy.h"
 #include "streamrule/parallel_reasoner.h"
 #include "streamrule/traffic_workload.h"
@@ -216,8 +217,37 @@ TEST_F(ReasonerTest, ParallelReasonerReportsPerPartitionLatency) {
     slowest = std::max(slowest, ms);
   }
   EXPECT_GE(result->critical_path_ms, slowest);
-  EXPECT_LE(result->critical_path_ms,
-            result->partition_ms + slowest + result->combine_ms + 1e-9);
+  EXPECT_NEAR(result->critical_path_ms,
+              result->partition_ms + slowest + result->combine_ms, 1e-9);
+}
+
+TEST_F(ReasonerTest, CriticalPathIncludesPartitioningTime) {
+  // A window large enough that partitioning takes measurable time, so a
+  // critical path computed before partition_ms is set would fall short.
+  StatusOr<Program> program =
+      MakeTrafficProgram(symbols_, TrafficProgramVariant::kPPrime, false);
+  ASSERT_TRUE(program.ok());
+  StatusOr<InputDependencyGraph> graph =
+      InputDependencyGraph::Build(*program);
+  StatusOr<PartitioningPlan> plan = DecomposeInputDependencyGraph(*graph);
+  ASSERT_TRUE(plan.ok());
+  GeneratorOptions generator_options;
+  generator_options.seed = 11;
+  SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols_),
+                                     generator_options);
+  TripleWindow window;
+  window.items = generator.GenerateWindow(20000);
+  ParallelReasoner pr(&*program, *plan);
+  StatusOr<ParallelReasonerResult> result = pr.Process(window);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_GT(result->partition_ms, 0.0);
+  double slowest = 0;
+  for (double ms : result->partition_latency_ms) {
+    slowest = std::max(slowest, ms);
+  }
+  EXPECT_NEAR(result->critical_path_ms,
+              result->partition_ms + slowest + result->combine_ms, 1e-9);
+  EXPECT_GE(result->latency_ms, result->partition_ms + result->combine_ms);
 }
 
 }  // namespace

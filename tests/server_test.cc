@@ -16,6 +16,7 @@
 #include <deque>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "asp/parser.h"
+#include "depgraph/decomposition.h"
 #include "server/server.h"
 #include "server/session.h"
 #include "server/tcp.h"
@@ -1208,6 +1210,60 @@ TEST(SharedPoolServerTest, SixtyFourSessionsCostPoolPlusLoopThreads) {
   }
   EXPECT_EQ(results.load(), 64u);
   server.CloseAll();
+}
+
+TEST(SharedPoolServerTest, StatsReportLaneGaugesPerPartitionTask) {
+  // A pooled P' window costs one lane task for itself plus one per
+  // partition beyond the first; the stats reply carries the lane gauges
+  // after the pre-existing keys.
+  ServerConfig config;
+  config.shared_pool_threads = 4;
+  StreamServer server(config);
+  TenantSpec spec = {"lanes", TrafficProgramVariant::kPPrime, 500, true, 0,
+                     false, 909};
+  SessionOptions options = TenantOptions(spec);
+  options.max_inflight = 2;
+  auto session = server.CreateSession(spec.name, options,
+                                      [](const SessionEvent&) {});
+  ASSERT_TRUE(session.ok()) << session.status();
+  GeneratorOptions generator_options;
+  generator_options.seed = spec.stream_seed;
+  SyntheticStreamGenerator generator(MakeTrafficSchema((*session)->symbols()),
+                                     generator_options);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE((*session)->Push(generator.GenerateWindow(250)).ok());
+  }
+  ASSERT_TRUE((*session)->Flush().ok());
+  const std::string reply = FormatStats(spec.name, (*session)->stats());
+  server.CloseAll();
+
+  std::map<std::string, uint64_t> fields;
+  for (const std::string& line : StrSplit(reply, '\n')) {
+    const size_t eq = line.find('=');
+    if (eq == std::string::npos) continue;
+    fields[line.substr(0, eq)] = std::strtoull(line.c_str() + eq + 1,
+                                               nullptr, 10);
+  }
+  // The P' decomposition the session's engine uses: two partitions.
+  SymbolTablePtr symbols = MakeSymbolTable();
+  StatusOr<Program> program =
+      MakeTrafficProgram(symbols, TrafficProgramVariant::kPPrime, true);
+  ASSERT_TRUE(program.ok()) << program.status();
+  StatusOr<InputDependencyGraph> graph = InputDependencyGraph::Build(*program);
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  StatusOr<PartitioningPlan> plan = DecomposeInputDependencyGraph(*graph);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const uint64_t partitions = plan->num_communities();
+  ASSERT_EQ(partitions, 2u);
+
+  const uint64_t windows = fields["delivered_windows"];
+  EXPECT_EQ(windows, 4u);
+  EXPECT_EQ(fields["lane_tasks_submitted"],
+            windows + windows * (partitions - 1));
+  EXPECT_EQ(fields["lane_tasks_completed"], fields["lane_tasks_submitted"]);
+  EXPECT_GE(fields["lane_max_queued"], 1u);
+  EXPECT_LT(reply.find("\ncompleteness="),
+            reply.find("\nlane_tasks_submitted="));
 }
 
 TEST_F(SessionTest, QuotaShedsWindowsBeyondMaxQueuedAndAccountsThem) {

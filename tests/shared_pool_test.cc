@@ -205,5 +205,122 @@ TEST(SharedPoolTest, ZeroWeightAndCapAreClamped) {
   EXPECT_TRUE(ran.load());
 }
 
+// ---------------------------------------------------------------------------
+// Front-of-lane submission: how a running task fans subtasks out on its
+// own lane and continues without waiting (pooled partition fan-out).
+// ---------------------------------------------------------------------------
+
+TEST(SharedPoolTest, FrontSubmittedTaskRunsBeforeOlderQueuedTasks) {
+  SharedReasonerPool pool(1);
+  auto gate_lane = pool.CreateQueue(1, 1);
+  Gate gate;
+  gate_lane->Submit([&gate] { gate.Wait(); });
+
+  auto lane = pool.CreateQueue(/*weight=*/4, /*max_inflight=*/1);
+  DispatchLog log;
+  lane->Submit([&log] { log.Record('a'); });
+  lane->Submit([&log] { log.Record('b'); });
+  lane->SubmitFront([&log] { log.Record('F'); });
+  lane->SubmitFront([&log] { log.Record('G'); });
+  EXPECT_EQ(lane->stats().max_queued, 4u);
+
+  gate.Open();
+  lane->Drain();
+  gate_lane->Drain();
+  EXPECT_EQ(log.order(), (std::vector<char>{'G', 'F', 'a', 'b'}));
+  EXPECT_EQ(lane->stats().submitted, 4u);
+  EXPECT_EQ(lane->stats().completed, 4u);
+}
+
+TEST(SharedPoolTest, FrontSubmittedTasksConsumeDrrCredit) {
+  // Two weight-1 lanes: if front-submitted tasks were free of credit, the
+  // front lane would run its whole backlog before the other lane's first.
+  SharedReasonerPool pool(1);
+  auto gate_lane = pool.CreateQueue(1, 1);
+  Gate gate;
+  gate_lane->Submit([&gate] { gate.Wait(); });
+
+  auto front = pool.CreateQueue(/*weight=*/1, /*max_inflight=*/4);
+  auto back = pool.CreateQueue(/*weight=*/1, /*max_inflight=*/4);
+  DispatchLog log;
+  constexpr int kTasks = 6;
+  for (int i = 0; i < kTasks; ++i) {
+    front->SubmitFront([&log] { log.Record('f'); });
+    back->Submit([&log] { log.Record('b'); });
+  }
+  gate.Open();
+  front->Drain();
+  back->Drain();
+  gate_lane->Drain();
+
+  const std::vector<char> order = log.order();
+  ASSERT_EQ(order.size(), static_cast<size_t>(2 * kTasks));
+  int front_seen = 0;
+  int back_seen = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    (order[i] == 'f' ? front_seen : back_seen)++;
+    EXPECT_LE(std::abs(front_seen - back_seen), 1)
+        << "prefix " << i << ": front=" << front_seen
+        << " back=" << back_seen;
+  }
+}
+
+TEST(SharedPoolTest, FrontSubmittedTasksRespectTheInflightCap) {
+  SharedReasonerPool pool(4);
+  auto capped = pool.CreateQueue(/*weight=*/1, /*max_inflight=*/1);
+
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  for (int i = 0; i < 16; ++i) {
+    capped->SubmitFront([&running, &peak] {
+      const int now = running.fetch_add(1) + 1;
+      int expected = peak.load();
+      while (now > expected && !peak.compare_exchange_weak(expected, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      running.fetch_sub(1);
+    });
+  }
+  capped->Drain();
+  EXPECT_EQ(peak.load(), 1) << "cap-1 lane ran front tasks concurrently";
+}
+
+TEST(SharedPoolTest, DrainWaitsForTasksSubmittedByRunningTasks) {
+  SharedReasonerPool pool(2);
+  auto lane = pool.CreateQueue(/*weight=*/1, /*max_inflight=*/2);
+  std::atomic<bool> grandchild_ran{false};
+  lane->Submit([&lane, &grandchild_ran] {
+    lane->Submit([&lane, &grandchild_ran] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      lane->SubmitFront([&grandchild_ran] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        grandchild_ran.store(true);
+      });
+    });
+  });
+  lane->Drain();
+  EXPECT_TRUE(grandchild_ran.load());
+  EXPECT_EQ(lane->stats().submitted, 3u);
+  EXPECT_EQ(lane->stats().completed, 3u);
+}
+
+TEST(SharedPoolTest, CapOneTaskFanningOutToItsOwnLaneDoesNotDeadlock) {
+  // The pooled-window shape on the tightest lane: the parent front-submits
+  // its subtasks and returns instead of waiting for them, so they run
+  // after it on the lane's one slot — and before the lane's older work.
+  SharedReasonerPool pool(2);
+  auto lane = pool.CreateQueue(/*weight=*/1, /*max_inflight=*/1);
+  DispatchLog log;
+  lane->Submit([&lane, &log] {
+    for (char child : {'3', '2', '1'}) {
+      lane->SubmitFront([&log, child] { log.Record(child); });
+    }
+    log.Record('P');
+  });
+  lane->Submit([&log] { log.Record('L'); });
+  lane->Drain();
+  EXPECT_EQ(log.order(), (std::vector<char>{'P', '1', '2', '3', 'L'}));
+}
+
 }  // namespace
 }  // namespace streamasp

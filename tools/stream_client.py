@@ -191,6 +191,16 @@ class SessionRun:
         if int(self.stats.get("delivered_answers", "0")) <= 0:
             failures.append(
                 f"{self.name}: server-side delivered_answers is zero")
+        # After the flush barrier every lane task (window and partition
+        # tasks alike) has finished.
+        submitted = self.stats.get("lane_tasks_submitted")
+        completed = self.stats.get("lane_tasks_completed")
+        if submitted is None or completed is None:
+            failures.append(f"{self.name}: stats reply lacks lane gauges")
+        elif submitted != completed:
+            failures.append(
+                f"{self.name}: lane_tasks_completed={completed} != "
+                f"lane_tasks_submitted={submitted} after flush")
         return failures
 
 
