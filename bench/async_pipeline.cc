@@ -96,18 +96,18 @@ BenchRun RunOnce(const Program& program, const std::vector<Triple>& stream,
 }
 
 // Graceful-degradation leg: a flash-crowd burst stream against a
-// deliberately undersized async pipeline (one worker, two in-flight
-// windows) with kDropOldest shedding. Pacing is self-clocked rather than
-// timed: valley windows are pushed behind a Flush() drain barrier, so
-// during valleys ingest can never outrun service and nothing sheds;
-// spike windows are pushed back-to-back, so during spikes ingest is
-// effectively infinitely faster than service and the queue sheds
-// spike_len - (capacity + 1) windows (the worker holds one, the queue
-// retains `capacity`). The shed fraction therefore depends only on the
-// spike shape and queue capacity — not on host speed — which is what
-// makes the completeness minimum in bench/baseline.json a meaningful
-// machine-independent gate (worst case: every spike window past the
-// worker's sheds, completeness 110/120).
+// deliberately undersized async pipeline (a one-thread private pool, two
+// in-flight windows) with kDropOldest shedding. Pacing is self-clocked
+// rather than timed: valley windows are pushed behind a Flush() drain
+// barrier, so during valleys ingest can never outrun service and nothing
+// sheds; spike windows are pushed back-to-back, so during spikes ingest
+// is effectively infinitely faster than service and the queue sheds
+// spike_len - (capacity + 1) windows (the pool thread holds one, the
+// queue retains `capacity`). The shed fraction therefore depends only on
+// the spike shape and queue capacity — not on host speed — which is
+// what makes the completeness minimum in bench/baseline.json a
+// meaningful machine-independent gate (worst case: every spike window
+// past the pool thread's sheds, completeness 110/120).
 BenchRun RunBurstOverload(const Program& program,
                           const SymbolTablePtr& symbols, size_t window_size) {
   using Clock = std::chrono::steady_clock;

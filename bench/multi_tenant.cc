@@ -12,9 +12,10 @@
 //   * shared-greedy    — one of the saturating tenants (representative):
 //                        lossless under kBlock admission, so its
 //                        completeness floor is 1.0 even while saturated.
-//   * dedicated-steady — the same contention shape on per-tenant engine
-//                        threads (no shared pool): the O(sessions)-thread
-//                        baseline the pool replaces.
+//   * dedicated-steady — the same contention shape with every engine on
+//                        its own one-thread private pool (no shared
+//                        pool): the O(sessions)-thread baseline the
+//                        shared pool replaces.
 //
 // Pacing is self-clocked, not timed. The steady tenant pushes one window
 // and flushes (a delivery barrier) per round, so each round's emit
@@ -297,7 +298,8 @@ int main(int argc, char** argv) {
   }
 
   // Per-tenant-threads baseline: same contention shape, every engine on
-  // its own reasoning thread (the O(sessions) budget the pool replaces).
+  // its own one-thread private pool (the O(sessions) budget the shared
+  // pool replaces).
   {
     std::atomic<bool> stop{false};
     std::vector<std::unique_ptr<GreedyTenant>> tenants;

@@ -98,17 +98,18 @@ BenchRun RunEngine(std::string mode, const Program& program,
 }
 
 // Graceful-degradation leg, mirroring bench/async_pipeline's burst run
-// through the sharded engine: a flash-crowd stream against two shards
-// whose inner async pipelines are deliberately undersized (one worker,
-// two in-flight sub-windows) with kDropOldest shedding. A shed
-// sub-window emits a tombstone that releases its merge slot, so the
-// ordered merge keeps flowing and delivers the surviving shards' answers
-// with completeness < 1. Pacing is self-clocked rather than timed:
-// valley windows are pushed behind a Flush() drain barrier (ingest never
-// outruns service, nothing sheds), spike windows back-to-back (each
-// shard's work queue overflows by spike_len - capacity - 1 sub-windows
-// regardless of host speed), so the completeness minimum in
-// bench/baseline.json is a meaningful machine-independent gate.
+// through the sharded engine: a flash-crowd stream against two async
+// shards that are deliberately undersized (one private pool of one
+// thread for both shards, two in-flight sub-windows) with kDropOldest
+// shedding. A shed sub-window emits a tombstone that releases its merge
+// slot, so the ordered merge keeps flowing and delivers the surviving
+// shards' answers with completeness < 1. Pacing is self-clocked rather
+// than timed: valley windows are pushed behind a Flush() drain barrier
+// (ingest never outruns service, nothing sheds), spike windows
+// back-to-back (each shard's work queue overflows by at least
+// spike_len - capacity - 1 sub-windows regardless of host speed), so the
+// completeness minimum in bench/baseline.json is a meaningful
+// machine-independent gate.
 BenchRun RunShardedBurstOverload(const Program& program,
                                  const SymbolTablePtr& symbols,
                                  size_t window_size) {

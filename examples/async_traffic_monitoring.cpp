@@ -1,11 +1,11 @@
 // The traffic scenario on the staged asynchronous execution engine,
 // through the unified StreamEngine facade (async = true): ingestion and
-// windowing run on this thread while a pool of reasoning workers grounds
-// and solves earlier windows, and the ordered emitter still delivers one
-// EmissionEvent per window in strict window order.
+// windowing run on this thread while the engine's private reasoner pool
+// grounds and solves earlier windows, and ordered delivery still yields
+// one EmissionEvent per window in strict window order.
 //
-//   ingest -> windower -> BoundedQueue -> ParallelReasoner workers
-//          -> ordered emitter -> EmissionEvents (in window order)
+//   ingest -> windower -> BoundedQueue -> pool lane (window + partition
+//          tasks) -> reorder buffer -> EmissionEvents (in window order)
 //
 // Usage: async_traffic_monitoring [window_size] [num_windows] [inflight]
 
@@ -61,8 +61,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
     return 1;
   }
-  std::printf("async engine: %zu reasoning workers, %zu windows in flight\n",
-              (*engine)->num_reason_workers(), inflight);
+  std::printf(
+      "async engine: %zu reasoner-pool threads, %zu windows in flight\n",
+      (*engine)->num_reason_workers(), inflight);
 
   SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols),
                                      GeneratorOptions{});

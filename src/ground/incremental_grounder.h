@@ -70,17 +70,17 @@ struct IncrementalGroundingOptions {
 ///
 /// Not thread-safe: one instance serves one (sub-)stream from one thread
 /// at a time. The parallel reasoner keeps one instance per partition; the
-/// async engine's workers each own their reasoner and therefore their own
-/// grounders.
+/// async engine's reasoner slots each own their reasoner and therefore
+/// their own grounders.
 class IncrementalGrounder {
  public:
   /// The windower-supplied fact delta between two consecutive windows:
   /// window(previous_sequence) - expired + admitted == the current window,
   /// as multisets. Supplying it lets GroundWindow skip its own snapshot
   /// diff; a delta whose previous_sequence does not match the cached
-  /// window (e.g. an async worker that sees every Nth window) or whose
-  /// counts are inconsistent with the facts vector is ignored in favour
-  /// of the snapshot diff. A shape-consistent hint's *contents* are
+  /// window (e.g. an async reasoner slot that sees every Nth window) or
+  /// whose counts are inconsistent with the facts vector is ignored in
+  /// favour of the snapshot diff. A shape-consistent hint's *contents* are
   /// trusted in Release builds (supplying the above invariant is the
   /// emitting windower's contract, which the windowing tests pin down);
   /// Debug builds re-verify the applied delta against the facts multiset

@@ -32,13 +32,15 @@ StatusOr<std::shared_ptr<StreamSession>> StreamServer::CreateSession(
     // pool_weight/pool_max_inflight by StreamSession::Create's caller
     // contract (ValidateSessionOptions + field mapping).
     options.engine.pipeline.shared_pool = pool_;
-  } else if (config_.session_reasoner_threads > 0 &&
-             options.engine.pipeline.reasoner.num_threads == 0) {
-    // Unpooled fair multiplexing: without this, every tenant's reasoner
-    // would default to all cores and the sessions would thrash each
-    // other. Pooled sessions fan their partitions out on the pool.
-    options.engine.pipeline.reasoner.num_threads =
-        config_.session_reasoner_threads;
+  } else if (config_.session_reasoner_threads > 0) {
+    // Unpooled fair multiplexing: without this, every tenant would
+    // default to all cores and the sessions would thrash each other. An
+    // async session's private pool and a sync session's reasoner get the
+    // same budget unless the client sized them.
+    PipelineOptions& pipeline = options.engine.pipeline;
+    size_t& threads = pipeline.async ? pipeline.num_reason_workers
+                                     : pipeline.reasoner.num_threads;
+    if (threads == 0) threads = config_.session_reasoner_threads;
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -20,11 +20,13 @@ struct ServerConfig {
   /// it with kResourceExhausted.
   size_t max_sessions = 64;
 
-  /// Default reasoner thread budget applied to an UNPOOLED session whose
-  /// config leaves reasoner threads at 0 (the engine's "all cores"
-  /// default would let one tenant claim the machine). 0 disables the
-  /// override. Pooled sessions have no use for it: their windows'
-  /// partitions fan out as tasks on the shared pool itself.
+  /// Default thread budget of an UNPOOLED session whose config leaves it
+  /// at 0 (the engine's "all cores" default would let one tenant claim
+  /// the machine): the size of an async session's private
+  /// SharedReasonerPool (num_reason_workers, the wire's workers=) or a
+  /// sync session's reasoner threads. 0 disables the override. Pooled
+  /// sessions have no use for it: their windows' partitions fan out as
+  /// tasks on the shared pool itself.
   size_t session_reasoner_threads = 2;
 
   /// Workers in the process-wide SharedReasonerPool every async session's
@@ -33,10 +35,10 @@ struct ServerConfig {
   /// separate lane tasks that fan out and continue — no pool task ever
   /// waits for another, so the pool needs no spare threads. The default
   /// sizes the pool to the machine, making total reasoning threads
-  /// O(hardware) instead of O(sessions x workers). 0 disables pooling
-  /// entirely — every async session then spawns its own dedicated
-  /// workers as before. Sync sessions always reason on their pump
-  /// thread, pool or not.
+  /// O(hardware) instead of O(sessions x workers). 0 disables sharing —
+  /// every async session then reasons on a private pool of its own (see
+  /// session_reasoner_threads) plus a pump thread. Sync sessions always
+  /// reason on their pump thread, pool or not.
   size_t shared_pool_threads = DefaultThreadCount();
 };
 

@@ -39,8 +39,9 @@ StatusOr<std::unique_ptr<StreamSession>> StreamSession::Create(
   }
   STREAMASP_RETURN_IF_ERROR(ValidateSessionOptions(options));
   // Map the session-level fairness knobs onto the pipeline: the quota is
-  // engine-level admission control either way; the weight and inflight
-  // cap take effect when the server injects its shared pool below.
+  // engine-level admission control either way; the inflight cap bounds
+  // the session's lane on whichever pool it runs, and the weight matters
+  // only on the server's shared pool.
   options.engine.pipeline.pool_weight = options.weight;
   options.engine.pipeline.pool_max_inflight = options.max_inflight;
   options.engine.pipeline.max_queued_windows = options.max_queued_windows;

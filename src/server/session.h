@@ -91,12 +91,12 @@ struct SessionOptions {
   /// (>= 1): its share of reasoning dispatch slots while contending with
   /// other sessions. Every partition of a window is one task and costs
   /// one slot. Ignored (but still validated) when the session runs on
-  /// dedicated threads instead of a shared pool.
+  /// a private pool instead of the shared one.
   size_t weight = 1;
 
   /// Cap on this session's concurrently running tasks (windows and their
-  /// partitions) on the shared pool (async engines only). 0 picks the
-  /// engine default (min(max_inflight_windows, pool threads)).
+  /// partitions) on its pool, shared or private (async engines only). 0
+  /// picks the engine default (min(max_inflight_windows, pool threads)).
   size_t max_inflight = 0;
 
   /// Per-session window quota (async engines only): when > 0, a window
@@ -138,7 +138,8 @@ struct SessionStats {
 /// push triple batches and subscribe to the ordered SessionEvent stream.
 ///
 /// The ingest queue is drained in one of two modes:
-///   * Dedicated pump thread (sync or standalone-async engines): the
+///   * Dedicated pump thread (sync engines, and async engines on a
+///     private pool): the
 ///     pump decouples transport threads from reasoning, so a slow
 ///     session backpressures (or sheds) its own queue without stalling
 ///     its siblings.
@@ -152,7 +153,7 @@ struct SessionStats {
 ///
 /// Thread-safety: Push/Flush/Close/stats from any thread, concurrently.
 /// The event handler must not call back into the session (the pump or
-/// emitter delivering it would deadlock on itself).
+/// pool thread delivering it would deadlock on itself).
 class StreamSession {
  public:
   /// Parses the program, builds the engine, starts the pump. Fails on an

@@ -14,10 +14,8 @@ struct ParallelReasonerResult;
 /// One delivery of an engine's ordered emission stream. Every window an
 /// engine emits — reasoned, failed, or shed — surfaces as exactly one
 /// EmissionEvent, delivered from one thread at a time in strictly
-/// increasing sequence order across all three kinds. This is the unified
-/// replacement for the ResultCallback/ErrorCallback/ShedCallback trio:
-/// ordered consumers (the sharded merge, the session server) track one
-/// stream instead of interleaving three.
+/// increasing sequence order across all three kinds: ordered consumers
+/// (the sharded merge, the session server) track one stream.
 struct EmissionEvent {
   enum class Kind : uint8_t {
     kResult,  ///< Window reasoned successfully; `result` is set.
@@ -50,10 +48,11 @@ struct EmissionEvent {
   double completeness = 1.0;
 };
 
-/// Single ordered emission callback. Same contract as the callback trio it
-/// replaces: runs on the caller thread (sync) or the engine's single
-/// emitter/merge thread (async/sharded), never concurrently with itself,
-/// and must not call back into Push/Flush on the emitting engine.
+/// The one emission surface of every engine: runs on the caller thread
+/// (sync), on whichever pool thread (or shedding caller) holds the
+/// delivery baton (async), or on the merge thread (sharded) — never
+/// concurrently with itself — and must not call back into Push/Flush on
+/// the emitting engine.
 using EmissionHandler = std::function<void(EmissionEvent&)>;
 
 }  // namespace streamasp

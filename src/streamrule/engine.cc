@@ -57,12 +57,8 @@ size_t StreamEngine::num_shards() const {
 }
 
 size_t StreamEngine::num_reason_workers() const {
-  if (pipeline_ != nullptr) return pipeline_->num_reason_workers();
-  size_t workers = 0;
-  for (size_t s = 0; s < sharded_->num_shards(); ++s) {
-    workers += sharded_->shard(s).num_reason_workers();
-  }
-  return workers;
+  return pipeline_ != nullptr ? pipeline_->num_reason_workers()
+                              : sharded_->num_reason_workers();
 }
 
 EngineStats StreamEngine::stats() const {

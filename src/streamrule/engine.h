@@ -75,9 +75,9 @@ struct EngineStats {
   /// reasoning errors (unsharded).
   uint64_t delivery_errors = 0;
 
-  /// Counters of the engine's lane on the shared reasoner pool (all zero
-  /// outside shared-pool mode; sharded engines share one lane): a task
-  /// per admitted window plus one per partition beyond the first.
+  /// Counters of the engine's reasoner-pool lane (all zero for the
+  /// synchronous shapes; sharded engines share one lane): a task per
+  /// admitted window plus one per partition beyond the first.
   SharedReasonerPool::Queue::Stats lane;
 
   // --- sharded merge/router counters (zero unsharded) ---
@@ -171,8 +171,9 @@ class StreamEngine {
   /// 0 when unsharded.
   size_t num_shards() const;
 
-  /// Reasoning worker threads across the engine (0 for the synchronous
-  /// oracle shape).
+  /// Threads of the engine's private reasoner pool (counted once for a
+  /// sharded engine); 0 for the synchronous shapes and for engines on an
+  /// external shared_pool.
   size_t num_reason_workers() const;
 
   /// The underlying engine, for introspection (plan, decomposition info,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <type_traits>
 #include <utility>
@@ -51,7 +50,10 @@ ParallelReasoner::ParallelReasoner(const Program* program,
       combiner_(options.combining),
       reasoner_(program, reasoner_options_) {
   const size_t threads = ResolveThreadCount(options.num_threads);
-  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
+  if (threads > 1) {
+    pool_ = std::make_unique<SharedReasonerPool>(threads);
+    lane_ = pool_->CreateQueue(/*weight=*/1, /*max_inflight=*/threads);
+  }
   if (reasoner_options_.reuse_grounding) {
     // One engine per partition Split can produce: an empty plan still
     // yields one fallback partition.
@@ -179,21 +181,23 @@ StatusOr<ParallelReasonerResult> ParallelReasoner::Finish(Job job) const {
 }
 
 void ParallelReasoner::RunTasks(Job* job) {
-  if (pool_ == nullptr) {
-    for (size_t i = 0; i < job->num_partitions(); ++i) {
-      ReasonPartition(job, i);
-    }
+  const size_t n = job->num_partitions();
+  if (lane_ == nullptr) {
+    for (size_t i = 0; i < n; ++i) ReasonPartition(job, i);
     return;
   }
-  // Batch-wait rather than WaitIdle so concurrent Process calls on one
-  // reasoner (or other users of a shared pool) cannot extend each other's
-  // waits or steal each other's completion signal.
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(job->num_partitions());
-  for (size_t i = 0; i < job->num_partitions(); ++i) {
-    tasks.push_back([this, job, i] { ReasonPartition(job, i); });
+  // Drain waits for this call's partitions (and any concurrent caller's):
+  // safe because the caller is not a task of the private pool.
+  try {
+    for (size_t i = 1; i < n; ++i) {
+      lane_->Submit([this, job, i] { ReasonPartition(job, i); });
+    }
+  } catch (...) {
+    lane_->Drain();  // Submitted partitions still reference *job.
+    throw;
   }
-  pool_->SubmitAndWaitAll(std::move(tasks));
+  if (n > 0) ReasonPartition(job, 0);
+  lane_->Drain();
 }
 
 StatusOr<ParallelReasonerResult> ParallelReasoner::Process(

@@ -20,11 +20,11 @@ struct ParallelReasonerOptions {
   ReasonerOptions reasoner;
   CombiningOptions combining;
 
-  /// Inner ThreadPool workers that Process fans partitions out to; 0
-  /// uses std::thread::hardware_concurrency(). 1 is the inline mode: no
-  /// inner pool is spawned and Process reasons the partitions one after
-  /// another on the calling thread. Reasoners hosted on a
-  /// SharedReasonerPool are built inline: the pool drives their
+  /// Threads of the private SharedReasonerPool that Process fans
+  /// partitions out to; 0 uses DefaultThreadCount(). 1 is the inline
+  /// mode: no pool is spawned and Process reasons the partitions one
+  /// after another on the calling thread. Reasoners hosted by an async
+  /// pipeline are built inline: the pipeline's lane drives their
   /// Split/ReasonPartition/Finish phases itself, one lane task per
   /// partition, and never calls Process.
   size_t num_threads = 0;
@@ -90,29 +90,27 @@ struct ParallelReasonerResult {
 /// reuse, its delta) into a Job, ReasonPartition reasons one partition of
 /// it, Finish combines the answers and sums the statistics. Process is
 /// their composition (Split + RunTasks + Finish), which the sync oracle
-/// and the dedicated-worker engine call; the shared-pool engine runs the
-/// same phases as separate pool tasks instead (see
-/// StreamRulePipeline::PoolTask), so every engine shape reasons through
-/// identical code.
+/// and the benches call; the async engine runs the same phases as
+/// separate pool tasks instead (see StreamRulePipeline::PoolTask), so
+/// every engine shape reasons through identical code.
+///
+/// Process runs partitions 1..n-1 as tasks on the reasoner's private
+/// pool lane, reasons partition 0 on the calling thread, then waits for
+/// the lane to drain. The caller is never a task of that pool, so the
+/// wait is safe; pool tasks themselves never wait.
 ///
 /// Thread-safety: the handlers are immutable and Reasoner is
 /// thread-compatible, so ReasonPartition may run for different partitions
 /// of one Job concurrently, and concurrent Process calls on one instance
-/// are safe — they share the inner ThreadPool, and SubmitAndWaitAll gives
-/// each call batch semantics. With reuse_grounding set, Process
+/// are safe — they share the private lane, and each call returns only
+/// once the lane has drained past its own partitions. With
+/// reuse_grounding set, Process
 /// additionally serializes whole windows on an internal mutex: the
 /// per-partition incremental grounders are stateful, and interleaving two
 /// windows through one cache would corrupt its window-to-window diff.
 /// Callers driving the phases themselves take that duty over: at most one
 /// Job per reuse reasoner at a time (the pool engine checks a reasoner
 /// out per window, so its Jobs never overlap).
-///
-/// Nesting constraint (see util/thread_pool.h): Process blocks on futures
-/// of tasks submitted to the instance's OWN inner pool. Never call Process
-/// from a task running on that same pool. The dedicated-worker engine
-/// gives each worker its own ParallelReasoner, so every wait targets the
-/// pool one level below the waiter. Pool-hosted reasoners never wait at
-/// all: their partitions are lane tasks and the last one runs Finish.
 class ParallelReasoner {
  public:
   /// Dependency-guided mode: partitions follow `plan` (built by
@@ -167,7 +165,7 @@ class ParallelReasoner {
   StatusOr<ParallelReasonerResult> Finish(Job job) const;
 
   /// Full PR pipeline over a triple window: Split, every partition
-  /// reasoned (on the inner pool, or inline), Finish. With
+  /// reasoned (fanned out on the private pool, or inline), Finish. With
   /// reuse_grounding set the per-partition grounding reuses the previous
   /// window's instantiation through the window's split delta (see Split).
   /// The reuse counters (ReasonerResult → ParallelReasonerResult) flow
@@ -199,8 +197,9 @@ class ParallelReasoner {
   Job MakeJob(std::vector<std::vector<Item>> partitions,
               WallTimer timer = WallTimer()) const;
 
-  /// Reasons every partition of `job`: on the inner pool when one
-  /// exists, sequentially inline otherwise.
+  /// Reasons every partition of `job`: partitions 1..n-1 on the private
+  /// lane and partition 0 on the caller when there is a pool, all of them
+  /// inline otherwise. Returns once every partition has run.
   void RunTasks(Job* job);
 
   const Program* program_;
@@ -208,8 +207,10 @@ class ParallelReasoner {
   PartitioningHandler handler_;
   CombiningHandler combiner_;
   Reasoner reasoner_;
-  /// Null in inline mode (num_threads resolves to 1).
-  std::unique_ptr<ThreadPool> pool_;
+  /// The private pool and its one lane; both null in inline mode
+  /// (num_threads resolves to 1).
+  std::unique_ptr<SharedReasonerPool> pool_;
+  std::shared_ptr<SharedReasonerPool::Queue> lane_;
 
   /// Per-partition incremental grounders (reuse_grounding only) and their
   /// paired persistent solvers (reuse_solving only — same routing, one

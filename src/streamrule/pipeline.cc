@@ -19,45 +19,6 @@ StatusOr<std::unique_ptr<StreamRulePipeline>> StreamRulePipeline::Create(
   if (handler == nullptr) {
     return InvalidArgumentError("emission handler must not be null");
   }
-  return CreateInternal(program, std::move(options), std::move(handler),
-                        /*has_error_channel=*/true);
-}
-
-StatusOr<std::unique_ptr<StreamRulePipeline>> StreamRulePipeline::Create(
-    const Program* program, PipelineOptions options,
-    ResultCallback callback, ErrorCallback error_callback,
-    ShedCallback shed_callback) {
-  if (callback == nullptr) {
-    return InvalidArgumentError("result callback must not be null");
-  }
-  const bool has_error_channel = error_callback != nullptr;
-  EmissionHandler handler =
-      [callback = std::move(callback),
-       error_callback = std::move(error_callback),
-       shed_callback = std::move(shed_callback)](EmissionEvent& event) {
-        switch (event.kind) {
-          case EmissionEvent::Kind::kResult:
-            callback(*event.window, *event.result);
-            break;
-          case EmissionEvent::Kind::kError:
-            if (error_callback != nullptr) {
-              error_callback(*event.window, event.status);
-            }
-            break;
-          case EmissionEvent::Kind::kShed:
-            if (shed_callback != nullptr) shed_callback(*event.window);
-            break;
-        }
-      };
-  return CreateInternal(program, std::move(options), std::move(handler),
-                        has_error_channel);
-}
-
-StatusOr<std::unique_ptr<StreamRulePipeline>>
-StreamRulePipeline::CreateInternal(const Program* program,
-                                   PipelineOptions options,
-                                   EmissionHandler handler,
-                                   bool has_error_channel) {
   if (program == nullptr) {
     return InvalidArgumentError("program must not be null");
   }
@@ -84,21 +45,19 @@ StreamRulePipeline::CreateInternal(const Program* program,
   }
   return std::unique_ptr<StreamRulePipeline>(new StreamRulePipeline(
       program, std::move(options), std::move(plan), info,
-      std::move(handler), has_error_channel));
+      std::move(handler)));
 }
 
 StreamRulePipeline::StreamRulePipeline(const Program* program,
                                        PipelineOptions options,
                                        PartitioningPlan plan,
                                        DecompositionInfo info,
-                                       EmissionHandler handler,
-                                       bool has_error_channel)
+                                       EmissionHandler handler)
     : program_(program),
       options_(options),
       plan_(std::move(plan)),
       info_(info),
-      handler_(std::move(handler)),
-      has_error_channel_(has_error_channel) {
+      handler_(std::move(handler)) {
   query_ = std::make_unique<StreamQueryProcessor>(
       options_.window_size, options_.window_slide,
       [this](TripleWindow window) {
@@ -157,50 +116,34 @@ StreamRulePipeline::StreamRulePipeline(const Program* program,
 
 StreamRulePipeline::~StreamRulePipeline() {
   if (!options_.async) return;
-  if (pool_queue_ != nullptr) {
-    // Shared-pool drain: stop admission, then wait until every task of
-    // this pipeline's lane has run. One task was submitted per admitted
-    // window, and a window's partition tasks are submitted while it
-    // still runs, so an empty lane means the work queue is empty and
-    // every admitted sequence was reasoned or shed — and the last
-    // finisher's DrainCompleted delivered the reorder buffer. The trailing call is
-    // for the degenerate no-task case (only tombstones were ever parked,
-    // by a caller that has since returned).
-    work_queue_->Close();
-    pool_queue_->Drain();
-    DrainCompleted();
-    return;
-  }
-  // Drain: stop admission, let the workers finish every admitted window,
-  // then let the emitter deliver whatever is parked in the reorder buffer.
+  // Drain: stop admission, then wait until every task of this pipeline's
+  // lane has run. One task was submitted per admitted window, and a
+  // window's partition tasks are submitted while it still runs, so an
+  // empty lane means the work queue is empty and every admitted sequence
+  // was reasoned or shed — and the last finisher's DrainCompleted
+  // delivered the reorder buffer. The trailing call is for the
+  // degenerate no-task case (only tombstones were ever parked, by a
+  // caller that has since returned). A private pool is joined when the
+  // members go.
   work_queue_->Close();
-  for (std::thread& worker : workers_) worker.join();
-  {
-    std::lock_guard<std::mutex> lock(emit_mutex_);
-    shutdown_ = true;
-  }
-  emit_cv_.notify_all();
-  emitter_.join();
+  pool_queue_->Drain();
+  DrainCompleted();
 }
 
-void StreamRulePipeline::StartSharedPoolEngine() {
+void StreamRulePipeline::StartAsyncEngine() {
+  private_pool_ = ProvidePrivatePool(&options_);
   work_queue_ = std::make_unique<BoundedQueue<TripleWindow>>(
       options_.max_inflight_windows, options_.backpressure);
   if (options_.shared_queue != nullptr) {
     pool_queue_ = options_.shared_queue;
   } else {
-    size_t cap = options_.pool_max_inflight;
-    if (cap == 0) {
-      cap = std::min<size_t>(options_.max_inflight_windows,
-                             options_.shared_pool->num_threads());
-    }
-    pool_queue_ = options_.shared_pool->CreateQueue(options_.pool_weight,
-                                                    std::max<size_t>(cap, 1));
+    pool_queue_ = options_.shared_pool->CreateQueue(
+        options_.pool_weight, ResolveLaneCap(options_));
   }
-  // Reasoner slots instead of worker threads: each window checks one out.
-  // Slots are built inline (no inner pool): their partitions fan out as
-  // lane tasks, never through Process, which keeps the thread budget
-  // O(pool) instead of O(sessions x inner threads).
+  // Reasoner slots: each window checks one out. Slots are built inline
+  // (no pool of their own): their partitions fan out as lane tasks, never
+  // through Process, which keeps the thread budget O(pool) instead of
+  // O(sessions x inner threads).
   ParallelReasonerOptions reasoner_options = options_.reasoner;
   reasoner_options.num_threads = 1;
   const size_t slots = pool_queue_->max_inflight();
@@ -208,51 +151,6 @@ void StreamRulePipeline::StartSharedPoolEngine() {
   for (size_t i = 0; i < slots; ++i) {
     free_slots_.push_back(std::make_unique<ParallelReasoner>(
         program_, plan_, reasoner_options));
-  }
-}
-
-void StreamRulePipeline::StartAsyncEngine() {
-  if (options_.shared_pool != nullptr || options_.shared_queue != nullptr) {
-    StartSharedPoolEngine();
-    return;
-  }
-  size_t num_workers = options_.num_reason_workers;
-  if (num_workers == 0) {
-    num_workers = std::min<size_t>(options_.max_inflight_windows,
-                                   DefaultThreadCount());
-  }
-  num_workers = std::max<size_t>(num_workers, 1);
-
-  work_queue_ = std::make_unique<BoundedQueue<TripleWindow>>(
-      options_.max_inflight_windows, options_.backpressure);
-  // Per-worker reasoner state: each worker waits only on its own
-  // reasoner's inner pool, one level down — see the ThreadPool nesting
-  // constraint. Split the default thread budget across the workers so N
-  // workers don't each spawn hardware_concurrency inner threads.
-  ParallelReasonerOptions reasoner_options = options_.reasoner;
-  if (reasoner_options.num_threads == 0) {
-    reasoner_options.num_threads =
-        std::max<size_t>(1, DefaultThreadCount() / num_workers);
-  }
-  worker_reasoners_.reserve(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) {
-    worker_reasoners_.push_back(std::make_unique<ParallelReasoner>(
-        program_, plan_, reasoner_options));
-  }
-  workers_.reserve(num_workers);
-  try {
-    for (size_t i = 0; i < num_workers; ++i) {
-      workers_.emplace_back([this, i] { ReasonWorkerLoop(i); });
-    }
-    emitter_ = std::thread([this] { EmitterLoop(); });
-  } catch (...) {
-    // Thread spawn failed (e.g. resource exhaustion) mid-startup: unwind
-    // the already-running workers so destroying joinable std::threads
-    // doesn't terminate the process.
-    work_queue_->Close();
-    for (std::thread& worker : workers_) worker.join();
-    workers_.clear();
-    throw;
   }
 }
 
@@ -277,7 +175,7 @@ void StreamRulePipeline::Flush() {
       return inflight_.empty() && completed_.empty() && delivering_ == 0;
     });
   }
-  if (pool_queue_ != nullptr && options_.shared_queue == nullptr) {
+  if (options_.shared_queue == nullptr) {
     // Every window is delivered; also wait out the epilogues of the tasks
     // that delivered them, so the lane's counters are settled when Flush
     // returns. (A lane shared by shard pipelines is settled by the
@@ -305,7 +203,7 @@ void StreamRulePipeline::EnqueueWindow(TripleWindow window) {
     inflight_.insert(sequence);
   }
   {
-    // Count admission BEFORE the push: under kBlock a worker can reason
+    // Count admission BEFORE the push: under kBlock a pool task can reason
     // and deliver this window before Push even returns, and stats() must
     // never observe windows > enqueued_windows. The refused outcomes
     // below undo the count.
@@ -315,8 +213,8 @@ void StreamRulePipeline::EnqueueWindow(TripleWindow window) {
   TripleWindow displaced;
   const QueuePushResult pushed =
       work_queue_->Push(std::move(window), &displaced);
-  if (pool_queue_ != nullptr && (pushed == QueuePushResult::kOk ||
-                                 pushed == QueuePushResult::kDroppedOldest)) {
+  if (pushed == QueuePushResult::kOk ||
+      pushed == QueuePushResult::kDroppedOldest) {
     // One unit-cost task per admitted window. Counting both outcomes
     // keeps the conservation invariant simple — outstanding tasks >=
     // queued windows at all times — at the cost of an occasional surplus
@@ -330,7 +228,7 @@ void StreamRulePipeline::EnqueueWindow(TripleWindow window) {
     case QueuePushResult::kDroppedOldest:
       // The evicted window was admitted earlier: its tombstone releases
       // the sequence slot it would otherwise leave gaping (ShedWindow
-      // parks it in the reorder buffer and wakes the emitter, which may
+      // parks it in the reorder buffer and drives delivery, which may
       // have been waiting on exactly this sequence).
       ShedWindow(std::move(displaced), /*evicted=*/true);
       break;
@@ -348,7 +246,6 @@ void StreamRulePipeline::EnqueueWindow(TripleWindow window) {
         std::lock_guard<std::mutex> lock(emit_mutex_);
         inflight_.erase(sequence);
       }
-      emit_cv_.notify_all();
       std::lock_guard<std::mutex> lock(stats_mutex_);
       --stats_.enqueued_windows;
       break;
@@ -389,13 +286,9 @@ void StreamRulePipeline::ShedWindow(TripleWindow window, bool evicted) {
     tombstone.window = std::move(window);
     completed_.emplace(sequence, std::move(tombstone));
   }
-  emit_cv_.notify_all();
-  if (pool_queue_ != nullptr) {
-    // No emitter thread in shared-pool mode: the shedding caller itself
-    // drives delivery, which also covers the tombstone-only tail (a shed
-    // with no pool task left to drain after it).
-    DrainCompleted();
-  }
+  // The shedding caller itself drives delivery, which also covers the
+  // tombstone-only tail (a shed with no pool task left to drain after it).
+  DrainCompleted();
 }
 
 void StreamRulePipeline::DeliverShed(TripleWindow& window) {
@@ -408,14 +301,9 @@ void StreamRulePipeline::DeliverShed(TripleWindow& window) {
 }
 
 void StreamRulePipeline::ProcessWindowSync(TripleWindow& window) {
-  if (!has_error_channel_) {
-    // No error channel: let exceptions propagate to the Push caller.
-    DeliverResult(window, sync_reasoner_->Process(window));
-    return;
-  }
-  // With an error channel installed the caller wants exactly one delivery
-  // per window (the sharded engine's merge stalls on a missing slot), so
-  // convert exceptions to the same error path async workers use.
+  // Exactly one delivery per window (the sharded engine's merge stalls on
+  // a missing slot), so exceptions take the same error path as async
+  // windows.
   StatusOr<ParallelReasonerResult> result{InternalError("not run")};
   try {
     result = sync_reasoner_->Process(window);
@@ -425,41 +313,6 @@ void StreamRulePipeline::ProcessWindowSync(TripleWindow& window) {
     result = InternalError("reasoning exception");
   }
   DeliverResult(window, result);
-}
-
-void StreamRulePipeline::ReasonWorkerLoop(size_t worker_index) {
-  ParallelReasoner& reasoner = *worker_reasoners_[worker_index];
-  TripleWindow window;
-  while (work_queue_->Pop(&window)) {
-    CompletedWindow done;
-    // An exception escaping a worker thread would std::terminate the
-    // process; convert to the same error path a failed Status takes (sync
-    // mode lets it propagate to the Push caller instead).
-    try {
-      done.result = reasoner.Process(window);
-    } catch (const std::exception& e) {
-      done.result = InternalError(
-          std::string("reasoning worker exception: ") + e.what());
-    } catch (...) {
-      done.result = InternalError("reasoning worker exception");
-    }
-    const uint64_t sequence = window.sequence;
-    done.window = std::move(window);
-    size_t reorder_depth = 0;
-    {
-      std::lock_guard<std::mutex> lock(emit_mutex_);
-      completed_.emplace(sequence, std::move(done));
-      inflight_.erase(sequence);
-      reorder_depth = completed_.size();
-    }
-    emit_cv_.notify_all();
-    {
-      // Outside emit_mutex_: keep the emit→stats lock order flat.
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      stats_.max_reorder_depth =
-          std::max(stats_.max_reorder_depth, reorder_depth);
-    }
-  }
 }
 
 struct StreamRulePipeline::PoolWindow {
@@ -518,8 +371,8 @@ void StreamRulePipeline::ReasonPoolPartition(
 void StreamRulePipeline::FinishPoolWindow(PoolWindow& pool_window,
                                           std::exception_ptr error) {
   CompletedWindow done;
-  // Same conversion as ReasonWorkerLoop: an exception escaping a pool
-  // task would terminate the process.
+  // An exception escaping a pool task would terminate the process;
+  // convert it to the same error path a failed Status takes.
   try {
     if (error != nullptr) std::rethrow_exception(error);
     done.result = pool_window.reasoner->Finish(std::move(pool_window.job));
@@ -609,55 +462,6 @@ bool StreamRulePipeline::CanEmitLocked() const {
   // nothing below min(inflight_) can still appear.
   return inflight_.empty() ||
          completed_.begin()->first < *inflight_.begin();
-}
-
-void StreamRulePipeline::EmitterLoop() {
-  std::unique_lock<std::mutex> lock(emit_mutex_);
-  for (;;) {
-    emit_cv_.wait(lock, [this] { return shutdown_ || CanEmitLocked(); });
-    // After shutdown the workers have joined: nothing with a smaller
-    // sequence can arrive any more, so drain the buffer unconditionally
-    // (still in sequence order — completed_ is an ordered map).
-    while (!completed_.empty() && (CanEmitLocked() || shutdown_)) {
-      auto first = completed_.begin();
-      CompletedWindow done = std::move(first->second);
-      completed_.erase(first);
-      // Keep the window counted as undelivered while the callback runs, or
-      // Flush could observe empty inflight_/completed_ and return before
-      // the delivery it is waiting for has happened.
-      ++delivering_;
-      lock.unlock();
-      try {
-        if (done.shed) {
-          DeliverShed(done.window);
-        } else {
-          DeliverResult(done.window, done.result);
-        }
-      } catch (const std::exception& e) {
-        // A throwing ResultCallback would terminate the emitter thread;
-        // count it like a reasoning error and keep the stream moving.
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-          ++stats_.errors;
-        }
-        STREAMASP_LOG(kError) << "window " << done.window.sequence
-                              << ": delivery callback threw: " << e.what();
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-          ++stats_.errors;
-        }
-        STREAMASP_LOG(kError) << "window " << done.window.sequence
-                              << ": delivery callback threw";
-      }
-      lock.lock();
-      --delivering_;
-    }
-    if (inflight_.empty() && completed_.empty() && delivering_ == 0) {
-      drained_cv_.notify_all();
-      if (shutdown_) return;
-    }
-  }
 }
 
 void StreamRulePipeline::DeliverResult(

@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "depgraph/decomposition.h"
@@ -45,8 +44,8 @@ struct PipelineOptions {
   /// incremental shape as internally slid windows.
   bool external_delta_punctuation = false;
 
-  /// Reuse grounding across overlapping windows: each reasoning worker
-  /// keeps a per-partition IncrementalGrounder that retracts the rule
+  /// Reuse grounding across overlapping windows: each reasoner keeps a
+  /// per-partition IncrementalGrounder that retracts the rule
   /// instances of expired facts and grounds only what admitted facts
   /// enable, falling back to full re-grounding on oversized deltas (see
   /// ground/incremental_grounder.h). Answers are unchanged; the
@@ -54,8 +53,8 @@ struct PipelineOptions {
   /// reasoner.reasoner.reuse_grounding — Create ORs the two.
   bool reuse_grounding = false;
 
-  /// Reuse solving across overlapping windows: each reasoning worker
-  /// pairs its per-partition incremental grounders with persistent
+  /// Reuse solving across overlapping windows: each reasoner pairs its
+  /// per-partition incremental grounders with persistent
   /// IncrementalSolvers that patch the previous window's search
   /// structures with the grounder's rule delta (and warm-start the
   /// search from the previous model) instead of rebuilding the solver
@@ -71,37 +70,38 @@ struct PipelineOptions {
   bool disable_partitioning = false;
 
   /// Run the staged asynchronous engine: ingest/windowing on the caller
-  /// thread, reasoning on a pool of workers with several windows in
-  /// flight, answers delivered by an ordered emitter. false keeps the
-  /// fully synchronous one-window-at-a-time loop (the differential-testing
-  /// oracle for the async path).
+  /// thread, reasoning as tasks on a SharedReasonerPool lane with several
+  /// windows in flight, answers delivered in order by whichever task
+  /// completes a window next. false keeps the fully synchronous
+  /// one-window-at-a-time loop (the differential-testing oracle for the
+  /// async path).
   bool async = false;
 
   /// Capacity of the window work queue between the windower and the
-  /// reasoning workers (async only). Together with the workers this bounds
-  /// how many windows are in flight at once. Must be >= 1.
+  /// pool lane (async only). Together with the lane's inflight cap this
+  /// bounds how many windows are in flight at once. Must be >= 1.
   size_t max_inflight_windows = 4;
 
-  /// Reasoning worker threads (async only); each owns a full
-  /// ParallelReasoner. 0 picks min(max_inflight_windows,
-  /// hardware_concurrency). Ignored when shared_pool/shared_queue is set
-  /// — pooled pipelines spawn no workers of their own.
+  /// Threads of the private SharedReasonerPool an async engine builds
+  /// when neither shared_pool nor shared_queue is set (see
+  /// ProvidePrivatePool in streamrule/validate.h); 0 picks
+  /// DefaultThreadCount(). Ignored for sync engines and for engines on
+  /// an external pool.
   size_t num_reason_workers = 0;
 
-  /// Process-wide shared reasoning executor (async only). When set, the
-  /// pipeline spawns NO reasoning workers and NO emitter thread: every
-  /// admitted window becomes one unit-cost task on the pipeline's DRR
-  /// lane of this pool, and each of the window's partitions beyond the
-  /// first one more, queued at the lane's front — so a window's
-  /// partitions are reasoned in parallel on the pool without any pool
-  /// task ever waiting for another (see PoolTask). Ordered delivery is
-  /// collaborative — whichever task (or shedding caller) completes a
-  /// window next drains the reorder buffer. The emission contract is
-  /// unchanged: one thread at a time, strictly increasing sequence order,
-  /// byte-identical output under kBlock. Backpressure, shedding,
-  /// admission filtering and every PipelineStats counter behave exactly
-  /// as in dedicated-worker async mode. The pool must outlive the
-  /// pipeline (holding the shared_ptr here guarantees it).
+  /// Process-wide shared reasoning executor (async only); an async
+  /// pipeline without one builds a private pool of num_reason_workers
+  /// threads instead. Either way the pipeline spawns no threads of its
+  /// own: every admitted window becomes one unit-cost task on the
+  /// pipeline's DRR lane of this pool, and each of the window's
+  /// partitions beyond the first one more, queued at the lane's front —
+  /// so a window's partitions are reasoned in parallel on the pool
+  /// without any pool task ever waiting for another (see PoolTask).
+  /// Ordered delivery is collaborative — whichever task (or shedding
+  /// caller) completes a window next drains the reorder buffer: one
+  /// thread at a time, strictly increasing sequence order, byte-identical
+  /// output under kBlock. The pool must outlive the pipeline (holding the
+  /// shared_ptr here guarantees it).
   std::shared_ptr<SharedReasonerPool> shared_pool;
 
   /// DRR weight of this pipeline's lane on shared_pool (>= 1): the share
@@ -111,8 +111,8 @@ struct PipelineOptions {
   size_t pool_weight = 1;
 
   /// Cap on this pipeline's concurrently running lane tasks (windows and
-  /// partitions) on the shared pool. 0 picks min(max_inflight_windows,
-  /// pool threads). Also sizes the pipeline's reasoner-slot set — the
+  /// partitions) on its pool. 0 picks min(max_inflight_windows, pool
+  /// threads). Also sizes the pipeline's reasoner-slot set — the
   /// cap guarantees a free slot for every window task (see PoolTask).
   size_t pool_max_inflight = 0;
 
@@ -134,8 +134,8 @@ struct PipelineOptions {
   /// What Push does when the work queue is full (async only). kBlock is
   /// lossless and keeps async output identical to sync; kDropOldest /
   /// kReject shed load under overload — every shed window is counted in
-  /// PipelineStats AND surfaces as a tombstone on the ShedCallback, in
-  /// strict sequence order, so ordered consumers (the sharded engine's
+  /// PipelineStats AND surfaces as a kShed tombstone event, in strict
+  /// sequence order, so ordered consumers (the sharded engine's
   /// merge) release the sequence's slot instead of waiting forever.
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
 
@@ -176,7 +176,7 @@ struct PipelineStats {
   uint64_t rejected_windows = 0;  ///< Refused by kReject backpressure or
                                   ///< the admission filter.
   size_t max_queue_depth = 0;     ///< Work-queue high-water mark.
-  size_t max_reorder_depth = 0;   ///< Ordered-emitter buffer high-water mark.
+  size_t max_reorder_depth = 0;   ///< Reorder-buffer high-water mark.
 
   // --- graceful-degradation accounting (streamrule/accuracy.h) ---
   uint64_t shed_items = 0;  ///< Items in shed (dropped/rejected) windows.
@@ -258,7 +258,7 @@ struct PipelineStats {
 /// reasoner(s) and reports rolling statistics.
 ///
 ///   auto pipeline = StreamRulePipeline::Create(&program, options,
-///       [](const TripleWindow& w, const ParallelReasonerResult& r) { ... });
+///       [](EmissionEvent& event) { ... });
 ///   pipeline->Push(triple);   // repeatedly
 ///   pipeline->Flush();        // end of stream
 ///
@@ -268,13 +268,15 @@ struct PipelineStats {
 ///                                               ▼
 ///                        BoundedQueue<TripleWindow> (backpressure)
 ///                                               ▼
-///   worker threads: ParallelReasoner #1..#N (one window each, several
-///                                            windows in flight)
+///   pool lane:      one task per window (reasoner slot checked out),
+///                   one more per partition beyond the first; several
+///                   windows in flight on the lane's pool (shared, or
+///                   private with num_reason_workers threads)
 ///                                               ▼
-///   emitter thread: reorder buffer keyed by window sequence →
-///                   ResultCallback strictly in window order
+///   last finisher:  reorder buffer keyed by window sequence →
+///                   EmissionHandler strictly in window order
 ///
-/// The callback is always invoked from exactly one thread at a time and
+/// The handler is always invoked from exactly one thread at a time and
 /// strictly in window-sequence order, even when windows complete out of
 /// order. With the lossless kBlock policy the observable output is
 /// byte-identical to async=false.
@@ -285,79 +287,29 @@ struct PipelineStats {
 ///     thread need not be the one that created the pipeline.
 ///   * stats() and the simple accessors are safe from any thread, at any
 ///     time, including while the async engine is mid-window.
-///   * The result (and error) callback runs on the caller thread in sync
-///     mode and on the single emitter thread in async mode — never on two
+///   * The handler runs on the caller thread in sync mode and on a pool
+///     thread (or a shedding caller) in async mode — never on two
 ///     threads at once, always in strictly increasing sequence order.
-///   * Callbacks must not call back into Push/Flush on the same pipeline
-///     (the emitter would deadlock waiting for itself).
+///   * The handler must not call back into Push/Flush on the same
+///     pipeline.
 class StreamRulePipeline {
  public:
-  /// Legacy adapter surface. The primary emission surface is the single
-  /// ordered EmissionHandler (streamrule/emission.h); the callback trio
-  /// below is kept so existing call sites migrate mechanically — the trio
-  /// Create wraps them in one handler internally.
-  ///
-  /// Called once per processed window with the window and its result. The
-  /// window is owned by the delivering thread and discarded right after
-  /// the callback returns, so the callback is handed a mutable reference
-  /// and may steal the window's contents (lambdas taking
-  /// `const TripleWindow&` bind as usual) — which is how the sharded
-  /// engine forwards sub-windows to its merge stage without copying.
-  using ResultCallback = std::function<void(
-      TripleWindow&, const ParallelReasonerResult&)>;
-
-  /// Called when reasoning over a window fails. Delivered from the same
-  /// thread and in the same strict sequence order as ResultCallback, so a
-  /// consumer that tracks window sequences (e.g. the sharded engine's
-  /// ordered merge) sees exactly one delivery — success or error — per
-  /// *reasoned* window. Under the lossless kBlock policy every admitted
-  /// window is reasoned; a shed window delivers neither callback but
-  /// surfaces as a tombstone on the ShedCallback instead, keeping the
-  /// one-delivery-per-emitted-window invariant across all three channels.
-  /// Installing it also makes sync mode convert reasoning exceptions into
-  /// error deliveries (matching async mode) instead of letting them
-  /// propagate out of Push, so the one-delivery-per-reasoned-window
-  /// guarantee holds in both modes. Optional; without it errors are only
-  /// logged and counted in PipelineStats::errors.
-  using ErrorCallback = std::function<void(TripleWindow&, const Status&)>;
-
-  /// Tombstone channel: called once per shed window with the unreasoned
-  /// window (items intact — the consumer can count the loss; the delta of
-  /// a synchronously shed window has already been folded back into the
-  /// windower, see StreamQueryProcessor::FoldShedDelta). Delivered from
-  /// the same thread and interleaved in the same strict sequence order as
-  /// Result/Error callbacks, so an ordered consumer sees exactly one
-  /// delivery — result, error, or tombstone — for every window the
-  /// windower emitted, and can release per-sequence bookkeeping (the
-  /// sharded engine's merge slot) instead of stalling on a gap. Optional;
-  /// without it shed windows are still counted in PipelineStats and their
-  /// tombstones silently discarded in order.
-  using ShedCallback = std::function<void(TripleWindow&)>;
-
   /// Runs design-time analysis on `program` (which must outlive the
   /// pipeline) and wires the run-time components, delivering every
   /// emitted window — result, error, or shed tombstone — as one ordered
-  /// EmissionEvent. With a handler the error channel is always present:
-  /// sync-mode reasoning exceptions are converted into kError events
-  /// instead of propagating out of Push, exactly as if an ErrorCallback
-  /// were installed. Fails when the program is invalid, declares no
-  /// usable input predicates, or the options are inconsistent
+  /// EmissionEvent. Reasoning exceptions become kError events in both
+  /// modes — they never propagate out of Push — so an ordered consumer
+  /// sees exactly one event per emitted window. The handler may steal the
+  /// event's window (it is discarded right after the handler returns).
+  /// Fails on a null handler, when the program is invalid or declares no
+  /// usable input predicates, or when the options are inconsistent
   /// (streamrule/validate.h).
   static StatusOr<std::unique_ptr<StreamRulePipeline>> Create(
       const Program* program, PipelineOptions options,
       EmissionHandler handler);
 
-  /// Callback-trio adapter over the handler surface, preserving the trio
-  /// semantics bit for bit: a null error_callback keeps sync-mode
-  /// exceptions propagating out of Push, and null error/shed callbacks
-  /// silently discard their events.
-  static StatusOr<std::unique_ptr<StreamRulePipeline>> Create(
-      const Program* program, PipelineOptions options,
-      ResultCallback callback, ErrorCallback error_callback = nullptr,
-      ShedCallback shed_callback = nullptr);
-
   /// Drains every admitted window (without flushing a partial one), then
-  /// stops the engine threads.
+  /// stops the private pool, if any.
   ~StreamRulePipeline();
 
   StreamRulePipeline(const StreamRulePipeline&) = delete;
@@ -390,7 +342,7 @@ class StreamRulePipeline {
   void CloseWindow(WindowDelta delta);
 
   /// Emits the trailing partial window and, in async mode, blocks until
-  /// every in-flight window has been reasoned and its callback delivered.
+  /// every in-flight window has been reasoned and delivered.
   /// The pipeline remains usable afterwards.
   void Flush();
 
@@ -400,25 +352,26 @@ class StreamRulePipeline {
   const PartitioningPlan& plan() const { return plan_; }
   const DecompositionInfo& decomposition_info() const { return info_; }
 
-  /// Reasoning workers actually running (0 in sync mode, and 0 in
-  /// shared-pool mode — pooled pipelines own no reasoning threads; see
-  /// pool_queue() for their execution lane).
-  size_t num_reason_workers() const { return workers_.size(); }
+  /// Threads of the pipeline's private pool (0 in sync mode and on an
+  /// external shared_pool/shared_queue — see pool_queue() for the lane).
+  size_t num_reason_workers() const {
+    return private_pool_ == nullptr ? 0 : private_pool_->num_threads();
+  }
 
-  /// The pipeline's lane on the shared reasoner pool (null outside
-  /// shared-pool mode). Exposes the lane's weight, inflight cap and
-  /// task counters for tests and the session server's stats surface.
+  /// The pipeline's lane on its reasoner pool (null in sync mode).
+  /// Exposes the lane's weight, inflight cap and task counters for tests
+  /// and the session server's stats surface.
   const std::shared_ptr<SharedReasonerPool::Queue>& pool_queue() const {
     return pool_queue_;
   }
 
-  /// Most reasoner slots ever checked out at once (shared-pool mode; 0
+  /// Most reasoner slots ever checked out at once (async mode; 0
   /// otherwise). Never exceeds pool_queue()->max_inflight() — the slot
   /// invariant PoolTask relies on.
   size_t max_slots_in_use() const;
 
  private:
-  /// A window being reasoned on the shared pool (defined in pipeline.cc).
+  /// A window being reasoned on the pool (defined in pipeline.cc).
   struct PoolWindow;
 
   /// A reasoned (or shed) window parked in the reorder buffer until every
@@ -427,25 +380,17 @@ class StreamRulePipeline {
   struct CompletedWindow {
     TripleWindow window;
     StatusOr<ParallelReasonerResult> result{InternalError("not run")};
-    bool shed = false;  ///< Tombstone: deliver via ShedCallback.
+    bool shed = false;  ///< Tombstone: deliver as a kShed event.
   };
-
-  /// Shared Create body: normalizes + validates options, runs design-time
-  /// analysis, constructs. `has_error_channel` is false only for the trio
-  /// adapter without an ErrorCallback (sync exceptions then propagate).
-  static StatusOr<std::unique_ptr<StreamRulePipeline>> CreateInternal(
-      const Program* program, PipelineOptions options,
-      EmissionHandler handler, bool has_error_channel);
 
   StreamRulePipeline(const Program* program, PipelineOptions options,
                      PartitioningPlan plan, DecompositionInfo info,
-                     EmissionHandler handler, bool has_error_channel);
+                     EmissionHandler handler);
 
+  /// Provides the private pool when no external one is set, builds (or
+  /// adopts) the DRR lane, and fills the reasoner slots.
   void StartAsyncEngine();
-  /// Shared-pool variant of StartAsyncEngine: build (or adopt) the DRR
-  /// lane and the reasoner slots instead of spawning worker threads.
-  void StartSharedPoolEngine();
-  /// One admitted window's task on the shared pool. It never waits: it
+  /// One admitted window's task on the pool lane. It never waits: it
   /// TryPops a window from the work queue (a miss means an eviction
   /// consumed it — benign surplus), checks a reasoner slot out, splits
   /// the window, submits partitions 1..n-1 to the FRONT of the lane,
@@ -471,7 +416,7 @@ class StreamRulePipeline {
   /// buffer and collaborates on ordered delivery.
   void FinishPoolWindow(PoolWindow& pool_window,
                         std::exception_ptr error = nullptr);
-  /// Emitter-less ordered delivery: whoever calls first (a finishing pool
+  /// Ordered delivery: whoever calls first (a finishing pool
   /// task, a shedding caller) takes the drain baton and delivers every
   /// deliverable window in sequence order; concurrent callers see the
   /// baton held and return — the holder's re-check after each delivery
@@ -481,10 +426,8 @@ class StreamRulePipeline {
   void EnqueueWindow(TripleWindow window);
   /// The synchronous oracle path: reason + emit on the caller thread.
   void ProcessWindowSync(TripleWindow& window);
-  void ReasonWorkerLoop(size_t worker_index);
-  void EmitterLoop();
-  /// Records stats and invokes the callback for one reasoned window (the
-  /// callback may gut `window`, which the caller is about to discard).
+  /// Records stats and invokes the handler for one reasoned window (the
+  /// handler may gut `window`, which the caller is about to discard).
   void DeliverResult(TripleWindow& window,
                      const StatusOr<ParallelReasonerResult>& result);
   /// Accounts for one shed window and routes its tombstone into the
@@ -494,7 +437,7 @@ class StreamRulePipeline {
   /// mid-stream) from synchronous refusals (kReject / admission filter:
   /// counted rejected, delta folded into the next emission).
   void ShedWindow(TripleWindow window, bool evicted);
-  /// Invokes the shed callback (if any) for one tombstone.
+  /// Invokes the handler with one tombstone.
   void DeliverShed(TripleWindow& window);
   /// True when the smallest completed sequence has no smaller sequence
   /// still in flight. Requires emit_mutex_.
@@ -505,10 +448,6 @@ class StreamRulePipeline {
   PartitioningPlan plan_;
   DecompositionInfo info_;
   EmissionHandler handler_;
-  /// False only via the trio adapter with no ErrorCallback: sync-mode
-  /// reasoning exceptions then propagate out of Push instead of being
-  /// converted into kError emissions.
-  bool has_error_channel_ = true;
   std::unique_ptr<StreamQueryProcessor> query_;
 
   /// Sync mode's single reasoner (null in async mode).
@@ -517,13 +456,12 @@ class StreamRulePipeline {
   mutable std::mutex stats_mutex_;
   PipelineStats stats_;
 
-  // --- async engine state (untouched in sync mode) ---
+  // --- async engine state (null/empty in sync mode) ---
   std::unique_ptr<BoundedQueue<TripleWindow>> work_queue_;
-  std::vector<std::unique_ptr<ParallelReasoner>> worker_reasoners_;
-  std::vector<std::thread> workers_;
-  std::thread emitter_;
-
-  // --- shared-pool engine state (null/empty outside shared-pool mode) ---
+  /// The pool this pipeline built for itself (null when it runs on an
+  /// external shared_pool/shared_queue, and in sync mode). Also held by
+  /// options_.shared_pool; kept here to tell private from external.
+  std::shared_ptr<SharedReasonerPool> private_pool_;
   /// This pipeline's DRR lane (created from options_.shared_pool, or
   /// adopted from options_.shared_queue in the sharded engine).
   std::shared_ptr<SharedReasonerPool::Queue> pool_queue_;
@@ -539,12 +477,10 @@ class StreamRulePipeline {
   bool draining_ = false;
 
   std::mutex emit_mutex_;
-  std::condition_variable emit_cv_;     ///< Wakes the emitter.
   std::condition_variable drained_cv_;  ///< Wakes Flush waiters.
   std::map<uint64_t, CompletedWindow> completed_;  ///< Reorder buffer.
   std::set<uint64_t> inflight_;  ///< Admitted, not yet reasoned.
-  size_t delivering_ = 0;  ///< Windows mid-callback on the emitter.
-  bool shutdown_ = false;
+  size_t delivering_ = 0;  ///< Windows mid-delivery (baton holder).
 };
 
 }  // namespace streamasp

@@ -10,7 +10,6 @@
 #include "streamrule/accuracy.h"
 #include "streamrule/validate.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace streamasp {
@@ -37,21 +36,6 @@ StatusOr<std::unique_ptr<ShardedPipelineEngine>> ShardedPipelineEngine::Create(
       program, std::move(options), std::move(handler)));
   STREAMASP_RETURN_IF_ERROR(engine->StartShards());
   return engine;
-}
-
-StatusOr<std::unique_ptr<ShardedPipelineEngine>> ShardedPipelineEngine::Create(
-    const Program* program, ShardedPipelineOptions options,
-    ResultCallback callback) {
-  if (callback == nullptr) {
-    return InvalidArgumentError("result callback must not be null");
-  }
-  EmissionHandler handler =
-      [callback = std::move(callback)](EmissionEvent& event) {
-        if (event.kind == EmissionEvent::Kind::kResult) {
-          callback(*event.window, *event.result);
-        }
-      };
-  return Create(program, std::move(options), std::move(handler));
 }
 
 ShardedPipelineEngine::ShardedPipelineEngine(const Program* program,
@@ -93,34 +77,21 @@ Status ShardedPipelineEngine::StartShards() {
   inner.window_slide = 0;
   inner.external_delta_punctuation = sliding();
 
-  // Budget thread counts left at "pick for me" across the shards, so N
-  // shards do not each claim the whole machine.
-  if (inner.async && inner.shared_pool != nullptr &&
-      inner.shared_queue == nullptr) {
-    // Shared-pool mode: build ONE engine-wide DRR lane here and hand it
-    // to every shard pipeline, so the tenant's weight and inflight cap
-    // govern the whole engine rather than multiplying by num_shards.
-    // Each shard still sizes its own reasoner slots to the lane's cap
-    // (its concurrent tasks are a subset of the lane's). No per-shard
-    // thread budgeting: pooled pipelines spawn no reasoning threads (their
-    // partitions fan out as tasks on this lane).
-    size_t cap = inner.pool_max_inflight;
-    if (cap == 0) {
-      cap = std::min<size_t>(inner.max_inflight_windows,
-                             inner.shared_pool->num_threads());
-    }
+  // Async shards without an external pool share ONE private pool,
+  // built here rather than once per shard.
+  private_pool_ = ProvidePrivatePool(&inner);
+  if (inner.async && inner.shared_queue == nullptr) {
+    // Build ONE engine-wide DRR lane here and hand it to every shard
+    // pipeline, so the tenant's weight and inflight cap govern the whole
+    // engine rather than multiplying by num_shards. Each shard still
+    // sizes its own reasoner slots to the lane's cap (its concurrent
+    // tasks are a subset of the lane's). Async shards spawn no reasoning
+    // threads: their partitions fan out as tasks on this lane.
     inner.shared_queue = inner.shared_pool->CreateQueue(
-        inner.pool_weight, std::max<size_t>(cap, 1));
-  } else if (inner.async) {
-    if (inner.num_reason_workers == 0) {
-      inner.num_reason_workers = std::max<size_t>(
-          1, std::min(inner.max_inflight_windows, DefaultThreadCount() / n));
-    }
-    if (inner.reasoner.num_threads == 0) {
-      inner.reasoner.num_threads = std::max<size_t>(
-          1, DefaultThreadCount() / (n * inner.num_reason_workers));
-    }
-  } else if (inner.reasoner.num_threads == 0) {
+        inner.pool_weight, ResolveLaneCap(inner));
+  } else if (!inner.async && inner.reasoner.num_threads == 0) {
+    // Budget sync shards' reasoner threads across the shards, so N shards
+    // do not each claim the whole machine.
     inner.reasoner.num_threads =
         std::max<size_t>(1, DefaultThreadCount() / n);
   }
@@ -443,7 +414,7 @@ void ShardedPipelineEngine::Flush() {
     merge_drained_cv_.wait(
         lock, [this] { return delivered_windows_ == assigned_windows_; });
   }
-  // Shared-pool mode: settle the engine-wide lane's counters as an
+  // Async mode: settle the engine-wide lane's counters as an
   // unsharded pipeline's Flush does (only finishing epilogues remain).
   if (shards_[0]->pool_queue() != nullptr) shards_[0]->pool_queue()->Drain();
 }
@@ -453,7 +424,7 @@ void ShardedPipelineEngine::OnShardDelivery(
     StatusOr<ParallelReasonerResult> result) {
   MergeItem item;
   {
-    // Shard emitters deliver in local window order, so the front of the
+    // Shard pipelines deliver in local window order, so the front of the
     // FIFO is this sub-window's global sequence.
     std::lock_guard<std::mutex> lock(mapping_mutex_);
     item.global_sequence = global_sequence_of_[shard].front();
@@ -469,7 +440,7 @@ void ShardedPipelineEngine::OnShardShed(size_t shard, TripleWindow& window) {
   // The tombstone releases the merge slot a shed sub-window would
   // otherwise leave gaping. Shard pipelines interleave tombstones with
   // result/error deliveries in strict local sequence order (one delivery
-  // per punctuated sub-window across all three callbacks), so the
+  // per punctuated sub-window across all three event kinds), so the
   // FIFO-front mapping below stays exact under shedding.
   MergeItem item;
   {
@@ -627,10 +598,9 @@ void ShardedPipelineEngine::DeliverMerged(
   if (!failure.ok()) {
     STREAMASP_LOG(kError) << "global window " << global_sequence << ": "
                           << failure;
-    // Errors consume their slot in the emission stream too: handler-based
-    // consumers (the session server) see why the window is missing; the
-    // legacy result-callback adapter drops the event, matching the old
-    // log-and-count behavior. Counted as merge_errors either way.
+    // Errors consume their slot in the emission stream too: consumers
+    // (the session server) see why the window is missing. Counted as
+    // merge_errors.
     EmissionEvent event;
     event.kind = EmissionEvent::Kind::kError;
     event.sequence = global_sequence;

@@ -53,7 +53,7 @@ struct ShardedPipelineOptions {
   /// (kBlock): a full feeder queue backpressures the router.
   size_t feeder_queue_capacity = 8;
 
-  /// Capacity of the merge queue between shard emitters and the merge
+  /// Capacity of the merge queue between shard deliveries and the merge
   /// thread. 0 picks max(8, 2 * num_shards).
   size_t merge_queue_capacity = 0;
 
@@ -66,8 +66,8 @@ struct ShardedPipelineOptions {
   /// kReject — async shards only, sync pipelines have no work queue to
   /// shed from) and pipeline.admission_filter both work under sharding,
   /// including with sliding global windows. A shed sub-window surfaces
-  /// as a tombstone in the shard's ordered emission stream
-  /// (StreamRulePipeline::ShedCallback), so the merge releases its slot
+  /// as a kShed tombstone in the shard's ordered emission stream, so the
+  /// merge releases its slot
   /// instead of stalling; the merged window is delivered with
   /// completeness < 1 (see ShardedPipelineStats and
   /// ParallelReasonerResult::completeness). Synchronously shed sliding
@@ -91,9 +91,10 @@ struct ShardedPipelineOptions {
   /// slide, and the paired persistent solvers patch instead of
   /// re-ingesting. With tumbling global windows (slide 0 or ==
   /// window_size) the sub-windows share no content, so the caches fall
-  /// back every window — correct but not faster. Thread-count fields
-  /// left at 0 are budgeted across shards (hardware threads / num_shards
-  /// each) rather than per pipeline.
+  /// back every window — correct but not faster. Async shards without
+  /// an external pool share one private pool of num_reason_workers
+  /// threads and one lane; sync shards' reasoner.num_threads left at 0
+  /// is budgeted across shards (hardware threads / num_shards each).
   PipelineOptions pipeline;
 };
 
@@ -119,13 +120,13 @@ struct ShardedPipelineStats {
   /// predicates or the engine runs a single shard.
   uint64_t broadcast_copies = 0;
 
-  /// Global windows delivered to the callback.
+  /// Global windows delivered to the handler.
   uint64_t merged_windows = 0;
-  /// Answers delivered to the callback (after cross-shard combining).
+  /// Answers delivered to the handler (after cross-shard combining).
   uint64_t merged_answers = 0;
   /// Global windows suppressed because a shard sub-window failed (the
   /// per-shard error is also counted in aggregate.errors) or because the
-  /// result callback threw.
+  /// emission handler threw.
   uint64_t merge_errors = 0;
   /// High-water mark of the merge queue.
   size_t max_merge_queue_depth = 0;
@@ -168,10 +169,11 @@ struct ShardedPipelineStats {
 ///        │ per-shard BoundedQueue<ShardCommand> (batches + punctuation)
 ///        ▼
 ///   feeder threads: shard pipeline Push / CloseWindow   × num_shards
-///        │ each shard: windower ─► workers ─► ordered emitter
+///        │ each shard: windower ─► engine-wide pool lane ─► ordered
+///        │             delivery
 ///        ▼
 ///   merge thread:   BoundedQueue<MergeItem> ─► reorder by global window
-///                   ─► combine shard answers ─► ResultCallback
+///                   ─► combine shard answers ─► EmissionHandler
 ///
 /// Window semantics: the router counts surviving items and punctuates
 /// every shard after each window_size-th item, so global window g is the
@@ -199,7 +201,7 @@ struct ShardedPipelineStats {
 /// *owning* shard (its hash); replicas never count toward global window
 /// boundaries, the merged window's items, or completeness.
 ///
-/// Ordering guarantee: the callback runs on the single merge thread, once
+/// Ordering guarantee: the handler runs on the single merge thread, once
 /// per global window, in strictly increasing global sequence order, no
 /// matter how shards race. Reasoning failures consume their slot (the
 /// window is skipped and counted, never reordered or stalled on), and so
@@ -210,11 +212,10 @@ struct ShardedPipelineStats {
 /// never stalls or reorders the merge.
 ///
 /// Thread-safety: Push/PushBatch/Flush single caller thread at a time;
-/// stats()/accessors any thread. The callback must not re-enter the
+/// stats()/accessors any thread. The handler must not re-enter the
 /// engine. Internally every wait is on the stage one level downstream
 /// (router → feeder queues → shard pipelines → merge queue), so no stage
-/// ever waits on its own stage — the same no-nested-wait discipline as
-/// ThreadPool (see util/thread_pool.h).
+/// ever waits on its own stage.
 ///
 /// The merged TripleWindow holds the global window's items grouped by
 /// shard (shard 0's slice first), not in original stream arrival order;
@@ -223,8 +224,6 @@ struct ShardedPipelineStats {
 /// duplicated-predicate item lands in the merged window).
 class ShardedPipelineEngine {
  public:
-  using ResultCallback = StreamRulePipeline::ResultCallback;
-
   /// Builds num_shards pipelines over `program` (one design-time analysis
   /// each; `program` must outlive the engine) and starts the feeder and
   /// merge threads, delivering every merged global window as one ordered
@@ -240,13 +239,6 @@ class ShardedPipelineEngine {
   static StatusOr<std::unique_ptr<ShardedPipelineEngine>> Create(
       const Program* program, ShardedPipelineOptions options,
       EmissionHandler handler);
-
-  /// Result-callback adapter over the handler surface: kError events are
-  /// logged + counted only (merge_errors), exactly the pre-handler
-  /// behavior.
-  static StatusOr<std::unique_ptr<ShardedPipelineEngine>> Create(
-      const Program* program, ShardedPipelineOptions options,
-      ResultCallback callback);
 
   /// Drains every admitted global window (without flushing a partial
   /// one), then stops feeders, shard pipelines and the merge thread.
@@ -271,6 +263,12 @@ class ShardedPipelineEngine {
   ShardedPipelineStats stats() const;
 
   size_t num_shards() const { return shards_.size(); }
+
+  /// Threads of the engine's private pool, counted once for all shards
+  /// (0 for sync shards and on an external shared_pool/shared_queue).
+  size_t num_reason_workers() const {
+    return private_pool_ == nullptr ? 0 : private_pool_->num_threads();
+  }
 
   /// Introspection into one shard's pipeline (plan, decomposition info…).
   const StreamRulePipeline& shard(size_t index) const {
@@ -333,11 +331,11 @@ class ShardedPipelineEngine {
   void DispatchBatch(size_t shard, bool close_window,
                      std::optional<WindowDelta> delta = std::nullopt);
   void FeederLoop(size_t shard);
-  /// Shard emitter callbacks funnel here (success and error alike); the
-  /// sub-window's items are stolen, not copied (see ResultCallback).
+  /// Shard result and error events funnel here; the sub-window's items
+  /// are stolen, not copied (see EmissionEvent::window).
   void OnShardDelivery(size_t shard, TripleWindow& window,
                        StatusOr<ParallelReasonerResult> result);
-  /// Shard shed (tombstone) callbacks funnel here: releases the shed
+  /// Shard shed (tombstone) events funnel here: releases the shed
   /// sub-window's merge slot so the global window assembles without it.
   void OnShardShed(size_t shard, TripleWindow& window);
   void MergeLoop();
@@ -390,13 +388,17 @@ class ShardedPipelineEngine {
   std::atomic<size_t> router_window_bytes_{0};
 
   // --- shards ---
+  /// The async shards' shared private pool (null for sync shards and on
+  /// an external pool). The shards hold it too; drained by their
+  /// destructors before it is joined.
+  std::shared_ptr<SharedReasonerPool> private_pool_;
   std::vector<std::unique_ptr<StreamRulePipeline>> shards_;
   std::vector<std::unique_ptr<BoundedQueue<ShardCommand>>> feeder_queues_;
   std::vector<std::thread> feeders_;
 
   /// Per-shard FIFO of global sequences, one entry per punctuated
   /// sub-window: the router appends before punctuating, the shard's
-  /// emitter pops on delivery (deliveries are in local window order).
+  /// delivery pops (deliveries are in local window order).
   std::mutex mapping_mutex_;
   std::vector<std::deque<uint64_t>> global_sequence_of_;
 
@@ -413,7 +415,7 @@ class ShardedPipelineEngine {
   /// Expected contribution count per assigned global window.
   std::unordered_map<uint64_t, uint32_t> expected_;
   uint64_t assigned_windows_ = 0;   ///< Global sequences handed out.
-  uint64_t delivered_windows_ = 0;  ///< Callback slots consumed (ok + err).
+  uint64_t delivered_windows_ = 0;  ///< Emission slots consumed (ok + err).
   uint64_t merged_windows_ = 0;
   uint64_t merged_answers_ = 0;
   uint64_t merge_errors_ = 0;

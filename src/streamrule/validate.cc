@@ -1,5 +1,7 @@
 #include "streamrule/validate.h"
 
+#include <algorithm>
+
 #include "streamrule/pipeline.h"
 #include "streamrule/sharded_pipeline.h"
 
@@ -12,6 +14,28 @@ void NormalizePipelineOptions(PipelineOptions* options) {
   if (options->reuse_solving) {
     options->reasoner.reasoner.solving.reuse_solving = true;
   }
+}
+
+std::shared_ptr<SharedReasonerPool> ProvidePrivatePool(
+    PipelineOptions* options) {
+  if (!options->async || options->shared_pool != nullptr ||
+      options->shared_queue != nullptr) {
+    return nullptr;
+  }
+  const size_t threads = options->num_reason_workers != 0
+                             ? options->num_reason_workers
+                             : DefaultThreadCount();
+  options->shared_pool = std::make_shared<SharedReasonerPool>(threads);
+  return options->shared_pool;
+}
+
+size_t ResolveLaneCap(const PipelineOptions& options) {
+  size_t cap = options.pool_max_inflight;
+  if (cap == 0) {
+    cap = std::min<size_t>(options.max_inflight_windows,
+                           options.shared_pool->num_threads());
+  }
+  return std::max<size_t>(cap, 1);
 }
 
 Status ValidatePipelineOptions(const PipelineOptions& options, bool sharded) {

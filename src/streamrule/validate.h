@@ -1,7 +1,11 @@
 #ifndef STREAMASP_STREAMRULE_VALIDATE_H_
 #define STREAMASP_STREAMRULE_VALIDATE_H_
 
+#include <cstddef>
+#include <memory>
+
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace streamasp {
 
@@ -17,6 +21,21 @@ struct ShardedPipelineOptions;
 /// the program being non-disjunctive.) Idempotent; called by every
 /// Create before ValidatePipelineOptions.
 void NormalizePipelineOptions(PipelineOptions* options);
+
+/// The one place that decides an async engine's executor: an async
+/// configuration with neither shared_pool nor shared_queue gets a private
+/// SharedReasonerPool of num_reason_workers threads (0 picks
+/// DefaultThreadCount()), installed as options->shared_pool so the
+/// engine takes the pooled path unchanged. Returns that private pool, or
+/// null when the options already name an executor or are synchronous.
+/// The sharded engine calls it once for all its shards.
+std::shared_ptr<SharedReasonerPool> ProvidePrivatePool(
+    PipelineOptions* options);
+
+/// Inflight cap of a new lane on options.shared_pool (which must be set):
+/// pool_max_inflight, or min(max_inflight_windows, pool threads) when
+/// that is 0; at least 1.
+size_t ResolveLaneCap(const PipelineOptions& options);
 
 /// Create-time option validation shared by StreamRulePipeline,
 /// ShardedPipelineEngine and the StreamEngine facade — the cross-cutting

@@ -40,11 +40,10 @@ constexpr const char* BackpressurePolicyName(BackpressurePolicy policy) {
 
 /// True for the load-shedding policies: items can be lost at this stage
 /// boundary, so the producer must account for every kDroppedOldest /
-/// kRejected outcome. The async pipeline turns each loss into a tombstone
-/// in its ordered emission stream (StreamRulePipeline::ShedCallback), so
-/// downstream consumers — notably the sharded engine's ordered merge —
-/// see an explicit release for the lost sequence instead of a permanent
-/// gap.
+/// kRejected outcome. The async pipeline turns each loss into a kShed
+/// tombstone in its ordered emission stream, so downstream consumers —
+/// notably the sharded engine's ordered merge — see an explicit release
+/// for the lost sequence instead of a permanent gap.
 constexpr bool IsLossyPolicy(BackpressurePolicy policy) {
   return policy != BackpressurePolicy::kBlock;
 }
@@ -68,7 +67,7 @@ struct BoundedQueueStats {
 
 /// Bounded multi-producer/multi-consumer FIFO with a configurable
 /// backpressure policy — the stage boundary of the asynchronous pipeline
-/// (ingest/windower on one side, the reasoning worker pool on the other).
+/// (ingest/windower on one side, the reasoner pool's lane on the other).
 ///
 /// All operations are thread-safe. Close() wakes every blocked producer
 /// (which observe kClosed) and consumer (Pop drains the remaining items,

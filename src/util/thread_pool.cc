@@ -4,92 +4,6 @@
 
 namespace streamasp {
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) num_threads = 1;
-  threads_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutting_down_ = true;
-  }
-  work_available_.notify_all();
-  for (std::thread& t : threads_) {
-    t.join();
-  }
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
-  }
-  work_available_.notify_one();
-}
-
-std::future<void> ThreadPool::SubmitWithFuture(std::function<void()> task) {
-  auto packaged = std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> future = packaged->get_future();
-  Submit([packaged] { (*packaged)(); });
-  return future;
-}
-
-void ThreadPool::SubmitAndWaitAll(std::vector<std::function<void()>> tasks) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(tasks.size());
-  for (std::function<void()>& task : tasks) {
-    futures.push_back(SubmitWithFuture(std::move(task)));
-  }
-  // Wait for the whole batch before rethrowing: bailing on the first
-  // failure would unwind caller state that still-running tasks reference.
-  std::exception_ptr first_error;
-  for (std::future<void>& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (first_error == nullptr) first_error = std::current_exception();
-    }
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-}
-
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_idle_.wait(lock,
-                 [this] { return queue_.empty() && active_tasks_ == 0; });
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_available_.wait(
-          lock, [this] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        // shutting_down_ with an empty queue: exit after the queue drains so
-        // the destructor still runs every submitted task.
-        return;
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_tasks_;
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_tasks_;
-      if (queue_.empty() && active_tasks_ == 0) {
-        all_idle_.notify_all();
-      }
-    }
-  }
-}
-
 SharedReasonerPool::SharedReasonerPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
   threads_.reserve(num_threads);

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -23,71 +22,13 @@ inline size_t DefaultThreadCount() {
   return hardware == 0 ? 2 : hardware;
 }
 
-/// Fixed-size worker pool executing arbitrary closures.
-///
-/// The parallel reasoner PR submits one task per window partition and waits
-/// for the batch with SubmitAndWaitAll() — the dedicated-worker engine's
-/// fan-out, where each reasoning worker thread owns one reasoner.
-///
-/// Nesting constraint: a task running ON a pool must never block on
-/// futures of tasks submitted to the SAME pool. If every worker is blocked
-/// waiting, the task that would unblock them can never be scheduled — a
-/// guaranteed deadlock, not a slowdown. The dedicated-worker engine keeps
-/// it by giving each reasoning worker its own ParallelReasoner (and hence
-/// its own inner pool): a worker only ever waits on futures from the pool
-/// one level below it, never its own. Waiting on a *different* pool's
-/// futures is always safe. (SharedReasonerPool avoids the question
-/// altogether: its tasks never wait.)
-class ThreadPool {
- public:
-  /// Spawns `num_threads` workers (at least one).
-  explicit ThreadPool(size_t num_threads);
-
-  /// Drains outstanding tasks, then joins all workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task for asynchronous execution (fire and forget).
-  void Submit(std::function<void()> task);
-
-  /// Enqueues a task and returns a future that becomes ready when the task
-  /// finishes (or carries its exception). Waiting on the future from
-  /// outside the pool is safe; waiting from a task on this same pool is
-  /// the nesting deadlock described above.
-  std::future<void> SubmitWithFuture(std::function<void()> task);
-
-  /// Submits a batch and blocks until exactly these tasks have completed.
-  /// Unlike WaitIdle(), the wait is unaffected by concurrent Submit calls
-  /// from other threads, so multiple callers can safely run batches on a
-  /// shared pool at the same time.
-  void SubmitAndWaitAll(std::vector<std::function<void()>> tasks);
-
-  /// Blocks until the queue is empty and every worker is idle. Concurrent
-  /// Submit calls during the wait extend it; prefer SubmitAndWaitAll for
-  /// batch semantics on a shared pool.
-  void WaitIdle();
-
-  /// Number of worker threads.
-  size_t num_threads() const { return threads_.size(); }
-
- private:
-  void WorkerLoop();
-
-  std::mutex mutex_;
-  std::condition_variable work_available_;
-  std::condition_variable all_idle_;
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> threads_;
-  size_t active_tasks_ = 0;  // Tasks currently executing.
-  bool shutting_down_ = false;
-};
-
-/// A process-wide reasoning executor shared by many tenants: a fixed set
-/// of worker threads, one task lane (Queue) per tenant, and weighted
-/// deficit-round-robin dispatch across the lanes, so the worker budget is
-/// O(pool), not O(tenants), and one hot tenant cannot starve the rest.
+/// The one reasoning executor: a fixed set of worker threads, one task
+/// lane (Queue) per tenant, and weighted deficit-round-robin dispatch
+/// across the lanes, so the worker budget is O(pool), not O(tenants), and
+/// one hot tenant cannot starve the rest. Shared process-wide by the
+/// session server, and instantiated privately — one pool, one lane — by
+/// every async engine configured without a shared pool and by a
+/// ParallelReasoner with num_threads > 1.
 ///
 /// Scheduling model:
 ///   * Every task has unit cost. Each rotation of the active-lane ring
@@ -111,9 +52,11 @@ class ThreadPool {
 /// lane) — with every worker blocked that way nothing could run the tasks
 /// they wait for. Work that needs a join instead submits its subtasks to
 /// the front of its own lane (SubmitFront) and returns; whichever subtask
-/// finishes last runs the join as a continuation. That is how pooled
+/// finishes last runs the join as a continuation. That is how async
 /// pipelines reason a window's partitions in parallel (see
-/// StreamRulePipeline::PoolTask) without an extra thread or a wait.
+/// StreamRulePipeline::PoolTask) without an extra thread or a wait. A
+/// thread outside the pool may wait on a lane (Queue::Drain) freely —
+/// ParallelReasoner::Process joins its partitions that way.
 ///
 /// Thread-safety: everything is safe from any thread. Destruction
 /// contract: Drain every lane before destroying the pool (the pipelines'

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "emission_test_util.h"
 #include "stream/generator.h"
 #include "streamrule/pipeline.h"
 #include "streamrule/traffic_workload.h"
@@ -39,8 +40,8 @@ class AsyncPipelineTest : public ::testing::Test {
     StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
         StreamRulePipeline::Create(
             &program, options,
-            [&](const TripleWindow& window,
-                const ParallelReasonerResult& result) {
+            ByKind([&](const TripleWindow& window,
+                       const ParallelReasonerResult& result) {
               // Strictly increasing sequences even when windows complete
               // out of order: the ordered emitter's contract.
               EXPECT_GT(static_cast<int64_t>(window.sequence), last_sequence);
@@ -51,7 +52,7 @@ class AsyncPipelineTest : public ::testing::Test {
                 transcript += " " + AnswerToString(answer, *symbols_);
               }
               transcript += "\n";
-            });
+            }));
     EXPECT_TRUE(pipeline.ok()) << pipeline.status();
     (*pipeline)->PushBatch(stream);
     (*pipeline)->Flush();
@@ -132,9 +133,9 @@ TEST_F(AsyncPipelineTest, FlushDrainsAndPipelineStaysUsable) {
   StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
       StreamRulePipeline::Create(
           &*program, options,
-          [&](const TripleWindow&, const ParallelReasonerResult&) {
+          ByKind([&](const TripleWindow&, const ParallelReasonerResult&) {
             ++callbacks;
-          });
+          }));
   ASSERT_TRUE(pipeline.ok()) << pipeline.status();
   EXPECT_GE((*pipeline)->num_reason_workers(), 1u);
 
@@ -170,12 +171,13 @@ TEST_F(AsyncPipelineTest, SheddingPoliciesKeepOrderAndAccounts) {
     StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
         StreamRulePipeline::Create(
             &*program, options,
-            [&](const TripleWindow& window, const ParallelReasonerResult&) {
+            ByKind([&](const TripleWindow& window,
+                       const ParallelReasonerResult&) {
               // Shedding may skip sequences but never reorders them.
               EXPECT_GT(static_cast<int64_t>(window.sequence), last_sequence);
               last_sequence = static_cast<int64_t>(window.sequence);
               ++delivered;
-            });
+            }));
     ASSERT_TRUE(pipeline.ok()) << pipeline.status();
 
     (*pipeline)->PushBatch(MakeStream(5000));
@@ -214,10 +216,10 @@ TEST_F(AsyncPipelineTest, FlushWaitsForInFlightCallbacks) {
   StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
       StreamRulePipeline::Create(
           &*program, options,
-          [&](const TripleWindow&, const ParallelReasonerResult&) {
+          ByKind([&](const TripleWindow&, const ParallelReasonerResult&) {
             std::this_thread::sleep_for(std::chrono::milliseconds(30));
             ++finished_callbacks;
-          });
+          }));
   ASSERT_TRUE(pipeline.ok()) << pipeline.status();
 
   (*pipeline)->PushBatch(MakeStream(400));  // Two windows.
@@ -234,7 +236,8 @@ TEST_F(AsyncPipelineTest, CreateRejectsZeroInflight) {
   options.max_inflight_windows = 0;
   EXPECT_FALSE(StreamRulePipeline::Create(
                    &*program, options,
-                   [](const TripleWindow&, const ParallelReasonerResult&) {})
+                   ByKind([](const TripleWindow&,
+                             const ParallelReasonerResult&) {}))
                    .ok());
 }
 
@@ -254,10 +257,11 @@ TEST_F(AsyncPipelineTest, ThrowingCallbackIsCountedNotFatal) {
   StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
       StreamRulePipeline::Create(
           &*program, options,
-          [&](const TripleWindow& window, const ParallelReasonerResult&) {
+          ByKind([&](const TripleWindow& window,
+                     const ParallelReasonerResult&) {
             if (window.sequence == 0) throw std::runtime_error("boom");
             ++delivered;
-          });
+          }));
   ASSERT_TRUE(pipeline.ok()) << pipeline.status();
 
   (*pipeline)->PushBatch(MakeStream(750));  // Three windows.
@@ -283,9 +287,9 @@ TEST_F(AsyncPipelineTest, DestructorDrainsAdmittedWindows) {
     StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
         StreamRulePipeline::Create(
             &*program, options,
-            [&](const TripleWindow&, const ParallelReasonerResult&) {
+            ByKind([&](const TripleWindow&, const ParallelReasonerResult&) {
               ++callbacks;
-            });
+            }));
     ASSERT_TRUE(pipeline.ok()) << pipeline.status();
     (*pipeline)->PushBatch(MakeStream(1600));  // 8 admitted windows.
     // No Flush: the destructor must still reason + deliver all of them.

@@ -21,9 +21,13 @@
 
 // Allocation fault injection for this binary: while g_poison_bytes is
 // non-zero, the first allocation of exactly that many bytes (on any
-// thread) throws std::bad_alloc and disarms the trap.
+// thread) throws std::bad_alloc and disarms the trap. Allocations of
+// exactly g_watch_bytes are counted in g_watch_hits (a probe that a code
+// path ran).
 namespace {
 std::atomic<size_t> g_poison_bytes{0};
+std::atomic<size_t> g_watch_bytes{0};
+std::atomic<size_t> g_watch_hits{0};
 }  // namespace
 
 void* operator new(size_t size) {
@@ -31,6 +35,9 @@ void* operator new(size_t size) {
   if (poison != 0 && size == poison &&
       g_poison_bytes.compare_exchange_strong(poison, 0)) {
     throw std::bad_alloc();
+  }
+  if (size == g_watch_bytes.load(std::memory_order_relaxed)) {
+    g_watch_hits.fetch_add(1, std::memory_order_relaxed);
   }
   void* memory = std::malloc(size == 0 ? 1 : size);
   if (memory == nullptr) throw std::bad_alloc();
@@ -308,6 +315,56 @@ TEST_F(FailureInjectionTest, PooledPartitionThrowFailsOnlyItsWindow) {
   EXPECT_EQ(lane.submitted, 6u);
   EXPECT_EQ(lane.completed, lane.submitted);
   EXPECT_LE((*pipeline)->max_slots_in_use(), 2u);
+}
+
+TEST_F(FailureInjectionTest, PrivatePoolPartitionFaultSurfacesAfterAllRan) {
+  // Three independent input predicates, hence three partitions. With a
+  // private pool Process reasons partition 0 on the caller and fans
+  // partitions 1 and 2 out; the fault hits partition 1 on a pool thread.
+  StatusOr<Program> program = parser_.ParseProgram(R"(
+    #input a/1, b/1, c/1.
+    pa(X) :- a(X).
+    pb(X) :- b(X).
+    pc(X) :- c(X).
+  )");
+  ASSERT_TRUE(program.ok()) << program.status();
+  const SymbolId predicates[] = {symbols_->Intern("a"), symbols_->Intern("b"),
+                                 symbols_->Intern("c")};
+  PartitioningPlan plan(3);
+  for (int i = 0; i < 3; ++i) {
+    plan.Assign(PredicateSignature{predicates[i], 1}, i);
+  }
+  ParallelReasonerOptions options;
+  options.num_threads = 2;
+  ParallelReasoner pr(&*program, plan, options);
+
+  // Partition i holds kItems[i] items; fact conversion reserves exactly
+  // that many atoms, so the sizes double as per-partition probes.
+  constexpr size_t kItems[] = {1117, 3331, 2221};
+  TripleWindow window;
+  for (int p = 0; p < 3; ++p) {
+    for (size_t i = 0; i < kItems[p]; ++i) {
+      window.items.push_back(Triple{Term::Integer(static_cast<int64_t>(i)),
+                                    predicates[p], {}});
+    }
+  }
+  g_watch_hits.store(0);
+  g_watch_bytes.store(kItems[2] * sizeof(Atom));
+  g_poison_bytes.store(kItems[1] * sizeof(Atom));
+  EXPECT_THROW(pr.Process(window), std::bad_alloc);
+  g_watch_bytes.store(0);
+  EXPECT_EQ(g_poison_bytes.exchange(0), 0u) << "the fault never triggered";
+  // Partition 2, queued behind the failing one, still ran.
+  EXPECT_GE(g_watch_hits.load(), 1u);
+
+  // Nothing of the failed call is left on the lane: the reasoner is
+  // immediately reusable and answers every partition.
+  StatusOr<ParallelReasonerResult> result = pr.Process(window);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->num_partitions, 3u);
+  ASSERT_EQ(result->answers.size(), 1u);
+  EXPECT_EQ(result->answers[0].size(),
+            2 * (kItems[0] + kItems[1] + kItems[2]));
 }
 
 }  // namespace

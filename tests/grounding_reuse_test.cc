@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "emission_test_util.h"
 #include "stream/generator.h"
 #include "stream/windowing.h"
 #include "streamrule/parallel_reasoner.h"
@@ -57,12 +58,12 @@ class GroundingReuseTest : public ::testing::Test {
     StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
         StreamRulePipeline::Create(
             &program, options,
-            [&](const TripleWindow& window,
-                const ParallelReasonerResult& result) {
+            ByKind([&](const TripleWindow& window,
+                       const ParallelReasonerResult& result) {
               EXPECT_GT(static_cast<int64_t>(window.sequence), last_sequence);
               last_sequence = static_cast<int64_t>(window.sequence);
               AppendLine(&transcript, window, result);
-            });
+            }));
     EXPECT_TRUE(pipeline.ok()) << pipeline.status();
     (*pipeline)->PushBatch(stream);
     (*pipeline)->Flush();
@@ -78,10 +79,10 @@ class GroundingReuseTest : public ::testing::Test {
     StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
         ShardedPipelineEngine::Create(
             &program, options,
-            [&](const TripleWindow& window,
-                const ParallelReasonerResult& result) {
+            ByKind([&](const TripleWindow& window,
+                       const ParallelReasonerResult& result) {
               AppendLine(&transcript, window, result);
-            });
+            }));
     EXPECT_TRUE(engine.ok()) << engine.status();
     (*engine)->PushBatch(stream);
     (*engine)->Flush();
@@ -232,7 +233,7 @@ TEST_F(GroundingReuseTest, ShardedSlidingWindowsKeepGroundingReuseIncremental) {
 
 TEST_F(GroundingReuseTest, ShardedSlidingValidation) {
   const Program program = MustProgram(TrafficProgramVariant::kP);
-  const auto callback = [](TripleWindow&, const ParallelReasonerResult&) {};
+  const EmissionHandler callback = [](EmissionEvent&) {};
 
   // The remaining unsupported sliding combination: lossy shedding (a
   // shed sub-window would stall the ordered merge; ROADMAP.md).

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "asp/parser.h"
+#include "emission_test_util.h"
 #include "stream/generator.h"
 #include "streamrule/answer.h"
 #include "streamrule/pipeline.h"
@@ -62,10 +63,10 @@ class OverloadTest : public ::testing::Test {
     StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
         StreamRulePipeline::Create(
             &program, options,
-            [&](const TripleWindow& window,
-                const ParallelReasonerResult& result) {
+            ByKind([&](const TripleWindow& window,
+                       const ParallelReasonerResult& result) {
               lines[window.sequence] = Line(window, result);
-            });
+            }));
     EXPECT_TRUE(pipeline.ok()) << pipeline.status();
     (*pipeline)->PushBatch(stream);
     (*pipeline)->Flush();
@@ -128,8 +129,8 @@ TEST_F(OverloadTest, RandomizedShedShardedMatrixStaysOrderedAndExact) {
       StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
           ShardedPipelineEngine::Create(
               &*program, options,
-              [&](const TripleWindow& window,
-                  const ParallelReasonerResult& result) {
+              ByKind([&](const TripleWindow& window,
+                         const ParallelReasonerResult& result) {
                 EXPECT_GT(static_cast<int64_t>(window.sequence),
                           last_sequence);
                 last_sequence = static_cast<int64_t>(window.sequence);
@@ -146,7 +147,7 @@ TEST_F(OverloadTest, RandomizedShedShardedMatrixStaysOrderedAndExact) {
                   EXPECT_TRUE(result.answers.empty());
                   ++full_shed_windows;
                 }
-              });
+              }));
       ASSERT_TRUE(engine.ok()) << engine.status();
       (*engine)->PushBatch(stream);
       (*engine)->Flush();  // Must return: tombstones release every slot.
@@ -224,17 +225,15 @@ TEST_F(OverloadTest, TombstonesInterleaveInStrictSequenceOrder) {
     StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
         StreamRulePipeline::Create(
             &*program, options,
-            [&](const TripleWindow& window, const ParallelReasonerResult&) {
+            [&](EmissionEvent& event) {
+              if (event.kind == EmissionEvent::Kind::kError) return;
               std::lock_guard<std::mutex> lock(mutex);
-              all_sequences.push_back(window.sequence);
-            },
-            /*error_callback=*/nullptr,
-            [&](TripleWindow& window) {
-              std::lock_guard<std::mutex> lock(mutex);
-              all_sequences.push_back(window.sequence);
-              shed_sequences.push_back(window.sequence);
-              // Tombstones carry the unreasoned window's items intact.
-              EXPECT_EQ(window.size(), window_size);
+              all_sequences.push_back(event.sequence);
+              if (event.kind == EmissionEvent::Kind::kShed) {
+                shed_sequences.push_back(event.sequence);
+                // Tombstones carry the unreasoned window's items intact.
+                EXPECT_EQ(event.window->size(), window_size);
+              }
             });
     ASSERT_TRUE(pipeline.ok()) << pipeline.status();
     (*pipeline)->PushBatch(stream);
@@ -302,17 +301,17 @@ TEST_F(OverloadTest, PooledFanOutShedAccountingIsExact) {
       StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
           StreamRulePipeline::Create(
               &*program, options,
-              [&](const TripleWindow& window,
-                  const ParallelReasonerResult& result) {
-                sequences.push_back(window.sequence);
-                if (oracle.at(window.sequence) != Line(window, result)) {
-                  mismatches.push_back(Line(window, result));
+              [&](EmissionEvent& event) {
+                if (event.kind == EmissionEvent::Kind::kError) return;
+                sequences.push_back(event.sequence);
+                if (event.kind == EmissionEvent::Kind::kShed) {
+                  ++shed;
+                  return;
                 }
-              },
-              /*error_callback=*/nullptr,
-              [&](TripleWindow& window) {
-                sequences.push_back(window.sequence);
-                ++shed;
+                const std::string line = Line(*event.window, *event.result);
+                if (oracle.at(event.sequence) != line) {
+                  mismatches.push_back(line);
+                }
               });
       ASSERT_TRUE(pipeline.ok()) << pipeline.status();
       (*pipeline)->PushBatch(stream);
@@ -385,18 +384,17 @@ TEST_F(OverloadTest, HotKeyStormDropOldestBoundsEmitLatency) {
   StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
       StreamRulePipeline::Create(
           &*program, options,
-          [&](const TripleWindow& window, const ParallelReasonerResult&) {
+          [&](EmissionEvent& event) {
             const Clock::time_point now = Clock::now();
             std::lock_guard<std::mutex> lock(mutex);
-            emit_latency_ms.push_back(
-                std::chrono::duration<double, std::milli>(
-                    now - close_times[window.sequence])
-                    .count());
-          },
-          /*error_callback=*/nullptr,
-          [&](TripleWindow&) {
-            std::lock_guard<std::mutex> lock(mutex);
-            ++shed_tombstones;
+            if (event.kind == EmissionEvent::Kind::kShed) {
+              ++shed_tombstones;
+            } else if (event.kind == EmissionEvent::Kind::kResult) {
+              emit_latency_ms.push_back(
+                  std::chrono::duration<double, std::milli>(
+                      now - close_times[event.sequence])
+                      .count());
+            }
           });
   ASSERT_TRUE(pipeline.ok()) << pipeline.status();
 
@@ -475,9 +473,10 @@ TEST_F(OverloadTest, ShardedSustainedOverloadNeverStalls) {
   StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
       ShardedPipelineEngine::Create(
           &*program, options,
-          [&](const TripleWindow& window, const ParallelReasonerResult&) {
+          ByKind([&](const TripleWindow& window,
+                     const ParallelReasonerResult&) {
             sequences.push_back(window.sequence);
-          });
+          }));
   ASSERT_TRUE(engine.ok()) << engine.status();
   (*engine)->PushBatch(stream);
   (*engine)->Flush();  // The stall-freedom assertion: this must return.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "asp/parser.h"
+#include "emission_test_util.h"
 #include "stream/generator.h"
 #include "streamrule/accuracy.h"
 #include "streamrule/pipeline.h"
@@ -29,12 +30,13 @@ TEST_F(PipelineFacadeTest, ProcessesWholeStream) {
   StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
       StreamRulePipeline::Create(
           &*program, options,
-          [&](const TripleWindow& window, const ParallelReasonerResult& r) {
+          ByKind([&](const TripleWindow& window,
+                     const ParallelReasonerResult& r) {
             ++callbacks;
             // Full windows while streaming; the flushed trailer is smaller.
             EXPECT_LE(window.size(), 1000u);
             EXPECT_EQ(r.num_partitions, 2u);
-          });
+          }));
   ASSERT_TRUE(pipeline.ok()) << pipeline.status();
 
   SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols_), {});
@@ -56,9 +58,7 @@ TEST_F(PipelineFacadeTest, DesignTimeArtifactsExposed) {
       symbols_, TrafficProgramVariant::kPPrime, false);
   ASSERT_TRUE(program.ok());
   StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
-      StreamRulePipeline::Create(&*program, {},
-                                 [](const TripleWindow&,
-                                    const ParallelReasonerResult&) {});
+      StreamRulePipeline::Create(&*program, {}, [](EmissionEvent&) {});
   ASSERT_TRUE(pipeline.ok());
   EXPECT_TRUE((*pipeline)->decomposition_info().graph_was_connected);
   EXPECT_EQ((*pipeline)->plan().num_communities(), 2);
@@ -82,11 +82,11 @@ TEST_F(PipelineFacadeTest, BaselineModeMatchesPartitionedAnswers) {
     StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
         StreamRulePipeline::Create(
             &*program, options,
-            [&](const TripleWindow&, const ParallelReasonerResult& r) {
+            ByKind([&](const TripleWindow&, const ParallelReasonerResult& r) {
               for (const GroundAnswer& answer : r.answers) {
                 sink->push_back(answer);
               }
-            });
+            }));
     ASSERT_TRUE(pipeline.ok());
     SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols_), {});
     (*pipeline)->PushBatch(generator.GenerateWindow(4000));
@@ -105,13 +105,8 @@ TEST_F(PipelineFacadeTest, CreateRejectsBadArguments) {
   StatusOr<Program> program = MakeTrafficProgram(
       symbols_, TrafficProgramVariant::kP, false);
   ASSERT_TRUE(program.ok());
-  EXPECT_FALSE(StreamRulePipeline::Create(
-                   nullptr, {},
-                   [](const TripleWindow&, const ParallelReasonerResult&) {})
-                   .ok());
-  EXPECT_FALSE(StreamRulePipeline::Create(
-                   &*program, {}, StreamRulePipeline::ResultCallback())
-                   .ok());
+  EXPECT_FALSE(
+      StreamRulePipeline::Create(nullptr, {}, [](EmissionEvent&) {}).ok());
   EXPECT_FALSE(
       StreamRulePipeline::Create(&*program, {}, EmissionHandler()).ok());
 }
@@ -121,10 +116,8 @@ TEST_F(PipelineFacadeTest, CreateRejectsProgramWithoutInputs) {
   Parser parser(symbols);
   StatusOr<Program> program = parser.ParseProgram("a :- b. b.");
   ASSERT_TRUE(program.ok());
-  EXPECT_FALSE(StreamRulePipeline::Create(
-                   &*program, {},
-                   [](const TripleWindow&, const ParallelReasonerResult&) {})
-                   .ok());
+  EXPECT_FALSE(
+      StreamRulePipeline::Create(&*program, {}, [](EmissionEvent&) {}).ok());
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,7 +8,9 @@
 #include "depgraph/decomposition.h"
 #include "stream/generator.h"
 #include "streamrule/accuracy.h"
+#include "streamrule/answer.h"
 #include "streamrule/parallel_reasoner.h"
+#include "streamrule/random_partitioner.h"
 #include "streamrule/traffic_workload.h"
 
 namespace streamasp {
@@ -28,6 +31,15 @@ class ReasonerTest : public ::testing::Test {
     return {A("average_speed(newcastle, 10)"), A("car_number(newcastle, 55)"),
             A("traffic_light(newcastle)"),     A("car_in_smoke(car1, high)"),
             A("car_speed(car1, 0)"),           A("car_location(car1, dangan)")};
+  }
+
+  /// Every answer of `result`, rendered in order.
+  std::string Render(const ParallelReasonerResult& result) {
+    std::string out;
+    for (const GroundAnswer& answer : result.answers) {
+      out += AnswerToString(answer, *symbols_) + "\n";
+    }
+    return out;
   }
 
   bool AnswerContains(const GroundAnswer& answer, const std::string& atom) {
@@ -248,6 +260,106 @@ TEST_F(ReasonerTest, CriticalPathIncludesPartitioningTime) {
   EXPECT_NEAR(result->critical_path_ms,
               result->partition_ms + slowest + result->combine_ms, 1e-9);
   EXPECT_GE(result->latency_ms, result->partition_ms + result->combine_ms);
+}
+
+// Process fans partitions 1..n-1 out on the reasoner's private pool and
+// reasons partition 0 on the caller; ProcessPartitions (the PR_Ran_k
+// path) does the same over externally produced partitions. The pool's
+// size must never change an answer.
+TEST_F(ReasonerTest, PrivatePoolThreadCountNeverChangesAnswers) {
+  for (const TrafficProgramVariant variant :
+       {TrafficProgramVariant::kP, TrafficProgramVariant::kPPrime}) {
+    StatusOr<Program> program = MakeTrafficProgram(symbols_, variant, true);
+    ASSERT_TRUE(program.ok()) << program.status();
+    StatusOr<InputDependencyGraph> graph =
+        InputDependencyGraph::Build(*program);
+    ASSERT_TRUE(graph.ok()) << graph.status();
+    StatusOr<PartitioningPlan> plan = DecomposeInputDependencyGraph(*graph);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    GeneratorOptions generator_options;
+    generator_options.seed = 23;
+    SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols_),
+                                       generator_options);
+    TripleWindow window;
+    window.items = generator.GenerateWindow(3000);
+    RandomPartitioner random(4, /*seed=*/5);
+    const std::vector<std::vector<Triple>> random_partitions =
+        random.Partition(window.items);
+
+    std::string want_dependency;
+    std::string want_random;
+    for (const size_t threads : {1, 2, 4}) {
+      SCOPED_TRACE("num_threads=" + std::to_string(threads));
+      ParallelReasonerOptions options;
+      options.num_threads = threads;
+      ParallelReasoner pr(&*program, *plan, options);
+      StatusOr<ParallelReasonerResult> dependency = pr.Process(window);
+      ASSERT_TRUE(dependency.ok()) << dependency.status();
+      StatusOr<ParallelReasonerResult> ran =
+          pr.ProcessPartitions(random_partitions);
+      ASSERT_TRUE(ran.ok()) << ran.status();
+      EXPECT_EQ(ran->num_partitions, 4u);
+      if (threads == 1) {
+        want_dependency = Render(*dependency);
+        want_random = Render(*ran);
+        EXPECT_FALSE(want_dependency.empty());
+      } else {
+        EXPECT_EQ(Render(*dependency), want_dependency);
+        EXPECT_EQ(Render(*ran), want_random);
+      }
+    }
+  }
+}
+
+// Concurrent Process calls share the private lane; each must still get
+// exactly its own window's answers.
+TEST_F(ReasonerTest, ConcurrentProcessCallsShareThePrivatePool) {
+  StatusOr<Program> program =
+      MakeTrafficProgram(symbols_, TrafficProgramVariant::kPPrime, true);
+  ASSERT_TRUE(program.ok()) << program.status();
+  StatusOr<InputDependencyGraph> graph = InputDependencyGraph::Build(*program);
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  StatusOr<PartitioningPlan> plan = DecomposeInputDependencyGraph(*graph);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  constexpr int kCallers = 2;
+  constexpr int kRounds = 4;
+  std::vector<TripleWindow> windows(kCallers);
+  std::vector<std::string> want(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    GeneratorOptions generator_options;
+    generator_options.seed = 40 + c;
+    SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols_),
+                                       generator_options);
+    windows[c].items = generator.GenerateWindow(1500);
+    ParallelReasonerOptions inline_options;
+    inline_options.num_threads = 1;
+    ParallelReasoner oracle(&*program, *plan, inline_options);
+    StatusOr<ParallelReasonerResult> result = oracle.Process(windows[c]);
+    ASSERT_TRUE(result.ok()) << result.status();
+    want[c] = Render(*result);
+  }
+  ASSERT_NE(want[0], want[1]);
+
+  ParallelReasonerOptions options;
+  options.num_threads = 2;
+  ParallelReasoner shared(&*program, *plan, options);
+  std::vector<std::vector<std::string>> got(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        StatusOr<ParallelReasonerResult> result = shared.Process(windows[c]);
+        got[c].push_back(result.ok() ? Render(*result)
+                                     : result.status().ToString());
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (int c = 0; c < kCallers; ++c) {
+    ASSERT_EQ(got[c].size(), static_cast<size_t>(kRounds));
+    for (const std::string& answers : got[c]) EXPECT_EQ(answers, want[c]);
+  }
 }
 
 }  // namespace

@@ -738,7 +738,7 @@ TEST(ServerTest, ValidateServerConfigTable) {
   ServerConfig valid;
   EXPECT_TRUE(ValidateServerConfig(valid).ok());
   ServerConfig no_pool;
-  no_pool.shared_pool_threads = 0;  // Dedicated-thread sessions: allowed.
+  no_pool.shared_pool_threads = 0;  // Private-pool sessions: allowed.
   EXPECT_TRUE(ValidateServerConfig(no_pool).ok());
 
   ServerConfig zero_sessions;
@@ -1001,6 +1001,18 @@ size_t CurrentThreadCount() {
   return 0;
 }
 
+/// Polls until the process thread count drops to `want` (a joined thread
+/// can linger in /proc/self/status for a moment after join returns);
+/// returns the last count seen.
+size_t WaitForThreadCount(size_t want) {
+  size_t count = CurrentThreadCount();
+  for (int i = 0; i < 500 && count > want; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    count = CurrentThreadCount();
+  }
+  return count;
+}
+
 TEST(SharedPoolServerTest, PooledSessionsMatchStandaloneOracles) {
   ServerConfig config;
   config.shared_pool_threads = 4;
@@ -1213,38 +1225,11 @@ TEST(SharedPoolServerTest, SixtyFourSessionsCostPoolPlusLoopThreads) {
 }
 
 TEST(SharedPoolServerTest, StatsReportLaneGaugesPerPartitionTask) {
-  // A pooled P' window costs one lane task for itself plus one per
-  // partition beyond the first; the stats reply carries the lane gauges
-  // after the pre-existing keys.
-  ServerConfig config;
-  config.shared_pool_threads = 4;
-  StreamServer server(config);
-  TenantSpec spec = {"lanes", TrafficProgramVariant::kPPrime, 500, true, 0,
-                     false, 909};
-  SessionOptions options = TenantOptions(spec);
-  options.max_inflight = 2;
-  auto session = server.CreateSession(spec.name, options,
-                                      [](const SessionEvent&) {});
-  ASSERT_TRUE(session.ok()) << session.status();
-  GeneratorOptions generator_options;
-  generator_options.seed = spec.stream_seed;
-  SyntheticStreamGenerator generator(MakeTrafficSchema((*session)->symbols()),
-                                     generator_options);
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE((*session)->Push(generator.GenerateWindow(250)).ok());
-  }
-  ASSERT_TRUE((*session)->Flush().ok());
-  const std::string reply = FormatStats(spec.name, (*session)->stats());
-  server.CloseAll();
-
-  std::map<std::string, uint64_t> fields;
-  for (const std::string& line : StrSplit(reply, '\n')) {
-    const size_t eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    fields[line.substr(0, eq)] = std::strtoull(line.c_str() + eq + 1,
-                                               nullptr, 10);
-  }
-  // The P' decomposition the session's engine uses: two partitions.
+  // A P' window costs one lane task for itself plus one per partition
+  // beyond the first; the stats reply carries the lane gauges after the
+  // pre-existing keys. Every async session owns a lane — on the shared
+  // pool, or on its private pool when the server has none.
+  // The P' decomposition the sessions' engines use: two partitions.
   SymbolTablePtr symbols = MakeSymbolTable();
   StatusOr<Program> program =
       MakeTrafficProgram(symbols, TrafficProgramVariant::kPPrime, true);
@@ -1256,14 +1241,108 @@ TEST(SharedPoolServerTest, StatsReportLaneGaugesPerPartitionTask) {
   const uint64_t partitions = plan->num_communities();
   ASSERT_EQ(partitions, 2u);
 
-  const uint64_t windows = fields["delivered_windows"];
-  EXPECT_EQ(windows, 4u);
-  EXPECT_EQ(fields["lane_tasks_submitted"],
-            windows + windows * (partitions - 1));
-  EXPECT_EQ(fields["lane_tasks_completed"], fields["lane_tasks_submitted"]);
-  EXPECT_GE(fields["lane_max_queued"], 1u);
-  EXPECT_LT(reply.find("\ncompleteness="),
-            reply.find("\nlane_tasks_submitted="));
+  for (const size_t shared_pool_threads : {4, 0}) {
+    SCOPED_TRACE("shared_pool_threads=" +
+                 std::to_string(shared_pool_threads));
+    ServerConfig config;
+    config.shared_pool_threads = shared_pool_threads;
+    StreamServer server(config);
+    TenantSpec spec = {"lanes", TrafficProgramVariant::kPPrime, 500, true, 0,
+                       false, 909};
+    SessionOptions options = TenantOptions(spec);
+    options.max_inflight = 2;
+    auto session = server.CreateSession(spec.name, options,
+                                        [](const SessionEvent&) {});
+    ASSERT_TRUE(session.ok()) << session.status();
+    GeneratorOptions generator_options;
+    generator_options.seed = spec.stream_seed;
+    SyntheticStreamGenerator generator(
+        MakeTrafficSchema((*session)->symbols()), generator_options);
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE((*session)->Push(generator.GenerateWindow(250)).ok());
+    }
+    ASSERT_TRUE((*session)->Flush().ok());
+    const std::string reply = FormatStats(spec.name, (*session)->stats());
+    server.CloseAll();
+
+    std::map<std::string, uint64_t> fields;
+    for (const std::string& line : StrSplit(reply, '\n')) {
+      const size_t eq = line.find('=');
+      if (eq == std::string::npos) continue;
+      fields[line.substr(0, eq)] =
+          std::strtoull(line.c_str() + eq + 1, nullptr, 10);
+    }
+    const uint64_t windows = fields["delivered_windows"];
+    EXPECT_EQ(windows, 4u);
+    EXPECT_EQ(fields["lane_tasks_submitted"],
+              windows + windows * (partitions - 1));
+    EXPECT_EQ(fields["lane_tasks_completed"], fields["lane_tasks_submitted"]);
+    EXPECT_GE(fields["lane_max_queued"], 1u);
+    EXPECT_LT(reply.find("\ncompleteness="),
+              reply.find("\nlane_tasks_submitted="));
+  }
+}
+
+// Async engines without a shared pool run on a private pool of exactly
+// num_reason_workers threads — no emitter, no inner reasoner pools — and
+// a sharded engine builds one such pool for all its shards. Every thread
+// is gone again once the engine is destroyed or the session closed.
+TEST(SharedPoolServerTest, PrivatePoolsCostExactlyTheirThreads) {
+  SymbolTablePtr symbols = MakeSymbolTable();
+  Parser parser(symbols);
+  StatusOr<Program> program =
+      parser.ParseProgram("a(X) :- b(X).\n#input b/1.\n#show a/1.");
+  ASSERT_TRUE(program.ok()) << program.status();
+  std::vector<Triple> window;
+  for (int i = 0; i < 4; ++i) {
+    window.push_back(Triple{Term::Integer(i), symbols->Intern("b"), {}});
+  }
+
+  constexpr size_t kWorkers = 3;
+  constexpr size_t kShards = 2;
+  const size_t before = CurrentThreadCount();
+  ASSERT_GT(before, 0u) << "/proc/self/status not readable";
+  // Sharded engines add one feeder per shard and the merge thread.
+  for (const size_t shards : {size_t{0}, kShards}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(shards));
+    EngineConfig config;
+    config.num_shards = shards;
+    config.pipeline.window_size = 4;
+    config.pipeline.async = true;
+    config.pipeline.num_reason_workers = kWorkers;
+    uint64_t results = 0;
+    {
+      auto engine = StreamEngine::Create(
+          &*program, config, [&results](EmissionEvent& event) {
+            if (event.kind == EmissionEvent::Kind::kResult) ++results;
+          });
+      ASSERT_TRUE(engine.ok()) << engine.status();
+      EXPECT_EQ((*engine)->num_reason_workers(), kWorkers);
+      const size_t engine_threads = shards == 0 ? 0 : shards + 1;
+      EXPECT_EQ(CurrentThreadCount(), before + kWorkers + engine_threads);
+      (*engine)->PushBatch(window);
+      (*engine)->Flush();
+    }
+    EXPECT_EQ(results, 1u);
+    EXPECT_EQ(WaitForThreadCount(before), before);
+  }
+
+  // An async session on a server without a shared pool: a private pool
+  // of session_reasoner_threads threads plus the pump.
+  ServerConfig server_config;
+  server_config.shared_pool_threads = 0;
+  StreamServer server(server_config);
+  SessionOptions options;
+  options.program_text = "a(X) :- b(X).\n#input b/1.\n#show a/1.";
+  options.engine.pipeline.window_size = 4;
+  options.engine.pipeline.async = true;
+  auto session = server.CreateSession("private", options,
+                                      [](const SessionEvent&) {});
+  ASSERT_TRUE(session.ok()) << session.status();
+  EXPECT_EQ(CurrentThreadCount(),
+            before + server_config.session_reasoner_threads + 1);
+  ASSERT_TRUE(server.CloseSession("private").ok());
+  EXPECT_EQ(WaitForThreadCount(before), before);
 }
 
 TEST_F(SessionTest, QuotaShedsWindowsBeyondMaxQueuedAndAccountsThem) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "asp/parser.h"
+#include "emission_test_util.h"
 #include "stream/generator.h"
 #include "stream/shard_key.h"
 #include "streamrule/pipeline.h"
@@ -47,12 +48,12 @@ class ShardedPipelineTest : public ::testing::Test {
     StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
         StreamRulePipeline::Create(
             &program, options,
-            [&](const TripleWindow& window,
-                const ParallelReasonerResult& result) {
+            ByKind([&](const TripleWindow& window,
+                       const ParallelReasonerResult& result) {
               EXPECT_GT(static_cast<int64_t>(window.sequence), last_sequence);
               last_sequence = static_cast<int64_t>(window.sequence);
               AppendLine(&transcript, window, result);
-            });
+            }));
     EXPECT_TRUE(pipeline.ok()) << pipeline.status();
     (*pipeline)->PushBatch(stream);
     (*pipeline)->Flush();
@@ -69,14 +70,14 @@ class ShardedPipelineTest : public ::testing::Test {
     StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
         ShardedPipelineEngine::Create(
             &program, options,
-            [&](const TripleWindow& window,
-                const ParallelReasonerResult& result) {
+            ByKind([&](const TripleWindow& window,
+                       const ParallelReasonerResult& result) {
               // The ordered merge's contract: strictly increasing global
               // sequences no matter how shards race.
               EXPECT_GT(static_cast<int64_t>(window.sequence), last_sequence);
               last_sequence = static_cast<int64_t>(window.sequence);
               AppendLine(&transcript, window, result);
-            });
+            }));
     EXPECT_TRUE(engine.ok()) << engine.status();
     (*engine)->PushBatch(stream);
     (*engine)->Flush();
@@ -474,7 +475,7 @@ TEST_F(ShardedPipelineTest, StatsAggregateAcrossShards) {
   StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
       ShardedPipelineEngine::Create(
           &*program, options,
-          [](const TripleWindow&, const ParallelReasonerResult&) {});
+          [](EmissionEvent&) {});
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   (*engine)->PushBatch(MakeStream(1500));
@@ -515,9 +516,9 @@ TEST_F(ShardedPipelineTest, FlushDrainsAndEngineStaysUsable) {
   StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
       ShardedPipelineEngine::Create(
           &*program, options,
-          [&](const TripleWindow&, const ParallelReasonerResult&) {
+          ByKind([&](const TripleWindow&, const ParallelReasonerResult&) {
             ++callbacks;
-          });
+          }));
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   (*engine)->PushBatch(MakeStream(900));
@@ -546,9 +547,9 @@ TEST_F(ShardedPipelineTest, DestructorDrainsAdmittedGlobalWindows) {
     StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
         ShardedPipelineEngine::Create(
             &*program, options,
-            [&](const TripleWindow&, const ParallelReasonerResult&) {
+            ByKind([&](const TripleWindow&, const ParallelReasonerResult&) {
               ++callbacks;
-            });
+            }));
     ASSERT_TRUE(engine.ok()) << engine.status();
     // 4 closed global windows + 100 items of partial window that was
     // never assigned: the destructor must deliver exactly the closed 4.
@@ -561,8 +562,7 @@ TEST_F(ShardedPipelineTest, CreateValidatesOptions) {
   StatusOr<Program> program = MakeTrafficProgram(
       symbols_, TrafficProgramVariant::kP, /*with_show=*/true);
   ASSERT_TRUE(program.ok());
-  const ShardedPipelineEngine::ResultCallback callback =
-      [](const TripleWindow&, const ParallelReasonerResult&) {};
+  const EmissionHandler callback = [](EmissionEvent&) {};
 
   ShardedPipelineOptions zero_shards;
   zero_shards.num_shards = 0;
@@ -583,10 +583,6 @@ TEST_F(ShardedPipelineTest, CreateValidatesOptions) {
   ShardedPipelineOptions ok_options;
   EXPECT_FALSE(
       ShardedPipelineEngine::Create(nullptr, ok_options, callback).ok());
-  EXPECT_FALSE(ShardedPipelineEngine::Create(
-                   &*program, ok_options,
-                   ShardedPipelineEngine::ResultCallback())
-                   .ok());
   EXPECT_FALSE(
       ShardedPipelineEngine::Create(&*program, ok_options, EmissionHandler())
           .ok());
@@ -610,9 +606,9 @@ TEST_F(ShardedPipelineTest, FailedSubWindowsSkipTheirSlotInsteadOfStalling) {
   StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
       ShardedPipelineEngine::Create(
           &*program, options,
-          [&](const TripleWindow&, const ParallelReasonerResult&) {
+          ByKind([&](const TripleWindow&, const ParallelReasonerResult&) {
             ++callbacks;
-          });
+          }));
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   (*engine)->PushBatch(MakeStream(600));  // Three global windows.
@@ -638,10 +634,11 @@ TEST_F(ShardedPipelineTest, ThrowingCallbackIsCountedNotFatal) {
   StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
       ShardedPipelineEngine::Create(
           &*program, options,
-          [&](const TripleWindow& window, const ParallelReasonerResult&) {
+          ByKind([&](const TripleWindow& window,
+                     const ParallelReasonerResult&) {
             if (window.sequence == 0) throw std::runtime_error("boom");
             ++delivered;
-          });
+          }));
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   (*engine)->PushBatch(MakeStream(750));  // Three global windows.

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "asp/parser.h"
+#include "emission_test_util.h"
 #include "stream/generator.h"
 #include "stream/windowing.h"
 #include "streamrule/parallel_reasoner.h"
@@ -58,10 +59,10 @@ class SolvingReuseTest : public ::testing::Test {
     StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
         StreamRulePipeline::Create(
             &program, options,
-            [&](const TripleWindow& window,
-                const ParallelReasonerResult& result) {
+            ByKind([&](const TripleWindow& window,
+                       const ParallelReasonerResult& result) {
               AppendLine(&transcript, window, result);
-            });
+            }));
     EXPECT_TRUE(pipeline.ok()) << pipeline.status();
     (*pipeline)->PushBatch(stream);
     (*pipeline)->Flush();
@@ -77,10 +78,10 @@ class SolvingReuseTest : public ::testing::Test {
     StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
         ShardedPipelineEngine::Create(
             &program, options,
-            [&](const TripleWindow& window,
-                const ParallelReasonerResult& result) {
+            ByKind([&](const TripleWindow& window,
+                       const ParallelReasonerResult& result) {
               AppendLine(&transcript, window, result);
-            });
+            }));
     EXPECT_TRUE(engine.ok()) << engine.status();
     (*engine)->PushBatch(stream);
     (*engine)->Flush();

@@ -1,11 +1,6 @@
-#include <atomic>
 #include <cctype>
-#include <functional>
-#include <future>
 #include <set>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,7 +8,6 @@
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace streamasp {
@@ -256,98 +250,6 @@ TEST(TimerTest, RestartResets) {
   const int64_t before = timer.ElapsedMicros();
   timer.Restart();
   EXPECT_LE(timer.ElapsedMicros(), before + 1000000);
-}
-
-// ------------------------------------------------------------ ThreadPool.
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.WaitIdle();  // Must not hang.
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-  }  // Destructor joins after running everything.
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolTest, TasksRunConcurrentlyWithManyWorkers) {
-  ThreadPool pool(4);
-  std::atomic<int> started{0};
-  std::atomic<bool> release{false};
-  // Two tasks that wait for each other prove at least two workers exist.
-  for (int i = 0; i < 2; ++i) {
-    pool.Submit([&] {
-      started.fetch_add(1);
-      while (started.load() < 2 && !release.load()) {
-      }
-    });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(started.load(), 2);
-}
-
-TEST(ThreadPoolTest, SubmitWithFutureSignalsCompletion) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  std::future<void> future =
-      pool.SubmitWithFuture([&counter] { counter.fetch_add(1); });
-  future.get();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPoolTest, SubmitWithFuturePropagatesException) {
-  ThreadPool pool(1);
-  std::future<void> future =
-      pool.SubmitWithFuture([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, SubmitAndWaitAllWaitsForExactlyItsBatch) {
-  ThreadPool pool(3);
-  // A long-running unrelated task must not extend the batch wait (the
-  // WaitIdle footgun this API exists to avoid).
-  std::atomic<bool> release{false};
-  pool.Submit([&release] {
-    while (!release.load()) {
-      std::this_thread::yield();
-    }
-  });
-
-  std::atomic<int> counter{0};
-  std::vector<std::function<void()>> batch;
-  for (int i = 0; i < 20; ++i) {
-    batch.push_back([&counter] { counter.fetch_add(1); });
-  }
-  pool.SubmitAndWaitAll(std::move(batch));
-  EXPECT_EQ(counter.load(), 20);  // Batch done even while the hog runs.
-  release.store(true);
-  pool.WaitIdle();
 }
 
 }  // namespace
