@@ -1,6 +1,7 @@
 // Ablation: degree of parallelism. The paper ran on 8 cores; this sweep
-// shows how the measured wall latency of PR depends on the thread count
-// of its private pool on the current machine, with the
+// shows how the measured wall latency of PR depends on its reasoning
+// thread count (num_threads: the calling thread plus a private pool of
+// num_threads - 1) on the current machine, with the
 // hardware-independent critical path as the reference line. On a
 // single-core box the wall times converge regardless of thread count —
 // which is exactly the point of reporting the critical path in the
@@ -27,7 +28,7 @@ int main() {
     return 1;
   }
 
-  std::printf("# Ablation: PR private-pool threads (window %zu, program P, "
+  std::printf("# Ablation: PR reasoning threads (window %zu, program P, "
               "machine reports %u hardware thread(s))\n",
               kWindowSize, std::thread::hardware_concurrency());
   std::printf("# %8s %12s %16s\n", "threads", "wall_ms", "critical_path_ms");

@@ -99,11 +99,12 @@ BenchRun RunEngine(std::string mode, const Program& program,
 
 // Graceful-degradation leg, mirroring bench/async_pipeline's burst run
 // through the sharded engine: a flash-crowd stream against two async
-// shards that are deliberately undersized (one private pool of one
-// thread for both shards, two in-flight sub-windows) with kDropOldest
-// shedding. A shed sub-window emits a tombstone that releases its merge
-// slot, so the ordered merge keeps flowing and delivers the surviving
-// shards' answers with completeness < 1. Pacing is self-clocked rather
+// shards that are deliberately undersized (one reasoning thread per
+// shard — a two-thread private pool shared by both — and two in-flight
+// sub-windows) with kDropOldest shedding. A shed sub-window emits a
+// tombstone that releases its merge slot, so the ordered merge keeps
+// flowing and delivers the surviving shards' answers with
+// completeness < 1. Pacing is self-clocked rather
 // than timed: valley windows are pushed behind a Flush() drain barrier
 // (ingest never outruns service, nothing sheds), spike windows
 // back-to-back (each shard's work queue overflows by at least
@@ -127,7 +128,8 @@ BenchRun RunShardedBurstOverload(const Program& program,
   config.num_shards = shards;
   config.pipeline.window_size = burst_window;
   config.pipeline.async = true;
-  config.pipeline.num_reason_workers = 1;
+  // Engine-wide: one private pool serves every shard.
+  config.pipeline.num_reason_workers = shards;
   config.pipeline.max_inflight_windows = 2;
   config.pipeline.backpressure = BackpressurePolicy::kDropOldest;
   std::vector<Clock::time_point> close_times(num_windows);

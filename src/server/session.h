@@ -96,7 +96,8 @@ struct SessionOptions {
 
   /// Cap on this session's concurrently running tasks (windows and their
   /// partitions) on its pool, shared or private (async engines only). 0
-  /// picks the engine default (min(max_inflight_windows, pool threads)).
+  /// picks the engine default (min(max_inflight_windows, pool threads)
+  /// on the shared pool, every thread of a private one).
   size_t max_inflight = 0;
 
   /// Per-session window quota (async engines only): when > 0, a window

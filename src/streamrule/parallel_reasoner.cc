@@ -1,6 +1,7 @@
 #include "streamrule/parallel_reasoner.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <type_traits>
@@ -49,10 +50,11 @@ ParallelReasoner::ParallelReasoner(const Program* program,
       handler_(std::move(plan)),
       combiner_(options.combining),
       reasoner_(program, reasoner_options_) {
-  const size_t threads = ResolveThreadCount(options.num_threads);
-  if (threads > 1) {
-    pool_ = std::make_unique<SharedReasonerPool>(threads);
-    lane_ = pool_->CreateQueue(/*weight=*/1, /*max_inflight=*/threads);
+  // The caller reasons too, so the pool supplies the other threads.
+  const size_t pool_threads = ResolveThreadCount(options.num_threads) - 1;
+  if (pool_threads > 0) {
+    pool_ = std::make_unique<SharedReasonerPool>(pool_threads);
+    lane_ = pool_->CreateQueue(/*weight=*/1, /*max_inflight=*/pool_threads);
   }
   if (reasoner_options_.reuse_grounding) {
     // One engine per partition Split can produce: an empty plan still
@@ -182,22 +184,46 @@ StatusOr<ParallelReasonerResult> ParallelReasoner::Finish(Job job) const {
 
 void ParallelReasoner::RunTasks(Job* job) {
   const size_t n = job->num_partitions();
-  if (lane_ == nullptr) {
+  if (lane_ == nullptr || n < 2) {
     for (size_t i = 0; i < n; ++i) ReasonPartition(job, i);
     return;
   }
-  // Drain waits for this call's partitions (and any concurrent caller's):
-  // safe because the caller is not a task of the private pool.
+  // A countdown of this call's fanned-out partitions: the caller waits
+  // for exactly those, not for the lane, so concurrent callers never
+  // extend each other's waits. Waiting is safe because the caller is not
+  // a task of the private pool. The last task notifies under the mutex,
+  // so `join` outlives every touch of it.
+  struct Join {
+    std::mutex mutex;
+    std::condition_variable done;
+    size_t pending;
+  } join;
+  join.pending = n - 1;
+  const auto wait = [&join] {
+    std::unique_lock<std::mutex> lock(join.mutex);
+    join.done.wait(lock, [&join] { return join.pending == 0; });
+  };
+  size_t i = 1;
   try {
-    for (size_t i = 1; i < n; ++i) {
-      lane_->Submit([this, job, i] { ReasonPartition(job, i); });
+    for (; i < n; ++i) {
+      lane_->Submit([this, job, i, &join] {
+        ReasonPartition(job, i);
+        std::lock_guard<std::mutex> lock(join.mutex);
+        if (--join.pending == 0) join.done.notify_one();
+      });
     }
   } catch (...) {
-    lane_->Drain();  // Submitted partitions still reference *job.
+    // Partitions i..n-1 were never submitted; wait out the ones that
+    // were — they still reference *job.
+    {
+      std::lock_guard<std::mutex> lock(join.mutex);
+      join.pending -= n - i;
+    }
+    wait();
     throw;
   }
-  if (n > 0) ReasonPartition(job, 0);
-  lane_->Drain();
+  ReasonPartition(job, 0);
+  wait();
 }
 
 StatusOr<ParallelReasonerResult> ParallelReasoner::Process(

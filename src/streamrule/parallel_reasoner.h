@@ -20,13 +20,14 @@ struct ParallelReasonerOptions {
   ReasonerOptions reasoner;
   CombiningOptions combining;
 
-  /// Threads of the private SharedReasonerPool that Process fans
-  /// partitions out to; 0 uses DefaultThreadCount(). 1 is the inline
-  /// mode: no pool is spawned and Process reasons the partitions one
-  /// after another on the calling thread. Reasoners hosted by an async
-  /// pipeline are built inline: the pipeline's lane drives their
-  /// Split/ReasonPartition/Finish phases itself, one lane task per
-  /// partition, and never calls Process.
+  /// Threads that reason one Process call's partitions: the calling
+  /// thread plus a private SharedReasonerPool of num_threads - 1 threads
+  /// it fans the other partitions out to; 0 uses DefaultThreadCount().
+  /// 1 is the inline mode: no pool is spawned and Process reasons the
+  /// partitions one after another on the calling thread. Reasoners
+  /// hosted by an async pipeline are built inline: the pipeline's lane
+  /// drives their Split/ReasonPartition/Finish phases itself, one lane
+  /// task per partition, and never calls Process.
   size_t num_threads = 0;
 };
 
@@ -96,18 +97,19 @@ struct ParallelReasonerResult {
 ///
 /// Process runs partitions 1..n-1 as tasks on the reasoner's private
 /// pool lane, reasons partition 0 on the calling thread, then waits for
-/// the lane to drain. The caller is never a task of that pool, so the
-/// wait is safe; pool tasks themselves never wait.
+/// exactly those partitions (a per-call countdown, not the whole lane).
+/// The caller is never a task of that pool, so the wait is safe; pool
+/// tasks themselves never wait.
 ///
 /// Thread-safety: the handlers are immutable and Reasoner is
 /// thread-compatible, so ReasonPartition may run for different partitions
 /// of one Job concurrently, and concurrent Process calls on one instance
-/// are safe — they share the private lane, and each call returns only
-/// once the lane has drained past its own partitions. With
-/// reuse_grounding set, Process
-/// additionally serializes whole windows on an internal mutex: the
-/// per-partition incremental grounders are stateful, and interleaving two
-/// windows through one cache would corrupt its window-to-window diff.
+/// are safe — they share the private lane, and each call waits only for
+/// its own partitions, never for another caller's. With reuse_grounding
+/// set, Process additionally serializes whole windows on an internal
+/// mutex: the per-partition incremental grounders are stateful, and
+/// interleaving two windows through one cache would corrupt its
+/// window-to-window diff.
 /// Callers driving the phases themselves take that duty over: at most one
 /// Job per reuse reasoner at a time (the pool engine checks a reasoner
 /// out per window, so its Jobs never overlap).
@@ -199,7 +201,7 @@ class ParallelReasoner {
 
   /// Reasons every partition of `job`: partitions 1..n-1 on the private
   /// lane and partition 0 on the caller when there is a pool, all of them
-  /// inline otherwise. Returns once every partition has run.
+  /// inline otherwise. Returns once every partition of `job` has run.
   void RunTasks(Job* job);
 
   const Program* program_;
@@ -207,8 +209,8 @@ class ParallelReasoner {
   PartitioningHandler handler_;
   CombiningHandler combiner_;
   Reasoner reasoner_;
-  /// The private pool and its one lane; both null in inline mode
-  /// (num_threads resolves to 1).
+  /// The private pool (num_threads - 1 threads) and its one lane; both
+  /// null in inline mode (num_threads resolves to 1).
   std::unique_ptr<SharedReasonerPool> pool_;
   std::shared_ptr<SharedReasonerPool::Queue> lane_;
 

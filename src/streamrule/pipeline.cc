@@ -138,7 +138,8 @@ void StreamRulePipeline::StartAsyncEngine() {
     pool_queue_ = options_.shared_queue;
   } else {
     pool_queue_ = options_.shared_pool->CreateQueue(
-        options_.pool_weight, ResolveLaneCap(options_));
+        options_.pool_weight,
+        ResolveLaneCap(options_, /*private_pool=*/private_pool_ != nullptr));
   }
   // Reasoner slots: each window checks one out. Slots are built inline
   // (no pool of their own): their partitions fan out as lane tasks, never

@@ -112,8 +112,9 @@ struct PipelineOptions {
 
   /// Cap on this pipeline's concurrently running lane tasks (windows and
   /// partitions) on its pool. 0 picks min(max_inflight_windows, pool
-  /// threads). Also sizes the pipeline's reasoner-slot set — the
-  /// cap guarantees a free slot for every window task (see PoolTask).
+  /// threads) on a shared pool and all of a private pool's threads.
+  /// Also sizes the pipeline's reasoner-slot set — the cap guarantees a
+  /// free slot for every window task (see PoolTask).
   size_t pool_max_inflight = 0;
 
   /// Per-session window quota, enforced at the ingest boundary like the

@@ -88,7 +88,8 @@ Status ShardedPipelineEngine::StartShards() {
     // tasks are a subset of the lane's). Async shards spawn no reasoning
     // threads: their partitions fan out as tasks on this lane.
     inner.shared_queue = inner.shared_pool->CreateQueue(
-        inner.pool_weight, ResolveLaneCap(inner));
+        inner.pool_weight,
+        ResolveLaneCap(inner, /*private_pool=*/private_pool_ != nullptr));
   } else if (!inner.async && inner.reasoner.num_threads == 0) {
     // Budget sync shards' reasoner threads across the shards, so N shards
     // do not each claim the whole machine.

@@ -91,10 +91,15 @@ struct ShardedPipelineOptions {
   /// slide, and the paired persistent solvers patch instead of
   /// re-ingesting. With tumbling global windows (slide 0 or ==
   /// window_size) the sub-windows share no content, so the caches fall
-  /// back every window — correct but not faster. Async shards without
-  /// an external pool share one private pool of num_reason_workers
-  /// threads and one lane; sync shards' reasoner.num_threads left at 0
-  /// is budgeted across shards (hardware threads / num_shards each).
+  /// back every window — correct but not faster.
+  ///
+  /// Threads: async shards without an external pool share ONE private
+  /// pool and one lane, so pipeline.num_reason_workers is the thread
+  /// count of the whole engine, not of each shard (0 picks
+  /// DefaultThreadCount() for the engine); a config that wants N
+  /// threads per shard sets N * num_shards. The lane's default cap is
+  /// every pool thread. Sync shards' reasoner.num_threads left at 0 is
+  /// budgeted across shards (hardware threads / num_shards each).
   PipelineOptions pipeline;
 };
 

@@ -29,11 +29,11 @@ std::shared_ptr<SharedReasonerPool> ProvidePrivatePool(
   return options->shared_pool;
 }
 
-size_t ResolveLaneCap(const PipelineOptions& options) {
+size_t ResolveLaneCap(const PipelineOptions& options, bool private_pool) {
   size_t cap = options.pool_max_inflight;
   if (cap == 0) {
-    cap = std::min<size_t>(options.max_inflight_windows,
-                           options.shared_pool->num_threads());
+    cap = options.shared_pool->num_threads();
+    if (!private_pool) cap = std::min(cap, options.max_inflight_windows);
   }
   return std::max<size_t>(cap, 1);
 }

@@ -33,9 +33,11 @@ std::shared_ptr<SharedReasonerPool> ProvidePrivatePool(
     PipelineOptions* options);
 
 /// Inflight cap of a new lane on options.shared_pool (which must be set):
-/// pool_max_inflight, or min(max_inflight_windows, pool threads) when
-/// that is 0; at least 1.
-size_t ResolveLaneCap(const PipelineOptions& options);
+/// pool_max_inflight, or when that is 0 the pool's thread count for a
+/// private pool (its one lane is the only tenant, so the cap must leave
+/// no thread idle — window and partition tasks count alike) and
+/// min(max_inflight_windows, pool threads) on a shared pool; at least 1.
+size_t ResolveLaneCap(const PipelineOptions& options, bool private_pool);
 
 /// Create-time option validation shared by StreamRulePipeline,
 /// ShardedPipelineEngine and the StreamEngine facade — the cross-cutting

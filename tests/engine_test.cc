@@ -299,10 +299,11 @@ TEST_F(EngineTest, FacadeMatchesDirectEnginesByteForByte) {
 }
 
 // ---------------------------------------------------------------------------
-// Partition fan-out on the shared pool: a pooled P' window's two
-// partitions run as separate lane tasks joined by the last finisher. The
-// transcript must stay byte-identical to the sync oracle of the same shape
-// across lane caps, the reuse stack, and a lane shared by shard pipelines.
+// Partition fan-out on a pool lane: a pooled P' window's two partitions
+// run as separate lane tasks joined by the last finisher. The transcript
+// must stay byte-identical to the sync oracle of the same shape across
+// lane caps, shared and private pools, the reuse stack, and a lane shared
+// by shard pipelines.
 // ---------------------------------------------------------------------------
 
 TEST_F(EngineTest, PooledPartitionFanOutMatchesSyncOracle) {
@@ -338,13 +339,22 @@ TEST_F(EngineTest, PooledPartitionFanOutMatchesSyncOracle) {
         (*engine)->Flush();
       }
       ASSERT_FALSE(oracle.empty());
-      for (size_t cap : {1u, 2u, 4u}) {
+      // cap 0 is a private pool left at its default cap, which is every
+      // pool thread even at max_inflight_windows = 1.
+      constexpr size_t kPrivateThreads = 3;
+      for (size_t cap : {1u, 2u, 4u, 0u}) {
         SCOPED_TRACE("shards=" + std::to_string(shards) + " reuse=" +
                      reuse.name + " cap=" + std::to_string(cap));
         EngineConfig config = config_for(shards, reuse);
         config.pipeline.async = true;
-        config.pipeline.shared_pool = pool;
-        config.pipeline.pool_max_inflight = cap;
+        if (cap == 0) {
+          config.pipeline.num_reason_workers = kPrivateThreads;
+          config.pipeline.max_inflight_windows = 1;
+          cap = kPrivateThreads;
+        } else {
+          config.pipeline.shared_pool = pool;
+          config.pipeline.pool_max_inflight = cap;
+        }
         std::string transcript;
         auto engine = StreamEngine::Create(
             program_.get(), config, [&](EmissionEvent& event) {

@@ -3,10 +3,12 @@
 // limits, arity conflicts, and empty/degenerate windows.
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,11 +25,15 @@
 // non-zero, the first allocation of exactly that many bytes (on any
 // thread) throws std::bad_alloc and disarms the trap. Allocations of
 // exactly g_watch_bytes are counted in g_watch_hits (a probe that a code
-// path ran).
+// path ran). An allocation of exactly g_stall_bytes parks its thread
+// until the test clears g_stall_bytes, recording the thread in
+// g_stalled_thread.
 namespace {
 std::atomic<size_t> g_poison_bytes{0};
 std::atomic<size_t> g_watch_bytes{0};
 std::atomic<size_t> g_watch_hits{0};
+std::atomic<size_t> g_stall_bytes{0};
+std::atomic<std::thread::id> g_stalled_thread{};
 }  // namespace
 
 void* operator new(size_t size) {
@@ -38,6 +44,10 @@ void* operator new(size_t size) {
   }
   if (size == g_watch_bytes.load(std::memory_order_relaxed)) {
     g_watch_hits.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (size != 0 && size == g_stall_bytes.load()) {
+    g_stalled_thread.store(std::this_thread::get_id());
+    while (g_stall_bytes.load() == size) std::this_thread::yield();
   }
   void* memory = std::malloc(size == 0 ? 1 : size);
   if (memory == nullptr) throw std::bad_alloc();
@@ -365,6 +375,75 @@ TEST_F(FailureInjectionTest, PrivatePoolPartitionFaultSurfacesAfterAllRan) {
   ASSERT_EQ(result->answers.size(), 1u);
   EXPECT_EQ(result->answers[0].size(),
             2 * (kItems[0] + kItems[1] + kItems[2]));
+}
+
+TEST_F(FailureInjectionTest, ProcessWaitsOnlyForItsOwnPartitions) {
+  // Three independent input predicates, hence three partitions, on a
+  // reasoner of three threads (the caller plus a private pool of two).
+  StatusOr<Program> program = parser_.ParseProgram(R"(
+    #input a/1, b/1, c/1.
+    pa(X) :- a(X).
+    pb(X) :- b(X).
+    pc(X) :- c(X).
+  )");
+  ASSERT_TRUE(program.ok()) << program.status();
+  const SymbolId predicates[] = {symbols_->Intern("a"), symbols_->Intern("b"),
+                                 symbols_->Intern("c")};
+  PartitioningPlan plan(3);
+  for (int i = 0; i < 3; ++i) {
+    plan.Assign(PredicateSignature{predicates[i], 1}, i);
+  }
+  ParallelReasonerOptions options;
+  options.num_threads = 3;
+  ParallelReasoner pr(&*program, plan, options);
+  auto make_window = [&](const size_t (&items)[3]) {
+    TripleWindow window;
+    for (int p = 0; p < 3; ++p) {
+      for (size_t i = 0; i < items[p]; ++i) {
+        window.items.push_back(Triple{
+            Term::Integer(static_cast<int64_t>(i)), predicates[p], {}});
+      }
+    }
+    return window;
+  };
+
+  // The slow caller's partition 1 parks one pool thread: its fact
+  // conversion reserves exactly kStallItems atoms.
+  constexpr size_t kStallItems = 3331;
+  const TripleWindow slow_window = make_window({5, kStallItems, 7});
+  const TripleWindow fast_window = make_window({11, 13, 17});
+  g_stall_bytes.store(kStallItems * sizeof(Atom));
+  std::thread slow([&] {
+    StatusOr<ParallelReasonerResult> result = pr.Process(slow_window);
+    EXPECT_TRUE(result.ok()) << result.status();
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (g_stalled_thread.load() == std::thread::id() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const std::thread::id stalled = g_stalled_thread.load();
+  ASSERT_NE(stalled, std::thread::id()) << "the stall never triggered";
+  EXPECT_NE(stalled, slow.get_id()) << "stalled on the caller, not the pool";
+
+  // The other pool thread and the fast caller reason every partition of
+  // the fast window; its Process must return while the slow one is parked.
+  std::atomic<bool> fast_done{false};
+  std::thread fast([&] {
+    StatusOr<ParallelReasonerResult> result = pr.Process(fast_window);
+    EXPECT_TRUE(result.ok()) << result.status();
+    fast_done.store(true);
+  });
+  while (!fast_done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(fast_done.load())
+      << "Process waited for another caller's partitions";
+  g_stall_bytes.store(0);
+  fast.join();
+  slow.join();
+  g_stalled_thread.store(std::thread::id());
 }
 
 }  // namespace

@@ -1327,6 +1327,20 @@ TEST(SharedPoolServerTest, PrivatePoolsCostExactlyTheirThreads) {
     EXPECT_EQ(WaitForThreadCount(before), before);
   }
 
+  // A sync engine's reasoner: the caller reasons too, so num_threads = 3
+  // costs a private pool of 2 threads.
+  {
+    EngineConfig config;
+    config.num_shards = 0;
+    config.pipeline.window_size = 4;
+    config.pipeline.reasoner.num_threads = kWorkers;
+    auto engine = StreamEngine::Create(&*program, config,
+                                       [](EmissionEvent&) {});
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    EXPECT_EQ(CurrentThreadCount(), before + kWorkers - 1);
+  }
+  EXPECT_EQ(WaitForThreadCount(before), before);
+
   // An async session on a server without a shared pool: a private pool
   // of session_reasoner_threads threads plus the pump.
   ServerConfig server_config;
