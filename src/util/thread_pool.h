@@ -55,12 +55,15 @@ inline size_t DefaultThreadCount() {
 /// finishes last runs the join as a continuation. That is how async
 /// pipelines reason a window's partitions in parallel (see
 /// StreamRulePipeline::PoolTask) without an extra thread or a wait. A
-/// thread outside the pool may wait on a lane (Queue::Drain) freely —
-/// ParallelReasoner::Process joins its partitions that way.
+/// thread outside the pool may wait for lane tasks freely — on the whole
+/// lane (Queue::Drain), or on a countdown of its own tasks, which is how
+/// ParallelReasoner::Process joins its partitions.
 ///
 /// Thread-safety: everything is safe from any thread. Destruction
-/// contract: Drain every lane before destroying the pool (the pipelines'
-/// destructors do); tasks submitted while the pool is shutting down are
+/// contract: no lane may have queued or running tasks that anyone still
+/// waits for when the pool is destroyed (the pipelines' destructors
+/// Drain their lanes; a ParallelReasoner has joined every partition it
+/// submitted); tasks submitted while the pool is shutting down are
 /// dropped and counted as completed so Drain cannot hang.
 class SharedReasonerPool {
  public:
@@ -124,8 +127,9 @@ class SharedReasonerPool {
   /// Spawns `num_threads` workers (at least one).
   explicit SharedReasonerPool(size_t num_threads);
 
-  /// Joins the workers. Every lane must have been drained first (see the
-  /// class contract); queued tasks of un-drained lanes are discarded.
+  /// Joins the workers (a running task finishes first). Lanes must have
+  /// no queued tasks left (see the class contract); any still queued are
+  /// discarded.
   ~SharedReasonerPool();
 
   SharedReasonerPool(const SharedReasonerPool&) = delete;
