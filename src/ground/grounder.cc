@@ -1,522 +1,39 @@
 #include "ground/grounder.h"
 
-#include <algorithm>
-#include <cassert>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "asp/literal.h"
-#include "graph/components.h"
-#include "graph/graph.h"
 #include "ground/instantiate.h"
 
 namespace streamasp {
 
 namespace {
 
-using ground_internal::Binding;
-using ground_internal::CompiledRule;
-using ground_internal::ContainsUnfoldedArithmetic;
-using ground_internal::MatchPackedTerm;
-using ground_internal::MatchTerm;
-using ground_internal::PrecomputeGroundFlags;
-using ground_internal::PredicateExtension;
-using ground_internal::ResolveComparisons;
-using ground_internal::SubstituteAtomFast;
-using ground_internal::SubstituteTerm;
-
-class InstantiationEngine {
+/// Retention policy of the one-shot grounding: nothing outlives the call,
+/// so no per-atom bookkeeping is kept, rules are appended to the output
+/// under the max_ground_rules valve, and negative literals over final
+/// predicates are resolved eagerly.
+class OneShotClient {
  public:
-  InstantiationEngine(const Program& program,
-                      const std::vector<Atom>& input_facts,
-                      const GroundingOptions& options)
-      : program_(program), input_facts_(input_facts), options_(options) {}
+  static constexpr bool kResolveFinalNegatives = true;
 
-  Status Run();
+  OneShotClient(size_t max_ground_rules, std::vector<GroundRule>* rules)
+      : max_ground_rules_(max_ground_rules), rules_(rules) {}
 
-  GroundProgram TakeResult() {
-    return GroundProgram(std::move(atoms_), std::move(rules_));
+  void GrowAtoms(size_t) {}
+  void OnDerive(GroundAtomId, int, uint32_t) {}
+
+  Status Emit(GroundRule rule) {
+    STREAMASP_RETURN_IF_ERROR(
+        ground_internal::CheckRuleLimit(rules_->size(), max_ground_rules_));
+    rules_->push_back(std::move(rule));
+    return OkStatus();
   }
-
-  GroundingStats stats;
 
  private:
-  int PredIndex(const PredicateSignature& sig) {
-    auto it = pred_index_.find(sig);
-    if (it != pred_index_.end()) return it->second;
-    const int index = static_cast<int>(pred_signatures_.size());
-    pred_index_.emplace(sig, index);
-    pred_signatures_.push_back(sig);
-    return index;
-  }
-
-  /// Interns an atom; if newly derivable, appends it to its predicate's
-  /// extension.
-  GroundAtomId AddDerivedAtom(const Atom& atom) {
-    const GroundAtomId id = atoms_.Intern(atom);
-    if (id >= derivable_.size()) derivable_.resize(id + 1, false);
-    if (!derivable_[id]) {
-      derivable_[id] = true;
-      const int pred = PredIndex(atom.signature());
-      if (static_cast<size_t>(pred) >= extensions_.size()) {
-        extensions_.resize(pred + 1);
-      }
-      extensions_[pred].atoms.push_back(id);
-    }
-    return id;
-  }
-
-  /// Interns an atom without marking it derivable (negative-body use).
-  GroundAtomId InternOnly(const Atom& atom) {
-    const GroundAtomId id = atoms_.Intern(atom);
-    if (id >= derivable_.size()) derivable_.resize(id + 1, false);
-    return id;
-  }
-
-  Status EmitGroundRule(GroundRule rule) {
-    if (rules_.size() >= options_.max_ground_rules) {
-      return ResourceExhaustedError(
-          "ground rule limit exceeded (" +
-          std::to_string(options_.max_ground_rules) +
-          "); the program may not be finitely groundable");
-    }
-    rules_.push_back(std::move(rule));
-    return OkStatus();
-  }
-
-  Status SeedFacts();
-  Status CompileRules(const ComponentAssignment& components);
-  Status BuildDependencies();
-  Status InstantiateComponent(int component);
-  Status EvaluateRule(CompiledRule* rule, int current_component,
-                      int delta_position);
-  Status MatchFrom(CompiledRule* rule, size_t literal_index,
-                   int current_component, int delta_position,
-                   Binding* binding, std::vector<GroundAtomId>* matched,
-                   std::vector<bool>* comparison_done);
-  Status EmitInstance(CompiledRule* rule, int current_component,
-                      const Binding& binding,
-                      const std::vector<GroundAtomId>& matched);
-
-  /// Computes the visible index range of `rule`'s positive literal
-  /// `position` for the current round.
-  std::pair<size_t, size_t> LiteralRange(const CompiledRule& rule,
-                                         size_t position,
-                                         int current_component,
-                                         int delta_position) const;
-
-  const Program& program_;
-  const std::vector<Atom>& input_facts_;
-  const GroundingOptions& options_;
-
-  std::unordered_map<PredicateSignature, int, PredicateSignatureHash>
-      pred_index_;
-  std::vector<PredicateSignature> pred_signatures_;
-  std::vector<int> pred_component_;
-  std::vector<PredicateExtension> extensions_;
-
-  AtomTable atoms_;
-  std::vector<bool> derivable_;
-  std::vector<GroundRule> rules_;
-
-  std::vector<CompiledRule> compiled_;
-  std::vector<std::vector<CompiledRule*>> component_rules_;
-  std::vector<CompiledRule*> constraints_;
-  int num_components_ = 0;
+  size_t max_ground_rules_;
+  std::vector<GroundRule>* rules_;
 };
-
-Status InstantiationEngine::BuildDependencies() {
-  // Register every predicate so indexes are stable.
-  for (const Rule& rule : program_.rules()) {
-    for (const Atom& a : rule.head()) PredIndex(a.signature());
-    for (const Literal& l : rule.body()) {
-      if (l.is_atom()) PredIndex(l.atom().signature());
-    }
-  }
-  for (const Atom& fact : input_facts_) PredIndex(fact.signature());
-
-  Digraph dependencies(static_cast<NodeId>(pred_signatures_.size()));
-  for (const Rule& rule : program_.rules()) {
-    for (const Atom& head : rule.head()) {
-      const int head_pred = PredIndex(head.signature());
-      for (const Literal& l : rule.body()) {
-        if (!l.is_atom()) continue;
-        dependencies.AddEdge(
-            static_cast<NodeId>(PredIndex(l.atom().signature())),
-            static_cast<NodeId>(head_pred));
-      }
-    }
-    // Disjunctive head predicates must be instantiated together: a rule
-    // deriving one of them can retroactively feed rules over another.
-    for (size_t i = 0; i + 1 < rule.head().size(); ++i) {
-      for (size_t j = i + 1; j < rule.head().size(); ++j) {
-        const NodeId a =
-            static_cast<NodeId>(PredIndex(rule.head()[i].signature()));
-        const NodeId b =
-            static_cast<NodeId>(PredIndex(rule.head()[j].signature()));
-        dependencies.AddEdge(a, b);
-        dependencies.AddEdge(b, a);
-      }
-    }
-  }
-
-  const ComponentAssignment components =
-      StronglyConnectedComponents(dependencies);
-  num_components_ = components.num_components;
-  pred_component_ = components.component_of;
-  extensions_.resize(pred_signatures_.size());
-  return CompileRules(components);
-}
-
-Status InstantiationEngine::CompileRules(const ComponentAssignment&) {
-  component_rules_.assign(num_components_, {});
-  compiled_.reserve(program_.rules().size());
-  for (const Rule& rule : program_.rules()) {
-    if (rule.body().empty()) continue;  // Facts are seeded separately.
-    CompiledRule cr;
-    for (const Atom& head : rule.head()) {
-      cr.heads.push_back(head);
-      cr.head_preds.push_back(PredIndex(head.signature()));
-    }
-    for (const Literal& l : rule.body()) {
-      switch (l.kind()) {
-        case Literal::Kind::kPositiveAtom:
-          cr.positive.push_back(l.atom());
-          cr.positive_preds.push_back(PredIndex(l.atom().signature()));
-          break;
-        case Literal::Kind::kNegativeAtom:
-          cr.negatives.push_back(l.atom());
-          cr.negative_preds.push_back(PredIndex(l.atom().signature()));
-          break;
-        case Literal::Kind::kComparison: {
-          cr.comparisons.push_back(l);
-          std::vector<SymbolId> vars;
-          l.CollectVariables(&vars);
-          std::sort(vars.begin(), vars.end());
-          vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-          cr.comparison_vars.push_back(std::move(vars));
-          break;
-        }
-      }
-    }
-    PrecomputeGroundFlags(&cr);
-    if (cr.heads.empty()) {
-      // Constraints run after all components are fully instantiated.
-      cr.component = num_components_;
-      compiled_.push_back(std::move(cr));
-      continue;
-    }
-    // All head predicates share a component (mutual edges); schedule the
-    // rule there.
-    cr.component = pred_component_[cr.head_preds.front()];
-    for (size_t i = 0; i < cr.positive.size(); ++i) {
-      if (pred_component_[cr.positive_preds[i]] == cr.component) {
-        cr.recursive = true;
-        cr.same_component_positions.push_back(i);
-      }
-    }
-    compiled_.push_back(std::move(cr));
-  }
-  // Pointers into compiled_ are stable from here on.
-  for (CompiledRule& cr : compiled_) {
-    if (cr.heads.empty()) {
-      constraints_.push_back(&cr);
-    } else {
-      component_rules_[cr.component].push_back(&cr);
-    }
-  }
-  return OkStatus();
-}
-
-Status InstantiationEngine::SeedFacts() {
-  for (const Rule& rule : program_.rules()) {
-    if (!rule.body().empty()) continue;
-    GroundRule ground;
-    for (const Atom& head : rule.head()) {
-      if (!head.IsGround()) {
-        return InvalidArgumentError(
-            "non-ground fact: " + rule.ToString(program_.symbol_table()));
-      }
-      ground.head.push_back(AddDerivedAtom(head));
-    }
-    STREAMASP_RETURN_IF_ERROR(EmitGroundRule(std::move(ground)));
-  }
-  for (const Atom& fact : input_facts_) {
-    if (!fact.IsGround()) {
-      return InvalidArgumentError("non-ground input fact: " +
-                                  fact.ToString(program_.symbol_table()));
-    }
-    GroundRule ground;
-    ground.head.push_back(AddDerivedAtom(fact));
-    STREAMASP_RETURN_IF_ERROR(EmitGroundRule(std::move(ground)));
-  }
-  return OkStatus();
-}
-
-std::pair<size_t, size_t> InstantiationEngine::LiteralRange(
-    const CompiledRule& rule, size_t position, int current_component,
-    int delta_position) const {
-  const PredicateExtension& ext = extensions_[rule.positive_preds[position]];
-  const bool same_component =
-      pred_component_[rule.positive_preds[position]] == current_component &&
-      current_component < num_components_;
-  if (!same_component) {
-    return {0, ext.atoms.size()};
-  }
-  // Semi-naive decomposition: literals before the delta position see the
-  // old window, the delta position sees only the delta, later ones see
-  // old+delta. delta_position < 0 (non-recursive evaluation) sees
-  // everything visible this round.
-  if (delta_position < 0) {
-    return {0, ext.delta_end};
-  }
-  if (position < static_cast<size_t>(delta_position)) {
-    return {0, ext.delta_begin};
-  }
-  if (position == static_cast<size_t>(delta_position)) {
-    return {ext.delta_begin, ext.delta_end};
-  }
-  return {0, ext.delta_end};
-}
-
-Status InstantiationEngine::MatchFrom(
-    CompiledRule* rule, size_t literal_index, int current_component,
-    int delta_position, Binding* binding,
-    std::vector<GroundAtomId>* matched,
-    std::vector<bool>* comparison_done) {
-  if (literal_index == rule->positive.size()) {
-    return EmitInstance(rule, current_component, *binding, *matched);
-  }
-
-  const Atom& pattern = rule->positive[literal_index];
-  const int pred = rule->positive_preds[literal_index];
-  PredicateExtension& ext = extensions_[pred];
-  const auto [range_begin, range_end] =
-      LiteralRange(*rule, literal_index, current_component, delta_position);
-  if (range_begin >= range_end) return OkStatus();
-
-  // Pick an argument position that is ground under the current binding to
-  // drive an index lookup; fall back to a scan.
-  int index_position = -1;
-  PackedTerm index_key;
-  for (size_t p = 0; p < pattern.args().size(); ++p) {
-    Term substituted = SubstituteTerm(pattern.args()[p], *binding);
-    if (substituted.IsGround()) {
-      index_position = static_cast<int>(p);
-      index_key = PackedTerm(substituted);
-      break;
-    }
-  }
-
-  // The candidate list: either an index bucket or the full range. Buckets
-  // are keyed by the argument's packed word, read off the atom table's
-  // columnar mirror — no Term hashing on the probe or build path.
-  const std::vector<uint32_t>* bucket = nullptr;
-  if (index_position >= 0) {
-    if (ext.indexes.empty()) ext.indexes.resize(pattern.args().size());
-    ground_internal::PositionIndex& index = ext.indexes[index_position];
-    // Extend the index to cover the whole extension (cheap, amortized).
-    while (index.indexed_until < ext.atoms.size()) {
-      const uint32_t i = static_cast<uint32_t>(index.indexed_until++);
-      index.map[atoms_.PackedArgs(ext.atoms[i])[index_position].bits()]
-          .push_back(i);
-    }
-    auto it = index.map.find(index_key.bits());
-    if (it == index.map.end()) return OkStatus();
-    bucket = &it->second;
-  }
-
-  auto try_candidate = [&](size_t extension_index) -> Status {
-    const GroundAtomId id = ext.atoms[extension_index];
-    const PackedTerm* candidate_args = atoms_.PackedArgs(id);
-    const size_t mark = binding->Mark();
-    bool matches = atoms_.PackedArity(id) == pattern.args().size();
-    for (size_t p = 0; matches && p < pattern.args().size(); ++p) {
-      matches = MatchPackedTerm(pattern.args()[p], candidate_args[p], binding);
-    }
-    if (matches) {
-      // Resolve comparisons/assignments that just became ground; prune on
-      // failure. Assignment bindings land on the same trail and are
-      // rewound with the candidate's mark.
-      std::vector<size_t> newly_done;
-      const bool comparisons_hold =
-          ResolveComparisons(*rule, binding, comparison_done, &newly_done);
-      if (comparisons_hold) {
-        (*matched)[literal_index] = id;
-        STREAMASP_RETURN_IF_ERROR(
-            MatchFrom(rule, literal_index + 1, current_component,
-                      delta_position, binding, matched, comparison_done));
-      }
-      for (size_t c : newly_done) (*comparison_done)[c] = false;
-    }
-    binding->RewindTo(mark);
-    return OkStatus();
-  };
-
-  if (bucket != nullptr) {
-    // Iterate by index over a size snapshot: a later literal of the same
-    // predicate can lazily extend this very index while we are suspended
-    // in the recursion, reallocating the bucket under a range-for (the
-    // map's value reference itself survives rehashing). Entries appended
-    // mid-iteration lie beyond range_end and are skipped regardless.
-    const size_t bucket_size = bucket->size();
-    for (size_t b = 0; b < bucket_size; ++b) {
-      const uint32_t i = (*bucket)[b];
-      if (i < range_begin || i >= range_end) continue;
-      STREAMASP_RETURN_IF_ERROR(try_candidate(i));
-    }
-  } else {
-    for (size_t i = range_begin; i < range_end; ++i) {
-      STREAMASP_RETURN_IF_ERROR(try_candidate(i));
-    }
-  }
-  return OkStatus();
-}
-
-Status InstantiationEngine::EmitInstance(
-    CompiledRule* rule, int current_component, const Binding& binding,
-    const std::vector<GroundAtomId>& matched) {
-  GroundRule ground;
-  ground.positive_body.assign(matched.begin(), matched.end());
-
-  for (size_t i = 0; i < rule->negatives.size(); ++i) {
-    const Atom instance = SubstituteAtomFast(rule->negatives[i],
-                                             rule->negatives_ground[i], binding);
-    assert(instance.IsGround() && "safety guarantees ground negatives");
-    if (ContainsUnfoldedArithmetic(instance)) {
-      return OkStatus();  // Undefined arithmetic: skip the instance.
-    }
-    const int pred = rule->negative_preds[i];
-    const bool fully_evaluated =
-        pred_component_[pred] < current_component;
-    if (fully_evaluated) {
-      // The predicate's extension is final: an underivable atom can never
-      // become true, so `not atom` is certainly satisfied — drop it.
-      const GroundAtomId existing = atoms_.Lookup(instance);
-      if (existing == kInvalidGroundAtom || !derivable_[existing]) {
-        continue;
-      }
-      ground.negative_body.push_back(existing);
-    } else {
-      ground.negative_body.push_back(InternOnly(instance));
-    }
-  }
-
-  for (size_t i = 0; i < rule->heads.size(); ++i) {
-    const Atom instance =
-        SubstituteAtomFast(rule->heads[i], rule->heads_ground[i], binding);
-    assert(instance.IsGround() && "safety guarantees ground heads");
-    if (ContainsUnfoldedArithmetic(instance)) {
-      return OkStatus();  // Undefined arithmetic: skip the instance.
-    }
-    ground.head.push_back(AddDerivedAtom(instance));
-  }
-  return EmitGroundRule(std::move(ground));
-}
-
-Status InstantiationEngine::EvaluateRule(CompiledRule* rule,
-                                         int current_component,
-                                         int delta_position) {
-  Binding binding;
-  std::vector<GroundAtomId> matched(rule->positive.size(),
-                                    kInvalidGroundAtom);
-  std::vector<bool> comparison_done(rule->comparisons.size(), false);
-  // Variable-free comparisons and seed assignments (X = 3 + 4) decide or
-  // pre-bind before any literal is matched.
-  std::vector<size_t> upfront_done;
-  if (!ResolveComparisons(*rule, &binding, &comparison_done,
-                          &upfront_done)) {
-    return OkStatus();  // The rule can never fire.
-  }
-  return MatchFrom(rule, 0, current_component, delta_position, &binding,
-                   &matched, &comparison_done);
-}
-
-Status InstantiationEngine::InstantiateComponent(int component) {
-  const std::vector<CompiledRule*>& rules = component_rules_[component];
-  if (rules.empty()) return OkStatus();
-
-  // Same-component predicates: snapshot the current extension as the first
-  // delta window (everything derived so far is "new" for this component).
-  std::vector<int> component_preds;
-  for (size_t p = 0; p < pred_signatures_.size(); ++p) {
-    if (pred_component_[p] == component) {
-      component_preds.push_back(static_cast<int>(p));
-      extensions_[p].delta_begin = 0;
-      extensions_[p].delta_end = extensions_[p].atoms.size();
-    }
-  }
-
-  // Non-recursive rules fire exactly once: their positive bodies only read
-  // fully evaluated predicates.
-  for (CompiledRule* rule : rules) {
-    if (!rule->recursive) {
-      STREAMASP_RETURN_IF_ERROR(EvaluateRule(rule, component, -1));
-    }
-  }
-  // Refresh the delta to include atoms the non-recursive rules derived.
-  for (int p : component_preds) {
-    extensions_[p].delta_end = extensions_[p].atoms.size();
-  }
-
-  // Semi-naive fixpoint for recursive rules.
-  for (;;) {
-    bool any_delta = false;
-    for (int p : component_preds) {
-      if (extensions_[p].delta_begin < extensions_[p].delta_end) {
-        any_delta = true;
-        break;
-      }
-    }
-    if (!any_delta) break;
-
-    for (CompiledRule* rule : rules) {
-      if (!rule->recursive) continue;
-      for (size_t j : rule->same_component_positions) {
-        STREAMASP_RETURN_IF_ERROR(
-            EvaluateRule(rule, component, static_cast<int>(j)));
-      }
-    }
-
-    // Advance windows: this round's derivations become the next delta.
-    for (int p : component_preds) {
-      extensions_[p].delta_begin = extensions_[p].delta_end;
-      extensions_[p].delta_end = extensions_[p].atoms.size();
-    }
-  }
-  return OkStatus();
-}
-
-Status InstantiationEngine::Run() {
-  STREAMASP_RETURN_IF_ERROR(program_.Validate());
-  STREAMASP_RETURN_IF_ERROR(BuildDependencies());
-  STREAMASP_RETURN_IF_ERROR(SeedFacts());
-  for (int c = 0; c < num_components_; ++c) {
-    STREAMASP_RETURN_IF_ERROR(InstantiateComponent(c));
-  }
-  // Constraints see the final extensions of every predicate.
-  for (CompiledRule* constraint : constraints_) {
-    STREAMASP_RETURN_IF_ERROR(
-        EvaluateRule(constraint, num_components_, -1));
-  }
-
-  stats.num_rules_raw = rules_.size();
-  if (options_.simplify) {
-    if (derivable_.size() < atoms_.size()) {
-      derivable_.resize(atoms_.size(), false);
-    }
-    ground_internal::SimplifyGroundRules(atoms_.size(), derivable_, &rules_);
-  }
-  stats.num_rules = rules_.size();
-  stats.num_atoms = atoms_.size();
-  stats.atom_table_bytes = atoms_.ApproxBytes();
-  for (const GroundRule& rule : rules_) {
-    if (rule.is_fact()) ++stats.num_facts;
-    if (rule.is_constraint()) ++stats.num_constraints;
-  }
-  return OkStatus();
-}
 
 }  // namespace
 
@@ -528,10 +45,27 @@ StatusOr<GroundProgram> Grounder::Ground(const Program& program,
 StatusOr<GroundProgram> Grounder::Ground(const Program& program,
                                          const std::vector<Atom>& input_facts,
                                          GroundingStats* stats) const {
-  InstantiationEngine engine(program, input_facts, options_);
-  STREAMASP_RETURN_IF_ERROR(engine.Run());
-  if (stats != nullptr) *stats = engine.stats;
-  return engine.TakeResult();
+  GroundProgram ground;
+  std::vector<GroundRule>& rules = ground.mutable_rules();
+  ground_internal::InstantiationCore core(&program, &ground.mutable_atoms());
+  OneShotClient client(options_.max_ground_rules, &rules);
+  STREAMASP_RETURN_IF_ERROR(core.Prepare());
+  STREAMASP_RETURN_IF_ERROR(core.SeedProgramFacts(client));
+  for (const Atom& fact : input_facts) {
+    STREAMASP_ASSIGN_OR_RETURN(const GroundAtomId id,
+                               core.AddInputFact(fact, client));
+    STREAMASP_RETURN_IF_ERROR(client.Emit(GroundRule{{id}, {}, {}}));
+  }
+  // A fresh core's admission windows all start at 0, so this one
+  // evaluation is the whole bottom-up instantiation.
+  STREAMASP_RETURN_IF_ERROR(core.Evaluate(/*full=*/true, client));
+
+  GroundingStats local;
+  ground_internal::FinishOutput(options_.simplify, ground.num_atoms(),
+                                core.derivable(), &rules, &local);
+  local.atom_table_bytes = ground.atoms().ApproxBytes();
+  if (stats != nullptr) *stats = local;
+  return ground;
 }
 
 }  // namespace streamasp

@@ -70,8 +70,10 @@ struct GroundingStats {
 /// Bottom-up instantiator: turns a (safe) non-ground program plus input
 /// facts into an equivalent GroundProgram.
 ///
-/// The algorithm follows Calimeri/Perri/Ricca's dependency-driven scheme
-/// (the same family Clingo and DLV use):
+/// Ground is the one-shot client of the instantiation core shared with
+/// IncrementalGrounder (ground/instantiate.h), which follows
+/// Calimeri/Perri/Ricca's dependency-driven scheme (the same family
+/// Clingo and DLV use):
 ///   1. build the predicate dependency graph (body -> head; mutual edges
 ///      between disjunctive head predicates),
 ///   2. condense it into strongly connected components, topologically
@@ -80,11 +82,13 @@ struct GroundingStats {
 ///      so recursive rules only re-fire on newly derived atoms,
 ///   4. optionally simplify (see GroundingOptions::simplify).
 ///
-/// Negative literals whose predicate is fully evaluated (earlier
-/// component) are resolved eagerly: underivable atoms delete the literal.
-/// Negation within a component (unstratified programs) is left to the
-/// solver, which is what makes the pipeline complete for arbitrary normal
-/// programs rather than just stratified ones.
+/// The one-shot client retains nothing between calls: its rules go
+/// straight to the returned program and it keeps no per-atom support
+/// bookkeeping. Negative literals whose predicate is fully evaluated
+/// (earlier component) are resolved eagerly: underivable atoms delete the
+/// literal. Negation within a component (unstratified programs) is left
+/// to the solver, which is what makes the pipeline complete for arbitrary
+/// normal programs rather than just stratified ones.
 class Grounder {
  public:
   explicit Grounder(GroundingOptions options = {}) : options_(options) {}

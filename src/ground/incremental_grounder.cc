@@ -8,37 +8,27 @@
 #include <utility>
 #include <vector>
 
-#include "asp/literal.h"
-#include "graph/components.h"
-#include "graph/graph.h"
 #include "ground/instantiate.h"
 
 namespace streamasp {
 
 namespace {
 
-using ground_internal::Binding;
-using ground_internal::CompiledRule;
-using ground_internal::ContainsUnfoldedArithmetic;
-using ground_internal::MatchPackedTerm;
-using ground_internal::MatchTerm;
-using ground_internal::PrecomputeGroundFlags;
-using ground_internal::PredicateExtension;
-using ground_internal::ResolveComparisons;
-using ground_internal::SubstituteAtomFast;
-using ground_internal::SubstituteTerm;
-
 constexpr uint32_t kNoPosition = static_cast<uint32_t>(-1);
-constexpr uint32_t kNoSlot = static_cast<uint32_t>(-1);
+
+/// Compaction threshold: retraction tombstones extension slots and leaks
+/// the retracted atoms' table entries, so once tombstoned atoms exceed
+/// this fraction of the atom table the next window rebuilds from scratch,
+/// which resets the table. Bounds cache memory to O(live ground program).
+constexpr double kCompactGarbageFraction = 0.5;
 
 /// Net per-atom change between two fact multisets.
 using NetDelta = std::unordered_map<Atom, int64_t, AtomHash>;
 
 }  // namespace
 
-/// The retained instantiation state. The evaluation core mirrors
-/// grounder.cc's InstantiationEngine (same shared primitives, same
-/// old/delta/full semi-naive range discipline) but differs in three ways:
+/// The retained instantiation state around the shared InstantiationCore
+/// (ground/instantiate.h). The engine is the core's incremental client:
 ///  * extensions, the atom table and the emitted rule store persist across
 ///    GroundWindow calls; each window replays only its fact delta;
 ///  * negative literals are never eagerly resolved against "final"
@@ -50,7 +40,9 @@ class IncrementalGrounder::Engine {
  public:
   Engine(const Program* program, GroundingOptions options,
          IncrementalGroundingOptions incremental)
-      : program_(program), options_(options), inc_(incremental) {}
+      : options_(options),
+        inc_(incremental),
+        core_(program, &out_.mutable_atoms()) {}
 
   Status GroundWindow(uint64_t sequence, const std::vector<Atom>& facts,
                       const FactDelta* delta, GroundingStats* stats);
@@ -63,24 +55,33 @@ class IncrementalGrounder::Engine {
   const std::vector<GroundRule>& store() const { return store_; }
   const AtomTable& atom_table() const { return out_.atoms(); }
   const GroundingDelta& last_delta() const { return delta_; }
+  const GroundingStats& call_stats() const { return call_stats_; }
+
+  // --- InstantiationCore client: the incremental retention policy ---
+  static constexpr bool kResolveFinalNegatives = false;
+  void GrowAtoms(size_t count) {
+    atom_pred_.resize(count, -1);
+    support_.resize(count, 0);
+    ext_pos_.resize(count, kNoPosition);
+    body_rules_.resize(count);
+  }
+  void OnDerive(GroundAtomId id, int pred, uint32_t position) {
+    atom_pred_[id] = pred;
+    ext_pos_[id] = position;
+  }
+  /// Appends a rule to the store with its support and body references.
+  Status Emit(GroundRule rule);
 
  private:
-  // --- static program analysis (built once) ---
-  Status Prepare();
-  int PredIndex(const PredicateSignature& sig);
-
   // --- dynamic cache primitives ---
   AtomTable& atoms() { return out_.mutable_atoms(); }
-  GroundAtomId InternAtom(const Atom& atom);
-  void Derive(GroundAtomId id);
-  GroundAtomId AddDerivedAtom(const Atom& atom);
+  bool derivable(GroundAtomId id) const { return core_.derivable()[id]; }
   void RetractAtom(GroundAtomId id, std::vector<GroundAtomId>* worklist);
   /// Marks a store rule dead (kills compact away in CompactStore).
   void KillRule(uint32_t slot, std::vector<GroundAtomId>* worklist);
   /// Swap-compacts the marked dead slots out of the dense store.
   void CompactStore();
   void RemoveBodyRef(GroundAtomId atom, uint32_t slot);
-  Status EmitIncrementalRule(GroundRule rule);
   /// Builds the per-window output: scratch copy of the store + window
   /// fact rules, optionally simplified; fills the output stat counters.
   void AssembleOutput();
@@ -92,52 +93,21 @@ class IncrementalGrounder::Engine {
   Status ApplyNetDelta(const NetDelta& net);
   Status CheckWindowCounts(const std::vector<Atom>& facts) const;
   Status Rebuild(const std::vector<Atom>& facts);
-  Status EvaluateWindow();
-  Status EvaluateComponentIncremental(int component,
-                                      const std::vector<CompiledRule*>& rules);
-  Status EvaluateRuleAt(CompiledRule* rule, int component,
-                        size_t delta_position, bool round1);
-  Status MatchFrom(CompiledRule* rule, size_t literal_index, int component,
-                   size_t delta_position, bool round1, Binding* binding,
-                   std::vector<GroundAtomId>* matched,
-                   std::vector<bool>* comparison_done);
-  Status EmitInstance(CompiledRule* rule, const Binding& binding,
-                      const std::vector<GroundAtomId>& matched);
-  std::pair<size_t, size_t> LiteralRange(const CompiledRule& rule,
-                                         size_t position, int component,
-                                         size_t delta_position,
-                                         bool round1) const;
 
-  const Program* program_;
   GroundingOptions options_;
   IncrementalGroundingOptions inc_;
-  bool prepared_ = false;
-
-  std::unordered_map<PredicateSignature, int, PredicateSignatureHash>
-      pred_index_;
-  std::vector<PredicateSignature> pred_signatures_;
-  /// Component of each predicate; -1 for predicates first seen as input
-  /// facts after Prepare (no rule reads them, so they never take part in
-  /// range computations).
-  std::vector<int> pred_component_;
-  int num_components_ = 0;
-  std::vector<CompiledRule> compiled_;
-  std::vector<std::vector<CompiledRule*>> component_rules_;
-  std::vector<CompiledRule*> constraints_;
-  /// Rules with no positive body atoms: their instances are independent of
-  /// the input facts, so they fire once per rebuild and persist.
-  std::vector<CompiledRule*> groundless_;
 
   // --- dynamic cache (reset by Rebuild) ---
   bool cache_valid_ = false;
   uint64_t cached_sequence_ = 0;
   GroundProgram out_;  ///< Owns the atom table + the per-window output.
-  std::vector<bool> derivable_;
+  /// Program analysis (built on the first window) plus the extensions and
+  /// derivable marks; interns into out_'s atom table.
+  ground_internal::InstantiationCore core_;
   std::vector<int> atom_pred_;         ///< Atom id -> predicate index.
   std::vector<uint32_t> support_;      ///< Deriving rules + window count.
   std::vector<uint32_t> ext_pos_;      ///< Atom id -> extension position.
   std::vector<std::vector<uint32_t>> body_rules_;  ///< Atom -> rule slots.
-  std::vector<PredicateExtension> extensions_;
   /// The cached instantiation, kept dense by swap-compaction after each
   /// retraction batch; the per-window output program is a scratch copy of
   /// it (plus the window's fact rules) so per-window simplification never
@@ -154,145 +124,7 @@ class IncrementalGrounder::Engine {
   GroundingDelta delta_;
 
   GroundingStats call_stats_;
-
- public:
-  const GroundingStats& call_stats() const { return call_stats_; }
 };
-
-int IncrementalGrounder::Engine::PredIndex(const PredicateSignature& sig) {
-  auto it = pred_index_.find(sig);
-  if (it != pred_index_.end()) return it->second;
-  const int index = static_cast<int>(pred_signatures_.size());
-  pred_index_.emplace(sig, index);
-  pred_signatures_.push_back(sig);
-  // Predicates registered after Prepare have no rules: component -1.
-  if (prepared_) pred_component_.push_back(-1);
-  extensions_.resize(pred_signatures_.size());
-  return index;
-}
-
-Status IncrementalGrounder::Engine::Prepare() {
-  STREAMASP_RETURN_IF_ERROR(program_->Validate());
-
-  for (const Rule& rule : program_->rules()) {
-    for (const Atom& a : rule.head()) PredIndex(a.signature());
-    for (const Literal& l : rule.body()) {
-      if (l.is_atom()) PredIndex(l.atom().signature());
-    }
-  }
-
-  Digraph dependencies(static_cast<NodeId>(pred_signatures_.size()));
-  for (const Rule& rule : program_->rules()) {
-    for (const Atom& head : rule.head()) {
-      const int head_pred = PredIndex(head.signature());
-      for (const Literal& l : rule.body()) {
-        if (!l.is_atom()) continue;
-        dependencies.AddEdge(
-            static_cast<NodeId>(PredIndex(l.atom().signature())),
-            static_cast<NodeId>(head_pred));
-      }
-    }
-    for (size_t i = 0; i + 1 < rule.head().size(); ++i) {
-      for (size_t j = i + 1; j < rule.head().size(); ++j) {
-        const NodeId a =
-            static_cast<NodeId>(PredIndex(rule.head()[i].signature()));
-        const NodeId b =
-            static_cast<NodeId>(PredIndex(rule.head()[j].signature()));
-        dependencies.AddEdge(a, b);
-        dependencies.AddEdge(b, a);
-      }
-    }
-  }
-  const ComponentAssignment components =
-      StronglyConnectedComponents(dependencies);
-  num_components_ = components.num_components;
-  pred_component_ = components.component_of;
-  extensions_.resize(pred_signatures_.size());
-
-  component_rules_.assign(num_components_, {});
-  compiled_.reserve(program_->rules().size());
-  for (const Rule& rule : program_->rules()) {
-    if (rule.body().empty()) continue;  // Facts are seeded separately.
-    CompiledRule cr;
-    for (const Atom& head : rule.head()) {
-      cr.heads.push_back(head);
-      cr.head_preds.push_back(PredIndex(head.signature()));
-    }
-    for (const Literal& l : rule.body()) {
-      switch (l.kind()) {
-        case Literal::Kind::kPositiveAtom:
-          cr.positive.push_back(l.atom());
-          cr.positive_preds.push_back(PredIndex(l.atom().signature()));
-          break;
-        case Literal::Kind::kNegativeAtom:
-          cr.negatives.push_back(l.atom());
-          cr.negative_preds.push_back(PredIndex(l.atom().signature()));
-          break;
-        case Literal::Kind::kComparison: {
-          cr.comparisons.push_back(l);
-          std::vector<SymbolId> vars;
-          l.CollectVariables(&vars);
-          std::sort(vars.begin(), vars.end());
-          vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-          cr.comparison_vars.push_back(std::move(vars));
-          break;
-        }
-      }
-    }
-    PrecomputeGroundFlags(&cr);
-    cr.component = cr.heads.empty()
-                       ? num_components_
-                       : pred_component_[cr.head_preds.front()];
-    if (!cr.heads.empty()) {
-      for (size_t i = 0; i < cr.positive.size(); ++i) {
-        if (pred_component_[cr.positive_preds[i]] == cr.component) {
-          cr.recursive = true;
-          cr.same_component_positions.push_back(i);
-        }
-      }
-    }
-    compiled_.push_back(std::move(cr));
-  }
-  // Pointers into compiled_ are stable from here on.
-  for (CompiledRule& cr : compiled_) {
-    if (cr.positive.empty()) {
-      groundless_.push_back(&cr);
-    } else if (cr.heads.empty()) {
-      constraints_.push_back(&cr);
-    } else {
-      component_rules_[cr.component].push_back(&cr);
-    }
-  }
-  prepared_ = true;
-  return OkStatus();
-}
-
-GroundAtomId IncrementalGrounder::Engine::InternAtom(const Atom& atom) {
-  const GroundAtomId id = atoms().Intern(atom);
-  if (id >= atom_pred_.size()) {
-    atom_pred_.resize(id + 1, -2);
-    derivable_.resize(id + 1, false);
-    support_.resize(id + 1, 0);
-    ext_pos_.resize(id + 1, kNoPosition);
-    body_rules_.resize(id + 1);
-  }
-  if (atom_pred_[id] == -2) atom_pred_[id] = PredIndex(atom.signature());
-  return id;
-}
-
-void IncrementalGrounder::Engine::Derive(GroundAtomId id) {
-  assert(!derivable_[id]);
-  derivable_[id] = true;
-  PredicateExtension& ext = extensions_[atom_pred_[id]];
-  ext_pos_[id] = static_cast<uint32_t>(ext.atoms.size());
-  ext.atoms.push_back(id);
-}
-
-GroundAtomId IncrementalGrounder::Engine::AddDerivedAtom(const Atom& atom) {
-  const GroundAtomId id = InternAtom(atom);
-  if (!derivable_[id]) Derive(id);
-  return id;
-}
 
 void IncrementalGrounder::Engine::RemoveBodyRef(GroundAtomId atom,
                                                 uint32_t slot) {
@@ -315,7 +147,7 @@ void IncrementalGrounder::Engine::KillRule(
   for (GroundAtomId b : rule.positive_body) RemoveBodyRef(b, slot);
   for (GroundAtomId h : rule.head) {
     assert(support_[h] > 0);
-    if (--support_[h] == 0 && derivable_[h]) worklist->push_back(h);
+    if (--support_[h] == 0 && derivable(h)) worklist->push_back(h);
   }
   dead_slots_.push_back(slot);
 }
@@ -354,10 +186,8 @@ void IncrementalGrounder::Engine::CompactStore() {
 
 void IncrementalGrounder::Engine::RetractAtom(
     GroundAtomId id, std::vector<GroundAtomId>* worklist) {
-  assert(derivable_[id] && support_[id] == 0);
-  derivable_[id] = false;
-  PredicateExtension& ext = extensions_[atom_pred_[id]];
-  ext.atoms[ext_pos_[id]] = kInvalidGroundAtom;
+  assert(support_[id] == 0);
+  core_.Tombstone(id, atom_pred_[id], ext_pos_[id]);
   ext_pos_[id] = kNoPosition;
   ++tombstoned_atoms_;
   // Dependent instances lose a positive-body atom that no current fact
@@ -369,13 +199,9 @@ void IncrementalGrounder::Engine::RetractAtom(
   }
 }
 
-Status IncrementalGrounder::Engine::EmitIncrementalRule(GroundRule rule) {
-  if (store_.size() >= options_.max_ground_rules) {
-    return ResourceExhaustedError(
-        "ground rule limit exceeded (" +
-        std::to_string(options_.max_ground_rules) +
-        "); the program may not be finitely groundable");
-  }
+Status IncrementalGrounder::Engine::Emit(GroundRule rule) {
+  STREAMASP_RETURN_IF_ERROR(ground_internal::CheckRuleLimit(
+      store_.size(), options_.max_ground_rules));
   const uint32_t slot = static_cast<uint32_t>(store_.size());
   for (GroundAtomId b : rule.positive_body) body_rules_[b].push_back(slot);
   for (GroundAtomId h : rule.head) ++support_[h];
@@ -441,10 +267,7 @@ Status IncrementalGrounder::Engine::ComputeNetDelta(
 }
 
 Status IncrementalGrounder::Engine::ApplyNetDelta(const NetDelta& net) {
-  // Open a fresh admission window on every extension.
-  for (PredicateExtension& ext : extensions_) {
-    ext.window_start = ext.atoms.size();
-  }
+  core_.OpenWindow();
 
   // Retract first: expired support disappears before admitted facts (or
   // the delta replay) can re-derive anything, so an atom that loses its
@@ -467,27 +290,23 @@ Status IncrementalGrounder::Engine::ApplyNetDelta(const NetDelta& net) {
     if (it->second == 0) window_counts_.erase(it);
     support_[id] -= drop;
     delta_.fact_delta.emplace_back(id, change);
-    if (support_[id] == 0 && derivable_[id]) worklist.push_back(id);
+    if (support_[id] == 0 && derivable(id)) worklist.push_back(id);
   }
   while (!worklist.empty()) {
     const GroundAtomId id = worklist.back();
     worklist.pop_back();
-    if (!derivable_[id] || support_[id] != 0) continue;
+    if (!derivable(id) || support_[id] != 0) continue;
     RetractAtom(id, &worklist);
   }
   CompactStore();
 
   for (const auto& [atom, change] : net) {
     if (change <= 0) continue;
-    if (!atom.IsGround()) {
-      return InvalidArgumentError("non-ground input fact: " +
-                                  atom.ToString(program_->symbol_table()));
-    }
-    const GroundAtomId id = InternAtom(atom);
+    STREAMASP_ASSIGN_OR_RETURN(const GroundAtomId id,
+                               core_.AddInputFact(atom, *this));
     window_counts_[atom] += static_cast<uint32_t>(change);
     support_[id] += static_cast<uint32_t>(change);
     delta_.fact_delta.emplace_back(id, change);
-    if (!derivable_[id]) Derive(id);
   }
   return OkStatus();
 }
@@ -512,223 +331,6 @@ Status IncrementalGrounder::Engine::CheckWindowCounts(
   return OkStatus();
 }
 
-std::pair<size_t, size_t> IncrementalGrounder::Engine::LiteralRange(
-    const CompiledRule& rule, size_t position, int component,
-    size_t delta_position, bool round1) const {
-  const int pred = rule.positive_preds[position];
-  const PredicateExtension& ext = extensions_[pred];
-  const bool in_component =
-      component < num_components_ && pred_component_[pred] == component;
-  if (in_component) {
-    if (position < delta_position) return {0, ext.delta_begin};
-    if (position == delta_position) return {ext.delta_begin, ext.delta_end};
-    return {0, ext.delta_end};
-  }
-  // External predicate (earlier component or fact-only): its delta is this
-  // window's admissions, consumed in round 1 only.
-  if (!round1) return {0, ext.atoms.size()};
-  if (position < delta_position) return {0, ext.window_start};
-  if (position == delta_position) return {ext.window_start, ext.atoms.size()};
-  return {0, ext.atoms.size()};
-}
-
-Status IncrementalGrounder::Engine::MatchFrom(
-    CompiledRule* rule, size_t literal_index, int component,
-    size_t delta_position, bool round1, Binding* binding,
-    std::vector<GroundAtomId>* matched,
-    std::vector<bool>* comparison_done) {
-  if (literal_index == rule->positive.size()) {
-    return EmitInstance(rule, *binding, *matched);
-  }
-
-  const Atom& pattern = rule->positive[literal_index];
-  const int pred = rule->positive_preds[literal_index];
-  PredicateExtension& ext = extensions_[pred];
-  const auto [range_begin, range_end] =
-      LiteralRange(*rule, literal_index, component, delta_position, round1);
-  if (range_begin >= range_end) return OkStatus();
-
-  int index_position = -1;
-  PackedTerm index_key;
-  for (size_t p = 0; p < pattern.args().size(); ++p) {
-    Term substituted = SubstituteTerm(pattern.args()[p], *binding);
-    if (substituted.IsGround()) {
-      index_position = static_cast<int>(p);
-      index_key = PackedTerm(substituted);
-      break;
-    }
-  }
-
-  // Buckets are keyed by the argument's packed word, read off the atom
-  // table's columnar mirror — no Term hashing on the probe or build path.
-  const std::vector<uint32_t>* bucket = nullptr;
-  if (index_position >= 0) {
-    if (ext.indexes.empty()) ext.indexes.resize(pattern.args().size());
-    ground_internal::PositionIndex& index = ext.indexes[index_position];
-    while (index.indexed_until < ext.atoms.size()) {
-      const uint32_t i = static_cast<uint32_t>(index.indexed_until++);
-      if (ext.atoms[i] == kInvalidGroundAtom) continue;  // Tombstone.
-      index.map[atoms().PackedArgs(ext.atoms[i])[index_position].bits()]
-          .push_back(i);
-    }
-    auto it = index.map.find(index_key.bits());
-    if (it == index.map.end()) return OkStatus();
-    bucket = &it->second;
-  }
-
-  auto try_candidate = [&](size_t extension_index) -> Status {
-    const GroundAtomId id = ext.atoms[extension_index];
-    if (id == kInvalidGroundAtom) return OkStatus();  // Retracted.
-    const PackedTerm* candidate_args = atoms().PackedArgs(id);
-    const size_t mark = binding->Mark();
-    bool matches = atoms().PackedArity(id) == pattern.args().size();
-    for (size_t p = 0; matches && p < pattern.args().size(); ++p) {
-      matches = MatchPackedTerm(pattern.args()[p], candidate_args[p], binding);
-    }
-    if (matches) {
-      std::vector<size_t> newly_done;
-      const bool comparisons_hold =
-          ResolveComparisons(*rule, binding, comparison_done, &newly_done);
-      if (comparisons_hold) {
-        (*matched)[literal_index] = id;
-        STREAMASP_RETURN_IF_ERROR(
-            MatchFrom(rule, literal_index + 1, component, delta_position,
-                      round1, binding, matched, comparison_done));
-      }
-      for (size_t c : newly_done) (*comparison_done)[c] = false;
-    }
-    binding->RewindTo(mark);
-    return OkStatus();
-  };
-
-  if (bucket != nullptr) {
-    // Iterate by index over a size snapshot: a later literal of the same
-    // predicate can lazily extend this very index while we are suspended
-    // in the recursion, reallocating the bucket under a range-for (the
-    // map's value reference itself survives rehashing). Entries appended
-    // mid-iteration lie beyond range_end and are skipped regardless.
-    const size_t bucket_size = bucket->size();
-    for (size_t b = 0; b < bucket_size; ++b) {
-      const uint32_t i = (*bucket)[b];
-      if (i < range_begin || i >= range_end) continue;
-      STREAMASP_RETURN_IF_ERROR(try_candidate(i));
-    }
-  } else {
-    for (size_t i = range_begin; i < range_end; ++i) {
-      STREAMASP_RETURN_IF_ERROR(try_candidate(i));
-    }
-  }
-  return OkStatus();
-}
-
-Status IncrementalGrounder::Engine::EmitInstance(
-    CompiledRule* rule, const Binding& binding,
-    const std::vector<GroundAtomId>& matched) {
-  GroundRule ground;
-  ground.positive_body.assign(matched.begin(), matched.end());
-
-  // Unlike the batch engine, negative literals are never resolved against
-  // a "fully evaluated" extension: under sliding windows every extension
-  // can still change, so the literal is kept and the per-window simplify
-  // pass prunes what the current window makes underivable.
-  for (size_t i = 0; i < rule->negatives.size(); ++i) {
-    const Atom instance = SubstituteAtomFast(rule->negatives[i],
-                                             rule->negatives_ground[i], binding);
-    assert(instance.IsGround() && "safety guarantees ground negatives");
-    if (ContainsUnfoldedArithmetic(instance)) {
-      return OkStatus();  // Undefined arithmetic: skip the instance.
-    }
-    ground.negative_body.push_back(InternAtom(instance));
-  }
-
-  for (size_t h = 0; h < rule->heads.size(); ++h) {
-    const Atom instance =
-        SubstituteAtomFast(rule->heads[h], rule->heads_ground[h], binding);
-    assert(instance.IsGround() && "safety guarantees ground heads");
-    if (ContainsUnfoldedArithmetic(instance)) {
-      return OkStatus();  // Undefined arithmetic: skip the instance.
-    }
-    ground.head.push_back(AddDerivedAtom(instance));
-  }
-  return EmitIncrementalRule(std::move(ground));
-}
-
-Status IncrementalGrounder::Engine::EvaluateRuleAt(CompiledRule* rule,
-                                                   int component,
-                                                   size_t delta_position,
-                                                   bool round1) {
-  Binding binding;
-  std::vector<GroundAtomId> matched(rule->positive.size(),
-                                    kInvalidGroundAtom);
-  std::vector<bool> comparison_done(rule->comparisons.size(), false);
-  std::vector<size_t> upfront_done;
-  if (!ResolveComparisons(*rule, &binding, &comparison_done,
-                          &upfront_done)) {
-    return OkStatus();  // The rule can never fire.
-  }
-  return MatchFrom(rule, 0, component, delta_position, round1, &binding,
-                   &matched, &comparison_done);
-}
-
-Status IncrementalGrounder::Engine::EvaluateComponentIncremental(
-    int component, const std::vector<CompiledRule*>& rules) {
-  if (rules.empty()) return OkStatus();
-
-  std::vector<int> component_preds;
-  if (component < num_components_) {
-    for (size_t p = 0; p < pred_signatures_.size(); ++p) {
-      if (pred_component_[p] == component) {
-        component_preds.push_back(static_cast<int>(p));
-        extensions_[p].delta_begin = extensions_[p].window_start;
-        extensions_[p].delta_end = extensions_[p].atoms.size();
-      }
-    }
-  }
-
-  // Round 1: every position whose predicate has a window delta (admitted
-  // facts or atoms derived by earlier components this window) takes the
-  // delta role once; earlier positions see old-only, later ones see
-  // everything — each new combination fires at its first delta position.
-  for (CompiledRule* rule : rules) {
-    for (size_t j = 0; j < rule->positive.size(); ++j) {
-      const auto [db, de] = LiteralRange(*rule, j, component, j, true);
-      if (db >= de) continue;
-      STREAMASP_RETURN_IF_ERROR(EvaluateRuleAt(rule, component, j, true));
-    }
-  }
-
-  // Semi-naive fixpoint for in-component recursion: later rounds advance
-  // only the component's own deltas (external deltas were consumed in
-  // round 1 and are full-range from here on).
-  for (;;) {
-    bool any_delta = false;
-    for (int p : component_preds) {
-      extensions_[p].delta_begin = extensions_[p].delta_end;
-      extensions_[p].delta_end = extensions_[p].atoms.size();
-      if (extensions_[p].delta_begin < extensions_[p].delta_end) {
-        any_delta = true;
-      }
-    }
-    if (!any_delta) break;
-    for (CompiledRule* rule : rules) {
-      if (!rule->recursive) continue;
-      for (size_t j : rule->same_component_positions) {
-        STREAMASP_RETURN_IF_ERROR(
-            EvaluateRuleAt(rule, component, j, false));
-      }
-    }
-  }
-  return OkStatus();
-}
-
-Status IncrementalGrounder::Engine::EvaluateWindow() {
-  for (int c = 0; c < num_components_; ++c) {
-    STREAMASP_RETURN_IF_ERROR(
-        EvaluateComponentIncremental(c, component_rules_[c]));
-  }
-  return EvaluateComponentIncremental(num_components_, constraints_);
-}
-
 Status IncrementalGrounder::Engine::Rebuild(const std::vector<Atom>& facts) {
   // Atom interning restarts, but the previous window's population is the
   // best size estimate: reserve up front so the hot Intern loop never
@@ -736,42 +338,26 @@ Status IncrementalGrounder::Engine::Rebuild(const std::vector<Atom>& facts) {
   const size_t previous_atoms = out_.num_atoms();
   out_ = GroundProgram();
   if (previous_atoms > 0) out_.mutable_atoms().Reserve(previous_atoms);
-  derivable_.clear();
+  core_.Reset();
   atom_pred_.clear();
   support_.clear();
   ext_pos_.clear();
   body_rules_.clear();
-  extensions_.assign(pred_signatures_.size(), PredicateExtension{});
   store_.clear();
   alive_.clear();
   dead_slots_.clear();
   tombstoned_atoms_ = 0;
   window_counts_.clear();
 
-  // Seed the program's own facts as permanently supported rules.
-  for (const Rule& rule : program_->rules()) {
-    if (!rule.body().empty()) continue;
-    GroundRule ground;
-    for (const Atom& head : rule.head()) {
-      if (!head.IsGround()) {
-        return InvalidArgumentError(
-            "non-ground fact: " + rule.ToString(program_->symbol_table()));
-      }
-      ground.head.push_back(AddDerivedAtom(head));
-    }
-    STREAMASP_RETURN_IF_ERROR(EmitIncrementalRule(std::move(ground)));
-  }
+  // The program's own facts become permanently supported store rules.
+  STREAMASP_RETURN_IF_ERROR(core_.SeedProgramFacts(*this));
   // Window facts: derivable + supported, but their fact rules live in the
   // per-window output, not the cache.
   for (const Atom& fact : facts) {
-    if (!fact.IsGround()) {
-      return InvalidArgumentError("non-ground input fact: " +
-                                  fact.ToString(program_->symbol_table()));
-    }
-    const GroundAtomId id = InternAtom(fact);
+    STREAMASP_ASSIGN_OR_RETURN(const GroundAtomId id,
+                               core_.AddInputFact(fact, *this));
     ++window_counts_[fact];
     ++support_[id];
-    if (!derivable_[id]) Derive(id);
   }
   // A rebuild restarts slot numbering and atom interning, so the delta's
   // fact view is the full window multiset, not a diff.
@@ -780,17 +366,10 @@ Status IncrementalGrounder::Engine::Rebuild(const std::vector<Atom>& facts) {
                                    static_cast<int64_t>(count));
   }
 
-  // Fact-independent rules fire exactly once per rebuild.
-  for (CompiledRule* rule : groundless_) {
-    STREAMASP_RETURN_IF_ERROR(
-        EvaluateRuleAt(rule, rule->component, 0, true));
-  }
-
-  // With empty window_start marks everything seeded above is this
-  // window's delta, so the shared delta replay performs the full
-  // bottom-up instantiation.
-  for (PredicateExtension& ext : extensions_) ext.window_start = 0;
-  return EvaluateWindow();
+  // Every admission window starts at 0 after the reset, so everything
+  // seeded above is this window's delta and the evaluation performs the
+  // full bottom-up instantiation (fact-independent rules included).
+  return core_.Evaluate(/*full=*/true, *this);
 }
 
 void IncrementalGrounder::Engine::AssembleOutput() {
@@ -809,23 +388,15 @@ void IncrementalGrounder::Engine::AssembleOutput() {
       rules.push_back(GroundRule{{id}, {}, {}});
     }
   }
-  call_stats_.num_rules_raw = rules.size();
-  if (options_.simplify) {
-    ground_internal::SimplifyGroundRules(atoms().size(), derivable_, &rules);
-  }
-  call_stats_.num_rules = rules.size();
-  call_stats_.num_atoms = atoms().size();
-  for (const GroundRule& rule : rules) {
-    if (rule.is_fact()) ++call_stats_.num_facts;
-    if (rule.is_constraint()) ++call_stats_.num_constraints;
-  }
+  ground_internal::FinishOutput(options_.simplify, atoms().size(),
+                                core_.derivable(), &rules, &call_stats_);
 }
 
 Status IncrementalGrounder::Engine::GroundWindow(
     uint64_t sequence, const std::vector<Atom>& facts,
     const FactDelta* delta, GroundingStats* stats) {
   call_stats_ = GroundingStats{};
-  if (!prepared_) STREAMASP_RETURN_IF_ERROR(Prepare());
+  if (!core_.prepared()) STREAMASP_RETURN_IF_ERROR(core_.Prepare());
 
   const size_t store_before = store_.size();
   bool full = !cache_valid_;
@@ -833,7 +404,7 @@ Status IncrementalGrounder::Engine::GroundWindow(
     // Memory bound: retraction tombstones extension slots and leaks the
     // retracted atoms' table entries; rebuild once they dominate.
     if (static_cast<double>(tombstoned_atoms_) >
-        inc_.compact_garbage_fraction * static_cast<double>(atoms().size())) {
+        kCompactGarbageFraction * static_cast<double>(atoms().size())) {
       full = true;
     }
   }
@@ -869,11 +440,11 @@ Status IncrementalGrounder::Engine::GroundWindow(
   } else {
     call_stats_.incremental_windows = 1;
     status = ApplyNetDelta(net);
-    // Retraction and compaction are done; everything EvaluateWindow
+    // Retraction and compaction are done; everything the delta replay
     // appends from here on is the window's new-rule tail.
     delta_.new_rules_begin = store_.size();
     if (status.ok()) status = CheckWindowCounts(facts);
-    if (status.ok()) status = EvaluateWindow();
+    if (status.ok()) status = core_.Evaluate(/*full=*/false, *this);
   }
   if (!status.ok()) {
     cache_valid_ = false;  // Partially applied state is unusable.

@@ -23,13 +23,6 @@ struct IncrementalGroundingOptions {
   /// full grounding.
   double fallback_delta_fraction = 0.5;
 
-  /// Compaction threshold: retraction tombstones atoms and rule slots in
-  /// place, so a long-running sliding stream accumulates garbage in the
-  /// cache. When dead rule slots (or tombstoned atoms) exceed this
-  /// fraction of the store, the next window rebuilds from scratch, which
-  /// resets the arena. Bounds cache memory to O(live ground program).
-  double compact_garbage_fraction = 0.5;
-
   /// Assemble the per-window output program (scratch copy of the store +
   /// fact rules + the shared simplification pass). Callers that solve
   /// through an IncrementalSolver consume the cached store and the
@@ -47,6 +40,13 @@ struct IncrementalGroundingOptions {
 /// retracts ground rules whose support expired and instantiates only the
 /// rule instances enabled by admitted facts.
 ///
+/// Instantiation itself is the core shared with the one-shot Grounder
+/// (ground/instantiate.h); this class is its retaining client. It owns
+/// only what is incremental: the net-delta computation and snapshot diff,
+/// support counting with retraction and swap-compaction of the rule
+/// store, the published GroundingDelta and the per-window output
+/// assembly.
+///
 /// Correctness model (see ARCHITECTURE.md, "Incremental window
 /// grounding"): the cache is an *overgrounded* program — instantiation
 /// without eager negation resolution is monotone in the input facts, so
@@ -61,7 +61,7 @@ struct IncrementalGroundingOptions {
 /// over-retention never changes the answer sets. The per-window output is
 /// a scratch copy of the cached store (kept dense by swap-compaction)
 /// plus the window's fact rules, passed through the same
-/// equivalence-preserving simplification the batch Grounder uses
+/// equivalence-preserving simplification the one-shot Grounder uses
 /// (GroundingOptions::simplify) — simplification is window-specific, so
 /// it runs on the copy and never touches the cache. Net: for every
 /// window, GroundWindow's output has exactly the stable models of

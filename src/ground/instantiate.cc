@@ -2,8 +2,29 @@
 
 #include <algorithm>
 
+#include "graph/components.h"
+#include "graph/graph.h"
+
 namespace streamasp {
 namespace ground_internal {
+
+namespace {
+
+/// Fills the precomputed per-pattern groundness flags of a compiled rule.
+void PrecomputeGroundFlags(CompiledRule* rule) {
+  rule->heads_ground.clear();
+  rule->heads_ground.reserve(rule->heads.size());
+  for (const Atom& head : rule->heads) {
+    rule->heads_ground.push_back(head.IsGround());
+  }
+  rule->negatives_ground.clear();
+  rule->negatives_ground.reserve(rule->negatives.size());
+  for (const Atom& negative : rule->negatives) {
+    rule->negatives_ground.push_back(negative.IsGround());
+  }
+}
+
+}  // namespace
 
 bool MatchTerm(const Term& pattern, const Term& ground, Binding* binding) {
   switch (pattern.kind()) {
@@ -116,15 +137,6 @@ bool ContainsUnfoldedArithmetic(const Atom& atom) {
   return false;
 }
 
-Atom SubstituteAtom(const Atom& atom, const Binding& binding) {
-  std::vector<Term> args;
-  args.reserve(atom.args().size());
-  for (const Term& arg : atom.args()) {
-    args.push_back(SubstituteTerm(arg, binding));
-  }
-  return Atom(atom.predicate(), std::move(args));
-}
-
 Atom SubstituteAtomFast(const Atom& atom, bool pattern_ground,
                         const Binding& binding) {
   if (pattern_ground) return atom;  // Nothing to substitute.
@@ -151,19 +163,6 @@ Atom SubstituteAtomFast(const Atom& atom, bool pattern_ground,
     }
   }
   return Atom(atom.predicate(), std::move(args));
-}
-
-void PrecomputeGroundFlags(CompiledRule* rule) {
-  rule->heads_ground.clear();
-  rule->heads_ground.reserve(rule->heads.size());
-  for (const Atom& head : rule->heads) {
-    rule->heads_ground.push_back(head.IsGround());
-  }
-  rule->negatives_ground.clear();
-  rule->negatives_ground.reserve(rule->negatives.size());
-  for (const Atom& negative : rule->negatives) {
-    rule->negatives_ground.push_back(negative.IsGround());
-  }
 }
 
 bool ResolveComparisons(const CompiledRule& rule, Binding* binding,
@@ -284,6 +283,157 @@ void SimplifyGroundRules(size_t num_atoms, const std::vector<bool>& derivable,
     if (!removed[r]) output.push_back(std::move(rules[r]));
   }
   rules = std::move(output);
+}
+
+void FinishOutput(bool simplify, size_t num_atoms,
+                  const std::vector<bool>& derivable,
+                  std::vector<GroundRule>* rules, GroundingStats* stats) {
+  stats->num_rules_raw = rules->size();
+  if (simplify) SimplifyGroundRules(num_atoms, derivable, rules);
+  stats->num_rules = rules->size();
+  stats->num_atoms = num_atoms;
+  for (const GroundRule& rule : *rules) {
+    if (rule.is_fact()) ++stats->num_facts;
+    if (rule.is_constraint()) ++stats->num_constraints;
+  }
+}
+
+Status CheckRuleLimit(size_t emitted, size_t max_ground_rules) {
+  if (emitted < max_ground_rules) return OkStatus();
+  return ResourceExhaustedError(
+      "ground rule limit exceeded (" + std::to_string(max_ground_rules) +
+      "); the program may not be finitely groundable");
+}
+
+int InstantiationCore::PredIndex(const PredicateSignature& sig) {
+  auto it = pred_index_.find(sig);
+  if (it != pred_index_.end()) return it->second;
+  const int index = static_cast<int>(pred_signatures_.size());
+  pred_index_.emplace(sig, index);
+  pred_signatures_.push_back(sig);
+  if (prepared_) pred_component_.push_back(-1);
+  extensions_.resize(pred_signatures_.size());
+  return index;
+}
+
+Status InstantiationCore::Prepare() {
+  STREAMASP_RETURN_IF_ERROR(program_->Validate());
+
+  // Register every predicate so indexes are stable.
+  for (const Rule& rule : program_->rules()) {
+    for (const Atom& a : rule.head()) PredIndex(a.signature());
+    for (const Literal& l : rule.body()) {
+      if (l.is_atom()) PredIndex(l.atom().signature());
+    }
+  }
+
+  Digraph dependencies(static_cast<NodeId>(pred_signatures_.size()));
+  for (const Rule& rule : program_->rules()) {
+    for (const Atom& head : rule.head()) {
+      const int head_pred = PredIndex(head.signature());
+      for (const Literal& l : rule.body()) {
+        if (!l.is_atom()) continue;
+        dependencies.AddEdge(
+            static_cast<NodeId>(PredIndex(l.atom().signature())),
+            static_cast<NodeId>(head_pred));
+      }
+    }
+    // Disjunctive head predicates must be instantiated together: a rule
+    // deriving one of them can retroactively feed rules over another.
+    for (size_t i = 0; i + 1 < rule.head().size(); ++i) {
+      for (size_t j = i + 1; j < rule.head().size(); ++j) {
+        const NodeId a =
+            static_cast<NodeId>(PredIndex(rule.head()[i].signature()));
+        const NodeId b =
+            static_cast<NodeId>(PredIndex(rule.head()[j].signature()));
+        dependencies.AddEdge(a, b);
+        dependencies.AddEdge(b, a);
+      }
+    }
+  }
+  const ComponentAssignment components =
+      StronglyConnectedComponents(dependencies);
+  num_components_ = components.num_components;
+  pred_component_ = components.component_of;
+  component_preds_.assign(num_components_ + 1, {});
+  for (size_t p = 0; p < pred_component_.size(); ++p) {
+    component_preds_[pred_component_[p]].push_back(static_cast<int>(p));
+  }
+
+  component_rules_.assign(num_components_ + 1, {});
+  compiled_.reserve(program_->rules().size());
+  for (const Rule& rule : program_->rules()) {
+    if (rule.body().empty()) continue;  // Facts are seeded separately.
+    CompiledRule cr;
+    for (const Atom& head : rule.head()) {
+      cr.heads.push_back(head);
+      cr.head_preds.push_back(PredIndex(head.signature()));
+    }
+    for (const Literal& l : rule.body()) {
+      switch (l.kind()) {
+        case Literal::Kind::kPositiveAtom:
+          cr.positive.push_back(l.atom());
+          cr.positive_preds.push_back(PredIndex(l.atom().signature()));
+          break;
+        case Literal::Kind::kNegativeAtom:
+          cr.negatives.push_back(l.atom());
+          cr.negative_preds.push_back(PredIndex(l.atom().signature()));
+          break;
+        case Literal::Kind::kComparison:
+          cr.comparisons.push_back(l);
+          break;
+      }
+    }
+    PrecomputeGroundFlags(&cr);
+    if (cr.heads.empty()) {
+      // Constraints run in the last pseudo-component, over final
+      // extensions.
+      cr.component = num_components_;
+    } else {
+      // All head predicates share a component (mutual edges); schedule
+      // the rule there.
+      cr.component = pred_component_[cr.head_preds.front()];
+      for (size_t i = 0; i < cr.positive.size(); ++i) {
+        if (pred_component_[cr.positive_preds[i]] == cr.component) {
+          cr.recursive = true;
+          cr.same_component_positions.push_back(i);
+        }
+      }
+    }
+    compiled_.push_back(std::move(cr));
+  }
+  // Pointers into compiled_ are stable from here on.
+  for (CompiledRule& cr : compiled_) {
+    component_rules_[cr.component].push_back(&cr);
+  }
+  prepared_ = true;
+  return OkStatus();
+}
+
+void InstantiationCore::Reset() {
+  derivable_.clear();
+  extensions_.assign(pred_signatures_.size(), PredicateExtension{});
+}
+
+std::pair<size_t, size_t> InstantiationCore::LiteralRange(
+    const CompiledRule& rule, size_t position, int component,
+    size_t delta_position, bool round1) const {
+  const int pred = rule.positive_preds[position];
+  const PredicateExtension& ext = extensions_[pred];
+  if (pred_component_[pred] == component) {
+    // Semi-naive decomposition: literals before the delta position see
+    // the old window, the delta position sees only the delta, later ones
+    // see old+delta.
+    if (position < delta_position) return {0, ext.delta_begin};
+    if (position == delta_position) return {ext.delta_begin, ext.delta_end};
+    return {0, ext.delta_end};
+  }
+  // External predicate (earlier component or fact-only): its delta is this
+  // window's admissions, consumed in round 1 only.
+  if (!round1) return {0, ext.atoms.size()};
+  if (position < delta_position) return {0, ext.window_start};
+  if (position == delta_position) return {ext.window_start, ext.atoms.size()};
+  return {0, ext.atoms.size()};
 }
 
 }  // namespace ground_internal

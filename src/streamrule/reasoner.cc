@@ -18,23 +18,9 @@ Reasoner::Reasoner(const Program* program, ReasonerOptions options)
   }
 }
 
-StatusOr<ReasonerResult> Reasoner::Process(const TripleWindow& window) const {
-  WallTimer total;
-  WallTimer phase;
-  STREAMASP_ASSIGN_OR_RETURN(std::vector<Atom> facts,
-                             format_.ToFacts(window.items));
-  const double convert_ms = phase.ElapsedMillis();
-
-  STREAMASP_ASSIGN_OR_RETURN(ReasonerResult result, ProcessFacts(facts));
-  result.convert_ms = convert_ms;
-  result.latency_ms = total.ElapsedMillis();
-  return result;
-}
-
 StatusOr<ReasonerResult> Reasoner::Process(
     const TripleWindow& window, IncrementalGrounder* grounder,
     IncrementalSolver* solver) const {
-  if (grounder == nullptr) return Process(window);
   WallTimer total;
   WallTimer phase;
   STREAMASP_ASSIGN_OR_RETURN(std::vector<Atom> facts,
@@ -48,7 +34,8 @@ StatusOr<ReasonerResult> Reasoner::Process(
   // against their cached sequence and snapshot-diff on mismatch.
   IncrementalGrounder::FactDelta delta;
   const IncrementalGrounder::FactDelta* delta_ptr = nullptr;
-  if (window.has_delta && window.delta_base != TripleWindow::kNoDeltaBase) {
+  if (grounder != nullptr && window.has_delta &&
+      window.delta_base != TripleWindow::kNoDeltaBase) {
     delta.previous_sequence = window.delta_base;
     STREAMASP_ASSIGN_OR_RETURN(delta.expired,
                                format_.ToFacts(window.expired));
@@ -60,8 +47,7 @@ StatusOr<ReasonerResult> Reasoner::Process(
 
   STREAMASP_ASSIGN_OR_RETURN(
       ReasonerResult result,
-      ProcessFactsIncremental(window.sequence, facts, delta_ptr, grounder,
-                              solver));
+      Reason(window.sequence, facts, delta_ptr, grounder, solver));
   result.convert_ms = convert_ms;
   result.latency_ms = total.ElapsedMillis();
   return result;
@@ -69,26 +55,15 @@ StatusOr<ReasonerResult> Reasoner::Process(
 
 StatusOr<ReasonerResult> Reasoner::ProcessFacts(
     const std::vector<Atom>& facts) const {
-  ReasonerResult result;
-  WallTimer total;
-
-  WallTimer phase;
-  const Grounder grounder(options_.grounding);
-  STREAMASP_ASSIGN_OR_RETURN(GroundProgram ground,
-                             grounder.Ground(*program_, facts,
-                                             &result.grounding));
-  result.ground_ms = phase.ElapsedMillis();
-
-  STREAMASP_RETURN_IF_ERROR(SolveGround(ground, &result));
-  result.latency_ms = total.ElapsedMillis();
-  return result;
+  return Reason(0, facts, nullptr, nullptr, nullptr);
 }
 
-StatusOr<ReasonerResult> Reasoner::ProcessFactsIncremental(
+StatusOr<ReasonerResult> Reasoner::Reason(
     uint64_t sequence, const std::vector<Atom>& facts,
     const IncrementalGrounder::FactDelta* delta,
     IncrementalGrounder* grounder, IncrementalSolver* solver) const {
-  if (solver == nullptr && !grounder->assembles_output()) {
+  if (grounder != nullptr && solver == nullptr &&
+      !grounder->assembles_output()) {
     // The cold tail would silently solve the never-assembled (stale or
     // empty) output program; fail loudly instead.
     return InvalidArgumentError(
@@ -99,12 +74,20 @@ StatusOr<ReasonerResult> Reasoner::ProcessFactsIncremental(
   WallTimer total;
 
   WallTimer phase;
-  STREAMASP_ASSIGN_OR_RETURN(
-      const GroundProgram* ground,
-      grounder->GroundWindow(sequence, facts, delta, &result.grounding));
+  GroundProgram cold;
+  const GroundProgram* ground = &cold;
+  if (grounder == nullptr) {
+    STREAMASP_ASSIGN_OR_RETURN(
+        cold, Grounder(options_.grounding)
+                  .Ground(*program_, facts, &result.grounding));
+  } else {
+    STREAMASP_ASSIGN_OR_RETURN(
+        ground,
+        grounder->GroundWindow(sequence, facts, delta, &result.grounding));
+  }
   result.ground_ms = phase.ElapsedMillis();
 
-  if (solver != nullptr) {
+  if (grounder != nullptr && solver != nullptr) {
     STREAMASP_RETURN_IF_ERROR(
         SolveIncremental(sequence, facts, grounder, solver, &result));
   } else {

@@ -26,9 +26,9 @@ struct ReasonerOptions {
 
   /// Reuse grounding across overlapping windows: the owning layer (the
   /// parallel reasoner) keeps one IncrementalGrounder per partition
-  /// sub-stream and routes windows through the incremental Process
-  /// overload instead of batch-grounding from scratch. Answers are
-  /// unchanged (see ground/incremental_grounder.h); only the grounding
+  /// sub-stream and passes it to Process instead of a null grounder (the
+  /// one-shot Grounder). Both drive the same instantiation core (see
+  /// ground/instantiate.h), so answers are unchanged; only the grounding
   /// work shrinks to the window delta.
   ///
   /// Solving reuse rides the same routing: with solving.reuse_solving set
@@ -74,39 +74,41 @@ class Reasoner {
   Reasoner(const Program* program, ReasonerOptions options = {});
 
   /// Full pipeline on a triple window: convert → ground → solve.
-  StatusOr<ReasonerResult> Process(const TripleWindow& window) const;
-
-  /// Incremental variant: grounds through `grounder` (caller-owned, one
-  /// per sub-stream, calls serialized by the caller), reusing the cached
-  /// instantiation of the previous window. The window's expired/admitted
-  /// delta (when present) is converted alongside the items and handed to
-  /// the grounder as a diff hint. Passing a null grounder falls back to
-  /// the batch path.
+  ///
+  /// With a null `grounder` the window is grounded from scratch (the cold
+  /// path). A non-null `grounder` (caller-owned, one per sub-stream, calls
+  /// serialized by the caller) reuses the cached instantiation of the
+  /// previous window; the window's expired/admitted delta (when present)
+  /// is converted alongside the items and handed to it as a diff hint.
   ///
   /// `solver` optionally carries the paired persistent IncrementalSolver
   /// (same ownership and serialization contract as the grounder): when
   /// non-null, the solve phase patches it with the grounder's
   /// GroundingDelta instead of building a cold engine over the assembled
-  /// output — pair it with a grounder whose assemble_output is off. Null
-  /// keeps the cold Solver::Solve tail.
+  /// output — pair it with a grounder whose assemble_output is off (a
+  /// grounder without assembly and no solver is kInvalidArgument). It is
+  /// ignored on the cold path.
   StatusOr<ReasonerResult> Process(const TripleWindow& window,
-                                   IncrementalGrounder* grounder,
+                                   IncrementalGrounder* grounder = nullptr,
                                    IncrementalSolver* solver = nullptr) const;
 
-  /// Same pipeline when the caller already has ASP facts.
+  /// Cold pipeline when the caller already has ASP facts.
   StatusOr<ReasonerResult> ProcessFacts(const std::vector<Atom>& facts) const;
-
-  /// Fact-level incremental variant; `delta` and `solver` may be null.
-  StatusOr<ReasonerResult> ProcessFactsIncremental(
-      uint64_t sequence, const std::vector<Atom>& facts,
-      const IncrementalGrounder::FactDelta* delta,
-      IncrementalGrounder* grounder,
-      IncrementalSolver* solver = nullptr) const;
 
   const Program& program() const { return *program_; }
 
  private:
-  /// Shared solve + answer-extraction tail of the cold Process variants.
+  /// The one reasoning body: grounds `facts` (window `sequence`) from
+  /// scratch when `grounder` is null, else through it with `delta` as the
+  /// diff hint, then solves cold or, when both engines are given, through
+  /// `solver`.
+  StatusOr<ReasonerResult> Reason(uint64_t sequence,
+                                  const std::vector<Atom>& facts,
+                                  const IncrementalGrounder::FactDelta* delta,
+                                  IncrementalGrounder* grounder,
+                                  IncrementalSolver* solver) const;
+
+  /// Cold solve + answer-extraction tail.
   Status SolveGround(const GroundProgram& ground, ReasonerResult* result) const;
 
   /// Warm tail: patches `solver` with the grounder's last delta and

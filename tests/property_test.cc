@@ -1,9 +1,11 @@
 // Property-style suites over randomly generated programs and windows:
 // solver soundness (every reported model passes the from-first-principles
 // stable-model check), grounder/solver equivalence under simplification,
-// and partitioning invariants.
+// partitioning invariants, and a grounding oracle that checks the cold
+// and incremental grounders against a naive instantiation.
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,6 +15,8 @@
 #include "asp/parser.h"
 #include "depgraph/decomposition.h"
 #include "ground/grounder.h"
+#include "ground/incremental_grounder.h"
+#include "solve/incremental_solver.h"
 #include "solve/solver.h"
 #include "streamrule/partitioning_handler.h"
 #include "streamrule/random_partitioner.h"
@@ -226,6 +230,264 @@ TEST_P(PartitioningPropertyTest, RandomPartitionIsAPartition) {
 
 INSTANTIATE_TEST_SUITE_P(RandomWindows, PartitioningPropertyTest,
                          ::testing::Range<uint64_t>(0, 20));
+
+/// Generates a random safe, function-free, stratified non-ground program
+/// over the input predicates e0/1, e1/2, e2/2 and the derived predicates
+/// q0/1, q1/2 (level 0) and q2/1, q3/2 (level 1), with constants 0..3. A
+/// rule reads derived predicates of its own level or below positively
+/// (so self and mutual recursion occur) and only of lower levels under
+/// negation; constraints may negate any predicate. Bodies carry one to
+/// three positive literals, up to two negated ones and at most one
+/// comparison, all over variables the positive literals bind.
+std::string RandomStratifiedProgram(uint64_t seed) {
+  Rng rng(seed);
+  struct Pred {
+    std::string name;
+    int arity;
+    int level;  // -1: input predicate.
+  };
+  const std::vector<Pred> preds = {{"e0", 1, -1}, {"e1", 2, -1},
+                                   {"e2", 2, -1}, {"q0", 1, 0},
+                                   {"q1", 2, 0},  {"q2", 1, 1},
+                                   {"q3", 2, 1}};
+  const char* const kVars[] = {"X", "Y", "Z"};
+  const char* const kOps[] = {"=", "!=", "<", "<=", ">", ">="};
+  auto constant = [&] { return std::to_string(rng.NextBounded(4)); };
+  auto pick = [&](const std::function<bool(const Pred&)>& allowed) {
+    std::vector<const Pred*> candidates;
+    for (const Pred& p : preds) {
+      if (allowed(p)) candidates.push_back(&p);
+    }
+    return candidates[rng.NextBounded(candidates.size())];
+  };
+
+  std::string text;
+  const int num_rules = 3 + static_cast<int>(rng.NextBounded(6));
+  for (int r = 0; r < num_rules; ++r) {
+    const bool constraint = rng.NextBounded(6) == 0;
+    const Pred* head = constraint ? nullptr : pick([](const Pred& p) {
+      return p.level >= 0;
+    });
+    const int level = constraint ? 2 : head->level;
+
+    std::vector<std::string> bound;
+    std::vector<std::string> body;
+    const int num_positive = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int b = 0; b < num_positive; ++b) {
+      const Pred* p = pick([&](const Pred& q) { return q.level <= level; });
+      std::string literal = p->name + "(";
+      for (int a = 0; a < p->arity; ++a) {
+        if (a > 0) literal += ",";
+        if (rng.NextBounded(6) == 0) {
+          literal += constant();
+        } else {
+          const std::string var = kVars[rng.NextBounded(3)];
+          literal += var;
+          if (std::find(bound.begin(), bound.end(), var) == bound.end()) {
+            bound.push_back(var);
+          }
+        }
+      }
+      body.push_back(literal + ")");
+    }
+    // Arguments of every other literal: bound variables or constants.
+    auto term = [&] {
+      if (bound.empty() || rng.NextBounded(5) == 0) return constant();
+      return bound[rng.NextBounded(bound.size())];
+    };
+    const int num_negative = static_cast<int>(rng.NextBounded(3));
+    for (int b = 0; b < num_negative; ++b) {
+      const Pred* p = pick([&](const Pred& q) { return q.level < level; });
+      std::string literal = "not " + p->name + "(";
+      for (int a = 0; a < p->arity; ++a) {
+        if (a > 0) literal += ",";
+        literal += term();
+      }
+      body.push_back(literal + ")");
+    }
+    if (rng.NextBounded(3) == 0) {
+      body.push_back(term() + kOps[rng.NextBounded(6)] + term());
+    }
+
+    std::string rule;
+    if (!constraint) {
+      rule = head->name + "(";
+      for (int a = 0; a < head->arity; ++a) {
+        if (a > 0) rule += ",";
+        rule += term();
+      }
+      rule += ") ";
+    }
+    rule += ":- ";
+    for (size_t b = 0; b < body.size(); ++b) {
+      if (b > 0) rule += ", ";
+      rule += body[b];
+    }
+    text += rule + ".\n";
+  }
+  return text;
+}
+
+/// A test-local naive instantiation, independent of the grounders: every
+/// rule variable ranges over the active domain 0..3, with no indexes, no
+/// semi-naive evaluation, no eager negation and no simplification. Each
+/// instance whose comparisons hold becomes a ground rule.
+GroundProgram NaiveGround(const Program& program,
+                          const std::vector<Atom>& facts) {
+  GroundProgram ground;
+  AtomTable& atoms = ground.mutable_atoms();
+  for (const Rule& rule : program.rules()) {
+    const std::vector<SymbolId> vars = rule.Variables();
+    std::vector<int64_t> value(vars.size(), 0);
+    auto substitute = [&](const Term& t) {
+      if (!t.is_variable()) return t;
+      const size_t v =
+          std::find(vars.begin(), vars.end(), t.symbol()) - vars.begin();
+      return Term::Integer(value[v]);
+    };
+    auto instance = [&](const Atom& a) {
+      std::vector<Term> args;
+      for (const Term& t : a.args()) args.push_back(substitute(t));
+      return atoms.Intern(Atom(a.predicate(), std::move(args)));
+    };
+    for (;;) {
+      GroundRule g;
+      bool holds = true;
+      for (const Atom& h : rule.head()) g.head.push_back(instance(h));
+      for (const Literal& l : rule.body()) {
+        if (l.is_positive_atom()) {
+          g.positive_body.push_back(instance(l.atom()));
+        } else if (l.is_negative_atom()) {
+          g.negative_body.push_back(instance(l.atom()));
+        } else if (!EvaluateComparison(l.op(), substitute(l.lhs()),
+                                       substitute(l.rhs()))) {
+          holds = false;
+        }
+      }
+      if (holds) ground.AddRule(std::move(g));
+      // Next assignment, odometer style over 0..3.
+      size_t v = 0;
+      while (v < vars.size() && ++value[v] == 4) value[v++] = 0;
+      if (v == vars.size()) break;
+    }
+  }
+  for (const Atom& fact : facts) {
+    ground.AddRule(GroundRule{{atoms.Intern(fact)}, {}, {}});
+  }
+  return ground;
+}
+
+/// Answer sets as a sorted list of rendered, sorted atom sets.
+std::vector<std::string> RenderModels(const std::vector<AnswerSet>& models,
+                                      const AtomTable& atoms,
+                                      const SymbolTable& symbols) {
+  std::vector<std::string> out;
+  for (const AnswerSet& model : models) {
+    std::vector<std::string> rendered;
+    for (GroundAtomId id : model.atoms) {
+      rendered.push_back(atoms.GetAtom(id).ToString(symbols));
+    }
+    std::sort(rendered.begin(), rendered.end());
+    std::string line;
+    for (const std::string& atom : rendered) line += atom + " ";
+    out.push_back(line);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+class GroundingOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(GroundingOracleTest, GroundersMatchNaiveInstantiation) {
+  SymbolTablePtr symbols = MakeSymbolTable();
+  Parser parser(symbols);
+  const std::string text = RandomStratifiedProgram(GetParam());
+  StatusOr<Program> program = parser.ParseProgram(text);
+  ASSERT_TRUE(program.ok()) << program.status() << "\n" << text;
+
+  // A stream of input facts over constants 0..3, cut into sliding windows.
+  Rng rng(GetParam() ^ 0x0AC1E);
+  const char* const kInputs[] = {"e0", "e1", "e2"};
+  const size_t window = 4 + rng.NextBounded(7);
+  const size_t slide = 1 + rng.NextBounded(3);
+  const size_t num_windows = 6;
+  std::vector<Atom> stream;
+  for (size_t i = 0; i < window + slide * (num_windows - 1); ++i) {
+    const size_t p = rng.NextBounded(3);
+    std::vector<Term> args;
+    for (size_t a = 0; a < (p == 0 ? 1 : 2); ++a) {
+      args.push_back(Term::Integer(static_cast<int64_t>(rng.NextBounded(4))));
+    }
+    stream.push_back(Atom(symbols->Intern(kInputs[p]), std::move(args)));
+  }
+
+  const Solver solver;
+  IncrementalGrounder assembled(&*program);
+  IncrementalGroundingOptions delta_only;
+  delta_only.assemble_output = false;
+  delta_only.fallback_delta_fraction = 100;
+  IncrementalGrounder store_grounder(&*program, {}, delta_only);
+  IncrementalSolver incremental_solver;
+
+  for (size_t w = 0; w < num_windows; ++w) {
+    const auto begin = stream.begin() + static_cast<ptrdiff_t>(w * slide);
+    const std::vector<Atom> facts(begin,
+                                  begin + static_cast<ptrdiff_t>(window));
+    IncrementalGrounder::FactDelta delta;
+    delta.previous_sequence = w - 1;
+    if (w > 0) {
+      delta.expired.assign(begin - static_cast<ptrdiff_t>(slide), begin);
+      delta.admitted.assign(facts.end() - static_cast<ptrdiff_t>(slide),
+                            facts.end());
+    }
+    const IncrementalGrounder::FactDelta* hint = w > 0 ? &delta : nullptr;
+    const std::string where = "window " + std::to_string(w) + " of\n" + text;
+
+    const GroundProgram naive = NaiveGround(*program, facts);
+    StatusOr<std::vector<AnswerSet>> expected = solver.Solve(naive);
+    ASSERT_TRUE(expected.ok()) << where;
+    const std::vector<std::string> oracle =
+        RenderModels(*expected, naive.atoms(), *symbols);
+
+    // (a) the one-shot grounder.
+    StatusOr<GroundProgram> cold = Grounder().Ground(*program, facts);
+    ASSERT_TRUE(cold.ok()) << where;
+    StatusOr<std::vector<AnswerSet>> cold_models = solver.Solve(*cold);
+    ASSERT_TRUE(cold_models.ok()) << where;
+    EXPECT_EQ(RenderModels(*cold_models, cold->atoms(), *symbols), oracle)
+        << where;
+
+    // (b) the incremental grounder's assembled output.
+    StatusOr<const GroundProgram*> output =
+        assembled.GroundWindow(w, facts, hint);
+    ASSERT_TRUE(output.ok()) << where;
+    StatusOr<std::vector<AnswerSet>> assembled_models =
+        solver.Solve(**output);
+    ASSERT_TRUE(assembled_models.ok()) << where;
+    EXPECT_EQ(RenderModels(*assembled_models, (*output)->atoms(), *symbols),
+              oracle)
+        << where;
+
+    // (c) the incremental grounder's store, patched into the incremental
+    // solver (never falling back after the first window).
+    ASSERT_TRUE(store_grounder.GroundWindow(w, facts, hint).ok()) << where;
+    std::vector<AnswerSet> store_models;
+    ASSERT_TRUE(incremental_solver
+                    .SolveWindow(store_grounder.last_delta(),
+                                 store_grounder.cached_rules(),
+                                 store_grounder.atom_table().size(),
+                                 &store_models)
+                    .ok())
+        << where;
+    EXPECT_EQ(RenderModels(store_models, store_grounder.atom_table(),
+                           *symbols),
+              oracle)
+        << where;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomPrograms, GroundingOracleTest,
+                         ::testing::Range<uint64_t>(0, 40));
 
 }  // namespace
 }  // namespace streamasp
