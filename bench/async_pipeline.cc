@@ -10,7 +10,7 @@
 // is little instantiation to save there). A final burst-overload leg
 // drives a self-clocked flash-crowd stream against an undersized
 // kDropOldest pipeline and reports completeness/shed accounting.
-// Every leg drives the unified StreamEngine facade (num_shards = 0);
+// Every leg drives the unified StreamEngine facade (no subject buckets);
 // emission flows through the single ordered EmissionEvent handler. Emits
 // one machine-readable JSON document on stdout (schema shared with
 // bench/sharded_pipeline via bench/bench_json.h); human-readable notes

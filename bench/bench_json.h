@@ -25,7 +25,7 @@ struct BenchRun {
   // --- run identity (set by the bench) ---
   std::string mode;
   std::string workload = "traffic_pprime";
-  size_t shards = 0;        ///< 0 for single-pipeline runs.
+  size_t shards = 0;        ///< Subject buckets (num_shards); 0 unsharded.
   size_t inflight = 0;      ///< 0 for sync runs.
   size_t workers = 0;
   size_t window_slide = 0;  ///< 0 for tumbling runs.
@@ -41,13 +41,10 @@ struct BenchRun {
   long long unaccounted_windows = 0;
 
   // --- engine counters (FillFromEngineStats) ---
-  uint64_t windows = 0;  ///< Delivered (merged, for sharded runs) windows.
+  uint64_t windows = 0;  ///< Delivered windows.
   uint64_t answers = 0;
-  uint64_t max_shard_items = 0;  ///< Router skew; reasoned items unsharded.
   size_t max_queue_depth = 0;
   size_t max_reorder_depth = 0;
-  size_t max_merge_reorder_depth = 0;
-  uint64_t delta_punctuations = 0;
   uint64_t incremental_windows = 0;
   uint64_t grounding_fallbacks = 0;
   uint64_t grounding_rules_retained = 0;
@@ -91,19 +88,13 @@ inline double Percentile(std::vector<double> values, double p) {
   return values[lo] + (values[hi] - values[lo]) * frac;
 }
 
-/// Fills the engine-derived half of a run from the unified snapshot.
-/// Sharded runs report mean per-merged-window completeness and the
-/// tombstoned sub-window count under completeness/shed_windows (matching
-/// the pre-facade sharded bench); unsharded runs report stream-level
-/// completeness and whole shed windows.
+/// Fills the engine-derived half of a run from the unified snapshot:
+/// stream-level completeness and whole shed windows included.
 inline void FillFromEngineStats(const EngineStats& stats, BenchRun* run) {
   run->windows = stats.delivered_windows;
   run->answers = stats.delivered_answers;
-  run->max_shard_items = stats.max_shard_items();
   run->max_queue_depth = stats.reasoning.max_queue_depth;
   run->max_reorder_depth = stats.reasoning.max_reorder_depth;
-  run->max_merge_reorder_depth = stats.max_merge_reorder_depth;
-  run->delta_punctuations = stats.delta_punctuations;
   run->incremental_windows = stats.reasoning.incremental_windows;
   run->grounding_fallbacks = stats.reasoning.grounding_fallbacks;
   run->grounding_rules_retained = stats.reasoning.grounding_rules_retained;
@@ -132,13 +123,8 @@ inline void FillFromEngineStats(const EngineStats& stats, BenchRun* run) {
   run->window_store_bytes = stats.reasoning.window_store_bytes;
   run->atom_table_bytes = stats.reasoning.atom_table_bytes;
   run->bytes_per_triple = stats.bytes_per_triple();
-  if (stats.num_shards == 0) {
-    run->completeness = stats.completeness();
-    run->shed_windows = stats.shed_windows();
-  } else {
-    run->completeness = stats.mean_completeness;
-    run->shed_windows = stats.shed_subwindows;
-  }
+  run->completeness = stats.completeness();
+  run->shed_windows = stats.shed_windows();
 }
 
 /// Prints the whole bench document: header + every run, one JSON object
@@ -165,9 +151,7 @@ inline void PrintBenchJson(const char* bench_name, const char* workload,
         "\"wall_ms\": %.2f, \"triples_per_sec\": %.1f, "
         "\"p50_latency_ms\": %.3f, \"p99_latency_ms\": %.3f, "
         "\"windows\": %llu, \"answers\": %llu, "
-        "\"max_shard_items\": %llu, "
         "\"max_queue_depth\": %zu, \"max_reorder_depth\": %zu, "
-        "\"max_merge_reorder_depth\": %zu, \"delta_punctuations\": %llu, "
         "\"incremental_windows\": %llu, \"grounding_fallbacks\": %llu, "
         "\"grounding_rules_retained\": %llu, "
         "\"grounding_rules_retracted\": %llu, "
@@ -190,10 +174,7 @@ inline void PrintBenchJson(const char* bench_name, const char* workload,
         run.triples_per_sec, run.p50_latency_ms, run.p99_latency_ms,
         static_cast<unsigned long long>(run.windows),
         static_cast<unsigned long long>(run.answers),
-        static_cast<unsigned long long>(run.max_shard_items),
         run.max_queue_depth, run.max_reorder_depth,
-        run.max_merge_reorder_depth,
-        static_cast<unsigned long long>(run.delta_punctuations),
         static_cast<unsigned long long>(run.incremental_windows),
         static_cast<unsigned long long>(run.grounding_fallbacks),
         static_cast<unsigned long long>(run.grounding_rules_retained),

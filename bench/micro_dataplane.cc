@@ -123,8 +123,8 @@ struct DeepTriple {
   std::optional<Term> object;
 };
 
-/// Sliding append/evict through the windower/router retention pattern
-/// (append at the tail, evict the global head once the window is full):
+/// Sliding append/evict through the windower retention pattern (append
+/// at the tail, evict the head once the window is full):
 /// the columnar WindowStore over packed triples vs a deque of the old
 /// deep-Term triples, plus each representation's retained bytes per
 /// window item.
@@ -138,15 +138,13 @@ ProbeResult BenchColumnarWindow(const SymbolTablePtr& symbols, size_t scale) {
   for (size_t i = 0; i < n; ++i) raw.push_back(rng.Next());
 
   WallTimer store_timer;
-  WindowStore store(
-      WindowStore::Options{/*with_timestamps=*/false, /*with_shards=*/true});
+  WindowStore store;
   uint64_t store_sink = 0;
   for (size_t i = 0; i < n; ++i) {
     const uint64_t r = raw[i];
     store.Append(
         Triple{PackedTerm::Symbol(static_cast<SymbolId>(r & 0xffff)), pred,
-               PackedTerm::Integer(static_cast<int64_t>(r >> 16 & 0xffff))},
-        0, static_cast<uint32_t>(i & 3));
+               PackedTerm::Integer(static_cast<int64_t>(r >> 16 & 0xffff))});
     if (store.size() > window) {
       store_sink += store.Front().predicate;
       store.PopFront();

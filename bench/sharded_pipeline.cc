@@ -1,24 +1,24 @@
-// Sustained-throughput bench for the sharded multi-pipeline engine:
-// the single-pipeline baselines (sync oracle, staged async) vs the
-// sharded engine at shard counts {1, 2, 4, 8} on the paper's traffic
-// workload, plus the sharded sliding-reuse pair: sliding global windows
-// (router delta punctuation) on the recursive reachability workload at
-// shards=4, once cold and once with the full reuse stack
-// (reuse_grounding + reuse_solving). A final burst-overload leg drives
-// a self-clocked flash-crowd stream against an undersized sharded
-// engine (async inner pipelines, kDropOldest): shed sub-windows release
-// their merge slot through tombstones and the run reports
-// completeness/shed accounting. Every leg drives the unified
-// StreamEngine facade (num_shards selects the shape); emission flows
-// through the single ordered EmissionEvent handler. Emits one
-// machine-readable JSON document on stdout (schema shared with
-// bench/async_pipeline via bench/bench_json.h); human-readable notes go
-// to stderr.
+// Sustained-throughput bench for sharding — the partitioning handler's
+// subject-bucket split (ParallelReasonerOptions::num_shards): one
+// pipeline whose dependency communities are each split into num_shards
+// buckets, so a window yields communities × num_shards partitions. The
+// legs: the unbucketed baselines (sync oracle, staged async) vs async
+// pipelines at num_shards {1, 2, 4, 8} on the paper's traffic workload,
+// plus the sliding-reuse pair on the recursive reachability workload at
+// num_shards=4, once cold and once with the full reuse stack
+// (reuse_grounding + reuse_solving). A final burst-overload leg drives a
+// self-clocked flash-crowd stream against an undersized two-bucket
+// async pipeline (kDropOldest): shed windows surface as tombstones and
+// the run reports completeness/shed accounting. Every leg drives the
+// unified StreamEngine facade; emission flows through the single ordered
+// EmissionEvent handler. Emits one machine-readable JSON document on
+// stdout (schema shared with bench/async_pipeline via
+// bench/bench_json.h); human-readable notes go to stderr.
 //
 // Throughput is items pushed / wall time of PushBatch+Flush; window
 // latency is the per-delivered-window latency distribution (p50/p99) as
-// seen by the consumer (for sharded runs that is the merged cross-shard
-// window). The sliding pair reasons a different program and window count
+// seen by the consumer. The sliding pair reasons a different program and
+// window count
 // than the tumbling runs — compare its two legs only to each other,
 // which is how the CI gate consumes them (cold vs reuse reason_ms_total
 // ratio). The JSON schema is documented in docs/benchmarks.md.
@@ -47,14 +47,13 @@ using bench::BenchRun;
 using bench::Percentile;
 
 /// Builds the engine, pushes the whole stream behind a wall timer, and
-/// fills the shared run record. `shards` == 0 is the single-pipeline
-/// shape (sync oracle or staged async).
+/// fills the shared run record. `shards` == 0 is the unbucketed shape.
 BenchRun RunEngine(std::string mode, const Program& program,
                    const std::vector<Triple>& stream, size_t window_size,
                    size_t shards, bool async, size_t window_slide = 0,
                    bool reuse = false, bool reuse_solving = false) {
   EngineConfig config;
-  config.num_shards = shards;
+  config.pipeline.reasoner.num_shards = shards;
   config.pipeline.window_size = window_size;
   config.pipeline.window_slide = window_slide;
   config.pipeline.reuse_grounding = reuse;
@@ -98,17 +97,15 @@ BenchRun RunEngine(std::string mode, const Program& program,
 }
 
 // Graceful-degradation leg, mirroring bench/async_pipeline's burst run
-// through the sharded engine: a flash-crowd stream against two async
-// shards that are deliberately undersized (one reasoning thread per
-// shard — a two-thread private pool shared by both — and two in-flight
-// sub-windows) with kDropOldest shedding. A shed sub-window emits a
-// tombstone that releases its merge slot, so the ordered merge keeps
-// flowing and delivers the surviving shards' answers with
-// completeness < 1. Pacing is self-clocked rather
+// with two subject buckets per community: a flash-crowd stream against
+// a deliberately undersized async pipeline (a two-thread private pool and
+// two in-flight windows) with kDropOldest shedding. A shed window emits
+// a tombstone in sequence order, so ordered delivery keeps flowing and
+// stream-level completeness drops below 1. Pacing is self-clocked rather
 // than timed: valley windows are pushed behind a Flush() drain barrier
 // (ingest never outruns service, nothing sheds), spike windows
-// back-to-back (each shard's work queue overflows by at least
-// spike_len - capacity - 1 sub-windows regardless of host speed), so the
+// back-to-back (the work queue overflows by at least
+// spike_len - capacity - 1 windows regardless of host speed), so the
 // completeness minimum in bench/baseline.json is a meaningful
 // machine-independent gate.
 BenchRun RunShardedBurstOverload(const Program& program,
@@ -125,10 +122,9 @@ BenchRun RunShardedBurstOverload(const Program& program,
   burst.burst_fraction = 0.1;
 
   EngineConfig config;
-  config.num_shards = shards;
+  config.pipeline.reasoner.num_shards = shards;
   config.pipeline.window_size = burst_window;
   config.pipeline.async = true;
-  // Engine-wide: one private pool serves every shard.
   config.pipeline.num_reason_workers = shards;
   config.pipeline.max_inflight_windows = 2;
   config.pipeline.backpressure = BackpressurePolicy::kDropOldest;
@@ -158,7 +154,7 @@ BenchRun RunShardedBurstOverload(const Program& program,
   for (size_t k = 0; k < num_windows; ++k) {
     const bool spike = generator.InBurst(generator.position());
     const std::vector<Triple> chunk = generator.Generate(burst_window);
-    // Stamp before the push: the global window closes inside PushBatch.
+    // Stamp before the push: the window closes inside PushBatch.
     close_times[k] = Clock::now();
     (*engine)->PushBatch(chunk);
     // Valley: drain before the next window (ingest at service rate).
@@ -189,17 +185,17 @@ BenchRun RunShardedBurstOverload(const Program& program,
   return run;
 }
 
-// The sharded sliding-reuse showcase, mirroring bench/async_pipeline's
+// The bucketed sliding-reuse showcase, mirroring bench/async_pipeline's
 // sliding pair: recursive reachability over a sliding edge stream, where
 // transitive-closure instantiation dominates each window and consecutive
-// global windows share all but `slide` items. Subject sharding is NOT
-// dependency-respecting for the recursive reach program (cross-shard
+// windows share all but `slide` items. Subject buckets are NOT
+// dependency-respecting for the recursive reach program (cross-bucket
 // joins are lost), but both legs route identically, so the cold-vs-reuse
 // reason_ms_total ratio the CI gate consumes is well-defined — it
-// isolates what router delta punctuation saves the per-shard caches.
-// Inner pipelines run synchronously (reasoning on the feeder threads):
-// one ParallelReasoner per shard sees every sub-window consecutively,
-// which is the configuration the incremental caches are built for.
+// isolates what the split delta saves the per-partition caches. The
+// pipeline runs synchronously: its one ParallelReasoner sees every
+// window consecutively, which is the configuration the incremental
+// caches are built for.
 constexpr char kReachProgram[] = R"(
   #input link/2.
   #input high/1.
@@ -280,8 +276,8 @@ int main(int argc, char** argv) {
     runs.push_back(RunEngine("sharded", *program, stream, window_size,
                              shards, /*async=*/true));
   }
-  // The sharded sliding-reuse pair at shards=4: cold vs the full reuse
-  // stack on identical sliding global windows. The CI gate enforces the
+  // The bucketed sliding-reuse pair at num_shards=4: cold vs the full
+  // reuse stack on identical sliding windows. The CI gate enforces the
   // reason_ms_total ratio between these two legs.
   const size_t tc_items = std::max<size_t>(6400, items / 5);
   const size_t tc_window = std::min<size_t>(1600, tc_items / 4);
@@ -292,7 +288,7 @@ int main(int argc, char** argv) {
                                         /*shards=*/4,
                                         /*reuse_solving=*/true));
   // Graceful-degradation leg: self-clocked flash-crowd overload against
-  // an undersized two-shard engine with kDropOldest inner pipelines (see
+  // an undersized two-bucket async pipeline with kDropOldest (see
   // RunShardedBurstOverload). Gated by a completeness minimum and an
   // unaccounted_windows ceiling in bench/baseline.json.
   runs.push_back(RunShardedBurstOverload(*program, symbols, window_size));

@@ -1,15 +1,15 @@
-// The traffic scenario on the sharded multi-pipeline engine, through the
-// unified StreamEngine facade (num_shards >= 1): the stream is
-// hash-partitioned by subject across several independent pipelines (each
-// with its own windower, work queue and reasoning workers), and the
-// ordered merge recombines per-shard answers so EmissionEvents still
-// arrive in strict global window order — byte-identical to a single
-// pipeline: subject sharding respects the traffic rules' dependencies,
-// and the router broadcasts P'-duplicated predicates (car_number) to
-// every shard so r7's cross-shard join survives hashing.
+// The traffic scenario with sharding, through the unified StreamEngine
+// facade: num_shards splits each of the plan's dependency communities
+// into subject buckets, so every window is reasoned as communities ×
+// num_shards partitions on the async pipeline's pool, and the combined
+// answers are byte-identical to an unsharded pipeline — subject buckets
+// respect the traffic rules' dependencies, and the partitioning handler
+// copies P'-duplicated predicates (car_number) into every bucket of each
+// of their communities so r7's join survives hashing.
 //
-//   router (subject hash) -> N x [windower -> workers -> emitter]
-//                         -> ordered merge -> EmissionEvents
+//   windower -> partitioning handler (community, then subject bucket)
+//            -> one pool task per partition -> combining handler
+//            -> EmissionEvents in window order
 //
 // Usage: sharded_traffic_monitoring [window_size] [num_windows] [shards]
 
@@ -38,23 +38,23 @@ int main(int argc, char** argv) {
   }
 
   EngineConfig config;
-  config.num_shards = shards;
+  config.pipeline.reasoner.num_shards = shards;
   config.pipeline.window_size = window_size;
   config.pipeline.async = true;
   config.pipeline.max_inflight_windows = 4;
-  // config.shard_key defaults to SubjectShardKey(); see
-  // stream/shard_key.h and CommunityShardKey for alternatives.
 
   uint64_t total_events = 0;
   StatusOr<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
       &*program, config, [&](EmissionEvent& event) {
         if (event.kind != EmissionEvent::Kind::kResult) return;
         std::printf(
-            "window %llu (%zu items): shard-parallel latency %.2f ms, "
-            "%zu partitions, %zu answer(s)\n",
+            "window %llu (%zu items): latency %.2f ms, %zu partitions "
+            "(%zu items after duplication), %zu answer(s)\n",
             static_cast<unsigned long long>(event.sequence),
             event.window->size(), event.result->latency_ms,
-            event.result->num_partitions, event.result->answers.size());
+            event.result->num_partitions,
+            event.result->total_partition_items,
+            event.result->answers.size());
         for (const GroundAnswer& answer : event.result->answers) {
           total_events += answer.size();
           std::printf("  events: %s\n",
@@ -65,34 +65,28 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
     return 1;
   }
-  std::printf("sharded engine: %zu shards\n", (*engine)->num_shards());
+  std::printf("%d communities x %zu subject buckets\n",
+              (*engine)->pipeline()->plan().num_communities(), shards);
 
   SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols),
                                      GeneratorOptions{});
   WallTimer wall;
   for (size_t i = 0; i < num_windows; ++i) {
-    // The router only hashes and batches here; windowing and reasoning
-    // happen on the shard threads while this loop keeps pushing.
+    // Windowing happens here; reasoning runs on the pool while this loop
+    // keeps pushing.
     (*engine)->PushBatch(generator.GenerateWindow(window_size));
   }
-  (*engine)->Flush();  // Drain every shard and the ordered merge.
+  (*engine)->Flush();  // Deliver every admitted window.
   const double wall_ms = wall.ElapsedMillis();
 
   const EngineStats stats = (*engine)->stats();
   std::printf(
-      "processed %llu global windows / %llu items in %.2f ms "
-      "(%.0f triples/s, merge reorder peak %zu)\n",
+      "processed %llu windows / %llu items in %.2f ms (%.0f triples/s, "
+      "%llu lane tasks)\n",
       static_cast<unsigned long long>(stats.delivered_windows),
       static_cast<unsigned long long>(stats.reasoning.items), wall_ms,
       static_cast<double>(stats.reasoning.items) / (wall_ms / 1000.0),
-      stats.max_merge_reorder_depth);
-  for (size_t s = 0; s < stats.per_shard.size(); ++s) {
-    std::printf(
-        "  shard %zu: %llu items, %llu sub-windows, mean latency %.2f ms\n",
-        s, static_cast<unsigned long long>(stats.routed_items[s]),
-        static_cast<unsigned long long>(stats.per_shard[s].windows),
-        stats.per_shard[s].mean_latency_ms());
-  }
+      static_cast<unsigned long long>(stats.lane.completed));
   std::printf("total detected events: %llu\n",
               static_cast<unsigned long long>(total_events));
   return 0;

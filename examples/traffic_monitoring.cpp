@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // num_shards = 0 and async = false pick the synchronous oracle shape:
-  // one window at a time, reasoned on this thread.
+  // async = false picks the synchronous oracle shape: one window at a
+  // time, reasoned on this thread.
   EngineConfig config;
   config.pipeline.window_size = window_size;
 

@@ -36,8 +36,8 @@ namespace streamasp {
 /// call sites source-compatible.
 ///
 /// Hash() reproduces Term::Hash() bit-for-bit (the arena caches the deep
-/// hash per escaped id), so shard routing and any hash-dependent iteration
-/// order remain byte-identical to the unpacked representation.
+/// hash per escaped id), so subject-bucket routing and any hash-dependent
+/// iteration order remain byte-identical to the unpacked representation.
 class PackedTerm {
  public:
   enum Tag : uint64_t {
@@ -134,7 +134,7 @@ static_assert(sizeof(PackedTerm) == 8, "PackedTerm must stay one word");
 /// Process-global hash-consing arena for terms that do not fit inline in a
 /// PackedTerm. Interning is canonical (deep-equal terms share one id), so
 /// packed-word equality remains deep equality across every component that
-/// packs terms — windowers, the sharded router, grounder indexes — without
+/// packs terms — windowers, grounder indexes — without
 /// coordinating arena handles. Append-only; ids are dense and stable for
 /// the process lifetime. Thread-safe (the escape path is rare: stream
 /// workloads are integer/symbol dominated, so the lock is off the hot

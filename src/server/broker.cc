@@ -1,8 +1,11 @@
 #include "server/broker.h"
 
+#include <algorithm>
 #include <deque>
 #include <utility>
 #include <vector>
+
+#include "util/strings.h"
 
 namespace streamasp {
 
@@ -31,10 +34,28 @@ void SessionBroker::Send(std::string payload) {
   send_(std::move(payload));
 }
 
+namespace {
+
+/// The session an `open` request names, or empty for any other payload:
+/// an open refused at parse time (a malformed or over-cap option) is
+/// still answered as `error open <session>`, so the client can attribute
+/// it.
+std::string_view OpenSessionOf(std::string_view payload) {
+  std::string_view head =
+      StripWhitespace(payload.substr(0, payload.find('\n')));
+  if (head.substr(0, 5) != "open ") return {};
+  head.remove_prefix(std::min(head.find_first_not_of(' ', 5), head.size()));
+  return head.substr(0, head.find(' '));
+}
+
+}  // namespace
+
 void SessionBroker::HandleRequest(std::string_view payload) {
   StatusOr<WireRequest> parsed = ParseRequest(payload);
   if (!parsed.ok()) {
-    Send(FormatError("request", "", parsed.status()));
+    const std::string_view session = OpenSessionOf(payload);
+    Send(FormatError(session.empty() ? "request" : "open", session,
+                     parsed.status()));
     return;
   }
   WireRequest& request = *parsed;

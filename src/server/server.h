@@ -37,8 +37,8 @@ struct ServerConfig {
   /// sizes the pool to the machine, making total reasoning threads
   /// O(hardware) instead of O(sessions x workers). 0 disables sharing —
   /// every async session then reasons on a private pool of its own (see
-  /// session_reasoner_threads) plus a pump thread. Sync sessions always
-  /// reason on their pump thread, pool or not.
+  /// session_reasoner_threads), pumping inline as on the shared pool.
+  /// Sync sessions always reason on their pump thread, pool or not.
   size_t shared_pool_threads = DefaultThreadCount();
 };
 

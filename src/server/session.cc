@@ -45,15 +45,12 @@ StatusOr<std::unique_ptr<StreamSession>> StreamSession::Create(
   options.engine.pipeline.pool_weight = options.weight;
   options.engine.pipeline.pool_max_inflight = options.max_inflight;
   options.engine.pipeline.max_queued_windows = options.max_queued_windows;
-  // Pooled async sessions pump inline (no pump thread), so a kReject
-  // tenant's "never block the transport" promise must hold at the window
-  // queue too: translate the admission policy to window-level kReject
-  // shedding instead of the default blocking backpressure.
-  const bool pooled_async =
-      options.engine.pipeline.async &&
-      (options.engine.pipeline.shared_pool != nullptr ||
-       options.engine.pipeline.shared_queue != nullptr);
-  if (pooled_async && options.admission == BackpressurePolicy::kReject) {
+  // Async sessions pump inline (no pump thread), so a kReject tenant's
+  // "never block the transport" promise must hold at the window queue
+  // too: translate the admission policy to window-level kReject shedding
+  // instead of the default blocking backpressure.
+  if (options.engine.pipeline.async &&
+      options.admission == BackpressurePolicy::kReject) {
     options.engine.pipeline.backpressure = BackpressurePolicy::kReject;
   }
   std::string program_text = options.program_text;
@@ -71,9 +68,7 @@ StreamSession::StreamSession(std::string name, SessionOptions options,
       symbols_(MakeSymbolTable()),
       queue_(std::max<size_t>(1, options_.ingest_queue_capacity),
              BackpressurePolicy::kBlock),
-      inline_pump_(options_.engine.pipeline.async &&
-                   (options_.engine.pipeline.shared_pool != nullptr ||
-                    options_.engine.pipeline.shared_queue != nullptr)) {}
+      inline_pump_(options_.engine.pipeline.async) {}
 
 Status StreamSession::Init(const std::string& program_text) {
   Parser parser(symbols_);
@@ -86,8 +81,8 @@ Status StreamSession::Init(const std::string& program_text) {
       engine_, StreamEngine::Create(
                    program_.get(), options_.engine,
                    [this](EmissionEvent& event) { OnEmission(event); }));
-  // Pooled async sessions pump collaboratively (zero threads); everyone
-  // else gets the dedicated pump thread.
+  // Async sessions pump collaboratively (zero threads); sync sessions
+  // reason on their dedicated pump thread.
   if (!inline_pump_) pump_ = std::thread([this] { PumpLoop(); });
   return OkStatus();
 }

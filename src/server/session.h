@@ -68,10 +68,11 @@ struct SessionOptions {
   std::string program_text;
 
   /// Engine shape and tuning (streamrule/engine.h): window geometry,
-  /// shards, async staging, reuse flags, backpressure, admission filter.
+  /// subject buckets, async staging, reuse flags, backpressure, admission
+  /// filter.
   EngineConfig engine;
 
-  /// Bound on batches queued between Push and the session's pump thread
+  /// Bound on batches queued between Push and the session's pump
   /// — the per-session admission budget.
   size_t ingest_queue_capacity = 16;
 
@@ -80,9 +81,9 @@ struct SessionOptions {
   /// refuses the batch with kResourceExhausted so one tenant's overload
   /// never blocks the transport thread serving others. kDropOldest is
   /// rejected at Create — silently dropping accepted batches would break
-  /// the session's at-most-once-refusal accounting. On a shared reasoner
-  /// pool (inline pump), kReject additionally switches the engine's
-  /// window queue to rejecting backpressure, so saturation sheds windows
+  /// the session's at-most-once-refusal accounting. On an async engine
+  /// (inline pump), kReject additionally switches the engine's window
+  /// queue to rejecting backpressure, so saturation sheds windows
   /// (counted, tombstoned) rather than blocking the pushing transport
   /// thread.
   BackpressurePolicy admission = BackpressurePolicy::kBlock;
@@ -139,18 +140,18 @@ struct SessionStats {
 /// push triple batches and subscribe to the ordered SessionEvent stream.
 ///
 /// The ingest queue is drained in one of two modes:
-///   * Dedicated pump thread (sync engines, and async engines on a
-///     private pool): the
-///     pump decouples transport threads from reasoning, so a slow
-///     session backpressures (or sheds) its own queue without stalling
-///     its siblings.
-///   * Collaborative inline pump (async engines on a shared reasoner
-///     pool): whichever pusher finds no active pumper drains the queue
-///     itself under a baton, so the session costs zero threads. Safe
-///     because a pooled async PushBatch only windows and enqueues —
-///     reasoning happens on the pool — and FIFO order is preserved by
-///     the single-baton drain. This is what keeps a 64-session server at
-///     O(pool + 1 event loop) threads instead of O(sessions).
+///   * Dedicated pump thread (sync engines): the pump reasons each
+///     window, decoupling transport threads from reasoning, so a slow
+///     session backpressures its own queue without stalling its
+///     siblings.
+///   * Collaborative inline pump (async engines, on the server's shared
+///     reasoner pool or on a private one): whichever pusher finds no
+///     active pumper drains the queue itself under a baton, so the
+///     session costs no pump thread. Safe because an async PushBatch
+///     only windows and enqueues — reasoning happens on the pool — and
+///     FIFO order is preserved by the single-baton drain. This is what
+///     keeps a 64-session server at O(pool + 1 event loop) threads
+///     instead of O(sessions).
 ///
 /// Thread-safety: Push/Flush/Close/stats from any thread, concurrently.
 /// The event handler must not call back into the session (the pump or
@@ -230,8 +231,8 @@ class StreamSession {
   /// pump's locks): incremented before enqueue, decremented after the
   /// pump finishes a command.
   std::atomic<size_t> queued_commands_{0};
-  /// True when the engine runs async on a shared pool: no pump thread is
-  /// spawned; pushers drain the queue collaboratively via PumpDrain.
+  /// True when the engine runs async: no pump thread is spawned; pushers
+  /// drain the queue collaboratively via PumpDrain.
   const bool inline_pump_;
   std::thread pump_;
   std::mutex pump_mutex_;

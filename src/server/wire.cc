@@ -13,6 +13,18 @@ namespace streamasp {
 
 namespace {
 
+// Caps on the open options that size per-session memory or threads up
+// front, enforced here at the network boundary only: window= reserves the
+// tumbling window buffer, shards= multiplies the partitions (and, under
+// reuse, the grounders and solvers) of every reasoner slot, workers=
+// spawns a private pool's threads, and max_inflight= builds one reasoner
+// slot per unit of lane cap. An over-cap value is an invalid_argument
+// error, never an allocation that takes the whole server down.
+constexpr int64_t kMaxOpenWindow = 1 << 20;
+constexpr int64_t kMaxOpenShards = 64;
+constexpr int64_t kMaxOpenWorkers = 64;
+constexpr int64_t kMaxOpenMaxInflight = 64;
+
 std::string FormatCompleteness(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.6g", value);
@@ -57,15 +69,25 @@ Status ApplyOpenOption(std::string_view key, std::string_view value,
     }
     return OkStatus();
   };
+  auto require_capped = [&](const char* what, int64_t cap) -> Status {
+    STREAMASP_RETURN_IF_ERROR(require_count(what));
+    if (number > cap) {
+      return InvalidArgumentError(std::string("open option ") + what +
+                                  " must be at most " + std::to_string(cap) +
+                                  ", got " + std::to_string(number));
+    }
+    return OkStatus();
+  };
   if (key == "window") {
-    STREAMASP_RETURN_IF_ERROR(require_count("window"));
+    STREAMASP_RETURN_IF_ERROR(require_capped("window", kMaxOpenWindow));
     options->engine.pipeline.window_size = static_cast<size_t>(number);
   } else if (key == "slide") {
     STREAMASP_RETURN_IF_ERROR(require_count("slide"));
     options->engine.pipeline.window_slide = static_cast<size_t>(number);
   } else if (key == "shards") {
-    STREAMASP_RETURN_IF_ERROR(require_count("shards"));
-    options->engine.num_shards = static_cast<size_t>(number);
+    STREAMASP_RETURN_IF_ERROR(require_capped("shards", kMaxOpenShards));
+    options->engine.pipeline.reasoner.num_shards =
+        static_cast<size_t>(number);
   } else if (key == "async") {
     STREAMASP_RETURN_IF_ERROR(require_count("async"));
     options->engine.pipeline.async = number != 0;
@@ -74,11 +96,8 @@ Status ApplyOpenOption(std::string_view key, std::string_view value,
     options->engine.pipeline.max_inflight_windows =
         static_cast<size_t>(number);
   } else if (key == "workers") {
-    STREAMASP_RETURN_IF_ERROR(require_count("workers"));
+    STREAMASP_RETURN_IF_ERROR(require_capped("workers", kMaxOpenWorkers));
     options->engine.pipeline.num_reason_workers = static_cast<size_t>(number);
-  } else if (key == "batch") {
-    STREAMASP_RETURN_IF_ERROR(require_count("batch"));
-    options->engine.router_batch_size = static_cast<size_t>(number);
   } else if (key == "queue") {
     STREAMASP_RETURN_IF_ERROR(require_count("queue"));
     options->ingest_queue_capacity = static_cast<size_t>(number);
@@ -93,7 +112,8 @@ Status ApplyOpenOption(std::string_view key, std::string_view value,
     STREAMASP_RETURN_IF_ERROR(require_count("max_queued"));
     options->max_queued_windows = static_cast<size_t>(number);
   } else if (key == "max_inflight") {
-    STREAMASP_RETURN_IF_ERROR(require_count("max_inflight"));
+    STREAMASP_RETURN_IF_ERROR(
+        require_capped("max_inflight", kMaxOpenMaxInflight));
     options->max_inflight = static_cast<size_t>(number);
   } else if (key == "reuse") {
     if (value == "none") {
@@ -387,11 +407,10 @@ std::string FormatEvent(const SessionEvent& event) {
   const std::string seq = std::to_string(event.session_sequence);
   switch (event.event.kind) {
     case EmissionEvent::Kind::kResult: {
+      // A delivered window reasoned every item it admitted.
       out.append(" result seq=");
       out.append(seq);
-      out.append(" completeness=");
-      out.append(FormatCompleteness(event.event.completeness));
-      out.append(" items=");
+      out.append(" completeness=1 items=");
       out.append(std::to_string(event.event.window->items.size()));
       out.append(" answers=");
       out.append(std::to_string(event.event.result->answers.size()));

@@ -27,7 +27,12 @@ namespace streamasp {
 ///
 /// open options: window=N slide=N shards=N async=0|1 inflight=N
 ///   workers=N reuse=none|ground|solve queue=N admission=block|reject
-///   batch=N weight=N max_queued=N max_inflight=N v=N
+///   weight=N max_queued=N max_inflight=N v=N
+/// shards=N splits each dependency community into N subject buckets
+/// (ParallelReasonerOptions::num_shards). window, shards, workers and
+/// max_inflight size per-session memory or threads up front, so each is
+/// capped (window <= 1048576, the others <= 64); an over-cap value is
+/// refused with code=invalid_argument.
 ///
 /// Versioning: `v=N` on open declares the client's protocol version.
 /// The server rejects versions it does not speak (code=

@@ -88,7 +88,7 @@ enum class BurstShape {
   /// distribution). Models breaking-news / incident traffic.
   kFlashCrowd,
   /// Periodic hot-key storms: spikes additionally collapse subjects onto
-  /// a tiny hot pool, so hash-sharded consumers see one or two shards
+  /// a tiny hot pool, so subject-bucketed consumers see one or two buckets
   /// absorb the whole spike. Models a single hot entity going viral.
   kHotKeyStorm,
   /// Sustained overload: every position is "in burst" at burst_intensity,

@@ -12,19 +12,12 @@ StreamQueryProcessor::StreamQueryProcessor(size_t window_size,
 
 StreamQueryProcessor::StreamQueryProcessor(size_t window_size, size_t slide,
                                            WindowCallback callback)
-    : StreamQueryProcessor(window_size, slide, std::move(callback),
-                           Punctuation::kInternal) {}
-
-StreamQueryProcessor::StreamQueryProcessor(size_t window_size, size_t slide,
-                                           WindowCallback callback,
-                                           Punctuation punctuation)
     : window_size_(window_size == 0 ? 1 : window_size),
       slide_(slide == 0 ? window_size_
                         : std::clamp<size_t>(slide, 1, window_size_)),
-      punctuation_(punctuation),
       callback_(std::move(callback)) {
   assert(callback_ != nullptr);
-  if (!external() && !sliding()) pending_.reserve(window_size_);
+  if (!sliding()) pending_.reserve(window_size_);
 }
 
 void StreamQueryProcessor::RegisterPredicate(SymbolId predicate) {
@@ -34,12 +27,6 @@ void StreamQueryProcessor::RegisterPredicate(SymbolId predicate) {
 void StreamQueryProcessor::Push(const Triple& triple) {
   if (!selected_.count(triple.predicate)) {
     ++dropped_;
-    return;
-  }
-  if (external()) {
-    // Retain only: the external windower decides what expires and when a
-    // window closes (CloseWindowWithDelta).
-    buffer_.Append(triple);
     return;
   }
   if (!sliding()) {
@@ -66,39 +53,6 @@ void StreamQueryProcessor::PushBatch(const std::vector<Triple>& triples) {
   for (const Triple& t : triples) Push(t);
 }
 
-void StreamQueryProcessor::CloseWindowWithDelta(WindowDelta delta) {
-  assert(external());
-  assert(delta.expired.size() <= buffer_.size());
-  for (size_t i = 0; i < delta.expired.size() && !buffer_.empty(); ++i) {
-    // The expired prefix is positional: the external windower evicts in
-    // global arrival order, and this buffer is the arrival-ordered
-    // sub-stream, so the i-th expired item IS the current front.
-    assert(buffer_.Front() == delta.expired[i]);
-    buffer_.PopFront();
-  }
-  TripleWindow window;
-  window.sequence = next_sequence_++;
-  buffer_.CopyTo(&window.items);
-  window.has_delta = true;
-  window.delta_base = delta_base_;
-  if (pending_expired_.empty() && pending_admitted_.empty()) {
-    window.expired = std::move(delta.expired);
-    window.admitted = std::move(delta.admitted);
-  } else {
-    // Folded shed deltas are older than the router's: prepend-by-append.
-    window.expired = std::move(pending_expired_);
-    window.admitted = std::move(pending_admitted_);
-    window.expired.insert(window.expired.end(), delta.expired.begin(),
-                          delta.expired.end());
-    window.admitted.insert(window.admitted.end(), delta.admitted.begin(),
-                           delta.admitted.end());
-    pending_expired_.clear();
-    pending_admitted_.clear();
-  }
-  delta_base_ = window.sequence;
-  callback_(std::move(window));
-}
-
 void StreamQueryProcessor::FoldShedDelta(TripleWindow* shed) {
   if (!shed->has_delta) return;
   // Synchronous sheds only: the window being folded must be this
@@ -118,7 +72,6 @@ void StreamQueryProcessor::FoldShedDelta(TripleWindow* shed) {
 }
 
 void StreamQueryProcessor::Flush() {
-  if (external()) return;  // Boundaries belong to the external windower.
   if (sliding()) {
     if (buffer_.empty()) return;
     if (emitted_once_ && arrivals_since_emit_ == 0) return;  // Nothing new.

@@ -42,22 +42,6 @@ class StreamQueryProcessor {
   StreamQueryProcessor(size_t window_size, size_t slide,
                        WindowCallback callback);
 
-  /// Who decides when a window closes and what it drops.
-  enum class Punctuation {
-    /// This processor: tuple counts against window_size/slide (above).
-    kInternal,
-    /// An external windower (the sharded engine's router): Push only
-    /// retains survivors; windows are cut exclusively by
-    /// CloseWindowWithDelta, whose delta also drives eviction.
-    /// window_size/slide are ignored and Flush is a no-op — the external
-    /// windower owns end-of-stream punctuation too.
-    kExternal,
-  };
-
-  /// Externally punctuated variant (see Punctuation::kExternal).
-  StreamQueryProcessor(size_t window_size, size_t slide,
-                       WindowCallback callback, Punctuation punctuation);
-
   /// Registers a predicate the continuous query selects. Items with
   /// unregistered predicates are dropped. No registration = drop all.
   void RegisterPredicate(SymbolId predicate);
@@ -69,28 +53,17 @@ class StreamQueryProcessor {
   /// Feeds a batch of items.
   void PushBatch(const std::vector<Triple>& triples);
 
-  /// External punctuation only: evicts `delta.expired` (which must be the
-  /// front of the retained buffer, in arrival order — the caller's
-  /// contract; Debug builds verify it), then emits the remaining buffer
-  /// as a delta-carrying sliding window. `delta.admitted` must be exactly
-  /// the survivors Pushed since the previous punctuation; it is attached
-  /// to the emitted window, not re-applied. An empty delta re-emits the
-  /// unchanged buffer (full reuse downstream).
-  void CloseWindowWithDelta(WindowDelta delta);
-
   /// Emits the current partial window (tumbling) or the current buffer
   /// contents if anything arrived since the last emission (sliding),
-  /// regardless of size — e.g. at end of stream. No-op under external
-  /// punctuation (the external windower owns every boundary).
+  /// regardless of size — e.g. at end of stream.
   void Flush();
 
   /// Load-shedding support: hands a just-emitted delta-carrying window's
   /// delta back so the NEXT emission nets the change across the gap and
   /// the delivered stream's delta chain stays exact. The shed window's
   /// expired/admitted move into the delta accumulators and its delta_base
-  /// becomes the accumulators' base, so under external punctuation the
-  /// shard's next punctuation carries (shed delta ∘ next delta) —
-  /// mirroring the router's skipped-empty-slice folding.
+  /// becomes the accumulators' base, so the next emission carries
+  /// (shed delta ∘ next delta).
   ///
   /// Precondition: `shed` must be the most recent emission of this
   /// processor (shed.sequence == the last emitted sequence) — i.e. the
@@ -108,29 +81,25 @@ class StreamQueryProcessor {
   /// Windows emitted so far.
   uint64_t emitted_windows() const { return next_sequence_; }
 
-  /// Column-storage bytes of the retained sliding/external buffer (the
-  /// query processor's contribution to the bytes-per-triple counter).
+  /// Column-storage bytes of the retained sliding buffer and the tumbling
+  /// window under construction (the query processor's contribution to the
+  /// bytes-per-triple counter).
   size_t retained_bytes() const {
     return buffer_.bytes() + pending_.capacity() * sizeof(Triple);
   }
 
  private:
   bool sliding() const { return slide_ < window_size_; }
-  bool external() const { return punctuation_ == Punctuation::kExternal; }
   void EmitSliding();
 
   size_t window_size_;
   size_t slide_ = 0;  ///< == window_size_ for tumbling.
-  Punctuation punctuation_ = Punctuation::kInternal;
   WindowCallback callback_;
   std::unordered_set<SymbolId> selected_;
   /// Tumbling state: the window under construction.
   std::vector<Triple> pending_;
-  /// Sliding state: last window_size_ survivors + delta accumulators
-  /// (columnar; also the retained buffer under external punctuation).
-  /// Under external punctuation the accumulators hold only folded shed
-  /// deltas (FoldShedDelta), prepended to the router's delta at the next
-  /// punctuation.
+  /// Sliding state: last window_size_ survivors (columnar) + delta
+  /// accumulators.
   WindowStore buffer_;
   std::vector<Triple> pending_expired_;
   std::vector<Triple> pending_admitted_;

@@ -2,46 +2,17 @@
 
 namespace streamasp {
 
-namespace {
-
-// Finalizer over Term::Hash() so that nearby hashes (small integers,
-// consecutive symbol ids) spread across shards instead of striding
-// through `% num_shards` in lockstep. splitmix64's mixing function.
-uint64_t MixShardKey(uint64_t x) {
+uint64_t SubjectShardKey(const Triple& triple) {
+  // splitmix64's finalizer over Term::Hash(), so that nearby hashes
+  // (small integers, consecutive symbol ids) spread across buckets
+  // instead of striding through `% num_shards` in lockstep.
+  uint64_t x = static_cast<uint64_t>(triple.subject.Hash());
   x ^= x >> 30;
   x *= 0xBF58476D1CE4E5B9ULL;
   x ^= x >> 27;
   x *= 0x94D049BB133111EBULL;
   x ^= x >> 31;
   return x;
-}
-
-}  // namespace
-
-ShardKeyExtractor SubjectShardKey() {
-  return [](const Triple& triple) {
-    return MixShardKey(static_cast<uint64_t>(triple.subject.Hash()));
-  };
-}
-
-ShardKeyExtractor PredicateShardKey() {
-  return [](const Triple& triple) {
-    return MixShardKey(static_cast<uint64_t>(triple.predicate));
-  };
-}
-
-ShardKeyExtractor SubjectObjectShardKey() {
-  return [](const Triple& triple) {
-    uint64_t key = static_cast<uint64_t>(triple.subject.Hash());
-    if (triple.object.has_value()) {
-      key = HashCombine(key, triple.object->Hash());
-    }
-    return MixShardKey(key);
-  };
-}
-
-ShardKeyExtractor ConstantShardKey(uint64_t key) {
-  return [key](const Triple&) { return key; };
 }
 
 }  // namespace streamasp

@@ -2,50 +2,20 @@
 #define STREAMASP_STREAM_SHARD_KEY_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "stream/triple.h"
 
 namespace streamasp {
 
-/// Maps a stream item to a stable 64-bit partition key. The sharded
-/// engine routes an item to shard `key % num_shards`, so two items with
-/// equal keys always land on the same shard regardless of shard count.
-///
-/// The extractor decides which regroupings of the input are
-/// answer-preserving: a key is *dependency-respecting* for a program when
-/// any two items that can contribute to the same derivation map to the
-/// same key. Subject keys respect subject-local programs (every rule's
-/// atoms share the subject variable, as in the paper's traffic workload);
-/// dependency-graph-derived keys (see CommunityShardKey in
-/// streamrule/sharded_pipeline.h) respect community-partitioned
-/// programs. Either way the router backs the key up by broadcasting
-/// *duplicated* predicates (ones several dependency communities need)
-/// to every shard, so a key only has to respect the dependencies among
-/// non-duplicated predicates.
-using ShardKeyExtractor = std::function<uint64_t(const Triple&)>;
-
-/// Keys by the subject term (deep hash). The default: all items about the
-/// same entity — the join variable of entity-centric rule sets — shard
-/// together.
-ShardKeyExtractor SubjectShardKey();
-
-/// Keys by the predicate symbol: all instances of one predicate shard
-/// together. Rarely dependency-respecting on its own (most rules join
-/// several predicates); useful as a building block and for stress-testing
-/// skew, since streams usually have few distinct predicates.
-ShardKeyExtractor PredicateShardKey();
-
-/// Keys by subject and object together (object-less items fall back to
-/// the subject alone). Spreads hot subjects at the cost of breaking
-/// subject-locality — only answer-preserving for programs whose rules
-/// never join two items of the same subject.
-ShardKeyExtractor SubjectObjectShardKey();
-
-/// A constant key: every item maps to shard 0. Degenerate on purpose —
-/// the skew worst case used by tests and benchmarks to verify ordering
-/// and accounting hold when one shard receives the entire stream.
-ShardKeyExtractor ConstantShardKey(uint64_t key = 0);
+/// The bucket key of a stream item: its subject term's deep hash, mixed.
+/// PartitioningHandler splits each dependency community into num_shards
+/// buckets and routes an item to bucket `SubjectShardKey(t) % num_shards`,
+/// so all items about one entity — the join variable of entity-centric
+/// rule sets such as the paper's traffic programs — land in one bucket
+/// regardless of the bucket count. Items of duplicated predicates are
+/// copied to every bucket instead, so the key only has to respect the
+/// joins among non-duplicated predicates.
+uint64_t SubjectShardKey(const Triple& triple);
 
 }  // namespace streamasp
 

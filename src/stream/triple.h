@@ -70,20 +70,6 @@ struct TripleWindow {
   bool empty() const { return items.empty(); }
 };
 
-/// A window-to-window multiset delta travelling on its own — the currency
-/// of externally punctuated sliding windows. The sharded engine's router
-/// computes one per shard at each global boundary (split of the global
-/// delta by the shard key) and threads it through
-/// `StreamRulePipeline::CloseWindow(WindowDelta)` into the shard's query
-/// processor, which turns it into a delta-carrying TripleWindow. Expired
-/// items must be listed in the retained window's arrival order (they are
-/// the front of the receiver's buffer); duplicates are positional, so a
-/// triple value retained twice expires once per listed occurrence.
-struct WindowDelta {
-  std::vector<Triple> expired;
-  std::vector<Triple> admitted;
-};
-
 }  // namespace streamasp
 
 #endif  // STREAMASP_STREAM_TRIPLE_H_

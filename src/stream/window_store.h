@@ -9,11 +9,10 @@
 
 namespace streamasp {
 
-/// Columnar ring buffer backing a windower's (or the sharded router's)
-/// retained window: subject/predicate/object live in three dense
-/// structure-of-arrays columns of fixed-width slots, with optional
-/// timestamp and shard-assignment columns for the time windower and the
-/// router's global window. Eviction pops the logical front by bumping a
+/// Columnar ring buffer backing a windower's retained window:
+/// subject/predicate/object live in three dense structure-of-arrays
+/// columns of fixed-width slots, with an optional timestamp column for the
+/// time windower. Eviction pops the logical front by bumping a
 /// head offset; storage is compacted in one memmove whenever dead slots
 /// outnumber live ones, so Append/PopFront stay amortized O(1) with no
 /// per-item allocation (the columns are trivially copyable slots, never
@@ -27,7 +26,6 @@ class WindowStore {
  public:
   struct Options {
     bool with_timestamps = false;
-    bool with_shards = false;
   };
 
   WindowStore() = default;
@@ -36,12 +34,11 @@ class WindowStore {
   size_t size() const { return subjects_.size() - head_; }
   bool empty() const { return size() == 0; }
 
-  void Append(const Triple& t, int64_t timestamp_ms = 0, uint32_t shard = 0) {
+  void Append(const Triple& t, int64_t timestamp_ms = 0) {
     subjects_.push_back(t.subject);
     predicates_.push_back(t.predicate);
     objects_.push_back(t.object);
     if (options_.with_timestamps) timestamps_.push_back(timestamp_ms);
-    if (options_.with_shards) shards_.push_back(shard);
   }
 
   /// The item at logical position i (0 == oldest retained).
@@ -51,7 +48,6 @@ class WindowStore {
   }
   Triple Front() const { return At(0); }
   int64_t TimestampAt(size_t i) const { return timestamps_[head_ + i]; }
-  uint32_t ShardAt(size_t i) const { return shards_[head_ + i]; }
 
   void PopFront() {
     ++head_;
@@ -64,7 +60,6 @@ class WindowStore {
     predicates_.clear();
     objects_.clear();
     timestamps_.clear();
-    shards_.clear();
   }
 
   /// Appends the retained items, oldest first, to *out.
@@ -81,8 +76,7 @@ class WindowStore {
     return subjects_.capacity() * sizeof(PackedTerm) +
            predicates_.capacity() * sizeof(SymbolId) +
            objects_.capacity() * sizeof(PackedTerm) +
-           timestamps_.capacity() * sizeof(int64_t) +
-           shards_.capacity() * sizeof(uint32_t);
+           timestamps_.capacity() * sizeof(int64_t);
   }
 
  private:
@@ -96,9 +90,6 @@ class WindowStore {
     if (options_.with_timestamps) {
       timestamps_.erase(timestamps_.begin(), timestamps_.begin() + head_);
     }
-    if (options_.with_shards) {
-      shards_.erase(shards_.begin(), shards_.begin() + head_);
-    }
     head_ = 0;
   }
 
@@ -108,7 +99,6 @@ class WindowStore {
   std::vector<SymbolId> predicates_;
   std::vector<PackedTerm> objects_;
   std::vector<int64_t> timestamps_;
-  std::vector<uint32_t> shards_;
 };
 
 static_assert(std::is_trivially_copyable<Triple>::value,

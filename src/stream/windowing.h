@@ -94,7 +94,7 @@ class SlidingTimeWindower {
   int64_t size_ms_;
   int64_t slide_ms_;
   WindowCallback callback_;
-  WindowStore buffer_{WindowStore::Options{/*with_timestamps=*/true, false}};
+  WindowStore buffer_{WindowStore::Options{/*with_timestamps=*/true}};
   std::vector<Triple> pending_expired_;
   std::vector<Triple> pending_admitted_;
   int64_t latest_ms_ = 0;

@@ -40,26 +40,6 @@ double MeanAccuracy(const std::vector<GroundAnswer>& pr_answers,
 /// caller accounting bug, not extra credit.
 double CompletenessRatio(uint64_t items_reasoned, uint64_t items_admitted);
 
-/// Streaming accumulator for the exact completeness of a (sub)stream:
-/// feed each window's reasoned/admitted counts, read back the item-
-/// weighted aggregate. Used per shard (PipelineStats) and across the
-/// merge (ShardedPipelineStats); the item weighting makes shard
-/// aggregates compose — summing the shards' tallies and ratioing equals
-/// ratioing the merged stream.
-struct CompletenessTally {
-  uint64_t items_reasoned = 0;
-  uint64_t items_admitted = 0;
-
-  void Record(uint64_t reasoned, uint64_t admitted) {
-    items_reasoned += reasoned;
-    items_admitted += admitted;
-  }
-
-  double ratio() const {
-    return CompletenessRatio(items_reasoned, items_admitted);
-  }
-};
-
 /// Estimated completeness of a degraded answer stream against a lossless
 /// reference, i.e. MeanAccuracy over the answers the shed-afflicted run
 /// still produced. Exact completeness (CompletenessRatio) counts lost

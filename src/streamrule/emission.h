@@ -15,11 +15,11 @@ struct ParallelReasonerResult;
 /// engine emits — reasoned, failed, or shed — surfaces as exactly one
 /// EmissionEvent, delivered from one thread at a time in strictly
 /// increasing sequence order across all three kinds: ordered consumers
-/// (the sharded merge, the session server) track one stream.
+/// (the session server) track one stream.
 struct EmissionEvent {
   enum class Kind : uint8_t {
     kResult,  ///< Window reasoned successfully; `result` is set.
-    kError,   ///< Reasoning (or cross-shard merging) failed; `status` set.
+    kError,   ///< Reasoning failed; `status` set.
     kShed,    ///< Tombstone: the window was shed unreasoned, items intact.
   };
 
@@ -31,28 +31,21 @@ struct EmissionEvent {
   uint64_t sequence = 0;
 
   /// The emitted window. Owned by the delivering thread and discarded
-  /// right after the handler returns, so handlers may steal its contents
-  /// (which is how the sharded engine forwards sub-windows to its merge
-  /// stage without copying). Never null during delivery.
+  /// right after the handler returns, so handlers may steal its contents.
+  /// Never null during delivery.
   TripleWindow* window = nullptr;
 
-  /// kResult only: the (possibly cross-shard merged) reasoning result.
+  /// kResult only: the reasoning result.
   const ParallelReasonerResult* result = nullptr;
 
   /// kError only: why the window produced no answers.
   Status status = OkStatus();
-
-  /// Items reasoned over items admitted for this emission: kResult
-  /// carries the delivered window's completeness (< 1.0 when shed shard
-  /// contributions degraded it), kError and kShed carry 0.
-  double completeness = 1.0;
 };
 
 /// The one emission surface of every engine: runs on the caller thread
-/// (sync), on whichever pool thread (or shedding caller) holds the
-/// delivery baton (async), or on the merge thread (sharded) — never
-/// concurrently with itself — and must not call back into Push/Flush on
-/// the emitting engine.
+/// (sync) or on whichever pool thread (or shedding caller) holds the
+/// delivery baton (async) — never concurrently with itself — and must not
+/// call back into Push/Flush on the emitting engine.
 using EmissionHandler = std::function<void(EmissionEvent&)>;
 
 }  // namespace streamasp

@@ -47,7 +47,7 @@ ParallelReasoner::ParallelReasoner(const Program* program,
                                    ParallelReasonerOptions options)
     : program_(program),
       reasoner_options_(ResolveReuseOptions(program, options.reasoner)),
-      handler_(std::move(plan)),
+      handler_(std::move(plan), options.num_shards),
       combiner_(options.combining),
       reasoner_(program, reasoner_options_) {
   // The caller reasons too, so the pool supplies the other threads.
@@ -57,18 +57,17 @@ ParallelReasoner::ParallelReasoner(const Program* program,
     lane_ = pool_->CreateQueue(/*weight=*/1, /*max_inflight=*/pool_threads);
   }
   if (reasoner_options_.reuse_grounding) {
-    // One engine per partition Split can produce: an empty plan still
-    // yields one fallback partition.
-    const int partitions = std::max(handler_.plan().num_communities(), 1);
+    // One engine per partition Split produces.
+    const size_t partitions = handler_.num_partitions();
     partition_grounders_.reserve(partitions);
-    for (int i = 0; i < partitions; ++i) {
+    for (size_t i = 0; i < partitions; ++i) {
       partition_grounders_.push_back(std::make_unique<IncrementalGrounder>(
           program_, reasoner_options_.grounding,
           reasoner_options_.incremental));
     }
     if (reasoner_options_.solving.reuse_solving) {
       partition_solvers_.reserve(partitions);
-      for (int i = 0; i < partitions; ++i) {
+      for (size_t i = 0; i < partitions; ++i) {
         partition_solvers_.push_back(
             std::make_unique<IncrementalSolver>(reasoner_options_.solving));
       }

@@ -29,18 +29,18 @@ struct ParallelReasonerOptions {
   /// drives their Split/ReasonPartition/Finish phases itself, one lane
   /// task per partition, and never calls Process.
   size_t num_threads = 0;
+
+  /// Subject buckets per dependency community: the partitioning handler
+  /// splits each community's items into this many buckets (see
+  /// PartitioningHandler), so a window yields max(communities, 1) ×
+  /// num_shards partitions, each with its own incremental grounder and
+  /// solver under reuse. 0 and 1 both mean no buckets.
+  size_t num_shards = 0;
 };
 
 /// The outcome of parallel reasoning over one window.
 struct ParallelReasonerResult {
   std::vector<GroundAnswer> answers;
-
-  /// Exact completeness of this window's input: the fraction of admitted
-  /// items that were actually reasoned (accuracy.h CompletenessRatio).
-  /// Always 1.0 from the reasoner itself; the sharded engine's merge
-  /// lowers it when tombstoned (shed) sub-windows contributed to the
-  /// merged global window. Exactly 1.0 when nothing was shed.
-  double completeness = 1.0;
 
   /// End-to-end measured wall latency (partitioning + parallel reasoning +
   /// combining). On a machine with at least as many free cores as
@@ -148,12 +148,8 @@ class ParallelReasoner {
   /// Split phase: partitions the window's items and, with
   /// reuse_grounding, its expired/admitted delta with the same routing,
   /// so each partition's incremental grounder receives its own sub-stream
-  /// delta. Delta splitting nests: under the sharded engine's sliding
-  /// global windows the window arriving here is already one shard's
-  /// routed slice (router delta punctuation), and the per-partition split
-  /// applied on top keeps each grounder's delta exactly its
-  /// sub-sub-stream's — both splits are per-item and pure, so they
-  /// compose. Always at least one partition.
+  /// delta (the routing — community, then subject bucket — is per item
+  /// and pure). Always at least one partition.
   Job Split(const TripleWindow& window) const;
 
   /// Reason phase: reasons partition `index` of `job` into its slot.
@@ -170,9 +166,7 @@ class ParallelReasoner {
   /// reasoned (fanned out on the private pool, or inline), Finish. With
   /// reuse_grounding set the per-partition grounding reuses the previous
   /// window's instantiation through the window's split delta (see Split).
-  /// The reuse counters (ReasonerResult → ParallelReasonerResult) flow
-  /// identically on the single-pipeline and sharded sliding paths. A
-  /// partition's exception propagates after every partition has run.
+  /// A partition's exception propagates after every partition has run.
   StatusOr<ParallelReasonerResult> Process(const TripleWindow& window);
 
   /// PR pipeline over a window already converted to facts. Always batch

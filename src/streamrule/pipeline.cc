@@ -99,10 +99,7 @@ StreamRulePipeline::StreamRulePipeline(const Program* program,
         } else {
           ProcessWindowSync(window);
         }
-      },
-      options_.external_delta_punctuation
-          ? StreamQueryProcessor::Punctuation::kExternal
-          : StreamQueryProcessor::Punctuation::kInternal);
+      });
   for (const PredicateSignature& sig : program->input_predicates()) {
     query_->RegisterPredicate(sig.name);
   }
@@ -134,13 +131,9 @@ void StreamRulePipeline::StartAsyncEngine() {
   private_pool_ = ProvidePrivatePool(&options_);
   work_queue_ = std::make_unique<BoundedQueue<TripleWindow>>(
       options_.max_inflight_windows, options_.backpressure);
-  if (options_.shared_queue != nullptr) {
-    pool_queue_ = options_.shared_queue;
-  } else {
-    pool_queue_ = options_.shared_pool->CreateQueue(
-        options_.pool_weight,
-        ResolveLaneCap(options_, /*private_pool=*/private_pool_ != nullptr));
-  }
+  pool_queue_ = options_.shared_pool->CreateQueue(
+      options_.pool_weight,
+      ResolveLaneCap(options_, /*private_pool=*/private_pool_ != nullptr));
   // Reasoner slots: each window checks one out. Slots are built inline
   // (no pool of their own): their partitions fan out as lane tasks, never
   // through Process, which keeps the thread budget O(pool) instead of
@@ -161,12 +154,6 @@ void StreamRulePipeline::PushBatch(const std::vector<Triple>& triples) {
   query_->PushBatch(triples);
 }
 
-void StreamRulePipeline::CloseWindow() { query_->Flush(); }
-
-void StreamRulePipeline::CloseWindow(WindowDelta delta) {
-  query_->CloseWindowWithDelta(std::move(delta));
-}
-
 void StreamRulePipeline::Flush() {
   query_->Flush();
   if (!options_.async) return;
@@ -176,13 +163,10 @@ void StreamRulePipeline::Flush() {
       return inflight_.empty() && completed_.empty() && delivering_ == 0;
     });
   }
-  if (options_.shared_queue == nullptr) {
-    // Every window is delivered; also wait out the epilogues of the tasks
-    // that delivered them, so the lane's counters are settled when Flush
-    // returns. (A lane shared by shard pipelines is settled by the
-    // sharded engine's Flush instead.)
-    pool_queue_->Drain();
-  }
+  // Every window is delivered; also wait out the epilogues of the tasks
+  // that delivered them, so the lane's counters are settled when Flush
+  // returns.
+  pool_queue_->Drain();
 }
 
 PipelineStats StreamRulePipeline::stats() const {
@@ -297,14 +281,12 @@ void StreamRulePipeline::DeliverShed(TripleWindow& window) {
   event.kind = EmissionEvent::Kind::kShed;
   event.sequence = window.sequence;
   event.window = &window;
-  event.completeness = 0.0;
   handler_(event);
 }
 
 void StreamRulePipeline::ProcessWindowSync(TripleWindow& window) {
-  // Exactly one delivery per window (the sharded engine's merge stalls on
-  // a missing slot), so exceptions take the same error path as async
-  // windows.
+  // Exactly one delivery per window (ordered consumers account for every
+  // sequence), so exceptions take the same error path as async windows.
   StatusOr<ParallelReasonerResult> result{InternalError("not run")};
   try {
     result = sync_reasoner_->Process(window);
@@ -479,7 +461,6 @@ void StreamRulePipeline::DeliverResult(
     event.sequence = window.sequence;
     event.window = &window;
     event.status = result.status();
-    event.completeness = 0.0;
     handler_(event);
     return;
   }
@@ -519,7 +500,6 @@ void StreamRulePipeline::DeliverResult(
   event.sequence = window.sequence;
   event.window = &window;
   event.result = &*result;
-  event.completeness = result->completeness;
   handler_(event);
 }
 

@@ -29,20 +29,8 @@ struct PipelineOptions {
   /// once the first window_size items have arrived, re-processing the
   /// overlapping suffix (CQELS/C-SPARQL semantics). 0 or == window_size
   /// keeps tumbling windows. Sliding windows carry expired/admitted
-  /// deltas, which reuse_grounding consumes. In the sharded engine the
-  /// slide is global: the router punctuates every shard with its routed
-  /// split of the global delta at each boundary (see
-  /// external_delta_punctuation).
+  /// deltas, which reuse_grounding consumes.
   size_t window_slide = 0;
-
-  /// Internal (set by the sharded engine, leave false elsewhere): window
-  /// boundaries and eviction are driven externally through
-  /// CloseWindow(WindowDelta) instead of by this pipeline's windower —
-  /// the query processor only retains survivors between punctuations and
-  /// window_size/window_slide stop mattering. The emitted windows carry
-  /// the injected deltas, so reuse_grounding/reuse_solving see the same
-  /// incremental shape as internally slid windows.
-  bool external_delta_punctuation = false;
 
   /// Reuse grounding across overlapping windows: each reasoner keeps a
   /// per-partition IncrementalGrounder that retracts the rule
@@ -83,7 +71,7 @@ struct PipelineOptions {
   size_t max_inflight_windows = 4;
 
   /// Threads of the private SharedReasonerPool an async engine builds
-  /// when neither shared_pool nor shared_queue is set (see
+  /// when shared_pool is not set (see
   /// ProvidePrivatePool in streamrule/validate.h); 0 picks
   /// DefaultThreadCount(). Ignored for sync engines and for engines on
   /// an external pool.
@@ -125,19 +113,12 @@ struct PipelineOptions {
   /// together, which is the per-tenant quota the session server exposes.
   size_t max_queued_windows = 0;
 
-  /// Internal (set by the sharded engine, leave null elsewhere): a
-  /// pre-built pool lane shared by all shard pipelines of one engine, so
-  /// the tenant's weight and inflight cap apply engine-wide rather than
-  /// per shard. Overrides shared_pool's lane creation; each pipeline
-  /// still sizes its own reasoner slots to the lane's cap.
-  std::shared_ptr<SharedReasonerPool::Queue> shared_queue;
-
   /// What Push does when the work queue is full (async only). kBlock is
   /// lossless and keeps async output identical to sync; kDropOldest /
   /// kReject shed load under overload — every shed window is counted in
   /// PipelineStats AND surfaces as a kShed tombstone event, in strict
-  /// sequence order, so ordered consumers (the sharded engine's
-  /// merge) release the sequence's slot instead of waiting forever.
+  /// sequence order, so ordered consumers (the session server) account
+  /// for the sequence instead of waiting forever.
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
 
   /// Caller-controlled admission control (deterministic load shedding):
@@ -149,8 +130,7 @@ struct PipelineOptions {
   /// policies never engage). The overload test suite uses it to drive
   /// reproducible shed patterns; a production caller can use it as an
   /// upstream load-shedding hook (e.g. shed when a latency SLO is
-  /// already blown). Must be pure/thread-safe if the same options object
-  /// is shared across shard pipelines.
+  /// already blown).
   std::function<bool(const TripleWindow&)> admission_filter;
 
   InputDependencyOptions dependency;
@@ -283,7 +263,7 @@ struct PipelineStats {
 /// byte-identical to async=false.
 ///
 /// Thread-safety contract:
-///   * Push / PushBatch / CloseWindow / Flush must be called from one
+///   * Push / PushBatch / Flush must be called from one
 ///     thread at a time (they share the windower's mutable state). That
 ///     thread need not be the one that created the pipeline.
 ///   * stats() and the simple accessors are safe from any thread, at any
@@ -324,24 +304,6 @@ class StreamRulePipeline {
   /// Feeds a batch.
   void PushBatch(const std::vector<Triple>& triples);
 
-  /// Closes the current window right now, regardless of how full it is,
-  /// and admits it to the engine exactly as a count-triggered close would
-  /// (a no-op when nothing is pending). Unlike Flush this never waits for
-  /// reasoning: it is the punctuation hook external windowers — e.g. the
-  /// sharded engine's router, which aligns per-shard sub-windows on global
-  /// window boundaries — use to drive boundaries themselves. Same thread
-  /// discipline as Push.
-  void CloseWindow();
-
-  /// Delta-carrying punctuation (requires
-  /// PipelineOptions::external_delta_punctuation): evicts delta.expired
-  /// from the retained buffer, then admits the remaining contents as one
-  /// sliding window whose TripleWindow delta is exactly `delta` — how the
-  /// sharded engine's router extends sliding global windows (and with
-  /// them the grounding/solving reuse stack) to every shard. Same thread
-  /// discipline and non-waiting semantics as CloseWindow().
-  void CloseWindow(WindowDelta delta);
-
   /// Emits the trailing partial window and, in async mode, blocks until
   /// every in-flight window has been reasoned and delivered.
   /// The pipeline remains usable afterwards.
@@ -354,7 +316,7 @@ class StreamRulePipeline {
   const DecompositionInfo& decomposition_info() const { return info_; }
 
   /// Threads of the pipeline's private pool (0 in sync mode and on an
-  /// external shared_pool/shared_queue — see pool_queue() for the lane).
+  /// external shared_pool — see pool_queue() for the lane).
   size_t num_reason_workers() const {
     return private_pool_ == nullptr ? 0 : private_pool_->num_threads();
   }
@@ -405,8 +367,7 @@ class StreamRulePipeline {
   /// dispatched while none of the lane's partition tasks are queued; then
   /// every window holding a slot has a task running, and those tasks plus
   /// the new one fit the lane's inflight cap, which equals the slot
-  /// count. This holds for a lane shared across shard pipelines too (each
-  /// pipeline's holders are a subset of the lane's).
+  /// count.
   void PoolTask();
   /// Reasons partition `index` of a pooled window; the last partition of
   /// the window to finish runs FinishPoolWindow.
@@ -460,11 +421,10 @@ class StreamRulePipeline {
   // --- async engine state (null/empty in sync mode) ---
   std::unique_ptr<BoundedQueue<TripleWindow>> work_queue_;
   /// The pool this pipeline built for itself (null when it runs on an
-  /// external shared_pool/shared_queue, and in sync mode). Also held by
+  /// external shared_pool, and in sync mode). Also held by
   /// options_.shared_pool; kept here to tell private from external.
   std::shared_ptr<SharedReasonerPool> private_pool_;
-  /// This pipeline's DRR lane (created from options_.shared_pool, or
-  /// adopted from options_.shared_queue in the sharded engine).
+  /// This pipeline's DRR lane on options_.shared_pool.
   std::shared_ptr<SharedReasonerPool::Queue> pool_queue_;
   /// Checked-in reasoner slots, one per unit of the lane's inflight cap.
   /// A window holds its slot from split to finish; the slot invariant

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "streamrule/pipeline.h"
-#include "streamrule/sharded_pipeline.h"
 
 namespace streamasp {
 
@@ -18,8 +17,7 @@ void NormalizePipelineOptions(PipelineOptions* options) {
 
 std::shared_ptr<SharedReasonerPool> ProvidePrivatePool(
     PipelineOptions* options) {
-  if (!options->async || options->shared_pool != nullptr ||
-      options->shared_queue != nullptr) {
+  if (!options->async || options->shared_pool != nullptr) {
     return nullptr;
   }
   const size_t threads = options->num_reason_workers != 0
@@ -38,15 +36,14 @@ size_t ResolveLaneCap(const PipelineOptions& options, bool private_pool) {
   return std::max<size_t>(cap, 1);
 }
 
-Status ValidatePipelineOptions(const PipelineOptions& options, bool sharded) {
+Status ValidatePipelineOptions(const PipelineOptions& options) {
   if (options.async && options.max_inflight_windows == 0) {
     return InvalidArgumentError("async mode needs max_inflight_windows >= 1");
   }
   if (options.window_slide > options.window_size) {
     return InvalidArgumentError("window_slide must not exceed window_size");
   }
-  const bool pooled =
-      options.shared_pool != nullptr || options.shared_queue != nullptr;
+  const bool pooled = options.shared_pool != nullptr;
   if (pooled && !options.async) {
     return InvalidArgumentError(
         "a shared reasoner pool requires async mode (sync pipelines reason "
@@ -61,21 +58,7 @@ Status ValidatePipelineOptions(const PipelineOptions& options, bool sharded) {
         "windows (sync mode never queues); set async, or use "
         "admission_filter for synchronous shedding");
   }
-  if (sharded && options.backpressure != BackpressurePolicy::kBlock &&
-      !options.async) {
-    return InvalidArgumentError(
-        "lossy backpressure policies only engage in async shard pipelines "
-        "(sync mode has no work queue to shed from); set pipeline.async, "
-        "or use pipeline.admission_filter for synchronous shedding");
-  }
   return OkStatus();
-}
-
-Status ValidateShardedPipelineOptions(const ShardedPipelineOptions& options) {
-  if (options.num_shards == 0) {
-    return InvalidArgumentError("sharded engine needs num_shards >= 1");
-  }
-  return ValidatePipelineOptions(options.pipeline, /*sharded=*/true);
 }
 
 }  // namespace streamasp

@@ -10,7 +10,6 @@
 namespace streamasp {
 
 struct PipelineOptions;
-struct ShardedPipelineOptions;
 
 /// Expands option shorthands in place so every engine surface agrees on
 /// what a config means before validating or running it: reuse_grounding
@@ -23,12 +22,11 @@ struct ShardedPipelineOptions;
 void NormalizePipelineOptions(PipelineOptions* options);
 
 /// The one place that decides an async engine's executor: an async
-/// configuration with neither shared_pool nor shared_queue gets a private
-/// SharedReasonerPool of num_reason_workers threads (0 picks
-/// DefaultThreadCount()), installed as options->shared_pool so the
-/// engine takes the pooled path unchanged. Returns that private pool, or
-/// null when the options already name an executor or are synchronous.
-/// The sharded engine calls it once for all its shards.
+/// configuration without a shared_pool gets a private SharedReasonerPool
+/// of num_reason_workers threads (0 picks DefaultThreadCount()),
+/// installed as options->shared_pool so the engine takes the pooled path
+/// unchanged. Returns that private pool, or null when the options already
+/// name a pool or are synchronous.
 std::shared_ptr<SharedReasonerPool> ProvidePrivatePool(
     PipelineOptions* options);
 
@@ -39,22 +37,16 @@ std::shared_ptr<SharedReasonerPool> ProvidePrivatePool(
 /// min(max_inflight_windows, pool threads) on a shared pool; at least 1.
 size_t ResolveLaneCap(const PipelineOptions& options, bool private_pool);
 
-/// Create-time option validation shared by StreamRulePipeline,
-/// ShardedPipelineEngine and the StreamEngine facade — the cross-cutting
-/// rules live here exactly once, with uniform messages:
+/// Create-time option validation of StreamRulePipeline (and so of the
+/// StreamEngine facade) — the cross-cutting rules live here exactly once,
+/// with uniform messages:
 ///   * async mode needs max_inflight_windows >= 1;
 ///   * window_slide must not exceed window_size;
-///   * sharded only: lossy backpressure (kDropOldest/kReject) requires
-///     async shard pipelines — sync mode has no work queue to shed from
-///     (use pipeline.admission_filter for synchronous shedding).
-/// `sharded` selects that last rule; an unsharded sync pipeline with a
-/// lossy policy is allowed (the policy simply never engages).
-Status ValidatePipelineOptions(const PipelineOptions& options,
-                               bool sharded = false);
-
-/// Sharded-engine validation: num_shards >= 1, then the pipeline rules
-/// above with the sharded cross-cutting rules enabled.
-Status ValidateShardedPipelineOptions(const ShardedPipelineOptions& options);
+///   * a shared pool requires async mode, with pool_weight >= 1;
+///   * max_queued_windows requires async mode.
+/// A sync pipeline with a lossy backpressure policy is allowed (the policy
+/// simply never engages).
+Status ValidatePipelineOptions(const PipelineOptions& options);
 
 }  // namespace streamasp
 

@@ -41,9 +41,8 @@ constexpr const char* BackpressurePolicyName(BackpressurePolicy policy) {
 /// True for the load-shedding policies: items can be lost at this stage
 /// boundary, so the producer must account for every kDroppedOldest /
 /// kRejected outcome. The async pipeline turns each loss into a kShed
-/// tombstone in its ordered emission stream, so downstream consumers —
-/// notably the sharded engine's ordered merge — see an explicit release
-/// for the lost sequence instead of a permanent gap.
+/// tombstone in its ordered emission stream, so downstream consumers see
+/// an explicit release for the lost sequence instead of a permanent gap.
 constexpr bool IsLossyPolicy(BackpressurePolicy policy) {
   return policy != BackpressurePolicy::kBlock;
 }

@@ -67,10 +67,8 @@ inline size_t DefaultThreadCount() {
 /// dropped and counted as completed so Drain cannot hang.
 class SharedReasonerPool {
  public:
-  /// One tenant's task lane. Obtained from CreateQueue; safe to share
-  /// across the tenant's pipelines (the sharded engine gives all its
-  /// shard pipelines one lane so the tenant's weight and inflight cap
-  /// apply engine-wide).
+  /// One tenant's task lane. Obtained from CreateQueue; safe to use from
+  /// any thread.
   class Queue : public std::enable_shared_from_this<Queue> {
    public:
     /// Point-in-time lane counters (pool mutex held briefly).

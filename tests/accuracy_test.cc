@@ -1,10 +1,9 @@
 // Unit tests for the streamrule/accuracy harness: the paper's answer
 // accuracy measure plus the graceful-degradation completeness estimators
-// the overload path (tombstone shedding) reports through PipelineStats
-// and ShardedPipelineStats. These pin the estimator's conventions —
-// especially the degenerate empty-window and full-shed cases — so a
-// regression here is caught independently of the pipelines that consume
-// the numbers.
+// the overload path (tombstone shedding) reports through PipelineStats.
+// These pin the estimator's conventions — especially the degenerate
+// empty-window and full-shed cases — so a regression here is caught
+// independently of the pipelines that consume the numbers.
 
 #include <string>
 #include <vector>
@@ -119,38 +118,6 @@ TEST_F(AccuracyTest, CompletenessPartialShed) {
 TEST_F(AccuracyTest, CompletenessClampsAccountingOverrun) {
   // reasoned > admitted is a caller bug; clamp rather than report > 1.
   EXPECT_EQ(CompletenessRatio(5, 4), 1.0);
-}
-
-TEST_F(AccuracyTest, TallyAggregatesItemWeighted) {
-  CompletenessTally tally;
-  tally.Record(100, 100);  // clean window
-  tally.Record(0, 100);    // fully shed window
-  tally.Record(50, 100);   // half-shed window
-  EXPECT_DOUBLE_EQ(tally.ratio(), 0.5);
-  // Item weighting: a big clean window outweighs a small shed one.
-  CompletenessTally skewed;
-  skewed.Record(900, 900);
-  skewed.Record(0, 100);
-  EXPECT_DOUBLE_EQ(skewed.ratio(), 0.9);
-}
-
-TEST_F(AccuracyTest, TallyOfEmptyStreamIsOne) {
-  CompletenessTally tally;
-  EXPECT_EQ(tally.ratio(), 1.0);
-  tally.Record(0, 0);
-  EXPECT_EQ(tally.ratio(), 1.0);
-}
-
-TEST_F(AccuracyTest, TallyComposesAcrossShards) {
-  // Summing per-shard tallies then ratioing == ratioing the merged
-  // stream — the property that lets ShardedPipelineStats aggregate
-  // PipelineStats without re-walking windows.
-  CompletenessTally shard_a, shard_b, merged;
-  shard_a.Record(80, 100);
-  shard_b.Record(60, 60);
-  merged.Record(shard_a.items_reasoned + shard_b.items_reasoned,
-                shard_a.items_admitted + shard_b.items_admitted);
-  EXPECT_DOUBLE_EQ(merged.ratio(), 140.0 / 160.0);
 }
 
 // --------------------------- Estimated completeness (answer recall of a

@@ -1,10 +1,11 @@
-// StreamEngine facade: the shared Create-time validator (one rule table
-// across both engine shapes), shape selection, the unified EngineStats
-// snapshot, and differential checks that output through the facade is
-// byte-identical to driving the underlying engines directly.
+// StreamEngine facade: the shared Create-time validator, sharding as a
+// subject-bucket split of the one pipeline's partitioning, the unified
+// EngineStats snapshot, and differential checks that output through the
+// facade is byte-identical to driving the pipeline directly.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,15 +42,13 @@ class EngineTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Shared validator: one rule table, uniform Status messages for both
-// shapes (satellite: Create-time validation hoisted out of the engines).
+// Shared validator: one rule table, uniform Status messages.
 // ---------------------------------------------------------------------------
 
 TEST_F(EngineTest, ValidatorTable) {
   struct Case {
     const char* name;
     PipelineOptions pipeline;
-    bool sharded;
     bool ok;
     const char* message_substring;  // Must appear in the error message.
   };
@@ -68,21 +67,16 @@ TEST_F(EngineTest, ValidatorTable) {
   lossy_async.async = true;
 
   const Case kCases[] = {
-      {"defaults", PipelineOptions{}, false, true, ""},
-      {"defaults sharded", PipelineOptions{}, true, true, ""},
-      {"async needs inflight >= 1", async_no_queue, false, false,
+      {"defaults", PipelineOptions{}, true, ""},
+      {"async needs inflight >= 1", async_no_queue, false,
        "max_inflight_windows"},
-      {"async needs inflight >= 1 (sharded)", async_no_queue, true, false,
-       "max_inflight_windows"},
-      {"slide beyond window", oversized_slide, false, false, "window_slide"},
-      {"slide == window is tumbling", boundary_slide, false, true, ""},
-      {"lossy sync unsharded ok", lossy_sync, false, true, ""},
-      {"lossy sync sharded rejected", lossy_sync, true, false,
-       "lossy backpressure policies only engage in async shard pipelines"},
-      {"lossy async sharded ok", lossy_async, true, true, ""},
+      {"slide beyond window", oversized_slide, false, "window_slide"},
+      {"slide == window is tumbling", boundary_slide, true, ""},
+      {"lossy sync ok", lossy_sync, true, ""},
+      {"lossy async ok", lossy_async, true, ""},
   };
   for (const Case& c : kCases) {
-    const Status status = ValidatePipelineOptions(c.pipeline, c.sharded);
+    const Status status = ValidatePipelineOptions(c.pipeline);
     EXPECT_EQ(status.ok(), c.ok) << c.name << ": " << status.ToString();
     if (!c.ok) {
       EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.name;
@@ -91,25 +85,18 @@ TEST_F(EngineTest, ValidatorTable) {
           << c.name << ": " << status.ToString();
     }
   }
-
-  // Sharded wrapper adds the shard-count rule on top of the same table.
-  ShardedPipelineOptions no_shards;
-  no_shards.num_shards = 0;
-  const Status status = ValidateShardedPipelineOptions(no_shards);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("num_shards"), std::string::npos);
 }
 
 TEST_F(EngineTest, CreateRejectsThroughSharedValidator) {
-  // The same violation is refused with the same message through every
-  // entry point: unsharded facade, sharded facade, and both engines.
+  // The same violation is refused with the same message whatever the
+  // shard count.
   EngineConfig bad;
   bad.pipeline.async = true;
   bad.pipeline.max_inflight_windows = 0;
   auto unsharded = StreamEngine::Create(program_.get(), bad,
                                         [](EmissionEvent&) {});
   ASSERT_FALSE(unsharded.ok());
-  bad.num_shards = 2;
+  bad.pipeline.reasoner.num_shards = 2;
   auto sharded = StreamEngine::Create(program_.get(), bad,
                                       [](EmissionEvent&) {});
   ASSERT_FALSE(sharded.ok());
@@ -124,26 +111,37 @@ TEST_F(EngineTest, CreateRejectsThroughSharedValidator) {
 }
 
 // ---------------------------------------------------------------------------
-// Shape selection and the unified stats surface.
+// Sharding as partitioning and the unified stats surface.
 // ---------------------------------------------------------------------------
 
-TEST_F(EngineTest, PicksShapeFromConfig) {
-  EngineConfig config;
-  config.pipeline.window_size = 500;
-  auto unsharded = StreamEngine::Create(program_.get(), config,
-                                        [](EmissionEvent&) {});
-  ASSERT_TRUE(unsharded.ok()) << unsharded.status();
-  EXPECT_NE((*unsharded)->pipeline(), nullptr);
-  EXPECT_EQ((*unsharded)->sharded(), nullptr);
-  EXPECT_EQ((*unsharded)->num_shards(), 0u);
-
-  config.num_shards = 3;
-  auto sharded = StreamEngine::Create(program_.get(), config,
-                                      [](EmissionEvent&) {});
-  ASSERT_TRUE(sharded.ok()) << sharded.status();
-  EXPECT_EQ((*sharded)->pipeline(), nullptr);
-  ASSERT_NE((*sharded)->sharded(), nullptr);
-  EXPECT_EQ((*sharded)->num_shards(), 3u);
+TEST_F(EngineTest, NumShardsSplitsEachCommunityIntoBuckets) {
+  // One pipeline whatever the shard count: each of the plan's
+  // communities is split into num_shards subject buckets, and 0 and 1
+  // both mean no buckets.
+  for (const size_t shards : {size_t{0}, size_t{1}, size_t{3}}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(shards));
+    EngineConfig config;
+    config.pipeline.window_size = 500;
+    config.pipeline.reasoner.num_shards = shards;
+    std::vector<size_t> partitions;
+    auto engine = StreamEngine::Create(
+        program_.get(), config, [&](EmissionEvent& event) {
+          if (event.kind == EmissionEvent::Kind::kResult) {
+            partitions.push_back(event.result->num_partitions);
+          }
+        });
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    ASSERT_NE((*engine)->pipeline(), nullptr);
+    const size_t communities =
+        (*engine)->pipeline()->plan().num_communities();
+    ASSERT_EQ(communities, 2u);
+    (*engine)->PushBatch(MakeStream(1000));
+    (*engine)->Flush();
+    EXPECT_EQ(partitions,
+              std::vector<size_t>(2, communities * std::max<size_t>(
+                                                       shards, 1)));
+    EXPECT_EQ((*engine)->stats().num_shards, shards);
+  }
 }
 
 TEST_F(EngineTest, UnifiedStatsUnsharded) {
@@ -168,47 +166,42 @@ TEST_F(EngineTest, UnifiedStatsUnsharded) {
   EXPECT_EQ(stats.delivery_errors, 0u);
   EXPECT_EQ(stats.accounted_windows(), 3u);
   EXPECT_EQ(stats.completeness(), 1.0);
-  EXPECT_EQ(stats.max_shard_items(), 1000u);
-  EXPECT_TRUE(stats.per_shard.empty());
 }
 
 TEST_F(EngineTest, UnifiedStatsSharded) {
   EngineConfig config;
-  config.num_shards = 2;
+  config.pipeline.reasoner.num_shards = 2;
   config.pipeline.window_size = 400;
   uint64_t events = 0;
-  auto engine = StreamEngine::Create(program_.get(), config,
-                                     [&](EmissionEvent& event) {
-                                       if (event.kind ==
-                                           EmissionEvent::Kind::kResult) {
-                                         ++events;
-                                       }
-                                     });
+  size_t partition_items = 0;
+  auto engine = StreamEngine::Create(
+      program_.get(), config, [&](EmissionEvent& event) {
+        if (event.kind == EmissionEvent::Kind::kResult) {
+          ++events;
+          partition_items += event.result->total_partition_items;
+        }
+      });
   ASSERT_TRUE(engine.ok());
   (*engine)->PushBatch(MakeStream(1000));
   (*engine)->Flush();
   const EngineStats stats = (*engine)->stats();
   EXPECT_EQ(stats.num_shards, 2u);
   EXPECT_EQ(stats.delivered_windows, events);
-  EXPECT_EQ(stats.delivered_windows, 3u);  // Global windows, merged.
-  EXPECT_EQ(stats.per_shard.size(), 2u);
-  EXPECT_EQ(stats.routed_items.size(), 2u);
-  // The P' plan duplicates car_number across communities, so the router
-  // broadcasts those items to both shards: the routed sum counts each
-  // broadcast item once per shard and thus exceeds the pushed count.
-  EXPECT_GT(stats.routed_items[0] + stats.routed_items[1] +
-                stats.filtered_items,
-            1000u);
-  EXPECT_GE(stats.routed_items[0], 1u);
-  EXPECT_GE(stats.routed_items[1], 1u);
+  EXPECT_EQ(stats.delivered_windows, 3u);  // Windows are not split.
+  EXPECT_EQ(stats.reasoning.items, 1000u);
+  // The P' plan duplicates car_number across communities, and the
+  // handler copies it into every bucket of both: the partitions hold
+  // more items than the windows.
+  EXPECT_GT(partition_items, 1000u);
   EXPECT_EQ(stats.delivery_errors, 0u);
-  EXPECT_EQ(stats.mean_completeness, 1.0);
+  EXPECT_EQ(stats.accounted_windows(), 3u);
+  EXPECT_EQ(stats.completeness(), 1.0);
 }
 
 // ---------------------------------------------------------------------------
 // Differential: the facade adds no behavior — event streams through
-// StreamEngine are byte-identical to the underlying engines driven
-// directly, across shapes, sliding windows, and the reuse stack.
+// StreamEngine are byte-identical to the pipeline driven directly, across
+// shapes, sliding windows, shard counts and the reuse stack.
 // ---------------------------------------------------------------------------
 
 std::string Transcript(const SymbolTable& symbols, uint64_t sequence,
@@ -253,7 +246,7 @@ TEST_F(EngineTest, FacadeMatchesDirectEnginesByteForByte) {
   for (const Shape& shape : kShapes) {
     SCOPED_TRACE(shape.name);
     EngineConfig config;
-    config.num_shards = shape.shards;
+    config.pipeline.reasoner.num_shards = shape.shards;
     config.pipeline.window_size = 600;
     config.pipeline.window_slide = shape.slide;
     config.pipeline.async = shape.async;
@@ -271,39 +264,24 @@ TEST_F(EngineTest, FacadeMatchesDirectEnginesByteForByte) {
     (*facade)->Flush();
 
     std::string direct_transcript;
-    if (shape.shards == 0) {
-      auto direct = StreamRulePipeline::Create(
-          program_.get(), config.pipeline, [&](EmissionEvent& event) {
-            direct_transcript +=
-                Transcript(*symbols_, event.sequence, event);
-          });
-      ASSERT_TRUE(direct.ok()) << direct.status();
-      (*direct)->PushBatch(stream);
-      (*direct)->Flush();
-    } else {
-      ShardedPipelineOptions options;
-      options.num_shards = shape.shards;
-      options.pipeline = config.pipeline;
-      auto direct = ShardedPipelineEngine::Create(
-          program_.get(), options, [&](EmissionEvent& event) {
-            direct_transcript +=
-                Transcript(*symbols_, event.sequence, event);
-          });
-      ASSERT_TRUE(direct.ok()) << direct.status();
-      (*direct)->PushBatch(stream);
-      (*direct)->Flush();
-    }
+    auto direct = StreamRulePipeline::Create(
+        program_.get(), config.pipeline, [&](EmissionEvent& event) {
+          direct_transcript += Transcript(*symbols_, event.sequence, event);
+        });
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    (*direct)->PushBatch(stream);
+    (*direct)->Flush();
     EXPECT_FALSE(facade_transcript.empty());
     EXPECT_EQ(facade_transcript, direct_transcript);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Partition fan-out on a pool lane: a pooled P' window's two partitions
-// run as separate lane tasks joined by the last finisher. The transcript
-// must stay byte-identical to the sync oracle of the same shape across
-// lane caps, shared and private pools, the reuse stack, and a lane shared
-// by shard pipelines.
+// Partition fan-out on a pool lane: a pooled P' window's partitions (two
+// communities, times the subject buckets) run as separate lane tasks
+// joined by the last finisher. The transcript must stay byte-identical to
+// the sync oracle of the same shape across lane caps, shared and private
+// pools, the reuse stack, and shard counts.
 // ---------------------------------------------------------------------------
 
 TEST_F(EngineTest, PooledPartitionFanOutMatchesSyncOracle) {
@@ -317,7 +295,7 @@ TEST_F(EngineTest, PooledPartitionFanOutMatchesSyncOracle) {
       {"none", false, false}, {"ground", true, false}, {"solve", true, true}};
   auto config_for = [](size_t shards, const Reuse& reuse) {
     EngineConfig config;
-    config.num_shards = shards;
+    config.pipeline.reasoner.num_shards = shards;
     config.pipeline.window_size = 600;
     config.pipeline.window_slide = 150;
     config.pipeline.reuse_grounding = reuse.grounding;
@@ -366,39 +344,30 @@ TEST_F(EngineTest, PooledPartitionFanOutMatchesSyncOracle) {
         EXPECT_EQ(transcript, oracle);
 
         // One lane task per window plus one per extra partition, all
-        // completed by the flush; every pipeline's slot use fits the cap.
+        // completed by the flush; the pipeline's slot use fits the cap.
         const EngineStats stats = (*engine)->stats();
-        std::vector<const StreamRulePipeline*> pipelines;
-        if (shards == 0) {
-          pipelines.push_back((*engine)->pipeline());
-        } else {
-          for (size_t s = 0; s < shards; ++s) {
-            pipelines.push_back(&(*engine)->sharded()->shard(s));
-          }
-        }
-        const size_t partitions = pipelines[0]->plan().num_communities();
-        ASSERT_EQ(partitions, 2u);
+        const StreamRulePipeline* pipeline = (*engine)->pipeline();
+        ASSERT_EQ(pipeline->plan().num_communities(), 2);
+        const size_t partitions = 2 * std::max<size_t>(shards, 1);
         EXPECT_EQ(stats.lane.submitted,
                   partitions * stats.reasoning.windows);
         EXPECT_EQ(stats.lane.completed, stats.lane.submitted);
-        for (const StreamRulePipeline* pipeline : pipelines) {
-          EXPECT_EQ(pipeline->pool_queue()->max_inflight(), cap);
-          EXPECT_GE(pipeline->max_slots_in_use(), 1u);
-          EXPECT_LE(pipeline->max_slots_in_use(), cap);
-        }
+        EXPECT_EQ(pipeline->pool_queue()->max_inflight(), cap);
+        EXPECT_GE(pipeline->max_slots_in_use(), 1u);
+        EXPECT_LE(pipeline->max_slots_in_use(), cap);
       }
     }
   }
 }
 
 TEST_F(EngineTest, ShardedFacadeMatchesUnshardedAnswers) {
-  // Subject sharding respects the traffic rules' dependencies, so the
-  // sharded shape must reproduce the single-pipeline answer stream
+  // Subject buckets respect the traffic rules' dependencies, so a
+  // bucketed pipeline must reproduce the unbucketed answer stream
   // byte-for-byte through the facade.
   const std::vector<Triple> stream = MakeStream(1800);
   auto run = [&](size_t shards) {
     EngineConfig config;
-    config.num_shards = shards;
+    config.pipeline.reasoner.num_shards = shards;
     config.pipeline.window_size = 600;
     config.pipeline.async = shards != 0;
     std::string transcript;

@@ -1,8 +1,8 @@
 // Grounding reuse threaded through the reasoning layers: the sliding
 // query processor's delta emission, ParallelReasoner's per-partition
 // incremental grounders, the sync/async pipeline with reuse_grounding,
-// and the sharded engine — all differentially checked against the same
-// configuration without reuse (byte-identical transcripts).
+// and subject buckets (num_shards) — all differentially checked against
+// the same configuration without reuse (byte-identical transcripts).
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "stream/windowing.h"
 #include "streamrule/parallel_reasoner.h"
 #include "streamrule/pipeline.h"
-#include "streamrule/sharded_pipeline.h"
 #include "streamrule/traffic_workload.h"
 
 namespace streamasp {
@@ -68,25 +67,6 @@ class GroundingReuseTest : public ::testing::Test {
     (*pipeline)->PushBatch(stream);
     (*pipeline)->Flush();
     if (stats_out != nullptr) *stats_out = (*pipeline)->stats();
-    return transcript;
-  }
-
-  std::string ShardedTranscript(const Program& program,
-                                ShardedPipelineOptions options,
-                                const std::vector<Triple>& stream,
-                                ShardedPipelineStats* stats_out = nullptr) {
-    std::string transcript;
-    StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
-        ShardedPipelineEngine::Create(
-            &program, options,
-            ByKind([&](const TripleWindow& window,
-                       const ParallelReasonerResult& result) {
-              AppendLine(&transcript, window, result);
-            }));
-    EXPECT_TRUE(engine.ok()) << engine.status();
-    (*engine)->PushBatch(stream);
-    (*engine)->Flush();
-    if (stats_out != nullptr) *stats_out = (*engine)->stats();
     return transcript;
   }
 
@@ -183,30 +163,29 @@ TEST_F(GroundingReuseTest, ShardedEngineMatchesWithAndWithoutReuse) {
   const std::vector<Triple> stream = MakeStream(800);
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    ShardedPipelineOptions base;
-    base.num_shards = shards;
-    base.pipeline.window_size = 200;
+    PipelineOptions base;
+    base.reasoner.num_shards = shards;
+    base.window_size = 200;
 
-    ShardedPipelineOptions reuse = base;
-    reuse.pipeline.reuse_grounding = true;
+    PipelineOptions reuse = base;
+    reuse.reuse_grounding = true;
 
-    const std::string want = ShardedTranscript(program, base, stream);
-    ShardedPipelineStats reuse_stats;
+    const std::string want = PipelineTranscript(program, base, stream);
+    PipelineStats reuse_stats;
     const std::string got =
-        ShardedTranscript(program, reuse, stream, &reuse_stats);
+        PipelineTranscript(program, reuse, stream, &reuse_stats);
     EXPECT_FALSE(want.empty());
     EXPECT_EQ(want, got);
-    // Tumbling global windows: the cache sees disjoint content and must
-    // degrade to (correct) full re-groundings, never corrupt answers.
-    EXPECT_GT(reuse_stats.aggregate.grounding_fallbacks, 0u);
+    // Tumbling windows: the cache sees disjoint content and must degrade
+    // to (correct) full re-groundings, never corrupt answers.
+    EXPECT_GT(reuse_stats.grounding_fallbacks, 0u);
   }
 }
 
 TEST_F(GroundingReuseTest, ShardedSlidingWindowsKeepGroundingReuseIncremental) {
-  // Router delta punctuation: sliding global windows reach the sharded
-  // engine, each shard's grounders replay only the routed slice of the
-  // global delta, and the merged transcript stays byte-identical to the
-  // unsharded sliding oracle.
+  // Each partition's grounder replays only its routed slice of the
+  // window's delta (community, then subject bucket), and the combined
+  // transcript stays byte-identical to the unsharded sliding oracle.
   const Program program = MustProgram(TrafficProgramVariant::kP);
   const std::vector<Triple> stream = MakeStream(900);
 
@@ -218,16 +197,13 @@ TEST_F(GroundingReuseTest, ShardedSlidingWindowsKeepGroundingReuseIncremental) {
 
   for (const size_t shards : {size_t{2}, size_t{4}}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    ShardedPipelineOptions options;
-    options.num_shards = shards;
-    options.pipeline.window_size = 150;
-    options.pipeline.window_slide = 30;
-    options.pipeline.reuse_grounding = true;
-    ShardedPipelineStats stats;
-    EXPECT_EQ(ShardedTranscript(program, options, stream, &stats), want);
-    EXPECT_GT(stats.delta_punctuations, 0u);
-    EXPECT_GT(stats.aggregate.incremental_windows, 0u);
-    EXPECT_GT(stats.aggregate.grounding_rules_retained, 0u);
+    PipelineOptions options = sync;
+    options.reasoner.num_shards = shards;
+    options.reuse_grounding = true;
+    PipelineStats stats;
+    EXPECT_EQ(PipelineTranscript(program, options, stream, &stats), want);
+    EXPECT_GT(stats.incremental_windows, 0u);
+    EXPECT_GT(stats.grounding_rules_retained, 0u);
   }
 }
 
@@ -235,29 +211,20 @@ TEST_F(GroundingReuseTest, ShardedSlidingValidation) {
   const Program program = MustProgram(TrafficProgramVariant::kP);
   const EmissionHandler callback = [](EmissionEvent&) {};
 
-  // The remaining unsupported sliding combination: lossy shedding (a
-  // shed sub-window would stall the ordered merge; ROADMAP.md).
-  ShardedPipelineOptions lossy;
-  lossy.pipeline.window_size = 100;
-  lossy.pipeline.window_slide = 25;
-  lossy.pipeline.backpressure = BackpressurePolicy::kDropOldest;
-  StatusOr<std::unique_ptr<ShardedPipelineEngine>> shedding =
-      ShardedPipelineEngine::Create(&program, lossy, callback);
-  EXPECT_FALSE(shedding.ok());
-
   // Sliding by more than a full window never makes sense.
-  ShardedPipelineOptions oversized;
-  oversized.pipeline.window_size = 100;
-  oversized.pipeline.window_slide = 200;
+  PipelineOptions oversized;
+  oversized.reasoner.num_shards = 2;
+  oversized.window_size = 100;
+  oversized.window_slide = 200;
   EXPECT_FALSE(
-      ShardedPipelineEngine::Create(&program, oversized, callback).ok());
+      StreamRulePipeline::Create(&program, oversized, callback).ok());
 
-  // In-range slides are now a supported configuration.
-  ShardedPipelineOptions sliding;
-  sliding.pipeline.window_size = 100;
-  sliding.pipeline.window_slide = 25;
-  EXPECT_TRUE(
-      ShardedPipelineEngine::Create(&program, sliding, callback).ok());
+  // In-range slides are a supported configuration.
+  PipelineOptions sliding;
+  sliding.reasoner.num_shards = 2;
+  sliding.window_size = 100;
+  sliding.window_slide = 25;
+  EXPECT_TRUE(StreamRulePipeline::Create(&program, sliding, callback).ok());
 }
 
 TEST_F(GroundingReuseTest, SlidingQueryProcessorEmitsDeltas) {

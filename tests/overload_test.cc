@@ -1,6 +1,6 @@
 // Graceful degradation under overload: the tombstone emission channel,
-// shedding-aware sharded merge, completeness accounting, and the bursty
-// workload generator. The core property: shedding degrades answers
+// shedding under subject buckets (num_shards), completeness accounting,
+// and the bursty workload generator. The core property: shedding degrades answers
 // (completeness < 1), it never reorders, stalls, or silently corrupts —
 // and windows nothing was shed from stay byte-identical to the lossless
 // oracle.
@@ -22,7 +22,6 @@
 #include "stream/generator.h"
 #include "streamrule/answer.h"
 #include "streamrule/pipeline.h"
-#include "streamrule/sharded_pipeline.h"
 #include "streamrule/traffic_workload.h"
 
 namespace streamasp {
@@ -77,12 +76,12 @@ class OverloadTest : public ::testing::Test {
 };
 
 // The acceptance matrix: shards {1, 2, 4} × {tumbling, sliding+reuse}
-// under a deterministic pseudo-random admission filter (~25% of shard
-// sub-windows shed, desynchronized across shards). The merge must never
-// reorder or stall, every global window must be delivered, windows with
-// completeness == 1.0 (bit-exact) must be byte-identical to the lossless
+// under a deterministic pseudo-random admission filter (~25% of windows
+// shed). Delivery must never reorder or stall: every window surfaces as a
+// result or a tombstone, results are byte-identical to the lossless
 // oracle — which under sliding+reuse exercises the shed-delta fold across
-// gaps — and the shed accounting must match what the filter actually did.
+// gaps into every partition's grounder — and the shed accounting must
+// match what the filter actually did.
 TEST_F(OverloadTest, RandomizedShedShardedMatrixStaysOrderedAndExact) {
   StatusOr<Program> program = MakeTrafficProgram(
       symbols_, TrafficProgramVariant::kP, /*with_show=*/true);
@@ -105,15 +104,14 @@ TEST_F(OverloadTest, RandomizedShedShardedMatrixStaysOrderedAndExact) {
       std::atomic<uint64_t> filter_shed_windows{0};
       std::atomic<uint64_t> filter_shed_items{0};
 
-      ShardedPipelineOptions options;
-      options.num_shards = shards;
-      options.pipeline.window_size = window_size;
-      options.pipeline.window_slide = slide;
-      options.pipeline.async = false;  // Sheds synchronously → exact folds.
-      options.pipeline.reuse_grounding = sliding;
-      options.pipeline.admission_filter = [&](const TripleWindow& window) {
-        // Deterministic ~25% shed, desynchronized across shards by mixing
-        // the sub-window's size into the hash.
+      PipelineOptions options;
+      options.reasoner.num_shards = shards;
+      options.window_size = window_size;
+      options.window_slide = slide;
+      options.async = false;  // Sheds synchronously → exact folds.
+      options.reuse_grounding = sliding;
+      options.admission_filter = [&](const TripleWindow& window) {
+        // Deterministic ~25% shed.
         const uint64_t h =
             (window.sequence * 2654435761ULL) ^ (window.size() * 97ULL);
         if (h % 4 != 0) return true;
@@ -122,77 +120,52 @@ TEST_F(OverloadTest, RandomizedShedShardedMatrixStaysOrderedAndExact) {
         return false;
       };
 
-      std::vector<std::pair<uint64_t, double>> delivered;  // seq, completeness
+      std::vector<uint64_t> sequences;  // Results and tombstones alike.
       std::vector<std::string> mismatches;
-      uint64_t full_shed_windows = 0;
-      int64_t last_sequence = -1;
-      StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
-          ShardedPipelineEngine::Create(
+      StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
+          StreamRulePipeline::Create(
               &*program, options,
-              ByKind([&](const TripleWindow& window,
-                         const ParallelReasonerResult& result) {
-                EXPECT_GT(static_cast<int64_t>(window.sequence),
-                          last_sequence);
-                last_sequence = static_cast<int64_t>(window.sequence);
-                delivered.emplace_back(window.sequence, result.completeness);
-                if (result.completeness == 1.0) {
-                  const auto it = oracle.find(window.sequence);
-                  const std::string line = Line(window, result);
-                  if (it == oracle.end() || it->second != line) {
-                    mismatches.push_back(line);
-                  }
-                } else if (result.completeness == 0.0) {
-                  // Fully shed global windows bypass combining: zero
-                  // answer sets, not one vacuous empty one.
-                  EXPECT_TRUE(result.answers.empty());
-                  ++full_shed_windows;
-                }
-              }));
-      ASSERT_TRUE(engine.ok()) << engine.status();
-      (*engine)->PushBatch(stream);
-      (*engine)->Flush();  // Must return: tombstones release every slot.
+              ByKind(
+                  [&](const TripleWindow& window,
+                      const ParallelReasonerResult& result) {
+                    sequences.push_back(window.sequence);
+                    const auto it = oracle.find(window.sequence);
+                    const std::string line = Line(window, result);
+                    if (it == oracle.end() || it->second != line) {
+                      mismatches.push_back(line);
+                    }
+                  },
+                  nullptr,
+                  [&](const TripleWindow& window) {
+                    sequences.push_back(window.sequence);
+                  }));
+      ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+      (*pipeline)->PushBatch(stream);
+      (*pipeline)->Flush();
 
-      // Every global window was delivered despite shedding — no stall,
+      // Every window was delivered or tombstoned, in order — no stall,
       // no skipped slot.
-      ASSERT_EQ(delivered.size(), oracle.size());
+      ASSERT_EQ(sequences.size(), oracle.size());
+      for (size_t i = 0; i < sequences.size(); ++i) {
+        EXPECT_EQ(sequences[i], i);
+      }
       EXPECT_TRUE(mismatches.empty())
-          << "complete window diverged from oracle: " << mismatches.front();
+          << "delivered window diverged from oracle: " << mismatches.front();
 
-      const ShardedPipelineStats stats = (*engine)->stats();
+      const PipelineStats stats = (*pipeline)->stats();
       // The filter both shed and passed work (the matrix is meaningless
       // otherwise), and the engine's accounting matches it exactly.
       EXPECT_GT(filter_shed_windows.load(), 0u);
-      EXPECT_LT(filter_shed_windows.load(), oracle.size() * shards);
-      EXPECT_EQ(stats.shed_subwindows, filter_shed_windows.load());
-      EXPECT_EQ(stats.aggregate.rejected_windows, filter_shed_windows.load());
-      EXPECT_EQ(stats.aggregate.shed_items, filter_shed_items.load());
-      EXPECT_EQ(stats.aggregate.dropped_windows, 0u);
-      EXPECT_EQ(stats.merge_errors, 0u);
-      EXPECT_EQ(stats.merged_windows, oracle.size());
-
-      // completeness < 1 on exactly the windows with a shed contribution.
-      uint64_t degraded = 0;
-      double min_completeness = 1.0;
-      double sum = 0;
-      for (const auto& [sequence, completeness] : delivered) {
-        EXPECT_GE(completeness, 0.0);
-        EXPECT_LE(completeness, 1.0);
-        if (completeness < 1.0) ++degraded;
-        min_completeness = std::min(min_completeness, completeness);
-        sum += completeness;
-      }
-      EXPECT_EQ(stats.degraded_windows, degraded);
-      EXPECT_DOUBLE_EQ(stats.min_completeness, min_completeness);
-      EXPECT_NEAR(stats.mean_completeness,
-                  sum / static_cast<double>(delivered.size()), 1e-9);
-      EXPECT_GT(degraded, 0u);
-      if (shards == 1) {
-        // One shard: a shed sub-window is the whole global window.
-        EXPECT_EQ(full_shed_windows, filter_shed_windows.load());
-      }
+      EXPECT_LT(filter_shed_windows.load(), oracle.size());
+      EXPECT_EQ(stats.rejected_windows, filter_shed_windows.load());
+      EXPECT_EQ(stats.shed_items, filter_shed_items.load());
+      EXPECT_EQ(stats.dropped_windows, 0u);
+      EXPECT_EQ(stats.errors, 0u);
+      EXPECT_EQ(stats.windows + stats.shed_windows(), oracle.size());
+      EXPECT_LT(stats.completeness(), 1.0);
       if (sliding) {
         // The fold kept the incremental chain warm across shed gaps.
-        EXPECT_GT(stats.aggregate.incremental_windows, 0u);
+        EXPECT_GT(stats.incremental_windows, 0u);
       }
     }
   }
@@ -444,10 +417,10 @@ TEST_F(OverloadTest, HotKeyStormDropOldestBoundsEmitLatency) {
       << stats.max_latency_ms << "ms";
 }
 
-// Sustained overload through the sharded engine with lossy async shards:
-// Flush returns (tombstones release every merge slot), every global
-// window is delivered in order, and the degradation counters agree with
-// the per-shard shed accounting.
+// Sustained overload with subject buckets and lossy async shedding:
+// Flush returns, every window surfaces in order as a result or a
+// tombstone, and the stream-level completeness agrees with the shed
+// accounting.
 TEST_F(OverloadTest, ShardedSustainedOverloadNeverStalls) {
   StatusOr<Program> program = MakeTrafficProgram(
       symbols_, TrafficProgramVariant::kP, /*with_show=*/true);
@@ -461,42 +434,42 @@ TEST_F(OverloadTest, ShardedSustainedOverloadNeverStalls) {
   std::vector<Triple> stream = MakeTrafficBurstStream(
       *symbols_, num_windows * window_size, /*seed=*/11, burst);
 
-  ShardedPipelineOptions options;
-  options.num_shards = 2;
-  options.pipeline.window_size = window_size;
-  options.pipeline.async = true;
-  options.pipeline.num_reason_workers = 1;
-  options.pipeline.max_inflight_windows = 2;
-  options.pipeline.backpressure = BackpressurePolicy::kDropOldest;
+  PipelineOptions options;
+  options.reasoner.num_shards = 2;
+  options.window_size = window_size;
+  options.async = true;
+  options.num_reason_workers = 1;
+  options.max_inflight_windows = 2;
+  options.backpressure = BackpressurePolicy::kDropOldest;
 
   std::vector<uint64_t> sequences;
-  StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
-      ShardedPipelineEngine::Create(
+  StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
+      StreamRulePipeline::Create(
           &*program, options,
           ByKind([&](const TripleWindow& window,
                      const ParallelReasonerResult&) {
-            sequences.push_back(window.sequence);
-          }));
-  ASSERT_TRUE(engine.ok()) << engine.status();
-  (*engine)->PushBatch(stream);
-  (*engine)->Flush();  // The stall-freedom assertion: this must return.
+                   sequences.push_back(window.sequence);
+                 },
+                 nullptr,
+                 [&](const TripleWindow& window) {
+                   sequences.push_back(window.sequence);
+                 }));
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+  (*pipeline)->PushBatch(stream);
+  (*pipeline)->Flush();  // The stall-freedom assertion: this must return.
 
   ASSERT_EQ(sequences.size(), num_windows);
   for (size_t i = 0; i < sequences.size(); ++i) {
     EXPECT_EQ(sequences[i], i);
   }
 
-  const ShardedPipelineStats stats = (*engine)->stats();
-  EXPECT_EQ(stats.merged_windows, num_windows);
-  EXPECT_EQ(stats.merge_errors, 0u);
-  EXPECT_EQ(stats.shed_subwindows,
-            stats.aggregate.dropped_windows + stats.aggregate.rejected_windows);
-  // Full-speed push against 1-worker 2-deep shards must actually shed.
-  EXPECT_GT(stats.shed_subwindows, 0u);
-  EXPECT_GT(stats.degraded_windows, 0u);
-  EXPECT_LT(stats.mean_completeness, 1.0);
-  EXPECT_LE(stats.min_completeness, stats.mean_completeness);
-  EXPECT_GT(stats.aggregate.shed_items, 0u);
+  const PipelineStats stats = (*pipeline)->stats();
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats.windows + stats.shed_windows(), num_windows);
+  // Full-speed push against a 1-thread 2-deep pipeline must actually shed.
+  EXPECT_GT(stats.shed_windows(), 0u);
+  EXPECT_GT(stats.shed_items, 0u);
+  EXPECT_LT(stats.completeness(), 1.0);
 }
 
 // The bursty generator is deterministic and its overlay does what the

@@ -1,8 +1,8 @@
 // PackedTerm round-trip and invariant properties: every Term kind must
 // survive pack → unpack unchanged, packed hashing must agree bit-for-bit
-// with deep Term hashing (shard routing depends on it), and packed word
-// equality must coincide with deep Term equality (the window eviction
-// contract and every join index depend on it).
+// with deep Term hashing (subject-bucket routing depends on it), and
+// packed word equality must coincide with deep Term equality (the window
+// eviction contract and every join index depend on it).
 
 #include <cstdint>
 #include <limits>

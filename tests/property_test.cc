@@ -18,6 +18,8 @@
 #include "ground/incremental_grounder.h"
 #include "solve/incremental_solver.h"
 #include "solve/solver.h"
+#include "stream/query_processor.h"
+#include "stream/shard_key.h"
 #include "streamrule/partitioning_handler.h"
 #include "streamrule/random_partitioner.h"
 #include "util/rng.h"
@@ -226,6 +228,116 @@ TEST_P(PartitioningPropertyTest, RandomPartitionIsAPartition) {
   std::vector<Atom> sorted_window = window;
   std::sort(sorted_window.begin(), sorted_window.end());
   EXPECT_EQ(reassembled, sorted_window);
+}
+
+/// The subject-bucket split (num_shards = N): every item lands exactly
+/// where the routing rule says — bucket SubjectShardKey % N of its one
+/// community, every bucket of each community of a duplicated predicate,
+/// community 0's bucket for strays — and, because routing is per item,
+/// a sliding window's per-partition expired/admitted lists are exactly
+/// the delta of each partition's sub-stream.
+TEST_P(PartitioningPropertyTest, BucketSplitRoutesByTheRuleAndSplitsDeltas) {
+  Rng rng(GetParam() ^ 0xB0C4E7);
+  SymbolTablePtr symbols = MakeSymbolTable();
+
+  const int num_preds = 2 + static_cast<int>(rng.NextBounded(5));
+  const int num_communities = static_cast<int>(rng.NextBounded(4));
+  PartitioningPlan plan(num_communities);
+  std::vector<SymbolId> predicates;
+  for (int p = 0; p < num_preds; ++p) {
+    const SymbolId name = symbols->Intern("p" + std::to_string(p));
+    predicates.push_back(name);
+    // Some predicates stay unknown to the plan (strays), some duplicate.
+    if (num_communities == 0 || rng.NextBounded(5) == 0) continue;
+    plan.Assign({name, 2},
+                static_cast<int>(rng.NextBounded(num_communities)));
+    if (rng.NextBounded(3) == 0) {
+      plan.Assign({name, 2},
+                  static_cast<int>(rng.NextBounded(num_communities)));
+    }
+  }
+
+  // Item i carries object i, so a routed copy names its stream position.
+  std::vector<Triple> stream;
+  const size_t items = 100 + rng.NextBounded(200);
+  for (size_t i = 0; i < items; ++i) {
+    stream.push_back(Triple{
+        Term::Integer(static_cast<int64_t>(rng.NextBounded(12))),
+        predicates[rng.NextBounded(predicates.size())],
+        Term::Integer(static_cast<int64_t>(i))});
+  }
+  auto position = [](const Triple& t) {
+    return static_cast<size_t>(t.object->integer_value());
+  };
+
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(n));
+    const PartitioningHandler handler(plan, n);
+    const size_t num_partitions =
+        static_cast<size_t>(std::max(num_communities, 1)) * n;
+    ASSERT_EQ(handler.num_partitions(), num_partitions);
+
+    // The rule, item by item.
+    auto expected_partitions = [&](const Triple& t) {
+      const std::vector<int>& communities =
+          plan.CommunitiesOf({t.predicate, 2});
+      const size_t bucket = SubjectShardKey(t) % n;
+      std::set<size_t> where;
+      if (communities.empty()) {
+        where.insert(bucket);
+      } else if (communities.size() == 1) {
+        where.insert(communities[0] * n + bucket);
+      } else {
+        for (int c : communities) {
+          for (size_t b = 0; b < n; ++b) where.insert(c * n + b);
+        }
+      }
+      return where;
+    };
+    std::vector<std::multiset<size_t>> want(num_partitions);
+    for (const Triple& t : stream) {
+      for (size_t p : expected_partitions(t)) want[p].insert(position(t));
+    }
+    const auto partitions = handler.Partition(stream);
+    ASSERT_EQ(partitions.size(), num_partitions);
+    for (size_t p = 0; p < num_partitions; ++p) {
+      std::multiset<size_t> got;
+      for (const Triple& t : partitions[p]) got.insert(position(t));
+      EXPECT_EQ(got, want[p]) << "partition " << p;
+    }
+
+    // Sliding: partition k's items == partition k-1's items − its
+    // expired + its admitted, with expired ⊆ the previous items.
+    const size_t window = 20 + rng.NextBounded(40);
+    const size_t slide = 1 + rng.NextBounded(window - 1);
+    std::vector<std::multiset<size_t>> previous(num_partitions);
+    size_t windows = 0;
+    StreamQueryProcessor query(window, slide, [&](TripleWindow w) {
+      ASSERT_TRUE(w.has_delta);
+      const auto items_of = handler.Partition(w.items);
+      const auto expired_of = handler.Partition(w.expired, false);
+      const auto admitted_of = handler.Partition(w.admitted, false);
+      for (size_t p = 0; p < num_partitions; ++p) {
+        std::multiset<size_t> next = previous[p];
+        for (const Triple& t : expired_of[p]) {
+          auto it = next.find(position(t));
+          ASSERT_NE(it, next.end()) << "expired item never admitted";
+          next.erase(it);
+        }
+        for (const Triple& t : admitted_of[p]) next.insert(position(t));
+        std::multiset<size_t> got;
+        for (const Triple& t : items_of[p]) got.insert(position(t));
+        EXPECT_EQ(got, next) << "window " << w.sequence << " partition "
+                             << p;
+        previous[p] = std::move(got);
+      }
+      ++windows;
+    });
+    for (SymbolId name : predicates) query.RegisterPredicate(name);
+    query.PushBatch(stream);
+    query.Flush();
+    EXPECT_GT(windows, 1u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomWindows, PartitioningPropertyTest,

@@ -91,7 +91,7 @@ TEST(WireTest, FrameDecoderWedgesOnOversizedFrame) {
 TEST(WireTest, ParsesOpenWithOptionsAndProgram) {
   auto request = ParseRequest(
       "open s1 window=100 slide=25 shards=2 async=1 inflight=3 workers=2 "
-      "reuse=solve queue=5 admission=reject batch=64\n"
+      "reuse=solve queue=5 admission=reject\n"
       "a(X) :- b(X).\n"
       "#input b/1.");
   ASSERT_TRUE(request.ok()) << request.status();
@@ -100,14 +100,13 @@ TEST(WireTest, ParsesOpenWithOptionsAndProgram) {
   const SessionOptions& options = request->options;
   EXPECT_EQ(options.engine.pipeline.window_size, 100u);
   EXPECT_EQ(options.engine.pipeline.window_slide, 25u);
-  EXPECT_EQ(options.engine.num_shards, 2u);
+  EXPECT_EQ(options.engine.pipeline.reasoner.num_shards, 2u);
   EXPECT_TRUE(options.engine.pipeline.async);
   EXPECT_EQ(options.engine.pipeline.max_inflight_windows, 3u);
   EXPECT_EQ(options.engine.pipeline.num_reason_workers, 2u);
   EXPECT_TRUE(options.engine.pipeline.reuse_solving);
   EXPECT_EQ(options.ingest_queue_capacity, 5u);
   EXPECT_EQ(options.admission, BackpressurePolicy::kReject);
-  EXPECT_EQ(options.engine.router_batch_size, 64u);
   EXPECT_EQ(options.program_text, "a(X) :- b(X).\n#input b/1.");
 }
 
@@ -332,8 +331,8 @@ void ExpectSameRequest(const StatusOr<WireRequest>& got,
   EXPECT_EQ(a.engine.pipeline.reuse_grounding,
             b.engine.pipeline.reuse_grounding);
   EXPECT_EQ(a.engine.pipeline.reuse_solving, b.engine.pipeline.reuse_solving);
-  EXPECT_EQ(a.engine.num_shards, b.engine.num_shards);
-  EXPECT_EQ(a.engine.router_batch_size, b.engine.router_batch_size);
+  EXPECT_EQ(a.engine.pipeline.reasoner.num_shards,
+            b.engine.pipeline.reasoner.num_shards);
   EXPECT_EQ(a.ingest_queue_capacity, b.ingest_queue_capacity);
   EXPECT_EQ(a.admission, b.admission);
   EXPECT_EQ(a.weight, b.weight);
@@ -1284,8 +1283,9 @@ TEST(SharedPoolServerTest, StatsReportLaneGaugesPerPartitionTask) {
 }
 
 // Async engines without a shared pool run on a private pool of exactly
-// num_reason_workers threads — no emitter, no inner reasoner pools — and
-// a sharded engine builds one such pool for all its shards. Every thread
+// num_reason_workers threads — no emitter, no inner reasoner pools, and
+// no thread per shard: subject buckets are partitions on the same pool.
+// An async session pumps inline, so it costs its pool alone. Every thread
 // is gone again once the engine is destroyed or the session closed.
 TEST(SharedPoolServerTest, PrivatePoolsCostExactlyTheirThreads) {
   SymbolTablePtr symbols = MakeSymbolTable();
@@ -1302,11 +1302,10 @@ TEST(SharedPoolServerTest, PrivatePoolsCostExactlyTheirThreads) {
   constexpr size_t kShards = 2;
   const size_t before = CurrentThreadCount();
   ASSERT_GT(before, 0u) << "/proc/self/status not readable";
-  // Sharded engines add one feeder per shard and the merge thread.
   for (const size_t shards : {size_t{0}, kShards}) {
     SCOPED_TRACE("num_shards=" + std::to_string(shards));
     EngineConfig config;
-    config.num_shards = shards;
+    config.pipeline.reasoner.num_shards = shards;
     config.pipeline.window_size = 4;
     config.pipeline.async = true;
     config.pipeline.num_reason_workers = kWorkers;
@@ -1318,8 +1317,7 @@ TEST(SharedPoolServerTest, PrivatePoolsCostExactlyTheirThreads) {
           });
       ASSERT_TRUE(engine.ok()) << engine.status();
       EXPECT_EQ((*engine)->num_reason_workers(), kWorkers);
-      const size_t engine_threads = shards == 0 ? 0 : shards + 1;
-      EXPECT_EQ(CurrentThreadCount(), before + kWorkers + engine_threads);
+      EXPECT_EQ(CurrentThreadCount(), before + kWorkers);
       (*engine)->PushBatch(window);
       (*engine)->Flush();
     }
@@ -1331,7 +1329,6 @@ TEST(SharedPoolServerTest, PrivatePoolsCostExactlyTheirThreads) {
   // costs a private pool of 2 threads.
   {
     EngineConfig config;
-    config.num_shards = 0;
     config.pipeline.window_size = 4;
     config.pipeline.reasoner.num_threads = kWorkers;
     auto engine = StreamEngine::Create(&*program, config,
@@ -1342,7 +1339,7 @@ TEST(SharedPoolServerTest, PrivatePoolsCostExactlyTheirThreads) {
   EXPECT_EQ(WaitForThreadCount(before), before);
 
   // An async session on a server without a shared pool: a private pool
-  // of session_reasoner_threads threads plus the pump.
+  // of session_reasoner_threads threads, and no pump thread.
   ServerConfig server_config;
   server_config.shared_pool_threads = 0;
   StreamServer server(server_config);
@@ -1354,7 +1351,7 @@ TEST(SharedPoolServerTest, PrivatePoolsCostExactlyTheirThreads) {
                                       [](const SessionEvent&) {});
   ASSERT_TRUE(session.ok()) << session.status();
   EXPECT_EQ(CurrentThreadCount(),
-            before + server_config.session_reasoner_threads + 1);
+            before + server_config.session_reasoner_threads);
   ASSERT_TRUE(server.CloseSession("private").ok());
   EXPECT_EQ(WaitForThreadCount(before), before);
 }
@@ -1523,6 +1520,47 @@ TEST(TransportTest, UnknownProtocolVersionIsRejectedCleanly) {
           .ok());
   EXPECT_EQ(collector.AwaitReply(), "ok open vgood v=1");
   EXPECT_EQ(server.num_sessions(), 1u);
+  connection->Close();
+}
+
+TEST(TransportTest, OverCapOpenOptionsAreRejectedAndTheServerSurvives) {
+  StreamServer server;
+  std::unique_ptr<SessionTransport> connection = server.Connect();
+  PayloadCollector collector;
+  connection->Receive(
+      [&collector](std::string payload) { collector.Handle(std::move(payload)); });
+
+  // Each of these would size memory or threads before the first push:
+  // refused at the wire, with no session created, and the server keeps
+  // serving.
+  for (const char* option :
+       {"window=1000000000000000", "window=1048577", "shards=65",
+        "workers=65", "max_inflight=65"}) {
+    SCOPED_TRACE(option);
+    ASSERT_TRUE(connection
+                    ->Send(std::string("open big async=1 ") + option + "\n" +
+                           kTinyProgram)
+                    .ok());
+    const std::string reply = collector.AwaitReply();
+    EXPECT_EQ(reply.rfind("error open big code=invalid_argument", 0), 0u)
+        << reply;
+    EXPECT_EQ(server.num_sessions(), 0u);
+  }
+
+  // The caps themselves are accepted, and a normal session opens on the
+  // same server afterwards.
+  ASSERT_TRUE(connection
+                  ->Send(std::string("open edge async=1 window=1048576 "
+                                     "shards=64 workers=64 "
+                                     "max_inflight=64\n") +
+                         kTinyProgram)
+                  .ok());
+  EXPECT_EQ(collector.AwaitReply(), "ok open edge v=1");
+  ASSERT_TRUE(
+      connection->Send(std::string("open normal window=4\n") + kTinyProgram)
+          .ok());
+  EXPECT_EQ(collector.AwaitReply(), "ok open normal v=1");
+  EXPECT_EQ(server.num_sessions(), 2u);
   connection->Close();
 }
 

@@ -1,7 +1,7 @@
 // Solving reuse threaded through the reasoning layers: ParallelReasoner's
 // per-partition persistent solvers, the sync/async pipelines with
-// reuse_solving, and the sharded engine — all differentially checked
-// against the same configuration without reuse (byte-identical
+// reuse_solving, and subject buckets (num_shards) — all differentially
+// checked against the same configuration without reuse (byte-identical
 // transcripts), across slide sizes, programs P/P', shard counts, and with
 // reuse_grounding both explicitly on and implied.
 
@@ -17,7 +17,6 @@
 #include "stream/windowing.h"
 #include "streamrule/parallel_reasoner.h"
 #include "streamrule/pipeline.h"
-#include "streamrule/sharded_pipeline.h"
 #include "streamrule/traffic_workload.h"
 
 namespace streamasp {
@@ -67,25 +66,6 @@ class SolvingReuseTest : public ::testing::Test {
     (*pipeline)->PushBatch(stream);
     (*pipeline)->Flush();
     if (stats_out != nullptr) *stats_out = (*pipeline)->stats();
-    return transcript;
-  }
-
-  std::string ShardedTranscript(const Program& program,
-                                ShardedPipelineOptions options,
-                                const std::vector<Triple>& stream,
-                                ShardedPipelineStats* stats_out = nullptr) {
-    std::string transcript;
-    StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
-        ShardedPipelineEngine::Create(
-            &program, options,
-            ByKind([&](const TripleWindow& window,
-                       const ParallelReasonerResult& result) {
-              AppendLine(&transcript, window, result);
-            }));
-    EXPECT_TRUE(engine.ok()) << engine.status();
-    (*engine)->PushBatch(stream);
-    (*engine)->Flush();
-    if (stats_out != nullptr) *stats_out = (*engine)->stats();
     return transcript;
   }
 
@@ -195,32 +175,33 @@ TEST_F(SolvingReuseTest, ShardedEngineMatchesWithAndWithoutReuse) {
   const std::vector<Triple> stream = MakeStream(800);
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    ShardedPipelineOptions base;
-    base.num_shards = shards;
-    base.pipeline.window_size = 200;
+    PipelineOptions base;
+    base.reasoner.num_shards = shards;
+    base.window_size = 200;
 
-    ShardedPipelineOptions warm = base;
-    warm.pipeline.reuse_grounding = true;
-    warm.pipeline.reuse_solving = true;
+    PipelineOptions warm = base;
+    warm.reuse_grounding = true;
+    warm.reuse_solving = true;
 
-    const std::string want = ShardedTranscript(program, base, stream);
-    ShardedPipelineStats warm_stats;
+    const std::string want = PipelineTranscript(program, base, stream);
+    PipelineStats warm_stats;
     const std::string got =
-        ShardedTranscript(program, warm, stream, &warm_stats);
+        PipelineTranscript(program, warm, stream, &warm_stats);
     EXPECT_FALSE(want.empty());
     EXPECT_EQ(want, got);
-    // Tumbling global windows: the grounder cache falls back and the
+    // Tumbling windows: the grounder cache falls back and the
     // paired solver re-ingests — correct, never corrupting answers.
-    EXPECT_GT(warm_stats.aggregate.solve_rebuilds, 0u);
+    EXPECT_GT(warm_stats.solve_rebuilds, 0u);
   }
 }
 
 TEST_F(SolvingReuseTest, ShardedSlidingEngineKeepsPersistentSolversWarm) {
-  // The sharded sliding path: router delta punctuation hands every shard
-  // its routed slice of the global delta, so the per-partition persistent
-  // solvers patch across overlapping global windows instead of
-  // re-ingesting — byte-identical to the same sharded configuration
-  // without reuse AND to the unsharded sliding sync oracle.
+  // The bucketed sliding path: the partitioning handler hands every
+  // partition (community, subject bucket) its routed slice of the window
+  // delta, so the per-partition persistent solvers patch across
+  // overlapping windows instead of re-ingesting — byte-identical to the
+  // same bucketed configuration without reuse AND to the unsharded
+  // sliding sync oracle.
   const Program program = MustProgram(TrafficProgramVariant::kPPrime);
   const std::vector<Triple> stream = MakeStream(1000, /*seed=*/19);
 
@@ -232,21 +213,20 @@ TEST_F(SolvingReuseTest, ShardedSlidingEngineKeepsPersistentSolversWarm) {
 
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    ShardedPipelineOptions base;
-    base.num_shards = shards;
-    base.pipeline.window_size = 200;
-    base.pipeline.window_slide = 40;
+    PipelineOptions base;
+    base.reasoner.num_shards = shards;
+    base.window_size = 200;
+    base.window_slide = 40;
 
-    ShardedPipelineOptions warm = base;
-    warm.pipeline.reuse_solving = true;  // Implies reuse_grounding.
+    PipelineOptions warm = base;
+    warm.reuse_solving = true;  // Implies reuse_grounding.
 
-    EXPECT_EQ(ShardedTranscript(program, base, stream), oracle);
-    ShardedPipelineStats warm_stats;
-    EXPECT_EQ(ShardedTranscript(program, warm, stream, &warm_stats), oracle);
-    EXPECT_GT(warm_stats.delta_punctuations, 0u);
-    EXPECT_GT(warm_stats.aggregate.incremental_solve_windows, 0u);
-    EXPECT_GT(warm_stats.aggregate.solver_rules_retained, 0u);
-    EXPECT_GT(warm_stats.aggregate.warm_start_hits, 0u);
+    EXPECT_EQ(PipelineTranscript(program, base, stream), oracle);
+    PipelineStats warm_stats;
+    EXPECT_EQ(PipelineTranscript(program, warm, stream, &warm_stats), oracle);
+    EXPECT_GT(warm_stats.incremental_solve_windows, 0u);
+    EXPECT_GT(warm_stats.solver_rules_retained, 0u);
+    EXPECT_GT(warm_stats.warm_start_hits, 0u);
   }
 }
 
@@ -297,17 +277,17 @@ TEST_F(SolvingReuseTest, ShardedMaintainedFixpointColumnMatchesOracle) {
 
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    ShardedPipelineOptions maintained;
-    maintained.num_shards = shards;
-    maintained.pipeline.window_size = 200;
-    maintained.pipeline.window_slide = 40;
-    maintained.pipeline.reuse_solving = true;
+    PipelineOptions maintained;
+    maintained.reasoner.num_shards = shards;
+    maintained.window_size = 200;
+    maintained.window_slide = 40;
+    maintained.reuse_solving = true;
 
-    ShardedPipelineOptions patched = maintained;
-    patched.pipeline.reasoner.reasoner.solving.maintain_fixpoint = false;
+    PipelineOptions patched = maintained;
+    patched.reasoner.reasoner.solving.maintain_fixpoint = false;
 
-    EXPECT_EQ(ShardedTranscript(program, maintained, stream), oracle);
-    EXPECT_EQ(ShardedTranscript(program, patched, stream), oracle);
+    EXPECT_EQ(PipelineTranscript(program, maintained, stream), oracle);
+    EXPECT_EQ(PipelineTranscript(program, patched, stream), oracle);
   }
 }
 

@@ -13,10 +13,14 @@ code=<slug> <message>`); the client surfaces the slug on failure.
 
 Usage:
   stream_client.py --port N [--sessions 8] [--windows 3]
-                   [--window-size 60] [--protocol-version 1] [-v]
+                   [--window-size 60] [--protocol-version 1]
+                   [--open-option KEY=VALUE ...] [--expect-error CODE] [-v]
 
-With --protocol-version != 1 the client expects the server to refuse the
-open with code=unsupported_version and exits 0 when it does (negative
+--open-option appends an extra option to every open. With --expect-error
+CODE the client expects the server to refuse the open with code=CODE and
+exits 0 when it does (e.g. an over-cap `window=` must come back as
+code=invalid_argument, not crash the server). With --protocol-version
+!= 1 the expected refusal defaults to code=unsupported_version (negative
 test for version negotiation).
 
 Exits 0 on success, 1 otherwise.
@@ -147,6 +151,8 @@ class SessionRun:
             open_line = (f"open {self.name} window={self.args.window_size} "
                          f"async=1 inflight=2 "
                          f"v={self.args.protocol_version}")
+            for option in self.args.open_option:
+                open_line += f" {option}"
             send_frame(sock, open_line + "\n" + TRAFFIC_PROGRAM)
             open_reply = self.await_reply(reader, "open")
             # `ok open <session> v=N`: the version the server speaks.
@@ -214,24 +220,33 @@ def main():
     parser.add_argument("--window-size", type=int, default=60)
     parser.add_argument("--protocol-version", type=int,
                         default=PROTOCOL_VERSION)
+    parser.add_argument("--open-option", action="append", default=[],
+                        metavar="KEY=VALUE",
+                        help="extra option appended to every open")
+    parser.add_argument("--expect-error", metavar="CODE",
+                        help="expect the open to be refused with code=CODE")
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args()
 
-    if args.protocol_version != PROTOCOL_VERSION:
-        # Negative test: an unsupported version must be refused cleanly
-        # with the machine-readable slug, not crash the connection.
+    expected_error = args.expect_error
+    if expected_error is None and args.protocol_version != PROTOCOL_VERSION:
+        expected_error = "unsupported_version"
+    if expected_error is not None:
+        # Negative test: the open must be refused cleanly with the
+        # machine-readable slug, not crash the connection or the server.
         run = SessionRun("smoke", args)
         try:
             run.run()
         except ServerError as error:
-            if error.code == "unsupported_version":
-                print(f"stream_client: v={args.protocol_version} open "
-                      f"rejected cleanly (code={error.code})")
+            if error.code == expected_error:
+                print(f"stream_client: open rejected cleanly "
+                      f"(code={error.code})")
                 return 0
-            print(f"FAIL: expected code=unsupported_version, got: "
+            print(f"FAIL: expected code={expected_error}, got: "
                   f"{error.frame}")
             return 1
-        print("FAIL: server accepted an unsupported protocol version")
+        print(f"FAIL: server accepted an open it should refuse with "
+              f"code={expected_error}")
         return 1
 
     runs = [SessionRun(f"smoke{i}" if args.sessions > 1 else "smoke", args)
