@@ -7,8 +7,6 @@
 #include <cstdio>
 
 #include "bench/figure_common.h"
-#include "depgraph/atom_level.h"
-#include "stream/format.h"
 
 int main() {
   using namespace streamasp;
@@ -26,24 +24,17 @@ int main() {
     return 1;
   }
 
-  DataFormatProcessor format;
-  (void)format.DeclareInputPredicates(program->input_predicates());
   Reasoner r(&*program);
-  ParallelReasoner pr(&*program, *community);
 
   std::printf("# Ablation: atom-level fanout (program P, window %zu, "
               "critical-path ms)\n", kWindowSize);
   std::printf("# %8s %12s %12s %10s %10s\n", "fanout", "partitions",
               "latency_ms", "accuracy", "R_ms");
 
-  for (int fanout : {1, 2, 4, 8}) {
-    StatusOr<AtomLevelPlan> plan = AtomLevelPlan::Build(
-        *program, *community, AtomLevelOptions{fanout});
-    if (!plan.ok()) {
-      std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
-      return 1;
-    }
-    AtomLevelPartitioningHandler handler(*plan);
+  for (const size_t fanout : {1u, 2u, 4u, 8u}) {
+    ParallelReasonerOptions options;
+    options.num_shards = fanout;
+    ParallelReasoner pr(&*program, *community, options);
 
     double latency = 0;
     double accuracy = 0;
@@ -54,11 +45,9 @@ int main() {
       SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols),
                                          gen_options);
       const TripleWindow window = generator.GenerateTripleWindow(kWindowSize);
-      StatusOr<std::vector<Atom>> facts = format.ToFacts(window.items);
 
       StatusOr<ReasonerResult> reference = r.Process(window);
-      StatusOr<ParallelReasonerResult> result =
-          pr.ProcessFactPartitions(handler.PartitionFacts(*facts));
+      StatusOr<ParallelReasonerResult> result = pr.Process(window);
       if (!reference.ok() || !result.ok()) {
         std::fprintf(stderr, "run failed\n");
         return 1;
@@ -67,12 +56,12 @@ int main() {
       accuracy += MeanAccuracy(result->answers, reference->answers);
       r_latency += reference->latency_ms;
     }
-    std::printf("  %8d %12d %12.2f %10.3f %10.2f\n", fanout,
-                plan->num_partitions(), latency / kReps, accuracy / kReps,
-                r_latency / kReps);
+    std::printf("  %8zu %12zu %12.2f %10.3f %10.2f\n", fanout,
+                pr.partitioning_handler().num_partitions(), latency / kReps,
+                accuracy / kReps, r_latency / kReps);
   }
-  std::printf("# fanout 1 = predicate-level PR_Dep; accuracy stays 1.0 at "
-              "every fanout because the key-flow analysis only splits "
-              "join-compatible atoms apart\n");
+  std::printf("# fanout = num_shards; fanout 1 = predicate-level PR_Dep; "
+              "accuracy stays 1.0 at every fanout because the key-flow "
+              "analysis only splits join-compatible atoms apart\n");
   return 0;
 }

@@ -10,7 +10,7 @@
 // is little instantiation to save there). A final burst-overload leg
 // drives a self-clocked flash-crowd stream against an undersized
 // kDropOldest pipeline and reports completeness/shed accounting.
-// Every leg drives the unified StreamEngine facade (no subject buckets);
+// Every leg drives the unified StreamEngine facade (no key buckets);
 // emission flows through the single ordered EmissionEvent handler. Emits
 // one machine-readable JSON document on stdout (schema shared with
 // bench/sharded_pipeline via bench/bench_json.h); human-readable notes
@@ -54,8 +54,8 @@ BenchRun RunOnce(const Program& program, const std::vector<Triple>& stream,
   EngineConfig config;
   config.pipeline.window_size = window_size;
   config.pipeline.window_slide = window_slide;
-  config.pipeline.reuse_grounding = reuse;
-  config.pipeline.reuse_solving = reuse_solving;
+  config.pipeline.reasoner.reasoner.reuse_grounding = reuse;
+  config.pipeline.reasoner.reasoner.solving.reuse_solving = reuse_solving;
   config.pipeline.reasoner.reasoner.solving.maintain_fixpoint =
       maintain_fixpoint;
   config.pipeline.async = async;

@@ -25,7 +25,7 @@ struct BenchRun {
   // --- run identity (set by the bench) ---
   std::string mode;
   std::string workload = "traffic_pprime";
-  size_t shards = 0;        ///< Subject buckets (num_shards); 0 unsharded.
+  size_t shards = 0;        ///< Bucket bound (num_shards); 0 unsharded.
   size_t inflight = 0;      ///< 0 for sync runs.
   size_t workers = 0;
   size_t window_slide = 0;  ///< 0 for tumbling runs.

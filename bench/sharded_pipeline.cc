@@ -1,12 +1,13 @@
 // Sustained-throughput bench for sharding — the partitioning handler's
-// subject-bucket split (ParallelReasonerOptions::num_shards): one
-// pipeline whose dependency communities are each split into num_shards
-// buckets, so a window yields communities × num_shards partitions. The
-// legs: the unbucketed baselines (sync oracle, staged async) vs async
-// pipelines at num_shards {1, 2, 4, 8} on the paper's traffic workload,
-// plus the sliding-reuse pair on the recursive reachability workload at
-// num_shards=4, once cold and once with the full reuse stack
-// (reuse_grounding + reuse_solving). A final burst-overload leg drives a
+// key-bucket split (ParallelReasonerOptions::num_shards): one pipeline
+// whose dependency communities the key-flow analysis splits into at most
+// num_shards buckets each — on the paper's traffic workload, both
+// communities, so a window yields communities × num_shards partitions.
+// The legs: the unbucketed baselines (sync oracle, staged async) vs
+// async pipelines at num_shards {1, 2, 4, 8} on that workload, plus the
+// sliding-reuse pair on the recursive reachability workload at
+// num_shards=4, once cold and once with the full reuse stack (grounding
+// and solving reuse). A final burst-overload leg drives a
 // self-clocked flash-crowd stream against an undersized two-bucket
 // async pipeline (kDropOldest): shed windows surface as tombstones and
 // the run reports completeness/shed accounting. Every leg drives the
@@ -56,8 +57,8 @@ BenchRun RunEngine(std::string mode, const Program& program,
   config.pipeline.reasoner.num_shards = shards;
   config.pipeline.window_size = window_size;
   config.pipeline.window_slide = window_slide;
-  config.pipeline.reuse_grounding = reuse;
-  config.pipeline.reuse_solving = reuse_solving;
+  config.pipeline.reasoner.reasoner.reuse_grounding = reuse;
+  config.pipeline.reasoner.reasoner.solving.reuse_solving = reuse_solving;
   config.pipeline.async = async;
   config.pipeline.max_inflight_windows = 4;
 
@@ -97,7 +98,7 @@ BenchRun RunEngine(std::string mode, const Program& program,
 }
 
 // Graceful-degradation leg, mirroring bench/async_pipeline's burst run
-// with two subject buckets per community: a flash-crowd stream against
+// with two key buckets per community: a flash-crowd stream against
 // a deliberately undersized async pipeline (a two-thread private pool and
 // two in-flight windows) with kDropOldest shedding. A shed window emits
 // a tombstone in sequence order, so ordered delivery keeps flowing and
@@ -185,16 +186,17 @@ BenchRun RunShardedBurstOverload(const Program& program,
   return run;
 }
 
-// The bucketed sliding-reuse showcase, mirroring bench/async_pipeline's
-// sliding pair: recursive reachability over a sliding edge stream, where
-// transitive-closure instantiation dominates each window and consecutive
-// windows share all but `slide` items. Subject buckets are NOT
-// dependency-respecting for the recursive reach program (cross-bucket
-// joins are lost), but both legs route identically, so the cold-vs-reuse
-// reason_ms_total ratio the CI gate consumes is well-defined — it
-// isolates what the split delta saves the per-partition caches. The
-// pipeline runs synchronously: its one ParallelReasoner sees every
-// window consecutively, which is the configuration the incremental
+// The sliding-reuse showcase at a bucket bound of 4, mirroring
+// bench/async_pipeline's sliding pair: recursive reachability over a
+// sliding edge stream, where transitive-closure instantiation dominates
+// each window and consecutive windows share all but `slide` items. The
+// key-flow analysis refuses to split the recursive reach program (link/2
+// is joined on its subject in one rule and on its object in the other,
+// so no key fits), so both legs run at num_shards=4 as one partition per
+// community with exact answers; the cold-vs-reuse reason_ms_total ratio
+// the CI gate consumes isolates what the delta saves the per-partition
+// caches. The pipeline runs synchronously: its one ParallelReasoner sees
+// every window consecutively, which is the configuration the incremental
 // caches are built for.
 constexpr char kReachProgram[] = R"(
   #input link/2.
@@ -276,9 +278,10 @@ int main(int argc, char** argv) {
     runs.push_back(RunEngine("sharded", *program, stream, window_size,
                              shards, /*async=*/true));
   }
-  // The bucketed sliding-reuse pair at num_shards=4: cold vs the full
-  // reuse stack on identical sliding windows. The CI gate enforces the
-  // reason_ms_total ratio between these two legs.
+  // The sliding-reuse pair at num_shards=4 (which the analysis keeps at
+  // one bucket for reach_tc): cold vs the full reuse stack on identical
+  // sliding windows. The CI gate enforces the reason_ms_total ratio
+  // between these two legs.
   const size_t tc_items = std::max<size_t>(6400, items / 5);
   const size_t tc_window = std::min<size_t>(1600, tc_items / 4);
   runs.push_back(RunShardedSlidingReach(symbols, tc_items, tc_window,

@@ -13,7 +13,6 @@
 #include <cstdlib>
 
 #include "asp/parser.h"
-#include "depgraph/atom_level.h"
 #include "depgraph/decomposition.h"
 #include "stream/generator.h"
 #include "streamrule/accuracy.h"
@@ -71,15 +70,12 @@ int main(int argc, char** argv) {
   std::printf("predicate-level %s\n", plan->ToString(*symbols).c_str());
 
   // Atom-level refinement: each family joins on its first argument, so
-  // every community can additionally split by hash.
-  StatusOr<AtomLevelPlan> atom_plan =
-      AtomLevelPlan::Build(*program, *plan, AtomLevelOptions{2});
-  if (!atom_plan.ok()) {
-    std::fprintf(stderr, "atom plan: %s\n",
-                 atom_plan.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("%s\n", atom_plan->ToString(*symbols).c_str());
+  // the key-flow analysis can split every community into two buckets.
+  ParallelReasonerOptions split_options;
+  split_options.num_shards = 2;
+  ParallelReasoner pr_atom(&*program, *plan, split_options);
+  const PartitioningHandler& atom_handler = pr_atom.partitioning_handler();
+  std::printf("bucketed %s\n", atom_handler.plan().ToString(*symbols).c_str());
 
   // Run time.
   std::vector<StreamPredicate> schema = {
@@ -110,23 +106,18 @@ int main(int argc, char** argv) {
               dep->latency_ms, dep->critical_path_ms,
               MeanAccuracy(dep->answers, reference->answers));
 
-  // Atom-level: convert + route + reason over finer partitions.
-  DataFormatProcessor format;
-  (void)format.DeclareInputPredicates(program->input_predicates());
-  StatusOr<std::vector<Atom>> facts = format.ToFacts(window.items);
-  AtomLevelPartitioningHandler atom_handler(*atom_plan);
-  StatusOr<ParallelReasonerResult> atom =
-      pr.ProcessFactPartitions(atom_handler.PartitionFacts(*facts));
+  // Atom-level: route by key + reason over finer partitions.
+  const int atom_partitions = static_cast<int>(atom_handler.num_partitions());
+  StatusOr<ParallelReasonerResult> atom = pr_atom.Process(window);
   std::printf("PR_Atom x%d: %7.2f ms (critical %.2f), accuracy %.3f\n",
-              atom_plan->num_partitions(), atom->latency_ms,
-              atom->critical_path_ms,
+              atom_partitions, atom->latency_ms, atom->critical_path_ms,
               MeanAccuracy(atom->answers, reference->answers));
 
-  RandomPartitioner random(atom_plan->num_partitions(), 5);
+  RandomPartitioner random(atom_partitions, 5);
   StatusOr<ParallelReasonerResult> ran =
       pr.ProcessPartitions(random.Partition(window.items));
   std::printf("PR_Ran  x%d: %7.2f ms (critical %.2f), accuracy %.3f\n",
-              atom_plan->num_partitions(), ran->latency_ms,
+              atom_partitions, ran->latency_ms,
               ran->critical_path_ms,
               MeanAccuracy(ran->answers, reference->answers));
   return 0;

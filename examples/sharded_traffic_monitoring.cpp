@@ -1,13 +1,15 @@
 // The traffic scenario with sharding, through the unified StreamEngine
-// facade: num_shards splits each of the plan's dependency communities
-// into subject buckets, so every window is reasoned as communities ×
-// num_shards partitions on the async pipeline's pool, and the combined
-// answers are byte-identical to an unsharded pipeline — subject buckets
-// respect the traffic rules' dependencies, and the partitioning handler
-// copies P'-duplicated predicates (car_number) into every bucket of each
-// of their communities so r7's join survives hashing.
+// facade: num_shards is an upper bound on the buckets each of the plan's
+// dependency communities splits into. The key-flow analysis splits a
+// community only where no join can cross a bucket — here both of P′'s,
+// with every input keyed at its subject and the duplicated car_number
+// copied into every bucket so r7's join survives hashing — so every
+// window is reasoned as communities × num_shards partitions on the async
+// pipeline's pool, and the combined answers are byte-identical to an
+// unsharded pipeline. A program no key fits keeps one bucket per
+// community whatever num_shards says.
 //
-//   windower -> partitioning handler (community, then subject bucket)
+//   windower -> partitioning handler (community, then key bucket)
 //            -> one pool task per partition -> combining handler
 //            -> EmissionEvents in window order
 //
@@ -65,8 +67,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
     return 1;
   }
-  std::printf("%d communities x %zu subject buckets\n",
-              (*engine)->pipeline()->plan().num_communities(), shards);
+  std::printf("%d communities, %zu partitions per window (at most %zu "
+              "buckets each)\n",
+              (*engine)->pipeline()->plan().num_communities(),
+              (*engine)->pipeline()->num_partitions(), shards);
 
   SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols),
                                      GeneratorOptions{});

@@ -36,7 +36,7 @@ namespace streamasp {
 /// call sites source-compatible.
 ///
 /// Hash() reproduces Term::Hash() bit-for-bit (the arena caches the deep
-/// hash per escaped id), so subject-bucket routing and any hash-dependent
+/// hash per escaped id), so bucket routing and any hash-dependent
 /// iteration order remain byte-identical to the unpacked representation.
 class PackedTerm {
  public:

@@ -1,8 +1,8 @@
 #include "depgraph/atom_level.h"
 
-#include <algorithm>
-#include <cassert>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 namespace streamasp {
 
@@ -60,42 +60,39 @@ std::vector<SymbolId> SharedBodyVariables(const Rule& rule) {
 
 }  // namespace
 
-StatusOr<AtomLevelPlan> AtomLevelPlan::Build(const Program& program,
-                                             PartitioningPlan community_plan,
-                                             AtomLevelOptions options) {
-  if (options.fanout < 1) {
-    return InvalidArgumentError("atom-level fanout must be >= 1");
-  }
-  AtomLevelPlan plan;
-  plan.community_plan_ = std::move(community_plan);
-  plan.options_ = options;
+PartitioningPlan SplitIntoBuckets(const Program& program,
+                                  PartitioningPlan plan, size_t max_buckets) {
+  if (max_buckets <= 1) return plan;
+  const std::vector<PredicateSignature> duplicated_list =
+      plan.DuplicatedPredicates();
+  const std::set<PredicateSignature> duplicated(duplicated_list.begin(),
+                                                duplicated_list.end());
 
   // ---- Greedy proposal pass. -------------------------------------------
-  // key_position_ holds the committed keys; a missing entry means
-  // "undecided" during the passes and "unkeyed" afterwards.
+  // key_position holds the committed keys; a missing entry means
+  // "undecided" during the passes and "replicated" afterwards.
+  std::unordered_map<PredicateSignature, int, PredicateSignatureHash>
+      key_position;
+  auto propose = [&](const Atom& atom, SymbolId anchor) {
+    const int position = PositionOf(atom, anchor);
+    if (position >= 0 && !duplicated.count(atom.signature())) {
+      key_position.emplace(atom.signature(), position);
+    }
+  };
   for (const Rule& rule : program.rules()) {
     const std::vector<SymbolId> anchors = SharedBodyVariables(rule);
     if (anchors.empty()) continue;
-    const SymbolId anchor = anchors.front();
-    for (const Atom* atom : BodyAtoms(rule)) {
-      const int position = PositionOf(*atom, anchor);
-      if (position < 0) continue;
-      plan.key_position_.emplace(atom->signature(), position);
-    }
-    for (const Atom& head : rule.head()) {
-      const int position = PositionOf(head, anchor);
-      if (position >= 0) {
-        plan.key_position_.emplace(head.signature(), position);
-      }
-    }
+    for (const Atom* atom : BodyAtoms(rule)) propose(*atom, anchors.front());
+    for (const Atom& head : rule.head()) propose(head, anchors.front());
   }
 
   // ---- Verification / demotion fixpoint. -------------------------------
   // Demoting a predicate to unkeyed only weakens constraints, so the loop
   // terminates after at most |keyed predicates| demotions.
-  auto key_of = [&plan](const PredicateSignature& sig) {
-    auto it = plan.key_position_.find(sig);
-    return it == plan.key_position_.end() ? kUnkeyed : it->second;
+  constexpr int kUnkeyed = PartitioningPlan::kReplicated;
+  auto key_of = [&key_position](const PredicateSignature& sig) {
+    auto it = key_position.find(sig);
+    return it == key_position.end() ? kUnkeyed : it->second;
   };
   bool changed = true;
   while (changed) {
@@ -112,7 +109,7 @@ StatusOr<AtomLevelPlan> AtomLevelPlan::Build(const Program& program,
         if (!arg.is_variable()) {
           // A constant at the key position (e.g. car_speed(C, 0) keyed at
           // 1) cannot carry an anchor: demote.
-          plan.key_position_.erase(atom->signature());
+          key_position.erase(atom->signature());
           demoted_something = true;
           continue;
         }
@@ -126,7 +123,7 @@ StatusOr<AtomLevelPlan> AtomLevelPlan::Build(const Program& program,
       bool consistent = true;
       for (size_t i = 1; i < key_vars.size(); ++i) {
         if (key_vars[i] != anchor) {
-          plan.key_position_.erase(keyed[i]->signature());
+          key_position.erase(keyed[i]->signature());
           consistent = false;
         }
       }
@@ -140,16 +137,17 @@ StatusOr<AtomLevelPlan> AtomLevelPlan::Build(const Program& program,
         if (position == kUnkeyed) continue;
         const Term& arg = head.args()[position];
         if (!arg.is_variable() || arg.symbol() != anchor) {
-          plan.key_position_.erase(head.signature());
+          key_position.erase(head.signature());
           changed = true;
         }
       }
     }
   }
 
-  // Demote keyed head predicates derived by anchor-free rules when they
-  // feed later joins: such atoms materialize wherever the rule fires,
-  // which need not match their key bucket.
+  // Demote keyed head predicates derived by rules without a positive
+  // keyed body atom (facts included) when they feed later joins: such
+  // atoms materialize wherever the rule fires, which need not be — or not
+  // only be — their key bucket.
   {
     std::set<PredicateSignature> body_predicates;
     for (const Rule& rule : program.rules()) {
@@ -161,18 +159,19 @@ StatusOr<AtomLevelPlan> AtomLevelPlan::Build(const Program& program,
     while (demote_pass) {
       demote_pass = false;
       for (const Rule& rule : program.rules()) {
-        bool has_keyed_body = false;
-        for (const Atom* atom : BodyAtoms(rule)) {
-          if (key_of(atom->signature()) != kUnkeyed) {
-            has_keyed_body = true;
+        bool pinned = false;
+        for (const Literal& literal : rule.body()) {
+          if (literal.is_positive_atom() &&
+              key_of(literal.atom().signature()) != kUnkeyed) {
+            pinned = true;
             break;
           }
         }
-        if (has_keyed_body || rule.body().empty()) continue;
+        if (pinned) continue;
         for (const Atom& head : rule.head()) {
           if (key_of(head.signature()) != kUnkeyed &&
               body_predicates.count(head.signature())) {
-            plan.key_position_.erase(head.signature());
+            key_position.erase(head.signature());
             demote_pass = true;
           }
         }
@@ -182,9 +181,13 @@ StatusOr<AtomLevelPlan> AtomLevelPlan::Build(const Program& program,
 
   // ---- Availability analysis. ------------------------------------------
   // everywhere(q): every bucket of every community holds q's full
-  // extension. True for unkeyed *input* predicates (the router replicates
-  // them), for predicates given only by program facts, and inductively
-  // for predicates whose every deriving rule has an all-everywhere body.
+  // extension, and the same one. True for unkeyed *input* predicates (the
+  // router replicates them), for predicates given only by program facts,
+  // and inductively for predicates whose every deriving rule has an
+  // all-everywhere body, one head atom and no negated derived atom: a
+  // disjunctive head or negation through derived atoms could let each
+  // bucket pick a different answer set, and the combining handler's cross
+  // product would then mix the picks.
   std::set<PredicateSignature> input_set(
       program.input_predicates().begin(), program.input_predicates().end());
   std::unordered_map<PredicateSignature, bool, PredicateSignatureHash>
@@ -197,9 +200,7 @@ StatusOr<AtomLevelPlan> AtomLevelPlan::Build(const Program& program,
   for (const Rule& rule : program.rules()) {
     for (const Atom& head : rule.head()) {
       if (!input_set.count(head.signature())) {
-        auto [it, inserted] = everywhere.emplace(head.signature(), true);
-        (void)it;
-        (void)inserted;
+        everywhere.emplace(head.signature(), true);
       }
     }
   }
@@ -207,20 +208,24 @@ StatusOr<AtomLevelPlan> AtomLevelPlan::Build(const Program& program,
     auto it = everywhere.find(sig);
     return it != everywhere.end() && it->second;
   };
+  auto keeps_everywhere = [&](const Rule& rule) {
+    if (rule.head().size() > 1) return false;
+    for (const Literal& literal : rule.body()) {
+      if (!literal.is_atom()) continue;
+      const PredicateSignature sig = literal.atom().signature();
+      if (!is_everywhere(sig)) return false;
+      if (literal.is_negative_atom() && !input_set.count(sig)) return false;
+    }
+    return true;
+  };
   bool availability_changed = true;
   while (availability_changed) {
     availability_changed = false;
     for (const Rule& rule : program.rules()) {
-      bool body_everywhere = true;
-      for (const Atom* atom : BodyAtoms(rule)) {
-        if (!is_everywhere(atom->signature())) {
-          body_everywhere = false;
-          break;
-        }
-      }
-      if (body_everywhere) continue;
+      if (keeps_everywhere(rule)) continue;
+      // Input predicates too: one that rules also derive is held in full
+      // only where those rules fire.
       for (const Atom& head : rule.head()) {
-        if (input_set.count(head.signature())) continue;
         auto it = everywhere.find(head.signature());
         if (it != everywhere.end() && it->second) {
           it->second = false;
@@ -257,40 +262,57 @@ StatusOr<AtomLevelPlan> AtomLevelPlan::Build(const Program& program,
     }
   }
 
-  const int num_communities = plan.community_plan_.num_communities();
-  plan.community_enabled_.assign(num_communities, true);
+  const int num_communities = plan.num_communities();
+  std::vector<bool> enabled(num_communities, true);
 
-  // An unkeyed input predicate replicates into every bucket; splitting its
-  // communities only adds copies, so disable them.
-  for (const PredicateSignature& sig : plan.community_plan_.predicates()) {
-    if (key_of(sig) != kUnkeyed) continue;
-    for (int c : plan.community_plan_.CommunitiesOf(sig)) {
-      plan.community_enabled_[c] = false;
-    }
+  // An unkeyed input predicate the plan does not duplicate would have to
+  // be copied into every bucket of its community, so splitting that
+  // community only adds copies: keep it whole. (Duplicated predicates
+  // are copied regardless, so they keep nothing whole.)
+  for (const PredicateSignature& sig : plan.predicates()) {
+    if (key_of(sig) != kUnkeyed || duplicated.count(sig)) continue;
+    for (int c : plan.CommunitiesOf(sig)) enabled[c] = false;
   }
 
-  // Rules that join keyed atoms with non-everywhere unkeyed atoms (or two
-  // floating atoms) cannot be localized; the communities responsible for
-  // covering such a rule must not be split.
+  // A rule fires in every bucket that holds its positive atoms. Keyed
+  // positive atoms pin it to their anchor's bucket, which also holds every
+  // atom keyed by that anchor, and atoms available everywhere are right in
+  // any bucket. Any other atom is *floating*: it may be held in part. A
+  // rule cannot be localized when it joins a floating atom with a keyed
+  // one or with another floating atom, or when it negates an atom that is
+  // floating or — with no positive keyed atom to pin the rule — keyed:
+  // in the buckets that lack that atom, `not` would wrongly hold. The
+  // communities responsible for covering such a rule must not be split.
   std::vector<std::set<PredicateSignature>> community_members(
       num_communities);
-  for (const PredicateSignature& sig : plan.community_plan_.predicates()) {
-    for (int c : plan.community_plan_.CommunitiesOf(sig)) {
+  for (const PredicateSignature& sig : plan.predicates()) {
+    for (int c : plan.CommunitiesOf(sig)) {
       community_members[c].insert(sig);
     }
   }
   for (const Rule& rule : program.rules()) {
-    size_t keyed_count = 0;
-    size_t floating = 0;  // Neither keyed nor available everywhere.
-    for (const Atom* atom : BodyAtoms(rule)) {
-      if (key_of(atom->signature()) != kUnkeyed) {
-        ++keyed_count;
-      } else if (!is_everywhere(atom->signature())) {
-        ++floating;
+    size_t positive_keyed = 0;
+    size_t positive_floating = 0;
+    size_t negative_keyed = 0;
+    size_t negative_floating = 0;
+    for (const Literal& literal : rule.body()) {
+      if (!literal.is_atom()) continue;
+      const PredicateSignature sig = literal.atom().signature();
+      const bool keyed = key_of(sig) != kUnkeyed;
+      const bool floating = !keyed && !is_everywhere(sig);
+      if (literal.is_positive_atom()) {
+        positive_keyed += keyed;
+        positive_floating += floating;
+      } else {
+        negative_keyed += keyed;
+        negative_floating += floating;
       }
     }
     const bool locality_safe =
-        keyed_count > 0 ? floating == 0 : floating <= 1;
+        negative_floating == 0 &&
+        (positive_keyed > 0
+             ? positive_floating == 0
+             : positive_floating <= 1 && negative_keyed == 0);
     if (locality_safe) continue;
     for (int c = 0; c < num_communities; ++c) {
       bool covers = true;
@@ -305,88 +327,16 @@ StatusOr<AtomLevelPlan> AtomLevelPlan::Build(const Program& program,
         }
         if (!covers) break;
       }
-      if (covers) plan.community_enabled_[c] = false;
+      if (covers) enabled[c] = false;
     }
   }
-  plan.community_base_.assign(num_communities, 0);
-  plan.community_buckets_.assign(num_communities, 1);
-  int next = 0;
   for (int c = 0; c < num_communities; ++c) {
-    plan.community_base_[c] = next;
-    plan.community_buckets_[c] =
-        plan.community_enabled_[c] ? options.fanout : 1;
-    next += plan.community_buckets_[c];
+    if (enabled[c]) plan.SetBuckets(c, static_cast<int>(max_buckets));
   }
-  plan.num_partitions_ = std::max(next, 1);
+  for (const auto& [sig, position] : key_position) {
+    plan.SetKeyPosition(sig, position);
+  }
   return plan;
-}
-
-bool AtomLevelPlan::CommunityEnabled(int community) const {
-  assert(community >= 0 &&
-         community < static_cast<int>(community_enabled_.size()));
-  return community_enabled_[community];
-}
-
-int AtomLevelPlan::KeyPositionOf(const PredicateSignature& signature) const {
-  auto it = key_position_.find(signature);
-  return it == key_position_.end() ? kUnkeyed : it->second;
-}
-
-std::vector<int> AtomLevelPlan::PartitionsOf(const Atom& atom) const {
-  std::vector<int> out;
-  const std::vector<int>& communities =
-      community_plan_.CommunitiesOf(atom.signature());
-  // Unknown predicates fall back to community 0, mirroring
-  // PartitioningHandler's stray handling.
-  static const std::vector<int> kFallback = {0};
-  const std::vector<int>& routed =
-      communities.empty() ? kFallback : communities;
-  const int key = KeyPositionOf(atom.signature());
-  for (int c : routed) {
-    const int buckets = community_buckets_[c];
-    if (buckets == 1) {
-      out.push_back(community_base_[c]);
-      continue;
-    }
-    if (key == kUnkeyed || key >= static_cast<int>(atom.args().size())) {
-      for (int b = 0; b < buckets; ++b) {
-        out.push_back(community_base_[c] + b);  // Replicate.
-      }
-      continue;
-    }
-    const size_t hash = atom.args()[key].Hash();
-    out.push_back(community_base_[c] +
-                  static_cast<int>(hash % static_cast<size_t>(buckets)));
-  }
-  return out;
-}
-
-std::string AtomLevelPlan::ToString(const SymbolTable& symbols) const {
-  std::string out = "atom-level plan (" + std::to_string(num_partitions_) +
-                    " partitions, fanout " +
-                    std::to_string(options_.fanout) + ")\n";
-  for (int c = 0; c < community_plan_.num_communities(); ++c) {
-    out += "  community " + std::to_string(c) +
-           (community_enabled_[c] ? " [split]" : " [single]") + ":";
-    for (const PredicateSignature& sig : community_plan_.MembersOf(c)) {
-      const int key = KeyPositionOf(sig);
-      out += " " + sig.ToString(symbols) +
-             (key == kUnkeyed ? "@unkeyed" : "@" + std::to_string(key));
-    }
-    out += "\n";
-  }
-  return out;
-}
-
-std::vector<std::vector<Atom>> AtomLevelPartitioningHandler::PartitionFacts(
-    const std::vector<Atom>& window) const {
-  std::vector<std::vector<Atom>> partitions(plan_.num_partitions());
-  for (const Atom& atom : window) {
-    for (int p : plan_.PartitionsOf(atom)) {
-      partitions[p].push_back(atom);
-    }
-  }
-  return partitions;
 }
 
 }  // namespace streamasp

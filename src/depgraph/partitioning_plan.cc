@@ -30,6 +30,22 @@ const std::vector<int>& PartitioningPlan::CommunitiesOf(
   return it == communities_of_.end() ? kEmpty : it->second;
 }
 
+void PartitioningPlan::SetBuckets(int community, int buckets) {
+  assert(community >= 0 && community < num_communities_ && buckets >= 1);
+  buckets_[community] = buckets;
+}
+
+int PartitioningPlan::KeyPositionOf(const PredicateSignature& predicate) const {
+  auto it = key_position_.find(predicate);
+  return it == key_position_.end() ? kReplicated : it->second;
+}
+
+void PartitioningPlan::SetKeyPosition(const PredicateSignature& predicate,
+                                      int position) {
+  assert(position >= 0 && position < static_cast<int>(predicate.arity));
+  key_position_[predicate] = position;
+}
+
 std::vector<PredicateSignature> PartitioningPlan::DuplicatedPredicates()
     const {
   std::vector<PredicateSignature> duplicated;
@@ -57,12 +73,19 @@ std::string PartitioningPlan::ToString(const SymbolTable& symbols) const {
       "partitioning plan (" + std::to_string(num_communities_) +
       " communities)\n";
   for (int c = 0; c < num_communities_; ++c) {
-    out += "  community " + std::to_string(c) + ": {";
+    const bool split = buckets_[c] > 1;
+    out += "  community " + std::to_string(c);
+    if (split) out += " (" + std::to_string(buckets_[c]) + " buckets)";
+    out += ": {";
     bool first = true;
     for (const PredicateSignature& sig : MembersOf(c)) {
       if (!first) out += ", ";
       first = false;
       out += sig.ToString(symbols);
+      if (split) {
+        const int key = KeyPositionOf(sig);
+        out += key == kReplicated ? "@replicated" : "@" + std::to_string(key);
+      }
     }
     out += "}\n";
   }

@@ -15,13 +15,24 @@ namespace streamasp {
 /// its ground atoms. A predicate mapped to more than one community is a
 /// *duplicated* predicate — its window instances are copied into several
 /// partitions, which is the latency overhead Figure 9 measures.
+///
+/// A plan may additionally split communities into hash buckets (see
+/// SplitIntoBuckets in depgraph/atom_level.h): each community has a bucket
+/// count, and each predicate either a key argument position — an item
+/// goes to the bucket its key argument hashes to — or kReplicated, in
+/// which case it is copied to every bucket of each of its communities.
+/// A fresh plan has one bucket per community.
 class PartitioningPlan {
  public:
+  /// KeyPositionOf's answer for predicates that are not keyed.
+  static constexpr int kReplicated = -1;
+
   PartitioningPlan() = default;
 
-  /// Creates a plan with `num_communities` empty communities.
+  /// Creates a plan with `num_communities` empty communities, one bucket
+  /// each.
   explicit PartitioningPlan(int num_communities)
-      : num_communities_(num_communities) {}
+      : num_communities_(num_communities), buckets_(num_communities, 1) {}
 
   /// Assigns `predicate` to `community` (idempotent). Community ids must
   /// be in [0, num_communities).
@@ -47,7 +58,17 @@ class PartitioningPlan {
   /// Members of one community, in insertion order.
   std::vector<PredicateSignature> MembersOf(int community) const;
 
-  /// Human-readable dump, e.g. for the dependency_explorer example.
+  /// Buckets community `community` is split into (>= 1).
+  int BucketsOf(int community) const { return buckets_[community]; }
+  void SetBuckets(int community, int buckets);
+
+  /// The argument position whose value picks a predicate's bucket, or
+  /// kReplicated (the default).
+  int KeyPositionOf(const PredicateSignature& predicate) const;
+  void SetKeyPosition(const PredicateSignature& predicate, int position);
+
+  /// Human-readable dump, e.g. for the dependency_explorer example. Split
+  /// communities also list their bucket count and key positions.
   std::string ToString(const SymbolTable& symbols) const;
 
  private:
@@ -56,6 +77,9 @@ class PartitioningPlan {
   std::unordered_map<PredicateSignature, std::vector<int>,
                      PredicateSignatureHash>
       communities_of_;
+  std::vector<int> buckets_;  // Indexed by community.
+  std::unordered_map<PredicateSignature, int, PredicateSignatureHash>
+      key_position_;
   static const std::vector<int> kEmpty;
 };
 

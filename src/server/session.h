@@ -68,7 +68,7 @@ struct SessionOptions {
   std::string program_text;
 
   /// Engine shape and tuning (streamrule/engine.h): window geometry,
-  /// subject buckets, async staging, reuse flags, backpressure, admission
+  /// bucket bound, async staging, reuse flags, backpressure, admission
   /// filter.
   EngineConfig engine;
 

@@ -116,13 +116,14 @@ Status ApplyOpenOption(std::string_view key, std::string_view value,
         require_capped("max_inflight", kMaxOpenMaxInflight));
     options->max_inflight = static_cast<size_t>(number);
   } else if (key == "reuse") {
+    ReasonerOptions& reasoner = options->engine.pipeline.reasoner.reasoner;
     if (value == "none") {
-      options->engine.pipeline.reuse_grounding = false;
-      options->engine.pipeline.reuse_solving = false;
+      reasoner.reuse_grounding = false;
+      reasoner.solving.reuse_solving = false;
     } else if (value == "ground") {
-      options->engine.pipeline.reuse_grounding = true;
+      reasoner.reuse_grounding = true;
     } else if (value == "solve") {
-      options->engine.pipeline.reuse_solving = true;
+      reasoner.solving.reuse_solving = true;
     } else {
       return InvalidArgumentError("open option reuse must be none|ground|"
                                   "solve, got '" +
@@ -398,6 +399,7 @@ std::string FormatStats(std::string_view session, const SessionStats& stats) {
   field("lane_tasks_submitted", stats.engine.lane.submitted);
   field("lane_tasks_completed", stats.engine.lane.completed);
   field("lane_max_queued", stats.engine.lane.max_queued);
+  field("partitions", stats.engine.num_partitions);
   return out;
 }
 

@@ -75,7 +75,8 @@ struct SolverOptions {
 /// always, and complete for head-cycle-free programs — the class covering
 /// the paper's workloads (which are non-disjunctive) and the standard
 /// textbook examples. Non-HCF programs may have additional answer sets
-/// that shifting cannot produce; see DESIGN.md.
+/// that shifting cannot produce; see ARCHITECTURE.md ("Substitutions and
+/// known limits").
 class Solver {
  public:
   explicit Solver(SolverOptions options = {}) : options_(options) {}

@@ -111,7 +111,7 @@ std::vector<Triple> BurstyStreamGenerator::Generate(size_t count) {
         overlay_rng_.NextDouble() < burst_.hot_fraction) {
       // Collapse the subject onto the hot pool. Hot keys live outside the
       // base subject range so the storm is visible as distinct entities
-      // (and hashes them onto a fixed small set of subject buckets).
+      // (and hashes them onto a fixed small set of key buckets).
       items[i].subject = Term::Integer(static_cast<int64_t>(
           (1u << 20) + overlay_rng_.NextBounded(burst_.hot_subjects)));
     }

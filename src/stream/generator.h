@@ -21,7 +21,8 @@ enum class GeneratorProfile {
   /// Subjects (entities/locations) are drawn from a small pool
   /// (n / location_divisor) and objects from [0, value_range), so that
   /// joins and threshold comparisons fire at a healthy rate. Used by the
-  /// accuracy figures; documented as a substitution in EXPERIMENTS.md.
+  /// accuracy figures; documented as a substitution in ARCHITECTURE.md
+  /// ("Substitutions and known limits").
   kEventRich,
 };
 
@@ -88,7 +89,8 @@ enum class BurstShape {
   /// distribution). Models breaking-news / incident traffic.
   kFlashCrowd,
   /// Periodic hot-key storms: spikes additionally collapse subjects onto
-  /// a tiny hot pool, so subject-bucketed consumers see one or two buckets
+  /// a tiny hot pool, so subject-keyed bucketed consumers see one or two
+  /// buckets
   /// absorb the whole spike. Models a single hot entity going viral.
   kHotKeyStorm,
   /// Sustained overload: every position is "in burst" at burst_intensity,

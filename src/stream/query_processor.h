@@ -19,7 +19,8 @@ namespace streamasp {
 ///
 /// The paper treats this tier as a black box whose output is the filtered
 /// window; faithful filtering + windowing is all the downstream
-/// experiments require (see DESIGN.md, substitution table).
+/// experiments require (see ARCHITECTURE.md, "Substitutions and known
+/// limits").
 class StreamQueryProcessor {
  public:
   /// Receives each completed window by value: the processor hands off its

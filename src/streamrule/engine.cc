@@ -18,6 +18,7 @@ StatusOr<std::unique_ptr<StreamEngine>> StreamEngine::Create(
 EngineStats StreamEngine::stats() const {
   EngineStats out;
   out.num_shards = num_shards_;
+  out.num_partitions = pipeline_->num_partitions();
   if (pipeline_->pool_queue() != nullptr) {
     out.lane = pipeline_->pool_queue()->stats();
   }

@@ -10,9 +10,9 @@ namespace streamasp {
 
 /// One validated configuration for every engine shape: pipeline.async
 /// selects the synchronous oracle loop or the staged async engine, and
-/// pipeline.reasoner.num_shards splits each window's dependency
-/// communities into subject buckets (see PartitioningHandler) — sharding
-/// is partitioning, not a second engine.
+/// pipeline.reasoner.num_shards bounds the buckets each window's
+/// dependency communities split into (see PartitioningHandler) —
+/// sharding is partitioning, not a second engine.
 struct EngineConfig {
   /// Window geometry, reuse flags, async staging, backpressure, admission
   /// filter, reasoner options (including num_shards).
@@ -22,9 +22,13 @@ struct EngineConfig {
 /// One stats surface across every engine shape. Snapshots are returned by
 /// value from StreamEngine::stats(), safe from any thread.
 struct EngineStats {
-  /// The configured subject-bucket count (pipeline.reasoner.num_shards):
-  /// 0 when unsharded.
+  /// The configured bucket bound (pipeline.reasoner.num_shards): 0 when
+  /// unsharded.
   size_t num_shards = 0;
+
+  /// Partitions per window the key-flow analysis chose under that bound
+  /// (StreamRulePipeline::num_partitions).
+  size_t num_partitions = 0;
 
   /// Pipeline-level counters (see PipelineStats).
   PipelineStats reasoning;

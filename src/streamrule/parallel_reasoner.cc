@@ -7,6 +7,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "depgraph/atom_level.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -47,7 +48,7 @@ ParallelReasoner::ParallelReasoner(const Program* program,
                                    ParallelReasonerOptions options)
     : program_(program),
       reasoner_options_(ResolveReuseOptions(program, options.reasoner)),
-      handler_(std::move(plan), options.num_shards),
+      handler_(SplitIntoBuckets(*program, std::move(plan), options.num_shards)),
       combiner_(options.combining),
       reasoner_(program, reasoner_options_) {
   // The caller reasons too, so the pool supplies the other threads.

@@ -30,11 +30,12 @@ struct ParallelReasonerOptions {
   /// task per partition, and never calls Process.
   size_t num_threads = 0;
 
-  /// Subject buckets per dependency community: the partitioning handler
-  /// splits each community's items into this many buckets (see
-  /// PartitioningHandler), so a window yields max(communities, 1) ×
-  /// num_shards partitions, each with its own incremental grounder and
-  /// solver under reuse. 0 and 1 both mean no buckets.
+  /// Upper bound on the buckets per dependency community. Above 1, the
+  /// constructor runs the key-flow analysis (SplitIntoBuckets in
+  /// depgraph/atom_level.h), which splits each community it can prove
+  /// safe into num_shards buckets and keeps every other community whole;
+  /// each partition gets its own incremental grounder and solver under
+  /// reuse. 0 and 1 both mean no buckets and no analysis.
   size_t num_shards = 0;
 };
 
@@ -55,7 +56,7 @@ struct ParallelReasonerResult {
   /// partition's reasoner latency + combine_ms. This is the quantity the
   /// paper's 8-core testbed measures as "reasoning latency of PR"; the
   /// figure harnesses report it alongside the measured wall time (see
-  /// EXPERIMENTS.md on the single-core substitution).
+  /// docs/benchmarks.md on the single-core substitution).
   double critical_path_ms = 0;
 
   size_t num_partitions = 0;
@@ -116,8 +117,8 @@ struct ParallelReasonerResult {
 class ParallelReasoner {
  public:
   /// Dependency-guided mode: partitions follow `plan` (built by
-  /// DecomposeInputDependencyGraph at design time). `program` must outlive
-  /// the reasoner.
+  /// DecomposeInputDependencyGraph at design time), split into buckets as
+  /// options.num_shards allows. `program` must outlive the reasoner.
   ParallelReasoner(const Program* program, PartitioningPlan plan,
                    ParallelReasonerOptions options = {});
 
@@ -148,8 +149,8 @@ class ParallelReasoner {
   /// Split phase: partitions the window's items and, with
   /// reuse_grounding, its expired/admitted delta with the same routing,
   /// so each partition's incremental grounder receives its own sub-stream
-  /// delta (the routing — community, then subject bucket — is per item
-  /// and pure). Always at least one partition.
+  /// delta (the routing — community, then key bucket — is per item and
+  /// pure). Always at least one partition.
   Job Split(const TripleWindow& window) const;
 
   /// Reason phase: reasons partition `index` of `job` into its slot.
@@ -169,8 +170,9 @@ class ParallelReasoner {
   /// A partition's exception propagates after every partition has run.
   StatusOr<ParallelReasonerResult> Process(const TripleWindow& window);
 
-  /// PR pipeline over a window already converted to facts. Always batch
-  /// grounding (no sequence/delta information at this level).
+  /// PR pipeline over a window already converted to facts, routed like
+  /// the equal triple window. Always batch grounding (no sequence/delta
+  /// information at this level).
   StatusOr<ParallelReasonerResult> ProcessFacts(
       const std::vector<Atom>& facts);
 

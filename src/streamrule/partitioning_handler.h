@@ -19,27 +19,26 @@ namespace streamasp {
 ///      (duplicated predicates are copied into several partitions);
 ///   3. the sub-windows are returned in community order.
 ///
-/// Sharding is a second split level: with num_shards = N > 1 each
-/// community is further split into N subject buckets, giving
-/// max(communities, 1) × N partitions, where index c·N + b is community
-/// c, bucket b. An item goes to bucket SubjectShardKey(item) % N of its
-/// community; an item of a duplicated predicate (one the plan maps to
-/// several communities) is copied to every bucket of each of its
-/// communities, so joins against it never cross a bucket boundary.
-/// Answers are bucket-count-invariant when the subject key respects the
-/// joins among non-duplicated predicates (it does for subject-local
-/// programs such as the paper's P and P′). N ≤ 1 is the plain
-/// per-predicate-group routing above, with no per-item key computation.
+/// Buckets are a second split level, decided by the plan (see
+/// SplitIntoBuckets in depgraph/atom_level.h): community c occupies
+/// plan.BucketsOf(c) consecutive partitions, in community order. Within
+/// a split community an item of a keyed predicate goes to the bucket its
+/// key argument hashes to, and an item of a replicated predicate is
+/// copied to every bucket. An item's argument 0 is a triple's subject
+/// and argument 1 its object; a fact's are its atom arguments, so a fact
+/// window routes exactly like the equal triple window. A plan without
+/// split communities is the plain per-group routing above, with no
+/// per-item key computation.
 ///
 /// Items whose predicate the plan does not know (e.g. the stream query's
-/// filter let something unexpected through) are routed to community 0 (its
-/// subject bucket) so no data is silently lost; the count of such strays
-/// is reported.
+/// filter let something unexpected through) are routed to community 0 —
+/// by key if the plan keys their predicate, to every bucket otherwise —
+/// so no data is silently lost; the count of such strays is reported.
 class PartitioningHandler {
  public:
   /// The plan is copied; handlers are immutable afterwards and safe to
-  /// share across threads. `num_shards` 0 and 1 both mean no buckets.
-  explicit PartitioningHandler(PartitioningPlan plan, size_t num_shards = 1);
+  /// share across threads.
+  explicit PartitioningHandler(PartitioningPlan plan);
 
   /// Partitions a triple window into num_partitions() entries; entries
   /// may be empty. The routing is per item and pure, so partitioning a
@@ -51,19 +50,15 @@ class PartitioningHandler {
   std::vector<std::vector<Triple>> Partition(
       const std::vector<Triple>& window, bool count_strays = true) const;
 
-  /// Community-only routing for windows already converted to ASP facts:
-  /// max(communities, 1) entries, never split into buckets, because an
-  /// atom carries no triple subject to key on.
+  /// The same routing for a window already converted to ASP facts.
   std::vector<std::vector<Atom>> PartitionFacts(
       const std::vector<Atom>& window) const;
 
   const PartitioningPlan& plan() const { return plan_; }
 
-  /// Buckets per community (>= 1).
-  size_t num_shards() const { return num_shards_; }
-
-  /// Entries Partition returns: max(communities, 1) × num_shards().
-  size_t num_partitions() const { return num_partitions_; }
+  /// Entries Partition returns: the plan's summed bucket counts (one per
+  /// community without a split), at least 1.
+  size_t num_partitions() const { return first_partition_.back(); }
 
   /// Items routed to the fallback community because their predicate was
   /// not in the plan (cumulative across calls; informational only).
@@ -72,9 +67,17 @@ class PartitioningHandler {
   }
 
  private:
+  template <typename Item, typename SignatureOf, typename KeyHashOf>
+  std::vector<std::vector<Item>> Route(const std::vector<Item>& window,
+                                       SignatureOf signature_of,
+                                       KeyHashOf key_hash_of,
+                                       bool count_strays) const;
+
   PartitioningPlan plan_;
-  size_t num_shards_;
-  size_t num_partitions_;
+  /// Community c's partitions are [first_partition_[c],
+  /// first_partition_[c + 1]); a plan without communities still has the
+  /// strays' community 0, with one partition.
+  std::vector<size_t> first_partition_;
   mutable std::atomic<uint64_t> stray_items_{0};
 };
 

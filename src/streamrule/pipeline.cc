@@ -22,7 +22,6 @@ StatusOr<std::unique_ptr<StreamRulePipeline>> StreamRulePipeline::Create(
   if (program == nullptr) {
     return InvalidArgumentError("program must not be null");
   }
-  NormalizePipelineOptions(&options);
   STREAMASP_RETURN_IF_ERROR(ValidatePipelineOptions(options));
   STREAMASP_RETURN_IF_ERROR(program->Validate());
 
@@ -105,9 +104,12 @@ StreamRulePipeline::StreamRulePipeline(const Program* program,
   }
   if (options_.async) {
     StartAsyncEngine();
+    num_partitions_ =
+        free_slots_.front()->partitioning_handler().num_partitions();
   } else {
     sync_reasoner_ = std::make_unique<ParallelReasoner>(program_, plan_,
                                                         options_.reasoner);
+    num_partitions_ = sync_reasoner_->partitioning_handler().num_partitions();
   }
 }
 

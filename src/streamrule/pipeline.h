@@ -29,29 +29,10 @@ struct PipelineOptions {
   /// once the first window_size items have arrived, re-processing the
   /// overlapping suffix (CQELS/C-SPARQL semantics). 0 or == window_size
   /// keeps tumbling windows. Sliding windows carry expired/admitted
-  /// deltas, which reuse_grounding consumes.
+  /// deltas, which grounding and solving reuse consume (see
+  /// ReasonerOptions::reuse_grounding and SolverOptions::reuse_solving,
+  /// set through `reasoner.reasoner`).
   size_t window_slide = 0;
-
-  /// Reuse grounding across overlapping windows: each reasoner keeps a
-  /// per-partition IncrementalGrounder that retracts the rule
-  /// instances of expired facts and grounds only what admitted facts
-  /// enable, falling back to full re-grounding on oversized deltas (see
-  /// ground/incremental_grounder.h). Answers are unchanged; the
-  /// reuse counters land in PipelineStats. Shorthand for
-  /// reasoner.reasoner.reuse_grounding — Create ORs the two.
-  bool reuse_grounding = false;
-
-  /// Reuse solving across overlapping windows: each reasoner pairs its
-  /// per-partition incremental grounders with persistent
-  /// IncrementalSolvers that patch the previous window's search
-  /// structures with the grounder's rule delta (and warm-start the
-  /// search from the previous model) instead of rebuilding the solver
-  /// per window; the grounder's per-window output assembly and
-  /// simplification pass is skipped too (see solve/incremental_solver.h).
-  /// Implies reuse_grounding. Answers are unchanged; the solver reuse
-  /// counters land in PipelineStats. Shorthand for
-  /// reasoner.reasoner.solving.reuse_solving — Create ORs the two.
-  bool reuse_solving = false;
 
   /// Run whole-window reasoning (R) instead of dependency-partitioned
   /// parallel reasoning (PR). Mostly for baselines.
@@ -162,7 +143,7 @@ struct PipelineStats {
   // --- graceful-degradation accounting (streamrule/accuracy.h) ---
   uint64_t shed_items = 0;  ///< Items in shed (dropped/rejected) windows.
 
-  // --- grounding reuse counters (zero without reuse_grounding), summed
+  // --- grounding reuse counters (zero without grounding reuse), summed
   // over every partition of every reasoned window ---
   uint64_t incremental_windows = 0;   ///< Partition groundings that reused.
   uint64_t grounding_fallbacks = 0;   ///< Full re-groundings (first window,
@@ -171,7 +152,7 @@ struct PipelineStats {
   uint64_t grounding_rules_retracted = 0;
   uint64_t grounding_rules_new = 0;
 
-  // --- solver reuse counters (zero without reuse_solving), summed over
+  // --- solver reuse counters (zero without solving reuse), summed over
   // every partition of every reasoned window ---
   uint64_t incremental_solve_windows = 0;  ///< Partition solves that patched
                                            ///< the persistent engine.
@@ -315,6 +296,11 @@ class StreamRulePipeline {
   const PartitioningPlan& plan() const { return plan_; }
   const DecompositionInfo& decomposition_info() const { return info_; }
 
+  /// Partitions every window splits into: one per community, or
+  /// reasoner.num_shards for each community the key-flow analysis
+  /// splits (see ParallelReasonerOptions::num_shards).
+  size_t num_partitions() const { return num_partitions_; }
+
   /// Threads of the pipeline's private pool (0 in sync mode and on an
   /// external shared_pool — see pool_queue() for the lane).
   size_t num_reason_workers() const {
@@ -410,6 +396,7 @@ class StreamRulePipeline {
   PartitioningPlan plan_;
   DecompositionInfo info_;
   EmissionHandler handler_;
+  size_t num_partitions_ = 0;
   std::unique_ptr<StreamQueryProcessor> query_;
 
   /// Sync mode's single reasoner (null in async mode).

@@ -6,15 +6,6 @@
 
 namespace streamasp {
 
-void NormalizePipelineOptions(PipelineOptions* options) {
-  if (options->reuse_grounding) {
-    options->reasoner.reasoner.reuse_grounding = true;
-  }
-  if (options->reuse_solving) {
-    options->reasoner.reasoner.solving.reuse_solving = true;
-  }
-}
-
 std::shared_ptr<SharedReasonerPool> ProvidePrivatePool(
     PipelineOptions* options) {
   if (!options->async || options->shared_pool != nullptr) {

@@ -11,16 +11,6 @@ namespace streamasp {
 
 struct PipelineOptions;
 
-/// Expands option shorthands in place so every engine surface agrees on
-/// what a config means before validating or running it: reuse_grounding
-/// ORs into reasoner.reasoner.reuse_grounding and reuse_solving into
-/// reasoner.reasoner.solving.reuse_solving. (reuse_solving implies
-/// reuse_grounding, but that implication is resolved per reasoner —
-/// ResolveReuseOptions in parallel_reasoner.cc — because it is gated on
-/// the program being non-disjunctive.) Idempotent; called by every
-/// Create before ValidatePipelineOptions.
-void NormalizePipelineOptions(PipelineOptions* options);
-
 /// The one place that decides an async engine's executor: an async
 /// configuration without a shared_pool gets a private SharedReasonerPool
 /// of num_reason_workers threads (0 picks DefaultThreadCount()),

@@ -1,5 +1,5 @@
 // StreamEngine facade: the shared Create-time validator, sharding as a
-// subject-bucket split of the one pipeline's partitioning, the unified
+// key-bucket split of the one pipeline's partitioning, the unified
 // EngineStats snapshot, and differential checks that output through the
 // facade is byte-identical to driving the pipeline directly.
 
@@ -115,9 +115,8 @@ TEST_F(EngineTest, CreateRejectsThroughSharedValidator) {
 // ---------------------------------------------------------------------------
 
 TEST_F(EngineTest, NumShardsSplitsEachCommunityIntoBuckets) {
-  // One pipeline whatever the shard count: each of the plan's
-  // communities is split into num_shards subject buckets, and 0 and 1
-  // both mean no buckets.
+  // One pipeline whatever the shard count: each of P′'s communities is
+  // split into num_shards key buckets, and 0 and 1 both mean no buckets.
   for (const size_t shards : {size_t{0}, size_t{1}, size_t{3}}) {
     SCOPED_TRACE("num_shards=" + std::to_string(shards));
     EngineConfig config;
@@ -250,8 +249,9 @@ TEST_F(EngineTest, FacadeMatchesDirectEnginesByteForByte) {
     config.pipeline.window_size = 600;
     config.pipeline.window_slide = shape.slide;
     config.pipeline.async = shape.async;
-    config.pipeline.reuse_grounding = shape.reuse_grounding;
-    config.pipeline.reuse_solving = shape.reuse_solving;
+    config.pipeline.reasoner.reasoner.reuse_grounding = shape.reuse_grounding;
+    config.pipeline.reasoner.reasoner.solving.reuse_solving =
+        shape.reuse_solving;
 
     std::string facade_transcript;
     auto facade = StreamEngine::Create(
@@ -278,7 +278,7 @@ TEST_F(EngineTest, FacadeMatchesDirectEnginesByteForByte) {
 
 // ---------------------------------------------------------------------------
 // Partition fan-out on a pool lane: a pooled P' window's partitions (two
-// communities, times the subject buckets) run as separate lane tasks
+// communities, times the key buckets) run as separate lane tasks
 // joined by the last finisher. The transcript must stay byte-identical to
 // the sync oracle of the same shape across lane caps, shared and private
 // pools, the reuse stack, and shard counts.
@@ -298,8 +298,8 @@ TEST_F(EngineTest, PooledPartitionFanOutMatchesSyncOracle) {
     config.pipeline.reasoner.num_shards = shards;
     config.pipeline.window_size = 600;
     config.pipeline.window_slide = 150;
-    config.pipeline.reuse_grounding = reuse.grounding;
-    config.pipeline.reuse_solving = reuse.solving;
+    config.pipeline.reasoner.reasoner.reuse_grounding = reuse.grounding;
+    config.pipeline.reasoner.reasoner.solving.reuse_solving = reuse.solving;
     return config;
   };
   auto pool = std::make_shared<SharedReasonerPool>(4);
@@ -361,8 +361,8 @@ TEST_F(EngineTest, PooledPartitionFanOutMatchesSyncOracle) {
 }
 
 TEST_F(EngineTest, ShardedFacadeMatchesUnshardedAnswers) {
-  // Subject buckets respect the traffic rules' dependencies, so a
-  // bucketed pipeline must reproduce the unbucketed answer stream
+  // The key-flow analysis splits only what the traffic rules allow, so
+  // a bucketed pipeline must reproduce the unbucketed answer stream
   // byte-for-byte through the facade.
   const std::vector<Triple> stream = MakeStream(1800);
   auto run = [&](size_t shards) {

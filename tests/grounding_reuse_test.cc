@@ -1,7 +1,7 @@
 // Grounding reuse threaded through the reasoning layers: the sliding
 // query processor's delta emission, ParallelReasoner's per-partition
-// incremental grounders, the sync/async pipeline with reuse_grounding,
-// and subject buckets (num_shards) — all differentially checked against
+// incremental grounders, the sync/async pipeline with grounding reuse,
+// and key buckets (num_shards) — all differentially checked against
 // the same configuration without reuse (byte-identical transcripts).
 
 #include <gtest/gtest.h>
@@ -115,7 +115,7 @@ TEST_F(GroundingReuseTest, SyncSlidingPipelineMatchesWithAndWithoutReuse) {
   base.async = false;
 
   PipelineOptions reuse = base;
-  reuse.reuse_grounding = true;
+  reuse.reasoner.reasoner.reuse_grounding = true;
 
   PipelineStats baseline_stats;
   PipelineStats reuse_stats;
@@ -152,7 +152,7 @@ TEST_F(GroundingReuseTest, AsyncSlidingPipelineMatchesSyncOracle) {
   PipelineOptions async = sync;
   async.async = true;
   async.max_inflight_windows = 4;
-  async.reuse_grounding = true;
+  async.reasoner.reasoner.reuse_grounding = true;
   const std::string got = PipelineTranscript(program, async, stream);
   EXPECT_FALSE(want.empty());
   EXPECT_EQ(want, got);
@@ -168,7 +168,7 @@ TEST_F(GroundingReuseTest, ShardedEngineMatchesWithAndWithoutReuse) {
     base.window_size = 200;
 
     PipelineOptions reuse = base;
-    reuse.reuse_grounding = true;
+    reuse.reasoner.reasoner.reuse_grounding = true;
 
     const std::string want = PipelineTranscript(program, base, stream);
     PipelineStats reuse_stats;
@@ -184,7 +184,7 @@ TEST_F(GroundingReuseTest, ShardedEngineMatchesWithAndWithoutReuse) {
 
 TEST_F(GroundingReuseTest, ShardedSlidingWindowsKeepGroundingReuseIncremental) {
   // Each partition's grounder replays only its routed slice of the
-  // window's delta (community, then subject bucket), and the combined
+  // window's delta (community, then key bucket), and the combined
   // transcript stays byte-identical to the unsharded sliding oracle.
   const Program program = MustProgram(TrafficProgramVariant::kP);
   const std::vector<Triple> stream = MakeStream(900);
@@ -199,7 +199,7 @@ TEST_F(GroundingReuseTest, ShardedSlidingWindowsKeepGroundingReuseIncremental) {
     SCOPED_TRACE("shards " + std::to_string(shards));
     PipelineOptions options = sync;
     options.reasoner.num_shards = shards;
-    options.reuse_grounding = true;
+    options.reasoner.reasoner.reuse_grounding = true;
     PipelineStats stats;
     EXPECT_EQ(PipelineTranscript(program, options, stream, &stats), want);
     EXPECT_GT(stats.incremental_windows, 0u);

@@ -1,5 +1,5 @@
 // Graceful degradation under overload: the tombstone emission channel,
-// shedding under subject buckets (num_shards), completeness accounting,
+// shedding under key buckets (num_shards), completeness accounting,
 // and the bursty workload generator. The core property: shedding degrades answers
 // (completeness < 1), it never reorders, stalls, or silently corrupts —
 // and windows nothing was shed from stay byte-identical to the lossless
@@ -109,7 +109,7 @@ TEST_F(OverloadTest, RandomizedShedShardedMatrixStaysOrderedAndExact) {
       options.window_size = window_size;
       options.window_slide = slide;
       options.async = false;  // Sheds synchronously → exact folds.
-      options.reuse_grounding = sliding;
+      options.reasoner.reasoner.reuse_grounding = sliding;
       options.admission_filter = [&](const TripleWindow& window) {
         // Deterministic ~25% shed.
         const uint64_t h =
@@ -417,7 +417,7 @@ TEST_F(OverloadTest, HotKeyStormDropOldestBoundsEmitLatency) {
       << stats.max_latency_ms << "ms";
 }
 
-// Sustained overload with subject buckets and lossy async shedding:
+// Sustained overload with key buckets and lossy async shedding:
 // Flush returns, every window surfaces in order as a result or a
 // tombstone, and the stream-level completeness agrees with the shed
 // accounting.

@@ -1,8 +1,9 @@
 // Property-style suites over randomly generated programs and windows:
 // solver soundness (every reported model passes the from-first-principles
 // stable-model check), grounder/solver equivalence under simplification,
-// partitioning invariants, and a grounding oracle that checks the cold
-// and incremental grounders against a naive instantiation.
+// partitioning invariants, a grounding oracle that checks the cold and
+// incremental grounders against a naive instantiation, and a bucket-split
+// differential that checks every num_shards against the unbucketed plan.
 
 #include <algorithm>
 #include <functional>
@@ -19,8 +20,9 @@
 #include "solve/incremental_solver.h"
 #include "solve/solver.h"
 #include "stream/query_processor.h"
-#include "stream/shard_key.h"
+#include "streamrule/answer.h"
 #include "streamrule/partitioning_handler.h"
+#include "streamrule/pipeline.h"
 #include "streamrule/random_partitioner.h"
 #include "util/rng.h"
 
@@ -230,12 +232,26 @@ TEST_P(PartitioningPropertyTest, RandomPartitionIsAPartition) {
   EXPECT_EQ(reassembled, sorted_window);
 }
 
-/// The subject-bucket split (num_shards = N): every item lands exactly
-/// where the routing rule says — bucket SubjectShardKey % N of its one
-/// community, every bucket of each community of a duplicated predicate,
-/// community 0's bucket for strays — and, because routing is per item,
-/// a sliding window's per-partition expired/admitted lists are exactly
-/// the delta of each partition's sub-stream.
+/// The test's own copy of the bucket key: splitmix64's finalizer over the
+/// key argument's Term::Hash() (which PackedTerm::Hash() reproduces).
+uint64_t ExpectedBucketKey(size_t term_hash) {
+  uint64_t x = static_cast<uint64_t>(term_hash);
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ULL;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBULL;
+  x ^= x >> 31;
+  return x;
+}
+
+/// The bucket split: every item lands exactly where the routing rule says
+/// — in each of its communities (community 0 for strays), the bucket its
+/// key argument picks when the community is split and the predicate is
+/// keyed (argument 0 the subject, 1 the object), and every bucket of the
+/// community otherwise. A fact window routes exactly as the equal triple
+/// window, and, because routing is per item, a sliding window's
+/// per-partition expired/admitted lists are exactly the delta of each
+/// partition's sub-stream.
 TEST_P(PartitioningPropertyTest, BucketSplitRoutesByTheRuleAndSplitsDeltas) {
   Rng rng(GetParam() ^ 0xB0C4E7);
   SymbolTablePtr symbols = MakeSymbolTable();
@@ -247,6 +263,11 @@ TEST_P(PartitioningPropertyTest, BucketSplitRoutesByTheRuleAndSplitsDeltas) {
   for (int p = 0; p < num_preds; ++p) {
     const SymbolId name = symbols->Intern("p" + std::to_string(p));
     predicates.push_back(name);
+    // Keyed at the subject, keyed at the object, or replicated.
+    const int key = static_cast<int>(rng.NextBounded(3)) - 1;
+    if (key != PartitioningPlan::kReplicated) {
+      plan.SetKeyPosition({name, 2}, key);
+    }
     // Some predicates stay unknown to the plan (strays), some duplicate.
     if (num_communities == 0 || rng.NextBounded(5) == 0) continue;
     plan.Assign({name, 2},
@@ -256,6 +277,21 @@ TEST_P(PartitioningPropertyTest, BucketSplitRoutesByTheRuleAndSplitsDeltas) {
                   static_cast<int>(rng.NextBounded(num_communities)));
     }
   }
+  // Each community's partitions follow its predecessors'; a plan without
+  // communities still has the strays' one partition.
+  std::vector<size_t> first_partition;
+  std::vector<size_t> buckets;
+  size_t num_partitions = 0;
+  for (int c = 0; c < std::max(num_communities, 1); ++c) {
+    buckets.push_back(c < num_communities ? 1 + rng.NextBounded(4) : 1);
+    if (c < num_communities) {
+      plan.SetBuckets(c, static_cast<int>(buckets.back()));
+    }
+    first_partition.push_back(num_partitions);
+    num_partitions += buckets.back();
+  }
+  const PartitioningHandler handler(plan);
+  ASSERT_EQ(handler.num_partitions(), num_partitions);
 
   // Item i carries object i, so a routed copy names its stream position.
   std::vector<Triple> stream;
@@ -270,74 +306,83 @@ TEST_P(PartitioningPropertyTest, BucketSplitRoutesByTheRuleAndSplitsDeltas) {
     return static_cast<size_t>(t.object->integer_value());
   };
 
-  for (const size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
-    SCOPED_TRACE("num_shards=" + std::to_string(n));
-    const PartitioningHandler handler(plan, n);
-    const size_t num_partitions =
-        static_cast<size_t>(std::max(num_communities, 1)) * n;
-    ASSERT_EQ(handler.num_partitions(), num_partitions);
-
-    // The rule, item by item.
-    auto expected_partitions = [&](const Triple& t) {
-      const std::vector<int>& communities =
-          plan.CommunitiesOf({t.predicate, 2});
-      const size_t bucket = SubjectShardKey(t) % n;
-      std::set<size_t> where;
-      if (communities.empty()) {
-        where.insert(bucket);
-      } else if (communities.size() == 1) {
-        where.insert(communities[0] * n + bucket);
+  // The rule, item by item.
+  auto expected_partitions = [&](const Triple& t) {
+    const PredicateSignature sig{t.predicate, 2};
+    std::vector<int> communities = plan.CommunitiesOf(sig);
+    if (communities.empty()) communities = {0};
+    const int key = plan.KeyPositionOf(sig);
+    std::set<size_t> where;
+    for (int c : communities) {
+      if (buckets[c] == 1 || key == PartitioningPlan::kReplicated) {
+        for (size_t b = 0; b < buckets[c]; ++b) {
+          where.insert(first_partition[c] + b);
+        }
       } else {
-        for (int c : communities) {
-          for (size_t b = 0; b < n; ++b) where.insert(c * n + b);
-        }
+        const size_t hash = key == 0 ? t.subject.Hash() : t.object.Hash();
+        where.insert(first_partition[c] +
+                     ExpectedBucketKey(hash) % buckets[c]);
       }
-      return where;
-    };
-    std::vector<std::multiset<size_t>> want(num_partitions);
-    for (const Triple& t : stream) {
-      for (size_t p : expected_partitions(t)) want[p].insert(position(t));
     }
-    const auto partitions = handler.Partition(stream);
-    ASSERT_EQ(partitions.size(), num_partitions);
-    for (size_t p = 0; p < num_partitions; ++p) {
-      std::multiset<size_t> got;
-      for (const Triple& t : partitions[p]) got.insert(position(t));
-      EXPECT_EQ(got, want[p]) << "partition " << p;
-    }
-
-    // Sliding: partition k's items == partition k-1's items − its
-    // expired + its admitted, with expired ⊆ the previous items.
-    const size_t window = 20 + rng.NextBounded(40);
-    const size_t slide = 1 + rng.NextBounded(window - 1);
-    std::vector<std::multiset<size_t>> previous(num_partitions);
-    size_t windows = 0;
-    StreamQueryProcessor query(window, slide, [&](TripleWindow w) {
-      ASSERT_TRUE(w.has_delta);
-      const auto items_of = handler.Partition(w.items);
-      const auto expired_of = handler.Partition(w.expired, false);
-      const auto admitted_of = handler.Partition(w.admitted, false);
-      for (size_t p = 0; p < num_partitions; ++p) {
-        std::multiset<size_t> next = previous[p];
-        for (const Triple& t : expired_of[p]) {
-          auto it = next.find(position(t));
-          ASSERT_NE(it, next.end()) << "expired item never admitted";
-          next.erase(it);
-        }
-        for (const Triple& t : admitted_of[p]) next.insert(position(t));
-        std::multiset<size_t> got;
-        for (const Triple& t : items_of[p]) got.insert(position(t));
-        EXPECT_EQ(got, next) << "window " << w.sequence << " partition "
-                             << p;
-        previous[p] = std::move(got);
-      }
-      ++windows;
-    });
-    for (SymbolId name : predicates) query.RegisterPredicate(name);
-    query.PushBatch(stream);
-    query.Flush();
-    EXPECT_GT(windows, 1u);
+    return where;
+  };
+  std::vector<std::multiset<size_t>> want(num_partitions);
+  for (const Triple& t : stream) {
+    for (size_t p : expected_partitions(t)) want[p].insert(position(t));
   }
+  const auto partitions = handler.Partition(stream);
+  ASSERT_EQ(partitions.size(), num_partitions);
+  for (size_t p = 0; p < num_partitions; ++p) {
+    std::multiset<size_t> got;
+    for (const Triple& t : partitions[p]) got.insert(position(t));
+    EXPECT_EQ(got, want[p]) << "partition " << p;
+  }
+
+  // Facts route like the equal triples, item for item and in order.
+  auto fact_of = [](const Triple& t) {
+    return Atom(t.predicate, {t.subject.ToTerm(), t.object.ToTerm()});
+  };
+  std::vector<Atom> facts;
+  for (const Triple& t : stream) facts.push_back(fact_of(t));
+  const auto fact_partitions = handler.PartitionFacts(facts);
+  ASSERT_EQ(fact_partitions.size(), num_partitions);
+  for (size_t p = 0; p < num_partitions; ++p) {
+    std::vector<Atom> want_facts;
+    for (const Triple& t : partitions[p]) want_facts.push_back(fact_of(t));
+    EXPECT_EQ(fact_partitions[p], want_facts) << "partition " << p;
+  }
+
+  // Sliding: partition k's items == partition k-1's items − its
+  // expired + its admitted, with expired ⊆ the previous items.
+  const size_t window = 20 + rng.NextBounded(40);
+  const size_t slide = 1 + rng.NextBounded(window - 1);
+  std::vector<std::multiset<size_t>> previous(num_partitions);
+  size_t windows = 0;
+  StreamQueryProcessor query(window, slide, [&](TripleWindow w) {
+    ASSERT_TRUE(w.has_delta);
+    const auto items_of = handler.Partition(w.items);
+    const auto expired_of = handler.Partition(w.expired, false);
+    const auto admitted_of = handler.Partition(w.admitted, false);
+    for (size_t p = 0; p < num_partitions; ++p) {
+      std::multiset<size_t> next = previous[p];
+      for (const Triple& t : expired_of[p]) {
+        auto it = next.find(position(t));
+        ASSERT_NE(it, next.end()) << "expired item never admitted";
+        next.erase(it);
+      }
+      for (const Triple& t : admitted_of[p]) next.insert(position(t));
+      std::multiset<size_t> got;
+      for (const Triple& t : items_of[p]) got.insert(position(t));
+      EXPECT_EQ(got, next) << "window " << w.sequence << " partition "
+                           << p;
+      previous[p] = std::move(got);
+    }
+    ++windows;
+  });
+  for (SymbolId name : predicates) query.RegisterPredicate(name);
+  query.PushBatch(stream);
+  query.Flush();
+  EXPECT_GT(windows, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomWindows, PartitioningPropertyTest,
@@ -600,6 +645,94 @@ TEST_P(GroundingOracleTest, GroundersMatchNaiveInstantiation) {
 
 INSTANTIATE_TEST_SUITE_P(RandomPrograms, GroundingOracleTest,
                          ::testing::Range<uint64_t>(0, 40));
+
+/// A bucket split never changes answers. Each random stratified program
+/// (RandomStratifiedProgram, streamed through #input e0/1, e1/2, e2/2)
+/// runs over sliding triple windows at num_shards 2, 3 and 4, cold and
+/// with solving reuse, and every transcript must be byte-identical to the
+/// same pipeline at num_shards 1: unbucketed PR_Dep, the reference a
+/// split must preserve. (PR_Dep itself may differ from whole-window R on
+/// such programs; see ROADMAP.md.) A program whose plan cannot be built
+/// (no rule reads an input) is skipped; most programs must both build and
+/// split, so the check cannot pass vacuously.
+TEST(BucketSplitPropertyTest, RandomProgramsAnswerAsUnbucketed) {
+  constexpr uint64_t kPrograms = 300;
+  const char* const kInputs[] = {"e0", "e1", "e2"};
+  size_t planned = 0;
+  size_t split = 0;
+  for (uint64_t seed = 0; seed < kPrograms; ++seed) {
+    SymbolTablePtr symbols = MakeSymbolTable();
+    Parser parser(symbols);
+    const std::string text =
+        RandomStratifiedProgram(seed) + "#input e0/1, e1/2, e2/2.\n";
+    StatusOr<Program> program = parser.ParseProgram(text);
+    ASSERT_TRUE(program.ok()) << program.status() << "\n" << text;
+
+    Rng rng(seed ^ 0x5B0C4E7);
+    std::vector<Triple> stream;
+    for (size_t i = 0; i < 32; ++i) {
+      const size_t p = rng.NextBounded(3);
+      const Term subject =
+          Term::Integer(static_cast<int64_t>(rng.NextBounded(4)));
+      const Term object =
+          Term::Integer(static_cast<int64_t>(rng.NextBounded(4)));
+      stream.push_back(Triple{subject, symbols->Intern(kInputs[p]),
+                              p == 0 ? PackedTerm() : PackedTerm(object)});
+    }
+
+    // One line per window: its sequence and every answer set.
+    auto transcript = [&](size_t shards, bool reuse,
+                          size_t* partitions) -> StatusOr<std::string> {
+      PipelineOptions options;
+      options.window_size = 12;
+      options.window_slide = 4;
+      options.reasoner.num_shards = shards;
+      options.reasoner.reasoner.solving.reuse_solving = reuse;
+      std::string out;
+      StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
+          StreamRulePipeline::Create(
+              &*program, options, [&](EmissionEvent& event) {
+                out += "#" + std::to_string(event.sequence);
+                if (event.kind == EmissionEvent::Kind::kResult) {
+                  for (const GroundAnswer& answer : event.result->answers) {
+                    out += " " + AnswerToString(answer, *symbols);
+                  }
+                } else {
+                  out += " error " + event.status.ToString();
+                }
+                out += "\n";
+              });
+      if (!pipeline.ok()) return pipeline.status();
+      *partitions = (*pipeline)->num_partitions();
+      (*pipeline)->PushBatch(stream);
+      (*pipeline)->Flush();
+      return out;
+    };
+
+    size_t communities = 0;
+    const StatusOr<std::string> reference =
+        transcript(1, /*reuse=*/false, &communities);
+    if (!reference.ok()) continue;
+    ++planned;
+    bool any_split = false;
+    for (const size_t shards : {size_t{2}, size_t{3}, size_t{4}}) {
+      for (const bool reuse : {false, true}) {
+        size_t partitions = 0;
+        const StatusOr<std::string> got =
+            transcript(shards, reuse, &partitions);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(*got, *reference)
+            << "seed " << seed << " num_shards=" << shards
+            << (reuse ? " reuse=solve" : " reuse=none") << "\n"
+            << text;
+        any_split = any_split || partitions > communities;
+      }
+    }
+    if (any_split) ++split;
+  }
+  EXPECT_GT(planned, kPrograms / 2);
+  EXPECT_GT(split, planned / 2);
+}
 
 }  // namespace
 }  // namespace streamasp

@@ -104,7 +104,7 @@ TEST(WireTest, ParsesOpenWithOptionsAndProgram) {
   EXPECT_TRUE(options.engine.pipeline.async);
   EXPECT_EQ(options.engine.pipeline.max_inflight_windows, 3u);
   EXPECT_EQ(options.engine.pipeline.num_reason_workers, 2u);
-  EXPECT_TRUE(options.engine.pipeline.reuse_solving);
+  EXPECT_TRUE(options.engine.pipeline.reasoner.reasoner.solving.reuse_solving);
   EXPECT_EQ(options.ingest_queue_capacity, 5u);
   EXPECT_EQ(options.admission, BackpressurePolicy::kReject);
   EXPECT_EQ(options.program_text, "a(X) :- b(X).\n#input b/1.");
@@ -328,9 +328,10 @@ void ExpectSameRequest(const StatusOr<WireRequest>& got,
             b.engine.pipeline.max_inflight_windows);
   EXPECT_EQ(a.engine.pipeline.num_reason_workers,
             b.engine.pipeline.num_reason_workers);
-  EXPECT_EQ(a.engine.pipeline.reuse_grounding,
-            b.engine.pipeline.reuse_grounding);
-  EXPECT_EQ(a.engine.pipeline.reuse_solving, b.engine.pipeline.reuse_solving);
+  EXPECT_EQ(a.engine.pipeline.reasoner.reasoner.reuse_grounding,
+            b.engine.pipeline.reasoner.reasoner.reuse_grounding);
+  EXPECT_EQ(a.engine.pipeline.reasoner.reasoner.solving.reuse_solving,
+            b.engine.pipeline.reasoner.reasoner.solving.reuse_solving);
   EXPECT_EQ(a.engine.pipeline.reasoner.num_shards,
             b.engine.pipeline.reasoner.num_shards);
   EXPECT_EQ(a.ingest_queue_capacity, b.ingest_queue_capacity);
@@ -794,7 +795,8 @@ SessionOptions TenantOptions(const TenantSpec& spec) {
   options.engine.pipeline.window_size = spec.window_size;
   options.engine.pipeline.window_slide = spec.window_slide;
   options.engine.pipeline.async = spec.async;
-  options.engine.pipeline.reuse_grounding = spec.reuse_grounding;
+  options.engine.pipeline.reasoner.reasoner.reuse_grounding =
+      spec.reuse_grounding;
   return options;
 }
 
@@ -1277,14 +1279,56 @@ TEST(SharedPoolServerTest, StatsReportLaneGaugesPerPartitionTask) {
               windows + windows * (partitions - 1));
     EXPECT_EQ(fields["lane_tasks_completed"], fields["lane_tasks_submitted"]);
     EXPECT_GE(fields["lane_max_queued"], 1u);
+    EXPECT_EQ(fields["partitions"], partitions);
     EXPECT_LT(reply.find("\ncompleteness="),
               reply.find("\nlane_tasks_submitted="));
   }
 }
 
+TEST(SharedPoolServerTest, StatsReportThePartitionsTheAnalysisChose) {
+  // shards= is an upper bound: the key-flow analysis splits P′'s two
+  // communities into shards= buckets each, but keeps recursive
+  // reachability whole, and stats says which.
+  constexpr char kReach[] = R"(
+    #input link/2.
+    reach(X, Y) :- link(X, Y).
+    reach(X, Z) :- reach(X, Y), link(Y, Z).
+    #show reach/2.
+  )";
+  struct Case {
+    const char* name;
+    std::string program;
+    size_t shards;
+    uint64_t partitions;
+  };
+  const std::string pprime =
+      TrafficProgramText(TrafficProgramVariant::kPPrime, true);
+  const Case kCases[] = {{"pprime0", pprime, 0, 2},
+                         {"pprime4", pprime, 4, 8},
+                         {"reach4", kReach, 4, 1}};
+  StreamServer server(ServerConfig{});
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.name);
+    SessionOptions options;
+    options.program_text = c.program;
+    options.engine.pipeline.reasoner.num_shards = c.shards;
+    auto session =
+        server.CreateSession(c.name, options, [](const SessionEvent&) {});
+    ASSERT_TRUE(session.ok()) << session.status();
+    const std::string reply = FormatStats(c.name, (*session)->stats());
+    EXPECT_NE(reply.find("\nnum_shards=" + std::to_string(c.shards) + "\n"),
+              std::string::npos)
+        << reply;
+    EXPECT_NE(reply.find("\npartitions=" + std::to_string(c.partitions)),
+              std::string::npos)
+        << reply;
+  }
+  server.CloseAll();
+}
+
 // Async engines without a shared pool run on a private pool of exactly
 // num_reason_workers threads — no emitter, no inner reasoner pools, and
-// no thread per shard: subject buckets are partitions on the same pool.
+// no thread per shard: key buckets are partitions on the same pool.
 // An async session pumps inline, so it costs its pool alone. Every thread
 // is gone again once the engine is destroyed or the session closed.
 TEST(SharedPoolServerTest, PrivatePoolsCostExactlyTheirThreads) {

@@ -1,9 +1,9 @@
 // Solving reuse threaded through the reasoning layers: ParallelReasoner's
 // per-partition persistent solvers, the sync/async pipelines with
-// reuse_solving, and subject buckets (num_shards) — all differentially
+// solving reuse, and key buckets (num_shards) — all differentially
 // checked against the same configuration without reuse (byte-identical
 // transcripts), across slide sizes, programs P/P', shard counts, and with
-// reuse_grounding both explicitly on and implied.
+// grounding reuse both explicitly on and implied.
 
 #include <gtest/gtest.h>
 
@@ -119,11 +119,11 @@ TEST_F(SolvingReuseTest, SyncSlidingPipelineMatchesWithAndWithoutReuse) {
   base.async = false;
 
   PipelineOptions ground_only = base;
-  ground_only.reuse_grounding = true;
+  ground_only.reasoner.reasoner.reuse_grounding = true;
 
   PipelineOptions warm = base;
-  warm.reuse_grounding = true;
-  warm.reuse_solving = true;
+  warm.reasoner.reasoner.reuse_grounding = true;
+  warm.reasoner.reasoner.solving.reuse_solving = true;
 
   PipelineStats baseline_stats;
   PipelineStats ground_stats;
@@ -163,8 +163,8 @@ TEST_F(SolvingReuseTest, AsyncSlidingPipelineMatchesSyncOracle) {
   PipelineOptions async = sync;
   async.async = true;
   async.max_inflight_windows = 4;
-  async.reuse_grounding = true;
-  async.reuse_solving = true;
+  async.reasoner.reasoner.reuse_grounding = true;
+  async.reasoner.reasoner.solving.reuse_solving = true;
   const std::string got = PipelineTranscript(program, async, stream);
   EXPECT_FALSE(want.empty());
   EXPECT_EQ(want, got);
@@ -180,8 +180,8 @@ TEST_F(SolvingReuseTest, ShardedEngineMatchesWithAndWithoutReuse) {
     base.window_size = 200;
 
     PipelineOptions warm = base;
-    warm.reuse_grounding = true;
-    warm.reuse_solving = true;
+    warm.reasoner.reasoner.reuse_grounding = true;
+    warm.reasoner.reasoner.solving.reuse_solving = true;
 
     const std::string want = PipelineTranscript(program, base, stream);
     PipelineStats warm_stats;
@@ -197,7 +197,7 @@ TEST_F(SolvingReuseTest, ShardedEngineMatchesWithAndWithoutReuse) {
 
 TEST_F(SolvingReuseTest, ShardedSlidingEngineKeepsPersistentSolversWarm) {
   // The bucketed sliding path: the partitioning handler hands every
-  // partition (community, subject bucket) its routed slice of the window
+  // partition (community, key bucket) its routed slice of the window
   // delta, so the per-partition persistent solvers patch across
   // overlapping windows instead of re-ingesting — byte-identical to the
   // same bucketed configuration without reuse AND to the unsharded
@@ -219,7 +219,8 @@ TEST_F(SolvingReuseTest, ShardedSlidingEngineKeepsPersistentSolversWarm) {
     base.window_slide = 40;
 
     PipelineOptions warm = base;
-    warm.reuse_solving = true;  // Implies reuse_grounding.
+    // Implies grounding reuse.
+    warm.reasoner.reasoner.solving.reuse_solving = true;
 
     EXPECT_EQ(PipelineTranscript(program, base, stream), oracle);
     PipelineStats warm_stats;
@@ -248,11 +249,11 @@ TEST_F(SolvingReuseTest, MaintainedFixpointColumnMatchesPatchedRebuild) {
       base.window_slide = slide;
 
       PipelineOptions maintained = base;
-      maintained.reuse_solving = true;
+      maintained.reasoner.reasoner.solving.reuse_solving = true;
       maintained.reasoner.reasoner.solving.maintain_fixpoint = true;
 
       PipelineOptions patched = base;
-      patched.reuse_solving = true;
+      patched.reasoner.reasoner.solving.reuse_solving = true;
       patched.reasoner.reasoner.solving.maintain_fixpoint = false;
 
       const std::string want = PipelineTranscript(program, base, stream);
@@ -281,7 +282,7 @@ TEST_F(SolvingReuseTest, ShardedMaintainedFixpointColumnMatchesOracle) {
     maintained.reasoner.num_shards = shards;
     maintained.window_size = 200;
     maintained.window_slide = 40;
-    maintained.reuse_solving = true;
+    maintained.reasoner.reasoner.solving.reuse_solving = true;
 
     PipelineOptions patched = maintained;
     patched.reasoner.reasoner.solving.maintain_fixpoint = false;
@@ -322,10 +323,10 @@ TEST_F(SolvingReuseTest, DefiniteSlidingPipelineMaintainsRootFixpoint) {
   base.window_slide = 10;
 
   PipelineOptions maintained = base;
-  maintained.reuse_solving = true;
+  maintained.reasoner.reasoner.solving.reuse_solving = true;
 
   PipelineOptions patched = base;
-  patched.reuse_solving = true;
+  patched.reasoner.reasoner.solving.reuse_solving = true;
   patched.reasoner.reasoner.solving.maintain_fixpoint = false;
 
   const std::string want = PipelineTranscript(*program, base, stream);
@@ -367,7 +368,7 @@ TEST_F(SolvingReuseTest, DisjunctiveProgramKeepsColdSolvePath) {
   base.window_slide = 10;
 
   PipelineOptions warm = base;
-  warm.reuse_solving = true;
+  warm.reasoner.reasoner.solving.reuse_solving = true;
 
   PipelineStats warm_stats;
   const std::string want = PipelineTranscript(*program, base, stream);

@@ -7,6 +7,11 @@ file that does not exist, or an intra-document anchor has no matching
 heading. External (http/https/mailto) links are not fetched — CI must not
 depend on the network.
 
+Without arguments it also scans the `//` comments of the C++ sources
+under src/, bench/, examples/ and tests/ and fails on any cited `*.md`
+name (e.g. `ARCHITECTURE.md`, `docs/benchmarks.md`) that does not exist
+relative to the repository root.
+
 Usage: tools/check_links.py [files...]
 """
 
@@ -18,6 +23,9 @@ import sys
 LINK_RE = re.compile(r"(?<!!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 CODE_FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
+MD_CITATION_RE = re.compile(r"[\w./-]*\w\.md\b")
+SOURCE_DIRS = ("src", "bench", "examples", "tests")
+SOURCE_SUFFIXES = (".h", ".cc", ".cpp")
 
 
 def heading_anchor(heading: str) -> str:
@@ -57,6 +65,33 @@ def check_file(path: str, repo_root: str) -> list:
     return errors
 
 
+def check_source_citations(repo_root: str) -> tuple:
+    """Returns (files scanned, errors) for `*.md` names cited in the `//`
+    comments of the C++ sources that do not exist under repo_root."""
+    errors = []
+    scanned = 0
+    for directory in SOURCE_DIRS:
+        for dirpath, _, filenames in os.walk(os.path.join(repo_root,
+                                                          directory)):
+            for filename in sorted(filenames):
+                if not filename.endswith(SOURCE_SUFFIXES):
+                    continue
+                path = os.path.join(dirpath, filename)
+                scanned += 1
+                with open(path, encoding="utf-8") as f:
+                    for number, line in enumerate(f, 1):
+                        comment = line.find("//")
+                        if comment < 0:
+                            continue
+                        for cited in MD_CITATION_RE.findall(line[comment:]):
+                            if not os.path.exists(
+                                    os.path.join(repo_root, cited)):
+                                rel = os.path.relpath(path, repo_root)
+                                errors.append(f"{rel}:{number}: cites "
+                                              f"missing {cited}")
+    return scanned, errors
+
+
 def main(argv: list) -> int:
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     if argv:
@@ -75,6 +110,10 @@ def main(argv: list) -> int:
             continue
         checked += 1
         errors.extend(check_file(path, repo_root))
+    if not argv:
+        scanned, citation_errors = check_source_citations(repo_root)
+        checked += scanned
+        errors.extend(citation_errors)
     for error in errors:
         print(error, file=sys.stderr)
     print(f"check_links: {checked} file(s), {len(errors)} problem(s)")
