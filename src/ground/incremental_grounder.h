@@ -69,16 +69,16 @@ struct IncrementalGroundingOptions {
 /// re-instantiated.
 ///
 /// Not thread-safe: one instance serves one (sub-)stream from one thread
-/// at a time. The parallel reasoner keeps one instance per partition; the
-/// async engine's reasoner slots each own their reasoner and therefore
-/// their own grounders.
+/// at a time. The parallel reasoner keeps one instance per partition, and
+/// every engine shape feeds partition i its windows one at a time, in
+/// window order.
 class IncrementalGrounder {
  public:
   /// The windower-supplied fact delta between two consecutive windows:
   /// window(previous_sequence) - expired + admitted == the current window,
   /// as multisets. Supplying it lets GroundWindow skip its own snapshot
   /// diff; a delta whose previous_sequence does not match the cached
-  /// window (e.g. an async reasoner slot that sees every Nth window) or
+  /// window (e.g. a kDropOldest eviction left a gap in the stream) or
   /// whose counts are inconsistent with the facts vector is ignored in
   /// favour of the snapshot diff. A shape-consistent hint's *contents* are
   /// trusted in Release builds (supplying the above invariant is the

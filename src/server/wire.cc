@@ -13,13 +13,14 @@ namespace streamasp {
 
 namespace {
 
-// Caps on the open options that size per-session memory or threads up
-// front, enforced here at the network boundary only: window= reserves the
-// tumbling window buffer, shards= multiplies the partitions (and, under
-// reuse, the grounders and solvers) of every reasoner slot, workers=
-// spawns a private pool's threads, and max_inflight= builds one reasoner
-// slot per unit of lane cap. An over-cap value is an invalid_argument
-// error, never an allocation that takes the whole server down.
+// Caps on the open options that size per-session memory, threads or
+// pool share, enforced here at the network boundary only: window=
+// reserves the tumbling window buffer, shards= multiplies the partitions
+// (and, under reuse, the session's grounders and solvers, one each per
+// partition), workers= spawns a private pool's threads, and
+// max_inflight= caps how many of the session's tasks occupy pool threads
+// at once. An over-cap value is an invalid_argument error, never an
+// allocation that takes the whole server down.
 constexpr int64_t kMaxOpenWindow = 1 << 20;
 constexpr int64_t kMaxOpenShards = 64;
 constexpr int64_t kMaxOpenWorkers = 64;

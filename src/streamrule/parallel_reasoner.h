@@ -24,10 +24,10 @@ struct ParallelReasonerOptions {
   /// thread plus a private SharedReasonerPool of num_threads - 1 threads
   /// it fans the other partitions out to; 0 uses DefaultThreadCount().
   /// 1 is the inline mode: no pool is spawned and Process reasons the
-  /// partitions one after another on the calling thread. Reasoners
-  /// hosted by an async pipeline are built inline: the pipeline's lane
-  /// drives their Split/ReasonPartition/Finish phases itself, one lane
-  /// task per partition, and never calls Process.
+  /// partitions one after another on the calling thread. The reasoner
+  /// an async pipeline hosts is built inline: the pipeline's lane drives
+  /// its Split/ReasonPartition/Finish phases itself, as lane tasks, and
+  /// never calls Process.
   size_t num_threads = 0;
 
   /// Upper bound on the buckets per dependency community. Above 1, the
@@ -111,9 +111,12 @@ struct ParallelReasonerResult {
 /// mutex: the per-partition incremental grounders are stateful, and
 /// interleaving two windows through one cache would corrupt its
 /// window-to-window diff.
-/// Callers driving the phases themselves take that duty over: at most one
-/// Job per reuse reasoner at a time (the pool engine checks a reasoner
-/// out per window, so its Jobs never overlap).
+/// Callers driving the phases themselves take that duty over: partition i
+/// of incremental Jobs is reasoned one at a time, in window order.
+/// Different partitions, and different windows' partitions, may overlap
+/// (the pool engine chains each partition index across windows; see
+/// StreamRulePipeline::PoolTask). Split, Finish and cold Jobs touch no
+/// shared state.
 class ParallelReasoner {
  public:
   /// Dependency-guided mode: partitions follow `plan` (built by
@@ -187,6 +190,10 @@ class ParallelReasoner {
       const std::vector<std::vector<Atom>>& partitions);
 
   const PartitioningHandler& partitioning_handler() const { return handler_; }
+
+  /// True when Split produces incremental Jobs (grounding reuse, also
+  /// implied by solving reuse).
+  bool incremental() const { return reasoner_options_.reuse_grounding; }
 
  private:
   /// A Job over `partitions` whose timer started at `timer`'s start

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <optional>
 #include <string>
@@ -102,28 +101,28 @@ StreamRulePipeline::StreamRulePipeline(const Program* program,
   for (const PredicateSignature& sig : program->input_predicates()) {
     query_->RegisterPredicate(sig.name);
   }
-  if (options_.async) {
-    StartAsyncEngine();
-    num_partitions_ =
-        free_slots_.front()->partitioning_handler().num_partitions();
-  } else {
-    sync_reasoner_ = std::make_unique<ParallelReasoner>(program_, plan_,
-                                                        options_.reasoner);
-    num_partitions_ = sync_reasoner_->partitioning_handler().num_partitions();
-  }
+  ParallelReasonerOptions reasoner_options = options_.reasoner;
+  // Async: the lane runs the reasoner's phases as tasks, so it is built
+  // inline and spawns no pool of its own (the thread budget stays
+  // O(pool), not O(sessions x inner threads)).
+  if (options_.async) reasoner_options.num_threads = 1;
+  reasoner_ =
+      std::make_unique<ParallelReasoner>(program_, plan_, reasoner_options);
+  if (options_.async) StartAsyncEngine();
 }
 
 StreamRulePipeline::~StreamRulePipeline() {
   if (!options_.async) return;
   // Drain: stop admission, then wait until every task of this pipeline's
   // lane has run. One task was submitted per admitted window, and a
-  // window's partition tasks are submitted while it still runs, so an
-  // empty lane means the work queue is empty and every admitted sequence
-  // was reasoned or shed — and the last finisher's DrainCompleted
-  // delivered the reorder buffer. The trailing call is for the
-  // degenerate no-task case (only tombstones were ever parked, by a
-  // caller that has since returned). A private pool is joined when the
-  // members go.
+  // window's partition tasks are submitted while a task of the lane
+  // still runs (its window task, or for a parked reuse partition its
+  // predecessor's task), so an empty lane means the work queue is empty
+  // and every admitted sequence was reasoned or shed — and the last
+  // finisher's DrainCompleted delivered the reorder buffer. The trailing
+  // call is for the degenerate no-task case (only tombstones were ever
+  // parked, by a caller that has since returned). A private pool is
+  // joined when the members go.
   work_queue_->Close();
   pool_queue_->Drain();
   DrainCompleted();
@@ -136,18 +135,7 @@ void StreamRulePipeline::StartAsyncEngine() {
   pool_queue_ = options_.shared_pool->CreateQueue(
       options_.pool_weight,
       ResolveLaneCap(options_, /*private_pool=*/private_pool_ != nullptr));
-  // Reasoner slots: each window checks one out. Slots are built inline
-  // (no pool of their own): their partitions fan out as lane tasks, never
-  // through Process, which keeps the thread budget O(pool) instead of
-  // O(sessions x inner threads).
-  ParallelReasonerOptions reasoner_options = options_.reasoner;
-  reasoner_options.num_threads = 1;
-  const size_t slots = pool_queue_->max_inflight();
-  free_slots_.reserve(slots);
-  for (size_t i = 0; i < slots; ++i) {
-    free_slots_.push_back(std::make_unique<ParallelReasoner>(
-        program_, plan_, reasoner_options));
-  }
+  if (reasoner_->incremental()) chains_.resize(num_partitions());
 }
 
 void StreamRulePipeline::Push(const Triple& triple) { query_->Push(triple); }
@@ -291,7 +279,7 @@ void StreamRulePipeline::ProcessWindowSync(TripleWindow& window) {
   // sequence), so exceptions take the same error path as async windows.
   StatusOr<ParallelReasonerResult> result{InternalError("not run")};
   try {
-    result = sync_reasoner_->Process(window);
+    result = reasoner_->Process(window);
   } catch (const std::exception& e) {
     result = InternalError(std::string("reasoning exception: ") + e.what());
   } catch (...) {
@@ -302,12 +290,13 @@ void StreamRulePipeline::ProcessWindowSync(TripleWindow& window) {
 
 struct StreamRulePipeline::PoolWindow {
   TripleWindow window;
-  std::unique_ptr<ParallelReasoner> reasoner;  ///< The checked-out slot.
   ParallelReasoner::Job job;
   std::atomic<size_t> unfinished_partitions{0};
 };
 
 void StreamRulePipeline::PoolTask() {
+  std::unique_lock<std::mutex> chains_lock(chains_mutex_, std::defer_lock);
+  if (!chains_.empty()) chains_lock.lock();
   std::optional<TripleWindow> popped = work_queue_->TryPop();
   if (!popped.has_value()) {
     // Surplus task: the window this task was submitted for was consumed
@@ -316,40 +305,61 @@ void StreamRulePipeline::PoolTask() {
   }
   auto pool_window = std::make_shared<PoolWindow>();
   pool_window->window = std::move(*popped);
-  {
-    std::lock_guard<std::mutex> lock(slots_mutex_);
-    // The slot invariant (see PoolTask in pipeline.h): never empty here.
-    if (free_slots_.empty()) {
-      STREAMASP_LOG(kError) << "reasoner slot invariant violated";
-      std::abort();
-    }
-    pool_window->reasoner = std::move(free_slots_.back());
-    free_slots_.pop_back();
-    max_slots_in_use_ = std::max(max_slots_in_use_, ++slots_in_use_);
-  }
   try {
-    pool_window->job = pool_window->reasoner->Split(pool_window->window);
+    pool_window->job = reasoner_->Split(pool_window->window);
   } catch (...) {
+    if (chains_lock.owns_lock()) chains_lock.unlock();
     FinishPoolWindow(*pool_window, std::current_exception());
     return;
   }
   const size_t partitions = pool_window->job.num_partitions();
   pool_window->unfinished_partitions.store(partitions);
+  // Under reuse, appends the window to partition i's chain; true when
+  // the partition may start now rather than wait for its predecessor.
+  const auto starts_now = [&](size_t i) {
+    if (chains_.empty()) return true;
+    chains_[i].push_back(pool_window);
+    return chains_[i].size() == 1;
+  };
   // Front-submit in reverse so the lane runs partition 1 first.
   for (size_t i = partitions; i-- > 1;) {
-    pool_queue_->SubmitFront(
-        [this, pool_window, i] { ReasonPoolPartition(pool_window, i); });
+    if (starts_now(i)) SubmitPartition(pool_window, i);
   }
-  ReasonPoolPartition(pool_window, 0);
+  const bool reason_first = starts_now(0);
+  if (chains_lock.owns_lock()) chains_lock.unlock();
+  if (reason_first) ReasonPoolPartition(pool_window, 0);
+}
+
+void StreamRulePipeline::SubmitPartition(
+    std::shared_ptr<PoolWindow> pool_window, size_t index,
+    bool continuation) {
+  auto task = [this, pool_window = std::move(pool_window), index] {
+    ReasonPoolPartition(pool_window, index);
+  };
+  if (continuation) {
+    pool_queue_->ContinueFront(std::move(task));
+  } else {
+    pool_queue_->SubmitFront(std::move(task));
+  }
 }
 
 void StreamRulePipeline::ReasonPoolPartition(
     const std::shared_ptr<PoolWindow>& pool_window, size_t index) {
-  pool_window->reasoner->ReasonPartition(&pool_window->job, index);
+  reasoner_->ReasonPartition(&pool_window->job, index);
   // The countdown orders every partition's outcome before the last
   // finisher's Finish.
   if (pool_window->unfinished_partitions.fetch_sub(1) == 1) {
     FinishPoolWindow(*pool_window);
+  }
+  if (chains_.empty()) return;
+  // Release the same partition of the next chained window as this task's
+  // last act, as a continuation: this worker, its caches warm with the
+  // partition's grounder and solver, then reasons it next.
+  std::lock_guard<std::mutex> lock(chains_mutex_);
+  std::deque<std::shared_ptr<PoolWindow>>& chain = chains_[index];
+  chain.pop_front();
+  if (!chain.empty()) {
+    SubmitPartition(chain.front(), index, /*continuation=*/true);
   }
 }
 
@@ -360,17 +370,12 @@ void StreamRulePipeline::FinishPoolWindow(PoolWindow& pool_window,
   // convert it to the same error path a failed Status takes.
   try {
     if (error != nullptr) std::rethrow_exception(error);
-    done.result = pool_window.reasoner->Finish(std::move(pool_window.job));
+    done.result = reasoner_->Finish(std::move(pool_window.job));
   } catch (const std::exception& e) {
     done.result =
         InternalError(std::string("reasoning task exception: ") + e.what());
   } catch (...) {
     done.result = InternalError("reasoning task exception");
-  }
-  {
-    std::lock_guard<std::mutex> lock(slots_mutex_);
-    free_slots_.push_back(std::move(pool_window.reasoner));
-    --slots_in_use_;
   }
   const uint64_t sequence = pool_window.window.sequence;
   done.window = std::move(pool_window.window);
@@ -387,11 +392,6 @@ void StreamRulePipeline::FinishPoolWindow(PoolWindow& pool_window,
         std::max(stats_.max_reorder_depth, reorder_depth);
   }
   DrainCompleted();
-}
-
-size_t StreamRulePipeline::max_slots_in_use() const {
-  std::lock_guard<std::mutex> lock(slots_mutex_);
-  return max_slots_in_use_;
 }
 
 void StreamRulePipeline::DrainCompleted() {

@@ -2,6 +2,7 @@
 #define STREAMASP_STREAMRULE_PIPELINE_H_
 
 #include <condition_variable>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <map>
@@ -66,6 +67,8 @@ struct PipelineOptions {
   /// partitions beyond the first one more, queued at the lane's front —
   /// so a window's partitions are reasoned in parallel on the pool
   /// without any pool task ever waiting for another (see PoolTask).
+  /// Under reuse, a first partition that had to wait for the previous
+  /// window's runs as one more task.
   /// Ordered delivery is collaborative — whichever task (or shedding
   /// caller) completes a window next drains the reorder buffer: one
   /// thread at a time, strictly increasing sequence order, byte-identical
@@ -82,8 +85,6 @@ struct PipelineOptions {
   /// Cap on this pipeline's concurrently running lane tasks (windows and
   /// partitions) on its pool. 0 picks min(max_inflight_windows, pool
   /// threads) on a shared pool and all of a private pool's threads.
-  /// Also sizes the pipeline's reasoner-slot set — the cap guarantees a
-  /// free slot for every window task (see PoolTask).
   size_t pool_max_inflight = 0;
 
   /// Per-session window quota, enforced at the ingest boundary like the
@@ -217,7 +218,7 @@ struct PipelineStats {
 /// dependency analysis, then stream in → filter → window → partition →
 /// parallel reasoning → combined answers out. This is the one-stop API the
 /// examples hand-assemble from parts; it owns the query processor and the
-/// reasoner(s) and reports rolling statistics.
+/// one ParallelReasoner and reports rolling statistics.
 ///
 ///   auto pipeline = StreamRulePipeline::Create(&program, options,
 ///       [](EmissionEvent& event) { ... });
@@ -230,10 +231,11 @@ struct PipelineStats {
 ///                                               ▼
 ///                        BoundedQueue<TripleWindow> (backpressure)
 ///                                               ▼
-///   pool lane:      one task per window (reasoner slot checked out),
-///                   one more per partition beyond the first; several
-///                   windows in flight on the lane's pool (shared, or
-///                   private with num_reason_workers threads)
+///   pool lane:      one task per window, one more per partition beyond
+///                   the first; several windows in flight on the lane's
+///                   pool (shared, or private with num_reason_workers
+///                   threads); under reuse each partition index runs its
+///                   windows one at a time, in order
 ///                                               ▼
 ///   last finisher:  reorder buffer keyed by window sequence →
 ///                   EmissionHandler strictly in window order
@@ -299,7 +301,9 @@ class StreamRulePipeline {
   /// Partitions every window splits into: one per community, or
   /// reasoner.num_shards for each community the key-flow analysis
   /// splits (see ParallelReasonerOptions::num_shards).
-  size_t num_partitions() const { return num_partitions_; }
+  size_t num_partitions() const {
+    return reasoner_->partitioning_handler().num_partitions();
+  }
 
   /// Threads of the pipeline's private pool (0 in sync mode and on an
   /// external shared_pool — see pool_queue() for the lane).
@@ -313,11 +317,6 @@ class StreamRulePipeline {
   const std::shared_ptr<SharedReasonerPool::Queue>& pool_queue() const {
     return pool_queue_;
   }
-
-  /// Most reasoner slots ever checked out at once (async mode; 0
-  /// otherwise). Never exceeds pool_queue()->max_inflight() — the slot
-  /// invariant PoolTask relies on.
-  size_t max_slots_in_use() const;
 
  private:
   /// A window being reasoned on the pool (defined in pipeline.cc).
@@ -337,31 +336,38 @@ class StreamRulePipeline {
                      EmissionHandler handler);
 
   /// Provides the private pool when no external one is set, builds (or
-  /// adopts) the DRR lane, and fills the reasoner slots.
+  /// adopts) the DRR lane, and sizes the reuse chains.
   void StartAsyncEngine();
   /// One admitted window's task on the pool lane. It never waits: it
   /// TryPops a window from the work queue (a miss means an eviction
-  /// consumed it — benign surplus), checks a reasoner slot out, splits
-  /// the window, submits partitions 1..n-1 to the FRONT of the lane,
-  /// reasons partition 0 itself and returns. An atomic countdown elects
-  /// the last partition to finish; it runs FinishPoolWindow. A
-  /// one-partition window takes the same path with zero subtasks.
+  /// consumed it — benign surplus), splits it, submits partitions 1..n-1
+  /// to the FRONT of the lane, reasons partition 0 itself and returns. An
+  /// atomic countdown elects the last partition to finish; it runs
+  /// FinishPoolWindow. A cold Job touches no shared reasoner state, so
+  /// that is all.
   ///
-  /// Slot invariant: a slot stays checked out until its window's last
-  /// partition finishes, yet checkout never finds the free list empty.
-  /// Partition tasks queue at the lane's front, so a window task is only
-  /// dispatched while none of the lane's partition tasks are queued; then
-  /// every window holding a slot has a task running, and those tasks plus
-  /// the new one fit the lane's inflight cap, which equals the slot
-  /// count.
+  /// Under reuse, partition p's incremental grounder and solver must see
+  /// the windows one at a time, in order. The task appends the window to
+  /// every partition's chain; a partition whose chain was busy is parked
+  /// there instead of started, until the same partition of the previous
+  /// window releases it (ReasonPoolPartition). Pop, split and append
+  /// happen under chains_mutex_, so chain order is admission order; a
+  /// failed split appends nothing.
   void PoolTask();
-  /// Reasons partition `index` of a pooled window; the last partition of
-  /// the window to finish runs FinishPoolWindow.
+  /// Queues partition `index` of a pooled window at the front of the lane
+  /// (as a ContinueFront continuation when the calling task is about to
+  /// return).
+  void SubmitPartition(std::shared_ptr<PoolWindow> pool_window, size_t index,
+                       bool continuation = false);
+  /// Reasons partition `index` of a pooled window (the last partition of
+  /// the window to finish runs FinishPoolWindow) and, under reuse, then
+  /// releases the same partition of the next chained window — always
+  /// before returning, so an empty lane still means nothing is parked.
   void ReasonPoolPartition(const std::shared_ptr<PoolWindow>& pool_window,
                            size_t index);
   /// Join continuation: finishes the window (or reports `error`, a split
-  /// failure), checks its slot back in, parks the outcome in the reorder
-  /// buffer and collaborates on ordered delivery.
+  /// failure), parks the outcome in the reorder buffer and collaborates
+  /// on ordered delivery.
   void FinishPoolWindow(PoolWindow& pool_window,
                         std::exception_ptr error = nullptr);
   /// Ordered delivery: whoever calls first (a finishing pool
@@ -396,11 +402,12 @@ class StreamRulePipeline {
   PartitioningPlan plan_;
   DecompositionInfo info_;
   EmissionHandler handler_;
-  size_t num_partitions_ = 0;
   std::unique_ptr<StreamQueryProcessor> query_;
 
-  /// Sync mode's single reasoner (null in async mode).
-  std::unique_ptr<ParallelReasoner> sync_reasoner_;
+  /// The one reasoner. Sync mode calls Process (fanning partitions out on
+  /// the reasoner's own pool); async mode builds it inline and runs its
+  /// phases as lane tasks.
+  std::unique_ptr<ParallelReasoner> reasoner_;
 
   mutable std::mutex stats_mutex_;
   PipelineStats stats_;
@@ -413,13 +420,11 @@ class StreamRulePipeline {
   std::shared_ptr<SharedReasonerPool> private_pool_;
   /// This pipeline's DRR lane on options_.shared_pool.
   std::shared_ptr<SharedReasonerPool::Queue> pool_queue_;
-  /// Checked-in reasoner slots, one per unit of the lane's inflight cap.
-  /// A window holds its slot from split to finish; the slot invariant
-  /// (PoolTask) guarantees checkout always finds a free one.
-  mutable std::mutex slots_mutex_;
-  std::vector<std::unique_ptr<ParallelReasoner>> free_slots_;
-  size_t slots_in_use_ = 0;      ///< Guarded by slots_mutex_.
-  size_t max_slots_in_use_ = 0;  ///< Guarded by slots_mutex_.
+  /// Reuse chains, one per partition index: the windows whose partition
+  /// p is running or parked, in admission order; the front one's
+  /// partition p is on the lane. Guarded by chains_mutex_.
+  std::mutex chains_mutex_;
+  std::vector<std::deque<std::shared_ptr<PoolWindow>>> chains_;
   /// Drain baton (guarded by emit_mutex_): true while some thread is
   /// inside DrainCompleted's delivery loop.
   bool draining_ = false;

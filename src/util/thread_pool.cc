@@ -42,15 +42,19 @@ void SharedReasonerPool::ActivateLocked(std::shared_ptr<Queue> queue) {
 }
 
 void SharedReasonerPool::Queue::Submit(std::function<void()> task) {
-  Enqueue(std::move(task), /*front=*/false);
+  Enqueue(std::move(task), /*front=*/false, /*wake=*/true);
 }
 
 void SharedReasonerPool::Queue::SubmitFront(std::function<void()> task) {
-  Enqueue(std::move(task), /*front=*/true);
+  Enqueue(std::move(task), /*front=*/true, /*wake=*/true);
+}
+
+void SharedReasonerPool::Queue::ContinueFront(std::function<void()> task) {
+  Enqueue(std::move(task), /*front=*/true, /*wake=*/false);
 }
 
 void SharedReasonerPool::Queue::Enqueue(std::function<void()> task,
-                                        bool front) {
+                                        bool front, bool wake) {
   bool notify = false;
   {
     std::lock_guard<std::mutex> lock(pool_->mutex_);
@@ -77,7 +81,7 @@ void SharedReasonerPool::Queue::Enqueue(std::function<void()> task,
       // without this wake the rest of the pool would sleep over runnable
       // work until some unrelated submit or completion.
       if (!scheduled_) pool_->ActivateLocked(shared_from_this());
-      notify = true;
+      notify = wake;
     }
   }
   if (notify) pool_->work_available_.notify_one();

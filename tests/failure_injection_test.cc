@@ -324,7 +324,7 @@ TEST_F(FailureInjectionTest, PooledPartitionThrowFailsOnlyItsWindow) {
       (*pipeline)->pool_queue()->stats();
   EXPECT_EQ(lane.submitted, 6u);
   EXPECT_EQ(lane.completed, lane.submitted);
-  EXPECT_LE((*pipeline)->max_slots_in_use(), 2u);
+  EXPECT_EQ((*pipeline)->pool_queue()->max_inflight(), 2u);
 }
 
 TEST_F(FailureInjectionTest, PrivatePoolPartitionFaultSurfacesAfterAllRan) {

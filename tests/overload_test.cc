@@ -312,7 +312,7 @@ TEST_F(OverloadTest, PooledFanOutShedAccountingIsExact) {
       EXPECT_EQ(lane.submitted,
                 stats.enqueued_windows + stats.windows * (partitions - 1));
       EXPECT_EQ(lane.completed, lane.submitted);
-      EXPECT_LE((*pipeline)->max_slots_in_use(), cap);
+      EXPECT_EQ((*pipeline)->pool_queue()->max_inflight(), cap);
     }
   }
 }
