@@ -305,7 +305,7 @@ int main(int argc, char** argv) {
   // 4-thread pool). Each partition's grounder and solver see every window
   // in order there too, so the async-reuse gates pin its
   // grounding_fallbacks and solve_rebuilds to the third leg's and its
-  // reason_ms_total to within 1.15x of it.
+  // reason_ms_total to within 2x of it.
   runs.push_back(RunSlidingReach(symbols, tc_items, tc_window,
                                  /*reuse=*/true, /*reuse_solving=*/true,
                                  /*maintain_fixpoint=*/true,

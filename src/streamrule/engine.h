@@ -42,8 +42,7 @@ struct EngineStats {
 
   /// Counters of the engine's reasoner-pool lane (all zero for the
   /// synchronous shape): a task per admitted window plus one per
-  /// partition beyond the first; under reuse, plus one per window whose
-  /// first partition waited for the previous window's.
+  /// partition beyond the first — under reuse, one per partition.
   SharedReasonerPool::Queue::Stats lane;
 
   /// Whole windows lost to load shedding (pipeline tombstones).

@@ -115,9 +115,9 @@ StreamRulePipeline::~StreamRulePipeline() {
   if (!options_.async) return;
   // Drain: stop admission, then wait until every task of this pipeline's
   // lane has run. One task was submitted per admitted window, and a
-  // window's partition tasks are submitted while a task of the lane
-  // still runs (its window task, or for a parked reuse partition its
-  // predecessor's task), so an empty lane means the work queue is empty
+  // window's partition tasks, like a deferred pop, are submitted or run
+  // while a task of the lane still runs (its window task, or under reuse
+  // a predecessor's task), so an empty lane means the work queue is empty
   // and every admitted sequence was reasoned or shed — and the last
   // finisher's DrainCompleted delivered the reorder buffer. The trailing
   // call is for the degenerate no-task case (only tombstones were ever
@@ -173,9 +173,11 @@ PipelineStats StreamRulePipeline::stats() const {
 
 void StreamRulePipeline::EnqueueWindow(TripleWindow window) {
   const uint64_t sequence = window.sequence;
+  size_t inflight_depth = 0;
   {
     std::lock_guard<std::mutex> lock(emit_mutex_);
     inflight_.insert(sequence);
+    inflight_depth = inflight_.size();
   }
   {
     // Count admission BEFORE the push: under kBlock a pool task can reason
@@ -184,6 +186,8 @@ void StreamRulePipeline::EnqueueWindow(TripleWindow window) {
     // below undo the count.
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.enqueued_windows;
+    stats_.max_inflight_depth =
+        std::max(stats_.max_inflight_depth, inflight_depth);
   }
   TripleWindow displaced;
   const QueuePushResult pushed =
@@ -294,73 +298,102 @@ struct StreamRulePipeline::PoolWindow {
   std::atomic<size_t> unfinished_partitions{0};
 };
 
-void StreamRulePipeline::PoolTask() {
-  std::unique_lock<std::mutex> chains_lock(chains_mutex_, std::defer_lock);
-  if (!chains_.empty()) chains_lock.lock();
+std::shared_ptr<StreamRulePipeline::PoolWindow> StreamRulePipeline::PopWindow(
+    std::unique_lock<std::mutex>& lock) {
   std::optional<TripleWindow> popped = work_queue_->TryPop();
   if (!popped.has_value()) {
-    // Surplus task: the window this task was submitted for was consumed
-    // by an eviction (its tombstone is already parked). Nothing to do.
-    return;
+    // Surplus pop: the window it was submitted for was consumed by an
+    // eviction (its tombstone is already parked). Nothing to do.
+    return nullptr;
   }
   auto pool_window = std::make_shared<PoolWindow>();
   pool_window->window = std::move(*popped);
   try {
     pool_window->job = reasoner_->Split(pool_window->window);
   } catch (...) {
-    if (chains_lock.owns_lock()) chains_lock.unlock();
+    if (lock.owns_lock()) lock.unlock();
     FinishPoolWindow(*pool_window, std::current_exception());
+    return nullptr;
+  }
+  pool_window->unfinished_partitions.store(pool_window->job.num_partitions());
+  return pool_window;
+}
+
+void StreamRulePipeline::PoolTask() {
+  if (chains_.empty()) {
+    std::unique_lock<std::mutex> unlocked;
+    std::shared_ptr<PoolWindow> pool_window = PopWindow(unlocked);
+    if (pool_window == nullptr) return;
+    // Front-submit in reverse so the lane runs partition 1 first.
+    for (size_t i = pool_window->job.num_partitions(); i-- > 1;) {
+      SubmitPartition(pool_window, i);
+    }
+    ReasonPoolPartition(pool_window, 0);
     return;
   }
-  const size_t partitions = pool_window->job.num_partitions();
-  pool_window->unfinished_partitions.store(partitions);
-  // Under reuse, appends the window to partition i's chain; true when
-  // the partition may start now rather than wait for its predecessor.
-  const auto starts_now = [&](size_t i) {
-    if (chains_.empty()) return true;
-    chains_[i].push_back(pool_window);
-    return chains_[i].size() == 1;
-  };
-  // Front-submit in reverse so the lane runs partition 1 first.
-  for (size_t i = partitions; i-- > 1;) {
-    if (starts_now(i)) SubmitPartition(pool_window, i);
+  {
+    std::lock_guard<std::mutex> lock(chains_mutex_);
+    if (chained_windows_ == pool_queue_->max_inflight()) {
+      // Every chain slot is held: the window stays queued (so
+      // backpressure sees it) until a chained window finishes and pops
+      // it in this task's stead.
+      ++deferred_pops_;
+      return;
+    }
+    ++chained_windows_;
   }
-  const bool reason_first = starts_now(0);
-  if (chains_lock.owns_lock()) chains_lock.unlock();
-  if (reason_first) ReasonPoolPartition(pool_window, 0);
+  StartChainedWindow();
+}
+
+void StreamRulePipeline::StartChainedWindow() {
+  do {
+    std::unique_lock<std::mutex> lock(chains_mutex_);
+    std::shared_ptr<PoolWindow> pool_window = PopWindow(lock);
+    if (pool_window != nullptr) {
+      // Front-submit in reverse so the lane runs partition 0 first.
+      for (size_t i = pool_window->job.num_partitions(); i-- > 0;) {
+        chains_[i].push_back(pool_window);
+        if (chains_[i].size() == 1) SubmitPartition(pool_window, i);
+      }
+      return;
+    }
+  } while (PassChainSlot());
+}
+
+bool StreamRulePipeline::PassChainSlot() {
+  std::lock_guard<std::mutex> lock(chains_mutex_);
+  if (deferred_pops_ == 0) {
+    --chained_windows_;
+    return false;
+  }
+  --deferred_pops_;
+  return true;
 }
 
 void StreamRulePipeline::SubmitPartition(
-    std::shared_ptr<PoolWindow> pool_window, size_t index,
-    bool continuation) {
-  auto task = [this, pool_window = std::move(pool_window), index] {
-    ReasonPoolPartition(pool_window, index);
-  };
-  if (continuation) {
-    pool_queue_->ContinueFront(std::move(task));
-  } else {
-    pool_queue_->SubmitFront(std::move(task));
-  }
+    std::shared_ptr<PoolWindow> pool_window, size_t index) {
+  pool_queue_->SubmitFront(
+      [this, pool_window = std::move(pool_window), index] {
+        ReasonPoolPartition(pool_window, index);
+      });
 }
 
 void StreamRulePipeline::ReasonPoolPartition(
     const std::shared_ptr<PoolWindow>& pool_window, size_t index) {
   reasoner_->ReasonPartition(&pool_window->job, index);
+  if (!chains_.empty()) {
+    // Release the same partition of the next chained window before this
+    // window's delivery, which stays off the chain's critical path.
+    std::lock_guard<std::mutex> lock(chains_mutex_);
+    std::deque<std::shared_ptr<PoolWindow>>& chain = chains_[index];
+    chain.pop_front();
+    if (!chain.empty()) SubmitPartition(chain.front(), index);
+  }
   // The countdown orders every partition's outcome before the last
   // finisher's Finish.
-  if (pool_window->unfinished_partitions.fetch_sub(1) == 1) {
-    FinishPoolWindow(*pool_window);
-  }
-  if (chains_.empty()) return;
-  // Release the same partition of the next chained window as this task's
-  // last act, as a continuation: this worker, its caches warm with the
-  // partition's grounder and solver, then reasons it next.
-  std::lock_guard<std::mutex> lock(chains_mutex_);
-  std::deque<std::shared_ptr<PoolWindow>>& chain = chains_[index];
-  chain.pop_front();
-  if (!chain.empty()) {
-    SubmitPartition(chain.front(), index, /*continuation=*/true);
-  }
+  if (pool_window->unfinished_partitions.fetch_sub(1) != 1) return;
+  FinishPoolWindow(*pool_window);
+  if (!chains_.empty() && PassChainSlot()) StartChainedWindow();
 }
 
 void StreamRulePipeline::FinishPoolWindow(PoolWindow& pool_window,

@@ -67,8 +67,8 @@ struct PipelineOptions {
   /// partitions beyond the first one more, queued at the lane's front —
   /// so a window's partitions are reasoned in parallel on the pool
   /// without any pool task ever waiting for another (see PoolTask).
-  /// Under reuse, a first partition that had to wait for the previous
-  /// window's runs as one more task.
+  /// Under reuse every partition is its own task, and at most the
+  /// lane's inflight cap of windows are out of the work queue at once.
   /// Ordered delivery is collaborative — whichever task (or shedding
   /// caller) completes a window next drains the reorder buffer: one
   /// thread at a time, strictly increasing sequence order, byte-identical
@@ -140,6 +140,10 @@ struct PipelineStats {
                                   ///< the admission filter.
   size_t max_queue_depth = 0;     ///< Work-queue high-water mark.
   size_t max_reorder_depth = 0;   ///< Reorder-buffer high-water mark.
+  size_t max_inflight_depth = 0;  ///< Admitted-but-unreasoned windows
+                                  ///< high-water mark: how far reasoning
+                                  ///< lagged ingest (queued + reasoning,
+                                  ///< plus the one a blocked Push holds).
 
   // --- graceful-degradation accounting (streamrule/accuracy.h) ---
   uint64_t shed_items = 0;  ///< Items in shed (dropped/rejected) windows.
@@ -232,10 +236,11 @@ struct PipelineStats {
 ///                        BoundedQueue<TripleWindow> (backpressure)
 ///                                               ▼
 ///   pool lane:      one task per window, one more per partition beyond
-///                   the first; several windows in flight on the lane's
-///                   pool (shared, or private with num_reason_workers
-///                   threads); under reuse each partition index runs its
-///                   windows one at a time, in order
+///                   the first (under reuse, per partition); several
+///                   windows in flight on the lane's pool (shared, or
+///                   private with num_reason_workers threads); under
+///                   reuse each partition index runs its windows one at
+///                   a time, in order
 ///                                               ▼
 ///   last finisher:  reorder buffer keyed by window sequence →
 ///                   EmissionHandler strictly in window order
@@ -338,31 +343,48 @@ class StreamRulePipeline {
   /// Provides the private pool when no external one is set, builds (or
   /// adopts) the DRR lane, and sizes the reuse chains.
   void StartAsyncEngine();
-  /// One admitted window's task on the pool lane. It never waits: it
-  /// TryPops a window from the work queue (a miss means an eviction
-  /// consumed it — benign surplus), splits it, submits partitions 1..n-1
-  /// to the FRONT of the lane, reasons partition 0 itself and returns. An
-  /// atomic countdown elects the last partition to finish; it runs
-  /// FinishPoolWindow. A cold Job touches no shared reasoner state, so
-  /// that is all.
+  /// One admitted window's task on the pool lane. It never waits. A cold
+  /// window's task TryPops a window from the work queue (a miss means an
+  /// eviction consumed it — benign surplus), splits it, submits
+  /// partitions 1..n-1 to the FRONT of the lane, reasons partition 0
+  /// itself and returns; a cold Job touches no shared reasoner state, so
+  /// that is all. An atomic countdown elects the last partition to
+  /// finish; it runs FinishPoolWindow.
   ///
   /// Under reuse, partition p's incremental grounder and solver must see
-  /// the windows one at a time, in order. The task appends the window to
-  /// every partition's chain; a partition whose chain was busy is parked
-  /// there instead of started, until the same partition of the previous
-  /// window releases it (ReasonPoolPartition). Pop, split and append
-  /// happen under chains_mutex_, so chain order is admission order; a
-  /// failed split appends nothing.
+  /// the windows one at a time, in order, so every partition index is a
+  /// chain of windows and each partition runs as its own task. At most
+  /// the lane cap of windows are chained at once — a window keeps its
+  /// chain slot until it finishes — so the rest stay in the work queue,
+  /// where backpressure sees them. A task that finds every slot held
+  /// leaves its pop to the next chained window to finish
+  /// (deferred_pops_); otherwise it takes a slot and runs
+  /// StartChainedWindow.
   void PoolTask();
-  /// Queues partition `index` of a pooled window at the front of the lane
-  /// (as a ContinueFront continuation when the calling task is about to
-  /// return).
-  void SubmitPartition(std::shared_ptr<PoolWindow> pool_window, size_t index,
-                       bool continuation = false);
-  /// Reasons partition `index` of a pooled window (the last partition of
-  /// the window to finish runs FinishPoolWindow) and, under reuse, then
-  /// releases the same partition of the next chained window — always
-  /// before returning, so an empty lane still means nothing is parked.
+  /// Holding a chain slot: pops a window and splits it under
+  /// chains_mutex_ (so chain order is admission order), appends it to
+  /// every partition's chain and front-submits the partitions whose chain
+  /// was idle; the others stay parked until the same partition of the
+  /// previous window releases them (ReasonPoolPartition). A failed split
+  /// appends nothing, and a failed split or an empty queue passes the
+  /// slot on (PassChainSlot).
+  void StartChainedWindow();
+  /// Hands a finished chained window's slot to a deferred pop (true: the
+  /// caller runs StartChainedWindow for it) or frees it (false).
+  bool PassChainSlot();
+  /// TryPops and splits the next admitted window. Null when the queue is
+  /// empty or the split failed; a failed window is finished as an error
+  /// after `lock` (the caller's chains_mutex_ hold, if it owns one) is
+  /// released.
+  std::shared_ptr<PoolWindow> PopWindow(std::unique_lock<std::mutex>& lock);
+  /// Queues partition `index` of a pooled window at the front of the lane.
+  void SubmitPartition(std::shared_ptr<PoolWindow> pool_window, size_t index);
+  /// Reasons partition `index` of a pooled window. Under reuse it then
+  /// releases the same partition of the next chained window, before this
+  /// window's delivery. The last partition of the window to finish runs
+  /// FinishPoolWindow and, under reuse, passes the window's chain slot
+  /// on. A task releases what it owes before returning, so an empty lane
+  /// still means nothing is parked or deferred.
   void ReasonPoolPartition(const std::shared_ptr<PoolWindow>& pool_window,
                            size_t index);
   /// Join continuation: finishes the window (or reports `error`, a split
@@ -422,9 +444,15 @@ class StreamRulePipeline {
   std::shared_ptr<SharedReasonerPool::Queue> pool_queue_;
   /// Reuse chains, one per partition index: the windows whose partition
   /// p is running or parked, in admission order; the front one's
-  /// partition p is on the lane. Guarded by chains_mutex_.
+  /// partition p is on the lane. Guarded by chains_mutex_, as are the
+  /// two counters below.
   std::mutex chains_mutex_;
   std::vector<std::deque<std::shared_ptr<PoolWindow>>> chains_;
+  /// Chained windows not yet finished (at most the lane cap).
+  size_t chained_windows_ = 0;
+  /// Window tasks that found every chain slot held and returned; each
+  /// is owed one pop by a finishing chained window.
+  size_t deferred_pops_ = 0;
   /// Drain baton (guarded by emit_mutex_): true while some thread is
   /// inside DrainCompleted's delivery loop.
   bool draining_ = false;

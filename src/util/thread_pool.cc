@@ -42,19 +42,15 @@ void SharedReasonerPool::ActivateLocked(std::shared_ptr<Queue> queue) {
 }
 
 void SharedReasonerPool::Queue::Submit(std::function<void()> task) {
-  Enqueue(std::move(task), /*front=*/false, /*wake=*/true);
+  Enqueue(std::move(task), /*front=*/false);
 }
 
 void SharedReasonerPool::Queue::SubmitFront(std::function<void()> task) {
-  Enqueue(std::move(task), /*front=*/true, /*wake=*/true);
-}
-
-void SharedReasonerPool::Queue::ContinueFront(std::function<void()> task) {
-  Enqueue(std::move(task), /*front=*/true, /*wake=*/false);
+  Enqueue(std::move(task), /*front=*/true);
 }
 
 void SharedReasonerPool::Queue::Enqueue(std::function<void()> task,
-                                        bool front, bool wake) {
+                                        bool front) {
   bool notify = false;
   {
     std::lock_guard<std::mutex> lock(pool_->mutex_);
@@ -81,7 +77,7 @@ void SharedReasonerPool::Queue::Enqueue(std::function<void()> task,
       // without this wake the rest of the pool would sleep over runnable
       // work until some unrelated submit or completion.
       if (!scheduled_) pool_->ActivateLocked(shared_from_this());
-      notify = wake;
+      notify = true;
     }
   }
   if (notify) pool_->work_available_.notify_one();

@@ -90,15 +90,6 @@ class SharedReasonerPool {
     /// credit and counts against max_inflight when dispatched.
     void SubmitFront(std::function<void()> task);
 
-    /// SubmitFront for a running task's last act: wakes no worker, so the
-    /// calling worker, on returning to the pool right after, dispatches
-    /// the task itself (unless an awake worker gets there first). A
-    /// continuation chain thus stays on one warm core instead of hopping
-    /// to a freshly woken thread. Only a task of this pool may call it,
-    /// and only just before it returns: nothing else wakes a worker for
-    /// the task.
-    void ContinueFront(std::function<void()> task);
-
     /// Blocks until every task submitted to this lane so far has
     /// finished executing — including tasks those tasks submit while
     /// they run (a running task counts as inflight until it returns).
@@ -114,9 +105,8 @@ class SharedReasonerPool {
     Queue(SharedReasonerPool* pool, size_t weight, size_t max_inflight)
         : pool_(pool), weight_(weight), max_inflight_(max_inflight) {}
 
-    /// Submit/SubmitFront/ContinueFront body: queue at the back or the
-    /// front, waking a worker unless `wake` is false.
-    void Enqueue(std::function<void()> task, bool front, bool wake);
+    /// Submit/SubmitFront body: queue at the back or the front.
+    void Enqueue(std::function<void()> task, bool front);
 
     SharedReasonerPool* const pool_;
     const size_t weight_;

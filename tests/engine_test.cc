@@ -345,20 +345,15 @@ TEST_F(EngineTest, PooledPartitionFanOutMatchesSyncOracle) {
         (*engine)->Flush();
         EXPECT_EQ(transcript, oracle);
 
-        // One lane task per window plus one per extra partition, all
-        // completed by the flush. Under reuse, a window whose first
-        // partition waited for the previous window's costs one more.
+        // One lane task per window plus one per extra partition (under
+        // reuse, per partition), all completed by the flush.
         const EngineStats stats = (*engine)->stats();
         const StreamRulePipeline* pipeline = (*engine)->pipeline();
         ASSERT_EQ(pipeline->plan().num_communities(), 2);
         const size_t partitions = 2 * std::max<size_t>(shards, 1);
         const uint64_t windows = stats.reasoning.windows;
-        if (reuse.grounding) {
-          EXPECT_GE(stats.lane.submitted, partitions * windows);
-          EXPECT_LE(stats.lane.submitted, (partitions + 1) * windows);
-        } else {
-          EXPECT_EQ(stats.lane.submitted, partitions * windows);
-        }
+        EXPECT_EQ(stats.lane.submitted,
+                  (reuse.grounding ? partitions + 1 : partitions) * windows);
         EXPECT_EQ(stats.lane.completed, stats.lane.submitted);
         EXPECT_EQ(pipeline->pool_queue()->max_inflight(), cap);
 

@@ -317,6 +317,77 @@ TEST_F(OverloadTest, PooledFanOutShedAccountingIsExact) {
   }
 }
 
+// Reuse chains keep the work queue's backpressure. A chained window holds
+// its chain slot until it finishes, so at most the lane cap of windows
+// are out of the queue at once and the rest stay where the policy sees
+// them. One partition leaves the second lane slot free to pop windows,
+// and reasoning a window takes far longer than pushing a slide, so a
+// full-speed push must hit a full queue. The admitted-but-unreasoned
+// backlog then stays within queue + lane cap + the window a blocked Push
+// holds: kBlock blocks the pusher, losslessly, and kDropOldest sheds.
+TEST_F(OverloadTest, ReuseChainsKeepTheInflightBound) {
+  StatusOr<Program> program = MakeTrafficProgram(
+      symbols_, TrafficProgramVariant::kP, /*with_show=*/true);
+  ASSERT_TRUE(program.ok());
+  const size_t window_size = 500;
+  const size_t slide = 50;
+  const size_t num_windows = 60;
+  const std::vector<Triple> stream =
+      MakeStream(window_size + slide * (num_windows - 1));
+  auto pool = std::make_shared<SharedReasonerPool>(2);
+
+  for (const BackpressurePolicy policy :
+       {BackpressurePolicy::kBlock, BackpressurePolicy::kDropOldest}) {
+    SCOPED_TRACE(BackpressurePolicyName(policy));
+    PipelineOptions options;
+    options.window_size = window_size;
+    options.window_slide = slide;
+    options.disable_partitioning = true;
+    options.reasoner.reasoner.reuse_grounding = true;
+    options.reasoner.reasoner.solving.reuse_solving = true;
+    options.async = true;
+    options.max_inflight_windows = 2;
+    options.backpressure = policy;
+    options.shared_pool = pool;
+    options.pool_max_inflight = 2;
+
+    std::vector<uint64_t> sequences;
+    StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
+        StreamRulePipeline::Create(
+            &*program, options, [&](EmissionEvent& event) {
+              if (event.kind != EmissionEvent::Kind::kError) {
+                sequences.push_back(event.sequence);
+              }
+            });
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+    (*pipeline)->PushBatch(stream);
+    (*pipeline)->Flush();
+
+    ASSERT_EQ(sequences.size(), num_windows);
+    for (size_t i = 0; i < sequences.size(); ++i) {
+      EXPECT_EQ(sequences[i], i);
+    }
+    const PipelineStats stats = (*pipeline)->stats();
+    EXPECT_EQ(stats.errors, 0u);
+    EXPECT_EQ(stats.windows + stats.shed_windows(), num_windows);
+    const size_t backlog_bound =
+        options.max_inflight_windows + options.pool_max_inflight + 1;
+    EXPECT_EQ(stats.max_queue_depth, options.max_inflight_windows);
+    EXPECT_LE(stats.max_inflight_depth, backlog_bound);
+    if (policy == BackpressurePolicy::kBlock) {
+      EXPECT_EQ(stats.shed_windows(), 0u);
+    } else {
+      EXPECT_GT(stats.dropped_windows, 0u);
+    }
+    // One task per enqueued window (evictions leave a no-op surplus
+    // task) plus one per partition of each reasoned window.
+    const SharedReasonerPool::Queue::Stats lane =
+        (*pipeline)->pool_queue()->stats();
+    EXPECT_EQ(lane.submitted, stats.enqueued_windows + stats.windows);
+    EXPECT_EQ(lane.completed, lane.submitted);
+  }
+}
+
 // Hot-key storm against an undersized async pipeline with kDropOldest:
 // the pipeline keeps up by evicting stale windows, so per-window emit
 // latency (window close → ordered delivery) stays bounded by the in-flight

@@ -322,43 +322,5 @@ TEST(SharedPoolTest, CapOneTaskFanningOutToItsOwnLaneDoesNotDeadlock) {
   EXPECT_EQ(log.order(), (std::vector<char>{'P', '1', '2', '3', 'L'}));
 }
 
-TEST(SharedPoolTest, ContinuationRunsOnItsSubmittersWorkerAfterItReturns) {
-  // ContinueFront wakes nobody: with the other worker asleep, the
-  // continuation waits for its submitter to return and then runs on the
-  // submitter's thread, which keeps a continuation chain on one core.
-  SharedReasonerPool pool(2);
-  auto lane = pool.CreateQueue(/*weight=*/1, /*max_inflight=*/2);
-  // Both workers run a task and complete it under the pool mutex right
-  // before they sleep again, so once Drain returns both are asleep.
-  std::atomic<int> arrived{0};
-  for (int i = 0; i < 2; ++i) {
-    lane->Submit([&arrived] {
-      arrived.fetch_add(1);
-      while (arrived.load() < 2) std::this_thread::yield();
-    });
-  }
-  lane->Drain();
-
-  std::thread::id parent_thread;
-  std::thread::id child_thread;
-  std::atomic<bool> parent_returned{false};
-  bool child_saw_parent_returned = false;
-  lane->Submit([&] {
-    parent_thread = std::this_thread::get_id();
-    lane->ContinueFront([&] {
-      child_thread = std::this_thread::get_id();
-      child_saw_parent_returned = parent_returned.load();
-    });
-    // An awoken worker would run the continuation during this pause.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    parent_returned.store(true);
-  });
-  lane->Drain();
-  EXPECT_TRUE(child_saw_parent_returned);
-  EXPECT_EQ(child_thread, parent_thread);
-  EXPECT_EQ(lane->stats().submitted, 4u);
-  EXPECT_EQ(lane->stats().completed, 4u);
-}
-
 }  // namespace
 }  // namespace streamasp
