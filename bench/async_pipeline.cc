@@ -1,21 +1,25 @@
-// Sustained-throughput bench for the staged asynchronous pipeline engine:
-// sync (the one-window-at-a-time oracle) vs async at in-flight depths
-// {1, 2, 4, 8} on the paper's traffic workload, plus a high-overlap
-// sliding-window triple (slide = window/16): grounding reuse off, on, and
-// on with the persistent warm-started solver (reuse_solving), the last
-// also on the async engine.
-// The sliding runs use a recursive reachability workload over a small
-// node universe — transitive closure makes instantiation the dominant
-// per-window cost, which is the regime the incremental grounder's delta
-// replay targets (the flat traffic rules ground in linear time, so there
-// is little instantiation to save there). A final burst-overload leg
-// drives a self-clocked flash-crowd stream against an undersized
-// kDropOldest pipeline and reports completeness/shed accounting.
-// Every leg drives the unified StreamEngine facade (no key buckets);
-// emission flows through the single ordered EmissionEvent handler. Emits
-// one machine-readable JSON document on stdout (schema shared with
-// bench/sharded_pipeline via bench/bench_json.h); human-readable notes
-// go to stderr.
+// Sustained-throughput bench for the pipeline engine, on two axes.
+//   * Engine shape, on the paper's traffic workload (P′): sync (the
+//     one-window-at-a-time oracle), async at in-flight depths
+//     {1, 2, 4, 8}, and async at depth 4 with num_shards {2, 4, 8} (mode
+//     "sharded"): the key-flow analysis splits both P′ communities into
+//     that many key buckets, so a window yields 2 × num_shards
+//     partitions.
+//   * Reuse, on a high-overlap sliding window (slide = window/16) over a
+//     recursive reachability workload: grounding reuse off, on, and on
+//     with the persistent warm-started solver (reuse_solving), the last
+//     also with delta-sized model maintenance off and on the async
+//     engine. Transitive closure makes instantiation the dominant
+//     per-window cost, which is the regime the incremental grounder's
+//     delta replay targets (the flat traffic rules ground in linear
+//     time, so there is little instantiation to save there).
+// Two burst-overload legs, unbucketed and at two buckets, drive a
+// self-clocked flash-crowd stream against an undersized kDropOldest
+// pipeline and report completeness/shed accounting.
+// Every leg drives the unified StreamEngine facade; emission flows
+// through the single ordered EmissionEvent handler. Emits one
+// machine-readable JSON document on stdout (schema in bench/bench_json.h,
+// shared with bench/multi_tenant); human-readable notes go to stderr.
 //
 // Throughput is items pushed / wall time of PushBatch+Flush (i.e. the rate
 // the ingest side sustains while reasoning keeps up); window latency is the
@@ -48,22 +52,11 @@ using namespace streamasp;
 using bench::BenchRun;
 using bench::Percentile;
 
-BenchRun RunOnce(const Program& program, const std::vector<Triple>& stream,
-                 size_t window_size, bool async, size_t inflight,
-                 size_t window_slide = 0, bool reuse = false,
-                 bool reuse_solving = false, bool maintain_fixpoint = true,
-                 size_t workers = 0) {
-  EngineConfig config;
-  config.pipeline.window_size = window_size;
-  config.pipeline.window_slide = window_slide;
-  config.pipeline.reasoner.reasoner.reuse_grounding = reuse;
-  config.pipeline.reasoner.reasoner.solving.reuse_solving = reuse_solving;
-  config.pipeline.reasoner.reasoner.solving.maintain_fixpoint =
-      maintain_fixpoint;
-  config.pipeline.async = async;
-  config.pipeline.max_inflight_windows = async ? inflight : 4;
-  config.pipeline.num_reason_workers = workers;
-
+/// Builds the engine `config` describes, pushes the whole stream behind a
+/// wall timer, and fills the shared run record.
+BenchRun RunOnce(std::string mode, const Program& program,
+                 const std::vector<Triple>& stream,
+                 const EngineConfig& config) {
   std::vector<double> latencies;
   StatusOr<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
       &program, config, [&](EmissionEvent& event) {
@@ -81,13 +74,15 @@ BenchRun RunOnce(const Program& program, const std::vector<Triple>& stream,
   (*engine)->Flush();
   const double wall_ms = wall.ElapsedMillis();
 
+  const PipelineOptions& options = config.pipeline;
   BenchRun run;
-  run.mode = async ? "async" : "sync";
-  run.inflight = async ? inflight : 0;
+  run.mode = std::move(mode);
+  run.shards = options.reasoner.num_shards;
+  run.inflight = options.async ? options.max_inflight_windows : 0;
   run.workers = (*engine)->num_reason_workers();
-  run.window_slide = window_slide;
-  run.reuse = reuse;
-  run.reuse_solving = reuse_solving;
+  run.window_slide = options.window_slide;
+  run.reuse = options.reasoner.reasoner.reuse_grounding;
+  run.reuse_solving = options.reasoner.reasoner.solving.reuse_solving;
   run.wall_ms = wall_ms;
   run.triples_per_sec =
       wall_ms > 0 ? static_cast<double>(stream.size()) / (wall_ms / 1000.0)
@@ -98,21 +93,37 @@ BenchRun RunOnce(const Program& program, const std::vector<Triple>& stream,
   return run;
 }
 
+/// Tumbling windows of `window_size` items: the sync oracle when
+/// `inflight` is 0, else the async engine with that many windows in
+/// flight. `shards` bounds each community's key buckets.
+EngineConfig Tumbling(size_t window_size, size_t inflight,
+                      size_t shards = 0) {
+  EngineConfig config;
+  config.pipeline.window_size = window_size;
+  config.pipeline.async = inflight > 0;
+  config.pipeline.max_inflight_windows = inflight > 0 ? inflight : 4;
+  config.pipeline.reasoner.num_shards = shards;
+  return config;
+}
+
 // Graceful-degradation leg: a flash-crowd burst stream against a
-// deliberately undersized async pipeline (a one-thread private pool, two
-// in-flight windows) with kDropOldest shedding. Pacing is self-clocked
-// rather than timed: valley windows are pushed behind a Flush() drain
-// barrier, so during valleys ingest can never outrun service and nothing
-// sheds; spike windows are pushed back-to-back, so during spikes ingest
-// is effectively infinitely faster than service and the queue sheds
-// spike_len - (capacity + 1) windows (the pool thread holds one, the
-// queue retains `capacity`). The shed fraction therefore depends only on
-// the spike shape and queue capacity — not on host speed — which is
-// what makes the completeness minimum in bench/baseline.json a
-// meaningful machine-independent gate (worst case: every spike window
-// past the pool thread's sheds, completeness 110/120).
+// deliberately undersized async pipeline (two in-flight windows, a
+// private pool of one thread per key bucket) with kDropOldest shedding,
+// unbucketed (`shards` 0) or at `shards` buckets per community. Pacing
+// is self-clocked rather than timed: valley windows are pushed behind a
+// Flush() drain barrier, so during valleys ingest can never outrun
+// service and nothing sheds; spike windows are pushed back-to-back, so
+// during spikes ingest is effectively infinitely faster than service and
+// the queue sheds spike_len - (capacity + 1) windows (the reasoning
+// window holds one, the queue retains `capacity`). The shed fraction
+// therefore depends only on the spike shape and queue capacity — not on
+// host speed — which is what makes the completeness minimum in
+// bench/baseline.json a meaningful machine-independent gate (worst case:
+// every spike window past the reasoning one sheds, completeness
+// 110/120).
 BenchRun RunBurstOverload(const Program& program,
-                          const SymbolTablePtr& symbols, size_t window_size) {
+                          const SymbolTablePtr& symbols, size_t window_size,
+                          size_t shards) {
   using Clock = std::chrono::steady_clock;
   const size_t burst_window = std::max<size_t>(100, window_size / 4);
   const size_t num_windows = 120;
@@ -122,11 +133,8 @@ BenchRun RunBurstOverload(const Program& program,
   burst.period = 60 * burst_window;  // 6-window spikes, 54-window valleys.
   burst.burst_fraction = 0.1;
 
-  EngineConfig config;
-  config.pipeline.window_size = burst_window;
-  config.pipeline.async = true;
-  config.pipeline.num_reason_workers = 1;
-  config.pipeline.max_inflight_windows = 2;
+  EngineConfig config = Tumbling(burst_window, /*inflight=*/2, shards);
+  config.pipeline.num_reason_workers = std::max<size_t>(shards, 1);
   config.pipeline.backpressure = BackpressurePolicy::kDropOldest;
   std::vector<Clock::time_point> close_times(num_windows);
   std::vector<double> latencies;
@@ -168,6 +176,7 @@ BenchRun RunBurstOverload(const Program& program,
   BenchRun run;
   run.mode = "burst-overload";
   run.workload = "traffic_pprime_flash_crowd";
+  run.shards = shards;
   run.inflight = config.pipeline.max_inflight_windows;
   run.workers = (*engine)->num_reason_workers();
   run.wall_ms = wall_ms;
@@ -230,17 +239,21 @@ BenchRun RunSlidingReach(const SymbolTablePtr& symbols, size_t items,
   SyntheticStreamGenerator generator(schema, gen_options);
   const std::vector<Triple> stream = generator.GenerateWindow(items);
 
-  const size_t slide = std::max<size_t>(1, window_size / 16);
   const bool async = async_inflight > 0;
-  BenchRun run = RunOnce(*program, stream, window_size, async,
-                         async_inflight, slide, reuse, reuse_solving,
-                         maintain_fixpoint, /*workers=*/async ? 4 : 0);
-  run.mode = reuse_solving
-                 ? (maintain_fixpoint ? "sliding-tc-reuse-solve"
-                                      : "sliding-tc-reuse-solve-patched")
-             : reuse ? "sliding-tc-reuse"
-                     : "sliding-tc";
-  if (async) run.mode += "-async";
+  EngineConfig config = Tumbling(window_size, async_inflight);
+  config.pipeline.window_slide = std::max<size_t>(1, window_size / 16);
+  config.pipeline.num_reason_workers = async ? 4 : 0;
+  ReasonerOptions& reasoner = config.pipeline.reasoner.reasoner;
+  reasoner.reuse_grounding = reuse;
+  reasoner.solving.reuse_solving = reuse_solving;
+  reasoner.solving.maintain_fixpoint = maintain_fixpoint;
+  std::string mode =
+      reuse_solving ? (maintain_fixpoint ? "sliding-tc-reuse-solve"
+                                         : "sliding-tc-reuse-solve-patched")
+      : reuse       ? "sliding-tc-reuse"
+                    : "sliding-tc";
+  if (async) mode += "-async";
+  BenchRun run = RunOnce(std::move(mode), *program, stream, config);
   run.workload = "reach_tc";
   return run;
 }
@@ -273,10 +286,16 @@ int main(int argc, char** argv) {
 
   std::vector<BenchRun> runs;
   // Warm-up (first run pays allocator/page-fault costs), then measure.
-  RunOnce(*program, stream, window_size, /*async=*/false, 0);
-  runs.push_back(RunOnce(*program, stream, window_size, false, 0));
+  RunOnce("sync", *program, stream, Tumbling(window_size, 0));
+  runs.push_back(RunOnce("sync", *program, stream, Tumbling(window_size, 0)));
   for (const size_t depth : {1, 2, 4, 8}) {
-    runs.push_back(RunOnce(*program, stream, window_size, true, depth));
+    runs.push_back(
+        RunOnce("async", *program, stream, Tumbling(window_size, depth)));
+  }
+  // The shards axis: depth 4 at a bucket bound of 2, 4 and 8.
+  for (const size_t shards : {2, 4, 8}) {
+    runs.push_back(RunOnce("sharded", *program, stream,
+                           Tumbling(window_size, 4, shards)));
   }
   // High-overlap sliding pair on the recursion-heavy reachability
   // workload: identical windows, grounding reuse off vs on. Windows are
@@ -310,11 +329,13 @@ int main(int argc, char** argv) {
                                  /*reuse=*/true, /*reuse_solving=*/true,
                                  /*maintain_fixpoint=*/true,
                                  /*async_inflight=*/4));
-  // Graceful-degradation leg: self-clocked flash-crowd overload against
-  // an undersized kDropOldest pipeline (see RunBurstOverload). Gated by a
-  // completeness minimum and an unaccounted_windows ceiling in
-  // bench/baseline.json.
-  runs.push_back(RunBurstOverload(*program, symbols, window_size));
+  // Graceful-degradation legs: self-clocked flash-crowd overload against
+  // an undersized kDropOldest pipeline (see RunBurstOverload), unbucketed
+  // and at two buckets. Each is gated by a completeness minimum and an
+  // unaccounted_windows ceiling in bench/baseline.json.
+  for (const size_t shards : {0, 2}) {
+    runs.push_back(RunBurstOverload(*program, symbols, window_size, shards));
+  }
 
   bench::PrintBenchJson("async_pipeline", "traffic_pprime", items,
                         window_size, std::thread::hardware_concurrency(),

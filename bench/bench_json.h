@@ -1,6 +1,6 @@
 // Shared JSON emission for the engine benches: one run record schema,
 // keyed off the unified EngineStats snapshot, emitted identically by
-// bench/async_pipeline and bench/sharded_pipeline. Every field is always
+// bench/async_pipeline and bench/multi_tenant. Every field is always
 // present (zero when not applicable to the run's shape) so the schema is
 // uniform across benches and runs; tools/check_bench_regression.py
 // enforces the field list against the "schema" block in
@@ -91,8 +91,8 @@ inline double Percentile(std::vector<double> values, double p) {
 /// Fills the engine-derived half of a run from the unified snapshot:
 /// stream-level completeness and whole shed windows included.
 inline void FillFromEngineStats(const EngineStats& stats, BenchRun* run) {
-  run->windows = stats.delivered_windows;
-  run->answers = stats.delivered_answers;
+  run->windows = stats.reasoning.windows;
+  run->answers = stats.reasoning.answers;
   run->max_queue_depth = stats.reasoning.max_queue_depth;
   run->max_reorder_depth = stats.reasoning.max_reorder_depth;
   run->incremental_windows = stats.reasoning.incremental_windows;

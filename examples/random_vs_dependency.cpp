@@ -11,6 +11,7 @@
 
 #include "asp/parser.h"
 #include "depgraph/decomposition.h"
+#include "stream/format.h"
 #include "stream/generator.h"
 #include "streamrule/accuracy.h"
 #include "streamrule/parallel_reasoner.h"
@@ -21,22 +22,24 @@ namespace {
 
 using namespace streamasp;
 
-// The exact window W of §II-A.
-std::vector<Atom> PaperExampleWindow(SymbolTablePtr symbols) {
+// The exact window W of §II-A, as the triples its facts travel as.
+TripleWindow PaperExampleWindow(SymbolTablePtr symbols) {
   Parser parser(symbols);
-  std::vector<Atom> window;
+  const DataFormatProcessor format;
+  TripleWindow window;
   for (const char* text : {
            "average_speed(newcastle, 10)", "car_number(newcastle, 55)",
            "traffic_light(newcastle)", "car_in_smoke(car1, high)",
            "car_speed(car1, 0)", "car_location(car1, dangan)"}) {
-    window.push_back(*parser.ParseGroundAtom(text));
+    window.items.push_back(*format.ToTriple(*parser.ParseGroundAtom(text)));
   }
   return window;
 }
 
 // The adversarial random split from the paper: W1 gets the first half of
 // the jam evidence but not the traffic light.
-std::vector<std::vector<Atom>> PaperBadSplit(const std::vector<Atom>& w) {
+std::vector<std::vector<Triple>> PaperBadSplit(const TripleWindow& window) {
+  const std::vector<Triple>& w = window.items;
   return {{w[0], w[1], w[3]}, {w[2], w[4], w[5]}};
 }
 
@@ -60,18 +63,18 @@ int main(int argc, char** argv) {
 
   // --- Part 1: the paper's own 6-item example. -------------------------
   std::printf("== paper's example window (Section II-A) ==\n");
-  const std::vector<Atom> example = PaperExampleWindow(symbols);
-  StatusOr<ReasonerResult> truth = whole_window.ProcessFacts(example);
+  const TripleWindow example = PaperExampleWindow(symbols);
+  StatusOr<ReasonerResult> truth = whole_window.Process(example);
   std::printf("whole window   : %s\n",
               AnswerToString(truth->answers[0], *symbols).c_str());
 
   StatusOr<ParallelReasonerResult> bad =
-      pr.ProcessFactPartitions(PaperBadSplit(example));
+      pr.ProcessPartitions(PaperBadSplit(example));
   std::printf("random split   : %s   (accuracy %.2f)\n",
               AnswerToString(bad->answers[0], *symbols).c_str(),
               MeanAccuracy(bad->answers, truth->answers));
 
-  StatusOr<ParallelReasonerResult> dep = pr.ProcessFacts(example);
+  StatusOr<ParallelReasonerResult> dep = pr.Process(example);
   std::printf("dependency split: %s   (accuracy %.2f)\n",
               AnswerToString(dep->answers[0], *symbols).c_str(),
               MeanAccuracy(dep->answers, truth->answers));

@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   std::printf(
       "processed %llu windows / %llu items in %.2f ms (%.0f triples/s, "
       "mean window latency %.2f ms, %llu lane tasks)\n",
-      static_cast<unsigned long long>(stats.delivered_windows),
+      static_cast<unsigned long long>(stats.reasoning.windows),
       static_cast<unsigned long long>(stats.reasoning.items), wall_ms,
       static_cast<double>(stats.reasoning.items) / (wall_ms / 1000.0),
       stats.reasoning.mean_latency_ms(),

@@ -391,9 +391,9 @@ std::string FormatStats(std::string_view session, const SessionStats& stats) {
   field("error_events", stats.error_events);
   field("shed_events", stats.shed_events);
   field("num_shards", stats.engine.num_shards);
-  field("delivered_windows", stats.engine.delivered_windows);
-  field("delivered_answers", stats.engine.delivered_answers);
-  field("delivery_errors", stats.engine.delivery_errors);
+  field("delivered_windows", stats.engine.reasoning.windows);
+  field("delivered_answers", stats.engine.reasoning.answers);
+  field("delivery_errors", stats.engine.reasoning.errors);
   field("shed_windows", stats.engine.shed_windows());
   out.append("\ncompleteness=");
   out.append(FormatCompleteness(stats.engine.completeness()));

@@ -23,9 +23,6 @@ EngineStats StreamEngine::stats() const {
     out.lane = pipeline_->pool_queue()->stats();
   }
   out.reasoning = pipeline_->stats();
-  out.delivered_windows = out.reasoning.windows;
-  out.delivered_answers = out.reasoning.answers;
-  out.delivery_errors = out.reasoning.errors;
   return out;
 }
 

@@ -30,15 +30,10 @@ struct EngineStats {
   /// (StreamRulePipeline::num_partitions).
   size_t num_partitions = 0;
 
-  /// Pipeline-level counters (see PipelineStats).
+  /// Pipeline-level counters (see PipelineStats): reasoning.windows and
+  /// reasoning.answers are the kResult emissions delivered to the handler
+  /// and their answers, reasoning.errors the kError ones.
   PipelineStats reasoning;
-
-  /// kResult emissions delivered to the handler.
-  uint64_t delivered_windows = 0;
-  /// Answers those deliveries carried.
-  uint64_t delivered_answers = 0;
-  /// Emission slots consumed by reasoning errors.
-  uint64_t delivery_errors = 0;
 
   /// Counters of the engine's reasoner-pool lane (all zero for the
   /// synchronous shape): a task per admitted window plus one per
@@ -56,7 +51,7 @@ struct EngineStats {
   /// tombstoned. An emitted window outside this count means an ordered
   /// consumer stalled (the bench gates pin it to the expected total).
   uint64_t accounted_windows() const {
-    return delivered_windows + delivery_errors + shed_windows();
+    return reasoning.windows + reasoning.errors + shed_windows();
   }
 
   /// Retained data-plane bytes per triple of the largest window (see
@@ -77,7 +72,8 @@ struct EngineStats {
 class StreamEngine {
  public:
   /// Builds the engine `config` describes over `program` (which must
-  /// outlive the engine). Fails on null program/handler or options the
+  /// outlive the engine). Fails wherever StreamRulePipeline::Create does:
+  /// a null program or handler, a program it refuses, or options the
   /// shared validator rejects (streamrule/validate.h).
   static StatusOr<std::unique_ptr<StreamEngine>> Create(
       const Program* program, EngineConfig config, EmissionHandler handler);

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
-#include <type_traits>
 #include <utility>
 
 #include "depgraph/atom_level.h"
@@ -39,6 +38,23 @@ ReasonerOptions ResolveReuseOptions(const Program* program,
   options.reuse_grounding = true;
   options.incremental.assemble_output = false;
   return options;
+}
+
+/// A Job over `partitions` whose timer started at `timer`'s start
+/// (partition_ms stays 0 for externally produced partitions).
+ParallelReasoner::Job MakeJob(std::vector<std::vector<Triple>> partitions,
+                              WallTimer timer = WallTimer()) {
+  ParallelReasoner::Job job;
+  job.timer = timer;
+  const size_t n = partitions.size();
+  job.windows.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    job.total_partition_items += partitions[i].size();
+    job.windows[i].items = std::move(partitions[i]);
+  }
+  job.outcomes.resize(n, StatusOr<ReasonerResult>(InternalError("not run")));
+  job.errors.resize(n);
+  return job;
 }
 
 }  // namespace
@@ -102,43 +118,17 @@ ParallelReasoner::Job ParallelReasoner::Split(
   return job;
 }
 
-template <typename Item>
-ParallelReasoner::Job ParallelReasoner::MakeJob(
-    std::vector<std::vector<Item>> partitions, WallTimer timer) const {
-  Job job;
-  job.timer = timer;
-  const size_t n = partitions.size();
-  for (const auto& partition : partitions) {
-    job.total_partition_items += partition.size();
-  }
-  if constexpr (std::is_same_v<Item, Triple>) {
-    job.windows.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      job.windows[i].items = std::move(partitions[i]);
-    }
-  } else {
-    job.facts = std::move(partitions);
-  }
-  job.outcomes.resize(n, StatusOr<ReasonerResult>(InternalError("not run")));
-  job.errors.resize(n);
-  return job;
-}
-
 void ParallelReasoner::ReasonPartition(Job* job, size_t index) {
   try {
-    if (!job->windows.empty()) {
-      // A null grounder is the cold path.
-      IncrementalGrounder* grounder =
-          job->incremental ? partition_grounders_[index].get() : nullptr;
-      IncrementalSolver* solver =
-          job->incremental && reasoner_options_.solving.reuse_solving
-              ? partition_solvers_[index].get()
-              : nullptr;
-      job->outcomes[index] =
-          reasoner_.Process(job->windows[index], grounder, solver);
-    } else {
-      job->outcomes[index] = reasoner_.ProcessFacts(job->facts[index]);
-    }
+    // A null grounder is the cold path.
+    IncrementalGrounder* grounder =
+        job->incremental ? partition_grounders_[index].get() : nullptr;
+    IncrementalSolver* solver =
+        job->incremental && reasoner_options_.solving.reuse_solving
+            ? partition_solvers_[index].get()
+            : nullptr;
+    job->outcomes[index] =
+        reasoner_.Process(job->windows[index], grounder, solver);
   } catch (...) {
     job->errors[index] = std::current_exception();
   }
@@ -182,11 +172,11 @@ StatusOr<ParallelReasonerResult> ParallelReasoner::Finish(Job job) const {
   return result;
 }
 
-void ParallelReasoner::RunTasks(Job* job) {
-  const size_t n = job->num_partitions();
+StatusOr<ParallelReasonerResult> ParallelReasoner::Run(Job job) {
+  const size_t n = job.num_partitions();
   if (lane_ == nullptr || n < 2) {
-    for (size_t i = 0; i < n; ++i) ReasonPartition(job, i);
-    return;
+    for (size_t i = 0; i < n; ++i) ReasonPartition(&job, i);
+    return Finish(std::move(job));
   }
   // A countdown of this call's fanned-out partitions: the caller waits
   // for exactly those, not for the lane, so concurrent callers never
@@ -206,15 +196,15 @@ void ParallelReasoner::RunTasks(Job* job) {
   size_t i = 1;
   try {
     for (; i < n; ++i) {
-      lane_->Submit([this, job, i, &join] {
-        ReasonPartition(job, i);
+      lane_->Submit([this, &job, i, &join] {
+        ReasonPartition(&job, i);
         std::lock_guard<std::mutex> lock(join.mutex);
         if (--join.pending == 0) join.done.notify_one();
       });
     }
   } catch (...) {
     // Partitions i..n-1 were never submitted; wait out the ones that
-    // were — they still reference *job.
+    // were — they still reference `job`.
     {
       std::lock_guard<std::mutex> lock(join.mutex);
       join.pending -= n - i;
@@ -222,40 +212,21 @@ void ParallelReasoner::RunTasks(Job* job) {
     wait();
     throw;
   }
-  ReasonPartition(job, 0);
+  ReasonPartition(&job, 0);
   wait();
+  return Finish(std::move(job));
 }
 
 StatusOr<ParallelReasonerResult> ParallelReasoner::Process(
     const TripleWindow& window) {
   std::unique_lock<std::mutex> lock(incremental_mutex_, std::defer_lock);
   if (reasoner_options_.reuse_grounding) lock.lock();
-  Job job = Split(window);
-  RunTasks(&job);
-  return Finish(std::move(job));
-}
-
-StatusOr<ParallelReasonerResult> ParallelReasoner::ProcessFacts(
-    const std::vector<Atom>& facts) {
-  WallTimer timer;
-  Job job = MakeJob(handler_.PartitionFacts(facts), timer);
-  job.partition_ms = timer.ElapsedMillis();
-  RunTasks(&job);
-  return Finish(std::move(job));
+  return Run(Split(window));
 }
 
 StatusOr<ParallelReasonerResult> ParallelReasoner::ProcessPartitions(
     const std::vector<std::vector<Triple>>& partitions) {
-  Job job = MakeJob(partitions);
-  RunTasks(&job);
-  return Finish(std::move(job));
-}
-
-StatusOr<ParallelReasonerResult> ParallelReasoner::ProcessFactPartitions(
-    const std::vector<std::vector<Atom>>& partitions) {
-  Job job = MakeJob(partitions);
-  RunTasks(&job);
-  return Finish(std::move(job));
+  return Run(MakeJob(partitions));
 }
 
 }  // namespace streamasp

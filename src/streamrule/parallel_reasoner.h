@@ -90,17 +90,20 @@ struct ParallelReasonerResult {
 ///
 /// One reasoning body, three phases: Split partitions a window (and, for
 /// reuse, its delta) into a Job, ReasonPartition reasons one partition of
-/// it, Finish combines the answers and sums the statistics. Process is
-/// their composition (Split + RunTasks + Finish), which the sync oracle
-/// and the benches call; the async engine runs the same phases as
-/// separate pool tasks instead (see StreamRulePipeline::PoolTask), so
-/// every engine shape reasons through identical code.
+/// it, Finish combines the answers and sums the statistics. Process and
+/// ProcessPartitions are two entry points over one run body (every
+/// partition reasoned, then Finish), which the sync oracle and the
+/// benches call; the async engine runs the same phases as separate pool
+/// tasks instead (see StreamRulePipeline::PoolTask), so every engine
+/// shape reasons through identical code. The one input is the triple
+/// window: each partition's Reasoner converts its items to facts, as R
+/// includes the data format processor.
 ///
-/// Process runs partitions 1..n-1 as tasks on the reasoner's private
-/// pool lane, reasons partition 0 on the calling thread, then waits for
-/// exactly those partitions (a per-call countdown, not the whole lane).
-/// The caller is never a task of that pool, so the wait is safe; pool
-/// tasks themselves never wait.
+/// The run body reasons partitions 1..n-1 as tasks on the reasoner's
+/// private pool lane and partition 0 on the calling thread, then waits
+/// for exactly those partitions (a per-call countdown, not the whole
+/// lane). The caller is never a task of that pool, so the wait is safe;
+/// pool tasks themselves never wait.
 ///
 /// Thread-safety: the handlers are immutable and Reasoner is
 /// thread-compatible, so ReasonPartition may run for different partitions
@@ -110,7 +113,7 @@ struct ParallelReasonerResult {
 /// set, Process additionally serializes whole windows on an internal
 /// mutex: the per-partition incremental grounders are stateful, and
 /// interleaving two windows through one cache would corrupt its
-/// window-to-window diff.
+/// window-to-window diff. ProcessPartitions always reasons cold.
 /// Callers driving the phases themselves take that duty over: partition i
 /// of incremental Jobs is reasoned one at a time, in window order.
 /// Different partitions, and different windows' partitions, may overlap
@@ -129,11 +132,9 @@ class ParallelReasoner {
   /// per partition, and the phase timers. Each ReasonPartition(i) writes
   /// only slot i, so distinct partitions may be reasoned concurrently.
   struct Job {
-    /// One sub-window per partition (triple input: items, plus sequence
-    /// and delta on the reuse path) ...
+    /// One sub-window per partition: items, plus sequence and delta on
+    /// the reuse path.
     std::vector<TripleWindow> windows;
-    /// ... or one fact list per partition (fact input).
-    std::vector<std::vector<Atom>> facts;
     /// Reuse path: partition i grounds through its incremental grounder.
     bool incremental = false;
 
@@ -173,21 +174,13 @@ class ParallelReasoner {
   /// A partition's exception propagates after every partition has run.
   StatusOr<ParallelReasonerResult> Process(const TripleWindow& window);
 
-  /// PR pipeline over a window already converted to facts, routed like
-  /// the equal triple window. Always batch grounding (no sequence/delta
-  /// information at this level).
-  StatusOr<ParallelReasonerResult> ProcessFacts(
-      const std::vector<Atom>& facts);
-
   /// Reasons over externally produced partitions — how the PR_Ran_k
   /// baselines of Figures 7–10 are run (RandomPartitioner output goes
-  /// here). Partitioning time is reported as 0.
+  /// here). Partitioning time is reported as 0. Always cold, also on a
+  /// reuse reasoner: the partitions need not follow the plan, so the
+  /// per-partition incremental engines never see them.
   StatusOr<ParallelReasonerResult> ProcessPartitions(
       const std::vector<std::vector<Triple>>& partitions);
-
-  /// Fact-level variant of ProcessPartitions.
-  StatusOr<ParallelReasonerResult> ProcessFactPartitions(
-      const std::vector<std::vector<Atom>>& partitions);
 
   const PartitioningHandler& partitioning_handler() const { return handler_; }
 
@@ -196,16 +189,9 @@ class ParallelReasoner {
   bool incremental() const { return reasoner_options_.reuse_grounding; }
 
  private:
-  /// A Job over `partitions` whose timer started at `timer`'s start
-  /// (partition_ms stays 0 for externally produced partitions).
-  template <typename Item>
-  Job MakeJob(std::vector<std::vector<Item>> partitions,
-              WallTimer timer = WallTimer()) const;
-
-  /// Reasons every partition of `job`: partitions 1..n-1 on the private
-  /// lane and partition 0 on the caller when there is a pool, all of them
-  /// inline otherwise. Returns once every partition of `job` has run.
-  void RunTasks(Job* job);
+  /// The run body behind Process and ProcessPartitions: reasons every
+  /// partition of `job` (inline without a pool), then Finishes it.
+  StatusOr<ParallelReasonerResult> Run(Job job);
 
   const Program* program_;
   ReasonerOptions reasoner_options_;

@@ -10,14 +10,14 @@ namespace {
 
 /// group(W) of Algorithm 1: indexes of window items, grouped by predicate
 /// signature in first-occurrence order.
-template <typename Item, typename SignatureOf>
 std::vector<std::pair<PredicateSignature, std::vector<size_t>>> GroupWindow(
-    const std::vector<Item>& window, SignatureOf signature_of) {
+    const std::vector<Triple>& window) {
   std::vector<std::pair<PredicateSignature, std::vector<size_t>>> groups;
   std::unordered_map<PredicateSignature, size_t, PredicateSignatureHash>
       group_of;
   for (size_t i = 0; i < window.size(); ++i) {
-    const PredicateSignature sig = signature_of(window[i]);
+    const PredicateSignature sig{window[i].predicate,
+                                 window[i].object.has_value() ? 2u : 1u};
     auto [it, inserted] = group_of.emplace(sig, groups.size());
     if (inserted) {
       groups.emplace_back(sig, std::vector<size_t>{});
@@ -53,13 +53,11 @@ PartitioningHandler::PartitioningHandler(PartitioningPlan plan)
   }
 }
 
-template <typename Item, typename SignatureOf, typename KeyHashOf>
-std::vector<std::vector<Item>> PartitioningHandler::Route(
-    const std::vector<Item>& window, SignatureOf signature_of,
-    KeyHashOf key_hash_of, bool count_strays) const {
+std::vector<std::vector<Triple>> PartitioningHandler::Partition(
+    const std::vector<Triple>& window, bool count_strays) const {
   static const std::vector<int> kStrayCommunities = {0};
-  std::vector<std::vector<Item>> partitions(num_partitions());
-  for (const auto& [signature, indexes] : GroupWindow(window, signature_of)) {
+  std::vector<std::vector<Triple>> partitions(num_partitions());
+  for (const auto& [signature, indexes] : GroupWindow(window)) {
     const std::vector<int>* communities = &plan_.CommunitiesOf(signature);
     if (communities->empty()) {
       if (count_strays) {
@@ -78,33 +76,14 @@ std::vector<std::vector<Item>> PartitioningHandler::Route(
         continue;
       }
       for (size_t i : indexes) {
-        partitions[first + MixKey(key_hash_of(window[i], key)) % buckets]
-            .push_back(window[i]);
+        const Triple& item = window[i];
+        const size_t hash =
+            key == 0 ? item.subject.Hash() : item.object.Hash();
+        partitions[first + MixKey(hash) % buckets].push_back(item);
       }
     }
   }
   return partitions;
-}
-
-std::vector<std::vector<Triple>> PartitioningHandler::Partition(
-    const std::vector<Triple>& window, bool count_strays) const {
-  return Route(
-      window,
-      [](const Triple& t) {
-        return PredicateSignature{t.predicate, t.object.has_value() ? 2u : 1u};
-      },
-      [](const Triple& t, int key) {
-        return key == 0 ? t.subject.Hash() : t.object.Hash();
-      },
-      count_strays);
-}
-
-std::vector<std::vector<Atom>> PartitioningHandler::PartitionFacts(
-    const std::vector<Atom>& window) const {
-  return Route(
-      window, [](const Atom& a) { return a.signature(); },
-      [](const Atom& a, int key) { return a.args()[key].Hash(); },
-      /*count_strays=*/true);
 }
 
 }  // namespace streamasp

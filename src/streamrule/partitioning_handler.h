@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "asp/atom.h"
 #include "depgraph/partitioning_plan.h"
 #include "stream/triple.h"
 
@@ -24,9 +23,8 @@ namespace streamasp {
 /// plan.BucketsOf(c) consecutive partitions, in community order. Within
 /// a split community an item of a keyed predicate goes to the bucket its
 /// key argument hashes to, and an item of a replicated predicate is
-/// copied to every bucket. An item's argument 0 is a triple's subject
-/// and argument 1 its object; a fact's are its atom arguments, so a fact
-/// window routes exactly like the equal triple window. A plan without
+/// copied to every bucket. An item's argument 0 is its subject and
+/// argument 1 its object, as in the fact it converts to. A plan without
 /// split communities is the plain per-group routing above, with no
 /// per-item key computation.
 ///
@@ -50,10 +48,6 @@ class PartitioningHandler {
   std::vector<std::vector<Triple>> Partition(
       const std::vector<Triple>& window, bool count_strays = true) const;
 
-  /// The same routing for a window already converted to ASP facts.
-  std::vector<std::vector<Atom>> PartitionFacts(
-      const std::vector<Atom>& window) const;
-
   const PartitioningPlan& plan() const { return plan_; }
 
   /// Entries Partition returns: the plan's summed bucket counts (one per
@@ -67,12 +61,6 @@ class PartitioningHandler {
   }
 
  private:
-  template <typename Item, typename SignatureOf, typename KeyHashOf>
-  std::vector<std::vector<Item>> Route(const std::vector<Item>& window,
-                                       SignatureOf signature_of,
-                                       KeyHashOf key_hash_of,
-                                       bool count_strays) const;
-
   PartitioningPlan plan_;
   /// Community c's partitions are [first_partition_[c],
   /// first_partition_[c + 1]); a plan without communities still has the

@@ -23,6 +23,10 @@ StatusOr<std::unique_ptr<StreamRulePipeline>> StreamRulePipeline::Create(
   }
   STREAMASP_RETURN_IF_ERROR(ValidatePipelineOptions(options));
   STREAMASP_RETURN_IF_ERROR(program->Validate());
+  // Every window arrives as triples: refuse input predicates they cannot
+  // carry (arity outside 1-2, or one name at two arities).
+  STREAMASP_RETURN_IF_ERROR(DataFormatProcessor().DeclareInputPredicates(
+      program->input_predicates()));
 
   PartitioningPlan plan(1);
   DecompositionInfo info;

@@ -79,7 +79,7 @@ struct PipelineOptions {
   /// DRR weight of this pipeline's lane on shared_pool (>= 1): the share
   /// of dispatch slots it receives while contending with other lanes.
   /// Each lane task costs one DRR credit, so a window costs one credit per
-  /// partition.
+  /// partition, and one more under reuse (its own task only splits).
   size_t pool_weight = 1;
 
   /// Cap on this pipeline's concurrently running lane tasks (windows and
@@ -270,8 +270,9 @@ class StreamRulePipeline {
   /// modes — they never propagate out of Push — so an ordered consumer
   /// sees exactly one event per emitted window. The handler may steal the
   /// event's window (it is discarded right after the handler returns).
-  /// Fails on a null handler, when the program is invalid or declares no
-  /// usable input predicates, or when the options are inconsistent
+  /// Fails on a null handler, when the program is invalid, declares no
+  /// usable input predicates or one triples cannot carry (arity outside
+  /// 1-2, one name at two arities), or when the options are inconsistent
   /// (streamrule/validate.h).
   static StatusOr<std::unique_ptr<StreamRulePipeline>> Create(
       const Program* program, PipelineOptions options,

@@ -16,13 +16,4 @@ std::vector<std::vector<Triple>> RandomPartitioner::Partition(
   return partitions;
 }
 
-std::vector<std::vector<Atom>> RandomPartitioner::PartitionFacts(
-    const std::vector<Atom>& window) {
-  std::vector<std::vector<Atom>> partitions(k_);
-  for (const Atom& item : window) {
-    partitions[rng_.NextBounded(k_)].push_back(item);
-  }
-  return partitions;
-}
-
 }  // namespace streamasp

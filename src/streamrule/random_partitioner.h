@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "asp/atom.h"
 #include "stream/triple.h"
 #include "util/rng.h"
 
@@ -24,9 +23,6 @@ class RandomPartitioner {
 
   std::vector<std::vector<Triple>> Partition(
       const std::vector<Triple>& window);
-
-  std::vector<std::vector<Atom>> PartitionFacts(
-      const std::vector<Atom>& window);
 
   size_t k() const { return k_; }
 

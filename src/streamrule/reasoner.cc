@@ -12,8 +12,8 @@ Reasoner::Reasoner(const Program* program, ReasonerOptions options)
   const Status status =
       format_.DeclareInputPredicates(program_->input_predicates());
   if (!status.ok()) {
-    // Input predicates with arity > 2 cannot arrive as triples; such
-    // programs can still be used via ProcessFacts.
+    // An input predicate triples cannot carry (StreamRulePipeline::Create
+    // refuses such programs): its items fail conversion.
     STREAMASP_LOG(kWarning) << "data format processor: " << status;
   }
 }
@@ -21,6 +21,15 @@ Reasoner::Reasoner(const Program* program, ReasonerOptions options)
 StatusOr<ReasonerResult> Reasoner::Process(
     const TripleWindow& window, IncrementalGrounder* grounder,
     IncrementalSolver* solver) const {
+  if (grounder != nullptr && solver == nullptr &&
+      !grounder->assembles_output()) {
+    // The cold tail would silently solve the never-assembled (stale or
+    // empty) output program; fail loudly instead.
+    return InvalidArgumentError(
+        "grounder has assemble_output=false but no IncrementalSolver was "
+        "supplied; pair the engines or enable output assembly");
+  }
+  ReasonerResult result;
   WallTimer total;
   WallTimer phase;
   STREAMASP_ASSIGN_OR_RETURN(std::vector<Atom> facts,
@@ -43,37 +52,9 @@ StatusOr<ReasonerResult> Reasoner::Process(
                                format_.ToFacts(window.admitted));
     delta_ptr = &delta;
   }
-  const double convert_ms = phase.ElapsedMillis();
+  result.convert_ms = phase.ElapsedMillis();
 
-  STREAMASP_ASSIGN_OR_RETURN(
-      ReasonerResult result,
-      Reason(window.sequence, facts, delta_ptr, grounder, solver));
-  result.convert_ms = convert_ms;
-  result.latency_ms = total.ElapsedMillis();
-  return result;
-}
-
-StatusOr<ReasonerResult> Reasoner::ProcessFacts(
-    const std::vector<Atom>& facts) const {
-  return Reason(0, facts, nullptr, nullptr, nullptr);
-}
-
-StatusOr<ReasonerResult> Reasoner::Reason(
-    uint64_t sequence, const std::vector<Atom>& facts,
-    const IncrementalGrounder::FactDelta* delta,
-    IncrementalGrounder* grounder, IncrementalSolver* solver) const {
-  if (grounder != nullptr && solver == nullptr &&
-      !grounder->assembles_output()) {
-    // The cold tail would silently solve the never-assembled (stale or
-    // empty) output program; fail loudly instead.
-    return InvalidArgumentError(
-        "grounder has assemble_output=false but no IncrementalSolver was "
-        "supplied; pair the engines or enable output assembly");
-  }
-  ReasonerResult result;
-  WallTimer total;
-
-  WallTimer phase;
+  phase.Restart();
   GroundProgram cold;
   const GroundProgram* ground = &cold;
   if (grounder == nullptr) {
@@ -82,14 +63,14 @@ StatusOr<ReasonerResult> Reasoner::Reason(
                   .Ground(*program_, facts, &result.grounding));
   } else {
     STREAMASP_ASSIGN_OR_RETURN(
-        ground,
-        grounder->GroundWindow(sequence, facts, delta, &result.grounding));
+        ground, grounder->GroundWindow(window.sequence, facts, delta_ptr,
+                                       &result.grounding));
   }
   result.ground_ms = phase.ElapsedMillis();
 
   if (grounder != nullptr && solver != nullptr) {
     STREAMASP_RETURN_IF_ERROR(
-        SolveIncremental(sequence, facts, grounder, solver, &result));
+        SolveIncremental(window.sequence, facts, grounder, solver, &result));
   } else {
     STREAMASP_RETURN_IF_ERROR(SolveGround(*ground, &result));
   }

@@ -92,22 +92,9 @@ class Reasoner {
                                    IncrementalGrounder* grounder = nullptr,
                                    IncrementalSolver* solver = nullptr) const;
 
-  /// Cold pipeline when the caller already has ASP facts.
-  StatusOr<ReasonerResult> ProcessFacts(const std::vector<Atom>& facts) const;
-
   const Program& program() const { return *program_; }
 
  private:
-  /// The one reasoning body: grounds `facts` (window `sequence`) from
-  /// scratch when `grounder` is null, else through it with `delta` as the
-  /// diff hint, then solves cold or, when both engines are given, through
-  /// `solver`.
-  StatusOr<ReasonerResult> Reason(uint64_t sequence,
-                                  const std::vector<Atom>& facts,
-                                  const IncrementalGrounder::FactDelta* delta,
-                                  IncrementalGrounder* grounder,
-                                  IncrementalSolver* solver) const;
-
   /// Cold solve + answer-extraction tail.
   Status SolveGround(const GroundProgram& ground, ReasonerResult* result) const;
 

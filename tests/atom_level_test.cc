@@ -1,7 +1,7 @@
 // Atom-level dependency analysis (paper §VI future work): key-position
 // inference, demotion to replicated, the bucket counts it writes into the
 // plan, the locality rules that keep a community whole (each checked
-// end to end against the unbucketed plan), key routing of fact windows,
+// end to end against the unbucketed plan), key routing of triple windows,
 // and end-to-end accuracy of the bucketed parallel reasoner.
 
 #include <string>
@@ -12,12 +12,12 @@
 #include "asp/parser.h"
 #include "depgraph/atom_level.h"
 #include "depgraph/decomposition.h"
-#include "stream/format.h"
 #include "stream/generator.h"
 #include "streamrule/accuracy.h"
 #include "streamrule/answer.h"
 #include "streamrule/parallel_reasoner.h"
 #include "streamrule/traffic_workload.h"
+#include "triple_test_util.h"
 
 namespace streamasp {
 namespace {
@@ -46,15 +46,15 @@ class AtomLevelTest : public ::testing::Test {
     return SplitIntoBuckets(program, CommunityPlan(program), max_buckets);
   }
 
-  /// The answers of `facts` through ParallelReasoner at `num_shards`,
-  /// rendered one answer set per line.
+  /// The answers of the window carrying `facts` through ParallelReasoner
+  /// at `num_shards`, rendered one answer set per line.
   std::string Answers(const Program& program, const PartitioningPlan& plan,
                       const std::vector<Atom>& facts, size_t num_shards) {
     ParallelReasonerOptions options;
     options.num_shards = num_shards;
     options.num_threads = 1;
     ParallelReasoner pr(&program, plan, options);
-    StatusOr<ParallelReasonerResult> result = pr.ProcessFacts(facts);
+    StatusOr<ParallelReasonerResult> result = pr.Process(WindowOf(facts));
     EXPECT_TRUE(result.ok()) << result.status();
     if (!result.ok()) return "";
     std::string rendered;
@@ -312,41 +312,37 @@ TEST_F(AtomLevelTest, RoutingRespectsKeysAndReplication) {
   const Atom p5(symbols_->Intern("p"), {Term::Integer(5), Term::Integer(1)});
   const Atom q5(symbols_->Intern("q"), {Term::Integer(5), Term::Integer(9)});
   const Atom p5b(symbols_->Intern("p"), {Term::Integer(5), Term::Integer(7)});
-  const auto partitions = handler.PartitionFacts({p5, q5, p5b});
+  const auto partitions = handler.Partition(WindowOf({p5, q5, p5b}).items);
   size_t holders = 0;
-  for (const std::vector<Atom>& partition : partitions) {
+  for (const std::vector<Triple>& partition : partitions) {
     if (partition.empty()) continue;
     ++holders;
-    EXPECT_EQ(partition, (std::vector<Atom>{p5, p5b, q5}));
+    EXPECT_EQ(partition, WindowOf({p5, p5b, q5}).items);
   }
   EXPECT_EQ(holders, 1u);
 }
 
-TEST_F(AtomLevelTest, FactWindowCoversWithoutCopies) {
+TEST_F(AtomLevelTest, TripleWindowCoversWithoutCopies) {
   const Program program = Traffic(TrafficProgramVariant::kP);
   const PartitioningHandler handler(BuildPlan(program, /*max_buckets=*/3));
 
   SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols_), {});
-  DataFormatProcessor format;
-  ASSERT_TRUE(format.DeclareInputPredicates(program.input_predicates()).ok());
-  StatusOr<std::vector<Atom>> facts =
-      format.ToFacts(generator.GenerateWindow(3000));
-  ASSERT_TRUE(facts.ok());
+  const std::vector<Triple> window = generator.GenerateWindow(3000);
 
-  const auto partitions = handler.PartitionFacts(*facts);
+  const auto partitions = handler.Partition(window);
   ASSERT_EQ(partitions.size(), 6u);  // 2 communities x 3 buckets.
   size_t total = 0;
   for (const auto& p : partitions) total += p.size();
   // All of P's input predicates are keyed: no replication, exact cover.
-  EXPECT_EQ(total, facts->size());
+  EXPECT_EQ(total, window.size());
 }
 
 TEST_F(AtomLevelTest, EndToEndAccuracyStaysOne) {
-  // P and P′ through ParallelReasoner with num_shards = 2, over fact
-  // windows: accuracy 1.0 against whole-window R. P′'s r7 joins car_fire
-  // (derived in the car C's bucket) with many_cars, which depends only on
-  // car_number — duplicated by the plan, so copied to every bucket — and
-  // is therefore available in every bucket: both communities split.
+  // P and P′ through ParallelReasoner with num_shards = 2: accuracy 1.0
+  // against whole-window R. P′'s r7 joins car_fire (derived in the car
+  // C's bucket) with many_cars, which depends only on car_number —
+  // duplicated by the plan, so copied to every bucket — and is therefore
+  // available in every bucket: both communities split.
   for (const TrafficProgramVariant variant :
        {TrafficProgramVariant::kP, TrafficProgramVariant::kPPrime}) {
     const bool pprime = variant == TrafficProgramVariant::kPPrime;
@@ -356,11 +352,6 @@ TEST_F(AtomLevelTest, EndToEndAccuracyStaysOne) {
     SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols_), {});
     const TripleWindow window =
         generator.GenerateTripleWindow(pprime ? 5000 : 6000);
-    DataFormatProcessor format;
-    ASSERT_TRUE(
-        format.DeclareInputPredicates(program.input_predicates()).ok());
-    StatusOr<std::vector<Atom>> facts = format.ToFacts(window.items);
-    ASSERT_TRUE(facts.ok());
 
     Reasoner r(&program);
     StatusOr<ReasonerResult> reference = r.Process(window);
@@ -372,7 +363,7 @@ TEST_F(AtomLevelTest, EndToEndAccuracyStaysOne) {
     ParallelReasonerOptions options;
     options.num_shards = 2;
     ParallelReasoner pr(&program, CommunityPlan(program), options);
-    StatusOr<ParallelReasonerResult> result = pr.ProcessFacts(*facts);
+    StatusOr<ParallelReasonerResult> result = pr.Process(window);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->num_partitions, 4u);
     EXPECT_DOUBLE_EQ(MeanAccuracy(result->answers, reference->answers), 1.0);

@@ -159,10 +159,10 @@ TEST_F(EngineTest, UnifiedStatsUnsharded) {
   (*engine)->Flush();
   const EngineStats stats = (*engine)->stats();
   EXPECT_EQ(stats.num_shards, 0u);
-  EXPECT_EQ(stats.delivered_windows, events);
-  EXPECT_EQ(stats.delivered_windows, 3u);  // 400 + 400 + flushed 200.
+  EXPECT_EQ(stats.reasoning.windows, events);
+  EXPECT_EQ(stats.reasoning.windows, 3u);  // 400 + 400 + flushed 200.
   EXPECT_EQ(stats.reasoning.items, 1000u);
-  EXPECT_EQ(stats.delivery_errors, 0u);
+  EXPECT_EQ(stats.reasoning.errors, 0u);
   EXPECT_EQ(stats.accounted_windows(), 3u);
   EXPECT_EQ(stats.completeness(), 1.0);
 }
@@ -185,14 +185,14 @@ TEST_F(EngineTest, UnifiedStatsSharded) {
   (*engine)->Flush();
   const EngineStats stats = (*engine)->stats();
   EXPECT_EQ(stats.num_shards, 2u);
-  EXPECT_EQ(stats.delivered_windows, events);
-  EXPECT_EQ(stats.delivered_windows, 3u);  // Windows are not split.
+  EXPECT_EQ(stats.reasoning.windows, events);
+  EXPECT_EQ(stats.reasoning.windows, 3u);  // Windows are not split.
   EXPECT_EQ(stats.reasoning.items, 1000u);
   // The P' plan duplicates car_number across communities, and the
   // handler copies it into every bucket of both: the partitions hold
   // more items than the windows.
   EXPECT_GT(partition_items, 1000u);
-  EXPECT_EQ(stats.delivery_errors, 0u);
+  EXPECT_EQ(stats.reasoning.errors, 0u);
   EXPECT_EQ(stats.accounted_windows(), 3u);
   EXPECT_EQ(stats.completeness(), 1.0);
 }

@@ -20,6 +20,7 @@
 #include "streamrule/pipeline.h"
 #include "streamrule/random_partitioner.h"
 #include "streamrule/traffic_workload.h"
+#include "triple_test_util.h"
 
 // Allocation fault injection for this binary: while g_poison_bytes is
 // non-zero, the first allocation of exactly that many bytes (on any
@@ -84,7 +85,7 @@ TEST_F(FailureInjectionTest, InconsistentWindowYieldsNoAnswers) {
   ASSERT_TRUE(program.ok());
   Reasoner reasoner(&*program);
   StatusOr<ReasonerResult> result =
-      reasoner.ProcessFacts({A("reading(s1, 500)")});
+      reasoner.Process(WindowOf({A("reading(s1, 500)")}));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->answers.empty());
 }
@@ -103,7 +104,7 @@ TEST_F(FailureInjectionTest, OneInconsistentPartitionPoisonsTheCombination) {
   plan.Assign(PredicateSignature{symbols_->Intern("bad"), 1}, 1);
   ParallelReasoner pr(&*program, plan);
   StatusOr<ParallelReasonerResult> result =
-      pr.ProcessFacts({A("good(1)"), A("bad(2)")});
+      pr.Process(WindowOf({A("good(1)"), A("bad(2)")}));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->answers.empty());
   // Against a reference with answers, accuracy collapses to 0.
@@ -122,19 +123,32 @@ TEST_F(FailureInjectionTest, UndeclaredStreamPredicateFailsConversion) {
             StatusCode::kInvalidArgument);
 }
 
-TEST_F(FailureInjectionTest, ProcessFactsBypassesTripleArityLimit) {
-  // Arity-3 input predicates cannot travel as triples but work as facts.
-  StatusOr<Program> program = parser_.ParseProgram(R"(
-    #input gps/3.
-    seen(V) :- gps(V, X, Y), X > 0, Y > 0.
-  )");
-  ASSERT_TRUE(program.ok());
-  Reasoner reasoner(&*program);
-  StatusOr<ReasonerResult> result =
-      reasoner.ProcessFacts({A("gps(car1, 3, 4)")});
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->answers.size(), 1u);
-  EXPECT_EQ(result->answers[0].size(), 2u);  // gps fact + seen(car1).
+TEST_F(FailureInjectionTest, InputsTriplesCannotCarryAreRefusedAtCreate) {
+  // A triple carries a subject and at most an object, and its predicate
+  // name alone fixes the fact's arity: an arity-3 input, or one name at
+  // two arities, could never be fed. Create refuses both up front
+  // instead of building an engine whose windows all fail conversion.
+  for (const char* text : {
+           R"(#input gps/3, speed/2.
+              seen(V) :- gps(V, X, Y), X > 0, Y > 0.
+              fast(V) :- speed(V, S), S > 90.)",
+           R"(#input speed/1, speed/2.
+              moving(V) :- speed(V).
+              fast(V) :- speed(V, S), S > 90.)"}) {
+    SCOPED_TRACE(text);
+    StatusOr<Program> program = parser_.ParseProgram(text);
+    ASSERT_TRUE(program.ok()) << program.status();
+    ASSERT_TRUE(program->Validate().ok());
+    for (const bool async : {false, true}) {
+      PipelineOptions options;
+      options.async = async;
+      StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
+          StreamRulePipeline::Create(&*program, options,
+                                     [](EmissionEvent&) {});
+      EXPECT_EQ(pipeline.status().code(), StatusCode::kInvalidArgument)
+          << "async=" << async;
+    }
+  }
 }
 
 TEST_F(FailureInjectionTest, SolverDecisionLimitSurfacesThroughReasoner) {
@@ -151,7 +165,7 @@ TEST_F(FailureInjectionTest, SolverDecisionLimitSurfacesThroughReasoner) {
   for (int i = 0; i < 10; ++i) {
     window.push_back(A("seed(" + std::to_string(i) + ")"));
   }
-  EXPECT_EQ(reasoner.ProcessFacts(window).status().code(),
+  EXPECT_EQ(reasoner.Process(WindowOf(window)).status().code(),
             StatusCode::kResourceExhausted);
 }
 
@@ -165,7 +179,7 @@ TEST_F(FailureInjectionTest, GrounderRuleLimitSurfacesThroughReasoner) {
   ReasonerOptions options;
   options.grounding.max_ground_rules = 50;
   Reasoner reasoner(&*program, options);
-  EXPECT_EQ(reasoner.ProcessFacts({A("n(0)")}).status().code(),
+  EXPECT_EQ(reasoner.Process(WindowOf({A("n(0)")})).status().code(),
             StatusCode::kResourceExhausted);
 }
 
@@ -191,7 +205,7 @@ TEST_F(FailureInjectionTest, ManyAnswerSetsHitCombiningCap) {
     window.push_back(A("l(" + std::to_string(i) + ")"));
     window.push_back(A("r(" + std::to_string(100 + i) + ")"));
   }
-  StatusOr<ParallelReasonerResult> result = pr.ProcessFacts(window);
+  StatusOr<ParallelReasonerResult> result = pr.Process(WindowOf(window));
   ASSERT_TRUE(result.ok());
   EXPECT_LE(result->answers.size(), 32u);
   EXPECT_GT(result->answers.size(), 0u);
@@ -207,8 +221,8 @@ TEST_F(FailureInjectionTest, EmptyPartitionsAreHarmless) {
   ParallelReasoner pr(&*program, *plan);
   // A window with only location-family items: the car-fire partition is
   // empty but must still produce its (empty-window) answer.
-  StatusOr<ParallelReasonerResult> result = pr.ProcessFacts(
-      {A("average_speed(9, 10)"), A("car_number(9, 50)")});
+  StatusOr<ParallelReasonerResult> result = pr.Process(
+      WindowOf({A("average_speed(9, 10)"), A("car_number(9, 50)")}));
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->answers.size(), 1u);
   // traffic_jam(9) derived despite one partition being empty.
@@ -221,7 +235,7 @@ TEST_F(FailureInjectionTest, EmptyPartitionsAreHarmless) {
 
 TEST_F(FailureInjectionTest, RandomPartitionOfEmptyWindow) {
   RandomPartitioner partitioner(3, 1);
-  const auto partitions = partitioner.PartitionFacts({});
+  const auto partitions = partitioner.Partition({});
   ASSERT_EQ(partitions.size(), 3u);
   for (const auto& p : partitions) EXPECT_TRUE(p.empty());
 }
@@ -241,7 +255,7 @@ TEST_F(FailureInjectionTest, NonDeterministicPartitionsCrossProduct) {
   plan.Assign(PredicateSignature{symbols_->Intern("r"), 1}, 1);
   ParallelReasoner pr(&*program, plan);
   StatusOr<ParallelReasonerResult> result =
-      pr.ProcessFacts({A("l(1)"), A("r(2)")});
+      pr.Process(WindowOf({A("l(1)"), A("r(2)")}));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->answers.size(), 4u);
 }

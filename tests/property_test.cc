@@ -24,6 +24,7 @@
 #include "streamrule/partitioning_handler.h"
 #include "streamrule/pipeline.h"
 #include "streamrule/random_partitioner.h"
+#include "triple_test_util.h"
 #include "util/rng.h"
 
 namespace streamasp {
@@ -180,7 +181,7 @@ TEST_P(PartitioningPropertyTest, PlanPartitionCoversAndRespectsPlan) {
         static_cast<int64_t>(rng.NextBounded(100)))}));
   }
 
-  const auto partitions = handler.PartitionFacts(window);
+  const auto partitions = handler.Partition(WindowOf(window).items);
   ASSERT_EQ(partitions.size(), static_cast<size_t>(num_communities));
 
   // (1) Every window item appears in exactly the communities of its
@@ -193,9 +194,9 @@ TEST_P(PartitioningPropertyTest, PlanPartitionCoversAndRespectsPlan) {
   size_t actual_total = 0;
   for (int c = 0; c < num_communities; ++c) {
     actual_total += partitions[c].size();
-    for (const Atom& item : partitions[c]) {
+    for (const Triple& item : partitions[c]) {
       const std::vector<int>& communities =
-          plan.CommunitiesOf(item.signature());
+          plan.CommunitiesOf(PredicateSignature{item.predicate, 1});
       EXPECT_TRUE(std::binary_search(communities.begin(), communities.end(),
                                      c))
           << "atom routed to a community its predicate is not mapped to";
@@ -216,14 +217,16 @@ TEST_P(PartitioningPropertyTest, RandomPartitionIsAPartition) {
   }
   const size_t k = 1 + rng.NextBounded(6);
   RandomPartitioner partitioner(k, GetParam());
-  const auto partitions = partitioner.PartitionFacts(window);
+  const auto partitions = partitioner.Partition(WindowOf(window).items);
   ASSERT_EQ(partitions.size(), k);
 
   // Disjoint cover: every item in exactly one partition, order preserved
   // within partitions.
   std::vector<Atom> reassembled;
   for (const auto& partition : partitions) {
-    reassembled.insert(reassembled.end(), partition.begin(), partition.end());
+    for (const Triple& t : partition) {
+      reassembled.push_back(Atom(t.predicate, {t.subject.ToTerm()}));
+    }
   }
   EXPECT_EQ(reassembled.size(), window.size());
   std::sort(reassembled.begin(), reassembled.end());
@@ -248,8 +251,7 @@ uint64_t ExpectedBucketKey(size_t term_hash) {
 /// — in each of its communities (community 0 for strays), the bucket its
 /// key argument picks when the community is split and the predicate is
 /// keyed (argument 0 the subject, 1 the object), and every bucket of the
-/// community otherwise. A fact window routes exactly as the equal triple
-/// window, and, because routing is per item, a sliding window's
+/// community otherwise. Because routing is per item, a sliding window's
 /// per-partition expired/admitted lists are exactly the delta of each
 /// partition's sub-stream.
 TEST_P(PartitioningPropertyTest, BucketSplitRoutesByTheRuleAndSplitsDeltas) {
@@ -336,20 +338,6 @@ TEST_P(PartitioningPropertyTest, BucketSplitRoutesByTheRuleAndSplitsDeltas) {
     std::multiset<size_t> got;
     for (const Triple& t : partitions[p]) got.insert(position(t));
     EXPECT_EQ(got, want[p]) << "partition " << p;
-  }
-
-  // Facts route like the equal triples, item for item and in order.
-  auto fact_of = [](const Triple& t) {
-    return Atom(t.predicate, {t.subject.ToTerm(), t.object.ToTerm()});
-  };
-  std::vector<Atom> facts;
-  for (const Triple& t : stream) facts.push_back(fact_of(t));
-  const auto fact_partitions = handler.PartitionFacts(facts);
-  ASSERT_EQ(fact_partitions.size(), num_partitions);
-  for (size_t p = 0; p < num_partitions; ++p) {
-    std::vector<Atom> want_facts;
-    for (const Triple& t : partitions[p]) want_facts.push_back(fact_of(t));
-    EXPECT_EQ(fact_partitions[p], want_facts) << "partition " << p;
   }
 
   // Sliding: partition k's items == partition k-1's items − its

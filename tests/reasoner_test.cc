@@ -12,6 +12,7 @@
 #include "streamrule/parallel_reasoner.h"
 #include "streamrule/random_partitioner.h"
 #include "streamrule/traffic_workload.h"
+#include "triple_test_util.h"
 
 namespace streamasp {
 namespace {
@@ -59,7 +60,7 @@ TEST_F(ReasonerTest, PaperExampleGroundTruth) {
       MakeTrafficProgram(symbols_, TrafficProgramVariant::kP, false);
   ASSERT_TRUE(program.ok());
   Reasoner reasoner(&*program);
-  StatusOr<ReasonerResult> result = reasoner.ProcessFacts(PaperWindow());
+  StatusOr<ReasonerResult> result = reasoner.Process(WindowOf(PaperWindow()));
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->answers.size(), 1u);
   const GroundAnswer& answer = result->answers[0];
@@ -83,14 +84,13 @@ TEST_F(ReasonerTest, PaperBadRandomSplitProducesWrongEvent) {
       MakeTrafficProgram(symbols_, TrafficProgramVariant::kP, false);
   ASSERT_TRUE(program.ok());
   const std::vector<Atom> window = PaperWindow();
-  const std::vector<std::vector<Atom>> bad_split = {
-      {window[0], window[1], window[3]},
-      {window[2], window[4], window[5]}};
+  const std::vector<std::vector<Triple>> bad_split = {
+      WindowOf({window[0], window[1], window[3]}).items,
+      WindowOf({window[2], window[4], window[5]}).items};
 
   PartitioningPlan trivial(1);
   ParallelReasoner pr(&*program, trivial);
-  StatusOr<ParallelReasonerResult> result =
-      pr.ProcessFactPartitions(bad_split);
+  StatusOr<ParallelReasonerResult> result = pr.ProcessPartitions(bad_split);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->answers.size(), 1u);
   EXPECT_TRUE(
@@ -112,8 +112,8 @@ TEST_F(ReasonerTest, DependencyPartitioningMatchesWholeWindow) {
 
   Reasoner r(&*program);
   ParallelReasoner pr(&*program, *plan);
-  StatusOr<ReasonerResult> whole = r.ProcessFacts(PaperWindow());
-  StatusOr<ParallelReasonerResult> split = pr.ProcessFacts(PaperWindow());
+  StatusOr<ReasonerResult> whole = r.Process(WindowOf(PaperWindow()));
+  StatusOr<ParallelReasonerResult> split = pr.Process(WindowOf(PaperWindow()));
   ASSERT_TRUE(whole.ok());
   ASSERT_TRUE(split.ok());
   EXPECT_DOUBLE_EQ(MeanAccuracy(split->answers, whole->answers), 1.0);
@@ -129,7 +129,7 @@ TEST_F(ReasonerTest, ShowProjectionFiltersAnswers) {
       MakeTrafficProgram(symbols_, TrafficProgramVariant::kP, true);
   ASSERT_TRUE(program.ok());
   Reasoner reasoner(&*program);
-  StatusOr<ReasonerResult> result = reasoner.ProcessFacts(PaperWindow());
+  StatusOr<ReasonerResult> result = reasoner.Process(WindowOf(PaperWindow()));
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->answers.size(), 1u);
   // Only the three shown event predicates survive.
@@ -149,7 +149,7 @@ TEST_F(ReasonerTest, ProjectionCanBeDisabled) {
   ReasonerOptions options;
   options.project_to_shown = false;
   Reasoner reasoner(&*program, options);
-  StatusOr<ReasonerResult> result = reasoner.ProcessFacts(PaperWindow());
+  StatusOr<ReasonerResult> result = reasoner.Process(WindowOf(PaperWindow()));
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->answers[0].size(), 2u);
 }
@@ -214,8 +214,8 @@ TEST_F(ReasonerTest, PPrimeRule7FiresThroughDuplicatedPredicate) {
       A("car_location(car1, dangan)"), A("car_number(dangan, 50)")};
   Reasoner r(&*program);
   ParallelReasoner pr(&*program, *plan);
-  StatusOr<ReasonerResult> whole = r.ProcessFacts(window);
-  StatusOr<ParallelReasonerResult> split = pr.ProcessFacts(window);
+  StatusOr<ReasonerResult> whole = r.Process(WindowOf(window));
+  StatusOr<ParallelReasonerResult> split = pr.Process(WindowOf(window));
   ASSERT_TRUE(whole.ok());
   ASSERT_TRUE(split.ok());
   ASSERT_EQ(whole->answers.size(), 1u);
@@ -230,7 +230,7 @@ TEST_F(ReasonerTest, EmptyWindowYieldsEmptyAnswer) {
       MakeTrafficProgram(symbols_, TrafficProgramVariant::kP, false);
   ASSERT_TRUE(program.ok());
   Reasoner reasoner(&*program);
-  StatusOr<ReasonerResult> result = reasoner.ProcessFacts({});
+  StatusOr<ReasonerResult> result = reasoner.Process(TripleWindow());
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->answers.size(), 1u);
   EXPECT_TRUE(result->answers[0].empty());
@@ -244,7 +244,7 @@ TEST_F(ReasonerTest, ParallelReasonerReportsPerPartitionLatency) {
       InputDependencyGraph::Build(*program);
   StatusOr<PartitioningPlan> plan = DecomposeInputDependencyGraph(*graph);
   ParallelReasoner pr(&*program, *plan);
-  StatusOr<ParallelReasonerResult> result = pr.ProcessFacts(PaperWindow());
+  StatusOr<ParallelReasonerResult> result = pr.Process(WindowOf(PaperWindow()));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->partition_latency_ms.size(), 2u);
   double slowest = 0;
@@ -288,7 +288,8 @@ TEST_F(ReasonerTest, CriticalPathIncludesPartitioningTime) {
 // Process fans partitions 1..n-1 out on the reasoner's private pool and
 // reasons partition 0 on the caller; ProcessPartitions (the PR_Ran_k
 // path) does the same over externally produced partitions. The pool's
-// size must never change an answer.
+// size must never change an answer, and neither may reuse, which
+// external partitions bypass.
 TEST_F(ReasonerTest, PrivatePoolThreadCountNeverChangesAnswers) {
   for (const TrafficProgramVariant variant :
        {TrafficProgramVariant::kP, TrafficProgramVariant::kPPrime}) {
@@ -330,6 +331,28 @@ TEST_F(ReasonerTest, PrivatePoolThreadCountNeverChangesAnswers) {
         EXPECT_EQ(Render(*dependency), want_dependency);
         EXPECT_EQ(Render(*ran), want_random);
       }
+    }
+
+    // A reuse reasoner reasons external partitions cold: its
+    // per-partition engines follow the plan's 2 partitions, never these 5.
+    ParallelReasonerOptions reuse;
+    reuse.reasoner.solving.reuse_solving = true;
+    ParallelReasoner cold(&*program, *plan);
+    ParallelReasoner warm(&*program, *plan, reuse);
+    ASSERT_EQ(warm.partitioning_handler().num_partitions(), 2u);
+    const std::vector<std::vector<Triple>> five =
+        RandomPartitioner(5, /*seed=*/5).Partition(window.items);
+    StatusOr<ParallelReasonerResult> want = cold.ProcessPartitions(five);
+    ASSERT_TRUE(want.ok()) << want.status();
+    for (int round = 0; round < 2; ++round) {
+      StatusOr<ParallelReasonerResult> got = warm.ProcessPartitions(five);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->num_partitions, 5u);
+      EXPECT_EQ(Render(*got), Render(*want));
+      EXPECT_EQ(got->grounding.incremental_windows, 0u);
+      EXPECT_EQ(got->grounding.incremental_fallbacks, 0u);
+      EXPECT_EQ(got->solving.incremental_solve_windows, 0u);
+      EXPECT_EQ(got->solving.solve_rebuilds, 0u);
     }
   }
 }

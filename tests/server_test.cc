@@ -22,6 +22,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "asp/parser.h"
@@ -593,7 +594,7 @@ TEST_F(SessionTest, FlushIsALiveBarrier) {
   EXPECT_EQ(stats.pushed_batches, 2u);
   EXPECT_EQ(stats.pushed_items, 1200u);
   EXPECT_EQ(stats.result_events, 4u);
-  EXPECT_EQ(stats.engine.delivered_windows, 4u);
+  EXPECT_EQ(stats.engine.reasoning.windows, 4u);
   EXPECT_EQ(stats.engine.completeness(), 1.0);
   (*session)->Close();
 }
@@ -1156,9 +1157,9 @@ TEST(SharedPoolServerTest, SaturatingTenantCannotStarveWeightedTenant) {
   server.CloseAll();
 
   EXPECT_GT(greedy_mid.engine.reasoning.enqueued_windows,
-            greedy_mid.engine.delivered_windows)
+            greedy_mid.engine.reasoning.windows)
       << "greedy tenant never built a backlog — the pool was not contended";
-  EXPECT_GT(greedy_mid.engine.delivered_windows, 0u)
+  EXPECT_GT(greedy_mid.engine.reasoning.windows, 0u)
       << "weight-1 tenant was fully starved";
 
   // p99 (== max over 12 rounds) stays under a deliberately generous
@@ -1431,7 +1432,7 @@ TEST_F(SessionTest, QuotaShedsWindowsBeyondMaxQueuedAndAccountsThem) {
   EXPECT_GT(shed_events, 0u) << "quota never triggered";
   EXPECT_EQ(stats.shed_events, shed_events);
   EXPECT_EQ(stats.result_events, result_events);
-  EXPECT_EQ(stats.engine.delivered_windows, result_events);
+  EXPECT_EQ(stats.engine.reasoning.windows, result_events);
   EXPECT_LT(stats.engine.completeness(), 1.0);
   EXPECT_GT(stats.engine.completeness(), 0.0);
 }
@@ -1574,16 +1575,26 @@ TEST(TransportTest, OverCapOpenOptionsAreRejectedAndTheServerSurvives) {
   connection->Receive(
       [&collector](std::string payload) { collector.Handle(std::move(payload)); });
 
-  // Each of these would size memory or threads before the first push:
+  // Each option would size memory or threads before the first push, and
+  // a program with inputs no triple can carry would fail every window:
   // refused at the wire, with no session created, and the server keeps
   // serving.
-  for (const char* option :
-       {"window=1000000000000000", "window=1048577", "shards=65",
-        "workers=65", "max_inflight=65"}) {
-    SCOPED_TRACE(option);
+  constexpr const char* kTriplelessProgram =
+      "#input gps/3, speed/2.\n"
+      "seen(V) :- gps(V, X, Y), X > 0, Y > 0.\n"
+      "fast(V) :- speed(V, S), S > 90.\n";
+  const std::pair<const char*, const char*> kRefused[] = {
+      {"window=1000000000000000", kTinyProgram},
+      {"window=1048577", kTinyProgram},
+      {"shards=65", kTinyProgram},
+      {"workers=65", kTinyProgram},
+      {"max_inflight=65", kTinyProgram},
+      {"window=4", kTriplelessProgram}};
+  for (const auto& [option, program] : kRefused) {
+    SCOPED_TRACE(std::string(option) + "\n" + program);
     ASSERT_TRUE(connection
                     ->Send(std::string("open big async=1 ") + option + "\n" +
-                           kTinyProgram)
+                           program)
                     .ok());
     const std::string reply = collector.AwaitReply();
     EXPECT_EQ(reply.rfind("error open big code=invalid_argument", 0), 0u)

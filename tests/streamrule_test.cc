@@ -10,6 +10,7 @@
 #include "streamrule/combining_handler.h"
 #include "streamrule/partitioning_handler.h"
 #include "streamrule/random_partitioner.h"
+#include "triple_test_util.h"
 
 namespace streamasp {
 namespace {
@@ -81,7 +82,7 @@ TEST_F(StreamRuleTest, PartitionRoutesByPlan) {
   PartitioningHandler handler(plan);
 
   const std::vector<Atom> window = {A("p(1)"), A("q(2)"), A("p(3)")};
-  const auto partitions = handler.PartitionFacts(window);
+  const auto partitions = handler.Partition(WindowOf(window).items);
   ASSERT_EQ(partitions.size(), 2u);
   EXPECT_EQ(partitions[0].size(), 2u);
   EXPECT_EQ(partitions[1].size(), 1u);
@@ -96,10 +97,10 @@ TEST_F(StreamRuleTest, PartitionDuplicatesSharedPredicates) {
   PartitioningHandler handler(plan);
 
   const std::vector<Atom> window = {A("shared(1)"), A("solo(2)")};
-  const auto partitions = handler.PartitionFacts(window);
+  const auto partitions = handler.Partition(WindowOf(window).items);
   EXPECT_EQ(partitions[0].size(), 2u);
   EXPECT_EQ(partitions[1].size(), 1u);
-  EXPECT_EQ(partitions[1][0], A("shared(1)"));
+  EXPECT_EQ(partitions[1][0], WindowOf({A("shared(1)")}).items[0]);
 }
 
 TEST_F(StreamRuleTest, PartitionStraysGoToCommunityZero) {
@@ -108,7 +109,7 @@ TEST_F(StreamRuleTest, PartitionStraysGoToCommunityZero) {
   PartitioningHandler handler(plan);
 
   const std::vector<Atom> window = {A("mystery(9)"), A("known(1)")};
-  const auto partitions = handler.PartitionFacts(window);
+  const auto partitions = handler.Partition(WindowOf(window).items);
   EXPECT_EQ(partitions[0].size(), 1u);
   EXPECT_EQ(partitions[1].size(), 1u);
   EXPECT_EQ(handler.stray_items(), 1u);
@@ -143,7 +144,7 @@ TEST_F(StreamRuleTest, PartitionPreservesEveryItemSomewhere) {
     window.push_back(A((i % 3 == 0 ? "a(" : i % 3 == 1 ? "b(" : "c(") +
                        std::to_string(i) + ")"));
   }
-  const auto partitions = handler.PartitionFacts(window);
+  const auto partitions = handler.Partition(WindowOf(window).items);
   size_t total = 0;
   for (const auto& p : partitions) total += p.size();
   EXPECT_EQ(total, window.size());
@@ -155,7 +156,7 @@ TEST_F(StreamRuleTest, RandomPartitionCoversWindow) {
   RandomPartitioner partitioner(4, 123);
   std::vector<Atom> window;
   for (int i = 0; i < 100; ++i) window.push_back(A("p(" + std::to_string(i) + ")"));
-  const auto partitions = partitioner.PartitionFacts(window);
+  const auto partitions = partitioner.Partition(WindowOf(window).items);
   ASSERT_EQ(partitions.size(), 4u);
   size_t total = 0;
   for (const auto& p : partitions) total += p.size();
@@ -165,8 +166,9 @@ TEST_F(StreamRuleTest, RandomPartitionCoversWindow) {
 TEST_F(StreamRuleTest, RandomPartitionIsDeterministicPerSeed) {
   std::vector<Atom> window;
   for (int i = 0; i < 50; ++i) window.push_back(A("p(" + std::to_string(i) + ")"));
+  const std::vector<Triple> items = WindowOf(window).items;
   RandomPartitioner a(3, 9), b(3, 9);
-  EXPECT_EQ(a.PartitionFacts(window), b.PartitionFacts(window));
+  EXPECT_EQ(a.Partition(items), b.Partition(items));
 }
 
 TEST_F(StreamRuleTest, RandomPartitionKClampedToOne) {

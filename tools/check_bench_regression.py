@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """CI bench regression gate.
 
-Compares bench JSON documents (bench/async_pipeline, bench/sharded_pipeline)
-against checked-in reference values in bench/baseline.json:
+Compares bench JSON documents (bench/async_pipeline, bench/multi_tenant)
+against checked-in reference values in bench/baseline.json. Every bench
+the baseline gates must be supplied: a missing document fails the check
+rather than silently skipping its gates.
 
   * throughput floors: each baseline entry names a run (matched by the
     key/value pairs under "match") and its reference triples_per_sec; the
@@ -38,7 +40,7 @@ against checked-in reference values in bench/baseline.json:
 
 Usage:
   check_bench_regression.py [--baseline bench/baseline.json] \
-      async_pipeline=async.json sharded_pipeline=sharded.json
+      async_pipeline=async.json multi_tenant=multi_tenant.json
 
 Exits non-zero (with a per-check report) on any violation. To refresh the
 baseline after an intentional perf change, run the benches on a quiet
@@ -84,10 +86,19 @@ def main():
         with open(path) as f:
             documents[name] = json.load(f)
 
+    gated = (set(baseline.get("floors", {}))
+             | {ratio["bench"] for ratio in baseline.get("ratios", [])}
+             | set(baseline.get("ceilings", {}))
+             | set(baseline.get("minimums", {})))
+    missing = sorted(gated - set(documents))
+    if missing:
+        raise SystemExit(f"no bench document supplied for {missing}: "
+                         f"their baseline gates would not run")
+
     failures = []
     checks = 0
 
-    # Strict run schema: both benches emit the same record shape (see
+    # Strict run schema: every bench emits the same record shape (see
     # bench/bench_json.h), and the baseline pins the exact field list.
     # Unknown fields mean the serializer and baseline drifted apart;
     # missing fields mean a bench stopped reporting something a gate may
@@ -115,8 +126,6 @@ def main():
               f" runs checked against {len(expected)} fields")
 
     for name, floors in baseline.get("floors", {}).items():
-        if name not in documents:
-            continue
         runs = documents[name]["runs"]
         for floor in floors:
             checks += 1
@@ -134,8 +143,6 @@ def main():
 
     for ratio in baseline.get("ratios", []):
         name = ratio["bench"]
-        if name not in documents:
-            continue
         checks += 1
         runs = documents[name]["runs"]
         field = ratio.get("field", "triples_per_sec")
@@ -159,8 +166,6 @@ def main():
             failures.append(f"{name} {ratio.get('name', 'ratio')}")
 
     for name, ceilings in baseline.get("ceilings", {}).items():
-        if name not in documents:
-            continue
         runs = documents[name]["runs"]
         for ceiling in ceilings:
             checks += 1
@@ -179,8 +184,6 @@ def main():
                 failures.append(f"{name} ceiling {ceiling['match']}")
 
     for name, minimums in baseline.get("minimums", {}).items():
-        if name not in documents:
-            continue
         runs = documents[name]["runs"]
         for floor in minimums:
             checks += 1
