@@ -182,12 +182,12 @@ PartitioningPlan SplitIntoBuckets(const Program& program,
   // ---- Availability analysis. ------------------------------------------
   // everywhere(q): every bucket of every community holds q's full
   // extension, and the same one. True for unkeyed *input* predicates (the
-  // router replicates them), for predicates given only by program facts,
-  // and inductively for predicates whose every deriving rule has an
-  // all-everywhere body, one head atom and no negated derived atom: a
-  // disjunctive head or negation through derived atoms could let each
-  // bucket pick a different answer set, and the combining handler's cross
-  // product would then mix the picks.
+  // PartitioningHandler replicates them), for predicates given only by
+  // program facts, and inductively for predicates whose every deriving
+  // rule has an all-everywhere body, one head atom and no negated derived
+  // atom: a disjunctive head or negation through derived atoms could let
+  // each bucket pick a different answer set, and the combining handler's
+  // cross product would then mix the picks.
   std::set<PredicateSignature> input_set(
       program.input_predicates().begin(), program.input_predicates().end());
   std::unordered_map<PredicateSignature, bool, PredicateSignatureHash>

@@ -27,8 +27,8 @@ namespace streamasp {
 ///      in every body atom literal (positive and negative).
 ///   2. A greedy pass proposes key positions: the anchor's position in
 ///      each body atom and in the head. Predicates the plan duplicates
-///      are never keyed: the router already copies them to every bucket
-///      of each of their communities.
+///      are never keyed: the PartitioningHandler already copies them to
+///      every bucket of each of their communities.
 ///   3. A verification pass checks every rule: some anchor variable must
 ///      sit at the key position of every *keyed* body atom, and at the
 ///      head's key position if the head predicate is keyed. Offending

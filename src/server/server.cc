@@ -8,40 +8,27 @@ Status ValidateServerConfig(const ServerConfig& config) {
   if (config.max_sessions == 0) {
     return InvalidArgumentError("server max_sessions must be >= 1");
   }
+  if (config.shared_pool_threads == 0) {
+    return InvalidArgumentError("server shared_pool_threads must be >= 1");
+  }
   return OkStatus();
 }
 
-StreamServer::StreamServer(ServerConfig config) : config_([&config] {
-      if (config.max_sessions == 0) config.max_sessions = 1;
-      return config;
-    }()) {
-  if (config_.shared_pool_threads > 0) {
-    pool_ = std::make_shared<SharedReasonerPool>(config_.shared_pool_threads);
-  }
-}
+StreamServer::StreamServer(ServerConfig config)
+    : config_([&config] {
+        if (config.max_sessions == 0) config.max_sessions = 1;
+        if (config.shared_pool_threads == 0) config.shared_pool_threads = 1;
+        return config;
+      }()),
+      pool_(std::make_shared<SharedReasonerPool>(config_.shared_pool_threads)) {}
 
 StreamServer::~StreamServer() { CloseAll(); }
 
 StatusOr<std::shared_ptr<StreamSession>> StreamServer::CreateSession(
     std::string name, SessionOptions options, SessionEventHandler handler) {
-  const bool pooled = pool_ != nullptr && options.engine.pipeline.async;
-  if (pooled) {
-    // Async sessions reason on the shared pool: O(pool) reasoning
-    // threads across all tenants, weighted fair scheduling between them.
-    // The session's weight/inflight knobs were already mapped onto
-    // pool_weight/pool_max_inflight by StreamSession::Create's caller
-    // contract (ValidateSessionOptions + field mapping).
-    options.engine.pipeline.shared_pool = pool_;
-  } else if (config_.session_reasoner_threads > 0) {
-    // Unpooled fair multiplexing: without this, every tenant would
-    // default to all cores and the sessions would thrash each other. An
-    // async session's private pool and a sync session's reasoner get the
-    // same budget unless the client sized them.
-    PipelineOptions& pipeline = options.engine.pipeline;
-    size_t& threads = pipeline.async ? pipeline.num_reason_workers
-                                     : pipeline.reasoner.num_threads;
-    if (threads == 0) threads = config_.session_reasoner_threads;
-  }
+  // O(pool) reasoning threads across all tenants, weighted fair
+  // scheduling between them.
+  options.engine.pipeline.shared_pool = pool_;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (sessions_.size() >= config_.max_sessions) {

@@ -20,25 +20,13 @@ struct ServerConfig {
   /// it with kResourceExhausted.
   size_t max_sessions = 64;
 
-  /// Default thread budget of an UNPOOLED session whose config leaves it
-  /// at 0 (the engine's "all cores" default would let one tenant claim
-  /// the machine): the size of an async session's private
-  /// SharedReasonerPool (num_reason_workers, the wire's workers=) or a
-  /// sync session's reasoner threads. 0 disables the override. Pooled
-  /// sessions have no use for it: their windows' partitions fan out as
-  /// tasks on the shared pool itself.
-  size_t session_reasoner_threads = 2;
-
-  /// Workers in the process-wide SharedReasonerPool every async session's
-  /// reasoning runs on, scheduled by weighted deficit round-robin across
-  /// per-session lanes (util/thread_pool.h). A window's partitions are
-  /// separate lane tasks that fan out and continue — no pool task ever
-  /// waits for another, so the pool needs no spare threads. The default
-  /// sizes the pool to the machine, making total reasoning threads
-  /// O(hardware) instead of O(sessions x workers). 0 disables sharing —
-  /// every async session then reasons on a private pool of its own (see
-  /// session_reasoner_threads), pumping inline as on the shared pool.
-  /// Sync sessions always reason on their pump thread, pool or not.
+  /// Workers (>= 1) in the process-wide SharedReasonerPool every
+  /// session's reasoning runs on, scheduled by weighted deficit
+  /// round-robin across per-session lanes (util/thread_pool.h). A window's
+  /// partitions are separate lane tasks that fan out and continue — no
+  /// pool task ever waits for another, so the pool needs no spare
+  /// threads. The default sizes the pool to the machine, making total
+  /// reasoning threads O(hardware) instead of O(sessions).
   size_t shared_pool_threads = DefaultThreadCount();
 };
 
@@ -47,8 +35,9 @@ Status ValidateServerConfig(const ServerConfig& config);
 
 /// The multi-tenant front end: a named-session registry over shared
 /// reasoner resources. Transports call CreateSession/FindSession/
-/// CloseSession; each session runs its own engine, pump, and symbol
-/// table, isolated from its siblings except for CPU.
+/// CloseSession; each session runs its own engine and symbol table on
+/// its own lane of the shared pool, isolated from its siblings except
+/// for CPU.
 ///
 /// Sessions are handed out as shared_ptr so a connection can keep
 /// pushing into a session another thread is concurrently closing — the
@@ -58,9 +47,9 @@ Status ValidateServerConfig(const ServerConfig& config);
 class StreamServer {
  public:
   /// A config rejected by ValidateServerConfig is corrected to the
-  /// nearest valid value (max_sessions 0 -> 1) so a default-constructed
-  /// server is always usable; callers wanting the error surface validate
-  /// first.
+  /// nearest valid value (max_sessions 0 -> 1, shared_pool_threads 0 ->
+  /// 1) so a default-constructed server is always usable; callers wanting
+  /// the error surface validate first.
   explicit StreamServer(ServerConfig config = {});
 
   /// Closes every remaining session.
@@ -69,9 +58,10 @@ class StreamServer {
   StreamServer(const StreamServer&) = delete;
   StreamServer& operator=(const StreamServer&) = delete;
 
-  /// Registers and starts a session. kInvalidArgument on a duplicate
-  /// name, kResourceExhausted at max_sessions; otherwise whatever
-  /// StreamSession::Create reports (parse/validation failures).
+  /// Registers and starts a session as a lane on the shared pool (its
+  /// pipeline.shared_pool is set to the server's). kInvalidArgument on a
+  /// duplicate name, kResourceExhausted at max_sessions; otherwise
+  /// whatever StreamSession::Create reports (parse/validation failures).
   StatusOr<std::shared_ptr<StreamSession>> CreateSession(
       std::string name, SessionOptions options, SessionEventHandler handler);
 
@@ -93,8 +83,7 @@ class StreamServer {
   size_t num_sessions() const;
   const ServerConfig& config() const { return config_; }
 
-  /// The process-wide reasoning pool async sessions are scheduled on
-  /// (null when config.shared_pool_threads == 0).
+  /// The process-wide reasoning pool every session is scheduled on.
   const std::shared_ptr<SharedReasonerPool>& shared_pool() const {
     return pool_;
   }

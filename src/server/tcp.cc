@@ -47,9 +47,11 @@ struct TcpServer::Connection {
   /// Sends one framed payload; after the first failure the connection
   /// goes write-dead (the loop notices EOF/reset and tears down). The
   /// socket is non-blocking, so a full send buffer (EAGAIN) briefly
-  /// parks this writer in poll(POLLOUT) — writers are session emitter
-  /// threads or the loop thread replying to a request, and the payloads
-  /// are small, so the wait is bounded by the client draining.
+  /// parks this writer in poll(POLLOUT) — writers are reasoner-pool
+  /// threads delivering session events, or the loop thread replying to a
+  /// request (and delivering the events a shedding push completes), and
+  /// the payloads are small, so the wait is bounded by the client
+  /// draining.
   void SendFramed(const std::string& payload) {
     const std::string frame = EncodeFrame(payload);
     std::lock_guard<std::mutex> lock(write_mutex_);
@@ -69,7 +71,7 @@ struct TcpServer::Connection {
         writable.events = POLLOUT;
         if (::poll(&writable, 1, /*timeout_ms=*/1000) > 0) continue;
         // A client that drains nothing for a full second is treated as a
-        // slow-consumer failure rather than blocking the emitter forever.
+        // slow-consumer failure rather than blocking the writer forever.
         write_failed = true;
         return;
       }

@@ -13,17 +13,15 @@ namespace streamasp {
 
 namespace {
 
-// Caps on the open options that size per-session memory, threads or
-// pool share, enforced here at the network boundary only: window=
-// reserves the tumbling window buffer, shards= multiplies the partitions
-// (and, under reuse, the session's grounders and solvers, one each per
-// partition), workers= spawns a private pool's threads, and
-// max_inflight= caps how many of the session's tasks occupy pool threads
-// at once. An over-cap value is an invalid_argument error, never an
-// allocation that takes the whole server down.
+// Caps on the open options that size per-session memory or pool share,
+// enforced here at the network boundary only: window= reserves the
+// tumbling window buffer, shards= multiplies the partitions (and, under
+// reuse, the session's grounders and solvers, one each per partition),
+// and max_inflight= caps how many of the session's tasks occupy pool
+// threads at once. An over-cap value is an invalid_argument error, never
+// an allocation that takes the whole server down.
 constexpr int64_t kMaxOpenWindow = 1 << 20;
 constexpr int64_t kMaxOpenShards = 64;
-constexpr int64_t kMaxOpenWorkers = 64;
 constexpr int64_t kMaxOpenMaxInflight = 64;
 
 std::string FormatCompleteness(double value) {
@@ -79,45 +77,43 @@ Status ApplyOpenOption(std::string_view key, std::string_view value,
     }
     return OkStatus();
   };
+  PipelineOptions& pipeline = options->engine.pipeline;
   if (key == "window") {
     STREAMASP_RETURN_IF_ERROR(require_capped("window", kMaxOpenWindow));
-    options->engine.pipeline.window_size = static_cast<size_t>(number);
+    pipeline.window_size = static_cast<size_t>(number);
   } else if (key == "slide") {
     STREAMASP_RETURN_IF_ERROR(require_count("slide"));
-    options->engine.pipeline.window_slide = static_cast<size_t>(number);
+    pipeline.window_slide = static_cast<size_t>(number);
   } else if (key == "shards") {
     STREAMASP_RETURN_IF_ERROR(require_capped("shards", kMaxOpenShards));
-    options->engine.pipeline.reasoner.num_shards =
-        static_cast<size_t>(number);
+    pipeline.reasoner.num_shards = static_cast<size_t>(number);
   } else if (key == "async") {
-    STREAMASP_RETURN_IF_ERROR(require_count("async"));
-    options->engine.pipeline.async = number != 0;
+    // Every session runs the async engine; async=1 says so explicitly.
+    if (value != "1") {
+      return InvalidArgumentError(
+          "open option async only accepts 1 (every session is a lane on "
+          "the shared pool), got '" +
+          std::string(value) + "'");
+    }
   } else if (key == "inflight") {
     STREAMASP_RETURN_IF_ERROR(require_count("inflight"));
-    options->engine.pipeline.max_inflight_windows =
-        static_cast<size_t>(number);
-  } else if (key == "workers") {
-    STREAMASP_RETURN_IF_ERROR(require_capped("workers", kMaxOpenWorkers));
-    options->engine.pipeline.num_reason_workers = static_cast<size_t>(number);
-  } else if (key == "queue") {
-    STREAMASP_RETURN_IF_ERROR(require_count("queue"));
-    options->ingest_queue_capacity = static_cast<size_t>(number);
+    pipeline.max_inflight_windows = static_cast<size_t>(number);
   } else if (key == "weight") {
     if (!is_number || number < 1) {
       return InvalidArgumentError("open option weight needs a positive "
                                   "integer, got '" +
                                   std::string(value) + "'");
     }
-    options->weight = static_cast<size_t>(number);
+    pipeline.pool_weight = static_cast<size_t>(number);
   } else if (key == "max_queued") {
     STREAMASP_RETURN_IF_ERROR(require_count("max_queued"));
-    options->max_queued_windows = static_cast<size_t>(number);
+    pipeline.max_queued_windows = static_cast<size_t>(number);
   } else if (key == "max_inflight") {
     STREAMASP_RETURN_IF_ERROR(
         require_capped("max_inflight", kMaxOpenMaxInflight));
-    options->max_inflight = static_cast<size_t>(number);
+    pipeline.pool_max_inflight = static_cast<size_t>(number);
   } else if (key == "reuse") {
-    ReasonerOptions& reasoner = options->engine.pipeline.reasoner.reasoner;
+    ReasonerOptions& reasoner = pipeline.reasoner.reasoner;
     if (value == "none") {
       reasoner.reuse_grounding = false;
       reasoner.solving.reuse_solving = false;
@@ -132,9 +128,9 @@ Status ApplyOpenOption(std::string_view key, std::string_view value,
     }
   } else if (key == "admission") {
     if (value == "block") {
-      options->admission = BackpressurePolicy::kBlock;
+      pipeline.backpressure = BackpressurePolicy::kBlock;
     } else if (value == "reject") {
-      options->admission = BackpressurePolicy::kReject;
+      pipeline.backpressure = BackpressurePolicy::kReject;
     } else {
       return InvalidArgumentError("open option admission must be block|"
                                   "reject, got '" +
@@ -385,8 +381,6 @@ std::string FormatStats(std::string_view session, const SessionStats& stats) {
   out.append(SessionStateName(stats.state));
   field("pushed_batches", stats.pushed_batches);
   field("pushed_items", stats.pushed_items);
-  field("rejected_batches", stats.rejected_batches);
-  field("rejected_items", stats.rejected_items);
   field("result_events", stats.result_events);
   field("error_events", stats.error_events);
   field("shed_events", stats.shed_events);

@@ -25,13 +25,18 @@ namespace streamasp {
 ///   stats <session>
 ///   close <session>
 ///
-/// open options: window=N slide=N shards=N async=0|1 inflight=N
-///   workers=N reuse=none|ground|solve queue=N admission=block|reject
-///   weight=N max_queued=N max_inflight=N v=N
+/// open options: window=N slide=N shards=N async=1 inflight=N
+///   reuse=none|ground|solve admission=block|reject weight=N
+///   max_queued=N max_inflight=N v=N
+/// Every session is a lane on the server's shared reasoner pool, so
+/// async=1 is accepted as a no-op and async=0 is refused. admission=
+/// sets the window queue's backpressure (reject sheds windows, counted
+/// and tombstoned); weight=, max_inflight= and max_queued= are the
+/// lane's DRR weight, running-task cap and window quota.
 /// shards=N lets each dependency community split into at most N key
-/// buckets (ParallelReasonerOptions::num_shards). window, shards, workers and
-/// max_inflight size per-session memory or threads up front, so each is
-/// capped (window <= 1048576, the others <= 64); an over-cap value is
+/// buckets (ParallelReasonerOptions::num_shards). window, shards and
+/// max_inflight size per-session memory or pool share up front, so each
+/// is capped (window <= 1048576, the others <= 64); an over-cap value is
 /// refused with code=invalid_argument.
 ///
 /// Versioning: `v=N` on open declares the client's protocol version.

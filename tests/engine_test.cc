@@ -65,6 +65,10 @@ TEST_F(EngineTest, ValidatorTable) {
   lossy_sync.backpressure = BackpressurePolicy::kDropOldest;
   PipelineOptions lossy_async = lossy_sync;
   lossy_async.async = true;
+  PipelineOptions zero_weight;
+  zero_weight.async = true;
+  zero_weight.shared_pool = std::make_shared<SharedReasonerPool>(1);
+  zero_weight.pool_weight = 0;
 
   const Case kCases[] = {
       {"defaults", PipelineOptions{}, true, ""},
@@ -74,6 +78,7 @@ TEST_F(EngineTest, ValidatorTable) {
       {"slide == window is tumbling", boundary_slide, true, ""},
       {"lossy sync ok", lossy_sync, true, ""},
       {"lossy async ok", lossy_async, true, ""},
+      {"pooled zero weight", zero_weight, false, "pool_weight must be >= 1"},
   };
   for (const Case& c : kCases) {
     const Status status = ValidatePipelineOptions(c.pipeline);

@@ -91,8 +91,8 @@ TEST(WireTest, FrameDecoderWedgesOnOversizedFrame) {
 
 TEST(WireTest, ParsesOpenWithOptionsAndProgram) {
   auto request = ParseRequest(
-      "open s1 window=100 slide=25 shards=2 async=1 inflight=3 workers=2 "
-      "reuse=solve queue=5 admission=reject\n"
+      "open s1 window=100 slide=25 shards=2 async=1 inflight=3 "
+      "reuse=solve admission=reject\n"
       "a(X) :- b(X).\n"
       "#input b/1.");
   ASSERT_TRUE(request.ok()) << request.status();
@@ -102,12 +102,9 @@ TEST(WireTest, ParsesOpenWithOptionsAndProgram) {
   EXPECT_EQ(options.engine.pipeline.window_size, 100u);
   EXPECT_EQ(options.engine.pipeline.window_slide, 25u);
   EXPECT_EQ(options.engine.pipeline.reasoner.num_shards, 2u);
-  EXPECT_TRUE(options.engine.pipeline.async);
   EXPECT_EQ(options.engine.pipeline.max_inflight_windows, 3u);
-  EXPECT_EQ(options.engine.pipeline.num_reason_workers, 2u);
   EXPECT_TRUE(options.engine.pipeline.reasoner.reasoner.solving.reuse_solving);
-  EXPECT_EQ(options.ingest_queue_capacity, 5u);
-  EXPECT_EQ(options.admission, BackpressurePolicy::kReject);
+  EXPECT_EQ(options.engine.pipeline.backpressure, BackpressurePolicy::kReject);
   EXPECT_EQ(options.program_text, "a(X) :- b(X).\n#input b/1.");
 }
 
@@ -127,6 +124,14 @@ TEST(WireTest, ParseRequestRejectsMalformedInput) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseRequest("open s1 color=red").status().code(),
             StatusCode::kInvalidArgument);
+  // Every session is a pooled lane: there is no sync shape to ask for,
+  // no private pool to size and no ingest queue to bound.
+  EXPECT_EQ(ParseRequest("open s1 async=0").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseRequest("open s1 workers=2").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseRequest("open s1 queue=5").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(WireTest, ParsesVersionAndFairnessOptions) {
@@ -135,9 +140,10 @@ TEST(WireTest, ParsesVersionAndFairnessOptions) {
       "max_inflight=2 v=1\n"
       "a(X) :- b(X).\n#input b/1.");
   ASSERT_TRUE(request.ok()) << request.status();
-  EXPECT_EQ(request->options.weight, 4u);
-  EXPECT_EQ(request->options.max_queued_windows, 8u);
-  EXPECT_EQ(request->options.max_inflight, 2u);
+  const PipelineOptions& pipeline = request->options.engine.pipeline;
+  EXPECT_EQ(pipeline.pool_weight, 4u);
+  EXPECT_EQ(pipeline.max_queued_windows, 8u);
+  EXPECT_EQ(pipeline.pool_max_inflight, 2u);
   EXPECT_TRUE(request->has_version);
   EXPECT_EQ(request->protocol_version, kProtocolVersion);
 
@@ -324,22 +330,20 @@ void ExpectSameRequest(const StatusOr<WireRequest>& got,
   EXPECT_EQ(a.program_text, b.program_text);
   EXPECT_EQ(a.engine.pipeline.window_size, b.engine.pipeline.window_size);
   EXPECT_EQ(a.engine.pipeline.window_slide, b.engine.pipeline.window_slide);
-  EXPECT_EQ(a.engine.pipeline.async, b.engine.pipeline.async);
   EXPECT_EQ(a.engine.pipeline.max_inflight_windows,
             b.engine.pipeline.max_inflight_windows);
-  EXPECT_EQ(a.engine.pipeline.num_reason_workers,
-            b.engine.pipeline.num_reason_workers);
   EXPECT_EQ(a.engine.pipeline.reasoner.reasoner.reuse_grounding,
             b.engine.pipeline.reasoner.reasoner.reuse_grounding);
   EXPECT_EQ(a.engine.pipeline.reasoner.reasoner.solving.reuse_solving,
             b.engine.pipeline.reasoner.reasoner.solving.reuse_solving);
   EXPECT_EQ(a.engine.pipeline.reasoner.num_shards,
             b.engine.pipeline.reasoner.num_shards);
-  EXPECT_EQ(a.ingest_queue_capacity, b.ingest_queue_capacity);
-  EXPECT_EQ(a.admission, b.admission);
-  EXPECT_EQ(a.weight, b.weight);
-  EXPECT_EQ(a.max_inflight, b.max_inflight);
-  EXPECT_EQ(a.max_queued_windows, b.max_queued_windows);
+  EXPECT_EQ(a.engine.pipeline.backpressure, b.engine.pipeline.backpressure);
+  EXPECT_EQ(a.engine.pipeline.pool_weight, b.engine.pipeline.pool_weight);
+  EXPECT_EQ(a.engine.pipeline.pool_max_inflight,
+            b.engine.pipeline.pool_max_inflight);
+  EXPECT_EQ(a.engine.pipeline.max_queued_windows,
+            b.engine.pipeline.max_queued_windows);
 }
 
 /// Seeded generator of hostile-but-plausible payloads: odd spacing, tabs
@@ -384,7 +388,7 @@ class WirePayloadGenerator {
                                          "close", "warble", ""};
     static const char* const kOptions[] = {
         "window=10", "slide=2", "shards=2", "async=1", "reuse=solve",
-        "reuse=none", "queue=3", "weight=4", "admission=reject", "v=1",
+        "reuse=none", "async=0", "weight=4", "admission=reject", "v=1",
         "max_queued=5", "v=x", "weight=0", "color=red", "window"};
     std::string head = Edge() + kVerbs[Pick(std::size(kVerbs))];
     if (Pick(8) != 0) head += Separator() + (Pick(2) == 0 ? "s1" : "s\t2");
@@ -558,14 +562,7 @@ TEST_F(SessionTest, CreateRejectsBadInput) {
   bad_program.program_text = "this is not asp ((";
   EXPECT_FALSE(StreamSession::Create("s", bad_program, handler).ok());
 
-  SessionOptions drop_oldest = TrafficOptions(100);
-  drop_oldest.admission = BackpressurePolicy::kDropOldest;
-  auto session = StreamSession::Create("s", drop_oldest, handler);
-  ASSERT_FALSE(session.ok());
-  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
-
   SessionOptions bad_engine = TrafficOptions(100);
-  bad_engine.engine.pipeline.async = true;
   bad_engine.engine.pipeline.max_inflight_windows = 0;
   EXPECT_FALSE(StreamSession::Create("s", bad_engine, handler).ok());
 }
@@ -601,7 +598,6 @@ TEST_F(SessionTest, FlushIsALiveBarrier) {
 
 TEST_F(SessionTest, CloseDrainsInFlightWindows) {
   SessionOptions options = TrafficOptions(400);
-  options.engine.pipeline.async = true;
   options.engine.pipeline.max_inflight_windows = 4;
   uint64_t results = 0;
   auto session = StreamSession::Create(
@@ -690,41 +686,24 @@ TEST(ServerTest, RegistryLifecycle) {
   EXPECT_EQ((*second)->state(), SessionState::kClosed);
 }
 
-TEST(ServerTest, ValidateSessionOptionsTable) {
+TEST(ServerTest, ValidateServerConfigTable) {
   struct Case {
     const char* name;
-    void (*mutate)(SessionOptions&);
+    void (*mutate)(ServerConfig&);
     const char* message;  // nullptr => valid.
   };
   const Case kCases[] = {
-      {"defaults", [](SessionOptions&) {}, nullptr},
-      {"weighted-async",
-       [](SessionOptions& o) {
-         o.engine.pipeline.async = true;
-         o.engine.pipeline.max_inflight_windows = 2;
-         o.weight = 4;
-         o.max_inflight = 2;
-         o.max_queued_windows = 8;
-       },
-       nullptr},
-      {"drop-oldest-admission",
-       [](SessionOptions& o) { o.admission = BackpressurePolicy::kDropOldest; },
-       "session admission supports kBlock or kReject only"},
-      {"zero-weight", [](SessionOptions& o) { o.weight = 0; },
-       "session weight must be >= 1"},
-      {"quota-without-async",
-       [](SessionOptions& o) { o.max_queued_windows = 4; },
-       "session max_queued_windows requires an async engine"},
-      {"inflight-without-async",
-       [](SessionOptions& o) { o.max_inflight = 2; },
-       "session max_inflight requires an async engine"},
+      {"defaults", [](ServerConfig&) {}, nullptr},
+      {"zero-sessions", [](ServerConfig& c) { c.max_sessions = 0; },
+       "max_sessions must be >= 1"},
+      {"no-shared-pool", [](ServerConfig& c) { c.shared_pool_threads = 0; },
+       "shared_pool_threads must be >= 1"},
   };
   for (const Case& c : kCases) {
     SCOPED_TRACE(c.name);
-    SessionOptions options;
-    options.program_text = "a(X) :- b(X).\n#input b/1.";
-    c.mutate(options);
-    const Status status = ValidateSessionOptions(options);
+    ServerConfig config;
+    c.mutate(config);
+    const Status status = ValidateServerConfig(config);
     if (c.message == nullptr) {
       EXPECT_TRUE(status.ok()) << status;
     } else {
@@ -733,36 +712,26 @@ TEST(ServerTest, ValidateSessionOptionsTable) {
           << status;
     }
   }
-}
 
-TEST(ServerTest, ValidateServerConfigTable) {
-  ServerConfig valid;
-  EXPECT_TRUE(ValidateServerConfig(valid).ok());
+  // The constructor corrects a refused config to the nearest valid one.
   ServerConfig no_pool;
-  no_pool.shared_pool_threads = 0;  // Private-pool sessions: allowed.
-  EXPECT_TRUE(ValidateServerConfig(no_pool).ok());
-
-  ServerConfig zero_sessions;
-  zero_sessions.max_sessions = 0;
-  const Status status = ValidateServerConfig(zero_sessions);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.ToString().find("max_sessions must be >= 1"),
-            std::string::npos)
-      << status;
+  no_pool.shared_pool_threads = 0;
+  StreamServer server(no_pool);
+  EXPECT_EQ(server.config().shared_pool_threads, 1u);
+  EXPECT_EQ(server.shared_pool()->num_threads(), 1u);
 }
 
 // ---------------------------------------------------------------------------
 // Isolation property: concurrent multi-tenant emission streams are
 // byte-identical to standalone engines over the same batches, across
-// randomized push interleavings; saturating one session's admission
-// budget never degrades another session's completeness.
+// randomized push interleavings; saturating one session's window queue
+// never degrades another session's completeness.
 // ---------------------------------------------------------------------------
 
 struct TenantSpec {
   const char* name;
   TrafficProgramVariant variant;
   size_t window_size;
-  bool async;
   size_t window_slide;
   bool reuse_grounding;
   uint64_t stream_seed;
@@ -795,14 +764,13 @@ SessionOptions TenantOptions(const TenantSpec& spec) {
       TrafficProgramText(spec.variant, /*with_show=*/true);
   options.engine.pipeline.window_size = spec.window_size;
   options.engine.pipeline.window_slide = spec.window_slide;
-  options.engine.pipeline.async = spec.async;
   options.engine.pipeline.reasoner.reasoner.reuse_grounding =
       spec.reuse_grounding;
   return options;
 }
 
 // The standalone oracle: parse the same program text into a fresh symbol
-// table, generate the same deterministic batches, drive a bare
+// table, generate the same deterministic batches, drive a bare sync
 // StreamEngine, and render the transcript the same way. Symbol ids may
 // differ between tables, but the rendered bytes must not.
 std::string OracleTranscript(const TenantSpec& spec, size_t batches,
@@ -834,10 +802,9 @@ std::string OracleTranscript(const TenantSpec& spec, size_t batches,
 
 TEST(IsolationTest, ConcurrentSessionsMatchStandaloneEngines) {
   const TenantSpec kTenants[] = {
-      {"tumbling-sync", TrafficProgramVariant::kP, 500, false, 0, false, 101},
-      {"async", TrafficProgramVariant::kPPrime, 500, true, 0, false, 202},
-      {"sliding-reuse", TrafficProgramVariant::kPPrime, 600, false, 200, true,
-       303},
+      {"tumbling-p", TrafficProgramVariant::kP, 500, 0, false, 101},
+      {"tumbling-pprime", TrafficProgramVariant::kPPrime, 500, 0, false, 202},
+      {"sliding-reuse", TrafficProgramVariant::kPPrime, 600, 200, true, 303},
   };
   constexpr size_t kBatches = 8;
   constexpr size_t kBatchItems = 250;
@@ -907,7 +874,6 @@ TEST(IsolationTest, ConcurrentSessionsMatchStandaloneEngines) {
       EXPECT_FALSE(oracle.empty());
       EXPECT_EQ(tenants[t]->transcript, oracle);
       EXPECT_EQ(snapshots[t].engine.completeness(), 1.0);
-      EXPECT_EQ(snapshots[t].rejected_batches, 0u);
     }
   }
 }
@@ -915,20 +881,20 @@ TEST(IsolationTest, ConcurrentSessionsMatchStandaloneEngines) {
 TEST(IsolationTest, SaturatingOneSessionNeverDegradesAnother) {
   StreamServer server;
 
-  // The greedy tenant: a one-batch admission budget with kReject, pushed
-  // far faster than its pump can reason 400-item windows.
-  TenantSpec greedy_spec = {"greedy", TrafficProgramVariant::kPPrime, 400,
-                            false, 0, false, 404};
+  // The greedy tenant: a one-window queue with kReject, pushed far faster
+  // than the pool can reason 400-item windows, so it sheds.
+  TenantSpec greedy_spec = {"greedy", TrafficProgramVariant::kPPrime, 400, 0,
+                            false, 404};
   SessionOptions greedy_options = TenantOptions(greedy_spec);
-  greedy_options.ingest_queue_capacity = 1;
-  greedy_options.admission = BackpressurePolicy::kReject;
+  greedy_options.engine.pipeline.max_inflight_windows = 1;
+  greedy_options.engine.pipeline.backpressure = BackpressurePolicy::kReject;
   auto greedy = server.CreateSession("greedy", greedy_options,
                                      [](const SessionEvent&) {});
   ASSERT_TRUE(greedy.ok()) << greedy.status();
 
-  // The steady tenant: modest load, lossless, its own engine and pump.
-  TenantSpec steady_spec = {"steady", TrafficProgramVariant::kP, 500, false,
-                            0, false, 505};
+  // The steady tenant: modest load, lossless, its own engine and lane.
+  TenantSpec steady_spec = {"steady", TrafficProgramVariant::kP, 500, 0,
+                            false, 505};
   std::string steady_transcript;
   auto steady = server.CreateSession(
       "steady", TenantOptions(steady_spec), [&](const SessionEvent& event) {
@@ -950,21 +916,19 @@ TEST(IsolationTest, SaturatingOneSessionNeverDegradesAnother) {
     EXPECT_TRUE((*steady)->Flush().ok());
   });
 
-  // Hammer the greedy session until its admission budget refuses pushes
-  // (bounded — 400 window-sized batches vastly outrun one pump).
+  // Hammer the greedy session until its window queue sheds (bounded —
+  // 400 window-sized batches vastly outrun its one queued window). A
+  // saturated push is never refused: the window it closes is shed.
   GeneratorOptions generator_options;
   generator_options.seed = greedy_spec.stream_seed;
   SyntheticStreamGenerator generator(MakeTrafficSchema((*greedy)->symbols()),
                                      generator_options);
-  uint64_t rejected = 0;
-  for (int i = 0; i < 400 && rejected < 8; ++i) {
+  for (int i = 0;
+       i < 400 && (*greedy)->stats().engine.shed_windows() < 8; ++i) {
     Status status = (*greedy)->Push(generator.GenerateWindow(400));
-    if (!status.ok()) {
-      EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-      ++rejected;
-    }
+    EXPECT_TRUE(status.ok()) << status;
   }
-  EXPECT_GT(rejected, 0u) << "greedy session never saturated";
+  ASSERT_TRUE((*greedy)->Flush().ok());
 
   steady_pusher.join();
   // Snapshot before closing — engine counters are torn down with the
@@ -973,12 +937,13 @@ TEST(IsolationTest, SaturatingOneSessionNeverDegradesAnother) {
   const SessionStats steady_stats = (*steady)->stats();
   server.CloseAll();
 
-  EXPECT_EQ(greedy_stats.rejected_batches, rejected);
-  EXPECT_GT(greedy_stats.rejected_items, 0u);
+  // Saturation surfaces as counted shed windows, each one a tombstone.
+  EXPECT_GT(greedy_stats.shed_events, 0u) << "greedy session never shed";
+  EXPECT_EQ(greedy_stats.shed_events, greedy_stats.engine.shed_windows());
+  EXPECT_LT(greedy_stats.engine.completeness(), 1.0);
 
-  // The steady tenant saw full-fidelity service: nothing rejected,
-  // nothing shed, emissions byte-identical to a standalone engine.
-  EXPECT_EQ(steady_stats.rejected_batches, 0u);
+  // The steady tenant saw full-fidelity service: nothing shed, emissions
+  // byte-identical to a standalone engine.
   EXPECT_EQ(steady_stats.shed_events, 0u);
   EXPECT_EQ(steady_stats.engine.completeness(), 1.0);
   EXPECT_EQ(steady_transcript,
@@ -1022,9 +987,9 @@ TEST(SharedPoolServerTest, PooledSessionsMatchStandaloneOracles) {
   ASSERT_NE(server.shared_pool(), nullptr);
 
   const TenantSpec kTenants[] = {
-      {"pool-a", TrafficProgramVariant::kPPrime, 500, true, 0, false, 606},
-      {"pool-b", TrafficProgramVariant::kP, 400, true, 0, false, 707},
-      {"pool-c", TrafficProgramVariant::kPPrime, 600, true, 0, true, 808},
+      {"pool-a", TrafficProgramVariant::kPPrime, 500, 0, false, 606},
+      {"pool-b", TrafficProgramVariant::kP, 400, 0, false, 707},
+      {"pool-c", TrafficProgramVariant::kPPrime, 600, 0, true, 808},
   };
   const size_t kWeights[] = {1, 4, 2};
   constexpr size_t kBatches = 6;
@@ -1039,7 +1004,7 @@ TEST(SharedPoolServerTest, PooledSessionsMatchStandaloneOracles) {
     auto tenant = std::make_unique<Tenant>();
     Tenant* raw = tenant.get();
     SessionOptions options = TenantOptions(kTenants[t]);
-    options.weight = kWeights[t];
+    options.engine.pipeline.pool_weight = kWeights[t];
     auto session = server.CreateSession(
         kTenants[t].name, options, [raw](const SessionEvent& event) {
           raw->transcript += RenderEmission(event.event, event.symbols);
@@ -1081,7 +1046,6 @@ TEST(SharedPoolServerTest, PooledSessionsMatchStandaloneOracles) {
     EXPECT_FALSE(oracle.empty());
     EXPECT_EQ(tenants[t]->transcript, oracle);
     EXPECT_EQ(snapshots[t].engine.completeness(), 1.0);
-    EXPECT_EQ(snapshots[t].rejected_batches, 0u);
     EXPECT_EQ(snapshots[t].shed_events, 0u);
   }
 }
@@ -1094,21 +1058,20 @@ TEST(SharedPoolServerTest, SaturatingTenantCannotStarveWeightedTenant) {
   config.shared_pool_threads = 2;
   StreamServer server(config);
 
-  TenantSpec greedy_spec = {"greedy", TrafficProgramVariant::kPPrime, 400,
-                            true,     0,
-                            false,    404};
+  TenantSpec greedy_spec = {"greedy", TrafficProgramVariant::kPPrime, 400, 0,
+                            false, 404};
   SessionOptions greedy_options = TenantOptions(greedy_spec);
   greedy_options.engine.pipeline.max_inflight_windows = 32;
-  greedy_options.weight = 1;
-  greedy_options.max_inflight = 1;
+  greedy_options.engine.pipeline.pool_weight = 1;
+  greedy_options.engine.pipeline.pool_max_inflight = 1;
   auto greedy = server.CreateSession("greedy", greedy_options,
                                      [](const SessionEvent&) {});
   ASSERT_TRUE(greedy.ok()) << greedy.status();
 
-  TenantSpec steady_spec = {"steady", TrafficProgramVariant::kP, 300, true, 0,
-                            false,    505};
+  TenantSpec steady_spec = {"steady", TrafficProgramVariant::kP, 300, 0,
+                            false, 505};
   SessionOptions steady_options = TenantOptions(steady_spec);
-  steady_options.weight = 4;
+  steady_options.engine.pipeline.pool_weight = 4;
   std::string steady_transcript;
   auto steady = server.CreateSession(
       "steady", steady_options, [&](const SessionEvent& event) {
@@ -1169,7 +1132,6 @@ TEST(SharedPoolServerTest, SaturatingTenantCannotStarveWeightedTenant) {
                                          latencies_ms.end());
   EXPECT_LT(worst, 15000.0) << "steady tenant p99 unbounded under load";
 
-  EXPECT_EQ(steady_stats.rejected_batches, 0u);
   EXPECT_EQ(steady_stats.shed_events, 0u);
   EXPECT_EQ(steady_stats.engine.completeness(), 1.0);
   EXPECT_EQ(steady_transcript,
@@ -1185,7 +1147,6 @@ TEST(SharedPoolServerTest, SixtyFourSessionsCostPoolPlusLoopThreads) {
   SessionOptions options;
   options.program_text = "a(X) :- b(X).\n#input b/1.\n#show a/1.";
   options.engine.pipeline.window_size = 4;
-  options.engine.pipeline.async = true;
   options.engine.pipeline.max_inflight_windows = 2;
 
   const size_t before = CurrentThreadCount();
@@ -1229,9 +1190,8 @@ TEST(SharedPoolServerTest, SixtyFourSessionsCostPoolPlusLoopThreads) {
 TEST(SharedPoolServerTest, StatsReportLaneGaugesPerPartitionTask) {
   // A P' window costs one lane task for itself plus one per partition
   // beyond the first; the stats reply carries the lane gauges after the
-  // pre-existing keys. Every async session owns a lane — on the shared
-  // pool, or on its private pool when the server has none.
-  // The P' decomposition the sessions' engines use: two partitions.
+  // pre-existing keys. The P' decomposition the session's engine uses has
+  // two partitions.
   SymbolTablePtr symbols = MakeSymbolTable();
   StatusOr<Program> program =
       MakeTrafficProgram(symbols, TrafficProgramVariant::kPPrime, true);
@@ -1243,47 +1203,43 @@ TEST(SharedPoolServerTest, StatsReportLaneGaugesPerPartitionTask) {
   const uint64_t partitions = plan->num_communities();
   ASSERT_EQ(partitions, 2u);
 
-  for (const size_t shared_pool_threads : {4, 0}) {
-    SCOPED_TRACE("shared_pool_threads=" +
-                 std::to_string(shared_pool_threads));
-    ServerConfig config;
-    config.shared_pool_threads = shared_pool_threads;
-    StreamServer server(config);
-    TenantSpec spec = {"lanes", TrafficProgramVariant::kPPrime, 500, true, 0,
-                       false, 909};
-    SessionOptions options = TenantOptions(spec);
-    options.max_inflight = 2;
-    auto session = server.CreateSession(spec.name, options,
-                                        [](const SessionEvent&) {});
-    ASSERT_TRUE(session.ok()) << session.status();
-    GeneratorOptions generator_options;
-    generator_options.seed = spec.stream_seed;
-    SyntheticStreamGenerator generator(
-        MakeTrafficSchema((*session)->symbols()), generator_options);
-    for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE((*session)->Push(generator.GenerateWindow(250)).ok());
-    }
-    ASSERT_TRUE((*session)->Flush().ok());
-    const std::string reply = FormatStats(spec.name, (*session)->stats());
-    server.CloseAll();
-
-    std::map<std::string, uint64_t> fields;
-    for (const std::string& line : StrSplit(reply, '\n')) {
-      const size_t eq = line.find('=');
-      if (eq == std::string::npos) continue;
-      fields[line.substr(0, eq)] =
-          std::strtoull(line.c_str() + eq + 1, nullptr, 10);
-    }
-    const uint64_t windows = fields["delivered_windows"];
-    EXPECT_EQ(windows, 4u);
-    EXPECT_EQ(fields["lane_tasks_submitted"],
-              windows + windows * (partitions - 1));
-    EXPECT_EQ(fields["lane_tasks_completed"], fields["lane_tasks_submitted"]);
-    EXPECT_GE(fields["lane_max_queued"], 1u);
-    EXPECT_EQ(fields["partitions"], partitions);
-    EXPECT_LT(reply.find("\ncompleteness="),
-              reply.find("\nlane_tasks_submitted="));
+  ServerConfig config;
+  config.shared_pool_threads = 4;
+  StreamServer server(config);
+  TenantSpec spec = {"lanes", TrafficProgramVariant::kPPrime, 500, 0, false,
+                     909};
+  SessionOptions options = TenantOptions(spec);
+  options.engine.pipeline.pool_max_inflight = 2;
+  auto session =
+      server.CreateSession(spec.name, options, [](const SessionEvent&) {});
+  ASSERT_TRUE(session.ok()) << session.status();
+  GeneratorOptions generator_options;
+  generator_options.seed = spec.stream_seed;
+  SyntheticStreamGenerator generator(MakeTrafficSchema((*session)->symbols()),
+                                     generator_options);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE((*session)->Push(generator.GenerateWindow(250)).ok());
   }
+  ASSERT_TRUE((*session)->Flush().ok());
+  const std::string reply = FormatStats(spec.name, (*session)->stats());
+  server.CloseAll();
+
+  std::map<std::string, uint64_t> fields;
+  for (const std::string& line : StrSplit(reply, '\n')) {
+    const size_t eq = line.find('=');
+    if (eq == std::string::npos) continue;
+    fields[line.substr(0, eq)] =
+        std::strtoull(line.c_str() + eq + 1, nullptr, 10);
+  }
+  const uint64_t windows = fields["delivered_windows"];
+  EXPECT_EQ(windows, 4u);
+  EXPECT_EQ(fields["lane_tasks_submitted"],
+            windows + windows * (partitions - 1));
+  EXPECT_EQ(fields["lane_tasks_completed"], fields["lane_tasks_submitted"]);
+  EXPECT_GE(fields["lane_max_queued"], 1u);
+  EXPECT_EQ(fields["partitions"], partitions);
+  EXPECT_LT(reply.find("\ncompleteness="),
+            reply.find("\nlane_tasks_submitted="));
 }
 
 TEST(SharedPoolServerTest, StatsReportThePartitionsTheAnalysisChose) {
@@ -1330,8 +1286,7 @@ TEST(SharedPoolServerTest, StatsReportThePartitionsTheAnalysisChose) {
 // Async engines without a shared pool run on a private pool of exactly
 // num_reason_workers threads — no emitter, no inner reasoner pools, and
 // no thread per shard: key buckets are partitions on the same pool.
-// An async session pumps inline, so it costs its pool alone. Every thread
-// is gone again once the engine is destroyed or the session closed.
+// Every thread is gone again once the engine is destroyed.
 TEST(SharedPoolServerTest, PrivatePoolsCostExactlyTheirThreads) {
   SymbolTablePtr symbols = MakeSymbolTable();
   Parser parser(symbols);
@@ -1382,32 +1337,14 @@ TEST(SharedPoolServerTest, PrivatePoolsCostExactlyTheirThreads) {
     EXPECT_EQ(CurrentThreadCount(), before + kWorkers - 1);
   }
   EXPECT_EQ(WaitForThreadCount(before), before);
-
-  // An async session on a server without a shared pool: a private pool
-  // of session_reasoner_threads threads, and no pump thread.
-  ServerConfig server_config;
-  server_config.shared_pool_threads = 0;
-  StreamServer server(server_config);
-  SessionOptions options;
-  options.program_text = "a(X) :- b(X).\n#input b/1.\n#show a/1.";
-  options.engine.pipeline.window_size = 4;
-  options.engine.pipeline.async = true;
-  auto session = server.CreateSession("private", options,
-                                      [](const SessionEvent&) {});
-  ASSERT_TRUE(session.ok()) << session.status();
-  EXPECT_EQ(CurrentThreadCount(),
-            before + server_config.session_reasoner_threads);
-  ASSERT_TRUE(server.CloseSession("private").ok());
-  EXPECT_EQ(WaitForThreadCount(before), before);
 }
 
 TEST_F(SessionTest, QuotaShedsWindowsBeyondMaxQueuedAndAccountsThem) {
   // Pooled quota semantics at the session API: max_queued_windows=1
   // sheds any window that closes while another is still undelivered.
   SessionOptions options = TrafficOptions(200);
-  options.engine.pipeline.async = true;
   options.engine.pipeline.max_inflight_windows = 8;
-  options.max_queued_windows = 1;
+  options.engine.pipeline.max_queued_windows = 1;
 
   uint64_t result_events = 0;
   uint64_t shed_events = 0;
@@ -1488,6 +1425,54 @@ class PayloadCollector {
 
 constexpr const char* kTinyProgram =
     "a(X) :- b(X).\n#input b/1.\n#show a/1.";
+
+// Every open is a lane on the shared pool, with or without async=1:
+// default opens add no thread, a weight=4 session's windows run as lane
+// tasks, and a lane's max_inflight= cap is accepted.
+TEST(SharedPoolServerTest, DefaultOpenIsAPooledLane) {
+  ServerConfig config;
+  config.shared_pool_threads = 2;
+  StreamServer server(config);
+  std::unique_ptr<SessionTransport> connection = server.Connect();
+  PayloadCollector collector;
+  connection->Receive(
+      [&collector](std::string payload) { collector.Handle(std::move(payload)); });
+
+  const size_t before = CurrentThreadCount();
+  ASSERT_GT(before, 0u) << "/proc/self/status not readable";
+  for (int i = 0; i < 8; ++i) {
+    const std::string name = "plain" + std::to_string(i);
+    ASSERT_TRUE(
+        connection->Send("open " + name + " window=4\n" + kTinyProgram).ok());
+    EXPECT_EQ(collector.AwaitReply(), "ok open " + name + " v=1");
+  }
+  EXPECT_LE(CurrentThreadCount(), before)
+      << "default opens started threads of their own";
+
+  ASSERT_TRUE(
+      connection->Send(std::string("open heavy window=4 weight=4\n") +
+                       kTinyProgram)
+          .ok());
+  EXPECT_EQ(collector.AwaitReply(), "ok open heavy v=1");
+  ASSERT_TRUE(connection->Send("push heavy\nb x1\nb x2\nb x3\nb x4").ok());
+  EXPECT_EQ(collector.AwaitReply(), "ok push heavy");
+  ASSERT_TRUE(connection->Send("flush heavy").ok());
+  EXPECT_EQ(collector.AwaitReply(), "ok flush heavy");
+  ASSERT_TRUE(connection->Send("stats heavy").ok());
+  const std::string stats = collector.AwaitReply();
+  const std::string key = "\nlane_tasks_submitted=";
+  const size_t at = stats.find(key);
+  ASSERT_NE(at, std::string::npos) << stats;
+  EXPECT_GT(std::strtoull(stats.c_str() + at + key.size(), nullptr, 10), 0u)
+      << stats;
+
+  ASSERT_TRUE(
+      connection->Send(std::string("open capped window=4 max_inflight=2\n") +
+                       kTinyProgram)
+          .ok());
+  EXPECT_EQ(collector.AwaitReply(), "ok open capped v=1");
+  connection->Close();
+}
 
 TEST(TransportTest, InProcConnectionSpeaksTheProtocol) {
   StreamServer server;
@@ -1587,7 +1572,6 @@ TEST(TransportTest, OverCapOpenOptionsAreRejectedAndTheServerSurvives) {
       {"window=1000000000000000", kTinyProgram},
       {"window=1048577", kTinyProgram},
       {"shards=65", kTinyProgram},
-      {"workers=65", kTinyProgram},
       {"max_inflight=65", kTinyProgram},
       {"window=4", kTriplelessProgram}};
   for (const auto& [option, program] : kRefused) {
@@ -1606,8 +1590,7 @@ TEST(TransportTest, OverCapOpenOptionsAreRejectedAndTheServerSurvives) {
   // same server afterwards.
   ASSERT_TRUE(connection
                   ->Send(std::string("open edge async=1 window=1048576 "
-                                     "shards=64 workers=64 "
-                                     "max_inflight=64\n") +
+                                     "shards=64 max_inflight=64\n") +
                          kTinyProgram)
                   .ok());
   EXPECT_EQ(collector.AwaitReply(), "ok open edge v=1");

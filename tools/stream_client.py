@@ -19,9 +19,9 @@ Usage:
 --open-option appends an extra option to every open. With --expect-error
 CODE the client expects the server to refuse the open with code=CODE and
 exits 0 when it does (e.g. an over-cap `window=` must come back as
-code=invalid_argument, not crash the server). With --protocol-version
-!= 1 the expected refusal defaults to code=unsupported_version (negative
-test for version negotiation).
+code=invalid_argument, not crash the server, and so must `async=0`).
+With --protocol-version != 1 the expected refusal defaults to
+code=unsupported_version (negative test for version negotiation).
 
 Exits 0 on success, 1 otherwise.
 """
@@ -148,9 +148,9 @@ class SessionRun:
             send_frame(sock, "ping")
             self.await_reply(reader, "ping")
 
+            # No async=: every session is a lane on the shared pool.
             open_line = (f"open {self.name} window={self.args.window_size} "
-                         f"async=1 inflight=2 "
-                         f"v={self.args.protocol_version}")
+                         f"inflight=2 v={self.args.protocol_version}")
             for option in self.args.open_option:
                 open_line += f" {option}"
             send_frame(sock, open_line + "\n" + TRAFFIC_PROGRAM)
@@ -197,12 +197,17 @@ class SessionRun:
         if int(self.stats.get("delivered_answers", "0")) <= 0:
             failures.append(
                 f"{self.name}: server-side delivered_answers is zero")
-        # After the flush barrier every lane task (window and partition
-        # tasks alike) has finished.
+        # A default open is a pooled lane, so its windows ran as lane
+        # tasks, and after the flush barrier every one of them (window and
+        # partition tasks alike) has finished.
         submitted = self.stats.get("lane_tasks_submitted")
         completed = self.stats.get("lane_tasks_completed")
         if submitted is None or completed is None:
             failures.append(f"{self.name}: stats reply lacks lane gauges")
+        elif int(submitted) <= 0:
+            failures.append(
+                f"{self.name}: lane_tasks_submitted=0 — the default open "
+                f"did not run on the shared pool")
         elif submitted != completed:
             failures.append(
                 f"{self.name}: lane_tasks_completed={completed} != "
