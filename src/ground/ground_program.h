@@ -3,41 +3,28 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "asp/atom.h"
 #include "asp/packed_term.h"
 #include "asp/symbol_table.h"
+#include "ground/id_list.h"
 
 namespace streamasp {
-
-/// Dense id of a ground atom within one grounding.
-using GroundAtomId = uint32_t;
 
 /// Sentinel for "no atom".
 inline constexpr GroundAtomId kInvalidGroundAtom =
     static_cast<GroundAtomId>(-1);
 
-/// Hashes an Atom by mixing its packed argument words instead of the deep
-/// recursive Term hash: each argument folds to one tagged 64-bit word
-/// (compound arguments to their canonical arena id), so the per-probe cost
-/// is a handful of bit operations per argument regardless of term depth.
-struct PackedAtomHash {
-  size_t operator()(const Atom& a) const {
-    uint64_t h = PackedBitsHash()(a.predicate());
-    for (const Term& arg : a.args()) {
-      h = HashCombine(h, PackedBitsHash()(PackedTerm(arg).bits()));
-    }
-    return h;
-  }
-};
-
-/// Bidirectional map between ground Atoms and dense ids, used to give the
-/// solver an integer-indexed view of the ground program. The table also
-/// keeps a columnar packed-argument mirror (one tagged 64-bit word per
-/// argument slot) so the grounder's match loops and join indexes can read
-/// candidate arguments slot-wise without touching the Atom's Term vector.
+/// Bidirectional map between ground atoms and dense ids, used to give the
+/// solver an integer-indexed view of the ground program. The table is a
+/// packed columnar store: a predicate column plus one tagged 64-bit word
+/// per argument slot (see PackedTerm), found through a flat
+/// open-addressing index of ids that hashes and compares packed words.
+/// Interning a new atom appends to the columns and claims an index slot;
+/// no per-atom node, key copy or Term vector is allocated. The grounder's
+/// match loops and join indexes read candidate arguments slot-wise from
+/// the same columns. Ids are dense and follow first-interning order.
 class AtomTable {
  public:
   AtomTable() = default;
@@ -47,15 +34,25 @@ class AtomTable {
   AtomTable(AtomTable&&) noexcept = default;
   AtomTable& operator=(AtomTable&&) noexcept = default;
 
-  /// Returns the id for `atom`, interning on first use (a single hash
-  /// probe: try_emplace on both the hit and the miss path).
+  /// Returns the id of predicate(args[0..arity)), interning on first use
+  /// (one hash and one probe sequence on both the hit and the miss path).
+  GroundAtomId Intern(SymbolId predicate, const PackedTerm* args,
+                      uint32_t arity);
+  /// As above for an Atom, whose arguments are packed first.
   GroundAtomId Intern(const Atom& atom);
 
-  /// Returns the id for `atom` or kInvalidGroundAtom if never interned.
+  /// Returns the id of the atom or kInvalidGroundAtom if never interned.
+  GroundAtomId Lookup(SymbolId predicate, const PackedTerm* args,
+                      uint32_t arity) const;
   GroundAtomId Lookup(const Atom& atom) const;
 
-  /// The atom for an id. Requires a valid id.
-  const Atom& GetAtom(GroundAtomId id) const;
+  /// The atom for an id, unpacked from the columns. Requires a valid id.
+  Atom GetAtom(GroundAtomId id) const;
+
+  /// The name/arity signature of an id. Requires a valid id.
+  PredicateSignature Signature(GroundAtomId id) const {
+    return PredicateSignature{predicates_[id], PackedArity(id)};
+  }
 
   /// The packed argument words of an id, PackedArity(id) slots. Requires
   /// a valid id; the pointer is invalidated by the next Intern.
@@ -70,18 +67,37 @@ class AtomTable {
   /// atom count in the incremental engines).
   void Reserve(size_t atoms);
 
-  /// Approximate retained bytes: atom payloads + packed mirror + index.
+  /// Retained bytes: the columns and the index, by capacity.
   size_t ApproxBytes() const;
 
-  size_t size() const { return atoms_.size(); }
+  size_t size() const { return predicates_.size(); }
 
  private:
-  std::unordered_map<Atom, GroundAtomId, PackedAtomHash> index_;
-  std::vector<Atom> atoms_;
-  /// Columnar packed mirror of every atom's arguments: atom id's slots
-  /// are packed_args_[arg_offsets_[id] .. arg_offsets_[id + 1]).
+  /// One index slot: an id and the low half of its atom's hash, which
+  /// rejects most mismatches without touching the columns.
+  struct Slot {
+    GroundAtomId id;
+    uint32_t hash;
+  };
+
+  static uint64_t Hash(SymbolId predicate, const PackedTerm* args,
+                       uint32_t arity);
+  bool Equals(GroundAtomId id, SymbolId predicate, const PackedTerm* args,
+              uint32_t arity) const;
+  /// The slot holding the atom, or the empty slot where it would go.
+  size_t Probe(uint64_t hash, SymbolId predicate, const PackedTerm* args,
+               uint32_t arity) const;
+  /// Rebuilds the index with `slots` slots (a power of two).
+  void Rehash(size_t slots);
+
+  std::vector<SymbolId> predicates_;
+  /// Atom id's argument slots are packed_args_[arg_offsets_[id] ..
+  /// arg_offsets_[id + 1]).
   std::vector<uint32_t> arg_offsets_{0};
   std::vector<PackedTerm> packed_args_;
+  /// Open addressing with linear probing, at most half full; an empty
+  /// slot holds kInvalidGroundAtom.
+  std::vector<Slot> slots_;
 };
 
 /// A variable-free rule over dense atom ids:
@@ -90,10 +106,13 @@ class AtomTable {
 ///     :- positive_body..., not negative_body... .
 ///
 /// head.empty() encodes an integrity constraint.
+///
+/// The three id lists keep up to four ids inline (IdList), so a rule
+/// costs no heap allocation unless a list is longer.
 struct GroundRule {
-  std::vector<GroundAtomId> head;
-  std::vector<GroundAtomId> positive_body;
-  std::vector<GroundAtomId> negative_body;
+  IdList head;
+  IdList positive_body;
+  IdList negative_body;
 
   bool is_fact() const {
     return head.size() == 1 && positive_body.empty() &&

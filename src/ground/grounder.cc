@@ -47,6 +47,10 @@ StatusOr<GroundProgram> Grounder::Ground(const Program& program,
                                          GroundingStats* stats) const {
   GroundProgram ground;
   std::vector<GroundRule>& rules = ground.mutable_rules();
+  // Every input fact is an atom and a fact rule: size both tables for the
+  // window up front, so the first pass of interning never regrows them.
+  ground.mutable_atoms().Reserve(input_facts.size());
+  rules.reserve(input_facts.size());
   ground_internal::InstantiationCore core(&program, &ground.mutable_atoms());
   OneShotClient client(options_.max_ground_rules, &rules);
   STREAMASP_RETURN_IF_ERROR(core.Prepare());

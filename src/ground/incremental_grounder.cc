@@ -81,7 +81,9 @@ class IncrementalGrounder::Engine {
   void KillRule(uint32_t slot, std::vector<GroundAtomId>* worklist);
   /// Swap-compacts the marked dead slots out of the dense store.
   void CompactStore();
-  void RemoveBodyRef(GroundAtomId atom, uint32_t slot);
+  /// Drops a dying rule's body references, each in O(1) through its back
+  /// position (swap-remove, as a scan for the slot would do it).
+  void RemoveBodyRefs(uint32_t slot);
   /// Builds the per-window output: scratch copy of the store + window
   /// fact rules, optionally simplified; fills the output stat counters.
   void AssembleOutput();
@@ -113,6 +115,10 @@ class IncrementalGrounder::Engine {
   /// it (plus the window's fact rules) so per-window simplification never
   /// touches the cache.
   std::vector<GroundRule> store_;
+  /// Per store slot: where each positive-body literal's reference sits in
+  /// body_rules_ (a back position), so retraction and compaction touch
+  /// only the rules' own literals, never a scan of a whole list.
+  std::vector<IdList> body_ref_pos_;
   std::vector<bool> alive_;            ///< Per store slot; all true between
                                        ///< windows (kills compact away).
   std::vector<uint32_t> dead_slots_;   ///< Kill batch awaiting compaction.
@@ -126,15 +132,41 @@ class IncrementalGrounder::Engine {
   GroundingStats call_stats_;
 };
 
-void IncrementalGrounder::Engine::RemoveBodyRef(GroundAtomId atom,
-                                                uint32_t slot) {
-  std::vector<uint32_t>& refs = body_rules_[atom];
-  for (size_t i = 0; i < refs.size(); ++i) {
-    if (refs[i] == slot) {
-      refs[i] = refs.back();
-      refs.pop_back();
-      return;
+void IncrementalGrounder::Engine::RemoveBodyRefs(uint32_t slot) {
+  const IdList& body = store_[slot].positive_body;
+  IdList& positions = body_ref_pos_[slot];
+  for (uint32_t k = 0; k < body.size(); ++k) {
+    std::vector<uint32_t>& refs = body_rules_[body[k]];
+    // An empty list belongs to an atom retracted earlier in this batch
+    // (RetractAtom took its references).
+    if (refs.empty()) continue;
+    // The entry a front-to-back scan for `slot` would meet first: with a
+    // repeated body atom the rule owns several equal entries, and the
+    // lowest position among those not yet dropped goes.
+    uint32_t first = k;
+    for (uint32_t j = k + 1; j < body.size(); ++j) {
+      if (body[j] == body[k] && positions[j] < positions[first]) first = j;
     }
+    // Literal `first` takes over literal k's entry; k's is the one gone.
+    const uint32_t hole = positions[first];
+    positions[first] = positions[k];
+    positions[k] = kNoPosition;
+    // Swap-remove: the last entry fills the hole, and its owner's back
+    // position follows it.
+    const uint32_t tail = static_cast<uint32_t>(refs.size() - 1);
+    if (hole != tail) {
+      const uint32_t owner = refs[tail];
+      refs[hole] = owner;
+      const IdList& owner_body = store_[owner].positive_body;
+      IdList& owner_positions = body_ref_pos_[owner];
+      for (uint32_t j = 0; j < owner_body.size(); ++j) {
+        if (owner_body[j] == body[k] && owner_positions[j] == tail) {
+          owner_positions[j] = hole;
+          break;
+        }
+      }
+    }
+    refs.pop_back();
   }
 }
 
@@ -143,9 +175,8 @@ void IncrementalGrounder::Engine::KillRule(
   assert(alive_[slot]);
   alive_[slot] = false;
   ++call_stats_.rules_retracted;
-  const GroundRule& rule = store_[slot];
-  for (GroundAtomId b : rule.positive_body) RemoveBodyRef(b, slot);
-  for (GroundAtomId h : rule.head) {
+  RemoveBodyRefs(slot);
+  for (GroundAtomId h : store_[slot].head) {
     assert(support_[h] > 0);
     if (--support_[h] == 0 && derivable(h)) worklist->push_back(h);
   }
@@ -166,19 +197,19 @@ void IncrementalGrounder::Engine::CompactStore() {
   for (const uint32_t slot : dead_slots_) {
     const uint32_t last = static_cast<uint32_t>(store_.size() - 1);
     if (slot != last) {
-      GroundRule moved = std::move(store_[last]);
-      for (GroundAtomId b : moved.positive_body) {
-        for (uint32_t& ref : body_rules_[b]) {
-          if (ref == last) {
-            ref = slot;
-            break;
-          }
-        }
+      // The moved rule's references sit at its back positions; relabel
+      // them in place.
+      const IdList& body = store_[last].positive_body;
+      const IdList& positions = body_ref_pos_[last];
+      for (uint32_t k = 0; k < body.size(); ++k) {
+        body_rules_[body[k]][positions[k]] = slot;
       }
-      store_[slot] = std::move(moved);
+      store_[slot] = std::move(store_[last]);
+      body_ref_pos_[slot] = std::move(body_ref_pos_[last]);
       alive_[slot] = true;
     }
     store_.pop_back();
+    body_ref_pos_.pop_back();
     alive_.pop_back();
   }
   dead_slots_.clear();
@@ -203,9 +234,14 @@ Status IncrementalGrounder::Engine::Emit(GroundRule rule) {
   STREAMASP_RETURN_IF_ERROR(ground_internal::CheckRuleLimit(
       store_.size(), options_.max_ground_rules));
   const uint32_t slot = static_cast<uint32_t>(store_.size());
-  for (GroundAtomId b : rule.positive_body) body_rules_[b].push_back(slot);
+  IdList positions;
+  for (GroundAtomId b : rule.positive_body) {
+    positions.push_back(static_cast<uint32_t>(body_rules_[b].size()));
+    body_rules_[b].push_back(slot);
+  }
   for (GroundAtomId h : rule.head) ++support_[h];
   store_.push_back(std::move(rule));
+  body_ref_pos_.push_back(std::move(positions));
   alive_.push_back(true);
   ++call_stats_.rules_new;
   return OkStatus();
@@ -344,6 +380,7 @@ Status IncrementalGrounder::Engine::Rebuild(const std::vector<Atom>& facts) {
   ext_pos_.clear();
   body_rules_.clear();
   store_.clear();
+  body_ref_pos_.clear();
   alive_.clear();
   dead_slots_.clear();
   tombstoned_atoms_ = 0;

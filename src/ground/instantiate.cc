@@ -1,6 +1,7 @@
 #include "ground/instantiate.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "graph/components.h"
 #include "graph/graph.h"
@@ -10,17 +11,28 @@ namespace ground_internal {
 
 namespace {
 
-/// Fills the precomputed per-pattern groundness flags of a compiled rule.
-void PrecomputeGroundFlags(CompiledRule* rule) {
-  rule->heads_ground.clear();
-  rule->heads_ground.reserve(rule->heads.size());
-  for (const Atom& head : rule->heads) {
-    rule->heads_ground.push_back(head.IsGround());
+/// The packed word of every ground, defined argument of `pattern` (none
+/// for the arguments SubstitutePacked must resolve per instance).
+std::vector<PackedTerm> GroundWords(const Atom& pattern) {
+  std::vector<PackedTerm> words(pattern.arity());
+  for (uint32_t i = 0; i < pattern.arity(); ++i) {
+    const Term& arg = pattern.args()[i];
+    if (arg.IsGround() && !ContainsUnfoldedArithmetic(arg)) {
+      words[i] = PackedTerm(arg);
+    }
   }
-  rule->negatives_ground.clear();
-  rule->negatives_ground.reserve(rule->negatives.size());
+  return words;
+}
+
+/// Fills the precomputed per-pattern ground words of a compiled rule.
+void PrecomputeGroundWords(CompiledRule* rule) {
+  rule->head_words.clear();
+  for (const Atom& head : rule->heads) {
+    rule->head_words.push_back(GroundWords(head));
+  }
+  rule->negative_words.clear();
   for (const Atom& negative : rule->negatives) {
-    rule->negatives_ground.push_back(negative.IsGround());
+    rule->negative_words.push_back(GroundWords(negative));
   }
 }
 
@@ -130,39 +142,37 @@ bool ContainsUnfoldedArithmetic(const Term& term) {
   return false;
 }
 
-bool ContainsUnfoldedArithmetic(const Atom& atom) {
-  for (const Term& arg : atom.args()) {
-    if (ContainsUnfoldedArithmetic(arg)) return true;
-  }
-  return false;
-}
-
-Atom SubstituteAtomFast(const Atom& atom, bool pattern_ground,
-                        const Binding& binding) {
-  if (pattern_ground) return atom;  // Nothing to substitute.
-  std::vector<Term> args;
-  args.reserve(atom.args().size());
-  for (const Term& arg : atom.args()) {
-    switch (arg.kind()) {
-      case TermKind::kInteger:
-      case TermKind::kSymbol:
-        args.push_back(arg);  // Ground constant: plain copy.
-        break;
-      case TermKind::kVariable: {
-        // Safety guarantees head/negative variables are bound by the
-        // positive body, so the lookup hits; unbound variables (only
-        // possible on unsafe input the engines reject earlier) stay put.
-        const Term* bound = binding.Get(arg.symbol());
-        args.push_back(bound != nullptr ? *bound : arg);
-        break;
-      }
-      case TermKind::kFunction:
-      case TermKind::kArithmetic:
-        args.push_back(SubstituteTerm(arg, binding));
-        break;
+bool SubstitutePacked(const Atom& pattern,
+                      const std::vector<PackedTerm>& ground_words,
+                      const Binding& binding, PackedTerm* out) {
+  for (uint32_t i = 0; i < pattern.arity(); ++i) {
+    if (ground_words[i].has_value()) {
+      out[i] = ground_words[i];  // Ground constant: precomputed word.
+      continue;
     }
+    const Term& arg = pattern.args()[i];
+    if (arg.is_variable()) {
+      // Safety guarantees head/negative variables are bound by the
+      // positive body, so the lookup hits; an unbound variable (only
+      // possible on unsafe input the engines reject earlier) stays put.
+      const PackedTerm bound = binding.GetPacked(arg.symbol());
+      assert(bound.has_value() && "safety guarantees bound instances");
+      if (!bound.has_value()) {
+        out[i] = PackedTerm::Variable(arg.symbol());
+      } else if (bound.is_escape() &&
+                 ContainsUnfoldedArithmetic(bound.ToTerm())) {
+        return false;  // Bound to an undefined expression (a raw fact's).
+      } else {
+        out[i] = bound;
+      }
+      continue;
+    }
+    // Compound or undefined arithmetic argument: substitute as a Term.
+    const Term substituted = SubstituteTerm(arg, binding);
+    if (ContainsUnfoldedArithmetic(substituted)) return false;
+    out[i] = PackedTerm(substituted);
   }
-  return Atom(atom.predicate(), std::move(args));
+  return true;
 }
 
 bool ResolveComparisons(const CompiledRule& rule, Binding* binding,
@@ -210,8 +220,13 @@ bool ResolveComparisons(const CompiledRule& rule, Binding* binding,
 
 void SimplifyGroundRules(size_t num_atoms, const std::vector<bool>& derivable,
                          std::vector<GroundRule>* rules_io) {
+  constexpr uint32_t kNotFact = static_cast<uint32_t>(-1);
   std::vector<GroundRule>& rules = *rules_io;
-  std::vector<bool> definitely_true(num_atoms, false);
+  // Per atom: the fact rule that made it definitely true, or kNotFact.
+  std::vector<uint32_t> fact_rule(num_atoms, kNotFact);
+  auto definitely_true = [&](GroundAtomId id) {
+    return fact_rule[id] != kNotFact;
+  };
   std::vector<bool> removed(rules.size(), false);
 
   // Pass 0: erase negative literals over atoms that no rule can derive —
@@ -236,7 +251,7 @@ void SimplifyGroundRules(size_t num_atoms, const std::vector<bool>& derivable,
       // A definitely-true head atom satisfies the rule outright.
       bool satisfied = false;
       for (GroundAtomId h : rule.head) {
-        if (definitely_true[h]) {
+        if (definitely_true(h)) {
           satisfied = true;
           break;
         }
@@ -244,7 +259,7 @@ void SimplifyGroundRules(size_t num_atoms, const std::vector<bool>& derivable,
       // So does a definitely-true negative-body atom falsifying the body.
       if (!satisfied) {
         for (GroundAtomId n : rule.negative_body) {
-          if (definitely_true[n]) {
+          if (definitely_true(n)) {
             satisfied = true;
             break;
           }
@@ -258,26 +273,25 @@ void SimplifyGroundRules(size_t num_atoms, const std::vector<bool>& derivable,
 
       auto& pos = rule.positive_body;
       const size_t before = pos.size();
-      pos.erase(std::remove_if(
-                    pos.begin(), pos.end(),
-                    [&](GroundAtomId id) { return definitely_true[id]; }),
+      pos.erase(std::remove_if(pos.begin(), pos.end(), definitely_true),
                 pos.end());
       if (pos.size() != before) changed = true;
 
-      if (rule.is_fact() && !definitely_true[rule.head.front()]) {
-        definitely_true[rule.head.front()] = true;
-        removed[r] = true;  // Re-emitted once, below.
+      if (rule.is_fact() && !definitely_true(rule.head.front())) {
+        fact_rule[rule.head.front()] = static_cast<uint32_t>(r);
+        removed[r] = true;  // Moved to the fact block, below.
         changed = true;
       }
     }
   }
 
+  // The facts lead, one per definitely-true atom in atom order (each is
+  // the rule that established it, now exactly {a.}), then the surviving
+  // rules in their original order.
   std::vector<GroundRule> output;
   output.reserve(rules.size());
   for (GroundAtomId a = 0; a < num_atoms; ++a) {
-    if (definitely_true[a]) {
-      output.push_back(GroundRule{{a}, {}, {}});
-    }
+    if (definitely_true(a)) output.push_back(std::move(rules[fact_rule[a]]));
   }
   for (size_t r = 0; r < rules.size(); ++r) {
     if (!removed[r]) output.push_back(std::move(rules[r]));
@@ -362,6 +376,7 @@ Status InstantiationCore::Prepare() {
 
   component_rules_.assign(num_components_ + 1, {});
   compiled_.reserve(program_->rules().size());
+  uint32_t max_arity = 0;
   for (const Rule& rule : program_->rules()) {
     if (rule.body().empty()) continue;  // Facts are seeded separately.
     CompiledRule cr;
@@ -384,7 +399,13 @@ Status InstantiationCore::Prepare() {
           break;
       }
     }
-    PrecomputeGroundFlags(&cr);
+    PrecomputeGroundWords(&cr);
+    for (const Atom& atom : cr.heads) {
+      max_arity = std::max(max_arity, atom.arity());
+    }
+    for (const Atom& atom : cr.negatives) {
+      max_arity = std::max(max_arity, atom.arity());
+    }
     if (cr.heads.empty()) {
       // Constraints run in the last pseudo-component, over final
       // extensions.
@@ -402,6 +423,7 @@ Status InstantiationCore::Prepare() {
     }
     compiled_.push_back(std::move(cr));
   }
+  instance_args_.assign(max_arity, PackedTerm());
   // Pointers into compiled_ are stable from here on.
   for (CompiledRule& cr : compiled_) {
     component_rules_[cr.component].push_back(&cr);

@@ -113,15 +113,17 @@ Term SubstituteTerm(const Term& term, const Binding& binding);
 /// division/modulo by zero. Such instances are undefined and skipped,
 /// matching Clingo's treatment of undefined arithmetic.
 bool ContainsUnfoldedArithmetic(const Term& term);
-bool ContainsUnfoldedArithmetic(const Atom& atom);
 
-/// Substitution fast path of EmitInstance: when `pattern_ground` (the
-/// precomputed Atom::IsGround() of the pattern, cached in CompiledRule) the
-/// atom is returned as-is with no per-argument work, and otherwise
-/// variable and constant arguments are resolved directly — the generic
-/// recursive SubstituteTerm runs only for compound/arithmetic arguments.
-Atom SubstituteAtomFast(const Atom& atom, bool pattern_ground,
-                        const Binding& binding);
+/// Instance construction of EmitInstance, straight into packed words:
+/// writes the words of `pattern` under `binding` to out[0..arity).
+/// `ground_words` holds the pattern's precomputed word per argument for
+/// ground, defined arguments (copied as-is) and the none word elsewhere;
+/// variables read their bound packed value, and only compound arguments
+/// are substituted as Terms. Returns false when an argument is undefined
+/// arithmetic (see ContainsUnfoldedArithmetic): the instance is skipped.
+bool SubstitutePacked(const Atom& pattern,
+                      const std::vector<PackedTerm>& ground_words,
+                      const Binding& binding, PackedTerm* out);
 
 /// Lazily built hash index over one argument position of an extension,
 /// keyed by the argument's packed 64-bit word (deep Term hashing only
@@ -162,10 +164,10 @@ struct CompiledRule {
   int component = 0;
   bool recursive = false;
   std::vector<size_t> same_component_positions;  // Indices into `positive`.
-  // Precomputed Atom::IsGround() per head/negative pattern, so
-  // SubstituteAtomFast can short-circuit without walking the args.
-  std::vector<bool> heads_ground;
-  std::vector<bool> negatives_ground;
+  // Per head/negative pattern, the packed word of every ground, defined
+  // argument (none elsewhere), for SubstitutePacked.
+  std::vector<std::vector<PackedTerm>> head_words;
+  std::vector<std::vector<PackedTerm>> negative_words;
 };
 
 /// Attempts to resolve pending comparison literals under `binding`.
@@ -318,9 +320,9 @@ class InstantiationCore {
   /// facts no rule reads) belong to no component (-1).
   int PredIndex(const PredicateSignature& sig);
 
+  /// Grows the per-atom state after `id` was interned.
   template <typename Client>
-  GroundAtomId Intern(const Atom& atom, Client& client) {
-    const GroundAtomId id = atoms_->Intern(atom);
+  GroundAtomId Track(GroundAtomId id, Client& client) {
     if (id >= derivable_.size()) {
       derivable_.resize(id + 1, false);
       client.GrowAtoms(id + 1);
@@ -328,20 +330,29 @@ class InstantiationCore {
     return id;
   }
 
-  /// Interns `atom` (of predicate `pred`) and, if newly derivable, appends
-  /// it to its predicate's extension.
+  /// Interns the instance SubstitutePacked wrote to `instance_args_` (an
+  /// atom of `pattern`'s predicate).
   template <typename Client>
-  GroundAtomId AddDerivedAtom(const Atom& atom, int pred, Client& client) {
-    const GroundAtomId id = Intern(atom, client);
+  GroundAtomId InternInstance(const Atom& pattern, Client& client) {
+    return Track(atoms_->Intern(pattern.predicate(), instance_args_.data(),
+                                pattern.arity()),
+                 client);
+  }
+
+  /// As above and, if newly derivable, appends it to extension `pred`.
+  template <typename Client>
+  GroundAtomId AddDerivedInstance(const Atom& pattern, int pred,
+                                  Client& client) {
+    const GroundAtomId id = InternInstance(pattern, client);
     if (!derivable_[id]) Derive(id, pred, client);
     return id;
   }
 
-  /// Fact seeding: as above, looking the predicate up only for a newly
-  /// derivable atom.
+  /// Fact seeding: as above for a ground Atom, looking the predicate up
+  /// only for a newly derivable atom.
   template <typename Client>
   GroundAtomId AddDerivedAtom(const Atom& atom, Client& client) {
-    const GroundAtomId id = Intern(atom, client);
+    const GroundAtomId id = Track(atoms_->Intern(atom), client);
     if (!derivable_[id]) Derive(id, PredIndex(atom.signature()), client);
     return id;
   }
@@ -376,6 +387,9 @@ class InstantiationCore {
   std::vector<std::vector<int>> component_preds_;
   std::vector<CompiledRule> compiled_;
   std::vector<std::vector<CompiledRule*>> component_rules_;
+  /// Scratch for the instance EmitInstance is building, sized to the
+  /// largest head/negative arity.
+  std::vector<PackedTerm> instance_args_;
 
   // --- evaluation state ---
   std::vector<bool> derivable_;
@@ -560,10 +574,9 @@ Status InstantiationCore::EmitInstance(
   ground.positive_body.assign(matched.begin(), matched.end());
 
   for (size_t i = 0; i < rule->negatives.size(); ++i) {
-    const Atom instance = SubstituteAtomFast(
-        rule->negatives[i], rule->negatives_ground[i], binding);
-    assert(instance.IsGround() && "safety guarantees ground negatives");
-    if (ContainsUnfoldedArithmetic(instance)) {
+    const Atom& pattern = rule->negatives[i];
+    if (!SubstitutePacked(pattern, rule->negative_words[i], binding,
+                          instance_args_.data())) {
       return OkStatus();  // Undefined arithmetic: skip the instance.
     }
     if constexpr (Client::kResolveFinalNegatives) {
@@ -571,7 +584,8 @@ Status InstantiationCore::EmitInstance(
         // The predicate's extension is final: an underivable atom can
         // never become true, so `not atom` is certainly satisfied — drop
         // it.
-        const GroundAtomId existing = atoms_->Lookup(instance);
+        const GroundAtomId existing = atoms_->Lookup(
+            pattern.predicate(), instance_args_.data(), pattern.arity());
         if (existing == kInvalidGroundAtom || !derivable_[existing]) {
           continue;
         }
@@ -579,18 +593,16 @@ Status InstantiationCore::EmitInstance(
         continue;
       }
     }
-    ground.negative_body.push_back(Intern(instance, client));
+    ground.negative_body.push_back(InternInstance(pattern, client));
   }
 
   for (size_t h = 0; h < rule->heads.size(); ++h) {
-    const Atom instance =
-        SubstituteAtomFast(rule->heads[h], rule->heads_ground[h], binding);
-    assert(instance.IsGround() && "safety guarantees ground heads");
-    if (ContainsUnfoldedArithmetic(instance)) {
+    if (!SubstitutePacked(rule->heads[h], rule->head_words[h], binding,
+                          instance_args_.data())) {
       return OkStatus();  // Undefined arithmetic: skip the instance.
     }
     ground.head.push_back(
-        AddDerivedAtom(instance, rule->head_preds[h], client));
+        AddDerivedInstance(rule->heads[h], rule->head_preds[h], client));
   }
   return client.Emit(std::move(ground));
 }

@@ -60,12 +60,13 @@ class PropagationCore {
   enum class Val : int8_t { kUnknown = 0, kTrue = 1, kFalse = 2 };
 
   /// A normalized (non-disjunctive) rule: `head :- pos, not neg.` with
-  /// head == kNoHead encoding an integrity constraint.
+  /// head == kNoHead encoding an integrity constraint. The body lists
+  /// keep up to four ids inline, as GroundRule's do.
   struct CoreRule {
     static constexpr int32_t kNoHead = -1;
     int32_t head = kNoHead;
-    std::vector<GroundAtomId> pos;
-    std::vector<GroundAtomId> neg;
+    IdList pos;
+    IdList neg;
   };
 
   static constexpr uint32_t kNoRuleIndex = static_cast<uint32_t>(-1);
@@ -147,6 +148,12 @@ class PropagationCore {
     support_count_.clear();
     retract_seeds_.clear();
     insert_seeds_.clear();
+    list_dirty_.clear();
+    dirty_atoms_.clear();
+    fate_.clear();
+    origin_at_.clear();
+    moved_.clear();
+    removed_origins_.clear();
   }
 
   void EnsureAtomCapacity(size_t num_atoms) {
@@ -159,6 +166,7 @@ class PropagationCore {
     derived_.resize(num_atoms, 0);
     justifier_.resize(num_atoms, kNoRuleIndex);
     support_count_.resize(num_atoms, 0);
+    list_dirty_.resize(num_atoms, 0);
     num_atoms_ = num_atoms;
     // Every atom enters the trail (and therefore the propagation queue)
     // at most once per assignment stack, so one num_atoms_-sized block
@@ -171,6 +179,7 @@ class PropagationCore {
   /// rule's atoms must be < num_atoms() (grow with EnsureAtomCapacity
   /// first).
   uint32_t AddRule(CoreRule rule) {
+    FlushRemovals();
     const uint32_t r = static_cast<uint32_t>(rules_.size());
     for (GroundAtomId a : rule.pos) {
       occurrences_[a].push_back(Occurrence{r, true});
@@ -217,8 +226,11 @@ class PropagationCore {
 
   /// Unhooks rule `index` and swap-compacts the last rule into its slot
   /// (the caller mirrors the same move on any parallel per-rule arrays it
-  /// keeps). Duplicate body atoms yield duplicate occurrence entries, so
-  /// unhooking compacts rather than swap-erases a single match.
+  /// keeps). The per-rule arrays, counters and justifiers change at once;
+  /// the occurrence lists are fixed up lazily, once per list for a whole
+  /// run of removals (see FlushRemovals), so a removal costs the removed
+  /// and the moved rule's own literals rather than a scan of every list
+  /// they sit on.
   void RemoveRule(uint32_t index) {
     assert(index < rules_.size());
     if (maintained_valid_) {
@@ -235,17 +247,19 @@ class PropagationCore {
         retract_seeds_.push_back(static_cast<GroundAtomId>(rule.head));
       }
     }
+    if (moved_.empty() && removed_origins_.empty()) {
+      // First removal of a run: the lists are labelled with the rule
+      // indices as they are now, so origins are indices at this point.
+      fate_.resize(rules_.size(), kNoRuleIndex);
+      origin_at_.resize(rules_.size(), kNoRuleIndex);
+    }
     {
       const CoreRule& rule = rules_[index];
-      for (GroundAtomId a : rule.pos) {
-        EraseOccurrences(&occurrences_[a], index, true);
-        EraseAll(&pos_occurrences_[a], index);
-      }
-      for (GroundAtomId a : rule.neg) {
-        EraseOccurrences(&occurrences_[a], index, false);
-      }
+      const uint32_t origin = OriginAt(index);
+      fate_[origin] = kRemovedRule;
+      removed_origins_.push_back(origin);
+      MarkListsDirty(rule);
       if (rule.head != CoreRule::kNoHead) {
-        EraseAll(&head_rules_[rule.head], index);
         --active_count_[rule.head];
       } else {
         --constraint_rules_;
@@ -256,24 +270,19 @@ class PropagationCore {
     const uint32_t last = static_cast<uint32_t>(rules_.size() - 1);
     if (index != last) {
       CoreRule moved = std::move(rules_[last]);
-      for (GroundAtomId a : moved.pos) {
-        RetargetOccurrences(&occurrences_[a], last, index, true);
-        RetargetAll(&pos_occurrences_[a], last, index);
-      }
-      for (GroundAtomId a : moved.neg) {
-        RetargetOccurrences(&occurrences_[a], last, index, false);
-      }
-      if (moved.head != CoreRule::kNoHead) {
-        RetargetAll(&head_rules_[moved.head], last, index);
-        if (maintained_valid_ && justifier_[moved.head] == last) {
-          justifier_[moved.head] = index;
-        }
+      origin_at_[index] = OriginAt(last);
+      moved_.push_back(index);
+      MarkListsDirty(moved);
+      if (moved.head != CoreRule::kNoHead && maintained_valid_ &&
+          justifier_[moved.head] == last) {
+        justifier_[moved.head] = index;
       }
       rules_[index] = std::move(moved);
       body_unassigned_[index] = body_unassigned_[last];
       body_false_[index] = body_false_[last];
       support_missing_[index] = support_missing_[last];
     }
+    origin_at_[last] = kNoRuleIndex;
     rules_.pop_back();
     body_unassigned_.pop_back();
     body_false_.pop_back();
@@ -288,6 +297,25 @@ class PropagationCore {
   const CoreRule& rule(uint32_t r) const { return rules_[r]; }
   size_t negative_body_rules() const { return negative_body_rules_; }
   size_t constraint_rules() const { return constraint_rules_; }
+  /// The watch lists of `atom`, in list order: every body occurrence as
+  /// (rule, in positive body), the rules with `atom` in their positive
+  /// body, and the rules it heads. Completes a pending removal run first.
+  std::vector<std::pair<uint32_t, bool>> BodyOccurrencesOf(GroundAtomId atom) {
+    FlushRemovals();
+    std::vector<std::pair<uint32_t, bool>> out;
+    for (const Occurrence& occ : occurrences_[atom]) {
+      out.emplace_back(occ.rule, occ.in_positive_body);
+    }
+    return out;
+  }
+  const std::vector<uint32_t>& PositiveOccurrencesOf(GroundAtomId atom) {
+    FlushRemovals();
+    return pos_occurrences_[atom];
+  }
+  const std::vector<uint32_t>& HeadRulesOf(GroundAtomId atom) {
+    FlushRemovals();
+    return head_rules_[atom];
+  }
   /// True when the live rule set has no negative literals and no
   /// constraints — the fragment with exactly one stable model (its least
   /// model), which both the definite fast path and the maintained
@@ -307,6 +335,7 @@ class PropagationCore {
   template <typename Client>
   Status Enumerate(const SolverOptions& options, Client& client,
                    std::vector<AnswerSet>* models) {
+    FlushRemovals();
     options_ = &options;
     models_ = models;
     decisions_ = 0;
@@ -323,6 +352,7 @@ class PropagationCore {
   /// current assignment (rules with a false body do not support). At rest
   /// this is the least-model closure of the live rules.
   void ComputeSupportClosure() {
+    FlushRemovals();
     supported_.assign(num_atoms_, 0);
     unsupported_pos_.assign(rules_.size(), 0);
     ready_.clear();
@@ -365,6 +395,7 @@ class PropagationCore {
   /// persistent pos_occurrences_ lists and flat scratch, so it allocates
   /// nothing after warm-up. `model` must be sorted.
   bool VerifyStable(const std::vector<GroundAtomId>& model) {
+    FlushRemovals();
     in_model_.assign(num_atoms_, 0);
     for (GroundAtomId a : model) in_model_[a] = 1;
     reduct_enabled_.assign(rules_.size(), 0);
@@ -473,6 +504,7 @@ class PropagationCore {
   /// from the full live rule set (O(program)). Requires definite().
   void RebuildMaintainedModel() {
     assert(definite());
+    FlushRemovals();
     derived_.assign(num_atoms_, 0);
     justifier_.assign(num_atoms_, kNoRuleIndex);
     support_count_.assign(num_atoms_, 0);
@@ -517,6 +549,7 @@ class PropagationCore {
   /// Requires maintained_valid().
   size_t CommitMaintainedPatch() {
     assert(maintained_valid_);
+    FlushRemovals();
     size_t touched = 0;
 
     // Phase 1: retraction cascade. An atom leaves the model exactly when
@@ -600,43 +633,83 @@ class PropagationCore {
     bool in_positive_body;
   };
 
-  static void EraseOccurrences(std::vector<Occurrence>* list, uint32_t rule,
-                               bool in_positive_body) {
+  static constexpr uint32_t kRemovedRule = kNoRuleIndex - 1;
+  /// list_dirty_ bits: which of an atom's lists a removal run touched.
+  static constexpr uint8_t kBodyListsDirty = 1;  ///< occurrences_, pos_...
+  static constexpr uint8_t kHeadListDirty = 2;   ///< head_rules_
+
+  /// The index rule `index` had when the current removal run began.
+  uint32_t OriginAt(uint32_t index) const {
+    return origin_at_[index] == kNoRuleIndex ? index : origin_at_[index];
+  }
+
+  void MarkListDirty(GroundAtomId atom, uint8_t bits) {
+    if (list_dirty_[atom] == 0) dirty_atoms_.push_back(atom);
+    list_dirty_[atom] |= bits;
+  }
+  void MarkListsDirty(const CoreRule& rule) {
+    for (GroundAtomId a : rule.pos) MarkListDirty(a, kBodyListsDirty);
+    for (GroundAtomId a : rule.neg) MarkListDirty(a, kBodyListsDirty);
+    if (rule.head != CoreRule::kNoHead) {
+      MarkListDirty(static_cast<GroundAtomId>(rule.head), kHeadListDirty);
+    }
+  }
+
+  /// Relabels one list after a removal run: entries of removed rules go,
+  /// entries of moved rules take their final index, and the survivors
+  /// keep their relative order. Removing the rules one at a time (erase
+  /// every entry of the removed rule, relabel the moved one's in place)
+  /// leaves exactly this list, because neither step reorders survivors.
+  template <typename Entry, typename RuleOf>
+  void ApplyFates(std::vector<Entry>* list, RuleOf rule_of) const {
     size_t w = 0;
     for (size_t i = 0; i < list->size(); ++i) {
-      const Occurrence& occ = (*list)[i];
-      if (occ.rule == rule && occ.in_positive_body == in_positive_body) {
-        continue;
-      }
-      (*list)[w++] = occ;
+      Entry entry = (*list)[i];
+      const uint32_t fate = fate_[rule_of(entry)];
+      if (fate == kRemovedRule) continue;
+      if (fate != kNoRuleIndex) rule_of(entry) = fate;
+      (*list)[w++] = entry;
     }
     list->resize(w);
   }
 
-  static void EraseAll(std::vector<uint32_t>* list, uint32_t rule) {
-    size_t w = 0;
-    for (size_t i = 0; i < list->size(); ++i) {
-      if ((*list)[i] == rule) continue;
-      (*list)[w++] = (*list)[i];
-    }
-    list->resize(w);
-  }
-
-  static void RetargetOccurrences(std::vector<Occurrence>* list,
-                                  uint32_t from, uint32_t to,
-                                  bool in_positive_body) {
-    for (Occurrence& occ : *list) {
-      if (occ.rule == from && occ.in_positive_body == in_positive_body) {
-        occ.rule = to;
+  /// Completes a run of RemoveRule calls: one stable pass over every list
+  /// the run touched. Until then the lists are labelled with the indices
+  /// rules had when the run began (fate_ maps them to their final index,
+  /// or marks them removed), so everything that reads a list — AddRule,
+  /// enumeration, the closure and verification passes, the maintained
+  /// fixpoint — flushes first.
+  void FlushRemovals() {
+    if (moved_.empty() && removed_origins_.empty()) return;
+    for (uint32_t index : moved_) {
+      if (index < rules_.size() && origin_at_[index] != kNoRuleIndex) {
+        fate_[origin_at_[index]] = index;
       }
     }
-  }
-
-  static void RetargetAll(std::vector<uint32_t>* list, uint32_t from,
-                          uint32_t to) {
-    for (uint32_t& r : *list) {
-      if (r == from) r = to;
+    auto occurrence_rule = [](Occurrence& occ) -> uint32_t& {
+      return occ.rule;
+    };
+    auto plain_rule = [](uint32_t& r) -> uint32_t& { return r; };
+    for (GroundAtomId a : dirty_atoms_) {
+      if (list_dirty_[a] & kBodyListsDirty) {
+        ApplyFates(&occurrences_[a], occurrence_rule);
+        ApplyFates(&pos_occurrences_[a], plain_rule);
+      }
+      if (list_dirty_[a] & kHeadListDirty) {
+        ApplyFates(&head_rules_[a], plain_rule);
+      }
+      list_dirty_[a] = 0;
     }
+    dirty_atoms_.clear();
+    for (uint32_t origin : removed_origins_) fate_[origin] = kNoRuleIndex;
+    for (uint32_t index : moved_) {
+      if (index < origin_at_.size() && origin_at_[index] != kNoRuleIndex) {
+        fate_[origin_at_[index]] = kNoRuleIndex;
+        origin_at_[index] = kNoRuleIndex;
+      }
+    }
+    removed_origins_.clear();
+    moved_.clear();
   }
 
   // --- assignment and trail ------------------------------------------
@@ -937,6 +1010,15 @@ class PropagationCore {
   std::vector<GroundAtomId> insert_seeds_;
   std::vector<GroundAtomId> work_;
   std::vector<GroundAtomId> rederive_;
+
+  // Removal run awaiting FlushRemovals (see there). Origins are the
+  // indices rules had when the run began.
+  std::vector<uint32_t> fate_;       ///< Origin -> final index / removed.
+  std::vector<uint32_t> origin_at_;  ///< Index -> origin of a moved rule.
+  std::vector<uint32_t> moved_;      ///< Indices a moved rule landed on.
+  std::vector<uint32_t> removed_origins_;
+  std::vector<uint8_t> list_dirty_;  ///< Per atom: k*Dirty bits.
+  std::vector<GroundAtomId> dirty_atoms_;
 
   const SolverOptions* options_ = nullptr;
   std::vector<AnswerSet>* models_ = nullptr;

@@ -18,7 +18,7 @@ std::vector<std::pair<PredicateSignature, std::vector<size_t>>> GroupWindow(
   for (size_t i = 0; i < window.size(); ++i) {
     const PredicateSignature sig{window[i].predicate,
                                  window[i].object.has_value() ? 2u : 1u};
-    auto [it, inserted] = group_of.emplace(sig, groups.size());
+    auto [it, inserted] = group_of.try_emplace(sig, groups.size());
     if (inserted) {
       groups.emplace_back(sig, std::vector<size_t>{});
     }

@@ -141,21 +141,21 @@ void Reasoner::ExtractAnswers(const AtomTable& atoms,
     GroundAnswer answer;
     answer.reserve(model.atoms.size());
     for (GroundAtomId id : model.atoms) {
-      const Atom& atom = atoms.GetAtom(id);
       if (project) {
         // Filter during extraction (same membership test ProjectAnswer
-        // runs) instead of materializing the full answer and copying the
-        // projected subsequence out of it.
+        // runs) on the table's signature column, so only the atoms kept
+        // are unpacked.
+        const PredicateSignature signature = atoms.Signature(id);
         bool keep = false;
         for (const PredicateSignature& sig : shown) {
-          if (atom.signature() == sig) {
+          if (signature == sig) {
             keep = true;
             break;
           }
         }
         if (!keep) continue;
       }
-      answer.push_back(atom);
+      answer.push_back(atoms.GetAtom(id));
     }
     NormalizeAnswer(&answer);
     result->answers.push_back(std::move(answer));

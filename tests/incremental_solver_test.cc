@@ -16,6 +16,7 @@
 #include "ground/grounder.h"
 #include "ground/incremental_grounder.h"
 #include "solve/incremental_solver.h"
+#include "solve/propagation_core.h"
 #include "solve/solver.h"
 #include "util/rng.h"
 
@@ -492,6 +493,117 @@ TEST(IncrementalSolverTest, MaxModelsCapIsHonoured) {
       grounder.atom_table().size(), &models);
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(models.size(), 2u);  // 4 exist; the cap keeps 2.
+}
+
+/// The patched core's watch lists after any mix of AddRule and runs of
+/// RemoveRule must be exactly what unhooking one rule at a time leaves:
+/// every entry of the removed rule erased, the swap-compacted last rule's
+/// entries relabelled in place. The list order steers propagation, so a
+/// batched removal run that reordered a list would change the search.
+TEST(PropagationCoreTest, RemovalRunsLeaveThePerRuleReplayOrder) {
+  using CoreRule = PropagationCore::CoreRule;
+  constexpr GroundAtomId kAtoms = 24;
+
+  // The reference: the watch lists patched one removal at a time.
+  struct Replay {
+    std::vector<CoreRule> rules;
+    std::vector<std::vector<std::pair<uint32_t, bool>>> occurrences =
+        std::vector<std::vector<std::pair<uint32_t, bool>>>(kAtoms);
+    std::vector<std::vector<uint32_t>> positive =
+        std::vector<std::vector<uint32_t>>(kAtoms);
+    std::vector<std::vector<uint32_t>> heads =
+        std::vector<std::vector<uint32_t>>(kAtoms);
+
+    void Add(const CoreRule& rule) {
+      const uint32_t r = static_cast<uint32_t>(rules.size());
+      for (GroundAtomId a : rule.pos) {
+        occurrences[a].emplace_back(r, true);
+        positive[a].push_back(r);
+      }
+      for (GroundAtomId a : rule.neg) occurrences[a].emplace_back(r, false);
+      if (rule.head != CoreRule::kNoHead) heads[rule.head].push_back(r);
+      rules.push_back(rule);
+    }
+    void Remove(uint32_t index) {
+      const uint32_t last = static_cast<uint32_t>(rules.size() - 1);
+      for (GroundAtomId a = 0; a < kAtoms; ++a) {
+        auto& occ = occurrences[a];
+        occ.erase(std::remove_if(occ.begin(), occ.end(),
+                                 [&](const std::pair<uint32_t, bool>& o) {
+                                   return o.first == index;
+                                 }),
+                  occ.end());
+        for (auto& o : occ) {
+          if (o.first == last) o.first = index;
+        }
+        for (std::vector<uint32_t>* list : {&positive[a], &heads[a]}) {
+          list->erase(std::remove(list->begin(), list->end(), index),
+                      list->end());
+          std::replace(list->begin(), list->end(), last, index);
+        }
+      }
+      rules[index] = rules[last];
+      rules.pop_back();
+    }
+  };
+
+  Rng rng(2017);
+  auto random_rule = [&] {
+    CoreRule rule;
+    rule.head = rng.NextBounded(6) == 0
+                    ? CoreRule::kNoHead
+                    : static_cast<int32_t>(rng.NextBounded(kAtoms));
+    // Repeated body atoms (duplicate entries) are part of the contract.
+    for (uint64_t i = rng.NextBounded(6); i > 0; --i) {
+      rule.pos.push_back(static_cast<GroundAtomId>(rng.NextBounded(kAtoms)));
+    }
+    for (uint64_t i = rng.NextBounded(3); i > 0; --i) {
+      rule.neg.push_back(static_cast<GroundAtomId>(rng.NextBounded(kAtoms)));
+    }
+    return rule;
+  };
+
+  PropagationCore core;
+  core.Reset();
+  core.EnsureAtomCapacity(kAtoms);
+  Replay replay;
+  auto expect_same_lists = [&](int round) {
+    ASSERT_EQ(core.num_rules(), replay.rules.size()) << round;
+    for (uint32_t r = 0; r < replay.rules.size(); ++r) {
+      ASSERT_EQ(core.rule(r).head, replay.rules[r].head) << round;
+      ASSERT_EQ(core.rule(r).pos, replay.rules[r].pos) << round;
+      ASSERT_EQ(core.rule(r).neg, replay.rules[r].neg) << round;
+    }
+    for (GroundAtomId a = 0; a < kAtoms; ++a) {
+      ASSERT_EQ(core.BodyOccurrencesOf(a), replay.occurrences[a])
+          << "round " << round << ", atom " << a;
+      ASSERT_EQ(core.PositiveOccurrencesOf(a), replay.positive[a])
+          << "round " << round << ", atom " << a;
+      ASSERT_EQ(core.HeadRulesOf(a), replay.heads[a])
+          << "round " << round << ", atom " << a;
+    }
+  };
+  for (int round = 0; round < 60; ++round) {
+    // Adds, then a removal run of random length (a run that empties the
+    // program included), sometimes followed by adds that interrupt it.
+    for (uint64_t i = rng.NextBounded(40); i > 0; --i) {
+      const CoreRule rule = random_rule();
+      core.AddRule(rule);
+      replay.Add(rule);
+    }
+    for (uint64_t i = rng.NextBounded(replay.rules.size() + 1); i > 0; --i) {
+      const uint32_t index =
+          static_cast<uint32_t>(rng.NextBounded(replay.rules.size()));
+      core.RemoveRule(index);
+      replay.Remove(index);
+      if (rng.NextBounded(8) == 0) {
+        const CoreRule rule = random_rule();
+        core.AddRule(rule);
+        replay.Add(rule);
+      }
+    }
+    expect_same_lists(round);
+  }
 }
 
 }  // namespace
