@@ -50,6 +50,7 @@ struct BenchRun {
   uint64_t grounding_rules_retained = 0;
   uint64_t grounding_rules_retracted = 0;
   uint64_t grounding_rules_new = 0;
+  uint64_t decided_groundings = 0;
   uint64_t incremental_solve_windows = 0;
   uint64_t solve_rebuilds = 0;
   uint64_t solver_rules_retained = 0;
@@ -100,6 +101,7 @@ inline void FillFromEngineStats(const EngineStats& stats, BenchRun* run) {
   run->grounding_rules_retained = stats.reasoning.grounding_rules_retained;
   run->grounding_rules_retracted = stats.reasoning.grounding_rules_retracted;
   run->grounding_rules_new = stats.reasoning.grounding_rules_new;
+  run->decided_groundings = stats.reasoning.decided_groundings;
   run->incremental_solve_windows = stats.reasoning.incremental_solve_windows;
   run->solve_rebuilds = stats.reasoning.solve_rebuilds;
   run->solver_rules_retained = stats.reasoning.solver_rules_retained;
@@ -155,7 +157,7 @@ inline void PrintBenchJson(const char* bench_name, const char* workload,
         "\"incremental_windows\": %llu, \"grounding_fallbacks\": %llu, "
         "\"grounding_rules_retained\": %llu, "
         "\"grounding_rules_retracted\": %llu, "
-        "\"grounding_rules_new\": %llu, "
+        "\"grounding_rules_new\": %llu, \"decided_groundings\": %llu, "
         "\"incremental_solve_windows\": %llu, \"solve_rebuilds\": %llu, "
         "\"solver_rules_retained\": %llu, \"solver_rules_retracted\": %llu, "
         "\"solver_rules_new\": %llu, \"warm_start_hits\": %llu, "
@@ -180,6 +182,7 @@ inline void PrintBenchJson(const char* bench_name, const char* workload,
         static_cast<unsigned long long>(run.grounding_rules_retained),
         static_cast<unsigned long long>(run.grounding_rules_retracted),
         static_cast<unsigned long long>(run.grounding_rules_new),
+        static_cast<unsigned long long>(run.decided_groundings),
         static_cast<unsigned long long>(run.incremental_solve_windows),
         static_cast<unsigned long long>(run.solve_rebuilds),
         static_cast<unsigned long long>(run.solver_rules_retained),

@@ -213,9 +213,17 @@ class GroundProgram {
   /// Renders the ground program in ASP syntax, one rule per line.
   std::string ToString(const SymbolTable& symbols) const;
 
+  /// Set by the grounder that decided every instance (see Grounder): the
+  /// rules are then exactly one fact per true atom, the program's one
+  /// answer set. A caller that edits the rules of a decided program must
+  /// clear the mark.
+  bool decided() const { return decided_; }
+  void set_decided(bool decided) { decided_ = decided; }
+
  private:
   AtomTable atoms_;
   std::vector<GroundRule> rules_;
+  bool decided_ = false;
 };
 
 }  // namespace streamasp

@@ -35,16 +35,13 @@ class OneShotClient {
   std::vector<GroundRule>* rules_;
 };
 
-}  // namespace
-
-StatusOr<GroundProgram> Grounder::Ground(const Program& program,
-                                         GroundingStats* stats) const {
-  return Ground(program, {}, stats);
-}
-
-StatusOr<GroundProgram> Grounder::Ground(const Program& program,
-                                         const std::vector<Atom>& input_facts,
-                                         GroundingStats* stats) const {
+/// The one body of every Ground overload, over input facts of either
+/// form (Atom or PackedFact).
+template <typename Fact>
+StatusOr<GroundProgram> GroundFacts(const Program& program,
+                                    const std::vector<Fact>& input_facts,
+                                    const GroundingOptions& options,
+                                    GroundingStats* stats) {
   GroundProgram ground;
   std::vector<GroundRule>& rules = ground.mutable_rules();
   // Every input fact is an atom and a fact rule: size both tables for the
@@ -52,24 +49,48 @@ StatusOr<GroundProgram> Grounder::Ground(const Program& program,
   ground.mutable_atoms().Reserve(input_facts.size());
   rules.reserve(input_facts.size());
   ground_internal::InstantiationCore core(&program, &ground.mutable_atoms());
-  OneShotClient client(options_.max_ground_rules, &rules);
+  OneShotClient client(options.max_ground_rules, &rules);
   STREAMASP_RETURN_IF_ERROR(core.Prepare());
+  // Deciding instances is simplification done while grounding.
+  if (options.simplify) core.DecideInstances();
   STREAMASP_RETURN_IF_ERROR(core.SeedProgramFacts(client));
-  for (const Atom& fact : input_facts) {
-    STREAMASP_ASSIGN_OR_RETURN(const GroundAtomId id,
-                               core.AddInputFact(fact, client));
-    STREAMASP_RETURN_IF_ERROR(client.Emit(GroundRule{{id}, {}, {}}));
+  for (const Fact& fact : input_facts) {
+    STREAMASP_RETURN_IF_ERROR(core.SeedInputFact(fact, client));
   }
   // A fresh core's admission windows all start at 0, so this one
   // evaluation is the whole bottom-up instantiation.
   STREAMASP_RETURN_IF_ERROR(core.Evaluate(/*full=*/true, client));
 
+  // A decided output is already its simplest form: one fact per atom.
+  const bool decided = core.decided();
+  ground.set_decided(decided);
   GroundingStats local;
-  ground_internal::FinishOutput(options_.simplify, ground.num_atoms(),
-                                core.derivable(), &rules, &local);
+  ground_internal::FinishOutput(options.simplify && !decided,
+                                ground.num_atoms(), core.derivable(), &rules,
+                                &local);
+  local.decided_groundings = decided ? 1 : 0;
   local.atom_table_bytes = ground.atoms().ApproxBytes();
   if (stats != nullptr) *stats = local;
   return ground;
+}
+
+}  // namespace
+
+StatusOr<GroundProgram> Grounder::Ground(const Program& program,
+                                         GroundingStats* stats) const {
+  return GroundFacts(program, std::vector<Atom>(), options_, stats);
+}
+
+StatusOr<GroundProgram> Grounder::Ground(const Program& program,
+                                         const std::vector<Atom>& input_facts,
+                                         GroundingStats* stats) const {
+  return GroundFacts(program, input_facts, options_, stats);
+}
+
+StatusOr<GroundProgram> Grounder::Ground(
+    const Program& program, const std::vector<PackedFact>& input_facts,
+    GroundingStats* stats) const {
+  return GroundFacts(program, input_facts, options_, stats);
 }
 
 }  // namespace streamasp

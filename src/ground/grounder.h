@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "asp/packed_term.h"
 #include "asp/program.h"
 #include "ground/ground_program.h"
 #include "util/status.h"
@@ -18,6 +19,9 @@ struct GroundingOptions {
   /// are dropped, and negative literals on underivable atoms are erased.
   /// Stable models are preserved exactly; the solver just gets a (often
   /// dramatically) smaller program. Mirrors what Clingo's grounder does.
+  /// The one-shot Grounder also decides instances while grounding (see
+  /// Grounder): a program whose every instance was decided is emitted as
+  /// its facts and skips the simplification pass.
   bool simplify = true;
 
   /// Safety valve on the number of ground rule instantiations; grounding
@@ -44,6 +48,10 @@ struct GroundingStats {
   size_t incremental_windows = 0;   ///< Calls that reused the cache.
   size_t incremental_fallbacks = 0; ///< Calls that reground from scratch.
 
+  /// One-shot groundings whose every instance was decided, so that the
+  /// output is the program's one answer set as facts (see Grounder).
+  size_t decided_groundings = 0;
+
   /// Approximate bytes retained by the run's AtomTable (atom payloads,
   /// packed-argument mirror, intern index) — the grounding side of the
   /// pipeline's bytes-per-triple counter. Per-partition tables are
@@ -63,8 +71,21 @@ struct GroundingStats {
     rules_new += other.rules_new;
     incremental_windows += other.incremental_windows;
     incremental_fallbacks += other.incremental_fallbacks;
+    decided_groundings += other.decided_groundings;
     atom_table_bytes += other.atom_table_bytes;
   }
+};
+
+/// An input fact in packed form: predicate(args[0..arity)) with at most
+/// two argument words, the shape of a stream triple (subject, object).
+/// The stream layer fills one per triple, so the grounder interns it
+/// straight from its words and no Atom is built.
+struct PackedFact {
+  static constexpr uint32_t kMaxArity = 2;
+
+  SymbolId predicate = kInvalidSymbol;
+  uint32_t arity = 0;
+  PackedTerm args[kMaxArity];
 };
 
 /// Bottom-up instantiator: turns a (safe) non-ground program plus input
@@ -89,6 +110,19 @@ struct GroundingStats {
 /// literal. Negation within a component (unstratified programs) is left
 /// to the solver, which is what makes the pipeline complete for arbitrary
 /// normal programs rather than just stratified ones.
+///
+/// With GroundingOptions::simplify set, the one-shot client also decides
+/// what the final extensions settle. Input facts and single-head program
+/// facts are *certain* (true in every answer set). A non-recursive,
+/// single-head instance whose matched atoms are all certain and whose
+/// negative literals all resolve away is *decided*: its head becomes
+/// certain and it is emitted once, as a fact. An instance with a negative
+/// literal over a final component whose atom is certain is dropped, and
+/// its head is not derived. Every other instance is emitted as is and
+/// leaves the output undecided. A decided output is the program's one
+/// answer set as facts: the GroundProgram is marked decided, skips the
+/// simplification pass, and Solver returns its facts as the model.
+/// Recursive components are never decided.
 class Grounder {
  public:
   explicit Grounder(GroundingOptions options = {}) : options_(options) {}
@@ -103,6 +137,13 @@ class Grounder {
   /// contents). The facts must be ground atoms.
   StatusOr<GroundProgram> Ground(const Program& program,
                                  const std::vector<Atom>& input_facts,
+                                 GroundingStats* stats = nullptr) const;
+
+  /// As above for packed input facts (the reasoner's cold path): each is
+  /// interned from its words. Builds the same program as the Atom
+  /// overload on the same facts.
+  StatusOr<GroundProgram> Ground(const Program& program,
+                                 const std::vector<PackedFact>& input_facts,
                                  GroundingStats* stats = nullptr) const;
 
  private:

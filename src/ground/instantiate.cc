@@ -330,6 +330,18 @@ int InstantiationCore::PredIndex(const PredicateSignature& sig) {
   return index;
 }
 
+int InstantiationCore::FactPredIndex(SymbolId predicate, uint32_t arity) {
+  const PredicateSignature sig{predicate, arity};
+  for (const auto& [seen, index] : fact_preds_) {
+    if (seen == sig) return index;
+  }
+  const int index = PredIndex(sig);
+  if (fact_preds_.size() < kFactPredicates) {
+    fact_preds_.emplace_back(sig, index);
+  }
+  return index;
+}
+
 Status InstantiationCore::Prepare() {
   STREAMASP_RETURN_IF_ERROR(program_->Validate());
 
@@ -434,6 +446,8 @@ Status InstantiationCore::Prepare() {
 
 void InstantiationCore::Reset() {
   derivable_.clear();
+  certain_.clear();
+  undecided_ = false;
   extensions_.assign(pred_signatures_.size(), PredicateExtension{});
 }
 

@@ -15,9 +15,10 @@
 /// only in the compile-time client (the retention policy) they pass in:
 ///
 ///   * the one-shot Grounder (ground/grounder.cc) retains nothing: rules
-///     go to one output vector, no per-atom bookkeeping is kept, and a
+///     go to one output vector, no per-atom bookkeeping is kept, a
 ///     negative literal whose predicate's component is already final is
-///     resolved eagerly;
+///     resolved eagerly and, while simplifying, instances over certain
+///     atoms are decided (see InstantiationCore::DecideInstances);
 ///   * the IncrementalGrounder (ground/incremental_grounder.cc) keeps its
 ///     extensions, atom table and rule store across windows, records
 ///     support and body references per atom for retraction, and keeps
@@ -210,7 +211,8 @@ Status CheckRuleLimit(size_t emitted, size_t max_ground_rules);
 ///
 ///   static constexpr bool kResolveFinalNegatives
 ///       — resolve a negative literal against its predicate's extension
-///         when that predicate's component is already final;
+///         when that predicate's component is already final (the
+///         precondition of DecideInstances);
 ///   void GrowAtoms(size_t count)
 ///       — atom ids below `count` now exist (per-atom bookkeeping);
 ///   void OnDerive(GroundAtomId id, int pred, uint32_t position)
@@ -251,6 +253,24 @@ class InstantiationCore {
 
   const std::vector<bool>& derivable() const { return derivable_; }
 
+  /// Turns on decisions for a client with final extensions (the one-shot
+  /// grounding while it simplifies), before anything is seeded. Input
+  /// facts and single-head program facts are then *certain*: true in
+  /// every answer set. An instance is *decided* when its rule is not
+  /// recursive (every positive body predicate lies in an earlier, final
+  /// component), every matched atom is certain, it has one head, and every
+  /// negative literal resolves away; its head becomes certain and it is
+  /// emitted once, as a fact (nothing if the head was already certain). An
+  /// instance with a negative literal over a final component whose atom is
+  /// certain is dropped, and its head is not derived. Every other instance
+  /// is emitted as usual and leaves the output undecided.
+  void DecideInstances() { deciding_ = true; }
+
+  /// True when deciding and no emitted instance was undecided: the emitted
+  /// rules are exactly one fact per certain atom, the program's one answer
+  /// set.
+  bool decided() const { return deciding_ && !undecided_; }
+
   /// Seeds one input fact: rejects a non-ground atom, else interns it as
   /// derivable.
   template <typename Client>
@@ -262,6 +282,37 @@ class InstantiationCore {
     return AddDerivedAtom(fact, client);
   }
 
+  /// Seeds one input fact and emits its fact rule (once per distinct fact
+  /// while deciding).
+  template <typename Client>
+  Status SeedInputFact(const Atom& fact, Client& client) {
+    STREAMASP_ASSIGN_OR_RETURN(const GroundAtomId id,
+                               AddInputFact(fact, client));
+    return EmitInputFact(id, client);
+  }
+
+  /// As above, interning straight from the packed words; the extension is
+  /// found through a short table of the facts' predicates.
+  template <typename Client>
+  Status SeedInputFact(const PackedFact& fact, Client& client) {
+    assert(fact.arity <= PackedFact::kMaxArity);
+    for (uint32_t i = 0; i < fact.arity; ++i) {
+      const PackedTerm word = fact.args[i];
+      if (!word.has_value() || word.is_variable() ||
+          (word.is_escape() && !word.ToTerm().IsGround())) {
+        return InvalidArgumentError(
+            "non-ground input fact of predicate " +
+            program_->symbol_table().NameOf(fact.predicate));
+      }
+    }
+    const GroundAtomId id =
+        Track(atoms_->Intern(fact.predicate, fact.args, fact.arity), client);
+    if (!derivable_[id]) {
+      Derive(id, FactPredIndex(fact.predicate, fact.arity), client);
+    }
+    return EmitInputFact(id, client);
+  }
+
   /// Un-derives `id`, tombstoning slot `position` of extension `pred`.
   void Tombstone(GroundAtomId id, int pred, uint32_t position) {
     assert(derivable_[id]);
@@ -270,6 +321,8 @@ class InstantiationCore {
   }
 
   /// Emits the program's own facts (bodiless rules) as derivable rules.
+  /// While deciding, a single-head fact is certain and emitted once; a
+  /// disjunctive one leaves the output undecided.
   template <typename Client>
   Status SeedProgramFacts(Client& client) {
     for (const Rule& rule : program_->rules()) {
@@ -281,6 +334,13 @@ class InstantiationCore {
               "non-ground fact: " + rule.ToString(program_->symbol_table()));
         }
         ground.head.push_back(AddDerivedAtom(head, client));
+      }
+      if (deciding_) {
+        if (ground.head.size() != 1) {
+          undecided_ = true;
+        } else if (!MarkCertain(ground.head.front())) {
+          continue;  // Already certain: its fact is out.
+        }
       }
       STREAMASP_RETURN_IF_ERROR(client.Emit(std::move(ground)));
     }
@@ -320,11 +380,32 @@ class InstantiationCore {
   /// facts no rule reads) belong to no component (-1).
   int PredIndex(const PredicateSignature& sig);
 
+  /// PredIndex for packed input facts: a window carries few predicates,
+  /// so a short linear table of the ones seen so far answers most lookups
+  /// without hashing.
+  int FactPredIndex(SymbolId predicate, uint32_t arity);
+
+  /// Marks `id` certain; false if it already was.
+  bool MarkCertain(GroundAtomId id) {
+    if (certain_[id]) return false;
+    certain_[id] = true;
+    return true;
+  }
+
+  /// Emits the fact rule of input fact `id`; while deciding, only for the
+  /// first copy, which makes it certain.
+  template <typename Client>
+  Status EmitInputFact(GroundAtomId id, Client& client) {
+    if (deciding_ && !MarkCertain(id)) return OkStatus();  // A repeat.
+    return client.Emit(GroundRule{{id}, {}, {}});
+  }
+
   /// Grows the per-atom state after `id` was interned.
   template <typename Client>
   GroundAtomId Track(GroundAtomId id, Client& client) {
     if (id >= derivable_.size()) {
       derivable_.resize(id + 1, false);
+      if (deciding_) certain_.resize(id + 1, false);
       client.GrowAtoms(id + 1);
     }
     return id;
@@ -391,9 +472,19 @@ class InstantiationCore {
   /// largest head/negative arity.
   std::vector<PackedTerm> instance_args_;
 
+  /// FactPredIndex's table: (signature, index) of the fact predicates
+  /// seen so far, at most kFactPredicates of them.
+  static constexpr size_t kFactPredicates = 16;
+  std::vector<std::pair<PredicateSignature, int>> fact_preds_;
+
   // --- evaluation state ---
   std::vector<bool> derivable_;
   std::vector<PredicateExtension> extensions_;
+  /// Decisions (DecideInstances): per atom, whether it is certain, and
+  /// whether an undecided instance was emitted.
+  bool deciding_ = false;
+  bool undecided_ = false;
+  std::vector<bool> certain_;
 };
 
 template <typename Client>
@@ -570,9 +661,13 @@ template <typename Client>
 Status InstantiationCore::EmitInstance(
     CompiledRule* rule, int component, const Binding& binding,
     const std::vector<GroundAtomId>& matched, Client& client) {
+  // Decided so far: a non-recursive single-head rule over certain atoms
+  // (see DecideInstances); the negative literals below may still undo it.
+  bool decided = deciding_ && !rule->recursive && rule->heads.size() == 1;
+  for (size_t i = 0; decided && i < matched.size(); ++i) {
+    decided = certain_[matched[i]];
+  }
   GroundRule ground;
-  ground.positive_body.assign(matched.begin(), matched.end());
-
   for (size_t i = 0; i < rule->negatives.size(); ++i) {
     const Atom& pattern = rule->negatives[i];
     if (!SubstitutePacked(pattern, rule->negative_words[i], binding,
@@ -583,16 +678,20 @@ Status InstantiationCore::EmitInstance(
       if (pred_component_[rule->negative_preds[i]] < component) {
         // The predicate's extension is final: an underivable atom can
         // never become true, so `not atom` is certainly satisfied — drop
-        // it.
+        // it. A certain atom is true in every answer set, so the body
+        // never holds — drop the instance.
         const GroundAtomId existing = atoms_->Lookup(
             pattern.predicate(), instance_args_.data(), pattern.arity());
         if (existing == kInvalidGroundAtom || !derivable_[existing]) {
           continue;
         }
+        if (deciding_ && certain_[existing]) return OkStatus();
+        decided = false;
         ground.negative_body.push_back(existing);
         continue;
       }
     }
+    decided = false;
     ground.negative_body.push_back(InternInstance(pattern, client));
   }
 
@@ -603,6 +702,13 @@ Status InstantiationCore::EmitInstance(
     }
     ground.head.push_back(
         AddDerivedInstance(rule->heads[h], rule->head_preds[h], client));
+  }
+  if (decided) {
+    // Emitted as a fact, once per certain atom.
+    if (!MarkCertain(ground.head.front())) return OkStatus();
+  } else {
+    ground.positive_body.assign(matched.begin(), matched.end());
+    undecided_ = true;
   }
   return client.Emit(std::move(ground));
 }

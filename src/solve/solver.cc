@@ -250,6 +250,28 @@ bool IsStableModel(const GroundProgram& program,
 
 StatusOr<std::vector<AnswerSet>> Solver::Solve(
     const GroundProgram& program) const {
+  if (program.decided()) {
+    // The grounder decided every instance: the facts are the one model.
+    AnswerSet model;
+    model.atoms.reserve(program.rules().size());
+    for (const GroundRule& rule : program.rules()) {
+      if (!rule.is_fact()) {
+        return InternalError("ground program marked decided has a non-fact "
+                             "rule");
+      }
+      model.atoms.push_back(rule.head.front());
+    }
+    std::sort(model.atoms.begin(), model.atoms.end());
+    if (options_.verify_models && !IsStableModel(program, model.atoms)) {
+      return InternalError(
+          "the model of a decided ground program failed the stable-model "
+          "check");
+    }
+    std::vector<AnswerSet> models;
+    models.push_back(std::move(model));
+    return models;
+  }
+
   bool has_disjunction = false;
   std::vector<PropagationCore::CoreRule> rules =
       NormalizeRules(program, &has_disjunction);

@@ -84,6 +84,10 @@ class Solver {
   /// Enumerates answer sets of `program`. Deterministic order (by the
   /// branch decisions taken); an inconsistent program yields an empty
   /// vector. Errors indicate resource limits, not inconsistency.
+  ///
+  /// A program its grounder marked decided (GroundProgram::decided) is
+  /// not searched: its sorted fact heads are the one model, still checked
+  /// by IsStableModel under verify_models (kInternal if the check fails).
   StatusOr<std::vector<AnswerSet>> Solve(const GroundProgram& program) const;
 
  private:

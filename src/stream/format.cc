@@ -27,22 +27,26 @@ Status DataFormatProcessor::DeclareInputPredicates(
   return OkStatus();
 }
 
-StatusOr<Atom> DataFormatProcessor::ToFact(const Triple& triple) const {
+StatusOr<uint32_t> DataFormatProcessor::CheckTriple(
+    const Triple& triple) const {
   auto it = arity_of_.find(triple.predicate);
   if (it == arity_of_.end()) {
     return InvalidArgumentError("undeclared stream predicate id " +
                                 std::to_string(triple.predicate));
   }
   const uint32_t arity = it->second;
-  if (arity == 1) {
-    if (triple.object.has_value()) {
-      return InvalidArgumentError("unary predicate received an object");
-    }
-    return Atom(triple.predicate, {triple.subject.ToTerm()});
+  if (arity == 1 && triple.object.has_value()) {
+    return InvalidArgumentError("unary predicate received an object");
   }
-  if (!triple.object.has_value()) {
+  if (arity == 2 && !triple.object.has_value()) {
     return InvalidArgumentError("binary predicate missing an object");
   }
+  return arity;
+}
+
+StatusOr<Atom> DataFormatProcessor::ToFact(const Triple& triple) const {
+  STREAMASP_ASSIGN_OR_RETURN(const uint32_t arity, CheckTriple(triple));
+  if (arity == 1) return Atom(triple.predicate, {triple.subject.ToTerm()});
   return Atom(triple.predicate,
               {triple.subject.ToTerm(), triple.object.ToTerm()});
 }

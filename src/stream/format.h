@@ -33,8 +33,12 @@ class DataFormatProcessor {
   Status DeclareInputPredicates(
       const std::vector<PredicateSignature>& signatures);
 
-  /// Translates one triple to a ground fact. Fails on undeclared
-  /// predicates or arity mismatches (missing/superfluous object).
+  /// Checks one triple without translating it: the arity of the fact it
+  /// maps to (1 or 2). Fails as ToFact does on undeclared predicates or
+  /// arity mismatches (missing/superfluous object).
+  StatusOr<uint32_t> CheckTriple(const Triple& triple) const;
+
+  /// Translates one triple to a ground fact (CheckTriple's checks).
   StatusOr<Atom> ToFact(const Triple& triple) const;
 
   /// Translates a whole window, preserving order.

@@ -517,6 +517,7 @@ void StreamRulePipeline::DeliverResult(
     stats_.grounding_rules_retained += result->grounding.rules_retained;
     stats_.grounding_rules_retracted += result->grounding.rules_retracted;
     stats_.grounding_rules_new += result->grounding.rules_new;
+    stats_.decided_groundings += result->grounding.decided_groundings;
     stats_.incremental_solve_windows +=
         result->solving.incremental_solve_windows;
     stats_.solve_rebuilds += result->solving.solve_rebuilds;

@@ -156,6 +156,9 @@ struct PipelineStats {
   uint64_t grounding_rules_retained = 0;
   uint64_t grounding_rules_retracted = 0;
   uint64_t grounding_rules_new = 0;
+  /// Cold partition groundings whose every instance was decided (see
+  /// Grounder): their model came from the grounder, not the solver.
+  uint64_t decided_groundings = 0;
 
   // --- solver reuse counters (zero without solving reuse), summed over
   // every partition of every reasoned window ---

@@ -32,36 +32,47 @@ StatusOr<ReasonerResult> Reasoner::Process(
   ReasonerResult result;
   WallTimer total;
   WallTimer phase;
-  STREAMASP_ASSIGN_OR_RETURN(std::vector<Atom> facts,
-                             format_.ToFacts(window.items));
-  // The windower's delta (when present and not the first window) becomes
-  // the grounder's diff hint; conversion of the delta counts as
-  // conversion time, as the paper requires for all data transformation.
-  // The hint is relative to the window named by delta_base — under load
-  // shedding that may be further back than sequence-1 (folded deltas
-  // net the change across the shed gap); the grounder/solver compare it
-  // against their cached sequence and snapshot-diff on mismatch.
-  IncrementalGrounder::FactDelta delta;
-  const IncrementalGrounder::FactDelta* delta_ptr = nullptr;
-  if (grounder != nullptr && window.has_delta &&
-      window.delta_base != TripleWindow::kNoDeltaBase) {
-    delta.previous_sequence = window.delta_base;
-    STREAMASP_ASSIGN_OR_RETURN(delta.expired,
-                               format_.ToFacts(window.expired));
-    STREAMASP_ASSIGN_OR_RETURN(delta.admitted,
-                               format_.ToFacts(window.admitted));
-    delta_ptr = &delta;
-  }
-  result.convert_ms = phase.ElapsedMillis();
-
-  phase.Restart();
   GroundProgram cold;
   const GroundProgram* ground = &cold;
+  std::vector<Atom> facts;
   if (grounder == nullptr) {
+    // The cold path: each triple is checked once and handed over as its
+    // packed words, which the grounder interns without an Atom.
+    std::vector<PackedFact> packed;
+    packed.reserve(window.items.size());
+    for (const Triple& triple : window.items) {
+      STREAMASP_ASSIGN_OR_RETURN(const uint32_t arity,
+                                 format_.CheckTriple(triple));
+      packed.push_back(PackedFact{triple.predicate, arity,
+                                  {triple.subject, triple.object}});
+    }
+    result.convert_ms = phase.ElapsedMillis();
+    phase.Restart();
     STREAMASP_ASSIGN_OR_RETURN(
         cold, Grounder(options_.grounding)
-                  .Ground(*program_, facts, &result.grounding));
+                  .Ground(*program_, packed, &result.grounding));
   } else {
+    STREAMASP_ASSIGN_OR_RETURN(facts, format_.ToFacts(window.items));
+    // The windower's delta (when present and not the first window)
+    // becomes the grounder's diff hint; conversion of the delta counts as
+    // conversion time, as the paper requires for all data transformation.
+    // The hint is relative to the window named by delta_base — under load
+    // shedding that may be further back than sequence-1 (folded deltas
+    // net the change across the shed gap); the grounder/solver compare it
+    // against their cached sequence and snapshot-diff on mismatch.
+    IncrementalGrounder::FactDelta delta;
+    const IncrementalGrounder::FactDelta* delta_ptr = nullptr;
+    if (window.has_delta &&
+        window.delta_base != TripleWindow::kNoDeltaBase) {
+      delta.previous_sequence = window.delta_base;
+      STREAMASP_ASSIGN_OR_RETURN(delta.expired,
+                                 format_.ToFacts(window.expired));
+      STREAMASP_ASSIGN_OR_RETURN(delta.admitted,
+                                 format_.ToFacts(window.admitted));
+      delta_ptr = &delta;
+    }
+    result.convert_ms = phase.ElapsedMillis();
+    phase.Restart();
     STREAMASP_ASSIGN_OR_RETURN(
         ground, grounder->GroundWindow(window.sequence, facts, delta_ptr,
                                        &result.grounding));

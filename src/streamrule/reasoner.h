@@ -76,7 +76,8 @@ class Reasoner {
   /// Full pipeline on a triple window: convert → ground → solve.
   ///
   /// With a null `grounder` the window is grounded from scratch (the cold
-  /// path). A non-null `grounder` (caller-owned, one per sub-stream, calls
+  /// path): each triple is checked and handed to the Grounder as a
+  /// PackedFact, with no Atom built. A non-null `grounder` (caller-owned, one per sub-stream, calls
   /// serialized by the caller) reuses the cached instantiation of the
   /// previous window; the window's expired/admitted delta (when present)
   /// is converted alongside the items and handed to it as a diff hint.

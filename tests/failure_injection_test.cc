@@ -303,7 +303,7 @@ TEST_F(FailureInjectionTest, PooledPartitionThrowFailsOnlyItsWindow) {
   const SymbolId second = good_first ? bad : good;
 
   // Windows 0 and 2 split evenly; window 1 puts kPoisonItems items into
-  // partition 1, whose fact conversion reserves exactly that many atoms.
+  // partition 1, whose grounding reserves exactly that many ground rules.
   auto window = [&](size_t in_second) {
     std::vector<Triple> items;
     for (size_t i = 0; i < kWindow; ++i) {
@@ -313,7 +313,7 @@ TEST_F(FailureInjectionTest, PooledPartitionThrowFailsOnlyItsWindow) {
     }
     return items;
   };
-  g_poison_bytes.store(kPoisonItems * sizeof(Atom));
+  g_poison_bytes.store(kPoisonItems * sizeof(GroundRule));
   (*pipeline)->PushBatch(window(kWindow / 2));
   (*pipeline)->PushBatch(window(kPoisonItems));
   (*pipeline)->PushBatch(window(kWindow / 2));
@@ -362,8 +362,8 @@ TEST_F(FailureInjectionTest, PrivatePoolPartitionFaultSurfacesAfterAllRan) {
   options.num_threads = 2;
   ParallelReasoner pr(&*program, plan, options);
 
-  // Partition i holds kItems[i] items; fact conversion reserves exactly
-  // that many atoms, so the sizes double as per-partition probes.
+  // Partition i holds kItems[i] items; its grounding reserves exactly
+  // that many ground rules, so the sizes double as per-partition probes.
   constexpr size_t kItems[] = {1117, 3331, 2221};
   TripleWindow window;
   for (int p = 0; p < 3; ++p) {
@@ -373,8 +373,8 @@ TEST_F(FailureInjectionTest, PrivatePoolPartitionFaultSurfacesAfterAllRan) {
     }
   }
   g_watch_hits.store(0);
-  g_watch_bytes.store(kItems[2] * sizeof(Atom));
-  g_poison_bytes.store(kItems[1] * sizeof(Atom));
+  g_watch_bytes.store(kItems[2] * sizeof(GroundRule));
+  g_poison_bytes.store(kItems[1] * sizeof(GroundRule));
   EXPECT_THROW(pr.Process(window), std::bad_alloc);
   g_watch_bytes.store(0);
   EXPECT_EQ(g_poison_bytes.exchange(0), 0u) << "the fault never triggered";
@@ -421,12 +421,12 @@ TEST_F(FailureInjectionTest, ProcessWaitsOnlyForItsOwnPartitions) {
     return window;
   };
 
-  // The slow caller's partition 1 parks one pool thread: its fact
-  // conversion reserves exactly kStallItems atoms.
+  // The slow caller's partition 1 parks one pool thread: its grounding
+  // reserves exactly kStallItems ground rules.
   constexpr size_t kStallItems = 3331;
   const TripleWindow slow_window = make_window({5, kStallItems, 7});
   const TripleWindow fast_window = make_window({11, 13, 17});
-  g_stall_bytes.store(kStallItems * sizeof(Atom));
+  g_stall_bytes.store(kStallItems * sizeof(GroundRule));
   std::thread slow([&] {
     StatusOr<ParallelReasonerResult> result = pr.Process(slow_window);
     EXPECT_TRUE(result.ok()) << result.status();

@@ -6,6 +6,7 @@
 
 #include "asp/parser.h"
 #include "ground/grounder.h"
+#include "solve/solver.h"
 
 namespace streamasp {
 namespace {
@@ -340,6 +341,174 @@ TEST_F(GrounderTest, RepeatedVariableInOneAtom) {
   const std::set<std::string> facts = FactStrings(g);
   EXPECT_TRUE(facts.count("diag(1)"));
   EXPECT_EQ(facts.count("diag(2)"), 0u);
+}
+
+TEST_F(GrounderTest, StratifiedProgramIsDecidedAsOneFactPerCertainAtom) {
+  const GroundProgram g = MustGround(R"(
+    a(1). a(1). a(2). a(3). b(2).
+    c(X) :- a(X), not b(X).
+    d(X) :- c(X).
+    d(X) :- a(X), X > 2.
+  )");
+  EXPECT_TRUE(g.decided());
+  EXPECT_EQ(last_stats_.decided_groundings, 1u);
+  // The repeated a(1) and the second derivation of d(3) emit nothing.
+  for (const GroundRule& rule : g.rules()) EXPECT_TRUE(rule.is_fact());
+  EXPECT_EQ(g.rules().size(), 8u);
+  EXPECT_EQ(FactStrings(g),
+            (std::set<std::string>{"a(1)", "a(2)", "a(3)", "b(2)", "c(1)",
+                                   "c(3)", "d(1)", "d(3)"}));
+  EXPECT_EQ(last_stats_.num_rules_raw, last_stats_.num_rules);
+}
+
+TEST_F(GrounderTest, CertainNegativeAtomDropsTheInstanceAndItsHead) {
+  const GroundProgram g = MustGround(R"(
+    a(1). a(2). b(1).
+    c(X) :- a(X), not b(X).
+    d(X) :- c(X).
+  )");
+  EXPECT_TRUE(g.decided());
+  // c(1) is blocked by the fact b(1): never interned, so d(1) has no
+  // instance either.
+  Parser parser(symbols_);
+  EXPECT_EQ(g.atoms().Lookup(*parser.ParseGroundAtom("c(1)")),
+            kInvalidGroundAtom);
+  EXPECT_EQ(g.atoms().Lookup(*parser.ParseGroundAtom("d(1)")),
+            kInvalidGroundAtom);
+  EXPECT_EQ(g.num_atoms(), 5u);
+}
+
+TEST_F(GrounderTest, RecursionNegationDisjunctionAndConstraintsStayUndecided) {
+  // Recursion, unstratified negation, disjunction and constraints are
+  // left undecided.
+  for (const char* text : {
+           "e(1,2). e(2,3). r(X,Y) :- e(X,Y). r(X,Z) :- r(X,Y), e(Y,Z).",
+           "p :- not q. q :- not p.",
+           "p :- not p.",
+           "a | b.",
+           "a(1). :- a(1).",
+       }) {
+    const GroundProgram g = MustGround(text);
+    EXPECT_FALSE(g.decided()) << text;
+    EXPECT_EQ(last_stats_.decided_groundings, 0u) << text;
+  }
+}
+
+TEST_F(GrounderTest, UncertainBodyAtomLeavesTheInstanceUndecided) {
+  // p, q and t are derivable but not certain (each holds in one of the
+  // two answer sets), so r :- p., s :- q. and u :- not t. stay rules, and
+  // so does v :- u.: each head holds only where its body does.
+  const GroundProgram g = MustGround(R"(
+    p :- not q.
+    q :- not p.
+    r :- p.
+    s :- q.
+    t :- r.
+    u :- not t.
+    v :- u.
+  )");
+  EXPECT_FALSE(g.decided());
+  StatusOr<std::vector<AnswerSet>> models = Solver().Solve(g);
+  ASSERT_TRUE(models.ok()) << models.status();
+  std::set<std::set<std::string>> rendered;
+  for (const AnswerSet& model : *models) {
+    std::set<std::string> atoms;
+    for (GroundAtomId id : model.atoms) {
+      atoms.insert(g.atoms().GetAtom(id).ToString(*symbols_));
+    }
+    rendered.insert(atoms);
+  }
+  EXPECT_EQ(rendered, (std::set<std::set<std::string>>{
+                          {"p", "r", "t"}, {"q", "s", "u", "v"}}));
+}
+
+TEST_F(GrounderTest, WithoutSimplifyNothingIsDecided) {
+  GroundingOptions raw;
+  raw.simplify = false;
+  const GroundProgram g = MustGround(R"(
+    a(1). a(1). b(1).
+    c(X) :- a(X), not b(X).
+  )", raw);
+  EXPECT_FALSE(g.decided());
+  EXPECT_EQ(last_stats_.decided_groundings, 0u);
+  // Both copies of a(1), b(1), and the instance c(1) :- a(1), not b(1).
+  EXPECT_EQ(g.rules().size(), 4u);
+}
+
+TEST_F(GrounderTest, AtomAndPackedEntriesBuildIdenticalPrograms) {
+  StatusOr<Program> program = parser_.ParseProgram(R"(
+    #input speed/2, light/1, link/2.
+    slow(X) :- speed(X, Y), Y < 20.
+    jam(X) :- slow(X), not light(X).
+    reach(X, Y) :- link(X, Y).
+    reach(X, Z) :- reach(X, Y), link(Y, Z).
+  )");
+  ASSERT_TRUE(program.ok()) << program.status();
+  std::vector<Atom> atoms;
+  std::vector<PackedFact> packed;
+  for (const char* text :
+       {"speed(n1, 10)", "light(n1)", "speed(n2, 5)", "speed(n2, 5)",
+        "speed(n3, 30)", "link(1, 2)", "link(2, 3)", "link(3, 1)",
+        "light(n4)"}) {
+    const Atom atom = *parser_.ParseGroundAtom(text);
+    atoms.push_back(atom);
+    PackedFact fact{atom.predicate(), atom.arity(), {}};
+    for (uint32_t i = 0; i < atom.arity(); ++i) {
+      fact.args[i] = PackedTerm(atom.args()[i]);
+    }
+    packed.push_back(fact);
+  }
+  for (bool simplify : {true, false}) {
+    GroundingOptions options;
+    options.simplify = simplify;
+    const Grounder grounder(options);
+    GroundingStats atom_stats;
+    GroundingStats packed_stats;
+    StatusOr<GroundProgram> from_atoms =
+        grounder.Ground(*program, atoms, &atom_stats);
+    StatusOr<GroundProgram> from_packed =
+        grounder.Ground(*program, packed, &packed_stats);
+    ASSERT_TRUE(from_atoms.ok()) << from_atoms.status();
+    ASSERT_TRUE(from_packed.ok()) << from_packed.status();
+    EXPECT_EQ(from_atoms->rules(), from_packed->rules());
+    EXPECT_EQ(from_atoms->ToString(*symbols_),
+              from_packed->ToString(*symbols_));
+    EXPECT_EQ(from_atoms->num_atoms(), from_packed->num_atoms());
+    EXPECT_EQ(from_atoms->decided(), from_packed->decided());
+    EXPECT_EQ(atom_stats.num_rules_raw, packed_stats.num_rules_raw);
+  }
+}
+
+TEST_F(GrounderTest, PackedEntryRejectsNonGroundFacts) {
+  StatusOr<Program> program = parser_.ParseProgram("q(X) :- p(X).");
+  ASSERT_TRUE(program.ok()) << program.status();
+  const PackedFact fact{symbols_->Intern("p"), 1,
+                        {PackedTerm::Variable(symbols_->Intern("X"))}};
+  StatusOr<GroundProgram> ground =
+      Grounder().Ground(*program, std::vector<PackedFact>{fact});
+  ASSERT_FALSE(ground.ok());
+  EXPECT_EQ(ground.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(GrounderTest, SolverReturnsTheFactsOfADecidedProgram) {
+  GroundProgram g = MustGround("a(2). a(1). b(X) :- a(X).");
+  ASSERT_TRUE(g.decided());
+  for (bool verify : {true, false}) {
+    SolverOptions options;
+    options.verify_models = verify;
+    StatusOr<std::vector<AnswerSet>> models = Solver(options).Solve(g);
+    ASSERT_TRUE(models.ok()) << models.status();
+    ASSERT_EQ(models->size(), 1u);
+    EXPECT_EQ((*models)[0].atoms.size(), 4u);
+    EXPECT_TRUE(std::is_sorted((*models)[0].atoms.begin(),
+                               (*models)[0].atoms.end()));
+  }
+  // A decided mark on a program that is not all facts is an internal
+  // error, not a silent wrong answer.
+  g.mutable_rules().push_back(GroundRule{{0}, {1}, {}});
+  StatusOr<std::vector<AnswerSet>> models = Solver().Solve(g);
+  ASSERT_FALSE(models.ok());
+  EXPECT_EQ(models.status().code(), StatusCode::kInternal);
 }
 
 }  // namespace

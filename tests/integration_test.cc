@@ -2,13 +2,19 @@
 // at test scale: synthetic streams, both programs P and P', reasoners R,
 // PR_Dep and PR_Ran, accuracy bookkeeping.
 
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "asp/parser.h"
 #include "depgraph/decomposition.h"
+#include "ground/grounder.h"
+#include "stream/format.h"
 #include "stream/generator.h"
 #include "stream/query_processor.h"
+#include "solve/solver.h"
 #include "streamrule/accuracy.h"
 #include "streamrule/parallel_reasoner.h"
 #include "streamrule/random_partitioner.h"
@@ -170,25 +176,158 @@ TEST_F(IntegrationTest, DuplicationInflatesPartitionItemsForPPrime) {
   EXPECT_NEAR(overhead, 1.0 + 1.0 / 6.0, 0.05);
 }
 
-TEST_F(IntegrationTest, SolverAgreesBetweenRawAndSimplifiedGrounding) {
-  StatusOr<Program> program = MakeTrafficProgram(
-      symbols_, TrafficProgramVariant::kPPrime, false);
-  ASSERT_TRUE(program.ok());
-  SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols_), {});
-  const TripleWindow window = generator.GenerateTripleWindow(1000);
-
-  ReasonerOptions raw;
-  raw.grounding.simplify = false;
-  Reasoner simplified(&*program);
-  Reasoner unsimplified(&*program, raw);
-  StatusOr<ReasonerResult> a = simplified.Process(window);
-  StatusOr<ReasonerResult> b = unsimplified.Process(window);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->answers.size(), b->answers.size());
-  for (size_t i = 0; i < a->answers.size(); ++i) {
-    EXPECT_TRUE(AnswersEqual(a->answers[i], b->answers[i]));
+/// The packed form the reasoner's cold path hands the grounder.
+std::vector<PackedFact> PackedFactsOf(const Program& program,
+                                      const std::vector<Triple>& items) {
+  DataFormatProcessor format;
+  EXPECT_TRUE(format.DeclareInputPredicates(program.input_predicates()).ok());
+  std::vector<PackedFact> facts;
+  for (const Triple& triple : items) {
+    StatusOr<uint32_t> arity = format.CheckTriple(triple);
+    EXPECT_TRUE(arity.ok()) << arity.status();
+    facts.push_back(
+        PackedFact{triple.predicate, *arity, {triple.subject, triple.object}});
   }
+  return facts;
+}
+
+TEST_F(IntegrationTest, SolverAgreesBetweenRawAndSimplifiedGrounding) {
+  // Both programs are stratified with their only negation over an input
+  // predicate, so the simplified (cold) grounding decides every window.
+  for (TrafficProgramVariant variant :
+       {TrafficProgramVariant::kP, TrafficProgramVariant::kPPrime}) {
+    StatusOr<Program> program = MakeTrafficProgram(symbols_, variant, false);
+    ASSERT_TRUE(program.ok());
+    ReasonerOptions raw;
+    raw.grounding.simplify = false;
+    Reasoner simplified(&*program);
+    Reasoner unsimplified(&*program, raw);
+    for (uint64_t seed : {1, 2, 3, 42, 2017}) {
+      GeneratorOptions options;
+      options.seed = seed;
+      SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols_),
+                                         options);
+      const TripleWindow window = generator.GenerateTripleWindow(1000);
+      StatusOr<ReasonerResult> a = simplified.Process(window);
+      StatusOr<ReasonerResult> b = unsimplified.Process(window);
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      EXPECT_EQ(a->grounding.decided_groundings, 1u);
+      EXPECT_EQ(b->grounding.decided_groundings, 0u);
+      ASSERT_EQ(a->answers.size(), 1u);
+      ASSERT_EQ(a->answers.size(), b->answers.size());
+      EXPECT_TRUE(AnswersEqual(a->answers[0], b->answers[0]));
+    }
+  }
+}
+
+TEST_F(IntegrationTest, PackedTrafficWindowsAreDecidedWithoutBlockedJams) {
+  const SymbolId traffic_light = symbols_->Intern("traffic_light");
+  const SymbolId traffic_jam = symbols_->Intern("traffic_jam");
+  const SymbolId very_slow_speed = symbols_->Intern("very_slow_speed");
+  const SymbolId many_cars = symbols_->Intern("many_cars");
+  const SymbolId car_fire = symbols_->Intern("car_fire");
+  size_t blocked = 0;
+  for (TrafficProgramVariant variant :
+       {TrafficProgramVariant::kP, TrafficProgramVariant::kPPrime}) {
+    StatusOr<Program> program = MakeTrafficProgram(symbols_, variant, false);
+    ASSERT_TRUE(program.ok());
+    for (uint64_t seed : {1, 2, 3, 42, 2017}) {
+      GeneratorOptions options;
+      options.seed = seed;
+      SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols_),
+                                         options);
+      const TripleWindow window = generator.GenerateTripleWindow(2000);
+      StatusOr<GroundProgram> packed =
+          Grounder().Ground(*program, PackedFactsOf(*program, window.items));
+      ASSERT_TRUE(packed.ok()) << packed.status();
+      EXPECT_TRUE(packed->decided());
+      for (const GroundRule& rule : packed->rules()) {
+        EXPECT_TRUE(rule.is_fact());
+      }
+      // A traffic_light(X) fact blocks traffic_jam(X) :- very_slow_speed(X),
+      // many_cars(X), not traffic_light(X): the instance and its head are
+      // gone, unless r7 of P' derives the jam from a car fire.
+      const AtomTable& atoms = packed->atoms();
+      auto has = [&](SymbolId predicate, PackedTerm x) {
+        return atoms.Lookup(predicate, &x, 1) != kInvalidGroundAtom;
+      };
+      for (const Triple& triple : window.items) {
+        if (triple.predicate != traffic_light) continue;
+        const PackedTerm x = triple.subject;
+        const bool r7_jam = variant == TrafficProgramVariant::kPPrime &&
+                            has(car_fire, x) && has(many_cars, x);
+        EXPECT_EQ(has(traffic_jam, x), r7_jam);
+        if (has(very_slow_speed, x) && has(many_cars, x)) ++blocked;
+      }
+
+      // The Atom entry builds the identical program.
+      DataFormatProcessor format;
+      ASSERT_TRUE(
+          format.DeclareInputPredicates(program->input_predicates()).ok());
+      StatusOr<std::vector<Atom>> facts = format.ToFacts(window.items);
+      ASSERT_TRUE(facts.ok());
+      StatusOr<GroundProgram> from_atoms = Grounder().Ground(*program, *facts);
+      ASSERT_TRUE(from_atoms.ok());
+      EXPECT_EQ(from_atoms->rules(), packed->rules());
+      EXPECT_EQ(from_atoms->ToString(*symbols_), packed->ToString(*symbols_));
+    }
+  }
+  // The windows do exercise blocking.
+  EXPECT_GT(blocked, 0u);
+}
+
+TEST_F(IntegrationTest, RecursiveReachWindowIsNotDecided) {
+  // The async_pipeline bench's reach_tc workload on one fixed window.
+  Parser parser(symbols_);
+  StatusOr<Program> program = parser.ParseProgram(R"(
+    #input link/2.
+    #input high/1.
+    reach(X, Y) :- link(X, Y).
+    reach(X, Z) :- reach(X, Y), link(Y, Z).
+    alarm(X, Y) :- high(X), high(Y), reach(X, Y).
+    #show alarm/2.
+  )");
+  ASSERT_TRUE(program.ok()) << program.status();
+  GeneratorOptions options;
+  options.seed = 2017;
+  options.location_divisor = 1600 / 48;
+  options.value_range = 48;
+  std::vector<StreamPredicate> schema(2);
+  schema[0].predicate = symbols_->Intern("link");
+  schema[0].has_object = true;
+  schema[0].weight = 4.0;
+  schema[1].predicate = symbols_->Intern("high");
+  schema[1].has_object = false;
+  schema[1].weight = 1.0;
+  SyntheticStreamGenerator generator(schema, options);
+  const std::vector<Triple> items = generator.GenerateWindow(1600);
+  const std::vector<PackedFact> facts = PackedFactsOf(*program, items);
+
+  GroundingStats decided_stats;
+  StatusOr<GroundProgram> ground =
+      Grounder().Ground(*program, facts, &decided_stats);
+  ASSERT_TRUE(ground.ok()) << ground.status();
+  EXPECT_FALSE(ground->decided());
+  EXPECT_EQ(decided_stats.decided_groundings, 0u);
+
+  // Every recursive instance is still emitted: against the unsimplified
+  // grounding, only the repeated input facts are missing (each distinct
+  // fact is emitted once; reach(X, Y) :- link(X, Y) and the alarms over
+  // direct links become facts one for one).
+  GroundingOptions raw;
+  raw.simplify = false;
+  GroundingStats raw_stats;
+  ASSERT_TRUE(Grounder(raw).Ground(*program, facts, &raw_stats).ok());
+  // The pair (predicate, packed words) identifies an input fact.
+  std::set<std::pair<SymbolId, std::pair<uint64_t, uint64_t>>> distinct;
+  for (const Triple& triple : items) {
+    distinct.insert({triple.predicate,
+                     {triple.subject.bits(), triple.object.bits()}});
+  }
+  EXPECT_EQ(decided_stats.num_rules_raw,
+            raw_stats.num_rules_raw - (items.size() - distinct.size()));
+  EXPECT_EQ(decided_stats.num_rules_raw, 50202u);
 }
 
 }  // namespace

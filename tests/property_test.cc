@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,6 +16,8 @@
 
 #include "asp/parser.h"
 #include "depgraph/decomposition.h"
+#include "graph/components.h"
+#include "graph/graph.h"
 #include "ground/grounder.h"
 #include "ground/incremental_grounder.h"
 #include "solve/incremental_solver.h"
@@ -112,6 +115,95 @@ TEST_P(SolverSoundnessTest, ModelsAreUniqueAndSorted) {
 INSTANTIATE_TEST_SUITE_P(RandomPrograms, SolverSoundnessTest,
                          ::testing::Range<uint64_t>(0, 40));
 
+/// What the one-shot grounder's decisions should make of a propositional
+/// program, worked out independently of the instantiation core: whether
+/// some emitted instance is undecided, and the certain atoms.
+struct Decisions {
+  bool undecided = false;
+  std::set<std::string> certain;
+};
+
+Decisions DecideByComponents(const Program& program,
+                             const SymbolTable& symbols) {
+  std::map<SymbolId, int> index;
+  auto id = [&](const Atom& atom) {
+    return index.emplace(atom.predicate(), static_cast<int>(index.size()))
+        .first->second;
+  };
+  for (const Rule& rule : program.rules()) {
+    for (const Atom& head : rule.head()) id(head);
+    for (const Literal& l : rule.body()) id(l.atom());
+  }
+  Digraph graph(static_cast<NodeId>(index.size()));
+  for (const Rule& rule : program.rules()) {
+    for (const Atom& head : rule.head()) {
+      for (const Literal& l : rule.body()) graph.AddEdge(id(l.atom()), id(head));
+      for (const Atom& other : rule.head()) graph.AddEdge(id(other), id(head));
+    }
+  }
+  const std::vector<int> component =
+      StronglyConnectedComponents(graph).component_of;
+
+  Decisions out;
+  std::vector<bool> certain(index.size(), false);
+  std::vector<bool> derivable(index.size(), false);
+  std::vector<bool> fired(program.rules().size(), false);
+  for (const Rule& rule : program.rules()) {
+    if (!rule.body().empty()) continue;
+    for (const Atom& head : rule.head()) derivable[id(head)] = true;
+    if (rule.head().size() == 1) {
+      certain[id(rule.head()[0])] = true;
+    } else {
+      out.undecided = true;
+    }
+  }
+  // Components bottom-up (every body atom of another component is final),
+  // then the constraints over everything.
+  const int constraints = static_cast<int>(index.size());
+  for (int c = 0; c <= constraints; ++c) {
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (size_t r = 0; r < program.rules().size(); ++r) {
+        const Rule& rule = program.rules()[r];
+        if (fired[r] || rule.body().empty()) continue;
+        if ((rule.head().empty() ? constraints
+                                 : component[id(rule.head()[0])]) != c) {
+          continue;
+        }
+        bool fires = true;
+        bool blocked = false;
+        bool decided = rule.head().size() == 1;
+        for (const Literal& l : rule.body()) {
+          const int a = id(l.atom());
+          const bool final_atom = component[a] != c;
+          if (l.is_positive_atom()) {
+            fires = fires && derivable[a];
+            decided = decided && final_atom && certain[a];
+          } else if (final_atom && certain[a]) {
+            blocked = true;
+          } else if (!final_atom || derivable[a]) {
+            decided = false;
+          }
+        }
+        if (!fires) continue;
+        fired[r] = true;
+        changed = true;
+        if (blocked) continue;
+        if (decided) {
+          certain[id(rule.head()[0])] = true;
+        } else {
+          out.undecided = true;
+        }
+        for (const Atom& head : rule.head()) derivable[id(head)] = true;
+      }
+    }
+  }
+  for (const auto& [symbol, a] : index) {
+    if (certain[a]) out.certain.insert(symbols.NameOf(symbol));
+  }
+  return out;
+}
+
 /// Simplified and raw grounding must describe the same answer sets.
 class SimplifyEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -144,6 +236,47 @@ TEST_P(SimplifyEquivalenceTest, SameModels) {
   };
 
   EXPECT_EQ(solve_with(true), solve_with(false)) << text;
+}
+
+TEST_P(SimplifyEquivalenceTest, DecidedExactlyWhenNoInstanceIsUndecided) {
+  SymbolTablePtr symbols = MakeSymbolTable();
+  Parser parser(symbols);
+  const std::string text = RandomProgram(GetParam() ^ 0x5EED);
+  StatusOr<Program> program = parser.ParseProgram(text);
+  ASSERT_TRUE(program.ok());
+  const Decisions expected = DecideByComponents(*program, *symbols);
+
+  GroundingStats stats;
+  StatusOr<GroundProgram> ground = Grounder().Ground(*program, &stats);
+  ASSERT_TRUE(ground.ok()) << text;
+  EXPECT_EQ(ground->decided(), !expected.undecided) << text;
+  EXPECT_EQ(stats.decided_groundings, ground->decided() ? 1u : 0u);
+  if (!ground->decided()) return;
+
+  // One fact per certain atom, and those facts are the one model the
+  // unsimplified grounding has.
+  std::set<std::string> facts;
+  for (const GroundRule& rule : ground->rules()) {
+    ASSERT_TRUE(rule.is_fact()) << text;
+    EXPECT_TRUE(
+        facts.insert(ground->atoms().GetAtom(rule.head[0]).ToString(*symbols))
+            .second)
+        << text;
+  }
+  EXPECT_EQ(facts, expected.certain) << text;
+
+  GroundingOptions raw;
+  raw.simplify = false;
+  StatusOr<GroundProgram> unsimplified = Grounder(raw).Ground(*program);
+  ASSERT_TRUE(unsimplified.ok());
+  StatusOr<std::vector<AnswerSet>> models = Solver().Solve(*unsimplified);
+  ASSERT_TRUE(models.ok());
+  ASSERT_EQ(models->size(), 1u) << text;
+  std::set<std::string> model;
+  for (GroundAtomId id : (*models)[0].atoms) {
+    model.insert(unsimplified->atoms().GetAtom(id).ToString(*symbols));
+  }
+  EXPECT_EQ(model, facts) << text;
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomPrograms, SimplifyEquivalenceTest,

@@ -30,13 +30,18 @@ rather than silently skipping its gates.
     ordered merge stalled on a shed slot). Bytes are deterministic for a
     fixed workload — no tolerance derating; the ceiling caps
     representation bloat (a reverted packed layout, a leaked per-window
-    buffer) regardless of host speed.
+    buffer) regardless of host speed. A ceiling of 0 on the cold
+    sliding-tc leg's decided_groundings pins the scope of decided
+    grounding: recursive components are never decided.
   * minimums: machine-independent lower bounds on a run field, used for
     the burst-overload leg's completeness (items reasoned / items
     admitted). The leg is self-clocked — valleys push behind a drain
     barrier, spikes push back-to-back — so the shed fraction is set by
     queue capacity and spike shape, not host speed, and the bound holds
-    with no tolerance derating.
+    with no tolerance derating. The sync leg's decided_groundings must
+    count every partition grounding of its windows (each P' partition
+    is stratified, so the grounder decides it and the solver is
+    skipped).
 
 Usage:
   check_bench_regression.py [--baseline bench/baseline.json] \
