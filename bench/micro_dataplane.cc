@@ -2,19 +2,24 @@
 // bench framework, so this target always builds): PackedTerm pack/unpack
 // throughput, columnar WindowStore append/evict vs a deque baseline, the
 // packed-word join probe vs a deep-Term probe, and wire ingest (the
-// session server's push parsing) — the primitives whose costs the
-// pipeline-level benches can only observe in aggregate.
+// session server's push parsing next to the per-line parser) — the
+// primitives whose costs the pipeline-level benches can only observe in
+// aggregate. wire_ingest is gated: the bench exits 1 when the push path
+// loses its lead over the per-line path.
 // Emits one machine-readable JSON document on stdout (schema in
 // docs/benchmarks.md); human-readable notes go to stderr.
 //
 // Usage: micro_dataplane [scale]
 //   scale multiplies every loop count (default 1); CI runs scale 1.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <new>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -27,6 +32,21 @@
 #include "stream/window_store.h"
 #include "streamrule/traffic_workload.h"
 #include "util/timer.h"
+
+// Heap allocations since the counter was last reset: a counting global
+// operator new, read by the wire_ingest probe. The bench runs on one
+// thread, so a plain counter keeps the count from taxing what it counts.
+size_t g_allocations = 0;
+
+void* operator new(size_t size) {
+  ++g_allocations;
+  void* memory = std::malloc(size == 0 ? 1 : size);
+  if (memory == nullptr) throw std::bad_alloc();
+  return memory;
+}
+
+void operator delete(void* memory) noexcept { std::free(memory); }
+void operator delete(void* memory, size_t) noexcept { std::free(memory); }
 
 namespace {
 
@@ -263,14 +283,25 @@ ProbeResult BenchJoinProbe(const SymbolTablePtr& symbols, size_t scale) {
   return ProbeResult{buf};
 }
 
-/// Wire ingest: what the server's event-loop thread does per push on the
-/// paper's workload — ParseRequest over one 5000-line P' push payload,
-/// then ParseTripleLine on every line against a warm session symbol table
-/// (a live session has interned the stream's vocabulary after its first
-/// window). Reports the two halves per triple and the payload's wire
-/// bytes per triple.
+/// Wire ingest on the paper's workload: one 5000-line P' push payload
+/// against a warm session symbol table (a live session has interned the
+/// stream's vocabulary after its first window), through both parsers of
+/// the one push grammar, alternating pass by pass:
+///   * the push path — what the broker runs on the event-loop thread:
+///     ParseRequestHead, then ParsePushBody's one scan and one batched
+///     intern;
+///   * the per-line path — ParseRequest's line strings, then
+///     ParseTripleLine per line (perfbench's traced replay still times
+///     this one).
+/// Reports ns per triple and heap allocations per push for each, and the
+/// payload's wire bytes per triple. Fails (exit 1) unless the push path
+/// is at least kMinWireSpeedup times faster than the per-line path.
 ProbeResult BenchWireIngest(size_t scale) {
   constexpr size_t kTriples = 5000;
+  // Fourteen Release runs on a shared 4-vCPU host read a per-line / push
+  // ratio of 1.67-1.91 (the allocation counts never varied); the bound
+  // keeps a wide margin below that so only a real regression trips it.
+  constexpr double kMinWireSpeedup = 1.3;
   const size_t repeats = 200 * scale;
   SymbolTablePtr stream_symbols = MakeSymbolTable();
   GeneratorOptions options;
@@ -289,47 +320,79 @@ ProbeResult BenchWireIngest(size_t scale) {
     }
   }
 
-  SymbolTablePtr session_symbols = MakeSymbolTable();
-  std::vector<Triple> batch;
-  double request_ms = 0;
-  double triples_ms = 0;
-  // Pass 0 warms the symbol table and the allocator; it is not timed.
-  for (size_t pass = 0; pass <= repeats; ++pass) {
-    WallTimer request_timer;
+  auto fail = [](const char* what) {
+    std::fprintf(stderr, "wire_ingest: %s\n", what);
+    std::exit(1);
+  };
+  SymbolTablePtr push_symbols = MakeSymbolTable();
+  auto push_path = [&] {
+    std::string_view body;
+    StatusOr<WireRequest> request = ParseRequestHead(payload, &body);
+    if (!request.ok()) fail("bad request head");
+    StatusOr<std::vector<Triple>> batch = ParsePushBody(body, *push_symbols);
+    if (!batch.ok() || batch->size() != kTriples) fail("bad push body");
+    return std::move(*batch);
+  };
+  SymbolTablePtr line_symbols = MakeSymbolTable();
+  auto per_line_path = [&] {
     StatusOr<WireRequest> request = ParseRequest(payload);
-    const double parsed_ms = request_timer.ElapsedMillis();
     if (!request.ok() || request->lines.size() != kTriples) {
-      std::fprintf(stderr, "wire_ingest: bad request parse\n");
-      std::exit(1);
+      fail("bad request parse");
     }
-    WallTimer triples_timer;
-    batch.clear();
+    std::vector<Triple> batch;
     batch.reserve(request->lines.size());
     for (const std::string& line : request->lines) {
-      StatusOr<Triple> triple = ParseTripleLine(line, *session_symbols);
-      if (!triple.ok()) {
-        std::fprintf(stderr, "wire_ingest: bad triple '%s'\n", line.c_str());
-        std::exit(1);
-      }
+      StatusOr<Triple> triple = ParseTripleLine(line, *line_symbols);
+      if (!triple.ok()) fail("bad triple line");
       batch.push_back(*triple);
     }
+    return batch;
+  };
+
+  double push_ms = 0;
+  double per_line_ms = 0;
+  size_t push_allocations = 0;
+  size_t per_line_allocations = 0;
+  // Pass 0 warms the symbol tables and the allocator; it is not timed.
+  for (size_t pass = 0; pass <= repeats; ++pass) {
+    g_allocations = 0;
+    WallTimer push_timer;
+    const std::vector<Triple> pushed = push_path();
+    const double push_pass_ms = push_timer.ElapsedMillis();
+    const size_t push_pass_allocations = g_allocations;
+    g_allocations = 0;
+    WallTimer per_line_timer;
+    const std::vector<Triple> per_line = per_line_path();
+    const double per_line_pass_ms = per_line_timer.ElapsedMillis();
+    const size_t per_line_pass_allocations = g_allocations;
+    // Both tables interned the same names in the same order.
+    if (pushed != per_line) fail("push and per-line paths disagree");
     if (pass > 0) {
-      triples_ms += triples_timer.ElapsedMillis();
-      request_ms += parsed_ms;
+      push_ms += push_pass_ms;
+      per_line_ms += per_line_pass_ms;
+      push_allocations = std::max(push_allocations, push_pass_allocations);
+      per_line_allocations =
+          std::max(per_line_allocations, per_line_pass_allocations);
     }
   }
 
   const size_t triples = kTriples * repeats;
-  std::fprintf(stderr, "wire_ingest: %zu pushes of %zu triples\n", repeats,
-               kTriples);
+  const double speedup = push_ms > 0 ? per_line_ms / push_ms : 0.0;
+  std::fprintf(stderr,
+               "wire_ingest: %zu pushes of %zu triples, push path %.2fx "
+               "faster than per-line (bound %.2fx)\n",
+               repeats, kTriples, speedup, kMinWireSpeedup);
+  if (speedup < kMinWireSpeedup) fail("push path is not faster enough");
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
       "    {\"probe\": \"wire_ingest\", \"triples\": %zu, "
-      "\"ns_per_triple\": %.2f, \"parse_request_ns_per_triple\": %.2f, "
-      "\"parse_triples_ns_per_triple\": %.2f, \"bytes_per_triple\": %.2f}",
-      triples, NsPerOp(request_ms + triples_ms, triples),
-      NsPerOp(request_ms, triples), NsPerOp(triples_ms, triples),
+      "\"push_ns_per_triple\": %.2f, \"per_line_ns_per_triple\": %.2f, "
+      "\"push_speedup\": %.2f, \"push_allocations_per_push\": %zu, "
+      "\"per_line_allocations_per_push\": %zu, "
+      "\"bytes_per_triple\": %.2f}",
+      triples, NsPerOp(push_ms, triples), NsPerOp(per_line_ms, triples),
+      speedup, push_allocations, per_line_allocations,
       static_cast<double>(payload.size()) / static_cast<double>(kTriples));
   return ProbeResult{buf};
 }

@@ -7,7 +7,7 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace streamasp {
 
@@ -21,11 +21,11 @@ inline constexpr SymbolId kInvalidSymbol = static_cast<SymbolId>(-1);
 /// Interns strings to dense ids so the grounder and solver can compare and
 /// hash terms as integers.
 ///
-/// Thread safety: Intern/Lookup/NameOf may be called concurrently; the
-/// parallel reasoner shares one table across worker threads so that answer
-/// sets from different partitions are directly comparable by id. A
-/// shared_mutex keeps reads (the common case once the workload's symbols
-/// exist) cheap.
+/// Thread safety: Intern/InternBatch/Lookup/NameOf may be called
+/// concurrently; the parallel reasoner shares one table across worker
+/// threads so that answer sets from different partitions are directly
+/// comparable by id. A shared_mutex keeps reads (the common case once the
+/// workload's symbols exist) cheap.
 class SymbolTable {
  public:
   SymbolTable() = default;
@@ -35,6 +35,14 @@ class SymbolTable {
 
   /// Returns the id for `name`, interning it on first use.
   SymbolId Intern(std::string_view name);
+
+  /// Interns `names` in order, storing `(*ids)[i]` for `names[i]`: the ids
+  /// that one Intern call per name, in sequence, would return (a name new
+  /// to the table takes the next id at its first occurrence). Takes the
+  /// read lock once, and the write lock once more only when some name is
+  /// new; the session server interns a whole push this way.
+  void InternBatch(const std::vector<std::string_view>& names,
+                   std::vector<SymbolId>* ids);
 
   /// Returns the id for `name` or kInvalidSymbol if never interned.
   SymbolId Lookup(std::string_view name) const;
@@ -47,9 +55,25 @@ class SymbolTable {
   size_t size() const;
 
  private:
+  /// One slot of the index: a symbol id (kInvalidSymbol = empty) and the
+  /// high half of its name's hash, compared before the name itself.
+  struct Slot {
+    SymbolId id = kInvalidSymbol;
+    uint32_t hash_high = 0;
+  };
+
+  /// The id of `name`, or kInvalidSymbol; under either lock.
+  SymbolId Find(std::string_view name, size_t hash) const;
+  /// Intern under the write lock.
+  SymbolId InternLocked(std::string_view name, size_t hash);
+  /// Doubles the index (at least 16 slots) and re-places every id.
+  void Grow();
+
   mutable std::shared_mutex mutex_;
   std::deque<std::string> names_;
-  std::unordered_map<std::string_view, SymbolId> index_;
+  /// Open-addressing index over names_: a power-of-two number of slots,
+  /// at most half full, probed linearly from the hash's low bits.
+  std::vector<Slot> slots_;
 };
 
 /// Shared-ownership handle used throughout the library: programs, windows,

@@ -51,7 +51,8 @@ std::string_view OpenSessionOf(std::string_view payload) {
 }  // namespace
 
 void SessionBroker::HandleRequest(std::string_view payload) {
-  StatusOr<WireRequest> parsed = ParseRequest(payload);
+  std::string_view body;
+  StatusOr<WireRequest> parsed = ParseRequestHead(payload, &body);
   if (!parsed.ok()) {
     const std::string_view session = OpenSessionOf(payload);
     Send(FormatError(session.empty() ? "request" : "open", session,
@@ -67,7 +68,7 @@ void SessionBroker::HandleRequest(std::string_view payload) {
       HandleOpen(std::move(request));
       return;
     case WireRequest::Command::kPush:
-      HandlePush(request);
+      HandlePush(request.session, body);
       return;
     case WireRequest::Command::kFlush: {
       StatusOr<std::shared_ptr<StreamSession>> session =
@@ -133,26 +134,19 @@ void SessionBroker::HandleOpen(WireRequest request) {
   Send(FormatOpenOk(name));
 }
 
-void SessionBroker::HandlePush(const WireRequest& request) {
-  StatusOr<std::shared_ptr<StreamSession>> session =
-      server_->FindSession(request.session);
+void SessionBroker::HandlePush(const std::string& name,
+                               std::string_view body) {
+  StatusOr<std::shared_ptr<StreamSession>> session = server_->FindSession(name);
   if (!session.ok()) {
-    Send(FormatError("push", request.session, session.status()));
+    Send(FormatError("push", name, session.status()));
     return;
   }
-  std::vector<Triple> batch;
-  batch.reserve(request.lines.size());
-  for (const std::string& line : request.lines) {
-    StatusOr<Triple> triple = ParseTripleLine(line, (*session)->symbols());
-    if (!triple.ok()) {
-      Send(FormatError("push", request.session, triple.status()));
-      return;
-    }
-    batch.push_back(*triple);
-  }
-  Status status = (*session)->Push(std::move(batch));
-  Send(status.ok() ? FormatOk("push", request.session)
-                   : FormatError("push", request.session, status));
+  StatusOr<std::vector<Triple>> batch =
+      ParsePushBody(body, (*session)->symbols());
+  const Status status =
+      batch.ok() ? (*session)->Push(std::move(*batch)) : batch.status();
+  Send(status.ok() ? FormatOk("push", name)
+                   : FormatError("push", name, status));
 }
 
 namespace {

@@ -43,7 +43,7 @@ class SessionBroker {
 
  private:
   void HandleOpen(WireRequest request);
-  void HandlePush(const WireRequest& request);
+  void HandlePush(const std::string& name, std::string_view body);
   void Send(std::string payload);
 
   StreamServer* const server_;

@@ -184,7 +184,8 @@ void TcpServer::OnAcceptable() {
 
 void TcpServer::OnReadable(const std::shared_ptr<Connection>& connection) {
   // Level-triggered: drain the socket so one wakeup consumes everything
-  // buffered, then dispatch each complete frame inline.
+  // buffered, then dispatch each complete frame inline, as a view into
+  // the decoder's buffer (valid until the next Feed).
   char buffer[16384];
   for (;;) {
     const ssize_t n = ::recv(connection->fd, buffer, sizeof(buffer), 0);
@@ -195,7 +196,7 @@ void TcpServer::OnReadable(const std::shared_ptr<Connection>& connection) {
       return;
     }
     connection->decoder.Feed(std::string_view(buffer, static_cast<size_t>(n)));
-    std::string payload;
+    std::string_view payload;
     while (connection->decoder.Next(&payload)) {
       connection->broker->HandleRequest(payload);
     }

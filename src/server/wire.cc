@@ -56,6 +56,70 @@ class FieldCursor {
   std::string_view rest_;
 };
 
+/// Walks the lines of a push body: each stripped of surrounding
+/// whitespace (so CRLF bodies work), blank ones skipped. Lines are views
+/// into the body.
+class LineCursor {
+ public:
+  explicit LineCursor(std::string_view body) : rest_(body) {}
+
+  /// Stores the next non-blank line in `*line`; false at the body's end.
+  bool Next(std::string_view* line) {
+    while (!rest_.empty()) {
+      const size_t newline = rest_.find('\n');
+      const std::string_view piece = StripWhitespace(rest_.substr(0, newline));
+      rest_ = newline == std::string_view::npos ? std::string_view()
+                                                : rest_.substr(newline + 1);
+      if (!piece.empty()) {
+        *line = piece;
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+/// An upper bound on a body's lines, for reserving before a scan.
+size_t MaxLines(std::string_view body) {
+  return static_cast<size_t>(std::count(body.begin(), body.end(), '\n')) + 1;
+}
+
+/// The fields of one triple line: predicate, subject and, when count is
+/// 3, object.
+struct TripleFields {
+  std::array<std::string_view, 3> field;
+  size_t count = 0;
+};
+
+/// Splits `line` into its 2-3 fields, or fails with the line quoted.
+Status SplitTripleLine(std::string_view line, TripleFields* fields) {
+  // A fourth field already makes the line malformed, so no more are read.
+  std::string_view extra;
+  FieldCursor cursor(line);
+  fields->count = 0;
+  while (fields->count < 3 && cursor.Next(&fields->field[fields->count])) {
+    ++fields->count;
+  }
+  if (fields->count < 2 || cursor.Next(&extra)) {
+    return InvalidArgumentError(
+        "triple line needs '<predicate> <subject> [<object>]', got '" +
+        std::string(line) + "'");
+  }
+  return OkStatus();
+}
+
+/// A subject or object field as a term: an in-range integer, else the
+/// symbol `intern(field)` names.
+template <typename InternFn>
+PackedTerm FieldTerm(std::string_view field, InternFn&& intern) {
+  int64_t number = 0;
+  if (ParseInt64(field, &number)) return PackedTerm::Integer(number);
+  return PackedTerm::Symbol(intern(field));
+}
+
 Status ApplyOpenOption(std::string_view key, std::string_view value,
                        SessionOptions* options) {
   int64_t number = 0;
@@ -159,10 +223,21 @@ std::string EncodeFrame(std::string_view payload) {
 
 void FrameDecoder::Feed(std::string_view data) {
   if (!status_.ok()) return;
+  if (offset_ == buffer_.size()) {
+    buffer_.clear();
+    offset_ = 0;
+  }
   buffer_.append(data);
 }
 
 bool FrameDecoder::Next(std::string* payload) {
+  std::string_view view;
+  if (!Next(&view)) return false;
+  payload->assign(view);
+  return true;
+}
+
+bool FrameDecoder::Next(std::string_view* payload) {
   if (!status_.ok()) return false;
   if (buffer_.size() - offset_ < 4) {
     // Reclaim the consumed prefix while we wait for more bytes.
@@ -193,22 +268,32 @@ bool FrameDecoder::Next(std::string* payload) {
     }
     return false;
   }
-  payload->assign(buffer_, offset_ + 4, length);
+  *payload = std::string_view(buffer_).substr(offset_ + 4, length);
   offset_ += 4 + length;
-  if (offset_ == buffer_.size()) {
-    buffer_.clear();
-    offset_ = 0;
-  }
   return true;
 }
 
 StatusOr<WireRequest> ParseRequest(std::string_view payload) {
+  std::string_view body;
+  StatusOr<WireRequest> request = ParseRequestHead(payload, &body);
+  if (!request.ok() || request->command != WireRequest::Command::kPush) {
+    return request;
+  }
+  if (body.empty()) return request;
+  request->lines.reserve(MaxLines(body));
+  LineCursor lines(body);
+  std::string_view line;
+  while (lines.Next(&line)) request->lines.emplace_back(line);
+  return request;
+}
+
+StatusOr<WireRequest> ParseRequestHead(std::string_view payload,
+                                       std::string_view* body) {
   // Only the head line is tokenized; the body (everything after the first
-  // '\n') is scanned in place by the verbs that carry one.
+  // '\n') is left to the verbs that carry one.
   const size_t head_end = payload.find('\n');
-  const std::string_view body = head_end == std::string_view::npos
-                                    ? std::string_view()
-                                    : payload.substr(head_end + 1);
+  *body = head_end == std::string_view::npos ? std::string_view()
+                                             : payload.substr(head_end + 1);
   FieldCursor head(StripWhitespace(payload.substr(0, head_end)));
   std::string_view verb;
   if (!head.Next(&verb)) return InvalidArgumentError("empty request");
@@ -253,22 +338,11 @@ StatusOr<WireRequest> ParseRequest(std::string_view payload) {
       STREAMASP_RETURN_IF_ERROR(
           ApplyOpenOption(key, value, &request.options));
     }
-    request.options.program_text = std::string(body);
+    request.options.program_text = std::string(*body);
     return request;
   }
   if (verb == "push") {
     request.command = WireRequest::Command::kPush;
-    if (body.empty()) return request;
-    request.lines.reserve(
-        static_cast<size_t>(std::count(body.begin(), body.end(), '\n')) + 1);
-    for (size_t start = 0; start <= body.size();) {
-      size_t end = body.find('\n', start);
-      if (end == std::string_view::npos) end = body.size();
-      const std::string_view line =
-          StripWhitespace(body.substr(start, end - start));
-      if (!line.empty()) request.lines.emplace_back(line);
-      start = end + 1;
-    }
     return request;
   }
   if (verb == "flush") {
@@ -288,26 +362,61 @@ StatusOr<WireRequest> ParseRequest(std::string_view payload) {
 }
 
 StatusOr<Triple> ParseTripleLine(std::string_view line, SymbolTable& symbols) {
-  // A fourth field already makes the line malformed, so no more are read.
-  std::array<std::string_view, 4> tokens;
-  size_t count = 0;
-  FieldCursor fields(line);
-  while (count < tokens.size() && fields.Next(&tokens[count])) ++count;
-  if (count < 2 || count > 3) {
-    return InvalidArgumentError(
-        "triple line needs '<predicate> <subject> [<object>]', got '" +
-        std::string(line) + "'");
-  }
-  auto parse_term = [&symbols](std::string_view token) {
-    int64_t number = 0;
-    if (ParseInt64(token, &number)) return PackedTerm::Integer(number);
-    return PackedTerm::Symbol(symbols.Intern(token));
+  TripleFields fields;
+  STREAMASP_RETURN_IF_ERROR(SplitTripleLine(line, &fields));
+  auto intern = [&symbols](std::string_view name) {
+    return symbols.Intern(name);
   };
   Triple triple;
-  triple.predicate = symbols.Intern(tokens[0]);
-  triple.subject = parse_term(tokens[1]);
-  if (count == 3) triple.object = parse_term(tokens[2]);
+  triple.predicate = symbols.Intern(fields.field[0]);
+  triple.subject = FieldTerm(fields.field[1], intern);
+  if (fields.count == 3) triple.object = FieldTerm(fields.field[2], intern);
   return triple;
+}
+
+StatusOr<std::vector<Triple>> ParsePushBody(std::string_view body,
+                                             SymbolTable& symbols) {
+  const size_t max_lines = MaxLines(body);
+  std::vector<Triple> batch;
+  batch.reserve(max_lines);
+  // One scan collects every symbol field in interning order (predicate,
+  // subject, object; lines in order); symbol terms hold a placeholder id
+  // until the batch is interned.
+  std::vector<std::string_view> names;
+  names.reserve(3 * max_lines);
+  auto defer = [&names](std::string_view name) {
+    names.push_back(name);
+    return kInvalidSymbol;
+  };
+  Status status = OkStatus();
+  LineCursor lines(body);
+  std::string_view line;
+  while (lines.Next(&line)) {
+    TripleFields fields;
+    status = SplitTripleLine(line, &fields);
+    if (!status.ok()) break;
+    Triple triple;
+    names.push_back(fields.field[0]);
+    triple.subject = FieldTerm(fields.field[1], defer);
+    if (fields.count == 3) triple.object = FieldTerm(fields.field[2], defer);
+    batch.push_back(triple);
+  }
+  // The lines before a malformed one are interned all the same, as
+  // line-at-a-time parsing would have interned them before failing.
+  std::vector<SymbolId> ids;
+  symbols.InternBatch(names, &ids);
+  if (!status.ok()) return status;
+  size_t next = 0;
+  for (Triple& triple : batch) {
+    triple.predicate = ids[next++];
+    if (triple.subject.is_symbol()) {
+      triple.subject = PackedTerm::Symbol(ids[next++]);
+    }
+    if (triple.object.is_symbol()) {
+      triple.object = PackedTerm::Symbol(ids[next++]);
+    }
+  }
+  return batch;
 }
 
 std::string FormatOk(std::string_view verb, std::string_view session) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "asp/symbol_table.h"
@@ -57,6 +58,17 @@ namespace streamasp {
 /// '\r') and blank lines are skipped. Integer fields within int64 range
 /// become integer terms; anything else is interned as a symbol.
 ///
+/// Push ingest: the server parses a push body in one scan over the frame
+/// it was read from (ParsePushBody): no string per line, and the push's
+/// symbols interned under one read lock of the session's table (a second,
+/// write lock only when the push carries new names). Ids come out in the
+/// order line-at-a-time parsing gives them — predicate, subject, object,
+/// lines in order — so transcripts do not depend on which path parsed.
+/// The first malformed line fails the whole push (nothing is pushed);
+/// the lines before it stay interned, the line itself interns nothing.
+/// ParseRequest + ParseTripleLine, one line at a time, is the same
+/// grammar through the same scanner, for callers that want the lines.
+///
 /// Replies (one per request, in request order):
 ///   ok open <session> v=1
 ///   ok <verb> <session>
@@ -92,9 +104,13 @@ class FrameDecoder {
  public:
   void Feed(std::string_view data);
 
-  /// Moves the next complete payload into `*payload`. False when no
+  /// Copies the next complete payload into `*payload`. False when no
   /// complete frame is buffered (or the decoder is wedged).
   bool Next(std::string* payload);
+
+  /// Views the next complete payload in place, without copying it. The
+  /// view is valid until the next Feed or Next call.
+  bool Next(std::string_view* payload);
 
   const Status& status() const { return status_; }
 
@@ -115,8 +131,9 @@ struct WireRequest {
   /// from the remaining lines lands in options.program_text.
   SessionOptions options;
 
-  /// kPush only: the triple lines (unparsed — the broker parses them
-  /// against the target session's symbol table).
+  /// kPush from ParseRequest only: the stripped, non-blank triple lines
+  /// (unparsed). The server's push path leaves this empty and parses the
+  /// body in place with ParsePushBody.
   std::vector<std::string> lines;
 
   /// kOpen only: the client's declared protocol version (`v=N`).
@@ -132,10 +149,23 @@ struct WireRequest {
 /// body is copied verbatim into `options.program_text`.
 StatusOr<WireRequest> ParseRequest(std::string_view payload);
 
+/// ParseRequest without splitting a push body into `lines`: `*body` views
+/// everything after the head line (empty when there is none), for
+/// ParsePushBody.
+StatusOr<WireRequest> ParseRequestHead(std::string_view payload,
+                                       std::string_view* body);
+
 /// Parses one `<predicate> <subject> [<object>]` line against `symbols`
 /// without allocating per field. Interns the predicate, then the subject,
 /// then the object; a malformed line interns nothing.
 StatusOr<Triple> ParseTripleLine(std::string_view line, SymbolTable& symbols);
+
+/// The server's push path: parses every line of a push body (see "Push
+/// ingest" above) into triples, with the ids and errors of
+/// ParseTripleLine over each stripped, non-blank line in turn. The first
+/// malformed line's error fails the whole body.
+StatusOr<std::vector<Triple>> ParsePushBody(std::string_view body,
+                                            SymbolTable& symbols);
 
 /// The machine-readable error slug for a status code: the stable
 /// contract clients switch on (the message text is not). kNotFound maps

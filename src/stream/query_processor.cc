@@ -20,12 +20,47 @@ StreamQueryProcessor::StreamQueryProcessor(size_t window_size, size_t slide,
   if (!sliding()) pending_.reserve(window_size_);
 }
 
+namespace {
+
+/// A direct-mapped table of `size` (a power of two) empty slots: slot i
+/// holds i ^ 1, whose low bits never name slot i, so no id matches it.
+std::vector<SymbolId> EmptySlots(size_t size) {
+  std::vector<SymbolId> slots(size);
+  for (size_t i = 0; i < size; ++i) slots[i] = static_cast<SymbolId>(i ^ 1);
+  return slots;
+}
+
+}  // namespace
+
 void StreamQueryProcessor::RegisterPredicate(SymbolId predicate) {
-  selected_.insert(predicate);
+  if (Selects(predicate)) return;
+  std::vector<SymbolId> registered = {predicate};
+  const size_t mask = selected_.size() - 1;
+  for (size_t i = 0; i < selected_.size(); ++i) {
+    if ((selected_[i] & mask) == i) registered.push_back(selected_[i]);
+  }
+  // Double until every registered id has a slot of its own; distinct ids
+  // differ below bit log2(max id + 1), so this ends by then.
+  for (size_t size = selected_.size();; size *= 2) {
+    std::vector<SymbolId> slots = EmptySlots(size);
+    bool placed = true;
+    for (const SymbolId id : registered) {
+      SymbolId& slot = slots[id & (size - 1)];
+      if ((slot & (size - 1)) == (id & (size - 1))) {
+        placed = false;
+        break;
+      }
+      slot = id;
+    }
+    if (placed) {
+      selected_ = std::move(slots);
+      return;
+    }
+  }
 }
 
 void StreamQueryProcessor::Push(const Triple& triple) {
-  if (!selected_.count(triple.predicate)) {
+  if (!Selects(triple.predicate)) {
     ++dropped_;
     return;
   }

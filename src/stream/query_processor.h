@@ -2,7 +2,6 @@
 #define STREAMASP_STREAM_QUERY_PROCESSOR_H_
 
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "asp/symbol_table.h"
@@ -45,6 +44,7 @@ class StreamQueryProcessor {
 
   /// Registers a predicate the continuous query selects. Items with
   /// unregistered predicates are dropped. No registration = drop all.
+  /// `predicate` is a symbol table's dense id (see `selected_`).
   void RegisterPredicate(SymbolId predicate);
 
   /// Feeds one raw stream item; may trigger the callback when the current
@@ -91,12 +91,22 @@ class StreamQueryProcessor {
 
  private:
   bool sliding() const { return slide_ < window_size_; }
+  bool Selects(SymbolId predicate) const {
+    return selected_[predicate & (selected_.size() - 1)] == predicate;
+  }
   void EmitSliding();
 
   size_t window_size_;
   size_t slide_ = 0;  ///< == window_size_ for tumbling.
   WindowCallback callback_;
-  std::unordered_set<SymbolId> selected_;
+  /// The registered predicates, direct-mapped by their low bits: a
+  /// power-of-two table in which no two of them share a slot, so testing
+  /// an item is one load and one compare, with no hash and no branch on
+  /// which predicate it carries. Symbol ids are dense, so the table has
+  /// at most 2 × (largest registered id + 1) slots (a query's input
+  /// predicates are interned with its program, early); empty slots hold a
+  /// value that no id mapping to them can equal.
+  std::vector<SymbolId> selected_ = {1, 0};
   /// Tumbling state: the window under construction.
   std::vector<Triple> pending_;
   /// Sliding state: last window_size_ survivors (columnar) + delta

@@ -7,15 +7,20 @@
 //   * a steady slide of the recursive reachability workload under
 //     grounding and solving reuse, whose cost is the retraction and the
 //     delta replay through the persistent grounder and solver.
+// A third probe counts one warm P′ push through the in-proc server
+// connection (the session server's push ingest: head parse, body scan,
+// batched interning, the session's windower), whose count must not grow
+// with the push's line count.
 // The budgets are counts, so they hold on any host; a change that brings
-// back per-element allocation (a map node per atom, a vector per rule)
-// trips them.
+// back per-element allocation (a map node per atom, a vector per rule, a
+// string per pushed line) trips them.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +28,7 @@
 #include "asp/parser.h"
 #include "depgraph/decomposition.h"
 #include "depgraph/input_dependency_graph.h"
+#include "server/server.h"
 #include "stream/generator.h"
 #include "stream/windowing.h"
 #include "streamrule/parallel_reasoner.h"
@@ -183,6 +189,72 @@ TEST(AllocationTest, SteadyReachSlideUnderReuseSolveStaysUnderCeiling) {
     worst = std::max(worst, allocations);
   }
   EXPECT_LE(worst, ceiling);
+}
+
+/// A push request carrying `lines` P′ triples, rendered as a client would.
+std::string TrafficPush(size_t lines) {
+  SymbolTablePtr symbols = MakeSymbolTable();
+  GeneratorOptions options;
+  options.seed = 2017;
+  SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols), options);
+  std::string payload = "push s1";
+  for (const Triple& triple : generator.GenerateWindow(lines)) {
+    payload.push_back('\n');
+    payload += symbols->NameOf(triple.predicate);
+    payload.push_back(' ');
+    payload += triple.subject.ToString(*symbols);
+    if (triple.object.has_value()) {
+      payload.push_back(' ');
+      payload += triple.object.ToString(*symbols);
+    }
+  }
+  return payload;
+}
+
+TEST(AllocationTest, WarmPushCostsTheSameAllocationsAtAnyLineCount) {
+  StreamServer server;
+  std::unique_ptr<SessionTransport> connection = server.Connect();
+  size_t replies = 0;
+  std::string last_reply;
+  connection->Receive([&](std::string payload) {
+    ++replies;
+    last_reply = std::move(payload);
+  });
+  // A window larger than every push below together, so no window closes
+  // and every counted allocation is the pushes' own.
+  ASSERT_TRUE(connection
+                  ->Send("open s1 window=100000\n" +
+                         TrafficProgramText(TrafficProgramVariant::kPPrime,
+                                            /*with_show=*/true))
+                  .ok());
+  ASSERT_EQ(last_reply, "ok open s1 v=1");
+
+  const std::string small = TrafficPush(5000);
+  const std::string large = TrafficPush(10000);
+  // Warm: the session's table holds the pushes' names afterwards.
+  for (const std::string* payload : {&small, &large}) {
+    ASSERT_TRUE(connection->Send(*payload).ok());
+    ASSERT_EQ(last_reply, "ok push s1");
+  }
+  auto count_push = [&](const std::string& payload) {
+    std::string copy = payload;  // Send takes the payload by value.
+    const size_t allocations = CountAllocations(
+        [&] { EXPECT_TRUE(connection->Send(std::move(copy)).ok()); });
+    EXPECT_EQ(last_reply, "ok push s1");
+    return allocations;
+  };
+  const size_t at_5000 = count_push(small);
+  const size_t at_10000 = count_push(large);
+  std::printf("warm P' push: %zu allocations at 5000 lines, %zu at 10000\n",
+              at_5000, at_10000);
+  EXPECT_EQ(replies, 5u);
+  // Reads 3 at both sizes: the triple batch, the symbol names and their
+  // ids, each reserved once from the body's line count. Before the
+  // in-place scan, each line longer than the short-string buffer cost a
+  // std::string (3,904 and 8,825).
+  EXPECT_LE(at_10000, at_5000);
+  EXPECT_LE(at_10000, 4u);
+  connection->Close();
 }
 
 }  // namespace

@@ -432,10 +432,58 @@ void ExpectSameTriple(std::string_view line, SymbolTable& got_symbols,
   EXPECT_EQ(*got, *want);
 }
 
+/// What the broker's push path made of one payload.
+enum class PushOutcome { kNotAPush, kPushed, kRefused };
+
+/// Drives the broker's push path (ParseRequestHead, then ParsePushBody
+/// over the body) against the reference (ReferenceParseRequest, then
+/// ReferenceParseTripleLine over each line until the first failure):
+/// the same triples with the same ids, the same error code and text for
+/// the first malformed line, and tables of the same size afterwards.
+PushOutcome ExpectSamePush(std::string_view payload, SymbolTable& got_symbols,
+                           SymbolTable& want_symbols) {
+  SCOPED_TRACE(::testing::PrintToString(std::string(payload)));
+  std::string_view body;
+  const StatusOr<WireRequest> head = ParseRequestHead(payload, &body);
+  const StatusOr<WireRequest> want = ReferenceParseRequest(payload);
+  EXPECT_EQ(head.ok(), want.ok()) << head.status() << " vs " << want.status();
+  if (!head.ok() || !want.ok()) return PushOutcome::kNotAPush;
+  EXPECT_EQ(head->command, want->command);
+  EXPECT_TRUE(head->lines.empty());
+  if (want->command != WireRequest::Command::kPush) {
+    return PushOutcome::kNotAPush;
+  }
+  const StatusOr<std::vector<Triple>> parsed = ParsePushBody(body, got_symbols);
+  const Status got_status = parsed.status();
+  const std::vector<Triple> got = parsed.ok() ? *parsed : std::vector<Triple>();
+  std::vector<Triple> expected;
+  Status want_status = OkStatus();
+  for (const std::string& line : want->lines) {
+    StatusOr<Triple> triple = ReferenceParseTripleLine(line, want_symbols);
+    if (!triple.ok()) {
+      want_status = triple.status();
+      expected.clear();
+      break;
+    }
+    expected.push_back(*triple);
+  }
+  EXPECT_EQ(got_status.code(), want_status.code());
+  EXPECT_EQ(got_status.ToString(), want_status.ToString());
+  // Both tables intern in the same order, so equal ids mean equal
+  // interning order, not just equal names.
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(got_symbols.size(), want_symbols.size());
+  return got_status.ok() ? PushOutcome::kPushed : PushOutcome::kRefused;
+}
+
 TEST(WireTest, InPlaceParserMatchesSplittingReference) {
   SymbolTablePtr got_symbols = MakeSymbolTable();
   SymbolTablePtr want_symbols = MakeSymbolTable();
+  SymbolTablePtr push_got_symbols = MakeSymbolTable();
+  SymbolTablePtr push_want_symbols = MakeSymbolTable();
   WirePayloadGenerator generator(20170419);
+  size_t pushed = 0;
+  size_t refused = 0;
   for (int i = 0; i < 3000; ++i) {
     const std::string payload = generator.Payload();
     const StatusOr<WireRequest> got = ParseRequest(payload);
@@ -452,8 +500,22 @@ TEST(WireTest, InPlaceParserMatchesSplittingReference) {
       ExpectSameTriple(generator.Line(), *got_symbols, *want_symbols);
     }
     if (::testing::Test::HasFatalFailure()) return;
+    switch (ExpectSamePush(payload, *push_got_symbols, *push_want_symbols)) {
+      case PushOutcome::kPushed:
+        ++pushed;
+        break;
+      case PushOutcome::kRefused:
+        ++refused;
+        break;
+      case PushOutcome::kNotAPush:
+        break;
+    }
+    if (::testing::Test::HasFailure()) return;
   }
   EXPECT_EQ(got_symbols->size(), want_symbols->size());
+  // The generator must exercise both outcomes of the push path.
+  EXPECT_GT(pushed, 100u);
+  EXPECT_GT(refused, 100u);
 }
 
 TEST(WireTest, DifferentialEdgeCases) {
@@ -464,10 +526,29 @@ TEST(WireTest, DifferentialEdgeCases) {
       "open s1 v=2\r\n",  "\npush s1",          "",
       "ping\t",           "close",              " \r\n",
       "push s1\nx",       "push s1\n\r"};
+  SymbolTablePtr push_got_symbols = MakeSymbolTable();
+  SymbolTablePtr push_want_symbols = MakeSymbolTable();
   for (const char* payload : kPayloads) {
     ExpectSameRequest(ParseRequest(payload), ReferenceParseRequest(payload),
                       payload);
+    ExpectSamePush(payload, *push_got_symbols, *push_want_symbols);
   }
+  // A malformed line k fails the push; lines before it stay interned in
+  // order, the line itself and the lines after it intern nothing.
+  const char* const kRefusedPushes[] = {
+      "push s1\nq a b\nlonely\nq c d",
+      "push s1\nq e 5\n q f g h \nq i",
+      "push s1\nfirst\nq j k",
+      "push s1\nq l m\r\n\r\nq n o p q\r\n",
+      "push s1\nq 9223372036854775808 r\nq s\tt u v"};
+  for (const char* payload : kRefusedPushes) {
+    EXPECT_EQ(ExpectSamePush(payload, *push_got_symbols, *push_want_symbols),
+              PushOutcome::kRefused);
+  }
+  EXPECT_EQ(push_got_symbols->Lookup("c"), kInvalidSymbol);
+  EXPECT_NE(push_got_symbols->Lookup("e"), kInvalidSymbol);
+  EXPECT_EQ(push_got_symbols->Lookup("f"), kInvalidSymbol);
+  EXPECT_EQ(push_got_symbols->Lookup("j"), kInvalidSymbol);
   SymbolTablePtr got_symbols = MakeSymbolTable();
   SymbolTablePtr want_symbols = MakeSymbolTable();
   const char* const kLines[] = {
@@ -483,6 +564,9 @@ TEST(WireTest, DifferentialEdgeCases) {
 TEST(WireTest, MutatedFramesAreRejectedCleanly) {
   WirePayloadGenerator generator(1301);
   SymbolTablePtr symbols = MakeSymbolTable();
+  SymbolTablePtr push_got_symbols = MakeSymbolTable();
+  SymbolTablePtr push_want_symbols = MakeSymbolTable();
+  size_t pushes = 0;
   std::mt19937_64 rng(1392);
   auto expect_rejection = [](const Status& status) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
@@ -504,9 +588,15 @@ TEST(WireTest, MutatedFramesAreRejectedCleanly) {
       const size_t chunk = std::min<size_t>(1 + rng() % 64, stream.size() - fed);
       decoder.Feed(std::string_view(stream).substr(fed, chunk));
       fed += chunk;
-      std::string payload;
+      // The view is what the TCP transport hands the broker.
+      std::string_view payload;
       while (decoder.Next(&payload)) {
         ++decoded;
+        if (ExpectSamePush(payload, *push_got_symbols, *push_want_symbols) !=
+            PushOutcome::kNotAPush) {
+          ++pushes;
+        }
+        if (::testing::Test::HasFailure()) return;
         StatusOr<WireRequest> request = ParseRequest(payload);
         if (!request.ok()) {
           expect_rejection(request.status());
@@ -527,6 +617,7 @@ TEST(WireTest, MutatedFramesAreRejectedCleanly) {
   // The mutations must leave plenty of frames intact enough to parse.
   EXPECT_GT(decoded, 1000u);
   EXPECT_GT(accepted_lines, 500u);
+  EXPECT_GT(pushes, 300u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1525,6 +1616,50 @@ TEST(TransportTest, InProcConnectionSpeaksTheProtocol) {
 
   connection->Close();
   EXPECT_FALSE(connection->Send("ping").ok());
+}
+
+// A push whose line k is malformed is refused whole: the reply carries
+// the line's error, nothing reaches the session, and only the lines
+// before k are interned.
+TEST(TransportTest, MalformedPushLineRefusesThePushAndInternsOnlyEarlierLines) {
+  StreamServer server;
+  std::unique_ptr<SessionTransport> connection = server.Connect();
+  PayloadCollector collector;
+  connection->Receive(
+      [&collector](std::string payload) { collector.Handle(std::move(payload)); });
+  ASSERT_TRUE(
+      connection->Send(std::string("open tiny window=4\n") + kTinyProgram)
+          .ok());
+  EXPECT_EQ(collector.AwaitReply(), "ok open tiny v=1");
+  StatusOr<std::shared_ptr<StreamSession>> session = server.FindSession("tiny");
+  ASSERT_TRUE(session.ok()) << session.status();
+  SymbolTable& symbols = (*session)->symbols();
+  const size_t before = symbols.size();
+
+  ASSERT_TRUE(connection
+                  ->Send("push tiny\nb early1\nb early2 7\r\n\n"
+                         "b bad1 bad2 bad3\nb late1")
+                  .ok());
+  EXPECT_EQ(collector.AwaitReply(),
+            "error push tiny code=invalid_argument INVALID_ARGUMENT: triple "
+            "line needs '<predicate> <subject> [<object>]', got 'b bad1 bad2 "
+            "bad3'");
+  EXPECT_EQ(symbols.size(), before + 2);
+  EXPECT_NE(symbols.Lookup("early1"), kInvalidSymbol);
+  EXPECT_NE(symbols.Lookup("early2"), kInvalidSymbol);
+  for (const char* name : {"bad1", "bad2", "bad3", "late1"}) {
+    EXPECT_EQ(symbols.Lookup(name), kInvalidSymbol) << name;
+  }
+  ASSERT_TRUE(connection->Send("stats tiny").ok());
+  const std::string stats = collector.AwaitReply();
+  EXPECT_NE(stats.find("\npushed_batches=0\n"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\npushed_items=0\n"), std::string::npos) << stats;
+
+  // The connection and the session survive the refusal.
+  ASSERT_TRUE(connection->Send("push tiny\nb late1").ok());
+  EXPECT_EQ(collector.AwaitReply(), "ok push tiny");
+  EXPECT_EQ(symbols.size(), before + 3);
+  connection->Close();
 }
 
 TEST(TransportTest, UnknownProtocolVersionIsRejectedCleanly) {

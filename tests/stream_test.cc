@@ -248,6 +248,48 @@ TEST_F(QueryProcessorTest, FiltersUnregisteredPredicates) {
   }
 }
 
+// The filter's counting contract: nothing registered drops every item
+// (kInvalidSymbol and ids 0 and 1 too); re-registering a predicate
+// changes nothing; each registered predicate passes, also ids whose low
+// bits collide; and dropped items never reach a window, tumbling or
+// sliding.
+TEST_F(QueryProcessorTest, DroppedCountPinsTheFilter) {
+  const SymbolId a = symbols_->Intern("a");
+  const SymbolId b = symbols_->Intern("b");
+  const SymbolId c = symbols_->Intern("c");
+  const SymbolId far = a + 1024;  // Shares a's low ten bits.
+  auto item = [](SymbolId predicate, int64_t subject) {
+    return Triple{Term::Integer(subject), predicate, std::nullopt};
+  };
+  for (size_t slide : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE(slide);
+    std::vector<TripleWindow> windows;
+    StreamQueryProcessor proc(4, slide, [&](const TripleWindow& w) {
+      windows.push_back(w);
+    });
+    proc.PushBatch({item(a, 0), item(b, 1), item(far, 2),
+                    item(kInvalidSymbol, 3), item(0, 4), item(1, 5)});
+    EXPECT_EQ(proc.dropped_count(), 6u);
+    EXPECT_TRUE(windows.empty());
+
+    proc.RegisterPredicate(a);
+    proc.RegisterPredicate(far);
+    proc.RegisterPredicate(a);
+    proc.PushBatch({item(a, 3), item(b, 4), item(c, 5), item(far, 6),
+                    item(a, 7), item(b, 8), item(a, 9),
+                    item(kInvalidSymbol, 10)});
+    EXPECT_EQ(proc.dropped_count(), 10u);
+    proc.Flush();
+    ASSERT_FALSE(windows.empty());
+    for (const TripleWindow& window : windows) {
+      for (const Triple& t : window.items) {
+        EXPECT_TRUE(t.predicate == a || t.predicate == far);
+      }
+    }
+    EXPECT_EQ(windows.back().items.back(), item(a, 9));
+  }
+}
+
 TEST_F(QueryProcessorTest, FlushOnEmptyIsNoOp) {
   int calls = 0;
   StreamQueryProcessor proc(2, [&](const TripleWindow&) { ++calls; });

@@ -1,4 +1,7 @@
 #include <algorithm>
+#include <atomic>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -61,6 +64,106 @@ TEST(SymbolTableTest, ConcurrentInternsAgree) {
     EXPECT_EQ(ids[t], ids[0]);
   }
   EXPECT_EQ(table.size(), static_cast<size_t>(kNames));
+}
+
+TEST(SymbolTableTest, InternBatchMatchesSequentialInterns) {
+  SymbolTable batched;
+  SymbolTable sequential;
+  for (SymbolTable* table : {&batched, &sequential}) {
+    table->Intern("known");
+    table->Intern("also_known");
+  }
+  // New names, repeats of a new name, known names, and more names than
+  // the index's first sizes hold, so the batch grows it.
+  std::vector<std::string> owned = {"fresh", "known", "fresh", "",
+                                    "also_known", "other"};
+  for (int i = 0; i < 100; ++i) owned.push_back("n" + std::to_string(i % 40));
+  const std::vector<std::string_view> names(owned.begin(), owned.end());
+  std::vector<SymbolId> ids;
+  batched.InternBatch(names, &ids);
+  ASSERT_EQ(ids.size(), names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(ids[i], sequential.Intern(names[i])) << names[i];
+  }
+  EXPECT_EQ(batched.size(), sequential.size());
+  // A warm batch takes no new ids.
+  std::vector<SymbolId> again;
+  batched.InternBatch(names, &again);
+  EXPECT_EQ(again, ids);
+  batched.InternBatch({}, &again);
+  EXPECT_TRUE(again.empty());
+  EXPECT_EQ(batched.size(), sequential.size());
+}
+
+// One thread batch-interns pushes that mix new and known names while
+// others Intern, Lookup and NameOf; the sanitizer legs run it under TSAN.
+TEST(SymbolTableTest, BatchInternsRaceSafelyWithSingleCalls) {
+  SymbolTable table;
+  constexpr int kKnown = 50;
+  for (int i = 0; i < kKnown; ++i) table.Intern("known_" + std::to_string(i));
+  constexpr int kBatches = 200;
+  constexpr int kReaders = 3;
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+
+  std::thread batcher([&] {
+    std::vector<std::string> owned;
+    std::vector<std::string_view> names;
+    std::vector<SymbolId> ids;
+    for (int b = 0; b < kBatches; ++b) {
+      owned.clear();
+      // Per batch: 4 new names (each repeated), known names, and a name
+      // the single-call threads intern too.
+      for (int i = 0; i < 30; ++i) {
+        if (i % 10 == 5) {
+          owned.push_back("shared_" + std::to_string(b % 20));
+        } else if (i % 3 == 0) {
+          owned.push_back("batch_" + std::to_string(b) + "_" +
+                          std::to_string(i % 4));
+        } else {
+          owned.push_back("known_" + std::to_string((b + i) % kKnown));
+        }
+      }
+      names.assign(owned.begin(), owned.end());
+      table.InternBatch(names, &ids);
+      for (size_t i = 0; i < names.size(); ++i) {
+        if (table.NameOf(ids[i]) != names[i]) failures.fetch_add(1);
+      }
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      uint32_t step = 0;
+      while (!done.load()) {
+        ++step;
+        const std::string name = "shared_" + std::to_string((step + r) % 20);
+        const SymbolId id = table.Intern(name);
+        if (table.NameOf(id) != name) failures.fetch_add(1);
+        const std::string known = "known_" + std::to_string(step % kKnown);
+        const SymbolId found = table.Lookup(known);
+        if (found == kInvalidSymbol || table.NameOf(found) != known) {
+          failures.fetch_add(1);
+        }
+        const size_t size = table.size();
+        (void)table.NameOf(static_cast<SymbolId>(step % size));
+      }
+    });
+  }
+  batcher.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Dense and unique: every id below size() names a distinct string that
+  // looks up to that same id.
+  std::unordered_set<std::string> seen;
+  for (SymbolId id = 0; id < table.size(); ++id) {
+    const std::string& name = table.NameOf(id);
+    EXPECT_TRUE(seen.insert(name).second) << name;
+    EXPECT_EQ(table.Lookup(name), id) << name;
+  }
+  EXPECT_EQ(seen.size(), static_cast<size_t>(kKnown) + 20 + kBatches * 4);
 }
 
 // ------------------------------------------------------------------ Term.
