@@ -1,16 +1,15 @@
-// Demonstrates the sliding-window extensions on top of the paper's
-// tumbling tuple-based windows: a count-based window (size 3000, slide
-// 1000) and a time-based window (10 s, sliding 5 s) feeding the
-// dependency-partitioned reasoner.
+// Demonstrates sliding count-based windows on top of the paper's tumbling
+// tuple-based windows: a StreamEngine with window_size 3000 and
+// window_slide 1000 (the wire's `open window=3000 slide=1000`) feeds the
+// dependency-partitioned reasoner a window of the latest 3000 items every
+// 1000 arrivals, each carrying its expired/admitted delta.
 //
 // Usage: sliding_windows
 
 #include <cstdio>
 
-#include "depgraph/decomposition.h"
 #include "stream/generator.h"
-#include "stream/windowing.h"
-#include "streamrule/parallel_reasoner.h"
+#include "streamrule/engine.h"
 #include "streamrule/traffic_workload.h"
 
 int main() {
@@ -19,51 +18,43 @@ int main() {
   SymbolTablePtr symbols = MakeSymbolTable();
   StatusOr<Program> program = MakeTrafficProgram(
       symbols, TrafficProgramVariant::kP, /*with_show=*/true);
-  StatusOr<InputDependencyGraph> graph = InputDependencyGraph::Build(*program);
-  StatusOr<PartitioningPlan> plan = DecomposeInputDependencyGraph(*graph);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "plan: %s\n", plan.status().ToString().c_str());
+  if (!program.ok()) {
+    std::fprintf(stderr, "program: %s\n",
+                 program.status().ToString().c_str());
     return 1;
   }
-  ParallelReasoner reasoner(&*program, *plan);
 
-  auto process = [&](const char* tag, const TripleWindow& window) {
-    StatusOr<ParallelReasonerResult> result = reasoner.Process(window);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s window %llu: %s\n", tag,
-                   static_cast<unsigned long long>(window.sequence),
-                   result.status().ToString().c_str());
-      return;
-    }
-    size_t events = 0;
-    for (const GroundAnswer& answer : result->answers) {
-      events += answer.size();
-    }
-    std::printf("%s window %llu: %zu items, %.2f ms, %zu event(s)\n", tag,
-                static_cast<unsigned long long>(window.sequence),
-                window.size(), result->latency_ms, events);
-  };
-
-  SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols), {});
+  EngineConfig config;
+  config.pipeline.window_size = 3000;
+  config.pipeline.window_slide = 1000;
+  StatusOr<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      &*program, config, [&](EmissionEvent& event) {
+        if (event.kind == EmissionEvent::Kind::kError) {
+          std::fprintf(stderr, "window %llu: %s\n",
+                       static_cast<unsigned long long>(event.sequence),
+                       event.status.ToString().c_str());
+          return;
+        }
+        if (event.kind != EmissionEvent::Kind::kResult) return;
+        size_t events = 0;
+        for (const GroundAnswer& answer : event.result->answers) {
+          events += answer.size();
+        }
+        std::printf("window %llu: %zu items (%zu expired, %zu admitted), "
+                    "%.2f ms, %zu event(s)\n",
+                    static_cast<unsigned long long>(event.sequence),
+                    event.window->size(), event.window->expired.size(),
+                    event.window->admitted.size(), event.result->latency_ms,
+                    events);
+      });
+  if (!engine.ok()) {
+    std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
+    return 1;
+  }
 
   std::printf("== count-based sliding window (size 3000, slide 1000) ==\n");
-  SlidingCountWindower count_window(
-      3000, 1000,
-      [&](const TripleWindow& w) { process("count", w); });
-  for (const Triple& t : generator.GenerateWindow(6000)) {
-    count_window.Push(t);
-  }
-  count_window.Flush();
-
-  std::printf("\n== time-based sliding window (10 s, slide 5 s) ==\n");
-  SlidingTimeWindower time_window(
-      10000, 5000, [&](const TripleWindow& w) { process("time", w); });
-  // Simulate a 25-second burst at ~200 items/second.
-  int64_t now_ms = 0;
-  for (const Triple& t : generator.GenerateWindow(5000)) {
-    time_window.Push(t, now_ms);
-    now_ms += 5;
-  }
-  time_window.Flush();
+  SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols), {});
+  (*engine)->PushBatch(generator.GenerateWindow(6000));
+  (*engine)->Flush();
   return 0;
 }

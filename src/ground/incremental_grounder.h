@@ -82,9 +82,9 @@ class IncrementalGrounder {
   /// whose counts are inconsistent with the facts vector is ignored in
   /// favour of the snapshot diff. A shape-consistent hint's *contents* are
   /// trusted in Release builds (supplying the above invariant is the
-  /// emitting windower's contract, which the windowing tests pin down);
-  /// Debug builds re-verify the applied delta against the facts multiset
-  /// and fail the call on a lying hint.
+  /// query processor's contract, which stream_test's QueryProcessorTest
+  /// cases pin down); Debug builds re-verify the applied delta against the
+  /// facts multiset and fail the call on a lying hint.
   struct FactDelta {
     uint64_t previous_sequence = 0;
     std::vector<Atom> expired;

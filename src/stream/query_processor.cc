@@ -6,15 +6,10 @@
 
 namespace streamasp {
 
-StreamQueryProcessor::StreamQueryProcessor(size_t window_size,
-                                           WindowCallback callback)
-    : StreamQueryProcessor(window_size, /*slide=*/0, std::move(callback)) {}
-
 StreamQueryProcessor::StreamQueryProcessor(size_t window_size, size_t slide,
                                            WindowCallback callback)
     : window_size_(window_size == 0 ? 1 : window_size),
-      slide_(slide == 0 ? window_size_
-                        : std::clamp<size_t>(slide, 1, window_size_)),
+      slide_(slide == 0 ? window_size_ : std::min(slide, window_size_)),
       callback_(std::move(callback)) {
   assert(callback_ != nullptr);
   if (!sliding()) pending_.reserve(window_size_);
@@ -77,7 +72,7 @@ void StreamQueryProcessor::Push(const Triple& triple) {
   }
   ++arrivals_since_emit_;
   // First window fires when the buffer first fills; afterwards every
-  // `slide_` arrivals (same cadence as SlidingCountWindower).
+  // `slide_` arrivals.
   if ((!emitted_once_ && buffer_.size() == window_size_) ||
       (emitted_once_ && arrivals_since_emit_ >= slide_)) {
     EmitSliding();

@@ -28,17 +28,14 @@ class StreamQueryProcessor {
   /// `const TripleWindow&` still bind.
   using WindowCallback = std::function<void(TripleWindow)>;
 
-  /// `window_size` is the tuple-based window length; `callback` receives
-  /// every completed window. Tumbling windows: each surviving item appears
-  /// in exactly one window.
-  StreamQueryProcessor(size_t window_size, WindowCallback callback);
-
-  /// Sliding variant: emits the most recent `window_size` surviving items
-  /// every `slide` arrivals (first emission once the window fills).
-  /// Requires 1 <= slide <= window_size; slide == window_size (or the
-  /// two-argument constructor) keeps tumbling behaviour. Sliding windows
-  /// carry expired/admitted deltas (TripleWindow::has_delta), which the
-  /// incremental grounding layer consumes.
+  /// `window_size` is the tuple-based window length (0 is taken as 1);
+  /// `callback` receives every completed window. A `slide` of 0, or of
+  /// `window_size` or more, gives tumbling windows: each surviving item
+  /// appears in exactly one window, and windows carry no delta. A slide
+  /// below `window_size` emits the most recent `window_size` surviving
+  /// items every `slide` arrivals (first emission once the window fills);
+  /// these windows carry expired/admitted deltas (TripleWindow::has_delta),
+  /// which the incremental grounding layer consumes.
   StreamQueryProcessor(size_t window_size, size_t slide,
                        WindowCallback callback);
 

@@ -37,14 +37,14 @@ struct Triple {
 /// computation (paper §I). Windows carry a sequence number so downstream
 /// components can correlate answers with inputs.
 ///
-/// Sliding windowers additionally emit the delta against the previous
+/// Sliding windows additionally carry the delta against the previous
 /// window of the same stream: as multisets,
 ///   previous.items - expired + admitted == items.
 /// The first window's delta is relative to the empty window (admitted ==
-/// items). An item may appear in both sets (pushed and evicted between two
-/// emissions of a time windower) — consumers must net the counts. Windows
-/// from tumbling windowers leave has_delta false; the incremental
-/// grounding layer then falls back to its own snapshot diff.
+/// items). An item may appear in both sets (equal payloads, or a shed
+/// window's delta folded into the next) — consumers must net the counts.
+/// Tumbling windows leave has_delta false; the incremental grounding
+/// layer then falls back to its own snapshot diff.
 ///
 /// Under load shedding the delta is not necessarily relative to
 /// `sequence - 1`: when an emitted window is shed synchronously (kReject

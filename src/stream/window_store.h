@@ -1,7 +1,6 @@
 #ifndef STREAMASP_STREAM_WINDOW_STORE_H_
 #define STREAMASP_STREAM_WINDOW_STORE_H_
 
-#include <cstdint>
 #include <type_traits>
 #include <vector>
 
@@ -9,14 +8,13 @@
 
 namespace streamasp {
 
-/// Columnar ring buffer backing a windower's retained window:
-/// subject/predicate/object live in three dense structure-of-arrays
-/// columns of fixed-width slots, with an optional timestamp column for the
-/// time windower. Eviction pops the logical front by bumping a
-/// head offset; storage is compacted in one memmove whenever dead slots
-/// outnumber live ones, so Append/PopFront stay amortized O(1) with no
-/// per-item allocation (the columns are trivially copyable slots, never
-/// node-based deque chunks).
+/// Columnar ring buffer backing the sliding query processor's retained
+/// window: subject/predicate/object live in three dense
+/// structure-of-arrays columns of fixed-width slots. Eviction pops the
+/// logical front by bumping a head offset; storage is compacted in one
+/// memmove whenever dead slots outnumber live ones, so Append/PopFront
+/// stay amortized O(1) with no per-item allocation (the columns are
+/// trivially copyable slots, never node-based deque chunks).
 ///
 /// This replaces the previous std::deque<Triple> retained buffers; with
 /// PackedTerm slots a retained triple costs 20 bytes of column storage
@@ -24,21 +22,13 @@ namespace streamasp {
 /// unpacked representation.
 class WindowStore {
  public:
-  struct Options {
-    bool with_timestamps = false;
-  };
-
-  WindowStore() = default;
-  explicit WindowStore(Options options) : options_(options) {}
-
   size_t size() const { return subjects_.size() - head_; }
   bool empty() const { return size() == 0; }
 
-  void Append(const Triple& t, int64_t timestamp_ms = 0) {
+  void Append(const Triple& t) {
     subjects_.push_back(t.subject);
     predicates_.push_back(t.predicate);
     objects_.push_back(t.object);
-    if (options_.with_timestamps) timestamps_.push_back(timestamp_ms);
   }
 
   /// The item at logical position i (0 == oldest retained).
@@ -47,19 +37,10 @@ class WindowStore {
     return Triple{subjects_[slot], predicates_[slot], objects_[slot]};
   }
   Triple Front() const { return At(0); }
-  int64_t TimestampAt(size_t i) const { return timestamps_[head_ + i]; }
 
   void PopFront() {
     ++head_;
     MaybeCompact();
-  }
-
-  void Clear() {
-    head_ = 0;
-    subjects_.clear();
-    predicates_.clear();
-    objects_.clear();
-    timestamps_.clear();
   }
 
   /// Appends the retained items, oldest first, to *out.
@@ -75,8 +56,7 @@ class WindowStore {
   size_t bytes() const {
     return subjects_.capacity() * sizeof(PackedTerm) +
            predicates_.capacity() * sizeof(SymbolId) +
-           objects_.capacity() * sizeof(PackedTerm) +
-           timestamps_.capacity() * sizeof(int64_t);
+           objects_.capacity() * sizeof(PackedTerm);
   }
 
  private:
@@ -87,18 +67,13 @@ class WindowStore {
     subjects_.erase(subjects_.begin(), subjects_.begin() + head_);
     predicates_.erase(predicates_.begin(), predicates_.begin() + head_);
     objects_.erase(objects_.begin(), objects_.begin() + head_);
-    if (options_.with_timestamps) {
-      timestamps_.erase(timestamps_.begin(), timestamps_.begin() + head_);
-    }
     head_ = 0;
   }
 
-  Options options_;
   size_t head_ = 0;
   std::vector<PackedTerm> subjects_;
   std::vector<SymbolId> predicates_;
   std::vector<PackedTerm> objects_;
-  std::vector<int64_t> timestamps_;
 };
 
 static_assert(std::is_trivially_copyable<Triple>::value,

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,7 +31,7 @@
 #include "depgraph/input_dependency_graph.h"
 #include "server/server.h"
 #include "stream/generator.h"
-#include "stream/windowing.h"
+#include "stream/query_processor.h"
 #include "streamrule/parallel_reasoner.h"
 #include "streamrule/traffic_workload.h"
 
@@ -149,12 +150,14 @@ TEST(AllocationTest, SteadyReachSlideUnderReuseSolveStaysUnderCeiling) {
   schema[1].weight = 1.0;
   SyntheticStreamGenerator generator(schema, gen_options);
   std::vector<TripleWindow> windows;
-  SlidingCountWindower windower(
-      kWindow, kSlide,
-      [&](const TripleWindow& window) { windows.push_back(window); });
-  for (const Triple& triple : generator.GenerateWindow(kItems)) {
-    windower.Push(triple);
+  StreamQueryProcessor windower(kWindow, kSlide, [&](TripleWindow window) {
+    windows.push_back(std::move(window));
+  });
+  for (const StreamPredicate& pred : schema) {
+    windower.RegisterPredicate(pred.predicate);
   }
+  windower.PushBatch(generator.GenerateWindow(kItems));
+  EXPECT_EQ(windower.dropped_count(), 0u);
   ASSERT_EQ(windows.size(), 1 + kWarmSlides + kMeasuredSlides);
 
   ParallelReasonerOptions options;

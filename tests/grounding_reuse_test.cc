@@ -1,5 +1,5 @@
 // Grounding reuse threaded through the reasoning layers: the sliding
-// query processor's delta emission, ParallelReasoner's per-partition
+// query processor's deltas into ParallelReasoner's per-partition
 // incremental grounders, the sync/async pipeline with grounding reuse,
 // and key buckets (num_shards) — all differentially checked against
 // the same configuration without reuse (byte-identical transcripts).
@@ -12,7 +12,7 @@
 
 #include "emission_test_util.h"
 #include "stream/generator.h"
-#include "stream/windowing.h"
+#include "stream/query_processor.h"
 #include "streamrule/parallel_reasoner.h"
 #include "streamrule/pipeline.h"
 #include "streamrule/traffic_workload.h"
@@ -88,19 +88,40 @@ TEST_F(GroundingReuseTest, ParallelReasonerSlidingWindowsMatchBatch) {
 
       std::string incremental_answers;
       std::string batch_answers;
-      SlidingCountWindower windower(
-          /*size=*/100, slide, [&](const TripleWindow& window) {
+      GroundingStats reuse;
+      StreamQueryProcessor windower(
+          /*window_size=*/100, slide, [&](const TripleWindow& window) {
             StatusOr<ParallelReasonerResult> a = incremental.Process(window);
             StatusOr<ParallelReasonerResult> b = batch.Process(window);
             ASSERT_TRUE(a.ok()) << a.status();
             ASSERT_TRUE(b.ok()) << b.status();
+            reuse.Accumulate(a->grounding);
             AppendLine(&incremental_answers, window, *a);
             AppendLine(&batch_answers, window, *b);
           });
-      for (const Triple& t : stream) windower.Push(t);
+      for (const StreamPredicate& pred : MakeTrafficSchema(*symbols_)) {
+        windower.RegisterPredicate(pred.predicate);
+      }
+      windower.PushBatch(stream);
       windower.Flush();
+      EXPECT_EQ(windower.dropped_count(), 0u);
       EXPECT_FALSE(batch_answers.empty());
       EXPECT_EQ(incremental_answers, batch_answers);
+      // The grounder's path on each leg. Every window either replays its
+      // delta through the cache or regrounds. At slide 25 most windows
+      // replay. At slide 50 a delta (50 expired + 50 admitted facts) is
+      // over fallback_delta_fraction (0.5) of the window, and at slide ==
+      // size the windows tumble and carry no delta, so the grounder's own
+      // snapshot diff finds them too far apart: both reground every window.
+      const size_t windows = windower.emitted_windows();
+      EXPECT_EQ(reuse.incremental_windows + reuse.incremental_fallbacks,
+                windows);
+      if (slide == 25) {
+        EXPECT_GT(reuse.incremental_windows, windows / 2);
+      } else {
+        EXPECT_EQ(reuse.incremental_windows, 0u);
+        EXPECT_EQ(reuse.incremental_fallbacks, windows);
+      }
     }
   }
 }
@@ -225,30 +246,6 @@ TEST_F(GroundingReuseTest, ShardedSlidingValidation) {
   sliding.window_size = 100;
   sliding.window_slide = 25;
   EXPECT_TRUE(StreamRulePipeline::Create(&program, sliding, callback).ok());
-}
-
-TEST_F(GroundingReuseTest, SlidingQueryProcessorEmitsDeltas) {
-  const std::vector<Triple> stream = MakeStream(400);
-  std::vector<TripleWindow> windows;
-  StreamQueryProcessor processor(
-      /*window_size=*/100, /*slide=*/25,
-      [&](TripleWindow window) { windows.push_back(std::move(window)); });
-  for (const StreamPredicate& pred : MakeTrafficSchema(*symbols_)) {
-    processor.RegisterPredicate(pred.predicate);
-  }
-  for (const Triple& t : stream) processor.Push(t);
-  processor.Flush();
-  ASSERT_GE(windows.size(), 2u);
-  for (size_t k = 0; k < windows.size(); ++k) {
-    EXPECT_TRUE(windows[k].has_delta);
-    EXPECT_EQ(windows[k].sequence, k);
-    EXPECT_EQ(windows[k].size(), 100u);
-  }
-  // First window admits everything; later ones slide by 25.
-  EXPECT_TRUE(windows[0].expired.empty());
-  EXPECT_EQ(windows[0].admitted.size(), 100u);
-  EXPECT_EQ(windows[1].expired.size(), 25u);
-  EXPECT_EQ(windows[1].admitted.size(), 25u);
 }
 
 }  // namespace

@@ -137,11 +137,12 @@ TEST_F(IntegrationTest, StreamToReasonerLoopProcessesEveryWindow) {
   ParallelReasoner pr(&*program, *plan);
 
   size_t windows_processed = 0;
-  StreamQueryProcessor query(1500, [&](const TripleWindow& window) {
-    StatusOr<ParallelReasonerResult> result = pr.Process(window);
-    ASSERT_TRUE(result.ok()) << result.status();
-    ++windows_processed;
-  });
+  StreamQueryProcessor query(
+      1500, /*slide=*/0, [&](const TripleWindow& window) {
+        StatusOr<ParallelReasonerResult> result = pr.Process(window);
+        ASSERT_TRUE(result.ok()) << result.status();
+        ++windows_processed;
+      });
   for (const PredicateSignature& sig : program->input_predicates()) {
     query.RegisterPredicate(sig.name);
   }

@@ -14,7 +14,7 @@
 #include "asp/parser.h"
 #include "emission_test_util.h"
 #include "stream/generator.h"
-#include "stream/windowing.h"
+#include "stream/query_processor.h"
 #include "streamrule/parallel_reasoner.h"
 #include "streamrule/pipeline.h"
 #include "streamrule/traffic_workload.h"
@@ -91,19 +91,40 @@ TEST_F(SolvingReuseTest, ParallelReasonerSlidingWindowsMatchBatch) {
 
         std::string warm_answers;
         std::string batch_answers;
-        SlidingCountWindower windower(
-            /*size=*/100, slide, [&](const TripleWindow& window) {
+        GroundingStats reuse;
+        StreamQueryProcessor windower(
+            /*window_size=*/100, slide, [&](const TripleWindow& window) {
               StatusOr<ParallelReasonerResult> a = warm.Process(window);
               StatusOr<ParallelReasonerResult> b = batch.Process(window);
               ASSERT_TRUE(a.ok()) << a.status();
               ASSERT_TRUE(b.ok()) << b.status();
+              reuse.Accumulate(a->grounding);
               AppendLine(&warm_answers, window, *a);
               AppendLine(&batch_answers, window, *b);
             });
-        for (const Triple& t : stream) windower.Push(t);
+        for (const StreamPredicate& pred : MakeTrafficSchema(*symbols_)) {
+          windower.RegisterPredicate(pred.predicate);
+        }
+        windower.PushBatch(stream);
         windower.Flush();
+        EXPECT_EQ(windower.dropped_count(), 0u);
         EXPECT_FALSE(batch_answers.empty());
         EXPECT_EQ(warm_answers, batch_answers);
+        // The grounder's path on each leg. Every window either replays its
+        // delta through the cache or regrounds. At slide 25 most windows
+        // replay. At slide 50 a delta (50 expired + 50 admitted facts) is
+        // over fallback_delta_fraction (0.5) of the window, and at slide ==
+        // size the windows tumble and carry no delta, so the grounder's own
+        // snapshot diff finds them too far apart: both reground every window.
+        const size_t windows = windower.emitted_windows();
+        EXPECT_EQ(reuse.incremental_windows + reuse.incremental_fallbacks,
+                  windows);
+        if (slide == 25) {
+          EXPECT_GT(reuse.incremental_windows, windows / 2);
+        } else {
+          EXPECT_EQ(reuse.incremental_windows, 0u);
+          EXPECT_EQ(reuse.incremental_fallbacks, windows);
+        }
       }
     }
   }

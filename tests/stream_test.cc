@@ -1,5 +1,7 @@
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -205,15 +207,63 @@ TEST_F(GeneratorTest, SequenceNumbersIncrease) {
 
 // -------------------------------------------------- StreamQueryProcessor.
 
+std::map<int64_t, int> Counts(const std::vector<Triple>& items) {
+  std::map<int64_t, int> counts;
+  for (const Triple& t : items) ++counts[t.subject.integer_value()];
+  return counts;
+}
+
+/// The delta contract: base.items + admitted - expired == items, as
+/// multisets, where base is the window `delta_base` names (the empty
+/// window for the first emission). An item may appear in both delta sets
+/// and must net out.
+void ExpectDeltaInvariant(const std::vector<TripleWindow>& windows) {
+  std::map<uint64_t, std::map<int64_t, int>> seen;
+  for (const TripleWindow& w : windows) {
+    ASSERT_TRUE(w.has_delta) << "window " << w.sequence;
+    std::map<int64_t, int> running;
+    if (w.delta_base != TripleWindow::kNoDeltaBase) {
+      ASSERT_EQ(seen.count(w.delta_base), 1u) << "window " << w.sequence;
+      running = seen[w.delta_base];
+    }
+    for (const Triple& t : w.admitted) ++running[t.subject.integer_value()];
+    for (const Triple& t : w.expired) {
+      if (--running[t.subject.integer_value()] == 0) {
+        running.erase(t.subject.integer_value());
+      }
+    }
+    EXPECT_EQ(running, Counts(w.items)) << "window " << w.sequence;
+    seen[w.sequence] = Counts(w.items);
+  }
+}
+
 class QueryProcessorTest : public ::testing::Test {
  protected:
-  QueryProcessorTest() : symbols_(MakeSymbolTable()) {}
+  QueryProcessorTest()
+      : symbols_(MakeSymbolTable()), p_(symbols_->Intern("p")) {}
+
+  /// Item `id` of the one-predicate stream the cadence cases feed.
+  Triple Item(int64_t id) const {
+    return Triple{Term::Integer(id), p_, std::nullopt};
+  }
+
+  /// A processor over that stream that collects its windows in windows_.
+  StreamQueryProcessor Collector(size_t window_size, size_t slide) {
+    StreamQueryProcessor proc(window_size, slide, [this](TripleWindow w) {
+      windows_.push_back(std::move(w));
+    });
+    proc.RegisterPredicate(p_);
+    return proc;
+  }
+
   SymbolTablePtr symbols_;
+  SymbolId p_;
+  std::vector<TripleWindow> windows_;
 };
 
 TEST_F(QueryProcessorTest, WindowsEmittedAtSize) {
   std::vector<TripleWindow> windows;
-  StreamQueryProcessor proc(3, [&](const TripleWindow& w) {
+  StreamQueryProcessor proc(3, /*slide=*/0, [&](const TripleWindow& w) {
     windows.push_back(w);
   });
   const SymbolId p = symbols_->Intern("p");
@@ -232,7 +282,7 @@ TEST_F(QueryProcessorTest, WindowsEmittedAtSize) {
 
 TEST_F(QueryProcessorTest, FiltersUnregisteredPredicates) {
   std::vector<TripleWindow> windows;
-  StreamQueryProcessor proc(2, [&](const TripleWindow& w) {
+  StreamQueryProcessor proc(2, /*slide=*/0, [&](const TripleWindow& w) {
     windows.push_back(w);
   });
   const SymbolId keep = symbols_->Intern("keep");
@@ -292,14 +342,16 @@ TEST_F(QueryProcessorTest, DroppedCountPinsTheFilter) {
 
 TEST_F(QueryProcessorTest, FlushOnEmptyIsNoOp) {
   int calls = 0;
-  StreamQueryProcessor proc(2, [&](const TripleWindow&) { ++calls; });
+  StreamQueryProcessor proc(2, /*slide=*/0,
+                            [&](const TripleWindow&) { ++calls; });
   proc.Flush();
   EXPECT_EQ(calls, 0);
 }
 
 TEST_F(QueryProcessorTest, PushBatchAndCounters) {
   int calls = 0;
-  StreamQueryProcessor proc(5, [&](const TripleWindow&) { ++calls; });
+  StreamQueryProcessor proc(5, /*slide=*/0,
+                            [&](const TripleWindow&) { ++calls; });
   const SymbolId p = symbols_->Intern("p");
   proc.RegisterPredicate(p);
   std::vector<Triple> batch(12, Triple{Term::Integer(0), p, std::nullopt});
@@ -309,12 +361,166 @@ TEST_F(QueryProcessorTest, PushBatchAndCounters) {
 }
 
 TEST_F(QueryProcessorTest, ZeroWindowSizeClampedToOne) {
-  int calls = 0;
-  StreamQueryProcessor proc(0, [&](const TripleWindow&) { ++calls; });
-  const SymbolId p = symbols_->Intern("p");
-  proc.RegisterPredicate(p);
-  proc.Push(Triple{Term::Integer(0), p, std::nullopt});
-  EXPECT_EQ(calls, 1);
+  for (const size_t slide : {size_t{0}, size_t{99}}) {
+    windows_.clear();
+    StreamQueryProcessor proc = Collector(0, slide);
+    proc.Push(Item(1));
+    proc.Push(Item(2));
+    EXPECT_EQ(windows_.size(), 2u) << "slide " << slide;
+  }
+}
+
+TEST_F(QueryProcessorTest, SlideAboveSizeIsTumbling) {
+  StreamQueryProcessor proc = Collector(3, 99);
+  for (int i = 0; i < 9; ++i) proc.Push(Item(i));
+  ASSERT_EQ(windows_.size(), 3u);
+  for (size_t k = 0; k < windows_.size(); ++k) {
+    EXPECT_FALSE(windows_[k].has_delta);
+    ASSERT_EQ(windows_[k].size(), 3u);
+    EXPECT_EQ(windows_[k].items[0].subject.integer_value(),
+              static_cast<int64_t>(3 * k));
+  }
+}
+
+TEST_F(QueryProcessorTest, SlidingWindowsOverlap) {
+  StreamQueryProcessor proc = Collector(4, 2);
+  for (int i = 0; i < 8; ++i) proc.Push(Item(i));
+  // First at item 4 (buffer full), then every 2 items.
+  ASSERT_EQ(windows_.size(), 3u);
+  EXPECT_EQ(windows_[0].items.front().subject.integer_value(), 0);
+  EXPECT_EQ(windows_[1].items.front().subject.integer_value(), 2);
+  EXPECT_EQ(windows_[2].items.front().subject.integer_value(), 4);
+  for (const TripleWindow& w : windows_) EXPECT_EQ(w.size(), 4u);
+}
+
+TEST_F(QueryProcessorTest, SlidingSequenceNumbersAreMonotonic) {
+  StreamQueryProcessor proc = Collector(2, 1);
+  for (int i = 0; i < 5; ++i) proc.Push(Item(i));
+  ASSERT_EQ(windows_.size(), 4u);
+  for (size_t k = 0; k < windows_.size(); ++k) {
+    EXPECT_EQ(windows_[k].sequence, k);
+    EXPECT_EQ(windows_[k].delta_base,
+              k == 0 ? TripleWindow::kNoDeltaBase : k - 1);
+  }
+}
+
+TEST_F(QueryProcessorTest, DeltaInvariantAcrossSlides) {
+  for (const size_t slide : {size_t{1}, size_t{2}, size_t{3}}) {
+    SCOPED_TRACE("slide " + std::to_string(slide));
+    windows_.clear();
+    StreamQueryProcessor proc = Collector(4, slide);
+    for (int i = 0; i < 13; ++i) proc.Push(Item(i));
+    proc.Flush();
+    ASSERT_FALSE(windows_.empty());
+    ExpectDeltaInvariant(windows_);
+  }
+}
+
+TEST_F(QueryProcessorTest, DuplicateItemsKeepMultisetDeltas) {
+  StreamQueryProcessor proc = Collector(4, 2);
+  // Only two distinct payloads circulate: every window holds duplicates.
+  for (int i = 0; i < 12; ++i) proc.Push(Item(i % 2));
+  proc.Flush();
+  ExpectDeltaInvariant(windows_);
+  // Steady state: each slide expires exactly two items and admits two,
+  // even though the expired and admitted atoms are identical.
+  ASSERT_GE(windows_.size(), 2u);
+  EXPECT_EQ(windows_[1].expired.size(), 2u);
+  EXPECT_EQ(windows_[1].admitted.size(), 2u);
+}
+
+TEST_F(QueryProcessorTest, FlushDeltaCoversThePartialTail) {
+  StreamQueryProcessor proc = Collector(4, 3);
+  for (int i = 0; i < 6; ++i) proc.Push(Item(i));
+  EXPECT_EQ(windows_.size(), 1u);
+  proc.Flush();  // Trailer: the rolling buffer [2..5].
+  ASSERT_EQ(windows_.size(), 2u);
+  ExpectDeltaInvariant(windows_);
+  EXPECT_EQ(windows_[1].size(), 4u);
+  EXPECT_EQ(windows_[1].expired.size(), 2u);   // Items 0, 1 rolled out.
+  EXPECT_EQ(windows_[1].admitted.size(), 2u);  // Items 4, 5 arrived.
+  // A second flush with nothing new is a no-op.
+  proc.Flush();
+  EXPECT_EQ(windows_.size(), 2u);
+}
+
+TEST_F(QueryProcessorTest, SlidingTrafficStreamEmitsDeltas) {
+  GeneratorOptions options;
+  options.seed = 2017;
+  SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols_), options);
+  StreamQueryProcessor proc(
+      /*window_size=*/100, /*slide=*/25,
+      [&](TripleWindow window) { windows_.push_back(std::move(window)); });
+  for (const StreamPredicate& pred : MakeTrafficSchema(*symbols_)) {
+    proc.RegisterPredicate(pred.predicate);
+  }
+  proc.PushBatch(generator.GenerateWindow(400));
+  proc.Flush();
+  EXPECT_EQ(proc.dropped_count(), 0u);
+  ASSERT_EQ(windows_.size(), 13u);
+  for (size_t k = 0; k < windows_.size(); ++k) {
+    EXPECT_TRUE(windows_[k].has_delta);
+    EXPECT_EQ(windows_[k].sequence, k);
+    EXPECT_EQ(windows_[k].size(), 100u);
+  }
+  // First window admits everything; later ones slide by 25.
+  EXPECT_TRUE(windows_[0].expired.empty());
+  EXPECT_EQ(windows_[0].admitted.size(), 100u);
+  EXPECT_EQ(windows_[1].expired.size(), 25u);
+  EXPECT_EQ(windows_[1].admitted.size(), 25u);
+}
+
+// FoldShedDelta as the pipeline's admission path uses it: window k is
+// shed from inside the callback, so window k + 1's delta spans the gap
+// and is relative to window k - 1.
+TEST_F(QueryProcessorTest, FoldShedDeltaNetsTheGap) {
+  constexpr uint64_t kShed = 2;
+  StreamQueryProcessor* self = nullptr;
+  StreamQueryProcessor proc(4, 3, [&](TripleWindow window) {
+    if (window.sequence == kShed) {
+      self->FoldShedDelta(&window);
+      return;
+    }
+    windows_.push_back(std::move(window));
+  });
+  self = &proc;
+  proc.RegisterPredicate(p_);
+  for (int i = 0; i < 16; ++i) proc.Push(Item(i));
+  ASSERT_EQ(windows_.size(), 4u);
+  EXPECT_EQ(windows_[1].sequence, kShed - 1);
+  EXPECT_EQ(windows_[2].sequence, kShed + 1);
+  EXPECT_EQ(windows_[2].delta_base, kShed - 1);
+  EXPECT_EQ(windows_[3].delta_base, kShed + 1);
+  // Window 1 holds [3..6] and window 3 [9..12]: the folded delta expires
+  // 3..8 and admits 7..12, so 7 and 8 appear in both sets.
+  EXPECT_EQ(windows_[2].expired.size(), 6u);
+  EXPECT_EQ(windows_[2].admitted.size(), 6u);
+  ExpectDeltaInvariant(windows_);
+}
+
+TEST_F(QueryProcessorTest, FoldShedDeltaOfATumblingWindowIsANoOp) {
+  StreamQueryProcessor* self = nullptr;
+  StreamQueryProcessor proc(3, /*slide=*/0, [&](TripleWindow window) {
+    if (window.sequence == 1) {
+      const std::vector<Triple> items = window.items;
+      self->FoldShedDelta(&window);
+      EXPECT_FALSE(window.has_delta);
+      EXPECT_EQ(window.items, items);
+      return;
+    }
+    windows_.push_back(std::move(window));
+  });
+  self = &proc;
+  proc.RegisterPredicate(p_);
+  for (int i = 0; i < 9; ++i) proc.Push(Item(i));
+  ASSERT_EQ(windows_.size(), 2u);
+  const TripleWindow& next = windows_[1];
+  EXPECT_EQ(next.sequence, 2u);
+  EXPECT_FALSE(next.has_delta);
+  EXPECT_TRUE(next.expired.empty());
+  EXPECT_TRUE(next.admitted.empty());
+  EXPECT_EQ(Counts(next.items),
+            (std::map<int64_t, int>{{6, 1}, {7, 1}, {8, 1}}));
 }
 
 }  // namespace
