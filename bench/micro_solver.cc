@@ -1,10 +1,10 @@
 // Component microbenchmarks for the stable-model solver: propagation-only
 // programs (the streaming fast path), choice programs with real search,
 // the from-first-principles stable-model verification, and the
-// cold-vs-incremental sliding-window comparison the solve-reuse CI gate
-// is built on (high-overlap reach_tc windows, per-window Solver::Solve
-// over the assembled output vs one persistent delta-patched
-// IncrementalSolver).
+// cold-vs-incremental sliding-window comparison behind the reuse gates
+// (high-overlap reach_tc windows, the cold path's per-window
+// Grounder::Ground + Solver::Solve vs one IncrementalGrounder feeding one
+// persistent delta-patched IncrementalSolver).
 
 #include <algorithm>
 #include <cstdlib>
@@ -122,11 +122,10 @@ void BM_SolveUnfoundedLoops(benchmark::State& state) {
 BENCHMARK(BM_SolveUnfoundedLoops)->Arg(100)->Arg(1000);
 
 // ---------------------------------------------------------------------------
-// Cold vs incremental solving across overlapping windows. Both variants
-// ground through an IncrementalGrounder (so the grounding work is
-// identical); the cold leg assembles + simplifies the per-window output
-// and rebuilds a fresh SearchEngine per window, the incremental leg
-// patches one persistent IncrementalSolver with the grounder's delta.
+// Cold vs incremental reasoning across overlapping windows. The cold leg
+// is the real cold path: a fresh Grounder::Ground and Solver::Solve per
+// window. The incremental legs ground through one IncrementalGrounder and
+// patch one persistent IncrementalSolver with the grounder's delta.
 
 constexpr char kSlidingReachProgram[] = R"(
   #input link/2.
@@ -165,15 +164,14 @@ void BM_SlidingReachSolveCold(benchmark::State& state) {
   const Program program = *parser.ParseProgram(kSlidingReachProgram);
   const std::vector<std::vector<Atom>> windows = MakeSlidingReachWindows(
       *symbols, static_cast<size_t>(state.range(0)), 16);
+  const Grounder grounder;
+  const Solver solver;
   for (auto _ : state) {
-    IncrementalGrounder grounder(&program);
     size_t total_models = 0;
-    for (size_t w = 0; w < windows.size(); ++w) {
-      const StatusOr<const GroundProgram*> ground =
-          grounder.GroundWindow(w, windows[w]);
+    for (const std::vector<Atom>& window : windows) {
+      const StatusOr<GroundProgram> ground = grounder.Ground(program, window);
       if (!ground.ok()) std::abort();
-      Solver solver;
-      const StatusOr<std::vector<AnswerSet>> models = solver.Solve(**ground);
+      const StatusOr<std::vector<AnswerSet>> models = solver.Solve(*ground);
       if (!models.ok()) std::abort();
       total_models += models->size();
     }
@@ -193,10 +191,8 @@ void RunSlidingReachIncremental(benchmark::State& state,
   SolverOptions solver_options;
   solver_options.reuse_solving = true;
   solver_options.maintain_fixpoint = maintain_fixpoint;
-  IncrementalGroundingOptions incremental;
-  incremental.assemble_output = false;
   for (auto _ : state) {
-    IncrementalGrounder grounder(&program, GroundingOptions{}, incremental);
+    IncrementalGrounder grounder(&program);
     IncrementalSolver solver(solver_options);
     size_t total_models = 0;
     std::vector<AnswerSet> models;

@@ -33,7 +33,7 @@ using NetDelta = std::unordered_map<Atom, int64_t, AtomHash>;
 ///    GroundWindow calls; each window replays only its fact delta;
 ///  * negative literals are never eagerly resolved against "final"
 ///    extensions (extensions are never final across windows) — the
-///    per-window simplification pass recovers the lost pruning;
+///    solver's propagation recovers the lost pruning;
 ///  * emitted rules carry support/dependency bookkeeping so expired facts
 ///    retract their dependent instances (support counting).
 class IncrementalGrounder::Engine {
@@ -42,18 +42,16 @@ class IncrementalGrounder::Engine {
          IncrementalGroundingOptions incremental)
       : options_(options),
         inc_(incremental),
-        core_(program, &out_.mutable_atoms()) {}
+        core_(program, &atoms_) {}
 
   Status GroundWindow(uint64_t sequence, const std::vector<Atom>& facts,
                       const FactDelta* delta, GroundingStats* stats);
 
   void Invalidate() { cache_valid_ = false; }
   bool cache_valid() const { return cache_valid_; }
-  bool assembles_output() const { return inc_.assemble_output; }
   uint64_t cached_sequence() const { return cached_sequence_; }
-  const GroundProgram& output() const { return out_; }
   const std::vector<GroundRule>& store() const { return store_; }
-  const AtomTable& atom_table() const { return out_.atoms(); }
+  const AtomTable& atom_table() const { return atoms_; }
   const GroundingDelta& last_delta() const { return delta_; }
   const GroundingStats& call_stats() const { return call_stats_; }
 
@@ -74,7 +72,6 @@ class IncrementalGrounder::Engine {
 
  private:
   // --- dynamic cache primitives ---
-  AtomTable& atoms() { return out_.mutable_atoms(); }
   bool derivable(GroundAtomId id) const { return core_.derivable()[id]; }
   void RetractAtom(GroundAtomId id, std::vector<GroundAtomId>* worklist);
   /// Marks a store rule dead (kills compact away in CompactStore).
@@ -84,9 +81,6 @@ class IncrementalGrounder::Engine {
   /// Drops a dying rule's body references, each in O(1) through its back
   /// position (swap-remove, as a scan for the slot would do it).
   void RemoveBodyRefs(uint32_t slot);
-  /// Builds the per-window output: scratch copy of the store + window
-  /// fact rules, optionally simplified; fills the output stat counters.
-  void AssembleOutput();
 
   // --- per-window phases ---
   Status ComputeNetDelta(const std::vector<Atom>& facts,
@@ -102,18 +96,16 @@ class IncrementalGrounder::Engine {
   // --- dynamic cache (reset by Rebuild) ---
   bool cache_valid_ = false;
   uint64_t cached_sequence_ = 0;
-  GroundProgram out_;  ///< Owns the atom table + the per-window output.
+  AtomTable atoms_;
   /// Program analysis (built on the first window) plus the extensions and
-  /// derivable marks; interns into out_'s atom table.
+  /// derivable marks; interns into atoms_.
   ground_internal::InstantiationCore core_;
   std::vector<int> atom_pred_;         ///< Atom id -> predicate index.
   std::vector<uint32_t> support_;      ///< Deriving rules + window count.
   std::vector<uint32_t> ext_pos_;      ///< Atom id -> extension position.
   std::vector<std::vector<uint32_t>> body_rules_;  ///< Atom -> rule slots.
   /// The cached instantiation, kept dense by swap-compaction after each
-  /// retraction batch; the per-window output program is a scratch copy of
-  /// it (plus the window's fact rules) so per-window simplification never
-  /// touches the cache.
+  /// retraction batch so its slots mirror the incremental solver's rules.
   std::vector<GroundRule> store_;
   /// Per store slot: where each positive-body literal's reference sits in
   /// body_rules_ (a back position), so retraction and compaction touch
@@ -312,7 +304,7 @@ Status IncrementalGrounder::Engine::ApplyNetDelta(const NetDelta& net) {
   std::vector<GroundAtomId> worklist;
   for (const auto& [atom, change] : net) {
     if (change >= 0) continue;
-    const GroundAtomId id = atoms().Lookup(atom);
+    const GroundAtomId id = atoms_.Lookup(atom);
     if (id == kInvalidGroundAtom) {
       return InternalError("expired fact was never interned");
     }
@@ -371,9 +363,9 @@ Status IncrementalGrounder::Engine::Rebuild(const std::vector<Atom>& facts) {
   // Atom interning restarts, but the previous window's population is the
   // best size estimate: reserve up front so the hot Intern loop never
   // rehashes mid-window.
-  const size_t previous_atoms = out_.num_atoms();
-  out_ = GroundProgram();
-  if (previous_atoms > 0) out_.mutable_atoms().Reserve(previous_atoms);
+  const size_t previous_atoms = atoms_.size();
+  atoms_ = AtomTable();
+  if (previous_atoms > 0) atoms_.Reserve(previous_atoms);
   core_.Reset();
   atom_pred_.clear();
   support_.clear();
@@ -388,8 +380,8 @@ Status IncrementalGrounder::Engine::Rebuild(const std::vector<Atom>& facts) {
 
   // The program's own facts become permanently supported store rules.
   STREAMASP_RETURN_IF_ERROR(core_.SeedProgramFacts(*this));
-  // Window facts: derivable + supported, but their fact rules live in the
-  // per-window output, not the cache.
+  // Window facts: derivable + supported, but their fact rules are not in
+  // the cache (the delta's fact view carries them).
   for (const Atom& fact : facts) {
     STREAMASP_ASSIGN_OR_RETURN(const GroundAtomId id,
                                core_.AddInputFact(fact, *this));
@@ -399,7 +391,7 @@ Status IncrementalGrounder::Engine::Rebuild(const std::vector<Atom>& facts) {
   // A rebuild restarts slot numbering and atom interning, so the delta's
   // fact view is the full window multiset, not a diff.
   for (const auto& [atom, count] : window_counts_) {
-    delta_.fact_delta.emplace_back(atoms().Lookup(atom),
+    delta_.fact_delta.emplace_back(atoms_.Lookup(atom),
                                    static_cast<int64_t>(count));
   }
 
@@ -407,26 +399,6 @@ Status IncrementalGrounder::Engine::Rebuild(const std::vector<Atom>& facts) {
   // seeded above is this window's delta and the evaluation performs the
   // full bottom-up instantiation (fact-independent rules included).
   return core_.Evaluate(/*full=*/true, *this);
-}
-
-void IncrementalGrounder::Engine::AssembleOutput() {
-  // Scratch copy of the cache + the window's fact rules. Simplification
-  // (when enabled, as in the batch grounder) runs on the copy only: it is
-  // window-specific — definite facts differ per window — so it can never
-  // be folded into the cache itself.
-  std::vector<GroundRule>& rules = out_.mutable_rules();
-  rules.clear();
-  rules.reserve(store_.size() + window_total_);
-  rules.assign(store_.begin(), store_.end());
-  for (const auto& [atom, count] : window_counts_) {
-    const GroundAtomId id = atoms().Lookup(atom);
-    assert(id != kInvalidGroundAtom);
-    for (uint32_t c = 0; c < count; ++c) {
-      rules.push_back(GroundRule{{id}, {}, {}});
-    }
-  }
-  ground_internal::FinishOutput(options_.simplify, atoms().size(),
-                                core_.derivable(), &rules, &call_stats_);
 }
 
 Status IncrementalGrounder::Engine::GroundWindow(
@@ -441,7 +413,7 @@ Status IncrementalGrounder::Engine::GroundWindow(
     // Memory bound: retraction tombstones extension slots and leaks the
     // retracted atoms' table entries; rebuild once they dominate.
     if (static_cast<double>(tombstoned_atoms_) >
-        kCompactGarbageFraction * static_cast<double>(atoms().size())) {
+        kCompactGarbageFraction * static_cast<double>(atoms_.size())) {
       full = true;
     }
   }
@@ -490,19 +462,15 @@ Status IncrementalGrounder::Engine::GroundWindow(
   window_total_ = facts.size();
   call_stats_.rules_retained =
       full ? 0 : store_before - call_stats_.rules_retracted;
-  if (inc_.assemble_output) {
-    AssembleOutput();
-  } else {
-    // Delta consumers solve from the store directly; report raw store
-    // sizes instead of the (never built) simplified output.
-    call_stats_.num_rules_raw = store_.size() + window_total_;
-    call_stats_.num_rules = call_stats_.num_rules_raw;
-    call_stats_.num_atoms = atoms().size();
-    call_stats_.num_facts = window_total_;
-  }
+  // Nothing is simplified here: the sizes are the raw store's plus the
+  // window's fact rules.
+  call_stats_.num_rules_raw = store_.size() + window_total_;
+  call_stats_.num_rules = call_stats_.num_rules_raw;
+  call_stats_.num_atoms = atoms_.size();
+  call_stats_.num_facts = window_total_;
   cache_valid_ = true;
   cached_sequence_ = sequence;
-  call_stats_.atom_table_bytes = atoms().ApproxBytes();
+  call_stats_.atom_table_bytes = atoms_.ApproxBytes();
   if (stats != nullptr) *stats = call_stats_;
   return OkStatus();
 }
@@ -514,23 +482,20 @@ IncrementalGrounder::IncrementalGrounder(
 
 IncrementalGrounder::~IncrementalGrounder() = default;
 
-StatusOr<const GroundProgram*> IncrementalGrounder::GroundWindow(
-    uint64_t sequence, const std::vector<Atom>& facts,
-    const FactDelta* delta, GroundingStats* stats) {
+Status IncrementalGrounder::GroundWindow(uint64_t sequence,
+                                         const std::vector<Atom>& facts,
+                                         const FactDelta* delta,
+                                         GroundingStats* stats) {
   STREAMASP_RETURN_IF_ERROR(
       engine_->GroundWindow(sequence, facts, delta, stats));
   cumulative_.Accumulate(engine_->call_stats());
-  return &engine_->output();
+  return OkStatus();
 }
 
 void IncrementalGrounder::Invalidate() { engine_->Invalidate(); }
 
 bool IncrementalGrounder::cache_valid() const {
   return engine_->cache_valid();
-}
-
-bool IncrementalGrounder::assembles_output() const {
-  return engine_->assembles_output();
 }
 
 uint64_t IncrementalGrounder::cached_sequence() const {

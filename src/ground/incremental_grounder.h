@@ -23,16 +23,8 @@ struct IncrementalGroundingOptions {
   /// full grounding.
   double fallback_delta_fraction = 0.5;
 
-  /// Assemble the per-window output program (scratch copy of the store +
-  /// fact rules + the shared simplification pass). Callers that solve
-  /// through an IncrementalSolver consume the cached store and the
-  /// GroundingDelta directly, so they disable assembly and skip that
-  /// whole per-window linear pass — the delta-driven replacement of the
-  /// simplify cost ROADMAP calls out. With assembly off, output() is
-  /// stale/empty and only cached_rules()/last_delta()/atom_table() are
-  /// meaningful; num_rules/num_facts stats count the raw store instead of
-  /// the simplified output.
-  bool assemble_output = true;
+  /// Unread; kept only for perfbench/replay.cc (goes with ROADMAP item 9).
+  bool assemble_output = false;
 };
 
 /// Window-to-window incremental grounder: caches the instantiation of the
@@ -44,8 +36,8 @@ struct IncrementalGroundingOptions {
 /// (ground/instantiate.h); this class is its retaining client. It owns
 /// only what is incremental: the net-delta computation and snapshot diff,
 /// support counting with retraction and swap-compaction of the rule
-/// store, the published GroundingDelta and the per-window output
-/// assembly.
+/// store, and the published GroundingDelta that an IncrementalSolver
+/// replays (its only consumer).
 ///
 /// Correctness model (see ARCHITECTURE.md, "Incremental window
 /// grounding"): the cache is an *overgrounded* program — instantiation
@@ -58,15 +50,10 @@ struct IncrementalGroundingOptions {
 /// fact disappears is retracted and its dependent rule instances are
 /// removed transitively. Positive cycles can survive retraction
 /// unsupported; they are unfounded sets, which the solver falsifies, so
-/// over-retention never changes the answer sets. The per-window output is
-/// a scratch copy of the cached store (kept dense by swap-compaction)
-/// plus the window's fact rules, passed through the same
-/// equivalence-preserving simplification the one-shot Grounder uses
-/// (GroundingOptions::simplify) — simplification is window-specific, so
-/// it runs on the copy and never touches the cache. Net: for every
-/// window, GroundWindow's output has exactly the stable models of
-/// Grounder::Ground(program, facts), while only the fact delta is ever
-/// re-instantiated.
+/// over-retention never changes the answer sets. Net: for every window,
+/// the cached store plus one fact rule per window fact has exactly the
+/// stable models of Grounder::Ground(program, facts), while only the fact
+/// delta is ever re-instantiated.
 ///
 /// Not thread-safe: one instance serves one (sub-)stream from one thread
 /// at a time. The parallel reasoner keeps one instance per partition, and
@@ -101,13 +88,13 @@ class IncrementalGrounder {
   IncrementalGrounder& operator=(const IncrementalGrounder&) = delete;
 
   /// Grounds the window with sequence number `sequence` holding exactly
-  /// `facts` (ground atoms; duplicates allowed and preserved as duplicate
-  /// fact rules, mirroring Grounder). The returned program is owned by
-  /// the grounder and valid until the next GroundWindow/Invalidate call.
-  /// `delta` optionally carries the windower's expired/admitted sets (see
-  /// FactDelta); `stats` receives this call's counters, including the
-  /// reuse counters.
-  StatusOr<const GroundProgram*> GroundWindow(
+  /// `facts` (ground atoms; duplicates allowed and counted as duplicate
+  /// fact rules, mirroring Grounder) into the cached store and publishes
+  /// the change as last_delta(). `delta` optionally carries the
+  /// windower's expired/admitted sets (see FactDelta); `stats` receives
+  /// this call's counters, including the reuse counters (num_rules and
+  /// num_facts count the raw store and the window's facts).
+  Status GroundWindow(
       uint64_t sequence, const std::vector<Atom>& facts,
       const FactDelta* delta = nullptr, GroundingStats* stats = nullptr);
 
@@ -118,20 +105,14 @@ class IncrementalGrounder {
   /// True when a cached window is available for delta reuse.
   bool cache_valid() const;
 
-  /// Whether this grounder assembles the per-window output program
-  /// (IncrementalGroundingOptions::assemble_output). Callers that solve
-  /// from output() must check this: with assembly off only the delta
-  /// view is maintained.
-  bool assembles_output() const;
-
   /// Sequence number of the cached window (meaningful iff cache_valid()).
   uint64_t cached_sequence() const;
 
   /// The persistent instantiation store (window facts excluded — those are
   /// described by last_delta().fact_delta). Valid after a successful
   /// GroundWindow, until the next GroundWindow/Invalidate call. Together
-  /// with the fact rules this is answer-equivalent to the assembled,
-  /// simplified output (see the class comment's correctness model).
+  /// with the window's fact rules it is answer-equivalent to a cold
+  /// grounding of the window (see the class comment's correctness model).
   const std::vector<GroundRule>& cached_rules() const;
 
   /// The persistent atom table behind the cached rules' (stable) ids.

@@ -181,13 +181,11 @@ Status ApplyOpenOption(std::string_view key, std::string_view value,
     if (value == "none") {
       reasoner.reuse_grounding = false;
       reasoner.solving.reuse_solving = false;
-    } else if (value == "ground") {
-      reasoner.reuse_grounding = true;
     } else if (value == "solve") {
       reasoner.solving.reuse_solving = true;
     } else {
-      return InvalidArgumentError("open option reuse must be none|ground|"
-                                  "solve, got '" +
+      return InvalidArgumentError("open option reuse must be none|solve, "
+                                  "got '" +
                                   std::string(value) + "'");
     }
   } else if (key == "admission") {

@@ -27,7 +27,7 @@ namespace streamasp {
 ///   close <session>
 ///
 /// open options: window=N slide=N shards=N async=1 inflight=N
-///   reuse=none|ground|solve admission=block|reject weight=N
+///   reuse=none|solve admission=block|reject weight=N
 ///   max_queued=N max_inflight=N v=N
 /// Every session is a lane on the server's shared reasoner pool, so
 /// async=1 is accepted as a no-op and async=0 is refused. admission=

@@ -76,9 +76,8 @@ struct SolverStats {
 /// fact rules. That is answer-equivalent to the cold path's simplified
 /// per-window output (simplification is equivalence-preserving, and the
 /// smodels-style propagation performs the same pruning during its initial
-/// fixpoint), which is what lets the owning layer skip the grounder's
-/// per-window output assembly and simplification pass entirely — the
-/// linear per-window cost ROADMAP called out.
+/// fixpoint), so no per-window copy or simplification of the store is
+/// ever built.
 ///
 /// Search semantics: enumeration stays exact (chronological backtracking
 /// over both branches of every decision) and stable-model verification

@@ -43,10 +43,10 @@ struct SolverOptions {
   /// rule/occurrence/counter arrays per window (see
   /// solve/incremental_solver.h). Enumeration stays exact and model
   /// verification stays on; only the per-window rebuild work disappears.
-  /// Implies grounding reuse (the delta is computed by the incremental
-  /// grounder). The stateless Solver itself ignores this flag, mirroring
-  /// how ReasonerOptions::reuse_grounding is honoured by the owning layer
-  /// rather than by Grounder.
+  /// Selects the one reuse path, as ReasonerOptions::reuse_grounding
+  /// does (the delta is computed by the incremental grounder). The
+  /// stateless Solver itself ignores this flag: the owning layer honours
+  /// it.
   bool reuse_solving = false;
 
   /// Maintain the model itself across reused windows (definite/stratified

@@ -18,25 +18,26 @@ size_t ResolveThreadCount(size_t requested) {
   return requested != 0 ? requested : DefaultThreadCount();
 }
 
-/// Resolves the reuse knobs once, before any engine is built: solving
-/// reuse implies grounding reuse (the solver patch is the incremental
-/// grounder's delta) and lets the grounder skip per-window output
-/// assembly (the solver consumes the cached store directly). Disjunctive
-/// programs keep the cold solve path — their shifted rules would break
-/// the solver's 1:1 store-slot mirroring (see solve/incremental_solver.h).
+/// Resolves the reuse knobs once, before any engine is built. Either flag
+/// selects the one reuse path (an incremental grounder paired with an
+/// incremental solver), and both flags are set to the outcome. A
+/// disjunctive program reasons cold: its shifted rules would break the
+/// solver's 1:1 store-slot mirroring (see solve/incremental_solver.h).
 ReasonerOptions ResolveReuseOptions(const Program* program,
                                     ReasonerOptions options) {
-  if (!options.solving.reuse_solving) return options;
-  for (const Rule& rule : program->rules()) {
-    if (rule.head().size() > 1) {
-      STREAMASP_LOG(kWarning)
-          << "reuse_solving disabled: program has disjunctive rules";
-      options.solving.reuse_solving = false;
-      return options;
+  bool reuse = options.reuse_grounding || options.solving.reuse_solving;
+  if (reuse) {
+    for (const Rule& rule : program->rules()) {
+      if (rule.head().size() > 1) {
+        STREAMASP_LOG(kWarning)
+            << "reuse disabled: program has disjunctive rules";
+        reuse = false;
+        break;
+      }
     }
   }
-  options.reuse_grounding = true;
-  options.incremental.assemble_output = false;
+  options.reuse_grounding = reuse;
+  options.solving.reuse_solving = reuse;
   return options;
 }
 
@@ -73,21 +74,13 @@ ParallelReasoner::ParallelReasoner(const Program* program,
     pool_ = std::make_unique<SharedReasonerPool>(pool_threads);
     lane_ = pool_->CreateQueue(/*weight=*/1, /*max_inflight=*/pool_threads);
   }
-  if (reasoner_options_.reuse_grounding) {
-    // One engine per partition Split produces.
+  if (incremental()) {
+    // One engine pair per partition Split produces.
     const size_t partitions = handler_.num_partitions();
-    partition_grounders_.reserve(partitions);
+    partition_engines_.reserve(partitions);
     for (size_t i = 0; i < partitions; ++i) {
-      partition_grounders_.push_back(std::make_unique<IncrementalGrounder>(
-          program_, reasoner_options_.grounding,
-          reasoner_options_.incremental));
-    }
-    if (reasoner_options_.solving.reuse_solving) {
-      partition_solvers_.reserve(partitions);
-      for (size_t i = 0; i < partitions; ++i) {
-        partition_solvers_.push_back(
-            std::make_unique<IncrementalSolver>(reasoner_options_.solving));
-      }
+      partition_engines_.push_back(std::make_unique<PartitionEngines>(
+          program_, reasoner_options_));
     }
   }
 }
@@ -96,7 +89,7 @@ ParallelReasoner::Job ParallelReasoner::Split(
     const TripleWindow& window) const {
   WallTimer timer;
   Job job = MakeJob(handler_.Partition(window.items), timer);
-  job.incremental = reasoner_options_.reuse_grounding;
+  job.incremental = incremental();
   for (TripleWindow& sub : job.windows) sub.sequence = window.sequence;
   if (job.incremental && window.has_delta) {
     // Partition the delta with the same routing as the items: the
@@ -120,15 +113,14 @@ ParallelReasoner::Job ParallelReasoner::Split(
 
 void ParallelReasoner::ReasonPartition(Job* job, size_t index) {
   try {
-    // A null grounder is the cold path.
-    IncrementalGrounder* grounder =
-        job->incremental ? partition_grounders_[index].get() : nullptr;
-    IncrementalSolver* solver =
-        job->incremental && reasoner_options_.solving.reuse_solving
-            ? partition_solvers_[index].get()
-            : nullptr;
+    // No engine pair is the cold path.
+    PartitionEngines* engines =
+        job->incremental ? partition_engines_[index].get() : nullptr;
     job->outcomes[index] =
-        reasoner_.Process(job->windows[index], grounder, solver);
+        engines == nullptr
+            ? reasoner_.Process(job->windows[index])
+            : reasoner_.Process(job->windows[index], &engines->grounder,
+                                &engines->solver);
   } catch (...) {
     job->errors[index] = std::current_exception();
   }
@@ -220,7 +212,7 @@ StatusOr<ParallelReasonerResult> ParallelReasoner::Run(Job job) {
 StatusOr<ParallelReasonerResult> ParallelReasoner::Process(
     const TripleWindow& window) {
   std::unique_lock<std::mutex> lock(incremental_mutex_, std::defer_lock);
-  if (reasoner_options_.reuse_grounding) lock.lock();
+  if (incremental()) lock.lock();
   return Run(Split(window));
 }
 

@@ -68,11 +68,11 @@ struct ParallelReasonerResult {
   size_t total_partition_items = 0;
 
   /// Grounding counters summed over the window's partitions, including
-  /// the incremental reuse counters when reuse_grounding is enabled.
+  /// the incremental reuse counters under reuse.
   GroundingStats grounding;
 
   /// Solver reuse counters summed over the window's partitions (all zero
-  /// unless reuse_solving is enabled).
+  /// without reuse).
   SolverStats solving;
 
   /// Grounding / solving phase time summed over the window's partitions
@@ -109,9 +109,9 @@ struct ParallelReasonerResult {
 /// thread-compatible, so ReasonPartition may run for different partitions
 /// of one Job concurrently, and concurrent Process calls on one instance
 /// are safe — they share the private lane, and each call waits only for
-/// its own partitions, never for another caller's. With reuse_grounding
-/// set, Process additionally serializes whole windows on an internal
-/// mutex: the per-partition incremental grounders are stateful, and
+/// its own partitions, never for another caller's. Under reuse, Process
+/// additionally serializes whole windows on an internal mutex: the
+/// per-partition incremental grounders and solvers are stateful, and
 /// interleaving two windows through one cache would corrupt its
 /// window-to-window diff. ProcessPartitions always reasons cold.
 /// Callers driving the phases themselves take that duty over: partition i
@@ -150,11 +150,11 @@ class ParallelReasoner {
     size_t num_partitions() const { return outcomes.size(); }
   };
 
-  /// Split phase: partitions the window's items and, with
-  /// reuse_grounding, its expired/admitted delta with the same routing,
-  /// so each partition's incremental grounder receives its own sub-stream
-  /// delta (the routing — community, then key bucket — is per item and
-  /// pure). Always at least one partition.
+  /// Split phase: partitions the window's items and, under reuse, its
+  /// expired/admitted delta with the same routing, so each partition's
+  /// incremental grounder receives its own sub-stream delta (the routing
+  /// — community, then key bucket — is per item and pure). Always at
+  /// least one partition.
   Job Split(const TripleWindow& window) const;
 
   /// Reason phase: reasons partition `index` of `job` into its slot.
@@ -168,9 +168,9 @@ class ParallelReasoner {
   StatusOr<ParallelReasonerResult> Finish(Job job) const;
 
   /// Full PR pipeline over a triple window: Split, every partition
-  /// reasoned (fanned out on the private pool, or inline), Finish. With
-  /// reuse_grounding set the per-partition grounding reuses the previous
-  /// window's instantiation through the window's split delta (see Split).
+  /// reasoned (fanned out on the private pool, or inline), Finish. Under
+  /// reuse each partition's grounder and solver replay the window's split
+  /// delta (see Split).
   /// A partition's exception propagates after every partition has run.
   StatusOr<ParallelReasonerResult> Process(const TripleWindow& window);
 
@@ -184,8 +184,8 @@ class ParallelReasoner {
 
   const PartitioningHandler& partitioning_handler() const { return handler_; }
 
-  /// True when Split produces incremental Jobs (grounding reuse, also
-  /// implied by solving reuse).
+  /// True when Split produces incremental Jobs: reuse was requested (by
+  /// either flag) and the program is not disjunctive.
   bool incremental() const { return reasoner_options_.reuse_grounding; }
 
  private:
@@ -203,13 +203,20 @@ class ParallelReasoner {
   std::unique_ptr<SharedReasonerPool> pool_;
   std::shared_ptr<SharedReasonerPool::Queue> lane_;
 
-  /// Per-partition incremental grounders (reuse_grounding only) and their
-  /// paired persistent solvers (reuse_solving only — same routing, one
-  /// engine per partition), plus the mutex that serializes Process's
-  /// windows through them.
+  /// One partition's reuse state: its incremental grounder and the
+  /// persistent solver patched with that grounder's deltas.
+  struct PartitionEngines {
+    PartitionEngines(const Program* program, const ReasonerOptions& options)
+        : grounder(program, options.grounding, options.incremental),
+          solver(options.solving) {}
+    IncrementalGrounder grounder;
+    IncrementalSolver solver;
+  };
+
+  /// One engine pair per partition (reuse only), plus the mutex that
+  /// serializes Process's windows through them.
   std::mutex incremental_mutex_;
-  std::vector<std::unique_ptr<IncrementalGrounder>> partition_grounders_;
-  std::vector<std::unique_ptr<IncrementalSolver>> partition_solvers_;
+  std::vector<std::unique_ptr<PartitionEngines>> partition_engines_;
 };
 
 }  // namespace streamasp

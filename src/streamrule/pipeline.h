@@ -30,8 +30,7 @@ struct PipelineOptions {
   /// once the first window_size items have arrived, re-processing the
   /// overlapping suffix (CQELS/C-SPARQL semantics). 0 or == window_size
   /// keeps tumbling windows. Sliding windows carry expired/admitted
-  /// deltas, which grounding and solving reuse consume (see
-  /// ReasonerOptions::reuse_grounding and SolverOptions::reuse_solving,
+  /// deltas, which reuse consumes (see ReasonerOptions::reuse_grounding,
   /// set through `reasoner.reasoner`).
   size_t window_slide = 0;
 

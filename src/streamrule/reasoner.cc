@@ -21,20 +21,14 @@ Reasoner::Reasoner(const Program* program, ReasonerOptions options)
 StatusOr<ReasonerResult> Reasoner::Process(
     const TripleWindow& window, IncrementalGrounder* grounder,
     IncrementalSolver* solver) const {
-  if (grounder != nullptr && solver == nullptr &&
-      !grounder->assembles_output()) {
-    // The cold tail would silently solve the never-assembled (stale or
-    // empty) output program; fail loudly instead.
+  if ((grounder == nullptr) != (solver == nullptr)) {
     return InvalidArgumentError(
-        "grounder has assemble_output=false but no IncrementalSolver was "
-        "supplied; pair the engines or enable output assembly");
+        "the reuse path needs an IncrementalGrounder and an "
+        "IncrementalSolver together; pass both or neither");
   }
   ReasonerResult result;
   WallTimer total;
   WallTimer phase;
-  GroundProgram cold;
-  const GroundProgram* ground = &cold;
-  std::vector<Atom> facts;
   if (grounder == nullptr) {
     // The cold path: each triple is checked once and handed over as its
     // packed words, which the grounder interns without an Atom.
@@ -49,10 +43,14 @@ StatusOr<ReasonerResult> Reasoner::Process(
     result.convert_ms = phase.ElapsedMillis();
     phase.Restart();
     STREAMASP_ASSIGN_OR_RETURN(
-        cold, Grounder(options_.grounding)
-                  .Ground(*program_, packed, &result.grounding));
+        const GroundProgram ground,
+        Grounder(options_.grounding)
+            .Ground(*program_, packed, &result.grounding));
+    result.ground_ms = phase.ElapsedMillis();
+    STREAMASP_RETURN_IF_ERROR(SolveGround(ground, &result));
   } else {
-    STREAMASP_ASSIGN_OR_RETURN(facts, format_.ToFacts(window.items));
+    STREAMASP_ASSIGN_OR_RETURN(const std::vector<Atom> facts,
+                               format_.ToFacts(window.items));
     // The windower's delta (when present and not the first window)
     // becomes the grounder's diff hint; conversion of the delta counts as
     // conversion time, as the paper requires for all data transformation.
@@ -73,17 +71,11 @@ StatusOr<ReasonerResult> Reasoner::Process(
     }
     result.convert_ms = phase.ElapsedMillis();
     phase.Restart();
-    STREAMASP_ASSIGN_OR_RETURN(
-        ground, grounder->GroundWindow(window.sequence, facts, delta_ptr,
-                                       &result.grounding));
-  }
-  result.ground_ms = phase.ElapsedMillis();
-
-  if (grounder != nullptr && solver != nullptr) {
+    STREAMASP_RETURN_IF_ERROR(grounder->GroundWindow(
+        window.sequence, facts, delta_ptr, &result.grounding));
+    result.ground_ms = phase.ElapsedMillis();
     STREAMASP_RETURN_IF_ERROR(
         SolveIncremental(window.sequence, facts, grounder, solver, &result));
-  } else {
-    STREAMASP_RETURN_IF_ERROR(SolveGround(*ground, &result));
   }
   result.latency_ms = total.ElapsedMillis();
   return result;
@@ -124,8 +116,7 @@ Status Reasoner::SolveIncremental(uint64_t sequence,
     WallTimer reground;
     GroundingStats resync_grounding;
     STREAMASP_RETURN_IF_ERROR(
-        grounder->GroundWindow(sequence, facts, nullptr, &resync_grounding)
-            .status());
+        grounder->GroundWindow(sequence, facts, nullptr, &resync_grounding));
     // The repair grounding is ground-phase work on top of the window's
     // first grounding, not a replacement for its stats.
     result->grounding.Accumulate(resync_grounding);

@@ -24,23 +24,21 @@ struct ReasonerOptions {
   /// Apply the program's #show projection to the returned answers.
   bool project_to_shown = true;
 
-  /// Reuse grounding across overlapping windows: the owning layer (the
-  /// parallel reasoner) keeps one IncrementalGrounder per partition
-  /// sub-stream and passes it to Process instead of a null grounder (the
-  /// one-shot Grounder). Both drive the same instantiation core (see
-  /// ground/instantiate.h), so answers are unchanged; only the grounding
-  /// work shrinks to the window delta.
+  /// Reuse across overlapping windows. There is one reuse path: the
+  /// owning layer (the parallel reasoner) keeps one IncrementalGrounder
+  /// and one persistent IncrementalSolver per partition sub-stream and
+  /// passes the pair to Process; the solver is patched with the
+  /// grounder's GroundingDelta. The grounder drives the same
+  /// instantiation core as the one-shot Grounder (see
+  /// ground/instantiate.h), so answers are unchanged; only the work
+  /// shrinks to the window delta.
   ///
-  /// Solving reuse rides the same routing: with solving.reuse_solving set
-  /// the owning layer pairs each partition grounder with a persistent
-  /// IncrementalSolver fed by the grounder's GroundingDelta, and the
-  /// grounder skips its per-window output assembly/simplification pass
-  /// (the solver consumes the cached store directly). reuse_solving
-  /// implies reuse_grounding; disjunctive programs keep the cold solve
-  /// path (see solve/incremental_solver.h).
+  /// This flag and solving.reuse_solving both select that path, and the
+  /// owning layer sets both to the outcome. A disjunctive program
+  /// reasons cold whichever is set (see solve/incremental_solver.h).
   bool reuse_grounding = false;
 
-  /// Tuning for the incremental cache (used when reuse_grounding is set).
+  /// Tuning for the incremental cache (used under reuse).
   IncrementalGroundingOptions incremental;
 };
 
@@ -75,20 +73,16 @@ class Reasoner {
 
   /// Full pipeline on a triple window: convert → ground → solve.
   ///
-  /// With a null `grounder` the window is grounded from scratch (the cold
-  /// path): each triple is checked and handed to the Grounder as a
-  /// PackedFact, with no Atom built. A non-null `grounder` (caller-owned, one per sub-stream, calls
-  /// serialized by the caller) reuses the cached instantiation of the
-  /// previous window; the window's expired/admitted delta (when present)
-  /// is converted alongside the items and handed to it as a diff hint.
-  ///
-  /// `solver` optionally carries the paired persistent IncrementalSolver
-  /// (same ownership and serialization contract as the grounder): when
-  /// non-null, the solve phase patches it with the grounder's
-  /// GroundingDelta instead of building a cold engine over the assembled
-  /// output — pair it with a grounder whose assemble_output is off (a
-  /// grounder without assembly and no solver is kInvalidArgument). It is
-  /// ignored on the cold path.
+  /// With a null `grounder` and `solver` the window is reasoned from
+  /// scratch (the cold path): each triple is checked and handed to the
+  /// Grounder as a PackedFact, with no Atom built, and a fresh Solver
+  /// solves the result. A non-null pair (caller-owned, one per
+  /// sub-stream, calls serialized by the caller) is the reuse path: the
+  /// grounder reuses the cached instantiation of the previous window,
+  /// with the window's expired/admitted delta (when present) converted
+  /// alongside the items as its diff hint, and the solver is patched with
+  /// the grounder's GroundingDelta. One without the other is
+  /// kInvalidArgument.
   StatusOr<ReasonerResult> Process(const TripleWindow& window,
                                    IncrementalGrounder* grounder = nullptr,
                                    IncrementalSolver* solver = nullptr) const;

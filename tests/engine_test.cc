@@ -242,7 +242,6 @@ TEST_F(EngineTest, FacadeMatchesDirectEnginesByteForByte) {
   const Shape kShapes[] = {
       {"sync", 0, false, 0, false, false},
       {"async", 0, true, 0, false, false},
-      {"sliding+reuse", 0, false, 150, true, false},
       {"sliding+reuse-solve", 0, false, 150, true, true},
       {"sharded x3", 3, true, 0, false, false},
       {"sharded sliding", 2, false, 150, true, false},
@@ -293,18 +292,15 @@ TEST_F(EngineTest, PooledPartitionFanOutMatchesSyncOracle) {
   const std::vector<Triple> stream = MakeStream(2400);
   struct Reuse {
     const char* name;
-    bool grounding;
-    bool solving;
+    bool on;
   };
-  const Reuse kReuse[] = {
-      {"none", false, false}, {"ground", true, false}, {"solve", true, true}};
+  const Reuse kReuse[] = {{"none", false}, {"solve", true}};
   auto config_for = [](size_t shards, const Reuse& reuse) {
     EngineConfig config;
     config.pipeline.reasoner.num_shards = shards;
     config.pipeline.window_size = 600;
     config.pipeline.window_slide = 150;
-    config.pipeline.reasoner.reasoner.reuse_grounding = reuse.grounding;
-    config.pipeline.reasoner.reasoner.solving.reuse_solving = reuse.solving;
+    config.pipeline.reasoner.reasoner.solving.reuse_solving = reuse.on;
     return config;
   };
   auto pool = std::make_shared<SharedReasonerPool>(4);
@@ -358,7 +354,7 @@ TEST_F(EngineTest, PooledPartitionFanOutMatchesSyncOracle) {
         const size_t partitions = 2 * std::max<size_t>(shards, 1);
         const uint64_t windows = stats.reasoning.windows;
         EXPECT_EQ(stats.lane.submitted,
-                  (reuse.grounding ? partitions + 1 : partitions) * windows);
+                  (reuse.on ? partitions + 1 : partitions) * windows);
         EXPECT_EQ(stats.lane.completed, stats.lane.submitted);
         EXPECT_EQ(pipeline->pool_queue()->max_inflight(), cap);
 

@@ -1,8 +1,10 @@
 // Grounding reuse threaded through the reasoning layers: the sliding
 // query processor's deltas into ParallelReasoner's per-partition
-// incremental grounders, the sync/async pipeline with grounding reuse,
-// and key buckets (num_shards) — all differentially checked against
-// the same configuration without reuse (byte-identical transcripts).
+// incremental grounders (each paired with its persistent solver: the one
+// reuse path, selected here through ReasonerOptions::reuse_grounding),
+// the sync/async pipeline with reuse, and key buckets (num_shards) — all
+// differentially checked against the same configuration without reuse
+// (byte-identical transcripts).
 
 #include <gtest/gtest.h>
 
@@ -82,6 +84,12 @@ TEST_F(GroundingReuseTest, ParallelReasonerSlidingWindowsMatchBatch) {
       SCOPED_TRACE("slide " + std::to_string(slide));
       ParallelReasonerOptions reuse_options;
       reuse_options.reasoner.reuse_grounding = true;
+      // A slide-50 delta (50 expired + 50 admitted facts) is as large as
+      // the window, so that leg raises fallback_delta_fraction above 1.0
+      // to replay; the others keep the default (0.5).
+      if (slide == 50) {
+        reuse_options.reasoner.incremental.fallback_delta_fraction = 1.5;
+      }
       ParallelReasoner incremental(
           &program, PartitioningPlan(1), reuse_options);
       ParallelReasoner batch(&program, PartitioningPlan(1), {});
@@ -109,15 +117,17 @@ TEST_F(GroundingReuseTest, ParallelReasonerSlidingWindowsMatchBatch) {
       EXPECT_EQ(incremental_answers, batch_answers);
       // The grounder's path on each leg. Every window either replays its
       // delta through the cache or regrounds. At slide 25 most windows
-      // replay. At slide 50 a delta (50 expired + 50 admitted facts) is
-      // over fallback_delta_fraction (0.5) of the window, and at slide ==
-      // size the windows tumble and carry no delta, so the grounder's own
-      // snapshot diff finds them too far apart: both reground every window.
+      // replay, and at slide 50 8 of the 11 do (measured on P and P′). At
+      // slide == size the windows tumble and carry no delta, so the
+      // grounder's own snapshot diff finds them too far apart and it
+      // regrounds every window.
       const size_t windows = windower.emitted_windows();
       EXPECT_EQ(reuse.incremental_windows + reuse.incremental_fallbacks,
                 windows);
       if (slide == 25) {
         EXPECT_GT(reuse.incremental_windows, windows / 2);
+      } else if (slide == 50) {
+        EXPECT_EQ(reuse.incremental_windows, 8u);
       } else {
         EXPECT_EQ(reuse.incremental_windows, 0u);
         EXPECT_EQ(reuse.incremental_fallbacks, windows);

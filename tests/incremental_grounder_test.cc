@@ -1,9 +1,11 @@
 // Differential correctness of the IncrementalGrounder: for every window
-// of a sliding fact stream, the incrementally maintained ground program
-// must have exactly the stable models of a fresh Grounder::Ground over the
-// same facts — across slide sizes (1 .. window), program shapes
-// (stratified joins, negation, recursion, constraints, multi-model
-// choice), duplicate facts, empty windows and sequence gaps.
+// of a sliding fact stream, the incrementally maintained ground program,
+// solved by the IncrementalSolver its deltas patch (the grounder's only
+// consumer), must have exactly the stable models of a fresh
+// Grounder::Ground + Solver::Solve over the same facts — across slide
+// sizes (1 .. window), program shapes (stratified joins, negation,
+// recursion, constraints, multi-model choice), duplicate facts, empty
+// windows and sequence gaps.
 
 #include <set>
 #include <string>
@@ -14,6 +16,7 @@
 #include "asp/parser.h"
 #include "ground/grounder.h"
 #include "ground/incremental_grounder.h"
+#include "solve/incremental_solver.h"
 #include "solve/solver.h"
 
 namespace streamasp {
@@ -21,24 +24,30 @@ namespace {
 
 using CanonicalModels = std::multiset<std::vector<std::string>>;
 
-CanonicalModels SolveCanonical(const GroundProgram& ground,
-                               const SymbolTable& symbols) {
-  const Solver solver;
-  StatusOr<std::vector<AnswerSet>> models = solver.Solve(ground);
-  EXPECT_TRUE(models.ok()) << models.status();
+CanonicalModels Canonical(const std::vector<AnswerSet>& models,
+                          const AtomTable& table, const SymbolTable& symbols) {
   CanonicalModels canonical;
-  if (!models.ok()) return canonical;
-  for (const AnswerSet& model : *models) {
+  for (const AnswerSet& model : models) {
     std::vector<std::string> atoms;
     atoms.reserve(model.atoms.size());
     for (GroundAtomId id : model.atoms) {
-      atoms.push_back(ground.atoms().GetAtom(id).ToString(symbols));
+      atoms.push_back(table.GetAtom(id).ToString(symbols));
     }
     std::sort(atoms.begin(), atoms.end());
     canonical.insert(std::move(atoms));
   }
   return canonical;
 }
+
+/// The reuse path under test: an incremental grounder and the persistent
+/// solver its deltas patch.
+struct ReuseEngines {
+  explicit ReuseEngines(const Program* program,
+                        IncrementalGroundingOptions options = {})
+      : grounder(program, GroundingOptions{}, options) {}
+  IncrementalGrounder grounder;
+  IncrementalSolver solver;
+};
 
 class IncrementalGrounderTest : public ::testing::Test {
  protected:
@@ -60,8 +69,7 @@ class IncrementalGrounderTest : public ::testing::Test {
   GroundingStats RunDifferential(
       const Program& program, const std::vector<Atom>& stream, size_t window,
       size_t slide, IncrementalGroundingOptions inc_options = {}) {
-    IncrementalGrounder incremental(&program, GroundingOptions{},
-                                    inc_options);
+    ReuseEngines incremental(&program, inc_options);
     const Grounder fresh;
     uint64_t sequence = 0;
     for (size_t begin = 0; begin + window <= stream.size();
@@ -70,20 +78,29 @@ class IncrementalGrounderTest : public ::testing::Test {
                                     stream.begin() + begin + window);
       CheckWindow(program, incremental, fresh, sequence, facts, nullptr);
     }
-    return incremental.cumulative_stats();
+    return incremental.grounder.cumulative_stats();
   }
 
-  void CheckWindow(const Program& program, IncrementalGrounder& incremental,
+  void CheckWindow(const Program& program, ReuseEngines& incremental,
                    const Grounder& fresh, uint64_t sequence,
                    const std::vector<Atom>& facts,
                    const IncrementalGrounder::FactDelta* hint) {
     StatusOr<GroundProgram> reference = fresh.Ground(program, facts);
     ASSERT_TRUE(reference.ok()) << reference.status();
-    StatusOr<const GroundProgram*> cached =
-        incremental.GroundWindow(sequence, facts, hint);
-    ASSERT_TRUE(cached.ok()) << cached.status();
-    const CanonicalModels want = SolveCanonical(*reference, *symbols_);
-    const CanonicalModels got = SolveCanonical(**cached, *symbols_);
+    StatusOr<std::vector<AnswerSet>> want_models = Solver().Solve(*reference);
+    ASSERT_TRUE(want_models.ok()) << want_models.status();
+    IncrementalGrounder& grounder = incremental.grounder;
+    const Status grounded = grounder.GroundWindow(sequence, facts, hint);
+    ASSERT_TRUE(grounded.ok()) << grounded;
+    std::vector<AnswerSet> got_models;
+    const Status solved = incremental.solver.SolveWindow(
+        grounder.last_delta(), grounder.cached_rules(),
+        grounder.atom_table().size(), &got_models);
+    ASSERT_TRUE(solved.ok()) << solved;
+    const CanonicalModels want =
+        Canonical(*want_models, reference->atoms(), *symbols_);
+    const CanonicalModels got =
+        Canonical(got_models, grounder.atom_table(), *symbols_);
     EXPECT_EQ(want, got) << "window " << sequence << " (" << facts.size()
                          << " facts) diverged";
   }
@@ -198,7 +215,7 @@ TEST_F(IncrementalGrounderTest, DuplicateFactsAcrossWindows) {
 
 TEST_F(IncrementalGrounderTest, EmptyWindowsAndRefill) {
   const Program program = MustParse(kJoinNegationProgram);
-  IncrementalGrounder incremental(&program);
+  ReuseEngines incremental(&program);
   const Grounder fresh;
   const std::vector<Atom> some = {MakeAtom("high", {Term::Integer(1)}),
                                   MakeAtom("high", {Term::Integer(2)})};
@@ -216,7 +233,7 @@ TEST_F(IncrementalGrounderTest, SequenceGapsStayCorrect) {
     stream.push_back(
         MakeAtom("edge", {Term::Integer(i % 8), Term::Integer((i + 1) % 8)}));
   }
-  IncrementalGrounder incremental(&program);
+  ReuseEngines incremental(&program);
   const Grounder fresh;
   for (size_t begin = 0, seq = 0; begin + 10 <= stream.size();
        begin += 9, seq += 3) {
@@ -234,8 +251,8 @@ TEST_F(IncrementalGrounderTest, DeltaHintMatchesSnapshotDiff) {
                               {Term::Integer(i % 6)}));
   }
   const size_t window = 8, slide = 2;
-  IncrementalGrounder with_hint(&program);
-  IncrementalGrounder without_hint(&program);
+  ReuseEngines with_hint(&program);
+  ReuseEngines without_hint(&program);
   const Grounder fresh;
   uint64_t sequence = 0;
   for (size_t begin = 0; begin + window <= stream.size();
@@ -256,14 +273,14 @@ TEST_F(IncrementalGrounderTest, DeltaHintMatchesSnapshotDiff) {
     CheckWindow(program, without_hint, fresh, sequence, facts, nullptr);
   }
   // The hint path must not change what got reused.
-  EXPECT_EQ(with_hint.cumulative_stats().incremental_windows,
-            without_hint.cumulative_stats().incremental_windows);
-  EXPECT_GT(with_hint.cumulative_stats().incremental_windows, 0u);
+  EXPECT_EQ(with_hint.grounder.cumulative_stats().incremental_windows,
+            without_hint.grounder.cumulative_stats().incremental_windows);
+  EXPECT_GT(with_hint.grounder.cumulative_stats().incremental_windows, 0u);
 }
 
 TEST_F(IncrementalGrounderTest, InconsistentHintFallsBackToSnapshotDiff) {
   const Program program = MustParse(kJoinNegationProgram);
-  IncrementalGrounder incremental(&program);
+  ReuseEngines incremental(&program);
   const Grounder fresh;
   const std::vector<Atom> w0 = {MakeAtom("high", {Term::Integer(1)}),
                                 MakeAtom("high", {Term::Integer(2)}),
@@ -313,15 +330,17 @@ TEST_F(IncrementalGrounderTest, HighOverlapReusesAndRetracts) {
 
 TEST_F(IncrementalGrounderTest, InvalidateDropsTheCache) {
   const Program program = MustParse(kJoinNegationProgram);
-  IncrementalGrounder incremental(&program);
+  ReuseEngines incremental(&program);
   const Grounder fresh;
   const std::vector<Atom> w = {MakeAtom("high", {Term::Integer(1)})};
   CheckWindow(program, incremental, fresh, 0, w, nullptr);
-  EXPECT_TRUE(incremental.cache_valid());
-  incremental.Invalidate();
-  EXPECT_FALSE(incremental.cache_valid());
+  EXPECT_TRUE(incremental.grounder.cache_valid());
+  incremental.grounder.Invalidate();
+  EXPECT_FALSE(incremental.grounder.cache_valid());
+  // The rebuild publishes a full_rebuild delta, which resets the solver.
   CheckWindow(program, incremental, fresh, 1, w, nullptr);
-  EXPECT_EQ(incremental.cumulative_stats().incremental_fallbacks, 2u);
+  EXPECT_EQ(incremental.grounder.cumulative_stats().incremental_fallbacks,
+            2u);
 }
 
 }  // namespace

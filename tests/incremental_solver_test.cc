@@ -70,7 +70,6 @@ void CheckSlidingStream(const Program& program,
   solver_options.maintain_fixpoint = maintain_fixpoint;
 
   IncrementalGroundingOptions incremental;
-  incremental.assemble_output = false;
   incremental.fallback_delta_fraction = fallback_delta_fraction;
   IncrementalGrounder grounder(&program, GroundingOptions{}, incremental);
   IncrementalSolver solver(solver_options);
@@ -78,9 +77,9 @@ void CheckSlidingStream(const Program& program,
   for (size_t w = 0; w < windows.size(); ++w) {
     SCOPED_TRACE("window " + std::to_string(w));
     GroundingStats gstats;
-    StatusOr<const GroundProgram*> ground =
+    const Status grounded =
         grounder.GroundWindow(w, windows[w], nullptr, &gstats);
-    ASSERT_TRUE(ground.ok()) << ground.status();
+    ASSERT_TRUE(grounded.ok()) << grounded;
 
     std::vector<AnswerSet> models;
     SolverStats sstats;
@@ -398,11 +397,9 @@ TEST(IncrementalSolverTest, OutOfSyncDeltaIsReportedNotMisapplied) {
   ASSERT_TRUE(program.ok()) << program.status();
   const Atom a(symbols->Intern("a"), {});
 
-  IncrementalGroundingOptions incremental;
-  incremental.assemble_output = false;
   // A tiny fallback threshold would defeat the point: keep the default so
   // window 1's one-fact delta stays incremental.
-  IncrementalGrounder grounder(&*program, GroundingOptions{}, incremental);
+  IncrementalGrounder grounder(&*program);
   ASSERT_TRUE(grounder.GroundWindow(0, {a}).ok());
   ASSERT_TRUE(grounder.GroundWindow(1, {}).ok());
   ASSERT_TRUE(grounder.last_delta().full_rebuild == false ||
@@ -436,7 +433,6 @@ TEST(IncrementalSolverTest, DoubleAppliedDeltaIsRejectedBySequenceChain) {
   const Atom d(symbols->Intern("d"), {});
 
   IncrementalGroundingOptions incremental;
-  incremental.assemble_output = false;
   incremental.fallback_delta_fraction = 100.0;  // Stay on the delta path.
   IncrementalGrounder grounder(&*program, GroundingOptions{}, incremental);
   IncrementalSolver solver;
@@ -479,9 +475,7 @@ TEST(IncrementalSolverTest, MaxModelsCapIsHonoured) {
 
   SolverOptions options;
   options.max_models = 2;
-  IncrementalGroundingOptions incremental;
-  incremental.assemble_output = false;
-  IncrementalGrounder grounder(&*program, GroundingOptions{}, incremental);
+  IncrementalGrounder grounder(&*program);
   IncrementalSolver solver(options);
 
   const std::vector<Atom> facts = {Atom(on, {Term::Integer(1)}),

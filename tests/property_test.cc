@@ -700,9 +700,7 @@ TEST_P(GroundingOracleTest, GroundersMatchNaiveInstantiation) {
   }
 
   const Solver solver;
-  IncrementalGrounder assembled(&*program);
   IncrementalGroundingOptions delta_only;
-  delta_only.assemble_output = false;
   delta_only.fallback_delta_fraction = 100;
   IncrementalGrounder store_grounder(&*program, {}, delta_only);
   IncrementalSolver incremental_solver;
@@ -735,18 +733,7 @@ TEST_P(GroundingOracleTest, GroundersMatchNaiveInstantiation) {
     EXPECT_EQ(RenderModels(*cold_models, cold->atoms(), *symbols), oracle)
         << where;
 
-    // (b) the incremental grounder's assembled output.
-    StatusOr<const GroundProgram*> output =
-        assembled.GroundWindow(w, facts, hint);
-    ASSERT_TRUE(output.ok()) << where;
-    StatusOr<std::vector<AnswerSet>> assembled_models =
-        solver.Solve(**output);
-    ASSERT_TRUE(assembled_models.ok()) << where;
-    EXPECT_EQ(RenderModels(*assembled_models, (*output)->atoms(), *symbols),
-              oracle)
-        << where;
-
-    // (c) the incremental grounder's store, patched into the incremental
+    // (b) the incremental grounder's store, patched into the incremental
     // solver (never falling back after the first window).
     ASSERT_TRUE(store_grounder.GroundWindow(w, facts, hint).ok()) << where;
     std::vector<AnswerSet> store_models;

@@ -174,27 +174,30 @@ TEST_F(ReasonerTest, TripleWindowPipelineConvertsAndSolves) {
   EXPECT_GE(result->convert_ms, 0.0);
 }
 
-TEST_F(ReasonerTest, DeltaOnlyGrounderWithoutSolverIsRejected) {
+TEST_F(ReasonerTest, UnpairedReuseEnginesAreRejected) {
   StatusOr<Program> program =
       MakeTrafficProgram(symbols_, TrafficProgramVariant::kP, false);
   ASSERT_TRUE(program.ok());
   Reasoner reasoner(&*program);
-  IncrementalGroundingOptions delta_only;
-  delta_only.assemble_output = false;
-  IncrementalGrounder grounder(&*program, {}, delta_only);
+  IncrementalGrounder grounder(&*program);
+  IncrementalSolver solver;
 
   TripleWindow window;
   window.items = {Triple{Term::Symbol(symbols_->Intern("newcastle")),
                          symbols_->Intern("average_speed"), Term::Integer(10)}};
-  // With no output assembled there is nothing for a cold solve to read.
+  // The reuse path is a grounder and a solver together: either alone
+  // has nothing to hand its window to.
   EXPECT_EQ(reasoner.Process(window, &grounder).status().code(),
             StatusCode::kInvalidArgument);
-  // Paired with an IncrementalSolver the same grounder is fine.
-  IncrementalSolver solver;
+  EXPECT_EQ(reasoner.Process(window, nullptr, &solver).status().code(),
+            StatusCode::kInvalidArgument);
+  // Neither engine saw the refused calls, so the pair starts clean.
+  EXPECT_FALSE(grounder.cache_valid());
   StatusOr<ReasonerResult> result =
       reasoner.Process(window, &grounder, &solver);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->answers.size(), 1u);
+  EXPECT_EQ(result->grounding.incremental_fallbacks, 1u);
 }
 
 TEST_F(ReasonerTest, PPrimeRule7FiresThroughDuplicatedPredicate) {

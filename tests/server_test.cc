@@ -122,6 +122,9 @@ TEST(WireTest, ParseRequestRejectsMalformedInput) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseRequest("open s1 reuse=maybe").status().code(),
             StatusCode::kInvalidArgument);
+  // Grounding-only reuse is gone: reuse is one path, reuse=solve.
+  EXPECT_EQ(ParseRequest("open s1 reuse=ground").status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseRequest("open s1 color=red").status().code(),
             StatusCode::kInvalidArgument);
   // Every session is a pooled lane: there is no sync shape to ask for,
@@ -1481,7 +1484,8 @@ class PayloadCollector {
   }
 
   /// Pops payloads until a reply ("ok ..."/"error ...") surfaces,
-  /// counting "event <session> result ..." payloads along the way.
+  /// counting and keeping "event <session> result ..." payloads along
+  /// the way.
   std::string AwaitReply() {
     std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
@@ -1495,7 +1499,10 @@ class PayloadCollector {
       std::string payload = std::move(payloads_.front());
       payloads_.pop_front();
       if (payload.rfind("event ", 0) == 0) {
-        if (payload.find(" result ") != std::string::npos) ++result_events_;
+        if (payload.find(" result ") != std::string::npos) {
+          ++result_events_;
+          results_.push_back(std::move(payload));
+        }
         continue;
       }
       return payload;
@@ -1507,11 +1514,26 @@ class PayloadCollector {
     return result_events_;
   }
 
+  /// The result events popped so far whose session is `session`, with
+  /// the "event <session> " prefix cut off.
+  std::vector<std::string> results_of(const std::string& session) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const std::string prefix = "event " + session + " ";
+    std::vector<std::string> out;
+    for (const std::string& payload : results_) {
+      if (payload.rfind(prefix, 0) == 0) {
+        out.push_back(payload.substr(prefix.size()));
+      }
+    }
+    return out;
+  }
+
  private:
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<std::string> payloads_;
   uint64_t result_events_ = 0;
+  std::vector<std::string> results_;
 };
 
 constexpr const char* kTinyProgram =
@@ -1695,10 +1717,10 @@ TEST(TransportTest, OverCapOpenOptionsAreRejectedAndTheServerSurvives) {
   connection->Receive(
       [&collector](std::string payload) { collector.Handle(std::move(payload)); });
 
-  // Each option would size memory or threads before the first push, and
-  // a program with inputs no triple can carry would fail every window:
-  // refused at the wire, with no session created, and the server keeps
-  // serving.
+  // Each option would size memory or threads before the first push, a
+  // program with inputs no triple can carry would fail every window, and
+  // reuse=ground names no reuse path (reuse=solve is the one): refused at
+  // the wire, with no session created, and the server keeps serving.
   constexpr const char* kTriplelessProgram =
       "#input gps/3, speed/2.\n"
       "seen(V) :- gps(V, X, Y), X > 0, Y > 0.\n"
@@ -1708,6 +1730,7 @@ TEST(TransportTest, OverCapOpenOptionsAreRejectedAndTheServerSurvives) {
       {"window=1048577", kTinyProgram},
       {"shards=65", kTinyProgram},
       {"max_inflight=65", kTinyProgram},
+      {"window=4 slide=2 reuse=ground", kTinyProgram},
       {"window=4", kTriplelessProgram}};
   for (const auto& [option, program] : kRefused) {
     SCOPED_TRACE(std::string(option) + "\n" + program);
@@ -1734,6 +1757,53 @@ TEST(TransportTest, OverCapOpenOptionsAreRejectedAndTheServerSurvives) {
           .ok());
   EXPECT_EQ(collector.AwaitReply(), "ok open normal v=1");
   EXPECT_EQ(server.num_sessions(), 2u);
+  connection->Close();
+}
+
+// A disjunctive program cannot take the reuse path (its shifted rules
+// break the incremental solver's slot mirroring), so reuse=solve reasons
+// it cold: no window reuses, and the result events are byte-identical to
+// a reuse=none session's over the same pushes.
+TEST(TransportTest, DisjunctiveProgramUnderReuseReasonsCold) {
+  StreamServer server;
+  std::unique_ptr<SessionTransport> connection = server.Connect();
+  PayloadCollector collector;
+  connection->Receive(
+      [&collector](std::string payload) { collector.Handle(std::move(payload)); });
+  constexpr const char* kDisjunctiveProgram =
+      "#input on/1.\np(X) | q(X) :- on(X).\n#show p/1, q/1.";
+
+  for (const char* session : {"cold", "warm"}) {
+    const std::string reuse =
+        std::string(session) == "warm" ? "reuse=solve" : "reuse=none";
+    ASSERT_TRUE(connection
+                    ->Send("open " + std::string(session) +
+                           " window=8 slide=2 " + reuse + "\n" +
+                           kDisjunctiveProgram)
+                    .ok());
+    EXPECT_EQ(collector.AwaitReply(),
+              "ok open " + std::string(session) + " v=1");
+    for (int batch = 0; batch < 6; ++batch) {
+      std::string push = "push " + std::string(session);
+      for (int i = 0; i < 4; ++i) {
+        push += "\non x" + std::to_string((batch * 4 + i) % 3);
+      }
+      ASSERT_TRUE(connection->Send(push).ok());
+      EXPECT_EQ(collector.AwaitReply(), "ok push " + std::string(session));
+    }
+    ASSERT_TRUE(connection->Send("flush " + std::string(session)).ok());
+    EXPECT_EQ(collector.AwaitReply(), "ok flush " + std::string(session));
+  }
+
+  const std::vector<std::string> cold = collector.results_of("cold");
+  EXPECT_FALSE(cold.empty());
+  EXPECT_EQ(collector.results_of("warm"), cold);
+  StatusOr<std::shared_ptr<StreamSession>> warm = server.FindSession("warm");
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  const PipelineStats reasoning = (*warm)->stats().engine.reasoning;
+  EXPECT_EQ(reasoning.windows, cold.size());
+  EXPECT_EQ(reasoning.incremental_windows, 0u);
+  EXPECT_EQ(reasoning.incremental_solve_windows, 0u);
   connection->Close();
 }
 

@@ -213,7 +213,7 @@ TEST_F(SubjectBucketTest, AnalysisPinsBucketCountsAndKeyPositions) {
 TEST_F(SubjectBucketTest, PartitionDifferentialMatchesSyncOracle) {
   // The acceptance sweep: P, P′, the network program and reachability ×
   // tumbling and sliding × num_shards {0, 1, 2, 4} × sync/async × reuse
-  // none/ground/solve, every transcript byte-identical to the unsharded
+  // none/solve, every transcript byte-identical to the unsharded
   // sync oracle. The traffic and network rules join each input on its
   // subject (P′'s r7 joins car_fire against many_cars, whose car_number
   // input is duplicated into every bucket), so those plans split every
@@ -224,11 +224,9 @@ TEST_F(SubjectBucketTest, PartitionDifferentialMatchesSyncOracle) {
   // patched in.
   struct Reuse {
     const char* name;
-    bool grounding;
-    bool solving;
+    bool on;
   };
-  const Reuse kReuse[] = {
-      {"none", false, false}, {"ground", true, false}, {"solve", false, true}};
+  const Reuse kReuse[] = {{"none", false}, {"solve", true}};
   struct Case {
     const char* name;
     Workload workload;
@@ -263,8 +261,7 @@ TEST_F(SubjectBucketTest, PartitionDifferentialMatchesSyncOracle) {
             config.pipeline.async = async;
             config.pipeline.max_inflight_windows = 4;
             ReasonerOptions& reasoner = config.pipeline.reasoner.reasoner;
-            reasoner.reuse_grounding = reuse.grounding;
-            reasoner.solving.reuse_solving = reuse.solving;
+            reasoner.solving.reuse_solving = reuse.on;
             EngineStats stats;
             std::vector<size_t> partitions;
             EXPECT_EQ(
@@ -280,7 +277,7 @@ TEST_F(SubjectBucketTest, PartitionDifferentialMatchesSyncOracle) {
             EXPECT_EQ(stats.num_partitions, expected);
             EXPECT_EQ(partitions,
                       std::vector<size_t>(partitions.size(), expected));
-            if (slide != 0 && !async && reuse.solving) {
+            if (slide != 0 && !async && reuse.on) {
               // The split delta keeps every partition's persistent
               // solver patching across windows, not rebuilding.
               EXPECT_GT(stats.reasoning.incremental_solve_windows, 0u);

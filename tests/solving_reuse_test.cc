@@ -3,7 +3,8 @@
 // solving reuse, and key buckets (num_shards) — all differentially
 // checked against the same configuration without reuse (byte-identical
 // transcripts), across slide sizes, programs P/P', shard counts, and with
-// grounding reuse both explicitly on and implied.
+// the grounding flag both set and unset (either flag selects the one
+// reuse path).
 
 #include <gtest/gtest.h>
 
@@ -86,6 +87,12 @@ TEST_F(SolvingReuseTest, ParallelReasonerSlidingWindowsMatchBatch) {
         ParallelReasonerOptions warm_options;
         warm_options.reasoner.solving.reuse_solving = true;
         warm_options.reasoner.reuse_grounding = explicit_grounding;
+        // A slide-50 delta (50 expired + 50 admitted facts) is as large as
+        // the window, so that leg raises fallback_delta_fraction above 1.0
+        // to replay; the others keep the default (0.5).
+        if (slide == 50) {
+          warm_options.reasoner.incremental.fallback_delta_fraction = 1.5;
+        }
         ParallelReasoner warm(&program, PartitioningPlan(1), warm_options);
         ParallelReasoner batch(&program, PartitioningPlan(1), {});
 
@@ -112,15 +119,17 @@ TEST_F(SolvingReuseTest, ParallelReasonerSlidingWindowsMatchBatch) {
         EXPECT_EQ(warm_answers, batch_answers);
         // The grounder's path on each leg. Every window either replays its
         // delta through the cache or regrounds. At slide 25 most windows
-        // replay. At slide 50 a delta (50 expired + 50 admitted facts) is
-        // over fallback_delta_fraction (0.5) of the window, and at slide ==
-        // size the windows tumble and carry no delta, so the grounder's own
-        // snapshot diff finds them too far apart: both reground every window.
+        // replay, and at slide 50 8 of the 11 do (measured on P and P′). At
+        // slide == size the windows tumble and carry no delta, so the
+        // grounder's own snapshot diff finds them too far apart and it
+        // regrounds every window.
         const size_t windows = windower.emitted_windows();
         EXPECT_EQ(reuse.incremental_windows + reuse.incremental_fallbacks,
                   windows);
         if (slide == 25) {
           EXPECT_GT(reuse.incremental_windows, windows / 2);
+        } else if (slide == 50) {
+          EXPECT_EQ(reuse.incremental_windows, 8u);
         } else {
           EXPECT_EQ(reuse.incremental_windows, 0u);
           EXPECT_EQ(reuse.incremental_fallbacks, windows);
@@ -139,31 +148,35 @@ TEST_F(SolvingReuseTest, SyncSlidingPipelineMatchesWithAndWithoutReuse) {
   base.window_slide = 50;
   base.async = false;
 
-  PipelineOptions ground_only = base;
-  ground_only.reasoner.reasoner.reuse_grounding = true;
+  PipelineOptions grounding_flag = base;
+  grounding_flag.reasoner.reasoner.reuse_grounding = true;
 
   PipelineOptions warm = base;
   warm.reasoner.reasoner.reuse_grounding = true;
   warm.reasoner.reasoner.solving.reuse_solving = true;
 
   PipelineStats baseline_stats;
-  PipelineStats ground_stats;
+  PipelineStats grounding_flag_stats;
   PipelineStats warm_stats;
   const std::string want =
       PipelineTranscript(program, base, stream, &baseline_stats);
-  const std::string ground_got =
-      PipelineTranscript(program, ground_only, stream, &ground_stats);
+  const std::string grounding_flag_got = PipelineTranscript(
+      program, grounding_flag, stream, &grounding_flag_stats);
   const std::string warm_got =
       PipelineTranscript(program, warm, stream, &warm_stats);
   EXPECT_FALSE(want.empty());
-  EXPECT_EQ(want, ground_got);
+  EXPECT_EQ(want, grounding_flag_got);
   EXPECT_EQ(want, warm_got);
 
-  // Solver counters move only on the reuse_solving run, and the
-  // overlapping windows must actually hit the patch path.
+  // Solver counters move only under reuse, and the overlapping windows
+  // must actually hit the patch path. Either flag selects the one reuse
+  // path, so the two reuse runs count the same work.
   EXPECT_EQ(baseline_stats.incremental_solve_windows, 0u);
-  EXPECT_EQ(ground_stats.incremental_solve_windows, 0u);
-  EXPECT_EQ(ground_stats.warm_start_hits, 0u);
+  EXPECT_EQ(grounding_flag_stats.incremental_windows,
+            warm_stats.incremental_windows);
+  EXPECT_EQ(grounding_flag_stats.incremental_solve_windows,
+            warm_stats.incremental_solve_windows);
+  EXPECT_EQ(grounding_flag_stats.warm_start_hits, warm_stats.warm_start_hits);
   EXPECT_GT(warm_stats.incremental_solve_windows, 0u);
   EXPECT_GT(warm_stats.solver_rules_retained, 0u);
   EXPECT_GT(warm_stats.solver_rules_new, 0u);
@@ -388,19 +401,28 @@ TEST_F(SolvingReuseTest, DisjunctiveProgramKeepsColdSolvePath) {
   base.window_size = 40;
   base.window_slide = 10;
 
-  PipelineOptions warm = base;
-  warm.reasoner.reasoner.solving.reuse_solving = true;
-
-  PipelineStats warm_stats;
   const std::string want = PipelineTranscript(*program, base, stream);
-  const std::string got =
-      PipelineTranscript(*program, warm, stream, &warm_stats);
   EXPECT_FALSE(want.empty());
-  EXPECT_EQ(want, got);
-  // The disjunctive guard must route everything through the cold solver.
-  EXPECT_EQ(warm_stats.incremental_solve_windows, 0u);
-  EXPECT_EQ(warm_stats.solve_rebuilds, 0u);
-  EXPECT_EQ(warm_stats.warm_start_hits, 0u);
+  // Reuse requested through either flag: the disjunctive guard routes
+  // every window through the cold path, grounder and solver alike.
+  for (const bool through_grounding_flag : {false, true}) {
+    SCOPED_TRACE(through_grounding_flag ? "reuse_grounding"
+                                        : "reuse_solving");
+    PipelineOptions warm = base;
+    if (through_grounding_flag) {
+      warm.reasoner.reasoner.reuse_grounding = true;
+    } else {
+      warm.reasoner.reasoner.solving.reuse_solving = true;
+    }
+    PipelineStats warm_stats;
+    EXPECT_EQ(PipelineTranscript(*program, warm, stream, &warm_stats), want);
+    EXPECT_GT(warm_stats.windows, 0u);
+    EXPECT_EQ(warm_stats.incremental_windows, 0u);
+    EXPECT_EQ(warm_stats.grounding_fallbacks, 0u);
+    EXPECT_EQ(warm_stats.incremental_solve_windows, 0u);
+    EXPECT_EQ(warm_stats.solve_rebuilds, 0u);
+    EXPECT_EQ(warm_stats.warm_start_hits, 0u);
+  }
 }
 
 }  // namespace

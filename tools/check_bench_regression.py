@@ -14,14 +14,13 @@ rather than silently skipping its gates.
     so the floor only catches order-of-magnitude regressions (a serialized
     pipeline, an accidental O(n^2) in the hot path), not scheduler noise.
   * ratio gates: machine-independent invariants between two runs of the
-    same document, e.g. grounding reuse must keep a >= 1.3x throughput
+    same document, e.g. the reuse path must keep a >= 1.5x throughput
     edge over the same sliding workload without reuse. Ratios divide out
     the host speed, so their bounds are tight. Each ratio may name the
     run field it divides via "field" (default "triples_per_sec"); time
-    fields put the slower run in the numerator, e.g. the solve-reuse gate
-    divides the grounding-reuse-only run's reason_ms_total (ground +
-    solve — comparable across the phase boundary reuse_solving moves) by
-    the reuse_solving run's, i.e. the reasoning-phase speedup.
+    fields put the slower run in the numerator, e.g. the
+    grounding-reuse-ground-cost gate divides the cold sliding run's
+    ground_ms_total by the reuse run's, i.e. the grounding-phase speedup.
   * ceilings: machine-independent upper bounds on a run field, used for
     the compact data plane's bytes_per_triple counter (retained window
     store + grounding atom table bytes per triple of the largest window)
@@ -41,7 +40,9 @@ rather than silently skipping its gates.
     with no tolerance derating. The sync leg's decided_groundings must
     count every partition grounding of its windows (each P' partition
     is stratified, so the grounder decides it and the solver is
-    skipped).
+    skipped), and the sliding reuse leg's incremental_windows must count
+    nearly every window (a leg that falls back every window would still
+    answer correctly, so only the count shows the replay path ran).
 
 Usage:
   check_bench_regression.py [--baseline bench/baseline.json] \
