@@ -22,7 +22,7 @@ void BM_GroundTrafficWindow(benchmark::State& state) {
   (void)format.DeclareInputPredicates(program->input_predicates());
   const std::vector<Triple> window =
       generator.GenerateWindow(static_cast<size_t>(state.range(0)));
-  const std::vector<Atom> facts = *format.ToFacts(window);
+  const std::vector<PackedFact> facts = *format.ToPackedFacts(window);
 
   for (auto _ : state) {
     Grounder grounder;
@@ -39,7 +39,7 @@ void BM_GroundTrafficWindowNoSimplify(benchmark::State& state) {
   SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols), {});
   DataFormatProcessor format;
   (void)format.DeclareInputPredicates(program->input_predicates());
-  const std::vector<Atom> facts = *format.ToFacts(
+  const std::vector<PackedFact> facts = *format.ToPackedFacts(
       generator.GenerateWindow(static_cast<size_t>(state.range(0))));
 
   GroundingOptions options;

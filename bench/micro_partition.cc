@@ -62,7 +62,7 @@ void BM_FormatConversion(benchmark::State& state) {
   const std::vector<Triple> window =
       fixture.generator.GenerateWindow(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(format.ToFacts(window));
+    benchmark::DoNotOptimize(format.ToPackedFacts(window));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

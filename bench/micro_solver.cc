@@ -135,20 +135,20 @@ constexpr char kSlidingReachProgram[] = R"(
 
 /// Sliding windows of random link/2 facts over a small node universe
 /// (dense transitive closure, the incremental grounder's target regime).
-std::vector<std::vector<Atom>> MakeSlidingReachWindows(SymbolTable& symbols,
-                                                       size_t window_size,
-                                                       size_t num_windows) {
+std::vector<std::vector<PackedFact>> MakeSlidingReachWindows(
+    SymbolTable& symbols, size_t window_size, size_t num_windows) {
   const SymbolId link = symbols.Intern("link");
   const size_t slide = std::max<size_t>(1, window_size / 16);
   Rng rng(2017);
-  std::vector<Atom> stream;
+  std::vector<PackedFact> stream;
   stream.reserve(window_size + slide * num_windows);
   for (size_t i = 0; i < window_size + slide * num_windows; ++i) {
-    stream.push_back(
-        Atom(link, {Term::Integer(static_cast<int64_t>(rng.NextBounded(48))),
-                    Term::Integer(static_cast<int64_t>(rng.NextBounded(48)))}));
+    const auto from = static_cast<int64_t>(rng.NextBounded(48));
+    const auto to = static_cast<int64_t>(rng.NextBounded(48));
+    stream.push_back(PackedFact{
+        link, 2, {PackedTerm::Integer(from), PackedTerm::Integer(to)}});
   }
-  std::vector<std::vector<Atom>> windows;
+  std::vector<std::vector<PackedFact>> windows;
   windows.reserve(num_windows);
   for (size_t w = 0; w < num_windows; ++w) {
     const size_t begin = w * slide;
@@ -162,13 +162,14 @@ void BM_SlidingReachSolveCold(benchmark::State& state) {
   SymbolTablePtr symbols = MakeSymbolTable();
   Parser parser(symbols);
   const Program program = *parser.ParseProgram(kSlidingReachProgram);
-  const std::vector<std::vector<Atom>> windows = MakeSlidingReachWindows(
-      *symbols, static_cast<size_t>(state.range(0)), 16);
+  const std::vector<std::vector<PackedFact>> windows =
+      MakeSlidingReachWindows(*symbols, static_cast<size_t>(state.range(0)),
+                              16);
   const Grounder grounder;
   const Solver solver;
   for (auto _ : state) {
     size_t total_models = 0;
-    for (const std::vector<Atom>& window : windows) {
+    for (const std::vector<PackedFact>& window : windows) {
       const StatusOr<GroundProgram> ground = grounder.Ground(program, window);
       if (!ground.ok()) std::abort();
       const StatusOr<std::vector<AnswerSet>> models = solver.Solve(*ground);
@@ -186,8 +187,9 @@ void RunSlidingReachIncremental(benchmark::State& state,
   SymbolTablePtr symbols = MakeSymbolTable();
   Parser parser(symbols);
   const Program program = *parser.ParseProgram(kSlidingReachProgram);
-  const std::vector<std::vector<Atom>> windows = MakeSlidingReachWindows(
-      *symbols, static_cast<size_t>(state.range(0)), 16);
+  const std::vector<std::vector<PackedFact>> windows =
+      MakeSlidingReachWindows(*symbols, static_cast<size_t>(state.range(0)),
+                              16);
   SolverOptions solver_options;
   solver_options.reuse_solving = true;
   solver_options.maintain_fixpoint = maintain_fixpoint;

@@ -32,12 +32,4 @@ std::string Atom::ToString(const SymbolTable& symbols) const {
   return out;
 }
 
-size_t Atom::Hash() const {
-  size_t h = std::hash<uint32_t>()(predicate_);
-  for (const Term& t : args_) {
-    h = HashCombine(h, t.Hash());
-  }
-  return h;
-}
-
 }  // namespace streamasp

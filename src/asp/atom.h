@@ -77,15 +77,9 @@ class Atom {
     return a.args_ < b.args_;
   }
 
-  size_t Hash() const;
-
  private:
   SymbolId predicate_ = kInvalidSymbol;
   std::vector<Term> args_;
-};
-
-struct AtomHash {
-  size_t operator()(const Atom& a) const { return a.Hash(); }
 };
 
 }  // namespace streamasp

@@ -166,6 +166,18 @@ class PackedTermArena {
   std::unordered_map<Term, uint32_t, TermHash> index_;
 };
 
+/// A ground input fact in packed form: predicate(args[0..arity)) with at
+/// most two argument words, the shape of a stream triple (subject,
+/// object). DataFormatProcessor fills one per triple and both grounders
+/// intern it straight from its words, so no Atom is built for a window.
+struct PackedFact {
+  static constexpr uint32_t kMaxArity = 2;
+
+  SymbolId predicate = kInvalidSymbol;
+  uint32_t arity = 0;
+  PackedTerm args[kMaxArity];
+};
+
 /// Hash functor mixing a packed word for unordered containers keyed by
 /// raw packed bits. splitmix64 finalizer: packed words differ in few bits
 /// (consecutive ints/symbols), so identity hashing would cluster buckets.

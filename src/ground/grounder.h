@@ -76,18 +76,6 @@ struct GroundingStats {
   }
 };
 
-/// An input fact in packed form: predicate(args[0..arity)) with at most
-/// two argument words, the shape of a stream triple (subject, object).
-/// The stream layer fills one per triple, so the grounder interns it
-/// straight from its words and no Atom is built.
-struct PackedFact {
-  static constexpr uint32_t kMaxArity = 2;
-
-  SymbolId predicate = kInvalidSymbol;
-  uint32_t arity = 0;
-  PackedTerm args[kMaxArity];
-};
-
 /// Bottom-up instantiator: turns a (safe) non-ground program plus input
 /// facts into an equivalent GroundProgram.
 ///

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdlib>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -22,8 +21,9 @@ constexpr uint32_t kNoPosition = static_cast<uint32_t>(-1);
 /// which resets the table. Bounds cache memory to O(live ground program).
 constexpr double kCompactGarbageFraction = 0.5;
 
-/// Net per-atom change between two fact multisets.
-using NetDelta = std::unordered_map<Atom, int64_t, AtomHash>;
+/// Net per-atom change between two fact multisets: one (atom id, change)
+/// entry per atom met, in the order first met.
+using NetDelta = std::vector<std::pair<GroundAtomId, int64_t>>;
 
 }  // namespace
 
@@ -44,7 +44,8 @@ class IncrementalGrounder::Engine {
         inc_(incremental),
         core_(program, &atoms_) {}
 
-  Status GroundWindow(uint64_t sequence, const std::vector<Atom>& facts,
+  Status GroundWindow(uint64_t sequence,
+                      const std::vector<PackedFact>& facts,
                       const FactDelta* delta, GroundingStats* stats);
 
   void Invalidate() { cache_valid_ = false; }
@@ -62,6 +63,8 @@ class IncrementalGrounder::Engine {
     support_.resize(count, 0);
     ext_pos_.resize(count, kNoPosition);
     body_rules_.resize(count);
+    window_counts_.resize(count, 0);
+    net_slot_.resize(count, kNoPosition);
   }
   void OnDerive(GroundAtomId id, int pred, uint32_t position) {
     atom_pred_[id] = pred;
@@ -83,12 +86,25 @@ class IncrementalGrounder::Engine {
   void RemoveBodyRefs(uint32_t slot);
 
   // --- per-window phases ---
-  Status ComputeNetDelta(const std::vector<Atom>& facts,
+  Status ComputeNetDelta(const std::vector<PackedFact>& facts,
                          const FactDelta* delta, NetDelta* net,
-                         bool* used_snapshot_diff) const;
+                         bool* used_snapshot_diff);
+  /// Adds `change` to atom `id`'s entry in `net`, made on first touch;
+  /// returns the entry's new value.
+  int64_t AddNet(GroundAtomId id, int64_t change, NetDelta* net) {
+    if (net_slot_[id] == kNoPosition) {
+      net_slot_[id] = static_cast<uint32_t>(net->size());
+      net->emplace_back(id, 0);
+    }
+    return (*net)[net_slot_[id]].second += change;
+  }
+  /// Ends a net computation: every net_slot_ mark goes back to kNoPosition.
+  void ReleaseNet(const NetDelta& net) {
+    for (const auto& [id, change] : net) net_slot_[id] = kNoPosition;
+  }
   Status ApplyNetDelta(const NetDelta& net);
-  Status CheckWindowCounts(const std::vector<Atom>& facts) const;
-  Status Rebuild(const std::vector<Atom>& facts);
+  Status CheckWindowCounts(const std::vector<PackedFact>& facts) const;
+  Status Rebuild(const std::vector<PackedFact>& facts);
 
   GroundingOptions options_;
   IncrementalGroundingOptions inc_;
@@ -115,8 +131,11 @@ class IncrementalGrounder::Engine {
                                        ///< windows (kills compact away).
   std::vector<uint32_t> dead_slots_;   ///< Kill batch awaiting compaction.
   size_t tombstoned_atoms_ = 0;
-  std::unordered_map<Atom, uint32_t, AtomHash> window_counts_;
+  std::vector<uint32_t> window_counts_;  ///< Atom id -> copies in window.
   size_t window_total_ = 0;
+  /// Atom id -> its entry in the net delta being computed; kNoPosition
+  /// between computations.
+  std::vector<uint32_t> net_slot_;
 
   /// Replay recipe of the last GroundWindow call (see ground_program.h).
   GroundingDelta delta_;
@@ -240,9 +259,8 @@ Status IncrementalGrounder::Engine::Emit(GroundRule rule) {
 }
 
 Status IncrementalGrounder::Engine::ComputeNetDelta(
-    const std::vector<Atom>& facts, const FactDelta* delta,
-    NetDelta* net, bool* used_snapshot_diff) const {
-  net->clear();
+    const std::vector<PackedFact>& facts, const FactDelta* delta,
+    NetDelta* net, bool* used_snapshot_diff) {
   // A snapshot diff counts as a *resync* only when the caller supplied a
   // hint that could not be used (chain gap after a kDropOldest eviction,
   // or an inconsistent hint): the computed delta is still exact, but
@@ -250,47 +268,42 @@ Status IncrementalGrounder::Engine::ComputeNetDelta(
   // as suspect. Hint-less callers diff every window by design — that is
   // the normal mode, not a resync.
   *used_snapshot_diff = false;
-  if (delta != nullptr && delta->previous_sequence == cached_sequence_) {
-    int64_t total_change = 0;
-    for (const Atom& a : delta->admitted) {
-      ++(*net)[a];
-      ++total_change;
-    }
-    for (const Atom& e : delta->expired) {
-      --(*net)[e];
-      --total_change;
-    }
-    // Validate the hint against the snapshot: totals must agree and no
-    // expiry may exceed the cached multiplicity. Inconsistent hints (or
-    // hints relative to a window this grounder never saw) fall through to
-    // the snapshot diff below.
-    bool consistent =
-        static_cast<int64_t>(window_total_) + total_change ==
-        static_cast<int64_t>(facts.size());
-    if (consistent) {
-      for (const auto& [atom, change] : *net) {
-        if (change >= 0) continue;
-        const auto it = window_counts_.find(atom);
-        const int64_t have =
-            it == window_counts_.end() ? 0 : static_cast<int64_t>(it->second);
-        if (have + change < 0) {
-          consistent = false;
-          break;
-        }
+  // A usable hint is relative to the cached window, agrees in totals and
+  // expires a sub-multiset of it: every expired fact is interned, and no
+  // more copies expire than the window holds. Only then are its
+  // admissions interned; any other hint falls through to the snapshot
+  // diff, which interns the window's facts alone.
+  bool consistent = delta != nullptr &&
+                    delta->previous_sequence == cached_sequence_ &&
+                    window_total_ + delta->admitted.size() ==
+                        facts.size() + delta->expired.size();
+  if (consistent) {
+    for (const PackedFact& e : delta->expired) {
+      const GroundAtomId id = atoms_.Lookup(e.predicate, e.args, e.arity);
+      if (id == kInvalidGroundAtom ||
+          AddNet(id, -1, net) + window_counts_[id] < 0) {
+        consistent = false;
+        break;
       }
     }
-    if (consistent) return OkStatus();
+  }
+  if (!consistent) {
+    *used_snapshot_diff = delta != nullptr;
+    ReleaseNet(*net);
     net->clear();
+    // Snapshot diff: net = multiset(facts) - multiset(cached window).
+    for (GroundAtomId id = 0; id < window_counts_.size(); ++id) {
+      if (window_counts_[id] != 0) {
+        AddNet(id, -static_cast<int64_t>(window_counts_[id]), net);
+      }
+    }
   }
-  *used_snapshot_diff = delta != nullptr;
-  // Snapshot diff: net = multiset(facts) - multiset(cached window).
-  for (const Atom& a : facts) ++(*net)[a];
-  for (const auto& [atom, count] : window_counts_) {
-    (*net)[atom] -= static_cast<int64_t>(count);
+  for (const PackedFact& fact : consistent ? delta->admitted : facts) {
+    const GroundAtomId id = core_.InternInputFact(fact, *this);
+    if (id == kInvalidGroundAtom) return core_.NonGroundInputFact(fact);
+    AddNet(id, 1, net);
   }
-  for (auto it = net->begin(); it != net->end();) {
-    it = it->second == 0 ? net->erase(it) : std::next(it);
-  }
+  ReleaseNet(*net);
   return OkStatus();
 }
 
@@ -302,20 +315,13 @@ Status IncrementalGrounder::Engine::ApplyNetDelta(const NetDelta& net) {
   // facts and regains them via a new rule firing takes the tombstone ->
   // re-append path and lands in the admission delta.
   std::vector<GroundAtomId> worklist;
-  for (const auto& [atom, change] : net) {
+  for (const auto& [id, change] : net) {
     if (change >= 0) continue;
-    const GroundAtomId id = atoms_.Lookup(atom);
-    if (id == kInvalidGroundAtom) {
-      return InternalError("expired fact was never interned");
-    }
     const uint32_t drop = static_cast<uint32_t>(-change);
-    auto it = window_counts_.find(atom);
-    if (it == window_counts_.end() || it->second < drop ||
-        support_[id] < drop) {
+    if (window_counts_[id] < drop || support_[id] < drop) {
       return InternalError("fact delta inconsistent with cached window");
     }
-    it->second -= drop;
-    if (it->second == 0) window_counts_.erase(it);
+    window_counts_[id] -= drop;
     support_[id] -= drop;
     delta_.fact_delta.emplace_back(id, change);
     if (support_[id] == 0 && derivable(id)) worklist.push_back(id);
@@ -328,11 +334,10 @@ Status IncrementalGrounder::Engine::ApplyNetDelta(const NetDelta& net) {
   }
   CompactStore();
 
-  for (const auto& [atom, change] : net) {
+  for (const auto& [id, change] : net) {
     if (change <= 0) continue;
-    STREAMASP_ASSIGN_OR_RETURN(const GroundAtomId id,
-                               core_.AddInputFact(atom, *this));
-    window_counts_[atom] += static_cast<uint32_t>(change);
+    core_.DeriveInputFact(id, *this);
+    window_counts_[id] += static_cast<uint32_t>(change);
     support_[id] += static_cast<uint32_t>(change);
     delta_.fact_delta.emplace_back(id, change);
   }
@@ -345,10 +350,17 @@ Status IncrementalGrounder::Engine::ApplyNetDelta(const NetDelta& net) {
 /// tested to uphold the invariant); the Debug and sanitizer CI legs run
 /// every differential test through this full comparison.
 Status IncrementalGrounder::Engine::CheckWindowCounts(
-    const std::vector<Atom>& facts) const {
+    const std::vector<PackedFact>& facts) const {
 #ifndef NDEBUG
-  std::unordered_map<Atom, uint32_t, AtomHash> expected;
-  for (const Atom& fact : facts) ++expected[fact];
+  std::vector<uint32_t> expected(window_counts_.size(), 0);
+  for (const PackedFact& fact : facts) {
+    const GroundAtomId id =
+        atoms_.Lookup(fact.predicate, fact.args, fact.arity);
+    if (id == kInvalidGroundAtom) {
+      return InternalError("a window fact was never interned");
+    }
+    ++expected[id];
+  }
   if (expected != window_counts_) {
     return InternalError(
         "window delta hint disagrees with the window's facts");
@@ -359,7 +371,8 @@ Status IncrementalGrounder::Engine::CheckWindowCounts(
   return OkStatus();
 }
 
-Status IncrementalGrounder::Engine::Rebuild(const std::vector<Atom>& facts) {
+Status IncrementalGrounder::Engine::Rebuild(
+    const std::vector<PackedFact>& facts) {
   // Atom interning restarts, but the previous window's population is the
   // best size estimate: reserve up front so the hot Intern loop never
   // rehashes mid-window.
@@ -377,22 +390,26 @@ Status IncrementalGrounder::Engine::Rebuild(const std::vector<Atom>& facts) {
   dead_slots_.clear();
   tombstoned_atoms_ = 0;
   window_counts_.clear();
+  net_slot_.clear();
 
   // The program's own facts become permanently supported store rules.
   STREAMASP_RETURN_IF_ERROR(core_.SeedProgramFacts(*this));
   // Window facts: derivable + supported, but their fact rules are not in
   // the cache (the delta's fact view carries them).
-  for (const Atom& fact : facts) {
-    STREAMASP_ASSIGN_OR_RETURN(const GroundAtomId id,
-                               core_.AddInputFact(fact, *this));
-    ++window_counts_[fact];
+  for (const PackedFact& fact : facts) {
+    const GroundAtomId id = core_.InternInputFact(fact, *this);
+    if (id == kInvalidGroundAtom) return core_.NonGroundInputFact(fact);
+    core_.DeriveInputFact(id, *this);
+    ++window_counts_[id];
     ++support_[id];
   }
   // A rebuild restarts slot numbering and atom interning, so the delta's
   // fact view is the full window multiset, not a diff.
-  for (const auto& [atom, count] : window_counts_) {
-    delta_.fact_delta.emplace_back(atoms_.Lookup(atom),
-                                   static_cast<int64_t>(count));
+  for (GroundAtomId id = 0; id < window_counts_.size(); ++id) {
+    if (window_counts_[id] != 0) {
+      delta_.fact_delta.emplace_back(
+          id, static_cast<int64_t>(window_counts_[id]));
+    }
   }
 
   // Every admission window starts at 0 after the reset, so everything
@@ -402,7 +419,7 @@ Status IncrementalGrounder::Engine::Rebuild(const std::vector<Atom>& facts) {
 }
 
 Status IncrementalGrounder::Engine::GroundWindow(
-    uint64_t sequence, const std::vector<Atom>& facts,
+    uint64_t sequence, const std::vector<PackedFact>& facts,
     const FactDelta* delta, GroundingStats* stats) {
   call_stats_ = GroundingStats{};
   if (!core_.prepared()) STREAMASP_RETURN_IF_ERROR(core_.Prepare());
@@ -417,12 +434,14 @@ Status IncrementalGrounder::Engine::GroundWindow(
       full = true;
     }
   }
+  // Until this window succeeds: partially applied state is unusable.
+  cache_valid_ = false;
   NetDelta net;
   bool resynced = false;
   if (!full) {
     STREAMASP_RETURN_IF_ERROR(ComputeNetDelta(facts, delta, &net, &resynced));
     size_t magnitude = 0;
-    for (const auto& [atom, change] : net) {
+    for (const auto& [id, change] : net) {
       magnitude += static_cast<size_t>(std::llabs(change));
     }
     if (static_cast<double>(magnitude) >
@@ -455,10 +474,7 @@ Status IncrementalGrounder::Engine::GroundWindow(
     if (status.ok()) status = CheckWindowCounts(facts);
     if (status.ok()) status = core_.Evaluate(/*full=*/false, *this);
   }
-  if (!status.ok()) {
-    cache_valid_ = false;  // Partially applied state is unusable.
-    return status;
-  }
+  STREAMASP_RETURN_IF_ERROR(status);
   window_total_ = facts.size();
   call_stats_.rules_retained =
       full ? 0 : store_before - call_stats_.rules_retracted;
@@ -483,7 +499,7 @@ IncrementalGrounder::IncrementalGrounder(
 IncrementalGrounder::~IncrementalGrounder() = default;
 
 Status IncrementalGrounder::GroundWindow(uint64_t sequence,
-                                         const std::vector<Atom>& facts,
+                                         const std::vector<PackedFact>& facts,
                                          const FactDelta* delta,
                                          GroundingStats* stats) {
   STREAMASP_RETURN_IF_ERROR(

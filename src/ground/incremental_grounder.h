@@ -67,15 +67,17 @@ class IncrementalGrounder {
   /// diff; a delta whose previous_sequence does not match the cached
   /// window (e.g. a kDropOldest eviction left a gap in the stream) or
   /// whose counts are inconsistent with the facts vector is ignored in
-  /// favour of the snapshot diff. A shape-consistent hint's *contents* are
+  /// favour of the snapshot diff, as is one that expires a fact the cached
+  /// window never held or more copies than it held; an ignored hint
+  /// interns nothing. A shape-consistent hint's *contents* are
   /// trusted in Release builds (supplying the above invariant is the
   /// query processor's contract, which stream_test's QueryProcessorTest
   /// cases pin down); Debug builds re-verify the applied delta against the
   /// facts multiset and fail the call on a lying hint.
   struct FactDelta {
     uint64_t previous_sequence = 0;
-    std::vector<Atom> expired;
-    std::vector<Atom> admitted;
+    std::vector<PackedFact> expired;
+    std::vector<PackedFact> admitted;
   };
 
   /// `program` must outlive the grounder and must not change between
@@ -88,14 +90,14 @@ class IncrementalGrounder {
   IncrementalGrounder& operator=(const IncrementalGrounder&) = delete;
 
   /// Grounds the window with sequence number `sequence` holding exactly
-  /// `facts` (ground atoms; duplicates allowed and counted as duplicate
-  /// fact rules, mirroring Grounder) into the cached store and publishes
+  /// `facts` (ground; duplicates allowed and counted as duplicate fact
+  /// rules, mirroring Grounder) into the cached store and publishes
   /// the change as last_delta(). `delta` optionally carries the
   /// windower's expired/admitted sets (see FactDelta); `stats` receives
   /// this call's counters, including the reuse counters (num_rules and
   /// num_facts count the raw store and the window's facts).
   Status GroundWindow(
-      uint64_t sequence, const std::vector<Atom>& facts,
+      uint64_t sequence, const std::vector<PackedFact>& facts,
       const FactDelta* delta = nullptr, GroundingStats* stats = nullptr);
 
   /// Drops the cache; the next GroundWindow fully regrounds. Called

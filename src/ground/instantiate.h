@@ -271,46 +271,57 @@ class InstantiationCore {
   /// set.
   bool decided() const { return deciding_ && !undecided_; }
 
-  /// Seeds one input fact: rejects a non-ground atom, else interns it as
-  /// derivable.
+  /// Seeds one input fact and emits its fact rule (once per distinct fact
+  /// while deciding). A non-ground atom is rejected.
   template <typename Client>
-  StatusOr<GroundAtomId> AddInputFact(const Atom& fact, Client& client) {
+  Status SeedInputFact(const Atom& fact, Client& client) {
     if (!fact.IsGround()) {
       return InvalidArgumentError("non-ground input fact: " +
                                   fact.ToString(program_->symbol_table()));
     }
-    return AddDerivedAtom(fact, client);
+    return EmitInputFact(AddDerivedAtom(fact, client), client);
   }
 
-  /// Seeds one input fact and emits its fact rule (once per distinct fact
-  /// while deciding).
+  /// As above, interning straight from the packed words.
   template <typename Client>
-  Status SeedInputFact(const Atom& fact, Client& client) {
-    STREAMASP_ASSIGN_OR_RETURN(const GroundAtomId id,
-                               AddInputFact(fact, client));
+  Status SeedInputFact(const PackedFact& fact, Client& client) {
+    const GroundAtomId id = InternInputFact(fact, client);
+    if (id == kInvalidGroundAtom) return NonGroundInputFact(fact);
+    if (!derivable_[id]) {
+      Derive(id, FactPredIndex(fact.predicate, fact.arity), client);
+    }
     return EmitInputFact(id, client);
   }
 
-  /// As above, interning straight from the packed words; the extension is
-  /// found through a short table of the facts' predicates.
+  /// Interns one packed input fact, not yet derivable. A non-ground one is
+  /// not interned: kInvalidGroundAtom, which NonGroundInputFact reports.
   template <typename Client>
-  Status SeedInputFact(const PackedFact& fact, Client& client) {
+  GroundAtomId InternInputFact(const PackedFact& fact, Client& client) {
     assert(fact.arity <= PackedFact::kMaxArity);
     for (uint32_t i = 0; i < fact.arity; ++i) {
       const PackedTerm word = fact.args[i];
       if (!word.has_value() || word.is_variable() ||
           (word.is_escape() && !word.ToTerm().IsGround())) {
-        return InvalidArgumentError(
-            "non-ground input fact of predicate " +
-            program_->symbol_table().NameOf(fact.predicate));
+        return kInvalidGroundAtom;
       }
     }
-    const GroundAtomId id =
-        Track(atoms_->Intern(fact.predicate, fact.args, fact.arity), client);
-    if (!derivable_[id]) {
-      Derive(id, FactPredIndex(fact.predicate, fact.arity), client);
-    }
-    return EmitInputFact(id, client);
+    return Track(atoms_->Intern(fact.predicate, fact.args, fact.arity),
+                 client);
+  }
+
+  Status NonGroundInputFact(const PackedFact& fact) const {
+    return InvalidArgumentError(
+        "non-ground input fact of predicate " +
+        program_->symbol_table().NameOf(fact.predicate));
+  }
+
+  /// Makes the interned input fact `id` derivable, if it is not yet; its
+  /// extension is found through a short table of the facts' predicates.
+  template <typename Client>
+  void DeriveInputFact(GroundAtomId id, Client& client) {
+    if (derivable_[id]) return;
+    const PredicateSignature sig = atoms_->Signature(id);
+    Derive(id, FactPredIndex(sig.name, sig.arity), client);
   }
 
   /// Un-derives `id`, tombstoning slot `position` of extension `pred`.

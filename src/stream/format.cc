@@ -27,37 +27,25 @@ Status DataFormatProcessor::DeclareInputPredicates(
   return OkStatus();
 }
 
-StatusOr<uint32_t> DataFormatProcessor::CheckTriple(
-    const Triple& triple) const {
-  auto it = arity_of_.find(triple.predicate);
-  if (it == arity_of_.end()) {
-    return InvalidArgumentError("undeclared stream predicate id " +
-                                std::to_string(triple.predicate));
-  }
-  const uint32_t arity = it->second;
-  if (arity == 1 && triple.object.has_value()) {
-    return InvalidArgumentError("unary predicate received an object");
-  }
-  if (arity == 2 && !triple.object.has_value()) {
-    return InvalidArgumentError("binary predicate missing an object");
-  }
-  return arity;
-}
-
-StatusOr<Atom> DataFormatProcessor::ToFact(const Triple& triple) const {
-  STREAMASP_ASSIGN_OR_RETURN(const uint32_t arity, CheckTriple(triple));
-  if (arity == 1) return Atom(triple.predicate, {triple.subject.ToTerm()});
-  return Atom(triple.predicate,
-              {triple.subject.ToTerm(), triple.object.ToTerm()});
-}
-
-StatusOr<std::vector<Atom>> DataFormatProcessor::ToFacts(
+StatusOr<std::vector<PackedFact>> DataFormatProcessor::ToPackedFacts(
     const std::vector<Triple>& items) const {
-  std::vector<Atom> facts;
+  std::vector<PackedFact> facts;
   facts.reserve(items.size());
-  for (const Triple& t : items) {
-    STREAMASP_ASSIGN_OR_RETURN(Atom fact, ToFact(t));
-    facts.push_back(std::move(fact));
+  for (const Triple& triple : items) {
+    auto it = arity_of_.find(triple.predicate);
+    if (it == arity_of_.end()) {
+      return InvalidArgumentError("undeclared stream predicate id " +
+                                  std::to_string(triple.predicate));
+    }
+    const uint32_t arity = it->second;
+    if (arity == 1 && triple.object.has_value()) {
+      return InvalidArgumentError("unary predicate received an object");
+    }
+    if (arity == 2 && !triple.object.has_value()) {
+      return InvalidArgumentError("binary predicate missing an object");
+    }
+    facts.push_back(
+        PackedFact{triple.predicate, arity, {triple.subject, triple.object}});
   }
   return facts;
 }

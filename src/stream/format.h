@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "asp/atom.h"
+#include "asp/packed_term.h"
 #include "stream/triple.h"
 #include "util/status.h"
 
@@ -33,16 +34,12 @@ class DataFormatProcessor {
   Status DeclareInputPredicates(
       const std::vector<PredicateSignature>& signatures);
 
-  /// Checks one triple without translating it: the arity of the fact it
-  /// maps to (1 or 2). Fails as ToFact does on undeclared predicates or
-  /// arity mismatches (missing/superfluous object).
-  StatusOr<uint32_t> CheckTriple(const Triple& triple) const;
-
-  /// Translates one triple to a ground fact (CheckTriple's checks).
-  StatusOr<Atom> ToFact(const Triple& triple) const;
-
-  /// Translates a whole window, preserving order.
-  StatusOr<std::vector<Atom>> ToFacts(const std::vector<Triple>& items) const;
+  /// Translates a window's triples, in order, to packed ground facts:
+  /// predicate(subject) or predicate(subject, object) by the declared
+  /// arity. Fails on an undeclared predicate or an arity mismatch
+  /// (missing/superfluous object).
+  StatusOr<std::vector<PackedFact>> ToPackedFacts(
+      const std::vector<Triple>& items) const;
 
   /// Reverse direction: renders an arity-1 or arity-2 ground atom as a
   /// triple (used when streaming answers onward). Fails for other arities

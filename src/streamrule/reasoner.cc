@@ -29,28 +29,18 @@ StatusOr<ReasonerResult> Reasoner::Process(
   ReasonerResult result;
   WallTimer total;
   WallTimer phase;
+  STREAMASP_ASSIGN_OR_RETURN(const std::vector<PackedFact> facts,
+                             format_.ToPackedFacts(window.items));
   if (grounder == nullptr) {
-    // The cold path: each triple is checked once and handed over as its
-    // packed words, which the grounder interns without an Atom.
-    std::vector<PackedFact> packed;
-    packed.reserve(window.items.size());
-    for (const Triple& triple : window.items) {
-      STREAMASP_ASSIGN_OR_RETURN(const uint32_t arity,
-                                 format_.CheckTriple(triple));
-      packed.push_back(PackedFact{triple.predicate, arity,
-                                  {triple.subject, triple.object}});
-    }
     result.convert_ms = phase.ElapsedMillis();
     phase.Restart();
     STREAMASP_ASSIGN_OR_RETURN(
         const GroundProgram ground,
         Grounder(options_.grounding)
-            .Ground(*program_, packed, &result.grounding));
+            .Ground(*program_, facts, &result.grounding));
     result.ground_ms = phase.ElapsedMillis();
     STREAMASP_RETURN_IF_ERROR(SolveGround(ground, &result));
   } else {
-    STREAMASP_ASSIGN_OR_RETURN(const std::vector<Atom> facts,
-                               format_.ToFacts(window.items));
     // The windower's delta (when present and not the first window)
     // becomes the grounder's diff hint; conversion of the delta counts as
     // conversion time, as the paper requires for all data transformation.
@@ -64,9 +54,9 @@ StatusOr<ReasonerResult> Reasoner::Process(
         window.delta_base != TripleWindow::kNoDeltaBase) {
       delta.previous_sequence = window.delta_base;
       STREAMASP_ASSIGN_OR_RETURN(delta.expired,
-                                 format_.ToFacts(window.expired));
+                                 format_.ToPackedFacts(window.expired));
       STREAMASP_ASSIGN_OR_RETURN(delta.admitted,
-                                 format_.ToFacts(window.admitted));
+                                 format_.ToPackedFacts(window.admitted));
       delta_ptr = &delta;
     }
     result.convert_ms = phase.ElapsedMillis();
@@ -93,7 +83,7 @@ Status Reasoner::SolveGround(const GroundProgram& ground,
 }
 
 Status Reasoner::SolveIncremental(uint64_t sequence,
-                                  const std::vector<Atom>& facts,
+                                  const std::vector<PackedFact>& facts,
                                   IncrementalGrounder* grounder,
                                   IncrementalSolver* solver,
                                   ReasonerResult* result) const {

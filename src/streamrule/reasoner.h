@@ -73,16 +73,16 @@ class Reasoner {
 
   /// Full pipeline on a triple window: convert → ground → solve.
   ///
-  /// With a null `grounder` and `solver` the window is reasoned from
-  /// scratch (the cold path): each triple is checked and handed to the
-  /// Grounder as a PackedFact, with no Atom built, and a fresh Solver
-  /// solves the result. A non-null pair (caller-owned, one per
-  /// sub-stream, calls serialized by the caller) is the reuse path: the
-  /// grounder reuses the cached instantiation of the previous window,
-  /// with the window's expired/admitted delta (when present) converted
-  /// alongside the items as its diff hint, and the solver is patched with
-  /// the grounder's GroundingDelta. One without the other is
-  /// kInvalidArgument.
+  /// Each triple is checked and translated once to a PackedFact, with no
+  /// Atom built. With a null `grounder` and `solver` the window is
+  /// reasoned from scratch (the cold path): the Grounder interns the
+  /// facts and a fresh Solver solves the result. A non-null pair
+  /// (caller-owned, one per sub-stream, calls serialized by the caller)
+  /// is the reuse path: the grounder reuses the cached instantiation of
+  /// the previous window, with the window's expired/admitted delta (when
+  /// present) translated alongside the items as its diff hint, and the
+  /// solver is patched with the grounder's GroundingDelta. One without
+  /// the other is kInvalidArgument.
   StatusOr<ReasonerResult> Process(const TripleWindow& window,
                                    IncrementalGrounder* grounder = nullptr,
                                    IncrementalSolver* solver = nullptr) const;
@@ -96,7 +96,8 @@ class Reasoner {
   /// Warm tail: patches `solver` with the grounder's last delta and
   /// enumerates. A detectably out-of-sync mirror is repaired in place by
   /// invalidating both engines and regrounding the window once.
-  Status SolveIncremental(uint64_t sequence, const std::vector<Atom>& facts,
+  Status SolveIncremental(uint64_t sequence,
+                          const std::vector<PackedFact>& facts,
                           IncrementalGrounder* grounder,
                           IncrementalSolver* solver,
                           ReasonerResult* result) const;

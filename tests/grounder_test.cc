@@ -6,6 +6,7 @@
 
 #include "asp/parser.h"
 #include "ground/grounder.h"
+#include "packed_fact_test_util.h"
 #include "solve/solver.h"
 
 namespace streamasp {
@@ -445,19 +446,13 @@ TEST_F(GrounderTest, AtomAndPackedEntriesBuildIdenticalPrograms) {
   )");
   ASSERT_TRUE(program.ok()) << program.status();
   std::vector<Atom> atoms;
-  std::vector<PackedFact> packed;
   for (const char* text :
        {"speed(n1, 10)", "light(n1)", "speed(n2, 5)", "speed(n2, 5)",
         "speed(n3, 30)", "link(1, 2)", "link(2, 3)", "link(3, 1)",
         "light(n4)"}) {
-    const Atom atom = *parser_.ParseGroundAtom(text);
-    atoms.push_back(atom);
-    PackedFact fact{atom.predicate(), atom.arity(), {}};
-    for (uint32_t i = 0; i < atom.arity(); ++i) {
-      fact.args[i] = PackedTerm(atom.args()[i]);
-    }
-    packed.push_back(fact);
+    atoms.push_back(*parser_.ParseGroundAtom(text));
   }
+  const std::vector<PackedFact> packed = PackFacts(atoms);
   for (bool simplify : {true, false}) {
     GroundingOptions options;
     options.simplify = simplify;

@@ -16,6 +16,7 @@
 #include "asp/parser.h"
 #include "ground/grounder.h"
 #include "ground/incremental_grounder.h"
+#include "packed_fact_test_util.h"
 #include "solve/incremental_solver.h"
 #include "solve/solver.h"
 
@@ -90,7 +91,8 @@ class IncrementalGrounderTest : public ::testing::Test {
     StatusOr<std::vector<AnswerSet>> want_models = Solver().Solve(*reference);
     ASSERT_TRUE(want_models.ok()) << want_models.status();
     IncrementalGrounder& grounder = incremental.grounder;
-    const Status grounded = grounder.GroundWindow(sequence, facts, hint);
+    const Status grounded =
+        grounder.GroundWindow(sequence, PackFacts(facts), hint);
     ASSERT_TRUE(grounded.ok()) << grounded;
     std::vector<AnswerSet> got_models;
     const Status solved = incremental.solver.SolveWindow(
@@ -263,10 +265,11 @@ TEST_F(IncrementalGrounderTest, DeltaHintMatchesSnapshotDiff) {
     const IncrementalGrounder::FactDelta* hint_ptr = nullptr;
     if (sequence > 0) {
       hint.previous_sequence = sequence - 1;
-      hint.expired.assign(stream.begin() + (begin - slide),
-                          stream.begin() + begin);
-      hint.admitted.assign(stream.begin() + (begin - slide) + window,
-                           stream.begin() + begin + window);
+      hint.expired = PackFacts(std::vector<Atom>(
+          stream.begin() + (begin - slide), stream.begin() + begin));
+      hint.admitted = PackFacts(
+          std::vector<Atom>(stream.begin() + (begin - slide) + window,
+                            stream.begin() + begin + window));
       hint_ptr = &hint;
     }
     CheckWindow(program, with_hint, fresh, sequence, facts, hint_ptr);
@@ -293,6 +296,71 @@ TEST_F(IncrementalGrounderTest, InconsistentHintFallsBackToSnapshotDiff) {
   IncrementalGrounder::FactDelta bogus;
   bogus.previous_sequence = 0;
   CheckWindow(program, incremental, fresh, 1, w1, &bogus);
+}
+
+/// The windows high(first..first+7) of kJoinNegationProgram.
+std::vector<Atom> HighWindow(SymbolId high, int first) {
+  std::vector<Atom> facts;
+  for (int i = first; i < first + 8; ++i) {
+    facts.push_back(Atom(high, {Term::Integer(i)}));
+  }
+  return facts;
+}
+
+TEST_F(IncrementalGrounderTest, HintExpiringAFactNeverHeldFallsBack) {
+  // Shape-consistent lies (totals agree): each expires a fact the cached
+  // window never held, once one the table never interned and once a
+  // derived atom, and admits one the window does not hold. Each must be
+  // ignored for the snapshot diff, interning nothing of its own.
+  const Program program = MustParse(kJoinNegationProgram);
+  const SymbolId high = symbols_->Intern("high");
+  ReuseEngines lied_to(&program);
+  ReuseEngines twin(&program);
+  const Grounder fresh;
+  CheckWindow(program, lied_to, fresh, 0, HighWindow(high, 1), nullptr);
+  CheckWindow(program, twin, fresh, 0, HighWindow(high, 1), nullptr);
+  const std::vector<Atom> expired_lies = {
+      MakeAtom("high", {Term::Integer(20)}),
+      MakeAtom("alert", {Term::Integer(2)})};
+  for (uint64_t w = 1; w <= expired_lies.size(); ++w) {
+    SCOPED_TRACE("window " + std::to_string(w));
+    IncrementalGrounder::FactDelta lie;
+    lie.previous_sequence = w - 1;
+    lie.expired = PackFacts({expired_lies[w - 1]});
+    lie.admitted = PackFacts(
+        {MakeAtom("high", {Term::Integer(20 + static_cast<int>(w))})});
+    const std::vector<Atom> facts = HighWindow(high, static_cast<int>(w) + 1);
+    CheckWindow(program, lied_to, fresh, w, facts, &lie);
+    CheckWindow(program, twin, fresh, w, facts, nullptr);
+    EXPECT_FALSE(lied_to.grounder.last_delta().full_rebuild);
+    EXPECT_TRUE(lied_to.grounder.last_delta().resynced);
+    EXPECT_EQ(lied_to.grounder.atom_table().size(),
+              twin.grounder.atom_table().size());
+  }
+}
+
+TEST_F(IncrementalGrounderTest, HintExpiringMoreCopiesThanHeldFallsBack) {
+  // A shape-consistent lie expiring two copies of high(1), which the
+  // cached window holds once, and admitting a fact the window lacks.
+  const Program program = MustParse(kJoinNegationProgram);
+  const SymbolId high = symbols_->Intern("high");
+  ReuseEngines lied_to(&program);
+  ReuseEngines twin(&program);
+  const Grounder fresh;
+  CheckWindow(program, lied_to, fresh, 0, HighWindow(high, 1), nullptr);
+  CheckWindow(program, twin, fresh, 0, HighWindow(high, 1), nullptr);
+  IncrementalGrounder::FactDelta lie;
+  lie.previous_sequence = 0;
+  lie.expired = PackFacts({MakeAtom("high", {Term::Integer(1)}),
+                           MakeAtom("high", {Term::Integer(1)})});
+  lie.admitted = PackFacts({MakeAtom("high", {Term::Integer(9)}),
+                            MakeAtom("high", {Term::Integer(30)})});
+  CheckWindow(program, lied_to, fresh, 1, HighWindow(high, 2), &lie);
+  CheckWindow(program, twin, fresh, 1, HighWindow(high, 2), nullptr);
+  EXPECT_FALSE(lied_to.grounder.last_delta().full_rebuild);
+  EXPECT_TRUE(lied_to.grounder.last_delta().resynced);
+  EXPECT_EQ(lied_to.grounder.atom_table().size(),
+            twin.grounder.atom_table().size());
 }
 
 TEST_F(IncrementalGrounderTest, TumblingWindowsAlwaysFallBack) {

@@ -15,6 +15,7 @@
 #include "asp/parser.h"
 #include "ground/grounder.h"
 #include "ground/incremental_grounder.h"
+#include "packed_fact_test_util.h"
 #include "solve/incremental_solver.h"
 #include "solve/propagation_core.h"
 #include "solve/solver.h"
@@ -78,7 +79,7 @@ void CheckSlidingStream(const Program& program,
     SCOPED_TRACE("window " + std::to_string(w));
     GroundingStats gstats;
     const Status grounded =
-        grounder.GroundWindow(w, windows[w], nullptr, &gstats);
+        grounder.GroundWindow(w, PackFacts(windows[w]), nullptr, &gstats);
     ASSERT_TRUE(grounded.ok()) << grounded;
 
     std::vector<AnswerSet> models;
@@ -400,7 +401,7 @@ TEST(IncrementalSolverTest, OutOfSyncDeltaIsReportedNotMisapplied) {
   // A tiny fallback threshold would defeat the point: keep the default so
   // window 1's one-fact delta stays incremental.
   IncrementalGrounder grounder(&*program);
-  ASSERT_TRUE(grounder.GroundWindow(0, {a}).ok());
+  ASSERT_TRUE(grounder.GroundWindow(0, PackFacts({a})).ok());
   ASSERT_TRUE(grounder.GroundWindow(1, {}).ok());
   ASSERT_TRUE(grounder.last_delta().full_rebuild == false ||
               grounder.last_delta().retracted_slots.empty());
@@ -438,7 +439,7 @@ TEST(IncrementalSolverTest, DoubleAppliedDeltaIsRejectedBySequenceChain) {
   IncrementalSolver solver;
   std::vector<AnswerSet> models;
 
-  ASSERT_TRUE(grounder.GroundWindow(0, {a}).ok());
+  ASSERT_TRUE(grounder.GroundWindow(0, PackFacts({a})).ok());
   ASSERT_TRUE(solver
                   .SolveWindow(grounder.last_delta(),
                                grounder.cached_rules(),
@@ -446,7 +447,7 @@ TEST(IncrementalSolverTest, DoubleAppliedDeltaIsRejectedBySequenceChain) {
                   .ok());
   // Fact d feeds no rule, so window 1's delta carries an empty rule
   // delta — the store-size checks hold trivially on a replay.
-  ASSERT_TRUE(grounder.GroundWindow(1, {a, d}).ok());
+  ASSERT_TRUE(grounder.GroundWindow(1, PackFacts({a, d})).ok());
   ASSERT_FALSE(grounder.last_delta().full_rebuild);
   ASSERT_TRUE(grounder.last_delta().retracted_slots.empty());
   ASSERT_TRUE(solver
@@ -480,7 +481,7 @@ TEST(IncrementalSolverTest, MaxModelsCapIsHonoured) {
 
   const std::vector<Atom> facts = {Atom(on, {Term::Integer(1)}),
                                    Atom(on, {Term::Integer(2)})};
-  ASSERT_TRUE(grounder.GroundWindow(0, facts).ok());
+  ASSERT_TRUE(grounder.GroundWindow(0, PackFacts(facts)).ok());
   std::vector<AnswerSet> models;
   const Status status = solver.SolveWindow(
       grounder.last_delta(), grounder.cached_rules(),

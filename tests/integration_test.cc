@@ -11,7 +11,7 @@
 #include "asp/parser.h"
 #include "depgraph/decomposition.h"
 #include "ground/grounder.h"
-#include "stream/format.h"
+#include "packed_fact_test_util.h"
 #include "stream/generator.h"
 #include "stream/query_processor.h"
 #include "solve/solver.h"
@@ -177,19 +177,16 @@ TEST_F(IntegrationTest, DuplicationInflatesPartitionItemsForPPrime) {
   EXPECT_NEAR(overhead, 1.0 + 1.0 / 6.0, 0.05);
 }
 
-/// The packed form the reasoner's cold path hands the grounder.
-std::vector<PackedFact> PackedFactsOf(const Program& program,
-                                      const std::vector<Triple>& items) {
-  DataFormatProcessor format;
-  EXPECT_TRUE(format.DeclareInputPredicates(program.input_predicates()).ok());
-  std::vector<PackedFact> facts;
+/// The ground fact each triple stands for: p(s), or p(s, o) when it has
+/// an object.
+std::vector<Atom> AtomsOf(const std::vector<Triple>& items) {
+  std::vector<Atom> atoms;
   for (const Triple& triple : items) {
-    StatusOr<uint32_t> arity = format.CheckTriple(triple);
-    EXPECT_TRUE(arity.ok()) << arity.status();
-    facts.push_back(
-        PackedFact{triple.predicate, *arity, {triple.subject, triple.object}});
+    std::vector<Term> args = {triple.subject.ToTerm()};
+    if (triple.object.has_value()) args.push_back(triple.object.ToTerm());
+    atoms.emplace_back(triple.predicate, std::move(args));
   }
-  return facts;
+  return atoms;
 }
 
 TEST_F(IntegrationTest, SolverAgreesBetweenRawAndSimplifiedGrounding) {
@@ -239,8 +236,9 @@ TEST_F(IntegrationTest, PackedTrafficWindowsAreDecidedWithoutBlockedJams) {
       SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols_),
                                          options);
       const TripleWindow window = generator.GenerateTripleWindow(2000);
+      const std::vector<Atom> facts = AtomsOf(window.items);
       StatusOr<GroundProgram> packed =
-          Grounder().Ground(*program, PackedFactsOf(*program, window.items));
+          Grounder().Ground(*program, PackFacts(facts));
       ASSERT_TRUE(packed.ok()) << packed.status();
       EXPECT_TRUE(packed->decided());
       for (const GroundRule& rule : packed->rules()) {
@@ -263,12 +261,7 @@ TEST_F(IntegrationTest, PackedTrafficWindowsAreDecidedWithoutBlockedJams) {
       }
 
       // The Atom entry builds the identical program.
-      DataFormatProcessor format;
-      ASSERT_TRUE(
-          format.DeclareInputPredicates(program->input_predicates()).ok());
-      StatusOr<std::vector<Atom>> facts = format.ToFacts(window.items);
-      ASSERT_TRUE(facts.ok());
-      StatusOr<GroundProgram> from_atoms = Grounder().Ground(*program, *facts);
+      StatusOr<GroundProgram> from_atoms = Grounder().Ground(*program, facts);
       ASSERT_TRUE(from_atoms.ok());
       EXPECT_EQ(from_atoms->rules(), packed->rules());
       EXPECT_EQ(from_atoms->ToString(*symbols_), packed->ToString(*symbols_));
@@ -303,7 +296,7 @@ TEST_F(IntegrationTest, RecursiveReachWindowIsNotDecided) {
   schema[1].weight = 1.0;
   SyntheticStreamGenerator generator(schema, options);
   const std::vector<Triple> items = generator.GenerateWindow(1600);
-  const std::vector<PackedFact> facts = PackedFactsOf(*program, items);
+  const std::vector<PackedFact> facts = PackFacts(AtomsOf(items));
 
   GroundingStats decided_stats;
   StatusOr<GroundProgram> ground =

@@ -20,6 +20,7 @@
 #include "graph/graph.h"
 #include "ground/grounder.h"
 #include "ground/incremental_grounder.h"
+#include "packed_fact_test_util.h"
 #include "solve/incremental_solver.h"
 #include "solve/solver.h"
 #include "stream/query_processor.h"
@@ -712,9 +713,10 @@ TEST_P(GroundingOracleTest, GroundersMatchNaiveInstantiation) {
     IncrementalGrounder::FactDelta delta;
     delta.previous_sequence = w - 1;
     if (w > 0) {
-      delta.expired.assign(begin - static_cast<ptrdiff_t>(slide), begin);
-      delta.admitted.assign(facts.end() - static_cast<ptrdiff_t>(slide),
-                            facts.end());
+      delta.expired = PackFacts(
+          std::vector<Atom>(begin - static_cast<ptrdiff_t>(slide), begin));
+      delta.admitted = PackFacts(std::vector<Atom>(
+          facts.end() - static_cast<ptrdiff_t>(slide), facts.end()));
     }
     const IncrementalGrounder::FactDelta* hint = w > 0 ? &delta : nullptr;
     const std::string where = "window " + std::to_string(w) + " of\n" + text;
@@ -735,7 +737,8 @@ TEST_P(GroundingOracleTest, GroundersMatchNaiveInstantiation) {
 
     // (b) the incremental grounder's store, patched into the incremental
     // solver (never falling back after the first window).
-    ASSERT_TRUE(store_grounder.GroundWindow(w, facts, hint).ok()) << where;
+    ASSERT_TRUE(store_grounder.GroundWindow(w, PackFacts(facts), hint).ok())
+        << where;
     std::vector<AnswerSet> store_models;
     ASSERT_TRUE(incremental_solver
                     .SolveWindow(store_grounder.last_delta(),

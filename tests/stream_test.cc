@@ -40,10 +40,16 @@ TEST_F(FormatTest, BinaryRoundTrip) {
   const SymbolId speed = symbols_->Intern("average_speed");
   ASSERT_TRUE(format_.DeclarePredicate(speed, 2).ok());
   const Triple triple{Term::Integer(5), speed, Term::Integer(12)};
-  StatusOr<Atom> fact = format_.ToFact(triple);
-  ASSERT_TRUE(fact.ok());
-  EXPECT_EQ(fact->ToString(*symbols_), "average_speed(5,12)");
-  StatusOr<Triple> back = format_.ToTriple(*fact);
+  StatusOr<std::vector<PackedFact>> facts = format_.ToPackedFacts({triple});
+  ASSERT_TRUE(facts.ok());
+  ASSERT_EQ(facts->size(), 1u);
+  const PackedFact& fact = facts->front();
+  EXPECT_EQ(fact.predicate, speed);
+  EXPECT_EQ(fact.arity, 2u);
+  const Atom atom(fact.predicate,
+                  {fact.args[0].ToTerm(), fact.args[1].ToTerm()});
+  EXPECT_EQ(atom.ToString(*symbols_), "average_speed(5,12)");
+  StatusOr<Triple> back = format_.ToTriple(atom);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, triple);
 }
@@ -52,28 +58,45 @@ TEST_F(FormatTest, UnaryRoundTrip) {
   const SymbolId light = symbols_->Intern("traffic_light");
   ASSERT_TRUE(format_.DeclarePredicate(light, 1).ok());
   const Triple triple{Term::Integer(7), light, std::nullopt};
-  StatusOr<Atom> fact = format_.ToFact(triple);
-  ASSERT_TRUE(fact.ok());
-  EXPECT_EQ(fact->arity(), 1u);
+  StatusOr<std::vector<PackedFact>> facts = format_.ToPackedFacts({triple});
+  ASSERT_TRUE(facts.ok());
+  ASSERT_EQ(facts->size(), 1u);
+  EXPECT_EQ(facts->front().arity, 1u);
+  EXPECT_EQ(facts->front().args[0], PackedTerm::Integer(7));
+  EXPECT_FALSE(facts->front().args[1].has_value());
+  StatusOr<Triple> back =
+      format_.ToTriple(Atom(light, {facts->front().args[0].ToTerm()}));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, triple);
 }
 
 TEST_F(FormatTest, UndeclaredPredicateFails) {
-  const Triple triple{Term::Integer(1), symbols_->Intern("ghost"),
-                      std::nullopt};
-  EXPECT_EQ(format_.ToFact(triple).status().code(),
-            StatusCode::kInvalidArgument);
+  const SymbolId ghost = symbols_->Intern("ghost");
+  const Status status =
+      format_.ToPackedFacts({Triple{Term::Integer(1), ghost, std::nullopt}})
+          .status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "undeclared stream predicate id " + std::to_string(ghost));
 }
 
 TEST_F(FormatTest, ArityMismatchFails) {
   const SymbolId p = symbols_->Intern("p");
   ASSERT_TRUE(format_.DeclarePredicate(p, 2).ok());
   // Missing object.
-  EXPECT_FALSE(format_.ToFact(Triple{Term::Integer(1), p, std::nullopt}).ok());
+  const Status missing =
+      format_.ToPackedFacts({Triple{Term::Integer(1), p, std::nullopt}})
+          .status();
+  EXPECT_EQ(missing.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(missing.message(), "binary predicate missing an object");
   const SymbolId q = symbols_->Intern("q");
   ASSERT_TRUE(format_.DeclarePredicate(q, 1).ok());
   // Superfluous object.
-  EXPECT_FALSE(
-      format_.ToFact(Triple{Term::Integer(1), q, Term::Integer(2)}).ok());
+  const Status superfluous =
+      format_.ToPackedFacts({Triple{Term::Integer(1), q, Term::Integer(2)}})
+          .status();
+  EXPECT_EQ(superfluous.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(superfluous.message(), "unary predicate received an object");
 }
 
 TEST_F(FormatTest, RedeclarationMustAgree) {
@@ -94,9 +117,19 @@ TEST_F(FormatTest, ToFactsTranslatesWholeWindow) {
   std::vector<Triple> window = {
       Triple{Term::Integer(1), p, Term::Integer(2)},
       Triple{Term::Integer(3), p, Term::Integer(4)}};
-  StatusOr<std::vector<Atom>> facts = format_.ToFacts(window);
+  StatusOr<std::vector<PackedFact>> facts = format_.ToPackedFacts(window);
   ASSERT_TRUE(facts.ok());
-  EXPECT_EQ(facts->size(), 2u);
+  ASSERT_EQ(facts->size(), 2u);
+  for (size_t i = 0; i < window.size(); ++i) {
+    EXPECT_EQ((*facts)[i].predicate, p);
+    EXPECT_EQ((*facts)[i].arity, 2u);
+    EXPECT_EQ((*facts)[i].args[0], window[i].subject);
+    EXPECT_EQ((*facts)[i].args[1], window[i].object);
+  }
+  // A bad item fails the whole window.
+  window.push_back(Triple{Term::Integer(5), p, std::nullopt});
+  EXPECT_EQ(format_.ToPackedFacts(window).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(FormatTest, ToTripleRejectsBadAtoms) {

@@ -283,7 +283,6 @@ TEST_F(TermTest, AtomEqualityAndHash) {
   const Atom c(p, {Term::Integer(2)});
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
-  EXPECT_EQ(AtomHash()(a), AtomHash()(b));
 }
 
 TEST_F(TermTest, PredicateSignatureDistinguishesArity) {
