@@ -28,13 +28,21 @@
 // so their triples/s are only comparable to each other, which is exactly
 // how the CI regression gate consumes them (reuse-on vs reuse-off ratios).
 //
-// Usage: async_pipeline [items] [window_size]
+// Every leg has a name (async_pipeline --list-legs prints them, one per
+// line); --leg=<name> runs that leg alone, so a caller can time each leg
+// in a fresh process instead of on the heap the legs before it left
+// behind. The CI gate does that and hands every leg's document to
+// tools/check_bench_regression.py, which merges their runs.
+//
+// Usage: async_pipeline [items] [window_size] [--leg=<name> | --list-legs]
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -255,12 +263,33 @@ BenchRun RunSlidingReach(const SymbolTablePtr& symbols, size_t items,
   return run;
 }
 
+/// One timed leg: a name (unique across the bench) and the runs it adds.
+struct Leg {
+  std::string name;
+  std::function<void(std::vector<BenchRun>*)> run;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const size_t items = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 60000;
-  const size_t window_size =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2000;
+  std::vector<const char*> positional;
+  const char* only_leg = nullptr;
+  bool list_legs = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--leg=", 6) == 0) {
+      only_leg = argv[i] + 6;
+    } else if (std::strcmp(argv[i], "--list-legs") == 0) {
+      list_legs = true;
+    } else {
+      positional.push_back(argv[i]);
+    }
+  }
+  const size_t items = positional.size() > 0
+                           ? std::strtoull(positional[0], nullptr, 10)
+                           : 60000;
+  const size_t window_size = positional.size() > 1
+                                 ? std::strtoull(positional[1], nullptr, 10)
+                                 : 2000;
 
   SymbolTablePtr symbols = MakeSymbolTable();
   StatusOr<Program> program = MakeTrafficProgram(
@@ -277,58 +306,93 @@ int main(int argc, char** argv) {
                                      gen_options);
   const std::vector<Triple> stream = generator.GenerateWindow(items);
 
-  std::fprintf(stderr,
-               "async_pipeline bench: %zu items, window %zu, %u cores\n",
-               items, window_size, std::thread::hardware_concurrency());
-
-  std::vector<BenchRun> runs;
+  std::vector<Leg> legs;
   // Warm-up (first run pays allocator/page-fault costs), then measure.
-  RunOnce("sync", *program, stream, Tumbling(window_size, 0));
-  runs.push_back(RunOnce("sync", *program, stream, Tumbling(window_size, 0)));
+  legs.push_back({"sync", [&](std::vector<BenchRun>* runs) {
+                    RunOnce("sync", *program, stream, Tumbling(window_size, 0));
+                    runs->push_back(RunOnce("sync", *program, stream,
+                                            Tumbling(window_size, 0)));
+                  }});
   for (const size_t depth : {1, 2, 4, 8}) {
-    runs.push_back(
-        RunOnce("async", *program, stream, Tumbling(window_size, depth)));
+    legs.push_back({"async-" + std::to_string(depth),
+                    [&, depth](std::vector<BenchRun>* runs) {
+                      runs->push_back(RunOnce("async", *program, stream,
+                                              Tumbling(window_size, depth)));
+                    }});
   }
   // The shards axis: depth 4 at a bucket bound of 2, 4 and 8.
   for (const size_t shards : {2, 4, 8}) {
-    runs.push_back(RunOnce("sharded", *program, stream,
-                           Tumbling(window_size, 4, shards)));
+    legs.push_back({"sharded-" + std::to_string(shards),
+                    [&, shards](std::vector<BenchRun>* runs) {
+                      runs->push_back(
+                          RunOnce("sharded", *program, stream,
+                                  Tumbling(window_size, 4, shards)));
+                    }});
   }
-  // High-overlap sliding pair on the recursion-heavy reachability
+  // High-overlap sliding legs on the recursion-heavy reachability
   // workload: identical windows, cold vs the reuse path. Windows are kept
   // large relative to the pipeline's fixed per-window machinery so the
   // ratios measure reasoning, not dispatch overhead. The reuse gates
-  // compare the two legs' ground_ms_total and reason_ms_total.
+  // compare the cold and reuse legs' ground_ms_total and reason_ms_total.
+  // The patched leg runs the same persistent solver with delta-sized
+  // model maintenance disabled (every window recomputes the definite
+  // closure from the rule store); the maintained-fixpoint CI gate
+  // compares the reuse leg's reason_ms_total against it. The async leg
+  // runs the reuse leg on the async engine (inflight 4, private 4-thread
+  // pool). Each partition's grounder and solver see every window in order
+  // there too, so the async-reuse gates pin its grounding_fallbacks and
+  // solve_rebuilds to the reuse leg's and its reason_ms_total to within
+  // 2x of it.
   const size_t tc_items = std::max<size_t>(6400, items / 5);
   const size_t tc_window = std::min<size_t>(1600, tc_items / 4);
-  runs.push_back(
-      RunSlidingReach(symbols, tc_items, tc_window, /*reuse=*/false));
-  runs.push_back(
-      RunSlidingReach(symbols, tc_items, tc_window, /*reuse=*/true));
-  // Third leg: the same persistent solver but with delta-sized model
-  // maintenance disabled (PR 4's patched-rebuild behavior: every window
-  // recomputes the definite closure from the patched rule store). The
-  // maintained-fixpoint CI gate compares the previous leg's
-  // reason_ms_total against this one's.
-  runs.push_back(RunSlidingReach(symbols, tc_items, tc_window,
-                                 /*reuse=*/true,
-                                 /*maintain_fixpoint=*/false));
-  // Fourth leg: the second on the async engine (inflight 4, private
-  // 4-thread pool). Each partition's grounder and solver see every window
-  // in order there too, so the async-reuse gates pin its
-  // grounding_fallbacks and solve_rebuilds to the second leg's and its
-  // reason_ms_total to within 2x of it.
-  runs.push_back(RunSlidingReach(symbols, tc_items, tc_window,
-                                 /*reuse=*/true, /*maintain_fixpoint=*/true,
-                                 /*async_inflight=*/4));
+  struct SlidingLeg {
+    const char* name;
+    bool reuse;
+    bool maintain_fixpoint;
+    size_t async_inflight;
+  };
+  for (const SlidingLeg& sliding :
+       {SlidingLeg{"sliding-tc", false, true, 0},
+        SlidingLeg{"sliding-tc-reuse-solve", true, true, 0},
+        SlidingLeg{"sliding-tc-reuse-solve-patched", true, false, 0},
+        SlidingLeg{"sliding-tc-reuse-solve-async", true, true, 4}}) {
+    legs.push_back({sliding.name, [&, sliding](std::vector<BenchRun>* runs) {
+                      runs->push_back(RunSlidingReach(
+                          symbols, tc_items, tc_window, sliding.reuse,
+                          sliding.maintain_fixpoint,
+                          sliding.async_inflight));
+                    }});
+  }
   // Graceful-degradation legs: self-clocked flash-crowd overload against
   // an undersized kDropOldest pipeline (see RunBurstOverload), unbucketed
   // and at two buckets. Each is gated by a completeness minimum and an
   // unaccounted_windows ceiling in bench/baseline.json.
   for (const size_t shards : {0, 2}) {
-    runs.push_back(RunBurstOverload(*program, symbols, window_size, shards));
+    legs.push_back({"burst-overload-" + std::to_string(shards),
+                    [&, shards](std::vector<BenchRun>* runs) {
+                      runs->push_back(RunBurstOverload(*program, symbols,
+                                                       window_size, shards));
+                    }});
   }
 
+  if (list_legs) {
+    for (const Leg& leg : legs) std::printf("%s\n", leg.name.c_str());
+    return 0;
+  }
+  bool found = only_leg == nullptr;
+  for (const Leg& leg : legs) found = found || leg.name == only_leg;
+  if (!found) {
+    std::fprintf(stderr, "unknown leg %s (see --list-legs)\n", only_leg);
+    return 2;
+  }
+
+  std::fprintf(stderr,
+               "async_pipeline bench: %zu items, window %zu, %u cores\n",
+               items, window_size, std::thread::hardware_concurrency());
+  std::vector<BenchRun> runs;
+  for (const Leg& leg : legs) {
+    if (only_leg == nullptr || leg.name == only_leg) leg.run(&runs);
+  }
   bench::PrintBenchJson("async_pipeline", "traffic_pprime", items,
                         window_size, std::thread::hardware_concurrency(),
                         runs);

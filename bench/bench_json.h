@@ -53,9 +53,6 @@ struct BenchRun {
   uint64_t decided_groundings = 0;
   uint64_t incremental_solve_windows = 0;
   uint64_t solve_rebuilds = 0;
-  uint64_t solver_rules_retained = 0;
-  uint64_t solver_rules_retracted = 0;
-  uint64_t solver_rules_new = 0;
   uint64_t warm_start_hits = 0;
   uint64_t atoms_touched = 0;
   uint64_t assignments_reused = 0;
@@ -104,9 +101,6 @@ inline void FillFromEngineStats(const EngineStats& stats, BenchRun* run) {
   run->decided_groundings = stats.reasoning.decided_groundings;
   run->incremental_solve_windows = stats.reasoning.incremental_solve_windows;
   run->solve_rebuilds = stats.reasoning.solve_rebuilds;
-  run->solver_rules_retained = stats.reasoning.solver_rules_retained;
-  run->solver_rules_retracted = stats.reasoning.solver_rules_retracted;
-  run->solver_rules_new = stats.reasoning.solver_rules_new;
   run->warm_start_hits = stats.reasoning.warm_start_hits;
   run->atoms_touched = stats.reasoning.atoms_touched;
   run->assignments_reused = stats.reasoning.assignments_reused;
@@ -159,8 +153,7 @@ inline void PrintBenchJson(const char* bench_name, const char* workload,
         "\"grounding_rules_retracted\": %llu, "
         "\"grounding_rules_new\": %llu, \"decided_groundings\": %llu, "
         "\"incremental_solve_windows\": %llu, \"solve_rebuilds\": %llu, "
-        "\"solver_rules_retained\": %llu, \"solver_rules_retracted\": %llu, "
-        "\"solver_rules_new\": %llu, \"warm_start_hits\": %llu, "
+        "\"warm_start_hits\": %llu, "
         "\"atoms_touched\": %llu, \"assignments_reused\": %llu, "
         "\"fixpoint_maintained_windows\": %llu, "
         "\"atoms_touched_ratio\": %.4f, "
@@ -185,9 +178,6 @@ inline void PrintBenchJson(const char* bench_name, const char* workload,
         static_cast<unsigned long long>(run.decided_groundings),
         static_cast<unsigned long long>(run.incremental_solve_windows),
         static_cast<unsigned long long>(run.solve_rebuilds),
-        static_cast<unsigned long long>(run.solver_rules_retained),
-        static_cast<unsigned long long>(run.solver_rules_retracted),
-        static_cast<unsigned long long>(run.solver_rules_new),
         static_cast<unsigned long long>(run.warm_start_hits),
         static_cast<unsigned long long>(run.atoms_touched),
         static_cast<unsigned long long>(run.assignments_reused),

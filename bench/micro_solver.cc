@@ -200,9 +200,7 @@ void RunSlidingReachIncremental(benchmark::State& state,
     std::vector<AnswerSet> models;
     for (size_t w = 0; w < windows.size(); ++w) {
       if (!grounder.GroundWindow(w, windows[w]).ok()) std::abort();
-      const Status status = solver.SolveWindow(
-          grounder.last_delta(), grounder.cached_rules(),
-          grounder.atom_table().size(), &models);
+      const Status status = solver.SolveWindow(grounder, &models);
       if (!status.ok()) std::abort();
       total_models += models.size();
     }

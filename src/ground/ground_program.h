@@ -126,29 +126,36 @@ struct GroundRule {
   }
 };
 
-/// The window-to-window change of a persistent ground-rule store, as
-/// published by IncrementalGrounder after every GroundWindow call and
-/// consumed by IncrementalSolver to patch its search structures instead of
-/// rebuilding them. Atom ids are stable across the windows a delta spans:
-/// the producing grounder interns atoms into one persistent AtomTable, so
-/// solver-side per-atom indices survive (only a full_rebuild resets them).
+/// One step of a rule store's swap-compaction (see RuleStore::Compact):
+/// the killed slot and the head its rule had (kInvalidGroundAtom for a
+/// constraint). The head is published because the rule is gone by the
+/// time a consumer replays the step.
+struct RetractedSlot {
+  uint32_t slot = 0;
+  GroundAtomId head = kInvalidGroundAtom;
+};
+
+/// The window-to-window change of IncrementalGrounder's rule store, as
+/// published after every GroundWindow call and consumed by
+/// IncrementalSolver to keep its per-slot solve state aligned with the
+/// store it reads in place. Atom ids are stable across the windows a
+/// delta spans: the producing grounder interns atoms into one persistent
+/// AtomTable, so per-atom solve state survives (only a full_rebuild
+/// resets it).
 ///
-/// The store itself is a dense vector<GroundRule> kept compact by
-/// swap-compaction; the delta therefore describes an exact replay recipe
-/// rather than rule identities:
+/// The store is dense and kept compact by swap-compaction, so the delta
+/// is an exact replay recipe rather than a set of rule identities:
 ///   1. `retracted_slots` lists the killed slots in descending order —
-///      the exact order the producer compacted them. A consumer mirroring
-///      the store replays each step as "move the last rule into the hole
-///      (if distinct), then shrink by one", which keeps its own indices
-///      aligned with the producer's slot numbering.
-///   2. rules [new_rules_begin, store.size()) were appended this window.
-///   3. `fact_delta` is the net multiplicity change of the *window fact*
-///      rules, which live outside the store (they change every window).
+///      the order the store compacted them. A consumer replays each step
+///      as "move the last slot into the hole (if distinct), then shrink
+///      by one", which keeps its per-slot arrays aligned with the store.
+///   2. slots [new_rules_begin, store size) were appended this window.
+/// Window facts are ordinary store rules (one fact rule per distinct
+/// window-fact atom), so their admission and expiry are part of 1 and 2.
 struct GroundingDelta {
   /// The cache was rebuilt from scratch (first window, oversized delta,
   /// compaction, prior error): slot numbering and atom ids both restart,
-  /// so consumers must drop mirrored state and re-ingest the whole store.
-  /// fact_delta then carries the full window multiset as additions.
+  /// so consumers must drop their per-slot and per-atom state.
   bool full_rebuild = true;
 
   /// The producer recovered this window by snapshot diff because the
@@ -166,23 +173,19 @@ struct GroundingDelta {
   uint64_t sequence = 0;
 
   /// Sequence number of the cached window this delta transitions FROM
-  /// (meaningful iff !full_rebuild). Lets a mirroring consumer verify
-  /// the exactly-once-in-order application chain even when the rule
-  /// delta happens to be empty.
+  /// (meaningful iff !full_rebuild). Lets a consumer verify the
+  /// exactly-once-in-order application chain even when the rule delta
+  /// happens to be empty.
   uint64_t previous_sequence = 0;
 
   /// Store size before retraction, for consumer-side sync validation.
   size_t store_size_before = 0;
 
   /// Killed store slots in descending (compaction-replay) order.
-  std::vector<uint32_t> retracted_slots;
+  std::vector<RetractedSlot> retracted_slots;
 
-  /// First store index of this window's newly instantiated rules.
+  /// First store slot of this window's new rules.
   size_t new_rules_begin = 0;
-
-  /// Net change per window-fact atom: positive counts admit copies of the
-  /// fact rule {id.}, negative counts expire them.
-  std::vector<std::pair<GroundAtomId, int64_t>> fact_delta;
 };
 
 /// The output of grounding: a propositional (variable-free) program, its

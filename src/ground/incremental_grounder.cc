@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -35,7 +34,9 @@ using NetDelta = std::vector<std::pair<GroundAtomId, int64_t>>;
 ///    extensions (extensions are never final across windows) — the
 ///    solver's propagation recovers the lost pruning;
 ///  * emitted rules carry support/dependency bookkeeping so expired facts
-///    retract their dependent instances (support counting).
+///    retract their dependent instances (support counting);
+///  * the rule store also holds one fact rule per distinct window-fact
+///    atom, so it is the whole window program the solver reads.
 class IncrementalGrounder::Engine {
  public:
   Engine(const Program* program, GroundingOptions options,
@@ -51,7 +52,7 @@ class IncrementalGrounder::Engine {
   void Invalidate() { cache_valid_ = false; }
   bool cache_valid() const { return cache_valid_; }
   uint64_t cached_sequence() const { return cached_sequence_; }
-  const std::vector<GroundRule>& store() const { return store_; }
+  const RuleStore& store() const { return store_; }
   const AtomTable& atom_table() const { return atoms_; }
   const GroundingDelta& last_delta() const { return delta_; }
   const GroundingStats& call_stats() const { return call_stats_; }
@@ -62,7 +63,7 @@ class IncrementalGrounder::Engine {
     atom_pred_.resize(count, -1);
     support_.resize(count, 0);
     ext_pos_.resize(count, kNoPosition);
-    body_rules_.resize(count);
+    store_.EnsureAtoms(count);
     window_counts_.resize(count, 0);
     net_slot_.resize(count, kNoPosition);
   }
@@ -77,13 +78,14 @@ class IncrementalGrounder::Engine {
   // --- dynamic cache primitives ---
   bool derivable(GroundAtomId id) const { return core_.derivable()[id]; }
   void RetractAtom(GroundAtomId id, std::vector<GroundAtomId>* worklist);
-  /// Marks a store rule dead (kills compact away in CompactStore).
+  /// Kills a store rule (the store compacts kills away in a batch) and
+  /// drops its heads' support.
   void KillRule(uint32_t slot, std::vector<GroundAtomId>* worklist);
-  /// Swap-compacts the marked dead slots out of the dense store.
-  void CompactStore();
-  /// Drops a dying rule's body references, each in O(1) through its back
-  /// position (swap-remove, as a scan for the slot would do it).
-  void RemoveBodyRefs(uint32_t slot);
+  /// The window-fact rule of atom `id`: added when the atom's window count
+  /// leaves 0, killed when it returns to 0. Neither touches support_,
+  /// which counts window copies directly.
+  void AddFactRule(GroundAtomId id);
+  void KillFactRule(GroundAtomId id);
 
   // --- per-window phases ---
   Status ComputeNetDelta(const std::vector<PackedFact>& facts,
@@ -104,6 +106,7 @@ class IncrementalGrounder::Engine {
   }
   Status ApplyNetDelta(const NetDelta& net);
   Status CheckWindowCounts(const std::vector<PackedFact>& facts) const;
+  Status CheckStore() const;
   Status Rebuild(const std::vector<PackedFact>& facts);
 
   GroundingOptions options_;
@@ -119,17 +122,11 @@ class IncrementalGrounder::Engine {
   std::vector<int> atom_pred_;         ///< Atom id -> predicate index.
   std::vector<uint32_t> support_;      ///< Deriving rules + window count.
   std::vector<uint32_t> ext_pos_;      ///< Atom id -> extension position.
-  std::vector<std::vector<uint32_t>> body_rules_;  ///< Atom -> rule slots.
-  /// The cached instantiation, kept dense by swap-compaction after each
-  /// retraction batch so its slots mirror the incremental solver's rules.
-  std::vector<GroundRule> store_;
-  /// Per store slot: where each positive-body literal's reference sits in
-  /// body_rules_ (a back position), so retraction and compaction touch
-  /// only the rules' own literals, never a scan of a whole list.
-  std::vector<IdList> body_ref_pos_;
-  std::vector<bool> alive_;            ///< Per store slot; all true between
-                                       ///< windows (kills compact away).
-  std::vector<uint32_t> dead_slots_;   ///< Kill batch awaiting compaction.
+  /// The cached instantiation plus the window-fact rules, kept dense by
+  /// swap-compaction after each retraction batch. Its positive lists are
+  /// the dependency index retraction follows.
+  RuleStore store_;
+  size_t fact_rules_ = 0;  ///< Window-fact rules in store_.
   size_t tombstoned_atoms_ = 0;
   std::vector<uint32_t> window_counts_;  ///< Atom id -> copies in window.
   size_t window_total_ = 0;
@@ -143,87 +140,33 @@ class IncrementalGrounder::Engine {
   GroundingStats call_stats_;
 };
 
-void IncrementalGrounder::Engine::RemoveBodyRefs(uint32_t slot) {
-  const IdList& body = store_[slot].positive_body;
-  IdList& positions = body_ref_pos_[slot];
-  for (uint32_t k = 0; k < body.size(); ++k) {
-    std::vector<uint32_t>& refs = body_rules_[body[k]];
-    // An empty list belongs to an atom retracted earlier in this batch
-    // (RetractAtom took its references).
-    if (refs.empty()) continue;
-    // The entry a front-to-back scan for `slot` would meet first: with a
-    // repeated body atom the rule owns several equal entries, and the
-    // lowest position among those not yet dropped goes.
-    uint32_t first = k;
-    for (uint32_t j = k + 1; j < body.size(); ++j) {
-      if (body[j] == body[k] && positions[j] < positions[first]) first = j;
-    }
-    // Literal `first` takes over literal k's entry; k's is the one gone.
-    const uint32_t hole = positions[first];
-    positions[first] = positions[k];
-    positions[k] = kNoPosition;
-    // Swap-remove: the last entry fills the hole, and its owner's back
-    // position follows it.
-    const uint32_t tail = static_cast<uint32_t>(refs.size() - 1);
-    if (hole != tail) {
-      const uint32_t owner = refs[tail];
-      refs[hole] = owner;
-      const IdList& owner_body = store_[owner].positive_body;
-      IdList& owner_positions = body_ref_pos_[owner];
-      for (uint32_t j = 0; j < owner_body.size(); ++j) {
-        if (owner_body[j] == body[k] && owner_positions[j] == tail) {
-          owner_positions[j] = hole;
-          break;
-        }
-      }
-    }
-    refs.pop_back();
-  }
-}
-
 void IncrementalGrounder::Engine::KillRule(
     uint32_t slot, std::vector<GroundAtomId>* worklist) {
-  assert(alive_[slot]);
-  alive_[slot] = false;
+  store_.Kill(slot);
   ++call_stats_.rules_retracted;
-  RemoveBodyRefs(slot);
-  for (GroundAtomId h : store_[slot].head) {
+  for (GroundAtomId h : store_.rule(slot).head) {
     assert(support_[h] > 0);
     if (--support_[h] == 0 && derivable(h)) worklist->push_back(h);
   }
-  dead_slots_.push_back(slot);
 }
 
-void IncrementalGrounder::Engine::CompactStore() {
-  if (dead_slots_.empty()) return;
-  // Highest slot first: the rule pulled into each hole is then always
-  // alive, so body references need retargeting exactly once.
-  std::sort(dead_slots_.begin(), dead_slots_.end(),
-            std::greater<uint32_t>());
-  // Publish the exact replay order so a mirroring consumer (the
-  // incremental solver) can apply the identical swap-compaction and keep
-  // its rule indices aligned with the store's slot numbering.
-  delta_.retracted_slots.insert(delta_.retracted_slots.end(),
-                                dead_slots_.begin(), dead_slots_.end());
-  for (const uint32_t slot : dead_slots_) {
-    const uint32_t last = static_cast<uint32_t>(store_.size() - 1);
-    if (slot != last) {
-      // The moved rule's references sit at its back positions; relabel
-      // them in place.
-      const IdList& body = store_[last].positive_body;
-      const IdList& positions = body_ref_pos_[last];
-      for (uint32_t k = 0; k < body.size(); ++k) {
-        body_rules_[body[k]][positions[k]] = slot;
-      }
-      store_[slot] = std::move(store_[last]);
-      body_ref_pos_[slot] = std::move(body_ref_pos_[last]);
-      alive_[slot] = true;
+void IncrementalGrounder::Engine::AddFactRule(GroundAtomId id) {
+  store_.Add(GroundRule{{id}, {}, {}});
+  ++fact_rules_;
+}
+
+void IncrementalGrounder::Engine::KillFactRule(GroundAtomId id) {
+  // Any bodiless single-head rule for `id` will do: a program fact for the
+  // same atom is the identical rule, so the store's contents come out the
+  // same whichever of the two goes.
+  for (const uint32_t slot : store_.heads(id)) {
+    if (store_.rule(slot).is_fact()) {
+      store_.Kill(slot);
+      --fact_rules_;
+      return;
     }
-    store_.pop_back();
-    body_ref_pos_.pop_back();
-    alive_.pop_back();
   }
-  dead_slots_.clear();
+  assert(false && "window fact without its fact rule");
 }
 
 void IncrementalGrounder::Engine::RetractAtom(
@@ -233,27 +176,17 @@ void IncrementalGrounder::Engine::RetractAtom(
   ext_pos_[id] = kNoPosition;
   ++tombstoned_atoms_;
   // Dependent instances lose a positive-body atom that no current fact
-  // can derive: remove them (their heads may cascade).
-  std::vector<uint32_t> dependents = std::move(body_rules_[id]);
-  body_rules_[id].clear();
-  for (uint32_t slot : dependents) {
-    if (alive_[slot]) KillRule(slot, worklist);
-  }
+  // can derive: remove them (their heads may cascade). Each kill takes
+  // the rule's entries off the list, the last one included.
+  const std::vector<uint32_t>& dependents = store_.positive(id);
+  while (!dependents.empty()) KillRule(dependents.back(), worklist);
 }
 
 Status IncrementalGrounder::Engine::Emit(GroundRule rule) {
   STREAMASP_RETURN_IF_ERROR(ground_internal::CheckRuleLimit(
-      store_.size(), options_.max_ground_rules));
-  const uint32_t slot = static_cast<uint32_t>(store_.size());
-  IdList positions;
-  for (GroundAtomId b : rule.positive_body) {
-    positions.push_back(static_cast<uint32_t>(body_rules_[b].size()));
-    body_rules_[b].push_back(slot);
-  }
+      store_.size() - fact_rules_, options_.max_ground_rules));
   for (GroundAtomId h : rule.head) ++support_[h];
-  store_.push_back(std::move(rule));
-  body_ref_pos_.push_back(std::move(positions));
-  alive_.push_back(true);
+  store_.Add(std::move(rule));
   ++call_stats_.rules_new;
   return OkStatus();
 }
@@ -323,7 +256,7 @@ Status IncrementalGrounder::Engine::ApplyNetDelta(const NetDelta& net) {
     }
     window_counts_[id] -= drop;
     support_[id] -= drop;
-    delta_.fact_delta.emplace_back(id, change);
+    if (window_counts_[id] == 0) KillFactRule(id);
     if (support_[id] == 0 && derivable(id)) worklist.push_back(id);
   }
   while (!worklist.empty()) {
@@ -332,14 +265,18 @@ Status IncrementalGrounder::Engine::ApplyNetDelta(const NetDelta& net) {
     if (!derivable(id) || support_[id] != 0) continue;
     RetractAtom(id, &worklist);
   }
-  CompactStore();
+  store_.Compact(&delta_.retracted_slots);
+  // Retraction and compaction are done; everything appended from here on
+  // (admitted fact rules, then the delta replay's instances) is the
+  // window's new-rule tail.
+  delta_.new_rules_begin = store_.size();
 
   for (const auto& [id, change] : net) {
     if (change <= 0) continue;
     core_.DeriveInputFact(id, *this);
+    if (window_counts_[id] == 0) AddFactRule(id);
     window_counts_[id] += static_cast<uint32_t>(change);
     support_[id] += static_cast<uint32_t>(change);
-    delta_.fact_delta.emplace_back(id, change);
   }
   return OkStatus();
 }
@@ -371,6 +308,20 @@ Status IncrementalGrounder::Engine::CheckWindowCounts(
   return OkStatus();
 }
 
+/// Debug-only whole-store check after every window (see
+/// RuleStore::CheckConsistency), plus the window-fact rule count.
+Status IncrementalGrounder::Engine::CheckStore() const {
+#ifndef NDEBUG
+  STREAMASP_RETURN_IF_ERROR(store_.CheckConsistency());
+  size_t window_atoms = 0;
+  for (const uint32_t count : window_counts_) window_atoms += count != 0;
+  if (window_atoms != fact_rules_) {
+    return InternalError("window-fact rules disagree with the window");
+  }
+#endif
+  return OkStatus();
+}
+
 Status IncrementalGrounder::Engine::Rebuild(
     const std::vector<PackedFact>& facts) {
   // Atom interning restarts, but the previous window's population is the
@@ -383,33 +334,22 @@ Status IncrementalGrounder::Engine::Rebuild(
   atom_pred_.clear();
   support_.clear();
   ext_pos_.clear();
-  body_rules_.clear();
-  store_.clear();
-  body_ref_pos_.clear();
-  alive_.clear();
-  dead_slots_.clear();
+  store_.Clear();
+  fact_rules_ = 0;
   tombstoned_atoms_ = 0;
   window_counts_.clear();
   net_slot_.clear();
 
   // The program's own facts become permanently supported store rules.
   STREAMASP_RETURN_IF_ERROR(core_.SeedProgramFacts(*this));
-  // Window facts: derivable + supported, but their fact rules are not in
-  // the cache (the delta's fact view carries them).
+  // Window facts: derivable + supported (by their window counts), with
+  // one fact rule per distinct atom.
   for (const PackedFact& fact : facts) {
     const GroundAtomId id = core_.InternInputFact(fact, *this);
     if (id == kInvalidGroundAtom) return core_.NonGroundInputFact(fact);
     core_.DeriveInputFact(id, *this);
-    ++window_counts_[id];
+    if (window_counts_[id]++ == 0) AddFactRule(id);
     ++support_[id];
-  }
-  // A rebuild restarts slot numbering and atom interning, so the delta's
-  // fact view is the full window multiset, not a diff.
-  for (GroundAtomId id = 0; id < window_counts_.size(); ++id) {
-    if (window_counts_[id] != 0) {
-      delta_.fact_delta.emplace_back(
-          id, static_cast<int64_t>(window_counts_[id]));
-    }
   }
 
   // Every admission window starts at 0 after the reset, so everything
@@ -425,6 +365,7 @@ Status IncrementalGrounder::Engine::GroundWindow(
   if (!core_.prepared()) STREAMASP_RETURN_IF_ERROR(core_.Prepare());
 
   const size_t store_before = store_.size();
+  const size_t rules_before = store_before - fact_rules_;
   bool full = !cache_valid_;
   if (!full) {
     // Memory bound: retraction tombstones extension slots and leaks the
@@ -468,19 +409,17 @@ Status IncrementalGrounder::Engine::GroundWindow(
   } else {
     call_stats_.incremental_windows = 1;
     status = ApplyNetDelta(net);
-    // Retraction and compaction are done; everything the delta replay
-    // appends from here on is the window's new-rule tail.
-    delta_.new_rules_begin = store_.size();
     if (status.ok()) status = CheckWindowCounts(facts);
     if (status.ok()) status = core_.Evaluate(/*full=*/false, *this);
   }
+  if (status.ok()) status = CheckStore();
   STREAMASP_RETURN_IF_ERROR(status);
   window_total_ = facts.size();
   call_stats_.rules_retained =
-      full ? 0 : store_before - call_stats_.rules_retracted;
-  // Nothing is simplified here: the sizes are the raw store's plus the
-  // window's fact rules.
-  call_stats_.num_rules_raw = store_.size() + window_total_;
+      full ? 0 : rules_before - call_stats_.rules_retracted;
+  // Nothing is simplified here: the sizes count the instantiated rules
+  // plus one fact rule per window fact copy.
+  call_stats_.num_rules_raw = store_.size() - fact_rules_ + window_total_;
   call_stats_.num_rules = call_stats_.num_rules_raw;
   call_stats_.num_atoms = atoms_.size();
   call_stats_.num_facts = window_total_;
@@ -518,7 +457,7 @@ uint64_t IncrementalGrounder::cached_sequence() const {
   return engine_->cached_sequence();
 }
 
-const std::vector<GroundRule>& IncrementalGrounder::cached_rules() const {
+const RuleStore& IncrementalGrounder::cached_rules() const {
   return engine_->store();
 }
 

@@ -8,6 +8,7 @@
 #include "asp/program.h"
 #include "ground/ground_program.h"
 #include "ground/grounder.h"
+#include "ground/rule_store.h"
 #include "util/status.h"
 
 namespace streamasp {
@@ -36,8 +37,9 @@ struct IncrementalGroundingOptions {
 /// (ground/instantiate.h); this class is its retaining client. It owns
 /// only what is incremental: the net-delta computation and snapshot diff,
 /// support counting with retraction and swap-compaction of the rule
-/// store, and the published GroundingDelta that an IncrementalSolver
-/// replays (its only consumer).
+/// store, and the published GroundingDelta. The store is the partition's
+/// one copy of its ground program: an IncrementalSolver reads it in place
+/// and replays only the delta onto its per-slot solve state.
 ///
 /// Correctness model (see ARCHITECTURE.md, "Incremental window
 /// grounding"): the cache is an *overgrounded* program — instantiation
@@ -51,9 +53,9 @@ struct IncrementalGroundingOptions {
 /// removed transitively. Positive cycles can survive retraction
 /// unsupported; they are unfounded sets, which the solver falsifies, so
 /// over-retention never changes the answer sets. Net: for every window,
-/// the cached store plus one fact rule per window fact has exactly the
-/// stable models of Grounder::Ground(program, facts), while only the fact
-/// delta is ever re-instantiated.
+/// the cached store (which holds one fact rule per distinct window fact)
+/// has exactly the stable models of Grounder::Ground(program, facts),
+/// while only the fact delta is ever re-instantiated.
 ///
 /// Not thread-safe: one instance serves one (sub-)stream from one thread
 /// at a time. The parallel reasoner keeps one instance per partition, and
@@ -110,19 +112,21 @@ class IncrementalGrounder {
   /// Sequence number of the cached window (meaningful iff cache_valid()).
   uint64_t cached_sequence() const;
 
-  /// The persistent instantiation store (window facts excluded — those are
-  /// described by last_delta().fact_delta). Valid after a successful
-  /// GroundWindow, until the next GroundWindow/Invalidate call. Together
-  /// with the window's fact rules it is answer-equivalent to a cold
-  /// grounding of the window (see the class comment's correctness model).
-  const std::vector<GroundRule>& cached_rules() const;
+  /// The persistent rule store: the cached instantiation plus one fact
+  /// rule `a.` per distinct window-fact atom `a` (a fact the window holds
+  /// k times still has one fact rule; duplicate fact rules never change
+  /// stable models). Valid after a successful GroundWindow, until the next
+  /// GroundWindow/Invalidate call. By itself it is answer-equivalent to a
+  /// cold grounding of the window (see the class comment's correctness
+  /// model).
+  const RuleStore& cached_rules() const;
 
   /// The persistent atom table behind the cached rules' (stable) ids.
   const AtomTable& atom_table() const;
 
-  /// Replay recipe for the last GroundWindow call: what the window
-  /// retracted, appended, and changed among the fact rules. Feed to
-  /// IncrementalSolver::SolveWindow.
+  /// Replay recipe for the last GroundWindow call: which store slots the
+  /// window retracted (with their heads) and appended. IncrementalSolver
+  /// reads it with the store.
   const GroundingDelta& last_delta() const;
 
   /// Running totals over all GroundWindow calls on this instance.

@@ -9,25 +9,12 @@
 
 namespace streamasp {
 
-namespace {
-
-constexpr uint32_t kNoRule = static_cast<uint32_t>(-1);
-/// rule_origin_ tag for window-fact rules (not mirrored from the store).
-constexpr uint32_t kWindowFact = static_cast<uint32_t>(-1);
-
-}  // namespace
-
-/// The persistent engine: the shared PropagationCore in its patched-arena
-/// shape (rules and occurrence lists live across SolveWindow calls and
-/// are patched by GroundingDelta replay; removal swap-compacts the rule
-/// arrays the same way the grounder compacts its store), plus the
-/// store-slot/window-fact mirroring and warm-start bookkeeping that only
-/// make sense for a persistent engine:
-///   * rule_origin_/store_to_rule_ keep rule indices aligned with store
-///     slots through the grounder's exact swap-compaction order;
-///   * window facts are first-class rules (one per distinct fact atom,
-///     tracked in fact_rule_of_/fact_count_), so propagation and the
-///     unfounded-set pass need no special fact handling;
+/// The persistent engine: the shared PropagationCore pointed at the
+/// grounder's rule store, plus the delta replay and warm-start
+/// bookkeeping that only make sense for a persistent engine:
+///   * the core's per-slot arrays follow the store's swap-compaction
+///     through the delta (RetractSlot per retracted slot, AppendSlot per
+///     appended one), so they stay aligned with the store's slots;
 ///   * the previous window's model orders decision signs (guidance) and,
 ///     for the definite fragment, the model itself is *maintained* across
 ///     windows by the core's justification tracking — see SolveMaintained
@@ -36,8 +23,7 @@ class IncrementalSolver::Engine {
  public:
   explicit Engine(SolverOptions options) : options_(options) {}
 
-  Status SolveWindow(const GroundingDelta& delta,
-                     const std::vector<GroundRule>& store, size_t num_atoms,
+  Status SolveWindow(const IncrementalGrounder& grounder,
                      std::vector<AnswerSet>* models);
 
   void Invalidate() {
@@ -48,7 +34,6 @@ class IncrementalSolver::Engine {
   const SolverStats& call_stats() const { return call_stats_; }
 
  private:
-  using CoreRule = PropagationCore::CoreRule;
   using Val = PropagationCore::Val;
 
   /// Enumeration policy for the persistent engine: guided sign ordering
@@ -68,18 +53,9 @@ class IncrementalSolver::Engine {
     }
   };
 
-  // --- mirror maintenance ----------------------------------------------
-
-  void Reset();
-  void EnsureAtomCapacity(size_t num_atoms);
-  Status AddRule(const GroundRule& rule, uint32_t origin);
-  void AddFactRule(GroundAtomId atom);
-  void RemoveRule(uint32_t index);
-  Status ApplyFactDelta(
-      const std::vector<std::pair<GroundAtomId, int64_t>>& fact_delta,
-      bool rebuild);
-
-  // --- solving ----------------------------------------------------------
+  /// Replays an incremental delta onto the solve state; kFailedPrecondition
+  /// when it does not chain from the last one applied.
+  Status ApplyDelta(const GroundingDelta& delta, const RuleStore& store);
 
   Status Enumerate(std::vector<AnswerSet>* models);
 
@@ -110,15 +86,6 @@ class IncrementalSolver::Engine {
   /// empty and the size checks hold trivially).
   uint64_t last_sequence_ = 0;
 
-  /// Per rule: owning store slot, or kWindowFact for fact rules.
-  std::vector<uint32_t> rule_origin_;
-  /// Store slot -> rule index; size tracks the mirrored store exactly.
-  std::vector<uint32_t> store_to_rule_;
-  /// Per atom: its window-fact rule (kNoRule when the atom is not a
-  /// current window fact) and the fact's multiplicity.
-  std::vector<uint32_t> fact_rule_of_;
-  std::vector<uint32_t> fact_count_;
-
   /// Membership vector of the previous window's first model, used to
   /// order decision signs; meaningless unless has_prev_model_.
   std::vector<uint8_t> prev_model_;
@@ -127,102 +94,53 @@ class IncrementalSolver::Engine {
 };
 
 // ---------------------------------------------------------------------------
-// Mirror maintenance.
+// Delta replay.
 
-void IncrementalSolver::Engine::Reset() {
-  core_.Reset();
-  rule_origin_.clear();
-  store_to_rule_.clear();
-  fact_rule_of_.clear();
-  fact_count_.clear();
-  prev_model_.clear();
-  has_prev_model_ = false;
-}
-
-void IncrementalSolver::Engine::EnsureAtomCapacity(size_t num_atoms) {
-  if (num_atoms <= core_.num_atoms()) return;
-  fact_rule_of_.resize(num_atoms, kNoRule);
-  fact_count_.resize(num_atoms, 0);
-  prev_model_.resize(num_atoms, 0);
-  core_.EnsureAtomCapacity(num_atoms);
-}
-
-Status IncrementalSolver::Engine::AddRule(const GroundRule& rule,
-                                          uint32_t origin) {
-  if (rule.head.size() > 1) {
-    return InvalidArgumentError(
-        "incremental solving supports normal (non-disjunctive) programs "
-        "only; route disjunctive programs through the cold solver");
+Status IncrementalSolver::Engine::ApplyDelta(const GroundingDelta& delta,
+                                             const RuleStore& store) {
+  if (!valid_) {
+    return FailedPreconditionError(
+        "incremental delta against invalid solve state");
   }
-  CoreRule nr;
-  nr.head = rule.head.empty() ? CoreRule::kNoHead
-                              : static_cast<int32_t>(rule.head[0]);
-  nr.pos = rule.positive_body;
-  nr.neg = rule.negative_body;
-  core_.AddRule(std::move(nr));
-  rule_origin_.push_back(origin);
-  ++call_stats_.rules_new;
-  return OkStatus();
-}
-
-void IncrementalSolver::Engine::AddFactRule(GroundAtomId atom) {
-  assert(fact_rule_of_[atom] == kNoRule);
-  CoreRule nr;
-  nr.head = static_cast<int32_t>(atom);
-  const uint32_t r = core_.AddRule(std::move(nr));
-  rule_origin_.push_back(kWindowFact);
-  fact_rule_of_[atom] = r;
-  ++call_stats_.rules_new;
-}
-
-void IncrementalSolver::Engine::RemoveRule(uint32_t index) {
-  core_.RemoveRule(index);
-  ++call_stats_.rules_retracted;
-
-  // Mirror the core's swap-compaction on the origin bookkeeping: the old
-  // last rule (if any) moved into `index`.
-  const uint32_t last = static_cast<uint32_t>(rule_origin_.size() - 1);
-  if (index != last) {
-    const uint32_t origin = rule_origin_[last];
-    rule_origin_[index] = origin;
-    if (origin == kWindowFact) {
-      fact_rule_of_[core_.rule(index).head] = index;
-    } else {
-      store_to_rule_[origin] = index;
+  if (core_.store() != &store ||
+      core_.num_slots() != delta.store_size_before ||
+      store.num_atoms() < core_.num_atoms() ||
+      delta.previous_sequence != last_sequence_) {
+    Invalidate();
+    return FailedPreconditionError(
+        "solve state out of sync with the grounder store");
+  }
+  if (delta.resynced) {
+    // The grounder recovered this delta by snapshot diff (eviction gap
+    // or hint-chain break). The replay itself is exact, but the
+    // maintained model's incremental trust chain is deliberately reset
+    // here rather than relying on downstream desync detection; the next
+    // maintained window pays one O(program) rebuild, counted as a
+    // solve rebuild.
+    if (core_.maintained_valid()) {
+      core_.InvalidateMaintained();
+      ++call_stats_.solve_rebuilds;
     }
   }
-  rule_origin_.pop_back();
-}
+  core_.EnsureAtomCapacity(store.num_atoms());
+  ++call_stats_.incremental_solve_windows;
 
-Status IncrementalSolver::Engine::ApplyFactDelta(
-    const std::vector<std::pair<GroundAtomId, int64_t>>& fact_delta,
-    bool rebuild) {
-  for (const auto& [atom, change] : fact_delta) {
-    if (atom >= core_.num_atoms()) {
+  // Retraction: follow the store's swap-compaction, slot by slot.
+  for (const RetractedSlot& retracted : delta.retracted_slots) {
+    if (retracted.slot >= core_.num_slots()) {
+      Invalidate();
       return FailedPreconditionError(
-          "fact delta names an atom beyond the mirrored table");
+          "retracted slot beyond the solve state's slots");
     }
-    if (change > 0) {
-      if (fact_count_[atom] == 0) AddFactRule(atom);
-      fact_count_[atom] += static_cast<uint32_t>(change);
-    } else if (change < 0) {
-      if (rebuild) {
-        return FailedPreconditionError(
-            "full_rebuild delta cannot expire facts");
-      }
-      const uint32_t drop = static_cast<uint32_t>(-change);
-      if (fact_count_[atom] < drop) {
-        return FailedPreconditionError(
-            "fact delta expires more copies than the mirror holds");
-      }
-      fact_count_[atom] -= drop;
-      if (fact_count_[atom] == 0) {
-        const uint32_t rule = fact_rule_of_[atom];
-        fact_rule_of_[atom] = kNoRule;
-        RemoveRule(rule);
-      }
-    }
+    core_.RetractSlot(retracted.slot, retracted.head);
   }
+  if (core_.num_slots() != delta.new_rules_begin ||
+      store.size() < delta.new_rules_begin) {
+    Invalidate();
+    return FailedPreconditionError(
+        "solve state out of sync after retraction replay");
+  }
+  while (core_.num_slots() < store.size()) core_.AppendSlot();
   return OkStatus();
 }
 
@@ -279,18 +197,15 @@ bool IncrementalSolver::Engine::SolveMaintained(
 
 bool IncrementalSolver::Engine::SolveDefinite(
     std::vector<AnswerSet>* models) {
-  // Well-founded supported closure of the facts. Between windows the
-  // mirror is at rest (no assignments, body_false_ all zero), so the
-  // closure's body_false_ filter admits every live rule and the result
-  // is exactly the least model; over-retained positive cycles cannot
-  // self-support and correctly stay out of it.
-  core_.ComputeSupportClosure();
+  // Well-founded supported closure of the facts at rest: exactly the
+  // least model. Over-retained positive cycles cannot self-support and
+  // correctly stay out of it.
+  const std::vector<uint8_t>& least = core_.LeastModel();
   call_stats_.atoms_touched += core_.num_atoms();
 
   AnswerSet model;
-  const std::vector<uint8_t>& supported = core_.supported();
   for (GroundAtomId a = 0; a < core_.num_atoms(); ++a) {
-    if (supported[a]) model.atoms.push_back(a);
+    if (least[a]) model.atoms.push_back(a);
   }
   if (options_.verify_models && !core_.VerifyStable(model.atoms)) {
     return false;
@@ -303,100 +218,27 @@ bool IncrementalSolver::Engine::SolveDefinite(
 // Window entry point.
 
 Status IncrementalSolver::Engine::SolveWindow(
-    const GroundingDelta& delta, const std::vector<GroundRule>& store,
-    size_t num_atoms, std::vector<AnswerSet>* models) {
+    const IncrementalGrounder& grounder, std::vector<AnswerSet>* models) {
   call_stats_ = SolverStats{};
   models->clear();
+  const GroundingDelta& delta = grounder.last_delta();
+  const RuleStore& store = grounder.cached_rules();
 
-  if (delta.full_rebuild) {
-    Reset();
-    EnsureAtomCapacity(num_atoms);
-    ++call_stats_.solve_rebuilds;
-    store_to_rule_.reserve(store.size());
-    for (uint32_t s = 0; s < store.size(); ++s) {
-      store_to_rule_.push_back(static_cast<uint32_t>(core_.num_rules()));
-      const Status status = AddRule(store[s], s);
-      if (!status.ok()) {
-        valid_ = false;
-        return status;
-      }
-    }
-    const Status status = ApplyFactDelta(delta.fact_delta, /*rebuild=*/true);
-    if (!status.ok()) {
-      valid_ = false;
-      return status;
-    }
-  } else {
-    if (!valid_) {
-      return FailedPreconditionError(
-          "incremental delta against an invalid solver mirror");
-    }
-    if (store_to_rule_.size() != delta.store_size_before ||
-        num_atoms < core_.num_atoms() ||
-        delta.previous_sequence != last_sequence_) {
-      Invalidate();
-      return FailedPreconditionError(
-          "solver mirror out of sync with the grounder store");
-    }
-    if (delta.resynced) {
-      // The grounder recovered this delta by snapshot diff (eviction gap
-      // or hint-chain break). The replay itself is exact, but the
-      // maintained model's incremental trust chain is deliberately reset
-      // here rather than relying on downstream desync detection; the next
-      // maintained window pays one O(program) rebuild, counted as a
-      // solve rebuild.
-      if (core_.maintained_valid()) {
-        core_.InvalidateMaintained();
-        ++call_stats_.solve_rebuilds;
-      }
-    }
-    EnsureAtomCapacity(num_atoms);
-    ++call_stats_.incremental_solve_windows;
-    const size_t rules_before = core_.num_rules();
-
-    // Retraction: replay the grounder's swap-compaction on the slot map
-    // while unhooking each dead rule from the watch structures.
-    for (const uint32_t slot : delta.retracted_slots) {
-      if (slot >= store_to_rule_.size()) {
-        Invalidate();
-        return FailedPreconditionError(
-            "retracted slot beyond the mirrored store");
-      }
-      const uint32_t dead = store_to_rule_[slot];
-      const uint32_t last =
-          static_cast<uint32_t>(store_to_rule_.size() - 1);
-      if (slot != last) {
-        store_to_rule_[slot] = store_to_rule_[last];
-        rule_origin_[store_to_rule_[slot]] = slot;
-      }
-      store_to_rule_.pop_back();
-      RemoveRule(dead);
-    }
-    if (store_to_rule_.size() != delta.new_rules_begin ||
-        store.size() < delta.new_rules_begin) {
-      Invalidate();
-      return FailedPreconditionError(
-          "solver mirror out of sync after retraction replay");
-    }
-
-    for (uint32_t s = static_cast<uint32_t>(delta.new_rules_begin);
-         s < store.size(); ++s) {
-      store_to_rule_.push_back(static_cast<uint32_t>(core_.num_rules()));
-      const Status status = AddRule(store[s], s);
-      if (!status.ok()) {
-        valid_ = false;
-        return status;
-      }
-    }
-
-    const Status status =
-        ApplyFactDelta(delta.fact_delta, /*rebuild=*/false);
-    if (!status.ok()) {
-      valid_ = false;
-      return status;
-    }
-    call_stats_.rules_retained = rules_before - call_stats_.rules_retracted;
+  if (store.disjunctive_rules() != 0) {
+    valid_ = false;
+    return InvalidArgumentError(
+        "incremental solving supports normal (non-disjunctive) programs "
+        "only; route disjunctive programs through the cold solver");
   }
+  if (delta.full_rebuild) {
+    core_.Reset(&store);
+    prev_model_.clear();
+    has_prev_model_ = false;
+    ++call_stats_.solve_rebuilds;
+  } else {
+    STREAMASP_RETURN_IF_ERROR(ApplyDelta(delta, store));
+  }
+  prev_model_.resize(core_.num_atoms(), 0);
   valid_ = true;
   last_sequence_ = delta.sequence;
 
@@ -406,7 +248,7 @@ Status IncrementalSolver::Engine::SolveWindow(
 
   const Status status = Enumerate(models);
   if (!status.ok()) {
-    // The mirror survives a resource-limit abort, but a partial
+    // The solve state survives a resource-limit abort, but a partial
     // enumeration must not guide (or be compared against) anything.
     has_prev_model_ = false;
     return status;
@@ -437,13 +279,10 @@ IncrementalSolver::IncrementalSolver(SolverOptions options)
 
 IncrementalSolver::~IncrementalSolver() = default;
 
-Status IncrementalSolver::SolveWindow(const GroundingDelta& delta,
-                                      const std::vector<GroundRule>& store,
-                                      size_t num_atoms,
+Status IncrementalSolver::SolveWindow(const IncrementalGrounder& grounder,
                                       std::vector<AnswerSet>* models,
                                       SolverStats* stats) {
-  const Status status =
-      engine_->SolveWindow(delta, store, num_atoms, models);
+  const Status status = engine_->SolveWindow(grounder, models);
   if (status.ok()) {
     cumulative_.Accumulate(engine_->call_stats());
     if (stats != nullptr) *stats = engine_->call_stats();

@@ -5,29 +5,22 @@
 #include <memory>
 #include <vector>
 
-#include "ground/ground_program.h"
+#include "ground/incremental_grounder.h"
 #include "solve/solver.h"
 #include "util/status.h"
 
 namespace streamasp {
 
-/// Counters describing incremental solving — the solve-layer mirror of
-/// GroundingStats' reuse counters. All additive, so per-partition stats
-/// aggregate with Accumulate().
+/// Counters describing incremental solving. The rule-level reuse counts
+/// are the grounder's (GroundingStats): the solver reads the grounder's
+/// store in place and hooks no rules of its own. All additive, so
+/// per-partition stats aggregate with Accumulate().
 struct SolverStats {
-  /// Hooked rules carried over from the previous window unchanged (their
-  /// watch/occurrence entries were not touched).
-  size_t rules_retained = 0;
-  /// Rules unhooked by the window's delta (retracted store rules plus
-  /// expired window-fact rules).
-  size_t rules_retracted = 0;
-  /// Rules hooked in by the window's delta (new store rules plus admitted
-  /// window-fact rules). A rebuild counts the whole ingested program.
-  size_t rules_new = 0;
   /// SolveWindow calls that patched the persistent engine with a delta.
   size_t incremental_solve_windows = 0;
-  /// SolveWindow calls that re-ingested the full store (first window,
-  /// grounder fallback, prior error).
+  /// SolveWindow calls that restarted the solve state on a rebuilt store
+  /// (first window, grounder fallback, prior error), plus maintained
+  /// models dropped on a resynced delta.
   size_t solve_rebuilds = 0;
   /// Windows whose branch decisions were guided by the previous window's
   /// answer set.
@@ -47,9 +40,6 @@ struct SolverStats {
 
   /// Field-wise accumulation (every counter is additive).
   void Accumulate(const SolverStats& other) {
-    rules_retained += other.rules_retained;
-    rules_retracted += other.rules_retracted;
-    rules_new += other.rules_new;
     incremental_solve_windows += other.incremental_solve_windows;
     solve_rebuilds += other.solve_rebuilds;
     warm_start_hits += other.warm_start_hits;
@@ -61,56 +51,57 @@ struct SolverStats {
 
 /// Persistent, warm-started stable-model engine for overlapping windows.
 ///
-/// Solver::Solve rebuilds its normalized rule set, occurrence lists and
-/// counter arrays from scratch for every window, even when the
-/// incremental grounder reports that most rule instances were retained.
-/// IncrementalSolver keeps those structures alive across windows and
-/// patches them with the grounder's GroundingDelta: retracted store slots
-/// are unhooked by replaying the grounder's exact swap-compaction order
-/// (so rule indices stay aligned with store slots), new rules hook in at
-/// the tail, and window facts are maintained as their own fact rules from
-/// the delta's fact view. GroundAtomIds are stable across the windows a
-/// grounder cache spans, so all per-atom arrays survive untouched.
+/// Solver::Solve rebuilds its rule store and counter arrays from scratch
+/// for every window, even when the incremental grounder reports that most
+/// rule instances were retained. IncrementalSolver instead reads the
+/// grounder's rule store in place — the partition's one copy of its
+/// ground program, window-fact rules included — and keeps only solve
+/// state across windows: per-atom values and counters, and two per-slot
+/// arrays of the maintained fixpoint. Each window it replays the
+/// grounder's GroundingDelta onto those arrays: every retracted slot in
+/// the store's swap-compaction order (with the head the rule had), then
+/// the appended tail. GroundAtomIds are stable across the windows a
+/// grounder cache spans, so all per-atom arrays survive untouched, and a
+/// full rebuild only resizes the per-slot arrays.
 ///
-/// The engine solves the *unsimplified* cached store plus the window's
-/// fact rules. That is answer-equivalent to the cold path's simplified
-/// per-window output (simplification is equivalence-preserving, and the
-/// smodels-style propagation performs the same pruning during its initial
-/// fixpoint), so no per-window copy or simplification of the store is
-/// ever built.
+/// The store is the *unsimplified* cached instantiation. That is
+/// answer-equivalent to the cold path's simplified per-window output
+/// (simplification is equivalence-preserving, and the smodels-style
+/// propagation performs the same pruning during its initial fixpoint), so
+/// no per-window copy or simplification of the store is ever built.
 ///
 /// Search semantics: enumeration stays exact (chronological backtracking
 /// over both branches of every decision) and stable-model verification
 /// stays on per SolverOptions::verify_models, with persistent scratch
-/// buffers instead of Solver's per-model allocations. A definite mirror
-/// (no live negative literals, no constraints — tracked incrementally)
-/// short-circuits to its unique stable model, the well-founded supported
-/// closure of the facts, in one pass; verification still checks that
-/// closure from first principles, so the shortcut replaces only the
-/// search machinery, never the exactness argument. The previous
-/// window's answer set only *orders* each decision's sign — the branch
-/// agreeing with the previous model is explored first — so a barely
-/// changed window reaches its model with near-zero backtracking while
-/// completeness is untouched. Because guidance permutes discovery order,
-/// SolveWindow canonicalizes the returned models (sorted by their atom
-/// vectors); with max_models == 0 (enumerate all) the model *set* is
-/// therefore deterministic and byte-comparable against Solver::Solve
-/// after the same canonicalization — for the single-model (stratified)
-/// programs of the streaming workloads the output is identical as-is.
-/// With a max_models cap on a multi-model program the reuse path may
-/// return a different (equally valid) subset than the cold enumeration
-/// order would.
+/// buffers instead of Solver's per-model allocations. A definite store
+/// (no live negative literals, no constraints) short-circuits to its
+/// unique stable model, the least model of the rules, in one pass;
+/// verification still checks that closure from first principles, so the
+/// shortcut replaces only the search machinery, never the exactness
+/// argument. The previous window's answer set only *orders* each
+/// decision's sign — the branch agreeing with the previous model is
+/// explored first — so a barely changed window reaches its model with
+/// near-zero backtracking while completeness is untouched. Because
+/// guidance permutes discovery order, SolveWindow canonicalizes the
+/// returned models (sorted by their atom vectors); with max_models == 0
+/// (enumerate all) the model *set* is therefore deterministic and
+/// byte-comparable against Solver::Solve after the same canonicalization
+/// — for the single-model (stratified) programs of the streaming
+/// workloads the output is identical as-is. With a max_models cap on a
+/// multi-model program the reuse path may return a different (equally
+/// valid) subset than the cold enumeration order would.
 ///
-/// Scope: normal programs only. Disjunctive heads would shift into
-/// several normal rules per store slot and break the 1:1 slot mirroring,
-/// so the owning layer keeps the cold path for disjunctive programs (a
-/// static property of the non-ground program).
+/// Scope: normal programs only. A disjunctive rule in the store is
+/// refused (kInvalidArgument), so the owning layer keeps the cold path
+/// for disjunctive programs (a static property of the non-ground
+/// program).
 ///
-/// Contract: apply every successful GroundWindow's delta exactly once, in
-/// order. A skipped or failed window on either side is recovered by
-/// invalidating both engines (the grounder then rebuilds, publishing a
-/// full_rebuild delta that resets this mirror); SolveWindow reports a
-/// detectable mismatch as kFailedPrecondition.
+/// Contract: solve every successful GroundWindow of the grounder exactly
+/// once, in order, before its next GroundWindow. A skipped or failed
+/// window on either side is recovered by invalidating both engines (the
+/// grounder then rebuilds, publishing a full_rebuild delta that resets
+/// the solve state); SolveWindow reports a detectable mismatch as
+/// kFailedPrecondition.
 ///
 /// Not thread-safe: one instance serves one partition sub-stream from one
 /// thread at a time, exactly like IncrementalGrounder.
@@ -122,25 +113,24 @@ class IncrementalSolver {
   IncrementalSolver(const IncrementalSolver&) = delete;
   IncrementalSolver& operator=(const IncrementalSolver&) = delete;
 
-  /// Patches the persistent engine with `delta` (the producing grounder's
-  /// last_delta()), where `store` is that grounder's cached_rules() and
-  /// `num_atoms` its atom_table().size(), then enumerates the stable
-  /// models into `*models` (cleared first, canonical order). `stats`
-  /// receives this call's counters.
+  /// Replays `grounder`'s last_delta() onto the solve state, reading its
+  /// cached_rules() in place, then enumerates the stable models into
+  /// `*models` (cleared first, canonical order). `stats` receives this
+  /// call's counters.
   ///
-  /// Errors: kFailedPrecondition when the mirror is out of sync with the
-  /// delta (caller invalidates grounder + solver and regrounds);
+  /// Errors: kFailedPrecondition when the solve state is out of sync with
+  /// the delta (caller invalidates grounder + solver and regrounds);
   /// kInvalidArgument on a disjunctive rule; kResourceExhausted from the
-  /// max_decisions valve (the mirror stays usable).
-  Status SolveWindow(const GroundingDelta& delta,
-                     const std::vector<GroundRule>& store, size_t num_atoms,
+  /// max_decisions valve (the solve state stays usable).
+  Status SolveWindow(const IncrementalGrounder& grounder,
                      std::vector<AnswerSet>* models,
                      SolverStats* stats = nullptr);
 
-  /// Drops the mirror; the next SolveWindow requires a full_rebuild delta.
+  /// Drops the solve state; the next SolveWindow requires a full_rebuild
+  /// delta.
   void Invalidate();
 
-  /// True when the mirror can consume an incremental delta.
+  /// True when the solve state can consume an incremental delta.
   bool valid() const;
 
   /// Running totals over all SolveWindow calls on this instance.

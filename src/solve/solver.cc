@@ -19,31 +19,25 @@ enum class Val : int8_t { kUnknown = 0, kTrue = 1, kFalse = 2 };
 /// which is complete for head-cycle-free programs; every candidate of a
 /// shifted program is later checked for minimality against the original
 /// program. Sets *has_disjunction when any rule was shifted.
-std::vector<PropagationCore::CoreRule> NormalizeRules(
-    const GroundProgram& program, bool* has_disjunction) {
-  std::vector<PropagationCore::CoreRule> rules;
+std::vector<GroundRule> NormalizeRules(const GroundProgram& program,
+                                       bool* has_disjunction) {
+  std::vector<GroundRule> rules;
   rules.reserve(program.rules().size());
   *has_disjunction = false;
   for (const GroundRule& rule : program.rules()) {
     if (rule.head.size() <= 1) {
-      PropagationCore::CoreRule nr;
-      nr.head = rule.head.empty()
-                    ? PropagationCore::CoreRule::kNoHead
-                    : static_cast<int32_t>(rule.head[0]);
-      nr.pos = rule.positive_body;
-      nr.neg = rule.negative_body;
-      rules.push_back(std::move(nr));
+      rules.push_back(rule);
     } else {
       *has_disjunction = true;
       for (size_t i = 0; i < rule.head.size(); ++i) {
-        PropagationCore::CoreRule nr;
-        nr.head = static_cast<int32_t>(rule.head[i]);
-        nr.pos = rule.positive_body;
-        nr.neg = rule.negative_body;
+        GroundRule shifted;
+        shifted.head.push_back(rule.head[i]);
+        shifted.positive_body = rule.positive_body;
+        shifted.negative_body = rule.negative_body;
         for (size_t j = 0; j < rule.head.size(); ++j) {
-          if (j != i) nr.neg.push_back(rule.head[j]);
+          if (j != i) shifted.negative_body.push_back(rule.head[j]);
         }
-        rules.push_back(std::move(nr));
+        rules.push_back(std::move(shifted));
       }
     }
   }
@@ -273,11 +267,10 @@ StatusOr<std::vector<AnswerSet>> Solver::Solve(
   }
 
   bool has_disjunction = false;
-  std::vector<PropagationCore::CoreRule> rules =
-      NormalizeRules(program, &has_disjunction);
-
+  RuleStore store;
+  store.Build(NormalizeRules(program, &has_disjunction), program.num_atoms());
   PropagationCore core;
-  core.BuildFromRules(std::move(rules), program.num_atoms());
+  core.Reset(&store);
 
   ColdSolveClient client{program,
                          has_disjunction || options_.verify_models};

@@ -21,8 +21,9 @@ size_t ResolveThreadCount(size_t requested) {
 /// Resolves the reuse knobs once, before any engine is built. Either flag
 /// selects the one reuse path (an incremental grounder paired with an
 /// incremental solver), and both flags are set to the outcome. A
-/// disjunctive program reasons cold: its shifted rules would break the
-/// solver's 1:1 store-slot mirroring (see solve/incremental_solver.h).
+/// disjunctive program reasons cold: the incremental solver reads the
+/// grounder's store in place and takes normal rules only (see
+/// solve/incremental_solver.h).
 ReasonerOptions ResolveReuseOptions(const Program* program,
                                     ReasonerOptions options) {
   bool reuse = options.reuse_grounding || options.solving.reuse_solving;

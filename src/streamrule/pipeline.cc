@@ -521,9 +521,6 @@ void StreamRulePipeline::DeliverResult(
     stats_.incremental_solve_windows +=
         result->solving.incremental_solve_windows;
     stats_.solve_rebuilds += result->solving.solve_rebuilds;
-    stats_.solver_rules_retained += result->solving.rules_retained;
-    stats_.solver_rules_retracted += result->solving.rules_retracted;
-    stats_.solver_rules_new += result->solving.rules_new;
     stats_.warm_start_hits += result->solving.warm_start_hits;
     stats_.atoms_touched += result->solving.atoms_touched;
     stats_.assignments_reused += result->solving.assignments_reused;

@@ -165,9 +165,6 @@ struct PipelineStats {
                                            ///< the persistent engine.
   uint64_t solve_rebuilds = 0;      ///< Full solver re-ingests (first window,
                                     ///< grounder fallback).
-  uint64_t solver_rules_retained = 0;
-  uint64_t solver_rules_retracted = 0;
-  uint64_t solver_rules_new = 0;
   uint64_t warm_start_hits = 0;     ///< Partition solves guided by the
                                     ///< previous window's model.
   uint64_t atoms_touched = 0;       ///< Atom assignments recomputed (the

@@ -89,13 +89,11 @@ Status Reasoner::SolveIncremental(uint64_t sequence,
                                   ReasonerResult* result) const {
   WallTimer phase;
   std::vector<AnswerSet> models;
-  Status status = solver->SolveWindow(
-      grounder->last_delta(), grounder->cached_rules(),
-      grounder->atom_table().size(), &models, &result->solving);
+  Status status = solver->SolveWindow(*grounder, &models, &result->solving);
   double reground_ms = 0;
   if (status.code() == StatusCode::kFailedPrecondition) {
-    // The mirror lost sync with the grounder cache (a skipped or failed
-    // window upstream). Repair in place: invalidate both engines and
+    // The solve state lost sync with the grounder store (a skipped or
+    // failed window upstream). Repair in place: invalidate both engines and
     // reground this window — the rebuilt cache publishes a full_rebuild
     // delta the solver can always consume. Costs one full regrounding on
     // a path that normal operation never takes.
@@ -112,9 +110,7 @@ Status Reasoner::SolveIncremental(uint64_t sequence,
     result->grounding.Accumulate(resync_grounding);
     reground_ms = reground.ElapsedMillis();
     result->ground_ms += reground_ms;
-    status = solver->SolveWindow(
-        grounder->last_delta(), grounder->cached_rules(),
-        grounder->atom_table().size(), &models, &result->solving);
+    status = solver->SolveWindow(*grounder, &models, &result->solving);
   }
   STREAMASP_RETURN_IF_ERROR(status);
   result->solve_ms = phase.ElapsedMillis() - reground_ms;

@@ -93,9 +93,10 @@ class Reasoner {
   /// Cold solve + answer-extraction tail.
   Status SolveGround(const GroundProgram& ground, ReasonerResult* result) const;
 
-  /// Warm tail: patches `solver` with the grounder's last delta and
-  /// enumerates. A detectably out-of-sync mirror is repaired in place by
-  /// invalidating both engines and regrounding the window once.
+  /// Warm tail: `solver` replays the grounder's last delta, reads its
+  /// store and enumerates. Detectably out-of-sync solve state is repaired
+  /// in place by invalidating both engines and regrounding the window
+  /// once.
   Status SolveIncremental(uint64_t sequence,
                           const std::vector<PackedFact>& facts,
                           IncrementalGrounder* grounder,

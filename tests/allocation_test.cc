@@ -169,11 +169,13 @@ TEST(AllocationTest, SteadyReachSlideUnderReuseSolveStaysUnderCeiling) {
     ASSERT_TRUE(pr.Process(windows[w]).ok());
   }
 
-  // The ceiling sits ~15% above the worst Release reading (5,509 per
-  // slide, with the window translated to packed facts and counted by atom
-  // id; 7,751 when every window fact became an Atom). Debug builds, whose
-  // CheckWindowCounts adds one count column per slide, read 5,512.
-  constexpr size_t kCeiling = 6300;
+  // The ceiling sits ~15% above the worst Release reading (4,967 per
+  // slide, with the solver reading the grounder's rule store in place;
+  // 5,509 when the solver kept its own copy of the rules and watch lists,
+  // 7,751 when every window fact became an Atom). Debug builds, whose
+  // CheckWindowCounts adds one count column per slide and whose
+  // whole-store check reuses its scratch, read 4,971.
+  constexpr size_t kCeiling = 5700;
   size_t worst = 0;
   for (size_t w = kWarmSlides + 1; w < windows.size(); ++w) {
     StatusOr<ParallelReasonerResult> result = InternalError("not run");

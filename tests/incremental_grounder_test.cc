@@ -95,9 +95,8 @@ class IncrementalGrounderTest : public ::testing::Test {
         grounder.GroundWindow(sequence, PackFacts(facts), hint);
     ASSERT_TRUE(grounded.ok()) << grounded;
     std::vector<AnswerSet> got_models;
-    const Status solved = incremental.solver.SolveWindow(
-        grounder.last_delta(), grounder.cached_rules(),
-        grounder.atom_table().size(), &got_models);
+    const Status solved =
+        incremental.solver.SolveWindow(grounder, &got_models);
     ASSERT_TRUE(solved.ok()) << solved;
     const CanonicalModels want =
         Canonical(*want_models, reference->atoms(), *symbols_);

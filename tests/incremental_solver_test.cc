@@ -15,9 +15,9 @@
 #include "asp/parser.h"
 #include "ground/grounder.h"
 #include "ground/incremental_grounder.h"
+#include "ground/rule_store.h"
 #include "packed_fact_test_util.h"
 #include "solve/incremental_solver.h"
-#include "solve/propagation_core.h"
 #include "solve/solver.h"
 #include "util/rng.h"
 
@@ -65,7 +65,8 @@ void CheckSlidingStream(const Program& program,
                         const std::vector<std::vector<Atom>>& windows,
                         SolverStats* total = nullptr,
                         double fallback_delta_fraction = 0.5,
-                        bool maintain_fixpoint = true) {
+                        bool maintain_fixpoint = true,
+                        GroundingStats* grounding_total = nullptr) {
   SolverOptions solver_options;
   solver_options.reuse_solving = true;
   solver_options.maintain_fixpoint = maintain_fixpoint;
@@ -81,12 +82,11 @@ void CheckSlidingStream(const Program& program,
     const Status grounded =
         grounder.GroundWindow(w, PackFacts(windows[w]), nullptr, &gstats);
     ASSERT_TRUE(grounded.ok()) << grounded;
+    if (grounding_total != nullptr) grounding_total->Accumulate(gstats);
 
     std::vector<AnswerSet> models;
     SolverStats sstats;
-    const Status status =
-        solver.SolveWindow(grounder.last_delta(), grounder.cached_rules(),
-                           grounder.atom_table().size(), &models, &sstats);
+    const Status status = solver.SolveWindow(grounder, &models, &sstats);
     ASSERT_TRUE(status.ok()) << status;
     if (total != nullptr) total->Accumulate(sstats);
 
@@ -352,11 +352,12 @@ TEST(IncrementalSolverTest, RetractedSupportDoesNotLeakStaleAssignments) {
   // Tiny windows would otherwise trip the grounder's fallback fraction
   // and reground from scratch; force the delta path so the retraction
   // replay is what this test exercises.
-  SolverStats total;
-  CheckSlidingStream(*program, windows, &total,
-                     /*fallback_delta_fraction=*/100.0);
-  EXPECT_GT(total.rules_retracted, 0u);
-  EXPECT_GT(total.rules_new, 0u);
+  GroundingStats grounding;
+  CheckSlidingStream(*program, windows, /*total=*/nullptr,
+                     /*fallback_delta_fraction=*/100.0,
+                     /*maintain_fixpoint=*/true, &grounding);
+  EXPECT_GT(grounding.rules_retracted, 0u);
+  EXPECT_GT(grounding.rules_new, 0u);
 }
 
 TEST(IncrementalSolverTest, WarmStartGuidesOverlappingChoiceWindows) {
@@ -411,9 +412,7 @@ TEST(IncrementalSolverTest, OutOfSyncDeltaIsReportedNotMisapplied) {
   IncrementalSolver solver;
   std::vector<AnswerSet> models;
   if (!grounder.last_delta().full_rebuild) {
-    const Status status = solver.SolveWindow(
-        grounder.last_delta(), grounder.cached_rules(),
-        grounder.atom_table().size(), &models);
+    const Status status = solver.SolveWindow(grounder, &models);
     EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
     EXPECT_FALSE(solver.valid());
   }
@@ -440,26 +439,16 @@ TEST(IncrementalSolverTest, DoubleAppliedDeltaIsRejectedBySequenceChain) {
   std::vector<AnswerSet> models;
 
   ASSERT_TRUE(grounder.GroundWindow(0, PackFacts({a})).ok());
-  ASSERT_TRUE(solver
-                  .SolveWindow(grounder.last_delta(),
-                               grounder.cached_rules(),
-                               grounder.atom_table().size(), &models)
-                  .ok());
+  ASSERT_TRUE(solver.SolveWindow(grounder, &models).ok());
   // Fact d feeds no rule, so window 1's delta carries an empty rule
   // delta — the store-size checks hold trivially on a replay.
   ASSERT_TRUE(grounder.GroundWindow(1, PackFacts({a, d})).ok());
   ASSERT_FALSE(grounder.last_delta().full_rebuild);
   ASSERT_TRUE(grounder.last_delta().retracted_slots.empty());
-  ASSERT_TRUE(solver
-                  .SolveWindow(grounder.last_delta(),
-                               grounder.cached_rules(),
-                               grounder.atom_table().size(), &models)
-                  .ok());
+  ASSERT_TRUE(solver.SolveWindow(grounder, &models).ok());
   // Replaying window 1's delta would double-count fact d; only the
   // sequence chain can catch it.
-  const Status replay = solver.SolveWindow(
-      grounder.last_delta(), grounder.cached_rules(),
-      grounder.atom_table().size(), &models);
+  const Status replay = solver.SolveWindow(grounder, &models);
   EXPECT_EQ(replay.code(), StatusCode::kFailedPrecondition) << replay;
 }
 
@@ -483,122 +472,120 @@ TEST(IncrementalSolverTest, MaxModelsCapIsHonoured) {
                                    Atom(on, {Term::Integer(2)})};
   ASSERT_TRUE(grounder.GroundWindow(0, PackFacts(facts)).ok());
   std::vector<AnswerSet> models;
-  const Status status = solver.SolveWindow(
-      grounder.last_delta(), grounder.cached_rules(),
-      grounder.atom_table().size(), &models);
+  const Status status = solver.SolveWindow(grounder, &models);
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(models.size(), 2u);  // 4 exist; the cap keeps 2.
 }
 
-/// The patched core's watch lists after any mix of AddRule and runs of
-/// RemoveRule must be exactly what unhooking one rule at a time leaves:
-/// every entry of the removed rule erased, the swap-compacted last rule's
-/// entries relabelled in place. The list order steers propagation, so a
-/// batched removal run that reordered a list would change the search.
-TEST(PropagationCoreTest, RemovalRunsLeaveThePerRuleReplayOrder) {
-  using CoreRule = PropagationCore::CoreRule;
+/// The rule store's lists after any mix of Add runs and Kill + Compact
+/// runs must be exactly what the live rules say: each atom's positive,
+/// negative and head lists equal, as multisets, the lists rebuilt from
+/// the rules (list order is swap-remove order, so only the multiset is
+/// pinned), and every back position points at its own entry (checked by
+/// CheckConsistency). The compaction replay must name each killed slot,
+/// highest first, with the head its rule had, so a consumer replaying it
+/// onto a plain rule vector ends with the store's exact slot layout.
+TEST(RuleStoreTest, AddAndKillRunsKeepEveryListExact) {
   constexpr GroundAtomId kAtoms = 24;
-
-  // The reference: the watch lists patched one removal at a time.
-  struct Replay {
-    std::vector<CoreRule> rules;
-    std::vector<std::vector<std::pair<uint32_t, bool>>> occurrences =
-        std::vector<std::vector<std::pair<uint32_t, bool>>>(kAtoms);
-    std::vector<std::vector<uint32_t>> positive =
-        std::vector<std::vector<uint32_t>>(kAtoms);
-    std::vector<std::vector<uint32_t>> heads =
-        std::vector<std::vector<uint32_t>>(kAtoms);
-
-    void Add(const CoreRule& rule) {
-      const uint32_t r = static_cast<uint32_t>(rules.size());
-      for (GroundAtomId a : rule.pos) {
-        occurrences[a].emplace_back(r, true);
-        positive[a].push_back(r);
-      }
-      for (GroundAtomId a : rule.neg) occurrences[a].emplace_back(r, false);
-      if (rule.head != CoreRule::kNoHead) heads[rule.head].push_back(r);
-      rules.push_back(rule);
-    }
-    void Remove(uint32_t index) {
-      const uint32_t last = static_cast<uint32_t>(rules.size() - 1);
-      for (GroundAtomId a = 0; a < kAtoms; ++a) {
-        auto& occ = occurrences[a];
-        occ.erase(std::remove_if(occ.begin(), occ.end(),
-                                 [&](const std::pair<uint32_t, bool>& o) {
-                                   return o.first == index;
-                                 }),
-                  occ.end());
-        for (auto& o : occ) {
-          if (o.first == last) o.first = index;
-        }
-        for (std::vector<uint32_t>* list : {&positive[a], &heads[a]}) {
-          list->erase(std::remove(list->begin(), list->end(), index),
-                      list->end());
-          std::replace(list->begin(), list->end(), last, index);
-        }
-      }
-      rules[index] = rules[last];
-      rules.pop_back();
-    }
-  };
-
   Rng rng(2017);
   auto random_rule = [&] {
-    CoreRule rule;
-    rule.head = rng.NextBounded(6) == 0
-                    ? CoreRule::kNoHead
-                    : static_cast<int32_t>(rng.NextBounded(kAtoms));
-    // Repeated body atoms (duplicate entries) are part of the contract.
-    for (uint64_t i = rng.NextBounded(6); i > 0; --i) {
-      rule.pos.push_back(static_cast<GroundAtomId>(rng.NextBounded(kAtoms)));
+    GroundRule rule;
+    // Constraints, normal rules and the odd disjunctive head.
+    const uint64_t heads = rng.NextBounded(6) == 0 ? 0
+                           : rng.NextBounded(8) == 0 ? 2
+                                                     : 1;
+    for (uint64_t i = 0; i < heads; ++i) {
+      rule.head.push_back(static_cast<GroundAtomId>(rng.NextBounded(kAtoms)));
+    }
+    // Repeated body atoms (several entries per rule and list) are part of
+    // the contract; six positive literals spill the back positions to
+    // the heap.
+    for (uint64_t i = rng.NextBounded(7); i > 0; --i) {
+      rule.positive_body.push_back(
+          static_cast<GroundAtomId>(rng.NextBounded(kAtoms)));
     }
     for (uint64_t i = rng.NextBounded(3); i > 0; --i) {
-      rule.neg.push_back(static_cast<GroundAtomId>(rng.NextBounded(kAtoms)));
+      rule.negative_body.push_back(
+          static_cast<GroundAtomId>(rng.NextBounded(kAtoms)));
     }
     return rule;
   };
-
-  PropagationCore core;
-  core.Reset();
-  core.EnsureAtomCapacity(kAtoms);
-  Replay replay;
-  auto expect_same_lists = [&](int round) {
-    ASSERT_EQ(core.num_rules(), replay.rules.size()) << round;
-    for (uint32_t r = 0; r < replay.rules.size(); ++r) {
-      ASSERT_EQ(core.rule(r).head, replay.rules[r].head) << round;
-      ASSERT_EQ(core.rule(r).pos, replay.rules[r].pos) << round;
-      ASSERT_EQ(core.rule(r).neg, replay.rules[r].neg) << round;
+  using Lists = std::vector<std::vector<uint32_t>>;
+  auto sorted = [](std::vector<uint32_t> list) {
+    std::sort(list.begin(), list.end());
+    return list;
+  };
+  auto expect_lists = [&](const RuleStore& store,
+                          const std::vector<GroundRule>& live,
+                          const std::string& where) {
+    ASSERT_EQ(store.size(), live.size()) << where;
+    Lists positive(kAtoms), negative(kAtoms), heads(kAtoms);
+    for (uint32_t slot = 0; slot < live.size(); ++slot) {
+      ASSERT_EQ(store.rule(slot), live[slot]) << where << ", slot " << slot;
+      for (GroundAtomId a : live[slot].positive_body) {
+        positive[a].push_back(slot);
+      }
+      for (GroundAtomId a : live[slot].negative_body) {
+        negative[a].push_back(slot);
+      }
+      for (GroundAtomId a : live[slot].head) heads[a].push_back(slot);
     }
     for (GroundAtomId a = 0; a < kAtoms; ++a) {
-      ASSERT_EQ(core.BodyOccurrencesOf(a), replay.occurrences[a])
-          << "round " << round << ", atom " << a;
-      ASSERT_EQ(core.PositiveOccurrencesOf(a), replay.positive[a])
-          << "round " << round << ", atom " << a;
-      ASSERT_EQ(core.HeadRulesOf(a), replay.heads[a])
-          << "round " << round << ", atom " << a;
+      ASSERT_EQ(sorted(store.lists(a).positive), positive[a])
+          << where << ", atom " << a;
+      ASSERT_EQ(sorted(store.lists(a).negative), negative[a])
+          << where << ", atom " << a;
+      ASSERT_EQ(sorted(store.lists(a).heads), heads[a])
+          << where << ", atom " << a;
     }
+    const Status consistent = store.CheckConsistency();
+    ASSERT_TRUE(consistent.ok()) << where << ": " << consistent;
   };
-  for (int round = 0; round < 60; ++round) {
-    // Adds, then a removal run of random length (a run that empties the
-    // program included), sometimes followed by adds that interrupt it.
+
+  RuleStore store;
+  store.EnsureAtoms(kAtoms);
+  std::vector<GroundRule> live;  // The reference: slot order included.
+  size_t emptied = 0;
+  for (int round = 0; round < 80; ++round) {
+    const std::string where = "round " + std::to_string(round);
     for (uint64_t i = rng.NextBounded(40); i > 0; --i) {
-      const CoreRule rule = random_rule();
-      core.AddRule(rule);
-      replay.Add(rule);
+      const GroundRule rule = random_rule();
+      store.Add(rule);
+      live.push_back(rule);
     }
-    for (uint64_t i = rng.NextBounded(replay.rules.size() + 1); i > 0; --i) {
-      const uint32_t index =
-          static_cast<uint32_t>(rng.NextBounded(replay.rules.size()));
-      core.RemoveRule(index);
-      replay.Remove(index);
-      if (rng.NextBounded(8) == 0) {
-        const CoreRule rule = random_rule();
-        core.AddRule(rule);
-        replay.Add(rule);
-      }
+    // A kill run of random length; one run in eight kills everything.
+    const bool kill_all = rng.NextBounded(8) == 0;
+    const uint64_t kills =
+        kill_all ? live.size() : rng.NextBounded(live.size() + 1);
+    std::vector<bool> killed(live.size(), false);
+    for (uint64_t i = 0; i < kills; ++i) {
+      uint32_t slot = static_cast<uint32_t>(rng.NextBounded(live.size()));
+      while (killed[slot]) slot = (slot + 1) % live.size();
+      killed[slot] = true;
+      store.Kill(slot);
     }
-    expect_same_lists(round);
+    std::vector<RetractedSlot> replay;
+    store.Compact(&replay);
+    ASSERT_EQ(replay.size(), kills) << where;
+    for (size_t i = 0; i < replay.size(); ++i) {
+      const RetractedSlot& step = replay[i];
+      if (i > 0) ASSERT_LT(step.slot, replay[i - 1].slot) << where;
+      const GroundRule& dead = live[step.slot];
+      ASSERT_EQ(step.head,
+                dead.head.empty() ? kInvalidGroundAtom : dead.head[0])
+          << where;
+      live[step.slot] = live.back();
+      live.pop_back();
+    }
+    if (live.empty()) ++emptied;
+    expect_lists(store, live, where);
+
+    // The cold path's one-pass Build must leave the same lists.
+    RuleStore built;
+    built.Build(live, kAtoms);
+    expect_lists(built, live, where + " (built)");
   }
+  EXPECT_GT(emptied, 0u);
 }
 
 }  // namespace

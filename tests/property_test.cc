@@ -735,16 +735,13 @@ TEST_P(GroundingOracleTest, GroundersMatchNaiveInstantiation) {
     EXPECT_EQ(RenderModels(*cold_models, cold->atoms(), *symbols), oracle)
         << where;
 
-    // (b) the incremental grounder's store, patched into the incremental
-    // solver (never falling back after the first window).
+    // (b) the incremental grounder's store, read in place by the
+    // incremental solver (never falling back after the first window).
     ASSERT_TRUE(store_grounder.GroundWindow(w, PackFacts(facts), hint).ok())
         << where;
     std::vector<AnswerSet> store_models;
     ASSERT_TRUE(incremental_solver
-                    .SolveWindow(store_grounder.last_delta(),
-                                 store_grounder.cached_rules(),
-                                 store_grounder.atom_table().size(),
-                                 &store_models)
+                    .SolveWindow(store_grounder, &store_models)
                     .ok())
         << where;
     EXPECT_EQ(RenderModels(store_models, store_grounder.atom_table(),

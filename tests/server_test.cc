@@ -1760,10 +1760,11 @@ TEST(TransportTest, OverCapOpenOptionsAreRejectedAndTheServerSurvives) {
   connection->Close();
 }
 
-// A disjunctive program cannot take the reuse path (its shifted rules
-// break the incremental solver's slot mirroring), so reuse=solve reasons
-// it cold: no window reuses, and the result events are byte-identical to
-// a reuse=none session's over the same pushes.
+// A disjunctive program cannot take the reuse path (the incremental
+// solver reads the grounder's store in place and takes normal rules
+// only), so reuse=solve reasons it cold: no window reuses, and the result
+// events are byte-identical to a reuse=none session's over the same
+// pushes.
 TEST(TransportTest, DisjunctiveProgramUnderReuseReasonsCold) {
   StreamServer server;
   std::unique_ptr<SessionTransport> connection = server.Connect();

@@ -178,8 +178,8 @@ TEST_F(SolvingReuseTest, SyncSlidingPipelineMatchesWithAndWithoutReuse) {
             warm_stats.incremental_solve_windows);
   EXPECT_EQ(grounding_flag_stats.warm_start_hits, warm_stats.warm_start_hits);
   EXPECT_GT(warm_stats.incremental_solve_windows, 0u);
-  EXPECT_GT(warm_stats.solver_rules_retained, 0u);
-  EXPECT_GT(warm_stats.solver_rules_new, 0u);
+  EXPECT_GT(warm_stats.grounding_rules_retained, 0u);
+  EXPECT_GT(warm_stats.grounding_rules_new, 0u);
   EXPECT_GT(warm_stats.warm_start_hits, 0u);
   EXPECT_EQ(warm_stats.windows, baseline_stats.windows);
 }
@@ -260,7 +260,7 @@ TEST_F(SolvingReuseTest, ShardedSlidingEngineKeepsPersistentSolversWarm) {
     PipelineStats warm_stats;
     EXPECT_EQ(PipelineTranscript(program, warm, stream, &warm_stats), oracle);
     EXPECT_GT(warm_stats.incremental_solve_windows, 0u);
-    EXPECT_GT(warm_stats.solver_rules_retained, 0u);
+    EXPECT_GT(warm_stats.grounding_rules_retained, 0u);
     EXPECT_GT(warm_stats.warm_start_hits, 0u);
   }
 }

@@ -48,6 +48,11 @@ Usage:
   check_bench_regression.py [--baseline bench/baseline.json] \
       async_pipeline=async.json multi_tenant=multi_tenant.json
 
+A bench may be named several times (async_pipeline=sync.json
+async_pipeline=sliding-tc.json ...): the runs of its documents are merged
+before any check, so each leg can be timed in a fresh process
+(async_pipeline --leg=<name>).
+
 Exits non-zero (with a per-check report) on any violation. To refresh the
 baseline after an intentional perf change, run the benches on a quiet
 machine and copy the reported triples_per_sec values into
@@ -90,7 +95,13 @@ def main():
         if not path:
             raise SystemExit(f"expected <name>=<path>, got: {pair!r}")
         with open(path) as f:
-            documents[name] = json.load(f)
+            document = json.load(f)
+        if name in documents:
+            # Several documents for one bench (one per leg, each timed in
+            # its own process): their runs merge.
+            documents[name]["runs"].extend(document["runs"])
+        else:
+            documents[name] = document
 
     gated = (set(baseline.get("floors", {}))
              | {ratio["bench"] for ratio in baseline.get("ratios", [])}
