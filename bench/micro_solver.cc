@@ -134,9 +134,17 @@ constexpr char kSlidingReachProgram[] = R"(
 )";
 
 /// Sliding windows of random link/2 facts over a small node universe
-/// (dense transitive closure, the incremental grounder's target regime).
-std::vector<std::vector<PackedFact>> MakeSlidingReachWindows(
-    SymbolTable& symbols, size_t window_size, size_t num_windows) {
+/// (dense transitive closure, the incremental grounder's target regime),
+/// with the windower's delta hint of each slide: hints[w] takes window
+/// w - 1 to window w (hints[0] is unused).
+struct SlidingReachStream {
+  std::vector<std::vector<PackedFact>> windows;
+  std::vector<IncrementalGrounder::FactDelta> hints;
+};
+
+SlidingReachStream MakeSlidingReachWindows(SymbolTable& symbols,
+                                           size_t window_size,
+                                           size_t num_windows) {
   const SymbolId link = symbols.Intern("link");
   const size_t slide = std::max<size_t>(1, window_size / 16);
   Rng rng(2017);
@@ -148,14 +156,21 @@ std::vector<std::vector<PackedFact>> MakeSlidingReachWindows(
     stream.push_back(PackedFact{
         link, 2, {PackedTerm::Integer(from), PackedTerm::Integer(to)}});
   }
-  std::vector<std::vector<PackedFact>> windows;
-  windows.reserve(num_windows);
+  SlidingReachStream out;
+  out.windows.reserve(num_windows);
+  out.hints.resize(num_windows);
   for (size_t w = 0; w < num_windows; ++w) {
-    const size_t begin = w * slide;
-    windows.emplace_back(stream.begin() + begin,
-                         stream.begin() + begin + window_size);
+    const auto begin = stream.begin() + static_cast<ptrdiff_t>(w * slide);
+    out.windows.emplace_back(begin,
+                             begin + static_cast<ptrdiff_t>(window_size));
+    if (w == 0) continue;
+    const auto slide_begin = begin - static_cast<ptrdiff_t>(slide);
+    out.hints[w] = {w - 1,
+                    {slide_begin, begin},
+                    {slide_begin + static_cast<ptrdiff_t>(window_size),
+                     begin + static_cast<ptrdiff_t>(window_size)}};
   }
-  return windows;
+  return out;
 }
 
 void BM_SlidingReachSolveCold(benchmark::State& state) {
@@ -164,7 +179,8 @@ void BM_SlidingReachSolveCold(benchmark::State& state) {
   const Program program = *parser.ParseProgram(kSlidingReachProgram);
   const std::vector<std::vector<PackedFact>> windows =
       MakeSlidingReachWindows(*symbols, static_cast<size_t>(state.range(0)),
-                              16);
+                              16)
+          .windows;
   const Grounder grounder;
   const Solver solver;
   for (auto _ : state) {
@@ -187,9 +203,9 @@ void RunSlidingReachIncremental(benchmark::State& state,
   SymbolTablePtr symbols = MakeSymbolTable();
   Parser parser(symbols);
   const Program program = *parser.ParseProgram(kSlidingReachProgram);
-  const std::vector<std::vector<PackedFact>> windows =
-      MakeSlidingReachWindows(*symbols, static_cast<size_t>(state.range(0)),
-                              16);
+  const SlidingReachStream stream = MakeSlidingReachWindows(
+      *symbols, static_cast<size_t>(state.range(0)), 16);
+  const std::vector<std::vector<PackedFact>>& windows = stream.windows;
   SolverOptions solver_options;
   solver_options.reuse_solving = true;
   solver_options.maintain_fixpoint = maintain_fixpoint;
@@ -199,10 +215,18 @@ void RunSlidingReachIncremental(benchmark::State& state,
     size_t total_models = 0;
     std::vector<AnswerSet> models;
     for (size_t w = 0; w < windows.size(); ++w) {
-      if (!grounder.GroundWindow(w, windows[w]).ok()) std::abort();
+      const IncrementalGrounder::FactDelta* hint =
+          w == 0 ? nullptr : &stream.hints[w];
+      if (!grounder.GroundWindow(w, windows[w], hint).ok()) std::abort();
       const Status status = solver.SolveWindow(grounder, &models);
       if (!status.ok()) std::abort();
       total_models += models.size();
+    }
+    // Every slide must replay its delta: a rebuild would turn this into a
+    // cold benchmark.
+    if (grounder.cumulative_stats().incremental_windows !=
+        windows.size() - 1) {
+      std::abort();
     }
     benchmark::DoNotOptimize(total_models);
   }

@@ -158,17 +158,6 @@ struct GroundingDelta {
   /// so consumers must drop their per-slot and per-atom state.
   bool full_rebuild = true;
 
-  /// The producer recovered this window by snapshot diff because the
-  /// caller's delta hint could not be applied (chain gap after a
-  /// kDropOldest eviction, or an inconsistent hint). The replay recipe is
-  /// exact — slot numbering and atom ids are unaffected — but consumers
-  /// that maintain state keyed on the *continuity* of the hint chain
-  /// (e.g. IncrementalSolver's maintained fixpoint) reset it deliberately
-  /// instead of relying on downstream desync detection. Always false on a
-  /// full_rebuild and for hint-less callers (who diff every window by
-  /// design).
-  bool resynced = false;
-
   /// Sequence number of the window this delta produced.
   uint64_t sequence = 0;
 

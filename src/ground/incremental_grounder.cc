@@ -88,22 +88,10 @@ class IncrementalGrounder::Engine {
   void KillFactRule(GroundAtomId id);
 
   // --- per-window phases ---
-  Status ComputeNetDelta(const std::vector<PackedFact>& facts,
-                         const FactDelta* delta, NetDelta* net,
-                         bool* used_snapshot_diff);
-  /// Adds `change` to atom `id`'s entry in `net`, made on first touch;
-  /// returns the entry's new value.
-  int64_t AddNet(GroundAtomId id, int64_t change, NetDelta* net) {
-    if (net_slot_[id] == kNoPosition) {
-      net_slot_[id] = static_cast<uint32_t>(net->size());
-      net->emplace_back(id, 0);
-    }
-    return (*net)[net_slot_[id]].second += change;
-  }
-  /// Ends a net computation: every net_slot_ mark goes back to kNoPosition.
-  void ReleaseNet(const NetDelta& net) {
-    for (const auto& [id, change] : net) net_slot_[id] = kNoPosition;
-  }
+  /// Nets `delta`'s expiries, then its admissions, into `*net`,
+  /// interning their atoms. False when the hint cannot be replayed onto
+  /// the cached window (see FactDelta); the window then rebuilds.
+  bool NetHint(size_t window_size, const FactDelta* delta, NetDelta* net);
   Status ApplyNetDelta(const NetDelta& net);
   Status CheckWindowCounts(const std::vector<PackedFact>& facts) const;
   Status CheckStore() const;
@@ -191,53 +179,39 @@ Status IncrementalGrounder::Engine::Emit(GroundRule rule) {
   return OkStatus();
 }
 
-Status IncrementalGrounder::Engine::ComputeNetDelta(
-    const std::vector<PackedFact>& facts, const FactDelta* delta,
-    NetDelta* net, bool* used_snapshot_diff) {
-  // A snapshot diff counts as a *resync* only when the caller supplied a
-  // hint that could not be used (chain gap after a kDropOldest eviction,
-  // or an inconsistent hint): the computed delta is still exact, but
-  // downstream consumers treat their incrementally maintained solve state
-  // as suspect. Hint-less callers diff every window by design — that is
-  // the normal mode, not a resync.
-  *used_snapshot_diff = false;
-  // A usable hint is relative to the cached window, agrees in totals and
-  // expires a sub-multiset of it: every expired fact is interned, and no
-  // more copies expire than the window holds. Only then are its
-  // admissions interned; any other hint falls through to the snapshot
-  // diff, which interns the window's facts alone.
-  bool consistent = delta != nullptr &&
-                    delta->previous_sequence == cached_sequence_ &&
-                    window_total_ + delta->admitted.size() ==
-                        facts.size() + delta->expired.size();
-  if (consistent) {
-    for (const PackedFact& e : delta->expired) {
-      const GroundAtomId id = atoms_.Lookup(e.predicate, e.args, e.arity);
-      if (id == kInvalidGroundAtom ||
-          AddNet(id, -1, net) + window_counts_[id] < 0) {
-        consistent = false;
-        break;
+bool IncrementalGrounder::Engine::NetHint(size_t window_size,
+                                          const FactDelta* delta,
+                                          NetDelta* net) {
+  if (delta == nullptr || delta->previous_sequence != cached_sequence_ ||
+      window_total_ + delta->admitted.size() !=
+          window_size + delta->expired.size()) {
+    return false;
+  }
+  // A rejected hint rebuilds, which resets the atom table, so interning
+  // an expired fact the table lacks is harmless; on a replayed hint such
+  // an atom nets to zero (admitted and expired across a folded gap) and
+  // stays an unused table entry.
+  const auto add_all = [&](const std::vector<PackedFact>& facts,
+                           int64_t change) {
+    for (const PackedFact& fact : facts) {
+      const GroundAtomId id = core_.InternInputFact(fact, *this);
+      if (id == kInvalidGroundAtom) return false;
+      if (net_slot_[id] == kNoPosition) {  // First touch: a new entry.
+        net_slot_[id] = static_cast<uint32_t>(net->size());
+        net->emplace_back(id, 0);
       }
+      (*net)[net_slot_[id]].second += change;
     }
+    return true;
+  };
+  bool replayable =
+      add_all(delta->expired, -1) && add_all(delta->admitted, 1);
+  for (const auto& [id, change] : *net) {
+    net_slot_[id] = kNoPosition;
+    // The delta may take no copy the cached window does not hold.
+    if (change + window_counts_[id] < 0) replayable = false;
   }
-  if (!consistent) {
-    *used_snapshot_diff = delta != nullptr;
-    ReleaseNet(*net);
-    net->clear();
-    // Snapshot diff: net = multiset(facts) - multiset(cached window).
-    for (GroundAtomId id = 0; id < window_counts_.size(); ++id) {
-      if (window_counts_[id] != 0) {
-        AddNet(id, -static_cast<int64_t>(window_counts_[id]), net);
-      }
-    }
-  }
-  for (const PackedFact& fact : consistent ? delta->admitted : facts) {
-    const GroundAtomId id = core_.InternInputFact(fact, *this);
-    if (id == kInvalidGroundAtom) return core_.NonGroundInputFact(fact);
-    AddNet(id, 1, net);
-  }
-  ReleaseNet(*net);
-  return OkStatus();
+  return replayable;
 }
 
 Status IncrementalGrounder::Engine::ApplyNetDelta(const NetDelta& net) {
@@ -378,9 +352,8 @@ Status IncrementalGrounder::Engine::GroundWindow(
   // Until this window succeeds: partially applied state is unusable.
   cache_valid_ = false;
   NetDelta net;
-  bool resynced = false;
+  if (!full) full = !NetHint(facts.size(), delta, &net);
   if (!full) {
-    STREAMASP_RETURN_IF_ERROR(ComputeNetDelta(facts, delta, &net, &resynced));
     size_t magnitude = 0;
     for (const auto& [id, change] : net) {
       magnitude += static_cast<size_t>(std::llabs(change));
@@ -394,7 +367,6 @@ Status IncrementalGrounder::Engine::GroundWindow(
 
   delta_ = GroundingDelta{};
   delta_.full_rebuild = full;
-  delta_.resynced = !full && resynced;
   delta_.sequence = sequence;
   delta_.previous_sequence = cached_sequence_;
   delta_.store_size_before = store_before;

@@ -19,9 +19,8 @@ struct IncrementalGroundingOptions {
   /// (expirations + admissions after cancelling churn that nets out)
   /// exceeds this fraction of the window size, replaying the delta would
   /// touch most of the cache anyway, so the grounder rebuilds from
-  /// scratch instead. slide == window (tumbling) always lands above any
-  /// fraction < 2.0, so tumbling streams degrade gracefully to per-window
-  /// full grounding.
+  /// scratch instead. Tumbling windows carry no delta, so they are
+  /// always grounded afresh.
   double fallback_delta_fraction = 0.5;
 
   /// Unread; kept only for perfbench/replay.cc (goes with ROADMAP item 9).
@@ -35,8 +34,8 @@ struct IncrementalGroundingOptions {
 ///
 /// Instantiation itself is the core shared with the one-shot Grounder
 /// (ground/instantiate.h); this class is its retaining client. It owns
-/// only what is incremental: the net-delta computation and snapshot diff,
-/// support counting with retraction and swap-compaction of the rule
+/// only what is incremental: netting the windower's delta hint, support
+/// counting with retraction and swap-compaction of the rule
 /// store, and the published GroundingDelta. The store is the partition's
 /// one copy of its ground program: an IncrementalSolver reads it in place
 /// and replays only the delta onto its per-slot solve state.
@@ -65,16 +64,18 @@ class IncrementalGrounder {
  public:
   /// The windower-supplied fact delta between two consecutive windows:
   /// window(previous_sequence) - expired + admitted == the current window,
-  /// as multisets. Supplying it lets GroundWindow skip its own snapshot
-  /// diff; a delta whose previous_sequence does not match the cached
-  /// window (e.g. a kDropOldest eviction left a gap in the stream) or
-  /// whose counts are inconsistent with the facts vector is ignored in
-  /// favour of the snapshot diff, as is one that expires a fact the cached
-  /// window never held or more copies than it held; an ignored hint
-  /// interns nothing. A shape-consistent hint's *contents* are
-  /// trusted in Release builds (supplying the above invariant is the
-  /// query processor's contract, which stream_test's QueryProcessorTest
-  /// cases pin down); Debug builds re-verify the applied delta against the
+  /// as multisets. GroundWindow replays a hint when three things hold:
+  /// previous_sequence is the cached window, the totals agree (cached
+  /// window size - expired + admitted == facts.size()), and netting the
+  /// expiries against the admissions takes no atom's count below zero.
+  /// Anything else rebuilds the window from scratch: no hint (tumbling
+  /// windows), a chain break (the window after an errored one), or a
+  /// lying hint. Every shed window's delta is folded into its successor
+  /// upstream (FoldDelta), so a hint chains from the window this grounder
+  /// saw last even across sheds. A hint's *contents* are trusted in
+  /// Release builds (supplying the above invariant is the query
+  /// processor's contract, which stream_test's QueryProcessorTest cases
+  /// pin down); Debug builds re-verify the applied delta against the
   /// facts multiset and fail the call on a lying hint.
   struct FactDelta {
     uint64_t previous_sequence = 0;
@@ -94,8 +95,9 @@ class IncrementalGrounder {
   /// Grounds the window with sequence number `sequence` holding exactly
   /// `facts` (ground; duplicates allowed and counted as duplicate fact
   /// rules, mirroring Grounder) into the cached store and publishes
-  /// the change as last_delta(). `delta` optionally carries the
-  /// windower's expired/admitted sets (see FactDelta); `stats` receives
+  /// the change as last_delta(). `delta` carries the windower's
+  /// expired/admitted sets (see FactDelta); without one the window is
+  /// grounded from scratch. `stats` receives
   /// this call's counters, including the reuse counters (num_rules and
   /// num_facts count the raw store and the window's facts).
   Status GroundWindow(

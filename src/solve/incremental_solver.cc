@@ -110,18 +110,6 @@ Status IncrementalSolver::Engine::ApplyDelta(const GroundingDelta& delta,
     return FailedPreconditionError(
         "solve state out of sync with the grounder store");
   }
-  if (delta.resynced) {
-    // The grounder recovered this delta by snapshot diff (eviction gap
-    // or hint-chain break). The replay itself is exact, but the
-    // maintained model's incremental trust chain is deliberately reset
-    // here rather than relying on downstream desync detection; the next
-    // maintained window pays one O(program) rebuild, counted as a
-    // solve rebuild.
-    if (core_.maintained_valid()) {
-      core_.InvalidateMaintained();
-      ++call_stats_.solve_rebuilds;
-    }
-  }
   core_.EnsureAtomCapacity(store.num_atoms());
   ++call_stats_.incremental_solve_windows;
 

@@ -19,8 +19,8 @@ struct SolverStats {
   /// SolveWindow calls that patched the persistent engine with a delta.
   size_t incremental_solve_windows = 0;
   /// SolveWindow calls that restarted the solve state on a rebuilt store
-  /// (first window, grounder fallback, prior error), plus maintained
-  /// models dropped on a resynced delta.
+  /// (first window, grounder fallback, prior error): one per grounding
+  /// fallback.
   size_t solve_rebuilds = 0;
   /// Windows whose branch decisions were guided by the previous window's
   /// answer set.

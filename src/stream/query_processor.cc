@@ -84,21 +84,16 @@ void StreamQueryProcessor::PushBatch(const std::vector<Triple>& triples) {
 }
 
 void StreamQueryProcessor::FoldShedDelta(TripleWindow* shed) {
-  if (!shed->has_delta) return;
+  if (!sliding()) return;
   // Synchronous sheds only: the window being folded must be this
-  // processor's most recent emission, or the accumulators would net
-  // changes out of order (see header).
+  // processor's most recent emission, or its delta would be folded into
+  // the wrong successor (see header).
   assert(shed->sequence + 1 == next_sequence_);
-  assert(delta_base_ == shed->sequence);
-  pending_expired_.insert(pending_expired_.end(),
-                          std::make_move_iterator(shed->expired.begin()),
-                          std::make_move_iterator(shed->expired.end()));
-  pending_admitted_.insert(pending_admitted_.end(),
-                           std::make_move_iterator(shed->admitted.begin()),
-                           std::make_move_iterator(shed->admitted.end()));
-  shed->expired.clear();
-  shed->admitted.clear();
-  delta_base_ = shed->delta_base;
+  TripleWindow& parked = shed_.emplace();
+  parked.has_delta = shed->has_delta;
+  parked.delta_base = shed->delta_base;
+  parked.expired.swap(shed->expired);
+  parked.admitted.swap(shed->admitted);
 }
 
 void StreamQueryProcessor::Flush() {
@@ -122,12 +117,16 @@ void StreamQueryProcessor::EmitSliding() {
   window.sequence = next_sequence_++;
   buffer_.CopyTo(&window.items);
   window.has_delta = true;
-  window.delta_base = delta_base_;
+  window.delta_base =
+      emitted_once_ ? window.sequence - 1 : TripleWindow::kNoDeltaBase;
   window.expired = std::move(pending_expired_);
   window.admitted = std::move(pending_admitted_);
   pending_expired_.clear();
   pending_admitted_.clear();
-  delta_base_ = window.sequence;
+  if (shed_.has_value()) {
+    FoldDelta(&*shed_, &window);
+    shed_.reset();
+  }
   arrivals_since_emit_ = 0;
   emitted_once_ = true;
   callback_(std::move(window));

@@ -2,6 +2,7 @@
 #define STREAMASP_STREAM_QUERY_PROCESSOR_H_
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "asp/symbol_table.h"
@@ -56,21 +57,18 @@ class StreamQueryProcessor {
   /// regardless of size — e.g. at end of stream.
   void Flush();
 
-  /// Load-shedding support: hands a just-emitted delta-carrying window's
-  /// delta back so the NEXT emission nets the change across the gap and
-  /// the delivered stream's delta chain stays exact. The shed window's
-  /// expired/admitted move into the delta accumulators and its delta_base
-  /// becomes the accumulators' base, so the next emission carries
-  /// (shed delta ∘ next delta).
+  /// Load-shedding support: hands a just-emitted window's delta back, so
+  /// the next emission folds it in front of its own (FoldDelta) and the
+  /// delivered stream's delta chain stays exact: the next window's delta
+  /// is relative to the shed window's base. Like every fold, it is dropped
+  /// once it would exceed twice the window's items.
   ///
   /// Precondition: `shed` must be the most recent emission of this
   /// processor (shed.sequence == the last emitted sequence) — i.e. the
   /// caller sheds synchronously from inside the window callback, as the
-  /// pipeline's kReject/admission-control path does. Asynchronous
-  /// evictions (kDropOldest) must NOT fold: their gap is mid-stream, so
-  /// the delta chain simply breaks and incremental consumers detect the
-  /// delta_base mismatch and snapshot-diff. No-op for windows without a
-  /// delta.
+  /// pipeline's kReject/admission-control path does. Windows shed later
+  /// (kDropOldest evictions from the work queue) fold into their queued
+  /// successor instead. No-op for tumbling windows.
   void FoldShedDelta(TripleWindow* shed);
 
   /// Items dropped by the filter so far.
@@ -111,9 +109,9 @@ class StreamQueryProcessor {
   WindowStore buffer_;
   std::vector<Triple> pending_expired_;
   std::vector<Triple> pending_admitted_;
-  /// Emitted sequence the delta accumulators are relative to (becomes the
-  /// next emission's TripleWindow::delta_base).
-  uint64_t delta_base_ = TripleWindow::kNoDeltaBase;
+  /// The delta of the last emission, shed by FoldShedDelta: the next
+  /// emission folds it in front of its own.
+  std::optional<TripleWindow> shed_;
   size_t arrivals_since_emit_ = 0;
   bool emitted_once_ = false;
   uint64_t next_sequence_ = 0;

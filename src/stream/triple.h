@@ -43,17 +43,15 @@ struct Triple {
 /// The first window's delta is relative to the empty window (admitted ==
 /// items). An item may appear in both sets (equal payloads, or a shed
 /// window's delta folded into the next) — consumers must net the counts.
-/// Tumbling windows leave has_delta false; the incremental grounding
-/// layer then falls back to its own snapshot diff.
+/// Tumbling windows leave has_delta false, and an incremental consumer
+/// regrounds them.
 ///
 /// Under load shedding the delta is not necessarily relative to
-/// `sequence - 1`: when an emitted window is shed synchronously (kReject
-/// refusal or admission-control rejection) the query processor folds its
-/// delta into the next emission, so the next window's delta nets the
-/// change across the gap. `delta_base` names the emitted sequence the
-/// delta is relative to (kNoDeltaBase for the first emission, whose delta
-/// is relative to the empty window); incremental consumers compare it
-/// against their cached sequence and snapshot-diff on mismatch.
+/// `sequence - 1`: every shed window's delta is folded into the window
+/// after it (FoldDelta), so the delivered stream's delta chain stays
+/// unbroken. `delta_base` names the window the delta is relative to
+/// (kNoDeltaBase for the first emission, whose delta is relative to the
+/// empty window).
 struct TripleWindow {
   /// delta_base value of a window whose delta has no predecessor.
   static constexpr uint64_t kNoDeltaBase = ~uint64_t{0};
@@ -69,6 +67,18 @@ struct TripleWindow {
   size_t size() const { return items.size(); }
   bool empty() const { return items.empty(); }
 };
+
+/// Folds the delta of `shed`, a window that will not be reasoned, into
+/// `next`, the window after it in the same stream: `next`'s delta becomes
+/// relative to `shed`'s base, listing `shed`'s expiries and admissions
+/// before its own, and `shed` keeps none. Both the query processor's
+/// synchronous sheds and the work queue's kDropOldest evictions fold
+/// through here. The composed delta is dropped (has_delta false, so the
+/// consumer regrounds `next`) when `shed` has none or it would list more
+/// than twice `next`'s items: a run of sheds cannot grow it without bound,
+/// and a longer delta costs more to replay than the window does to ground.
+/// No-op on tumbling windows, which carry no delta.
+void FoldDelta(TripleWindow* shed, TripleWindow* next);
 
 }  // namespace streamasp
 

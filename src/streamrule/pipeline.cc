@@ -71,30 +71,28 @@ StreamRulePipeline::StreamRulePipeline(const Program* program,
           stats_.window_store_bytes =
               std::max(stats_.window_store_bytes, query_->retained_bytes());
         }
-        if (options_.admission_filter != nullptr &&
-            !options_.admission_filter(window)) {
-          // Caller-controlled shedding, upstream of the work queue: works
-          // in sync mode too, and its sheds are deterministic — which is
-          // what the overload property tests drive.
-          ShedWindow(std::move(window), /*evicted=*/false);
-          return;
-        }
-        if (options_.async && options_.max_queued_windows > 0) {
+        // Caller-controlled shedding, upstream of the work queue: works
+        // in sync mode too, and its sheds are deterministic — which is
+        // what the overload property tests drive.
+        bool refused = options_.admission_filter != nullptr &&
+                       !options_.admission_filter(window);
+        if (!refused && options_.async && options_.max_queued_windows > 0) {
           // Per-tenant window quota, enforced at the same ingest boundary
           // as the admission filter: bound admitted-but-undelivered
           // windows (queued + reasoning + parked + mid-callback), so a
           // tenant that outruns its service rate sheds deterministically
           // here instead of buffering without limit.
-          size_t undelivered = 0;
-          {
-            std::lock_guard<std::mutex> lock(emit_mutex_);
-            undelivered =
-                inflight_.size() + completed_.size() + delivering_;
-          }
-          if (undelivered >= options_.max_queued_windows) {
-            ShedWindow(std::move(window), /*evicted=*/false);
-            return;
-          }
+          std::lock_guard<std::mutex> lock(emit_mutex_);
+          refused = inflight_.size() + completed_.size() + delivering_ >=
+                    options_.max_queued_windows;
+        }
+        if (refused) {
+          // A refusal happens inside this very window's emission
+          // callback, so the windower folds its delta into the next
+          // emission.
+          query_->FoldShedDelta(&window);
+          ShedWindow(std::move(window), /*evicted=*/false);
+          return;
         }
         if (options_.async) {
           EnqueueWindow(std::move(window));
@@ -135,7 +133,7 @@ StreamRulePipeline::~StreamRulePipeline() {
 void StreamRulePipeline::StartAsyncEngine() {
   private_pool_ = ProvidePrivatePool(&options_);
   work_queue_ = std::make_unique<BoundedQueue<TripleWindow>>(
-      options_.max_inflight_windows, options_.backpressure);
+      options_.max_inflight_windows, options_.backpressure, &FoldDelta);
   pool_queue_ = options_.shared_pool->CreateQueue(
       options_.pool_weight,
       ResolveLaneCap(options_, /*private_pool=*/private_pool_ != nullptr));
@@ -209,10 +207,11 @@ void StreamRulePipeline::EnqueueWindow(TripleWindow window) {
     case QueuePushResult::kOk:
       break;
     case QueuePushResult::kDroppedOldest:
-      // The evicted window was admitted earlier: its tombstone releases
-      // the sequence slot it would otherwise leave gaping (ShedWindow
-      // parks it in the reorder buffer and drives delivery, which may
-      // have been waiting on exactly this sequence).
+      // The evicted window was admitted earlier, and the queue folded its
+      // delta into its successor. Its tombstone releases the sequence
+      // slot it would otherwise leave gaping (ShedWindow parks it in the
+      // reorder buffer and drives delivery, which may have been waiting
+      // on exactly this sequence).
       ShedWindow(std::move(displaced), /*evicted=*/true);
       break;
     case QueuePushResult::kRejected: {
@@ -220,7 +219,9 @@ void StreamRulePipeline::EnqueueWindow(TripleWindow window) {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         --stats_.enqueued_windows;
       }
-      // `window` was moved into Push; the refused window came back here.
+      // `window` was moved into Push; the refused window came back here,
+      // still the windower's latest emission.
+      query_->FoldShedDelta(&displaced);
       ShedWindow(std::move(displaced), /*evicted=*/false);
       break;
     }
@@ -245,16 +246,6 @@ void StreamRulePipeline::ShedWindow(TripleWindow window, bool evicted) {
       ++stats_.rejected_windows;
     }
     stats_.shed_items += window.size();
-  }
-  if (!evicted) {
-    // A synchronous refusal happens inside this very window's emission
-    // callback, so folding its delta back composes exactly: the next
-    // emission nets the change across the gap and the delivered delta
-    // chain (delta_base) stays unbroken. Evictions are mid-stream — the
-    // admitted windows between the victim and "now" are still queued —
-    // so their delta dies with them and incremental consumers detect the
-    // delta_base gap and snapshot-diff.
-    query_->FoldShedDelta(&window);
   }
   if (!options_.async) {
     DeliverShed(window);

@@ -164,7 +164,8 @@ struct PipelineStats {
   uint64_t incremental_solve_windows = 0;  ///< Partition solves that patched
                                            ///< the persistent engine.
   uint64_t solve_rebuilds = 0;      ///< Full solver re-ingests (first window,
-                                    ///< grounder fallback).
+                                    ///< grounder fallback): one per
+                                    ///< grounding fallback.
   uint64_t warm_start_hits = 0;     ///< Partition solves guided by the
                                     ///< previous window's model.
   uint64_t atoms_touched = 0;       ///< Atom assignments recomputed (the
@@ -408,10 +409,10 @@ class StreamRulePipeline {
                      const StatusOr<ParallelReasonerResult>& result);
   /// Accounts for one shed window and routes its tombstone into the
   /// emission stream (directly in sync mode; via the reorder buffer in
-  /// async mode). `evicted` distinguishes asynchronous kDropOldest
-  /// evictions (counted dropped, delta NOT folded — the gap is
-  /// mid-stream) from synchronous refusals (kReject / admission filter:
-  /// counted rejected, delta folded into the next emission).
+  /// async mode). Its delta has already been folded into its successor:
+  /// by the work queue for a kDropOldest eviction (counted dropped), by
+  /// the caller through the windower for a synchronous refusal (kReject /
+  /// admission filter / quota: counted rejected).
   void ShedWindow(TripleWindow window, bool evicted);
   /// Invokes the handler with one tombstone.
   void DeliverShed(TripleWindow& window);

@@ -42,12 +42,13 @@ StatusOr<ReasonerResult> Reasoner::Process(
     STREAMASP_RETURN_IF_ERROR(SolveGround(ground, &result));
   } else {
     // The windower's delta (when present and not the first window)
-    // becomes the grounder's diff hint; conversion of the delta counts as
+    // becomes the grounder's hint; conversion of the delta counts as
     // conversion time, as the paper requires for all data transformation.
     // The hint is relative to the window named by delta_base — under load
-    // shedding that may be further back than sequence-1 (folded deltas
-    // net the change across the shed gap); the grounder/solver compare it
-    // against their cached sequence and snapshot-diff on mismatch.
+    // shedding that may be further back than sequence-1 (every shed
+    // window's delta is folded into its successor); the grounder replays
+    // it only when it chains from the cached window, and rebuilds
+    // otherwise.
     IncrementalGrounder::FactDelta delta;
     const IncrementalGrounder::FactDelta* delta_ptr = nullptr;
     if (window.has_delta &&

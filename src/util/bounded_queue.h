@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -68,16 +69,27 @@ struct BoundedQueueStats {
 /// backpressure policy — the stage boundary of the asynchronous pipeline
 /// (ingest/windower on one side, the reasoner pool's lane on the other).
 ///
-/// All operations are thread-safe. Close() wakes every blocked producer
-/// (which observe kClosed) and consumer (Pop drains the remaining items,
-/// then returns false), after which the queue rejects new pushes forever.
+/// All operations are thread-safe. Consumers poll with TryPop. Close()
+/// wakes every blocked producer (which observe kClosed), after which the
+/// queue rejects new pushes forever.
 template <typename T>
 class BoundedQueue {
  public:
-  /// `capacity` must be >= 1 (0 is clamped to 1).
+  /// Called under kDropOldest with the evicted item and its successor
+  /// (the new oldest item, or the incoming one when the queue held only
+  /// the evicted item), before the eviction. It runs under the queue's
+  /// lock, so it must take no other lock.
+  using FoldFn = std::function<void(T* evicted, T* successor)>;
+
+  /// `capacity` must be >= 1 (0 is clamped to 1). `fold`, when set, lets
+  /// an evicted item hand its state on to its successor (the pipeline
+  /// folds an evicted window's delta into the next window).
   explicit BoundedQueue(size_t capacity,
-                        BackpressurePolicy policy = BackpressurePolicy::kBlock)
-      : capacity_(capacity == 0 ? 1 : capacity), policy_(policy) {}
+                        BackpressurePolicy policy = BackpressurePolicy::kBlock,
+                        FoldFn fold = nullptr)
+      : capacity_(capacity == 0 ? 1 : capacity),
+        policy_(policy),
+        fold_(std::move(fold)) {}
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
@@ -101,6 +113,10 @@ class BoundedQueue {
         case BackpressurePolicy::kBlock:
           break;  // Unreachable: the wait above guaranteed room.
         case BackpressurePolicy::kDropOldest:
+          if (fold_ != nullptr) {
+            fold_(&items_.front(),
+                  items_.size() > 1 ? &items_[1] : &value);
+          }
           if (displaced != nullptr) *displaced = std::move(items_.front());
           items_.pop_front();
           ++stats_.dropped;
@@ -115,24 +131,7 @@ class BoundedQueue {
     items_.push_back(std::move(value));
     ++stats_.pushed;
     stats_.max_depth = std::max(stats_.max_depth, items_.size());
-    lock.unlock();
-    not_empty_.notify_one();
     return outcome;
-  }
-
-  /// Blocks until an item is available or the queue is closed and empty.
-  /// Returns false only in the latter case (the shutdown signal for
-  /// consumer loops).
-  bool Pop(T* out) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    ++stats_.popped;
-    lock.unlock();
-    not_full_.notify_one();
-    return true;
   }
 
   /// Non-blocking pop.
@@ -154,7 +153,6 @@ class BoundedQueue {
       closed_ = true;
     }
     not_full_.notify_all();
-    not_empty_.notify_all();
   }
 
   bool closed() const {
@@ -178,10 +176,10 @@ class BoundedQueue {
  private:
   const size_t capacity_;
   const BackpressurePolicy policy_;
+  const FoldFn fold_;
 
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
-  std::condition_variable not_empty_;
   std::deque<T> items_;
   BoundedQueueStats stats_;
   bool closed_ = false;

@@ -119,8 +119,7 @@ TEST_F(GroundingReuseTest, ParallelReasonerSlidingWindowsMatchBatch) {
       // delta through the cache or regrounds. At slide 25 most windows
       // replay, and at slide 50 8 of the 11 do (measured on P and P′). At
       // slide == size the windows tumble and carry no delta, so the
-      // grounder's own snapshot diff finds them too far apart and it
-      // regrounds every window.
+      // grounder regrounds every window.
       const size_t windows = windower.emitted_windows();
       EXPECT_EQ(reuse.incremental_windows + reuse.incremental_fallbacks,
                 windows);

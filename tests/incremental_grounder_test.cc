@@ -5,8 +5,10 @@
 // Grounder::Ground + Solver::Solve over the same facts — across slide
 // sizes (1 .. window), program shapes (stratified joins, negation,
 // recursion, constraints, multi-model choice), duplicate facts, empty
-// windows and sequence gaps.
+// windows, sequence gaps, and the one rule that decides whether a delta
+// hint is replayed or the window is rebuilt.
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -48,6 +50,9 @@ struct ReuseEngines {
       : grounder(program, GroundingOptions{}, options) {}
   IncrementalGrounder grounder;
   IncrementalSolver solver;
+  /// The last window the engines were given (for the diff hint).
+  uint64_t last_sequence = 0;
+  std::optional<std::vector<Atom>> last_facts;
 };
 
 class IncrementalGrounderTest : public ::testing::Test {
@@ -77,15 +82,32 @@ class IncrementalGrounderTest : public ::testing::Test {
          begin += slide, ++sequence) {
       const std::vector<Atom> facts(stream.begin() + begin,
                                     stream.begin() + begin + window);
-      CheckWindow(program, incremental, fresh, sequence, facts, nullptr);
+      CheckWindow(program, incremental, fresh, sequence, facts);
     }
     return incremental.grounder.cumulative_stats();
   }
 
+  /// Checks one window, hinted with its multiset diff against the last
+  /// window the engines were given (the first window goes unhinted).
+  void CheckWindow(const Program& program, ReuseEngines& incremental,
+                   const Grounder& fresh, uint64_t sequence,
+                   const std::vector<Atom>& facts) {
+    if (!incremental.last_facts.has_value()) {
+      CheckWindow(program, incremental, fresh, sequence, facts, nullptr);
+      return;
+    }
+    const IncrementalGrounder::FactDelta hint = DiffWindows(
+        incremental.last_sequence, *incremental.last_facts, facts);
+    CheckWindow(program, incremental, fresh, sequence, facts, &hint);
+  }
+
+  /// Checks one window under `hint` (null: no hint, so it rebuilds).
   void CheckWindow(const Program& program, ReuseEngines& incremental,
                    const Grounder& fresh, uint64_t sequence,
                    const std::vector<Atom>& facts,
                    const IncrementalGrounder::FactDelta* hint) {
+    incremental.last_sequence = sequence;
+    incremental.last_facts = facts;
     StatusOr<GroundProgram> reference = fresh.Ground(program, facts);
     ASSERT_TRUE(reference.ok()) << reference.status();
     StatusOr<std::vector<AnswerSet>> want_models = Solver().Solve(*reference);
@@ -220,31 +242,50 @@ TEST_F(IncrementalGrounderTest, EmptyWindowsAndRefill) {
   const Grounder fresh;
   const std::vector<Atom> some = {MakeAtom("high", {Term::Integer(1)}),
                                   MakeAtom("high", {Term::Integer(2)})};
-  CheckWindow(program, incremental, fresh, 0, some, nullptr);
-  CheckWindow(program, incremental, fresh, 1, {}, nullptr);
-  CheckWindow(program, incremental, fresh, 2, some, nullptr);
+  CheckWindow(program, incremental, fresh, 0, some);
+  CheckWindow(program, incremental, fresh, 1, {});
+  CheckWindow(program, incremental, fresh, 2, some);
 }
 
 TEST_F(IncrementalGrounderTest, SequenceGapsStayCorrect) {
-  // An async worker sees every Nth window: deltas are large and sequences
-  // jump; the snapshot diff must keep every window correct regardless.
+  // A partition sees every third window of a stream. A hint folded across
+  // the gap chains from the cached window and replays; one relative to
+  // the window just before (which this grounder never saw) breaks the
+  // chain and rebuilds. Every window stays exact either way.
   const Program program = MustParse(kRecursiveProgram);
   std::vector<Atom> stream;
   for (int i = 0; i < 40; ++i) {
     stream.push_back(
         MakeAtom("edge", {Term::Integer(i % 8), Term::Integer((i + 1) % 8)}));
   }
-  ReuseEngines incremental(&program);
+  ReuseEngines folded(&program);
+  ReuseEngines broken(&program);
   const Grounder fresh;
+  std::vector<Atom> previous;
   for (size_t begin = 0, seq = 0; begin + 10 <= stream.size();
        begin += 9, seq += 3) {
+    SCOPED_TRACE("window " + std::to_string(seq));
     const std::vector<Atom> facts(stream.begin() + begin,
                                   stream.begin() + begin + 10);
-    CheckWindow(program, incremental, fresh, seq, facts, nullptr);
+    CheckWindow(program, folded, fresh, seq, facts);
+    if (seq == 0) {
+      CheckWindow(program, broken, fresh, seq, facts, nullptr);
+    } else {
+      const IncrementalGrounder::FactDelta unchained =
+          DiffWindows(seq - 1, previous, facts);
+      CheckWindow(program, broken, fresh, seq, facts, &unchained);
+      EXPECT_FALSE(folded.grounder.last_delta().full_rebuild);
+      EXPECT_TRUE(broken.grounder.last_delta().full_rebuild);
+    }
+    previous = facts;
   }
+  EXPECT_EQ(broken.grounder.cumulative_stats().incremental_windows, 0u);
 }
 
-TEST_F(IncrementalGrounderTest, DeltaHintMatchesSnapshotDiff) {
+// A windower hint lists each slide's raw expiries and admissions, churn
+// included; it replays exactly where the minimal multiset diff does,
+// while a grounder given no hint rebuilds every window.
+TEST_F(IncrementalGrounderTest, WindowerHintReplaysLikeTheMultisetDiff) {
   const Program program = MustParse(kJoinNegationProgram);
   std::vector<Atom> stream;
   for (int i = 0; i < 20; ++i) {
@@ -253,6 +294,7 @@ TEST_F(IncrementalGrounderTest, DeltaHintMatchesSnapshotDiff) {
   }
   const size_t window = 8, slide = 2;
   ReuseEngines with_hint(&program);
+  ReuseEngines diffed(&program);
   ReuseEngines without_hint(&program);
   const Grounder fresh;
   uint64_t sequence = 0;
@@ -272,15 +314,19 @@ TEST_F(IncrementalGrounderTest, DeltaHintMatchesSnapshotDiff) {
       hint_ptr = &hint;
     }
     CheckWindow(program, with_hint, fresh, sequence, facts, hint_ptr);
+    CheckWindow(program, diffed, fresh, sequence, facts);
     CheckWindow(program, without_hint, fresh, sequence, facts, nullptr);
   }
-  // The hint path must not change what got reused.
+  // The hint's churn nets out: it reuses exactly where the diff does.
   EXPECT_EQ(with_hint.grounder.cumulative_stats().incremental_windows,
-            without_hint.grounder.cumulative_stats().incremental_windows);
+            diffed.grounder.cumulative_stats().incremental_windows);
   EXPECT_GT(with_hint.grounder.cumulative_stats().incremental_windows, 0u);
+  EXPECT_EQ(without_hint.grounder.cumulative_stats().incremental_windows, 0u);
+  EXPECT_EQ(without_hint.grounder.cumulative_stats().incremental_fallbacks,
+            sequence);
 }
 
-TEST_F(IncrementalGrounderTest, InconsistentHintFallsBackToSnapshotDiff) {
+TEST_F(IncrementalGrounderTest, InconsistentHintRebuilds) {
   const Program program = MustParse(kJoinNegationProgram);
   ReuseEngines incremental(&program);
   const Grounder fresh;
@@ -289,12 +335,13 @@ TEST_F(IncrementalGrounderTest, InconsistentHintFallsBackToSnapshotDiff) {
                                 MakeAtom("high", {Term::Integer(3)})};
   std::vector<Atom> w1 = w0;
   w1.push_back(MakeAtom("maint", {Term::Integer(1)}));
-  CheckWindow(program, incremental, fresh, 0, w0, nullptr);
+  CheckWindow(program, incremental, fresh, 0, w0);
   // A hint that lies about the delta (claims nothing changed): totals
-  // disagree with the facts vector, so it must be ignored, not believed.
+  // disagree with the facts vector, so it must be refused, not believed.
   IncrementalGrounder::FactDelta bogus;
   bogus.previous_sequence = 0;
   CheckWindow(program, incremental, fresh, 1, w1, &bogus);
+  EXPECT_TRUE(incremental.grounder.last_delta().full_rebuild);
 }
 
 /// The windows high(first..first+7) of kJoinNegationProgram.
@@ -306,18 +353,20 @@ std::vector<Atom> HighWindow(SymbolId high, int first) {
   return facts;
 }
 
-TEST_F(IncrementalGrounderTest, HintExpiringAFactNeverHeldFallsBack) {
+TEST_F(IncrementalGrounderTest, HintExpiringAFactNeverHeldRebuilds) {
   // Shape-consistent lies (totals agree): each expires a fact the cached
   // window never held, once one the table never interned and once a
   // derived atom, and admits one the window does not hold. Each must be
-  // ignored for the snapshot diff, interning nothing of its own.
+  // refused: the window rebuilds, and the rebuild resets the atom table,
+  // so what the check interned is gone (the table matches a grounder
+  // given no hint).
   const Program program = MustParse(kJoinNegationProgram);
   const SymbolId high = symbols_->Intern("high");
   ReuseEngines lied_to(&program);
   ReuseEngines twin(&program);
   const Grounder fresh;
-  CheckWindow(program, lied_to, fresh, 0, HighWindow(high, 1), nullptr);
-  CheckWindow(program, twin, fresh, 0, HighWindow(high, 1), nullptr);
+  CheckWindow(program, lied_to, fresh, 0, HighWindow(high, 1));
+  CheckWindow(program, twin, fresh, 0, HighWindow(high, 1));
   const std::vector<Atom> expired_lies = {
       MakeAtom("high", {Term::Integer(20)}),
       MakeAtom("alert", {Term::Integer(2)})};
@@ -331,23 +380,23 @@ TEST_F(IncrementalGrounderTest, HintExpiringAFactNeverHeldFallsBack) {
     const std::vector<Atom> facts = HighWindow(high, static_cast<int>(w) + 1);
     CheckWindow(program, lied_to, fresh, w, facts, &lie);
     CheckWindow(program, twin, fresh, w, facts, nullptr);
-    EXPECT_FALSE(lied_to.grounder.last_delta().full_rebuild);
-    EXPECT_TRUE(lied_to.grounder.last_delta().resynced);
+    EXPECT_TRUE(lied_to.grounder.last_delta().full_rebuild);
     EXPECT_EQ(lied_to.grounder.atom_table().size(),
               twin.grounder.atom_table().size());
   }
 }
 
-TEST_F(IncrementalGrounderTest, HintExpiringMoreCopiesThanHeldFallsBack) {
+TEST_F(IncrementalGrounderTest, HintExpiringMoreCopiesThanHeldRebuilds) {
   // A shape-consistent lie expiring two copies of high(1), which the
-  // cached window holds once, and admitting a fact the window lacks.
+  // cached window holds once, and admitting a fact the window lacks:
+  // netted, it takes high(1)'s count below zero, so the window rebuilds.
   const Program program = MustParse(kJoinNegationProgram);
   const SymbolId high = symbols_->Intern("high");
   ReuseEngines lied_to(&program);
   ReuseEngines twin(&program);
   const Grounder fresh;
-  CheckWindow(program, lied_to, fresh, 0, HighWindow(high, 1), nullptr);
-  CheckWindow(program, twin, fresh, 0, HighWindow(high, 1), nullptr);
+  CheckWindow(program, lied_to, fresh, 0, HighWindow(high, 1));
+  CheckWindow(program, twin, fresh, 0, HighWindow(high, 1));
   IncrementalGrounder::FactDelta lie;
   lie.previous_sequence = 0;
   lie.expired = PackFacts({MakeAtom("high", {Term::Integer(1)}),
@@ -356,10 +405,43 @@ TEST_F(IncrementalGrounderTest, HintExpiringMoreCopiesThanHeldFallsBack) {
                             MakeAtom("high", {Term::Integer(30)})});
   CheckWindow(program, lied_to, fresh, 1, HighWindow(high, 2), &lie);
   CheckWindow(program, twin, fresh, 1, HighWindow(high, 2), nullptr);
-  EXPECT_FALSE(lied_to.grounder.last_delta().full_rebuild);
-  EXPECT_TRUE(lied_to.grounder.last_delta().resynced);
+  EXPECT_TRUE(lied_to.grounder.last_delta().full_rebuild);
   EXPECT_EQ(lied_to.grounder.atom_table().size(),
             twin.grounder.atom_table().size());
+}
+
+// A delta folded across a gap longer than the window admits facts that
+// also expire inside the gap: the cached window never held them, but
+// they net to zero, so the hint replays, or falls back by
+// fallback_delta_fraction alone. Either way the answers are exact.
+TEST_F(IncrementalGrounderTest, FoldedHintAcrossALongGapReplaysOrFallsBack) {
+  const Program program = MustParse(kJoinNegationProgram);
+  std::vector<Atom> stream;
+  for (int i = 0; i < 24; ++i) {
+    stream.push_back(
+        MakeAtom(i % 5 == 0 ? "maint" : "high", {Term::Integer(i % 11)}));
+  }
+  const size_t window = 8, slide = 2, gap = 6;  // 12 items > window.
+  const std::vector<Atom> first(stream.begin(), stream.begin() + window);
+  const std::vector<Atom> last(stream.begin() + gap * slide,
+                               stream.begin() + gap * slide + window);
+  // The fold of slides 1..gap: their expiries, then their admissions.
+  IncrementalGrounder::FactDelta folded;
+  folded.previous_sequence = 0;
+  folded.expired = PackFacts(
+      std::vector<Atom>(stream.begin(), stream.begin() + gap * slide));
+  folded.admitted = PackFacts(std::vector<Atom>(
+      stream.begin() + window, stream.begin() + window + gap * slide));
+  for (const double fraction : {4.0, 0.5}) {
+    SCOPED_TRACE("fallback_delta_fraction " + std::to_string(fraction));
+    IncrementalGroundingOptions options;
+    options.fallback_delta_fraction = fraction;
+    ReuseEngines incremental(&program, options);
+    const Grounder fresh;
+    CheckWindow(program, incremental, fresh, 0, first);
+    CheckWindow(program, incremental, fresh, gap, last, &folded);
+    EXPECT_EQ(incremental.grounder.last_delta().full_rebuild, fraction < 1);
+  }
 }
 
 TEST_F(IncrementalGrounderTest, TumblingWindowsAlwaysFallBack) {
@@ -400,12 +482,12 @@ TEST_F(IncrementalGrounderTest, InvalidateDropsTheCache) {
   ReuseEngines incremental(&program);
   const Grounder fresh;
   const std::vector<Atom> w = {MakeAtom("high", {Term::Integer(1)})};
-  CheckWindow(program, incremental, fresh, 0, w, nullptr);
+  CheckWindow(program, incremental, fresh, 0, w);
   EXPECT_TRUE(incremental.grounder.cache_valid());
   incremental.grounder.Invalidate();
   EXPECT_FALSE(incremental.grounder.cache_valid());
   // The rebuild publishes a full_rebuild delta, which resets the solver.
-  CheckWindow(program, incremental, fresh, 1, w, nullptr);
+  CheckWindow(program, incremental, fresh, 1, w);
   EXPECT_EQ(incremental.grounder.cumulative_stats().incremental_fallbacks,
             2u);
 }

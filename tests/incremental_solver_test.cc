@@ -59,8 +59,9 @@ ModelSet OracleModels(const Program& program, const std::vector<Atom>& facts,
   return ToModelSet(*models, ground->atoms());
 }
 
-/// Drives one persistent grounder+solver pair over a window stream and
-/// checks every window's model set against the cold oracle.
+/// Drives one persistent grounder+solver pair over a window stream, each
+/// window hinted with its multiset diff from the one before, and checks
+/// every window's model set against the cold oracle.
 void CheckSlidingStream(const Program& program,
                         const std::vector<std::vector<Atom>>& windows,
                         SolverStats* total = nullptr,
@@ -79,8 +80,11 @@ void CheckSlidingStream(const Program& program,
   for (size_t w = 0; w < windows.size(); ++w) {
     SCOPED_TRACE("window " + std::to_string(w));
     GroundingStats gstats;
-    const Status grounded =
-        grounder.GroundWindow(w, PackFacts(windows[w]), nullptr, &gstats);
+    const IncrementalGrounder::FactDelta hint =
+        w == 0 ? IncrementalGrounder::FactDelta{}
+               : DiffWindows(w - 1, windows[w - 1], windows[w]);
+    const Status grounded = grounder.GroundWindow(
+        w, PackFacts(windows[w]), w == 0 ? nullptr : &hint, &gstats);
     ASSERT_TRUE(grounded.ok()) << grounded;
     if (grounding_total != nullptr) grounding_total->Accumulate(gstats);
 
@@ -401,21 +405,23 @@ TEST(IncrementalSolverTest, OutOfSyncDeltaIsReportedNotMisapplied) {
 
   // A tiny fallback threshold would defeat the point: keep the default so
   // window 1's one-fact delta stays incremental.
-  IncrementalGrounder grounder(&*program);
+  // A fallback threshold above the one-fact delta keeps window 1
+  // incremental.
+  IncrementalGroundingOptions incremental;
+  incremental.fallback_delta_fraction = 100.0;
+  IncrementalGrounder grounder(&*program, GroundingOptions{}, incremental);
   ASSERT_TRUE(grounder.GroundWindow(0, PackFacts({a})).ok());
-  ASSERT_TRUE(grounder.GroundWindow(1, {}).ok());
-  ASSERT_TRUE(grounder.last_delta().full_rebuild == false ||
-              grounder.last_delta().retracted_slots.empty());
+  const IncrementalGrounder::FactDelta expire_a = DiffWindows(0, {a}, {});
+  ASSERT_TRUE(grounder.GroundWindow(1, {}, &expire_a).ok());
+  ASSERT_FALSE(grounder.last_delta().full_rebuild);
 
   // A fresh solver that never consumed window 0's full_rebuild delta must
   // refuse window 1's incremental delta instead of patching garbage.
   IncrementalSolver solver;
   std::vector<AnswerSet> models;
-  if (!grounder.last_delta().full_rebuild) {
-    const Status status = solver.SolveWindow(grounder, &models);
-    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
-    EXPECT_FALSE(solver.valid());
-  }
+  const Status status = solver.SolveWindow(grounder, &models);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
+  EXPECT_FALSE(solver.valid());
 }
 
 TEST(IncrementalSolverTest, DoubleAppliedDeltaIsRejectedBySequenceChain) {
@@ -442,7 +448,8 @@ TEST(IncrementalSolverTest, DoubleAppliedDeltaIsRejectedBySequenceChain) {
   ASSERT_TRUE(solver.SolveWindow(grounder, &models).ok());
   // Fact d feeds no rule, so window 1's delta carries an empty rule
   // delta — the store-size checks hold trivially on a replay.
-  ASSERT_TRUE(grounder.GroundWindow(1, PackFacts({a, d})).ok());
+  const IncrementalGrounder::FactDelta admit_d = DiffWindows(0, {a}, {a, d});
+  ASSERT_TRUE(grounder.GroundWindow(1, PackFacts({a, d}), &admit_d).ok());
   ASSERT_FALSE(grounder.last_delta().full_rebuild);
   ASSERT_TRUE(grounder.last_delta().retracted_slots.empty());
   ASSERT_TRUE(solver.SolveWindow(grounder, &models).ok());

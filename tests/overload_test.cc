@@ -14,6 +14,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -386,6 +387,230 @@ TEST_F(OverloadTest, ReuseChainsKeepTheInflightBound) {
     EXPECT_EQ(lane.submitted, stats.enqueued_windows + stats.windows);
     EXPECT_EQ(lane.completed, lane.submitted);
   }
+}
+
+// Recursive reachability with alarms on it: definite, so the reuse path
+// answers from the maintained fixpoint.
+constexpr char kReachProgram[] = R"(
+  #input link/2.
+  #input high/1.
+  reach(X, Y) :- link(X, Y).
+  reach(X, Z) :- reach(X, Y), link(Y, Z).
+  alarm(X, Y) :- high(X), high(Y), reach(X, Y).
+  #show alarm/2.
+)";
+
+/// `items` link/high triples over 24 nodes, links four times as frequent.
+std::vector<Triple> MakeReachStream(SymbolTable& symbols, size_t items) {
+  GeneratorOptions options;
+  options.seed = 2017;
+  options.location_divisor = std::max<size_t>(1, items / 24);
+  options.value_range = 24;
+  std::vector<StreamPredicate> schema(2);
+  schema[0].predicate = symbols.Intern("link");
+  schema[0].has_object = true;
+  schema[0].weight = 4.0;
+  schema[1].predicate = symbols.Intern("high");
+  return SyntheticStreamGenerator(schema, options).GenerateWindow(items);
+}
+
+// kDropOldest evictions fold their delta into the queued successor, so
+// each partition's grounder replays the next delivered window from the
+// one it saw before, across the gap, and the maintained fixpoint is kept
+// rather than reset. A one-thread pool is held by a gate task on another
+// lane while each phase's windows are pushed: the work queue (capacity 2)
+// keeps the phase's last two windows and evicts the rest, a known set.
+// Every delivered window must answer byte-identically to the lossless
+// sync oracle, windows after an eviction must replay, and the solver may
+// restart only when the grounder rebuilds.
+TEST_F(OverloadTest, EvictionsFoldTheirDeltaIntoTheNextWindow) {
+  Parser parser(symbols_);
+  StatusOr<Program> program = parser.ParseProgram(kReachProgram);
+  ASSERT_TRUE(program.ok()) << program.status();
+  const size_t window_size = 400;
+  const size_t slide = 20;
+  const size_t windows_per_phase = 5;
+  const size_t phases = 3;
+  const size_t capacity = 2;
+  const std::vector<Triple> stream = MakeReachStream(
+      *symbols_, window_size + slide * (phases * windows_per_phase - 1));
+  const std::map<uint64_t, std::string> oracle =
+      OracleLines(*program, window_size, slide, stream);
+  ASSERT_EQ(oracle.size(), phases * windows_per_phase);
+  auto pool = std::make_shared<SharedReasonerPool>(1);
+  const std::shared_ptr<SharedReasonerPool::Queue> gate_lane =
+      pool->CreateQueue(/*weight=*/1, /*max_inflight=*/1);
+
+  for (const size_t shards : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    PipelineOptions options;
+    options.reasoner.num_shards = shards;
+    options.window_size = window_size;
+    options.window_slide = slide;
+    options.reasoner.reasoner.solving.reuse_solving = true;
+    options.async = true;
+    options.shared_pool = pool;
+    options.max_inflight_windows = capacity;
+    options.backpressure = BackpressurePolicy::kDropOldest;
+
+    std::vector<uint64_t> delivered;
+    std::vector<uint64_t> shed;
+    std::vector<std::string> mismatches;
+    StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
+        StreamRulePipeline::Create(
+            &*program, options,
+            ByKind(
+                [&](const TripleWindow& window,
+                    const ParallelReasonerResult& result) {
+                  delivered.push_back(window.sequence);
+                  const std::string line = Line(window, result);
+                  if (oracle.at(window.sequence) != line) {
+                    mismatches.push_back(line);
+                  }
+                },
+                nullptr,
+                [&](const TripleWindow& window) {
+                  shed.push_back(window.sequence);
+                }));
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+
+    size_t pushed = 0;
+    uint64_t replayed_before = 0;
+    for (size_t phase = 0; phase < phases; ++phase) {
+      SCOPED_TRACE("phase " + std::to_string(phase));
+      std::atomic<bool> gate_running{false};
+      std::atomic<bool> gate_open{false};
+      gate_lane->Submit([&] {
+        gate_running = true;
+        while (!gate_open) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+      while (!gate_running) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      const size_t items =
+          phase == 0 ? window_size + slide * (windows_per_phase - 1)
+                     : slide * windows_per_phase;
+      (*pipeline)->PushBatch(std::vector<Triple>(
+          stream.begin() + pushed, stream.begin() + pushed + items));
+      pushed += items;
+      gate_open = true;
+      (*pipeline)->Flush();
+      gate_lane->Drain();
+
+      // The phase's windows but the last two were evicted.
+      const PipelineStats stats = (*pipeline)->stats();
+      EXPECT_EQ(stats.dropped_windows,
+                (phase + 1) * (windows_per_phase - capacity));
+      EXPECT_EQ(stats.windows, (phase + 1) * capacity);
+      // After the first phase, every delivered window replays (in each
+      // of its partitions): the first chains across the evictions.
+      if (phase > 0) {
+        EXPECT_GE(stats.incremental_windows - replayed_before,
+                  capacity * (*pipeline)->num_partitions());
+      }
+      replayed_before = stats.incremental_windows;
+    }
+    ASSERT_EQ(pushed, stream.size());
+
+    EXPECT_TRUE(mismatches.empty()) << mismatches.front();
+    ASSERT_EQ(delivered.size() + shed.size(), oracle.size());
+    for (size_t phase = 0; phase < phases; ++phase) {
+      for (size_t i = 0; i < windows_per_phase; ++i) {
+        const uint64_t sequence = phase * windows_per_phase + i;
+        const bool kept = i >= windows_per_phase - capacity;
+        const std::vector<uint64_t>& channel = kept ? delivered : shed;
+        EXPECT_NE(std::find(channel.begin(), channel.end(), sequence),
+                  channel.end())
+            << "window " << sequence;
+      }
+    }
+    const PipelineStats stats = (*pipeline)->stats();
+    EXPECT_EQ(stats.errors, 0u);
+    EXPECT_GT(stats.fixpoint_maintained_windows, 0u);
+    // Every delta chains, so the solver restarts exactly when the
+    // grounder rebuilds; no eviction resets the maintained fixpoint.
+    EXPECT_EQ(stats.solve_rebuilds, stats.grounding_fallbacks);
+  }
+}
+
+// A run of synchronous sheds folds each shed delta into the next
+// emission. Past 2 × window / slide sheds in a row the composition would
+// list more than twice the window's items, so the fold drops it and the
+// next delivered window is grounded afresh: every delivered window
+// carries at most twice its items in delta triples, and every answer
+// still matches the oracle.
+TEST_F(OverloadTest, LongShedRunDropsTheFoldedDelta) {
+  StatusOr<Program> program = MakeTrafficProgram(
+      symbols_, TrafficProgramVariant::kP, /*with_show=*/true);
+  ASSERT_TRUE(program.ok());
+  const size_t window_size = 100;
+  const size_t slide = 10;
+  const std::vector<Triple> stream = MakeStream(window_size + slide * 59);
+  const std::map<uint64_t, std::string> oracle =
+      OracleLines(*program, window_size, slide, stream);
+  ASSERT_EQ(oracle.size(), 60u);
+  // A run of 2 × 100 / 10 + 3 = 23 sheds, then a run of 2.
+  const uint64_t long_run_end = 26;
+  const auto shed = [&](uint64_t sequence) {
+    return (sequence >= 3 && sequence < long_run_end) ||
+           sequence == 40 || sequence == 41;
+  };
+
+  PipelineOptions options;
+  options.window_size = window_size;
+  options.window_slide = slide;
+  options.async = false;
+  options.reasoner.reasoner.solving.reuse_solving = true;
+  options.admission_filter = [&](const TripleWindow& window) {
+    return !shed(window.sequence);
+  };
+  std::vector<std::string> mismatches;
+  std::map<uint64_t, TripleWindow> delivered;
+  StatusOr<std::unique_ptr<StreamRulePipeline>> pipeline =
+      StreamRulePipeline::Create(
+          &*program, options,
+          ByKind([&](const TripleWindow& window,
+                     const ParallelReasonerResult& result) {
+            if (oracle.at(window.sequence) != Line(window, result)) {
+              mismatches.push_back(Line(window, result));
+            }
+            TripleWindow delta_only;
+            delta_only.has_delta = window.has_delta;
+            delta_only.delta_base = window.delta_base;
+            delta_only.expired = window.expired;
+            delta_only.admitted = window.admitted;
+            delta_only.items.resize(window.size());
+            delivered.emplace(window.sequence, std::move(delta_only));
+          }));
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+  (*pipeline)->PushBatch(stream);
+  (*pipeline)->Flush();
+
+  EXPECT_TRUE(mismatches.empty()) << mismatches.front();
+  ASSERT_EQ(delivered.size(), oracle.size() - 25);
+  for (const auto& [sequence, window] : delivered) {
+    EXPECT_LE(window.expired.size() + window.admitted.size(),
+              2 * window.size())
+        << "window " << sequence;
+  }
+  // The long run's composition went over the bound and was dropped.
+  const TripleWindow& after_long = delivered.at(long_run_end);
+  EXPECT_FALSE(after_long.has_delta);
+  EXPECT_TRUE(after_long.expired.empty());
+  EXPECT_TRUE(after_long.admitted.empty());
+  // The short run's stayed within it: a chained, folded delta.
+  const TripleWindow& after_short = delivered.at(42);
+  ASSERT_TRUE(after_short.has_delta);
+  EXPECT_EQ(after_short.delta_base, 39u);
+  EXPECT_EQ(after_short.expired.size(), 3 * slide);
+  EXPECT_EQ(after_short.admitted.size(), 3 * slide);
+
+  const PipelineStats stats = (*pipeline)->stats();
+  EXPECT_EQ(stats.rejected_windows, 25u);
+  EXPECT_GT(stats.incremental_windows, 0u);
+  EXPECT_EQ(stats.solve_rebuilds, stats.grounding_fallbacks);
 }
 
 // Hot-key storm against an undersized async pipeline with kDropOldest:

@@ -1,12 +1,14 @@
 #ifndef STREAMASP_TESTS_PACKED_FACT_TEST_UTIL_H_
 #define STREAMASP_TESTS_PACKED_FACT_TEST_UTIL_H_
 
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "asp/atom.h"
 #include "asp/packed_term.h"
+#include "ground/incremental_grounder.h"
 
 namespace streamasp {
 
@@ -24,6 +26,29 @@ inline std::vector<PackedFact> PackFacts(const std::vector<Atom>& facts) {
     packed.push_back(p);
   }
   return packed;
+}
+
+/// The grounder's delta hint between two consecutive windows, as a
+/// windower would supply it: the multiset diff, so that `before` -
+/// expired + admitted == `after`. Expiries keep `before`'s order and
+/// admissions `after`'s; `previous_sequence` names `before`.
+inline IncrementalGrounder::FactDelta DiffWindows(
+    uint64_t previous_sequence, const std::vector<Atom>& before,
+    const std::vector<Atom>& after) {
+  std::vector<bool> matched(after.size(), false);
+  std::vector<Atom> expired;
+  for (const Atom& fact : before) {
+    bool kept = false;
+    for (size_t i = 0; i < after.size() && !kept; ++i) {
+      if (!matched[i] && after[i] == fact) matched[i] = kept = true;
+    }
+    if (!kept) expired.push_back(fact);
+  }
+  std::vector<Atom> admitted;
+  for (size_t i = 0; i < after.size(); ++i) {
+    if (!matched[i]) admitted.push_back(after[i]);
+  }
+  return {previous_sequence, PackFacts(expired), PackFacts(admitted)};
 }
 
 }  // namespace streamasp

@@ -66,7 +66,11 @@ class SolvingReuseTest : public ::testing::Test {
     EXPECT_TRUE(pipeline.ok()) << pipeline.status();
     (*pipeline)->PushBatch(stream);
     (*pipeline)->Flush();
-    if (stats_out != nullptr) *stats_out = (*pipeline)->stats();
+    const PipelineStats stats = (*pipeline)->stats();
+    // Every delta chains, so the solver restarts exactly when the
+    // grounder rebuilds.
+    EXPECT_EQ(stats.solve_rebuilds, stats.grounding_fallbacks);
+    if (stats_out != nullptr) *stats_out = stats;
     return transcript;
   }
 
@@ -99,6 +103,7 @@ TEST_F(SolvingReuseTest, ParallelReasonerSlidingWindowsMatchBatch) {
         std::string warm_answers;
         std::string batch_answers;
         GroundingStats reuse;
+        SolverStats solving;
         StreamQueryProcessor windower(
             /*window_size=*/100, slide, [&](const TripleWindow& window) {
               StatusOr<ParallelReasonerResult> a = warm.Process(window);
@@ -106,6 +111,7 @@ TEST_F(SolvingReuseTest, ParallelReasonerSlidingWindowsMatchBatch) {
               ASSERT_TRUE(a.ok()) << a.status();
               ASSERT_TRUE(b.ok()) << b.status();
               reuse.Accumulate(a->grounding);
+              solving.Accumulate(a->solving);
               AppendLine(&warm_answers, window, *a);
               AppendLine(&batch_answers, window, *b);
             });
@@ -121,11 +127,12 @@ TEST_F(SolvingReuseTest, ParallelReasonerSlidingWindowsMatchBatch) {
         // delta through the cache or regrounds. At slide 25 most windows
         // replay, and at slide 50 8 of the 11 do (measured on P and P′). At
         // slide == size the windows tumble and carry no delta, so the
-        // grounder's own snapshot diff finds them too far apart and it
-        // regrounds every window.
+        // grounder regrounds every window.
         const size_t windows = windower.emitted_windows();
         EXPECT_EQ(reuse.incremental_windows + reuse.incremental_fallbacks,
                   windows);
+        // The solver restarts exactly when the grounder rebuilds.
+        EXPECT_EQ(solving.solve_rebuilds, reuse.incremental_fallbacks);
         if (slide == 25) {
           EXPECT_GT(reuse.incremental_windows, windows / 2);
         } else if (slide == 50) {

@@ -509,6 +509,38 @@ TEST_F(QueryProcessorTest, SlidingTrafficStreamEmitsDeltas) {
 TEST_F(QueryProcessorTest, FoldShedDeltaNetsTheGap) {
   constexpr uint64_t kShed = 2;
   StreamQueryProcessor* self = nullptr;
+  StreamQueryProcessor proc(6, 2, [&](TripleWindow window) {
+    if (window.sequence == kShed) {
+      self->FoldShedDelta(&window);
+      EXPECT_TRUE(window.expired.empty());
+      EXPECT_TRUE(window.admitted.empty());
+      return;
+    }
+    windows_.push_back(std::move(window));
+  });
+  self = &proc;
+  proc.RegisterPredicate(p_);
+  for (int i = 0; i < 16; ++i) proc.Push(Item(i));
+  ASSERT_EQ(windows_.size(), 5u);
+  EXPECT_EQ(windows_[1].sequence, kShed - 1);
+  EXPECT_EQ(windows_[2].sequence, kShed + 1);
+  EXPECT_EQ(windows_[2].delta_base, kShed - 1);
+  EXPECT_EQ(windows_[3].delta_base, kShed + 1);
+  // Window 1 holds [2..7] and window 3 [6..11]: the folded delta expires
+  // the shed window's 2, 3 and then 4, 5, and admits 8, 9 then 10, 11.
+  EXPECT_EQ(Counts(windows_[2].expired),
+            (std::map<int64_t, int>{{2, 1}, {3, 1}, {4, 1}, {5, 1}}));
+  EXPECT_EQ(windows_[2].admitted.front().subject.integer_value(), 8);
+  EXPECT_EQ(windows_[2].admitted.size(), 4u);
+  ExpectDeltaInvariant(windows_);
+}
+
+// A fold that would list more than twice the window's items drops the
+// delta: here a gap longer than the window (window 4, slide 3, so one
+// shed makes 12 > 8). The next window chains from the delta-less one.
+TEST_F(QueryProcessorTest, FoldShedDeltaOverTwiceTheItemsIsDropped) {
+  constexpr uint64_t kShed = 2;
+  StreamQueryProcessor* self = nullptr;
   StreamQueryProcessor proc(4, 3, [&](TripleWindow window) {
     if (window.sequence == kShed) {
       self->FoldShedDelta(&window);
@@ -520,15 +552,21 @@ TEST_F(QueryProcessorTest, FoldShedDeltaNetsTheGap) {
   proc.RegisterPredicate(p_);
   for (int i = 0; i < 16; ++i) proc.Push(Item(i));
   ASSERT_EQ(windows_.size(), 4u);
-  EXPECT_EQ(windows_[1].sequence, kShed - 1);
-  EXPECT_EQ(windows_[2].sequence, kShed + 1);
-  EXPECT_EQ(windows_[2].delta_base, kShed - 1);
+  const TripleWindow& dropped = windows_[2];
+  EXPECT_EQ(dropped.sequence, kShed + 1);
+  EXPECT_FALSE(dropped.has_delta);
+  EXPECT_EQ(dropped.delta_base, TripleWindow::kNoDeltaBase);
+  EXPECT_TRUE(dropped.expired.empty());
+  EXPECT_TRUE(dropped.admitted.empty());
+  EXPECT_EQ(Counts(dropped.items),
+            (std::map<int64_t, int>{{9, 1}, {10, 1}, {11, 1}, {12, 1}}));
+  // Window 4 holds [12..15]: one slide on from the dropped window.
+  ASSERT_TRUE(windows_[3].has_delta);
   EXPECT_EQ(windows_[3].delta_base, kShed + 1);
-  // Window 1 holds [3..6] and window 3 [9..12]: the folded delta expires
-  // 3..8 and admits 7..12, so 7 and 8 appear in both sets.
-  EXPECT_EQ(windows_[2].expired.size(), 6u);
-  EXPECT_EQ(windows_[2].admitted.size(), 6u);
-  ExpectDeltaInvariant(windows_);
+  EXPECT_EQ(Counts(windows_[3].expired),
+            (std::map<int64_t, int>{{9, 1}, {10, 1}, {11, 1}}));
+  EXPECT_EQ(Counts(windows_[3].admitted),
+            (std::map<int64_t, int>{{13, 1}, {14, 1}, {15, 1}}));
 }
 
 TEST_F(QueryProcessorTest, FoldShedDeltaOfATumblingWindowIsANoOp) {
